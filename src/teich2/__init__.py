@@ -12,6 +12,7 @@ from __future__ import annotations
 from .errors import (
     BallCapacityError,
     DomainError,
+    NumericalError,
     OutOfDomainError,
     StepTooLargeError,
 )
@@ -72,6 +73,7 @@ __all__ = [
     "GeodesicArc",
     "GroupBall",
     "MobiusTransform",
+    "NumericalError",
     "OctagonGeometry",
     "OctagonParams",
     "OutOfDomainError",

@@ -1,8 +1,10 @@
 """Command-line interface: geometry dumps, orbits, areas, tilings, validation.
 
-Exit codes: 0 success, 2 argument errors, 3 domain errors (parameters
-outside the admissible region), 4 validation failure.  With ``--format
-json`` errors additionally produce a JSON error object on stdout.
+Exit codes: 0 success, 1 I/O errors, 2 argument errors, 3 domain errors
+(parameters outside the admissible region), 4 validation failure, 5
+numerical errors (a quadrature that does not converge or overflows, or a
+cancellation).  With ``--format json`` domain errors additionally produce a
+JSON error object on stdout.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import sys
 from typing import Any, Sequence
 
 from . import isoperimetric as iso
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .fenchel_nielsen import (
     FD_STEP,
     dt_residuals,
@@ -409,6 +411,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"teich2: i/o error: {exc}", file=sys.stderr)
         return 1
+    except NumericalError as exc:
+        print(f"teich2: numerical error: {exc}", file=sys.stderr)
+        return 5
 
 
 def main() -> None:

@@ -7,6 +7,7 @@ __all__ = [
     "OutOfDomainError",
     "StepTooLargeError",
     "BallCapacityError",
+    "NumericalError",
 ]
 
 
@@ -35,3 +36,7 @@ class StepTooLargeError(DomainError):
 
 class BallCapacityError(RuntimeError):
     """Group-ball enumeration exceeded the configured element cap."""
+
+
+class NumericalError(RuntimeError):
+    """A computation broke down numerically: no convergence, overflow, or cancellation."""

@@ -230,7 +230,8 @@ class WolpertCheck:
 def wp_fd_check(
     params: OctagonParams, h: float = FD_STEP, primed: bool = False
 ) -> WolpertCheck:
-    """Evaluate Wolpert's form by central differences in (a, alpha_tilde).
+    """Evaluate Wolpert's form by central differences of the closed-form
+    lengths and twists in (a, alpha_tilde).
 
     Returns the sum 1/2 sum_k [da l_k dat tau_k - dat l_k da tau_k] together
     with the individual summands; the k = 3 summand must vanish because l3
@@ -241,24 +242,26 @@ def wp_fd_check(
         raise ValueError(f"step must be positive, got {h!r}")
     a0, at0 = params.a, params.alpha_tilde
 
-    def eval_at(a: float, at: float) -> PantsData:
+    def eval_at(a: float, at: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
         try:
             q = OctagonParams(a, at)
         except DomainError as exc:
             raise StepTooLargeError(
                 f"step {h!r} leaves the domain at ({a!r}, {at!r})"
             ) from exc
-        return pants_data(q, primed=primed)
+        if primed:
+            q = q.conjugate()
+        return fn_lengths(q), fn_twists(q)
 
-    da_plus = eval_at(a0 + h, at0)
-    da_minus = eval_at(a0 - h, at0)
-    dt_plus = eval_at(a0, at0 + h)
-    dt_minus = eval_at(a0, at0 - h)
+    l_a_plus, tau_a_plus = eval_at(a0 + h, at0)
+    l_a_minus, tau_a_minus = eval_at(a0 - h, at0)
+    l_t_plus, tau_t_plus = eval_at(a0, at0 + h)
+    l_t_minus, tau_t_minus = eval_at(a0, at0 - h)
     summands = []
     for k in range(3):
-        dl_da = (da_plus.lengths[k] - da_minus.lengths[k]) / (2.0 * h)
-        dl_dat = (dt_plus.lengths[k] - dt_minus.lengths[k]) / (2.0 * h)
-        dtau_da = (da_plus.twists[k] - da_minus.twists[k]) / (2.0 * h)
-        dtau_dat = (dt_plus.twists[k] - dt_minus.twists[k]) / (2.0 * h)
+        dl_da = (l_a_plus[k] - l_a_minus[k]) / (2.0 * h)
+        dl_dat = (l_t_plus[k] - l_t_minus[k]) / (2.0 * h)
+        dtau_da = (tau_a_plus[k] - tau_a_minus[k]) / (2.0 * h)
+        dtau_dat = (tau_t_plus[k] - tau_t_minus[k]) / (2.0 * h)
         summands.append(0.5 * (dl_da * dtau_dat - dl_dat * dtau_da))
     return WolpertCheck(sum(summands), tuple(summands), h, primed)

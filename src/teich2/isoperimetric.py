@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .fenchel_nielsen import wp_coefficient_raw
 from .octagon import OctagonParams, b_of, perimeter_ab
 
@@ -110,9 +110,15 @@ def orbit_point(e: float, phi: float) -> OrbitSample:
     phi = phi % (2.0 * math.pi)
     c, s = math.cos(phi), math.sin(phi)
     a = math.sqrt(3.0 * e - 4.0 + c * root) / (2.0 * math.sqrt(e))
+    if s == 0.0:
+        # the numerator vanishes; at large E the denominator cancels to 0 too
+        return OrbitSample(e, phi, a, 0.0)
     inner = e - 12.0 - c * root
     # (E-12)^2 exceeds the discriminant by 128, so inner > 0 for E > E_reg
-    assert inner > 0.0, inner
+    if not inner > 0.0:
+        raise NumericalError(
+            f"orbit of E = {e!r} cancels to {inner!r} at phi = {phi!r}"
+        )
     at = math.atan(
         math.sqrt((e - 4.0) * _discriminant(e)) * s
         / (math.sqrt(2.0) * e * math.sqrt(inner))
@@ -181,8 +187,8 @@ def wp_area(p_star: float) -> AreaResult:
         g, 0.0, 1.0, epsabs=QUAD_TOLERANCE, epsrel=QUAD_TOLERANCE,
         limit=200, full_output=True,
     )[:3]
-    if err > 1e-6 * max(1.0, abs(area)):
-        raise RuntimeError(
+    if not (math.isfinite(area) and err <= 1e-6 * max(1.0, abs(area))):
+        raise NumericalError(
             f"area quadrature did not converge at p_star = {p_star!r}: "
             f"estimate {area!r}, error {err!r}, {info['neval']} evaluations"
         )

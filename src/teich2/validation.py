@@ -4,18 +4,19 @@ Every cross-check stated by the library modules is exercised here: group
 relation and discreteness margins, the triple construction of the
 generators, side pairings, Fenchel-Nielsen consistency, the Wolpert form,
 L/T relations, both perimeter routes with interior angles, isoperimetric
-orbit behavior, and the two independent area integrations.  The result is
-a JSON-ready report with one entry per check.
+orbit behavior, and the two independent area integrations.  Each identity
+is written once, in the ``CHECKS`` table, which the acceptance tests call
+too.  The result is a JSON-ready report with one entry per check.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, NamedTuple
 
 from . import isoperimetric as iso
 from .fenchel_nielsen import (
+    d_closed,
     dt_residuals,
     lt_relations_check,
     pants_data,
@@ -23,6 +24,7 @@ from .fenchel_nielsen import (
     wp_fd_check,
 )
 from .group import (
+    GeneratorSet,
     ball,
     generators,
     m_matrices,
@@ -32,6 +34,7 @@ from .group import (
 )
 from .hyperbolic import dist, translation
 from .octagon import (
+    OctagonGeometry,
     OctagonParams,
     build_geometry,
     domain_grid,
@@ -40,7 +43,7 @@ from .octagon import (
     perimeter_numeric,
 )
 
-__all__ = ["DEFAULT_TOLERANCES", "run_validation", "thread_count"]
+__all__ = ["CHECKS", "DEFAULT_TOLERANCES", "run_validation"]
 
 DEFAULT_TOLERANCES: dict[str, float] = {
     "relation_defect": 1e-9,
@@ -62,36 +65,22 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "ball_counts": 0.0,
 }
 
-_GRID_KEYS = (
-    "relation_defect",
-    "generator_traces",
-    "triple_agreement",
-    "side_pairing",
-    "fn_consistency",
-    "wolpert_relative",
-    "wolpert_k3",
-    "lt_relations",
-    "perimeter_routes",
-    "interior_angles",
-)
+# perimeters at which validate compares the quadrature and grid areas
+_AREA_P_STARS = (25.0, 41.0)
 
 
-def thread_count() -> int:
-    """Worker count, capped by the TEICH2_THREADS environment variable."""
-    cap = os.environ.get("TEICH2_THREADS")
-    workers = os.cpu_count() or 1
-    if cap is not None:
-        workers = max(1, min(workers, int(cap)))
-    return min(workers, 32)
+def _relation(
+    params: OctagonParams, geom: OctagonGeometry, gens: GeneratorSet
+) -> dict[str, float]:
+    return {
+        "relation_defect": relation_defect(gens).defect,
+        "generator_traces": max(0.0, 2.0 - min(abs(g.trace) for g in gens.g)),
+    }
 
 
-def _grid_point(params: OctagonParams) -> dict[str, float]:
-    geom = build_geometry(params)
-    gens = generators(params)
-
-    rel = relation_defect(gens).defect
-    traces = max(0.0, 2.0 - min(abs(g.trace) for g in gens.g))
-
+def _triple_agreement(
+    params: OctagonParams, geom: OctagonGeometry, gens: GeneratorSet
+) -> dict[str, float]:
     mm = m_matrices(geom)
     omegas = omega_table(geom)
     triple = 0.0
@@ -99,61 +88,70 @@ def _grid_point(params: OctagonParams) -> dict[str, float]:
         pk = omegas[k] / (1.0 + math.sqrt(1.0 - abs(omegas[k]) ** 2))
         triple = max(triple, gens.g[k].projective_gap(mm[k] @ mm[5]))
         triple = max(triple, gens.g[k].projective_gap(translation(pk)))
+    return {"triple_agreement": triple}
 
+
+def _side_pairing(
+    params: OctagonParams, geom: OctagonGeometry, gens: GeneratorSet
+) -> dict[str, float]:
     sp = side_pairing_check(geom, gens, samples=0)
-    pairing = max(sp.endpoint_residual, sp.midpoint_residual)
+    return {"side_pairing": max(sp.endpoint_residual, sp.midpoint_residual)}
 
+
+def _fn_consistency(
+    params: OctagonParams, geom: OctagonGeometry, gens: GeneratorSet
+) -> dict[str, float]:
     data = pants_data(params)
-    data_p = pants_data(params, primed=True)
     fn_res = 0.0
     for k in range(3):
         fn_res = max(fn_res, abs(data.c[k] - math.cosh(0.5 * data.lengths[k])))
-    a, b = params.a, params.b
-    d12 = 4.0 / ((1.0 - a * a) * (1.0 - b * b)) - 1.0
-    d3 = 2.0 / (1.0 - a * a) ** 2 - 1.0
-    for k, ref in enumerate((d12, d12, d3)):
+    for k, ref in enumerate(d_closed(params)):
         fn_res = max(fn_res, abs(data.d[k] - ref))
     fn_res = max(fn_res, *(abs(r) for r in dt_residuals(data)))
     p_plus = complex(geom.p_plus)
     p_minus = complex(geom.p_minus)
     fn_res = max(fn_res, abs(data.lengths[0] - 2.0 * dist(p_plus, p_minus)))
-    fn_res = max(fn_res, abs(data.lengths[2] - 2.0 * dist(0.0, a)))
+    fn_res = max(fn_res, abs(data.lengths[2] - 2.0 * dist(0.0, params.a)))
+    data_p = pants_data(params, primed=True)
     fn_res = max(fn_res, abs(data_p.lengths[0] - 2.0 * dist(1j * p_plus, p_minus)))
+    return {"fn_consistency": fn_res}
 
+
+def _wolpert(
+    params: OctagonParams, geom: OctagonGeometry, gens: GeneratorSet
+) -> dict[str, float]:
     coeff = wp_coefficient(params)
     chk = wp_fd_check(params)
     chk_p = wp_fd_check(params, primed=True)
-    wolpert_rel = max(
-        abs(chk.value - coeff) / coeff, abs(chk_p.value - coeff) / coeff
-    )
-    wolpert_k3 = max(abs(chk.summands[2]), abs(chk_p.summands[2]))
-
-    lt = lt_relations_check(params).max_residual
-
-    p_closed = perimeter(params)
-    p_sum = perimeter_numeric(geom)
-    ang0, ang1 = interior_angles_numeric(geom)
-    angle_res = max(
-        abs(ang0 - geom.beta),
-        abs(ang1 - (0.5 * math.pi - geom.beta)),
-        abs(4.0 * (ang0 + ang1) - 2.0 * math.pi),
-    )
-
     return {
-        "relation_defect": rel,
-        "generator_traces": traces,
-        "triple_agreement": triple,
-        "side_pairing": pairing,
-        "fn_consistency": fn_res,
-        "wolpert_relative": wolpert_rel,
-        "wolpert_k3": wolpert_k3,
-        "lt_relations": lt,
-        "perimeter_routes": abs(p_closed - p_sum),
-        "interior_angles": angle_res,
+        "wolpert_relative": max(
+            abs(chk.value - coeff) / coeff, abs(chk_p.value - coeff) / coeff
+        ),
+        "wolpert_k3": max(abs(chk.summands[2]), abs(chk_p.summands[2])),
     }
 
 
-def _orbit_checks(results: dict[str, float]) -> None:
+def _lt_relations(
+    params: OctagonParams, geom: OctagonGeometry, gens: GeneratorSet
+) -> dict[str, float]:
+    return {"lt_relations": lt_relations_check(params).max_residual}
+
+
+def _perimeter_and_angles(
+    params: OctagonParams, geom: OctagonGeometry, gens: GeneratorSet
+) -> dict[str, float]:
+    ang0, ang1 = interior_angles_numeric(geom)
+    return {
+        "perimeter_routes": abs(perimeter(params) - perimeter_numeric(geom)),
+        "interior_angles": max(
+            abs(ang0 - geom.beta),
+            abs(ang1 - (0.5 * math.pi - geom.beta)),
+            abs(4.0 * (ang0 + ang1) - 2.0 * math.pi),
+        ),
+    }
+
+
+def _orbit_constancy() -> dict[str, float]:
     constancy = 0.0
     mirror = 0.0
     for p_target in range(25, 42, 2):
@@ -163,16 +161,17 @@ def _orbit_checks(results: dict[str, float]) -> None:
             constancy = max(
                 constancy, abs(perimeter(s.params) - p_target) / p_target
             )
-        for j in range(1, 128):
+        for j in range(1, 129):
             left, right = samples[j], samples[256 - j]
             mirror = max(
                 mirror,
                 abs(left.a - right.a),
                 abs(left.alpha_tilde + right.alpha_tilde),
             )
-    results["orbit_constancy"] = constancy
-    results["orbit_mirror"] = mirror
+    return {"orbit_constancy": constancy, "orbit_mirror": mirror}
 
+
+def _orbit_asymptote() -> dict[str, float]:
     e200 = iso.e_of_p(200.0)
     sup = 0.0
     for j in range(256):
@@ -180,17 +179,45 @@ def _orbit_checks(results: dict[str, float]) -> None:
         s = iso.orbit_point(e200, phi)
         a_inf, at_inf = iso.asymptotic_orbit(phi)
         sup = max(sup, abs(s.a - a_inf), abs(s.alpha_tilde - at_inf))
-    results["orbit_asymptote"] = sup
+    return {"orbit_asymptote": sup}
 
 
-def _area_checks(results: dict[str, float]) -> None:
-    results["area_regular"] = abs(iso.wp_area(iso.P_REG).area)
+def _area_regular() -> dict[str, float]:
+    return {"area_regular": abs(iso.wp_area(iso.P_REG).area)}
+
+
+def _area_cross_check(p_stars: tuple[float, ...]) -> dict[str, float]:
     dev = 0.0
-    for p_star in (25.0, 41.0):
+    for p_star in p_stars:
         quad_area = iso.wp_area(p_star).area
         grid_area = iso.wp_area_grid(p_star)
         dev = max(dev, abs(grid_area - quad_area) / quad_area)
-    results["area_cross_check"] = dev
+    return {"area_cross_check": dev}
+
+
+class _Check(NamedTuple):
+    per_point: bool
+    fn: Callable[..., dict[str, float]]
+
+
+# Each entry is keyed by the first DEFAULT_TOLERANCES name its function
+# reports and returns {name: residual} for one or two names.  Per-point
+# functions take (params, geom, gens) of one grid point; the others run once,
+# and area_cross_check takes the perimeters to compare at.  The probe-point
+# checks side_pairing_interior and ball_counts live in run_validation.
+CHECKS: dict[str, _Check] = {
+    "relation_defect": _Check(True, _relation),
+    "triple_agreement": _Check(True, _triple_agreement),
+    "side_pairing": _Check(True, _side_pairing),
+    "fn_consistency": _Check(True, _fn_consistency),
+    "wolpert_relative": _Check(True, _wolpert),
+    "lt_relations": _Check(True, _lt_relations),
+    "perimeter_routes": _Check(True, _perimeter_and_angles),
+    "orbit_constancy": _Check(False, _orbit_constancy),
+    "orbit_asymptote": _Check(False, _orbit_asymptote),
+    "area_regular": _Check(False, _area_regular),
+    "area_cross_check": _Check(False, _area_cross_check),
+}
 
 
 def run_validation(
@@ -209,9 +236,16 @@ def run_validation(
         tols.update(tolerances)
 
     grid = domain_grid(n_a, n_alpha, margin)
-    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-        per_point = list(pool.map(_grid_point, grid))
-    results = {key: max(pt[key] for pt in per_point) for key in _GRID_KEYS}
+    if not grid:
+        raise ValueError(f"grid {n_a} x {n_alpha} has no points")
+    point_checks = [c.fn for c in CHECKS.values() if c.per_point]
+    results: dict[str, float] = {}
+    for params in grid:
+        geom = build_geometry(params)
+        gens = generators(params)
+        for fn in point_checks:
+            for name, residual in fn(params, geom, gens).items():
+                results[name] = max(results.get(name, residual), residual)
 
     probe = grid[len(grid) // 2]
     sp = side_pairing_check(
@@ -219,8 +253,10 @@ def run_validation(
     )
     results["side_pairing_interior"] = float(sp.interior_violations)
 
-    _orbit_checks(results)
-    _area_checks(results)
+    results.update(CHECKS["orbit_constancy"].fn())
+    results.update(CHECKS["orbit_asymptote"].fn())
+    results.update(CHECKS["area_regular"].fn())
+    results.update(CHECKS["area_cross_check"].fn(_AREA_P_STARS))
 
     reg = OctagonParams(iso.A_REG, 0.0)
     counts_ok = (

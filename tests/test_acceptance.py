@@ -8,49 +8,26 @@ margin-0.02 parameter grid from conftest.
 import math
 import time
 
-import numpy as np
 from conftest import record
 
-from teich2.fenchel_nielsen import (
-    dt_residuals,
-    fn_twists,
-    lt_relations_check,
-    pants_data,
-    wp_coefficient,
-    wp_fd_check,
-)
-from teich2.group import (
-    ball,
-    generators,
-    m_matrices,
-    omega_table,
-    relation_defect,
-    side_pairing_check,
-)
-from teich2.hyperbolic import dist, translation
-from teich2.isoperimetric import (
-    A_REG,
-    E_REG,
-    P_REG,
-    asymptotic_orbit,
-    e_of_a,
-    e_of_p,
-    orbit_point,
-    orbit_samples,
-    parabola_fit,
-    wp_area,
-    wp_area_grid,
-)
-from teich2.octagon import (
-    OctagonParams,
-    build_geometry,
-    interior_angles_numeric,
-    perimeter,
-    perimeter_numeric,
-)
+from teich2.fenchel_nielsen import fn_twists
+from teich2.group import ball, generators, relation_defect
+from teich2.isoperimetric import A_REG, E_REG, P_REG, e_of_a, e_of_p, parabola_fit
+from teich2.octagon import OctagonParams, build_geometry, perimeter
+from teich2.validation import CHECKS
 
 C1_COEFF = 0.05622
 C2_COEFF = 2.62132
+
+
+def grid_worst(grid, name):
+    """Largest residual of each name the CHECKS entry reports over the grid."""
+    worst = {}
+    for params in grid:
+        res = CHECKS[name].fn(params, build_geometry(params), generators(params))
+        for key, value in res.items():
+            worst[key] = max(worst.get(key, 0.0), value)
+    return worst
 
 
 def test_criterion_01_regular_constants():
@@ -88,9 +65,9 @@ def test_criterion_02_relation_and_traces(acceptance_grid):
     min_excess = math.inf
     for params in acceptance_grid:
         gens = generators(params)
-        rep = relation_defect(gens)
-        assert rep.sign == +1
-        worst_defect = max(worst_defect, rep.defect)
+        res = CHECKS["relation_defect"].fn(params, build_geometry(params), gens)
+        worst_defect = max(worst_defect, res["relation_defect"])
+        assert relation_defect(gens).sign == +1
         min_excess = min(min_excess, min(abs(g.trace) for g in gens.g) - 2.0)
     elapsed = time.perf_counter() - t0
     ok = worst_defect <= 1e-9 and min_excess > 0.0 and elapsed < 5.0
@@ -101,16 +78,7 @@ def test_criterion_02_relation_and_traces(acceptance_grid):
 def test_criterion_03_triple_construction(acceptance_grid):
     desc = "generators match product and half-turn routes, <= 1e-9"
     t0 = time.perf_counter()
-    worst = 0.0
-    for params in acceptance_grid:
-        geom = build_geometry(params)
-        gens = generators(params)
-        mm = m_matrices(geom)
-        omegas = omega_table(geom)
-        for k in range(4):
-            pk = omegas[k] / (1.0 + math.sqrt(1.0 - abs(omegas[k]) ** 2))
-            worst = max(worst, gens.g[k].projective_gap(mm[k] @ mm[5]))
-            worst = max(worst, gens.g[k].projective_gap(translation(pk)))
+    worst = grid_worst(acceptance_grid, "triple_agreement")["triple_agreement"]
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9
     record(3, desc, ok, f"gap={worst:.2e} t={elapsed:.2f}s")
@@ -120,12 +88,7 @@ def test_criterion_03_triple_construction(acceptance_grid):
 def test_criterion_04_side_pairing(acceptance_grid):
     desc = "side pairing: endpoints and opposite midpoints, <= 1e-9"
     t0 = time.perf_counter()
-    worst = 0.0
-    for params in acceptance_grid:
-        geom = build_geometry(params)
-        gens = generators(params)
-        rep = side_pairing_check(geom, gens, samples=0)
-        worst = max(worst, rep.endpoint_residual, rep.midpoint_residual)
+    worst = grid_worst(acceptance_grid, "side_pairing")["side_pairing"]
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9
     record(4, desc, ok, f"res={worst:.2e} t={elapsed:.2f}s")
@@ -135,24 +98,7 @@ def test_criterion_04_side_pairing(acceptance_grid):
 def test_criterion_05_fn_consistency(acceptance_grid):
     desc = "half-trace, d-param, and twist identities, <= 1e-9"
     t0 = time.perf_counter()
-    worst = 0.0
-    for params in acceptance_grid:
-        data = pants_data(params)
-        for k in range(3):
-            worst = max(worst, abs(data.c[k] - math.cosh(0.5 * data.lengths[k])))
-        a, b = params.a, params.b
-        d12 = 4.0 / ((1.0 - a * a) * (1.0 - b * b)) - 1.0
-        d3 = 2.0 / (1.0 - a * a) ** 2 - 1.0
-        for k, ref in enumerate((d12, d12, d3)):
-            worst = max(worst, abs(data.d[k] - ref))
-        worst = max(worst, *(abs(r) for r in dt_residuals(data)))
-        geom = build_geometry(params)
-        p_plus = complex(geom.p_plus)
-        p_minus = complex(geom.p_minus)
-        worst = max(worst, abs(data.lengths[0] - 2.0 * dist(p_plus, p_minus)))
-        worst = max(worst, abs(data.lengths[2] - 2.0 * dist(0.0, a)))
-        data_p = pants_data(params, primed=True)
-        worst = max(worst, abs(data_p.lengths[0] - 2.0 * dist(1j * p_plus, p_minus)))
+    worst = grid_worst(acceptance_grid, "fn_consistency")["fn_consistency"]
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9
     record(5, desc, ok, f"res={worst:.2e} t={elapsed:.2f}s")
@@ -162,18 +108,8 @@ def test_criterion_05_fn_consistency(acceptance_grid):
 def test_criterion_06_wolpert_form(acceptance_grid):
     desc = "symplectic sum matches 8a/((1-a^2)(2a^2cos^2-1)), rel <= 1e-5"
     t0 = time.perf_counter()
-    worst_rel = 0.0
-    worst_k3 = 0.0
-    for params in acceptance_grid:
-        coeff = wp_coefficient(params)
-        chk = wp_fd_check(params)
-        chk_p = wp_fd_check(params, primed=True)
-        worst_rel = max(
-            worst_rel,
-            abs(chk.value - coeff) / coeff,
-            abs(chk_p.value - coeff) / coeff,
-        )
-        worst_k3 = max(worst_k3, abs(chk.summands[2]), abs(chk_p.summands[2]))
+    worst = grid_worst(acceptance_grid, "wolpert_relative")
+    worst_rel, worst_k3 = worst["wolpert_relative"], worst["wolpert_k3"]
     elapsed = time.perf_counter() - t0
     ok = worst_rel <= 1e-5 and worst_k3 <= 1e-9
     record(6, desc, ok, f"rel={worst_rel:.2e} k3={worst_k3:.2e} t={elapsed:.2f}s")
@@ -183,9 +119,7 @@ def test_criterion_06_wolpert_form(acceptance_grid):
 def test_criterion_07_lt_relations(acceptance_grid):
     desc = "L/T polynomial relations across the pair, <= 1e-9"
     t0 = time.perf_counter()
-    worst = 0.0
-    for params in acceptance_grid:
-        worst = max(worst, lt_relations_check(params).max_residual)
+    worst = grid_worst(acceptance_grid, "lt_relations")["lt_relations"]
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9
     record(7, desc, ok, f"res={worst:.2e} t={elapsed:.2f}s")
@@ -195,23 +129,8 @@ def test_criterion_07_lt_relations(acceptance_grid):
 def test_criterion_08_orbit_constancy():
     desc = "orbit perimeter constancy rel <= 1e-8, mirror <= 1e-12, < 5 s"
     t0 = time.perf_counter()
-    worst_rel = 0.0
-    worst_mirror = 0.0
-    n = 256
-    for p_star in range(25, 42, 2):
-        e = e_of_p(float(p_star))
-        samples = orbit_samples(e, n)
-        for s in samples:
-            worst_rel = max(
-                worst_rel, abs(perimeter(s.params) - p_star) / p_star
-            )
-        for j in range(1, n):
-            lhs, rhs = samples[j], samples[n - j]
-            worst_mirror = max(
-                worst_mirror,
-                abs(lhs.a - rhs.a),
-                abs(lhs.alpha_tilde + rhs.alpha_tilde),
-            )
+    res = CHECKS["orbit_constancy"].fn()
+    worst_rel, worst_mirror = res["orbit_constancy"], res["orbit_mirror"]
     elapsed = time.perf_counter() - t0
     ok = worst_rel <= 1e-8 and worst_mirror <= 1e-12 and elapsed < 5.0
     record(8, desc, ok, f"rel={worst_rel:.2e} mir={worst_mirror:.2e} t={elapsed:.2f}s")
@@ -221,14 +140,7 @@ def test_criterion_08_orbit_constancy():
 def test_criterion_09_orbit_asymptote():
     desc = "P=200 orbit within 1e-3 of its limit curve"
     t0 = time.perf_counter()
-    e = e_of_p(200.0)
-    worst = 0.0
-    n = 256
-    for j in range(n):
-        phi = (j + 0.5) * 2.0 * math.pi / n
-        s = orbit_point(e, phi)
-        a_inf, alpha_inf = asymptotic_orbit(phi)
-        worst = max(worst, abs(s.a - a_inf), abs(s.alpha_tilde - alpha_inf))
+    worst = CHECKS["orbit_asymptote"].fn()["orbit_asymptote"]
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-3
     record(9, desc, ok, f"sup={worst:.2e} t={elapsed:.2f}s")
@@ -238,12 +150,10 @@ def test_criterion_09_orbit_asymptote():
 def test_criterion_10_wp_areas():
     desc = "areas: zero at P_reg, quad vs grid rel <= 1e-4, parabola fit, < 60 s"
     t0 = time.perf_counter()
-    at_reg = abs(wp_area(P_REG).area)
-    worst_rel = 0.0
-    for p_star in (25.0, 30.0, 35.0, 41.0):
-        quad = wp_area(p_star).area
-        grid = wp_area_grid(p_star)
-        worst_rel = max(worst_rel, abs(grid - quad) / quad)
+    at_reg = CHECKS["area_regular"].fn()["area_regular"]
+    worst_rel = CHECKS["area_cross_check"].fn((25.0, 30.0, 35.0, 41.0))[
+        "area_cross_check"
+    ]
     fit = parabola_fit(P_REG, 41.0, 0.5)
     c1_rel = abs(fit.c1 - C1_COEFF) / C1_COEFF
     c2_rel = abs(fit.c2 - C2_COEFF) / C2_COEFF
@@ -290,18 +200,8 @@ def test_criterion_11_ball_counts():
 def test_criterion_12_perimeter_and_angles(acceptance_grid):
     desc = "perimeter routes and interior angles agree, <= 1e-8"
     t0 = time.perf_counter()
-    worst_p = 0.0
-    worst_ang = 0.0
-    for params in acceptance_grid:
-        geom = build_geometry(params)
-        worst_p = max(worst_p, abs(perimeter(params) - perimeter_numeric(geom)))
-        ang0, ang1 = interior_angles_numeric(geom)
-        worst_ang = max(
-            worst_ang,
-            abs(ang0 - geom.beta),
-            abs(ang1 - (0.5 * math.pi - geom.beta)),
-            abs(4.0 * (ang0 + ang1) - 2.0 * math.pi),
-        )
+    worst = grid_worst(acceptance_grid, "perimeter_routes")
+    worst_p, worst_ang = worst["perimeter_routes"], worst["interior_angles"]
     elapsed = time.perf_counter() - t0
     ok = worst_p <= 1e-8 and worst_ang <= 1e-8
     record(12, desc, ok, f"dP={worst_p:.2e} dang={worst_ang:.2e} t={elapsed:.2f}s")

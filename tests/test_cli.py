@@ -83,6 +83,14 @@ class TestErrorHandling:
         assert code == 3
         assert "domain error" in err
 
+    @pytest.mark.parametrize("p_min, p_max", [("500", "501"), ("200", "201")])
+    def test_area_quadrature_breakdown_exits_5(self, capsys, p_min, p_max):
+        # 500: the integrand overflows to inf; 201: quad does not converge
+        code, out, err = run_capture(capsys, ["area", "--p-min", p_min, "--p-max", p_max])
+        assert code == 5
+        assert "numerical error" in err
+        assert "inf" not in out
+
 
 class TestGroupCommand:
     def test_json_payload(self, capsys):
@@ -121,6 +129,17 @@ class TestOrbitCommand:
         assert len(lines) == 17
         p_checks = [float(line.split(",")[3]) for line in lines[1:]]
         assert max(abs(p - 25.0) for p in p_checks) < 1e-7
+
+    def test_large_perimeter_through_phi_zero(self, capsys):
+        # at phi = 0 the orbit formula's denominator cancels to 0 at P = 200
+        code, out, _ = run_capture(capsys, ["orbit", "--P", "200", "--samples", "4"])
+        assert code == 0
+        rows = [[float(x) for x in line.split(",")] for line in out.splitlines()[1:]]
+        assert len(rows) == 4
+        assert rows[0][0] == 0.0 and rows[0][2] == 0.0
+        assert abs(rows[0][3] - 200.0) / 200.0 < 1e-8
+        # elsewhere b sits ~1e-11 below 1, so rounding of the point sets P_check
+        assert max(abs(row[3] - 200.0) for row in rows) / 200.0 < 1e-6
 
     def test_default_perimeter_set(self, capsys):
         code, out, _ = run_capture(capsys, ["orbit", "--samples", "4", "--format", "json"])

@@ -184,6 +184,20 @@ class TestWPForm:
         assert abs(chk.summands[2]) < 1e-12
         assert not chk.primed
 
+    def test_fd_equals_pants_data_differences(self):
+        h = 1e-5
+        for primed in (False, True):
+            chk = wp_fd_check(P0, h=h, primed=primed)
+            a, at = P0.a, P0.alpha_tilde
+            da = [pants_data(OctagonParams(a + s, at), primed) for s in (h, -h)]
+            dt = [pants_data(OctagonParams(a, at + s), primed) for s in (h, -h)]
+            for k in range(3):
+                dl_da = (da[0].lengths[k] - da[1].lengths[k]) / (2.0 * h)
+                dl_dat = (dt[0].lengths[k] - dt[1].lengths[k]) / (2.0 * h)
+                dtau_da = (da[0].twists[k] - da[1].twists[k]) / (2.0 * h)
+                dtau_dat = (dt[0].twists[k] - dt[1].twists[k]) / (2.0 * h)
+                assert chk.summands[k] == 0.5 * (dl_da * dtau_dat - dl_dat * dtau_da)
+
     def test_fd_primed_matches_unprimed(self):
         rng = np.random.default_rng(7)
         for p in random_params(rng, 5):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from teich2.errors import DomainError
+from teich2.errors import DomainError, NumericalError
 from teich2.isoperimetric import (
     A_REG,
     E_REG,
@@ -98,6 +98,12 @@ class TestOrbit:
         assert s0.alpha_tilde == 0.0
         assert_allclose(spi.alpha_tilde, 0.0, atol=1e-15)
 
+    def test_phi_zero_at_large_perimeter(self):
+        # E - 12 - sqrt(disc) cancels to 0 here; sin(phi) = 0 decides alpha_tilde
+        s = orbit_point(e_of_p(200.0), 0.0)
+        assert s.alpha_tilde == 0.0
+        assert abs(perimeter(s.params) - 200.0) / 200.0 < 1e-8
+
     def test_perimeter_constant_along_orbit(self):
         for p_target in (25.0, 41.0):
             e = e_of_p(p_target)
@@ -165,6 +171,12 @@ class TestWPArea:
     def test_monotone_in_perimeter(self):
         areas = [wp_area(p).area for p in np.arange(P_REG, 41.0, 2.0)]
         assert all(x < y for x, y in zip(areas, areas[1:]))
+
+    @pytest.mark.parametrize("p_star", [201.0, 400.0])
+    def test_breakdown_raises(self, p_star):
+        # 201: no convergence; 400: the integrand overflows and quad returns inf
+        with pytest.raises(NumericalError):
+            wp_area(p_star)
 
     def test_below_regular_rejected(self):
         with pytest.raises(DomainError):

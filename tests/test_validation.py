@@ -1,0 +1,29 @@
+import pytest
+
+from teich2.group import generators
+from teich2.octagon import OctagonParams, build_geometry
+from teich2.validation import CHECKS, DEFAULT_TOLERANCES, run_validation
+
+# checked once at the probe point inside run_validation, not through CHECKS
+PROBE_CHECKS = {"side_pairing_interior", "ball_counts"}
+
+
+def test_no_tolerance_is_reported_by_two_checks():
+    params = OctagonParams(0.8, 0.1)
+    geom, gens = build_geometry(params), generators(params)
+    reported = []
+    for key, check in CHECKS.items():
+        if check.per_point:
+            res = check.fn(params, geom, gens)
+        elif key == "area_cross_check":
+            res = check.fn(())  # no perimeters: the name without a sweep
+        else:
+            res = check.fn()
+        reported.extend(res)
+    assert len(reported) == len(set(reported))
+    assert set(reported) | PROBE_CHECKS == set(DEFAULT_TOLERANCES)
+
+
+def test_empty_grid_rejected():
+    with pytest.raises(ValueError, match="no points"):
+        run_validation(n_a=0, n_alpha=3)
