@@ -10,7 +10,6 @@ can cross-check itself; the ``validate`` CLI subcommand runs the full suite.
 from __future__ import annotations
 
 from .errors import (
-    BallCapacityError,
     DomainError,
     NumericalError,
     OutOfDomainError,
@@ -66,7 +65,6 @@ __all__ = [
     "A_REG",
     "E_REG",
     "P_REG",
-    "BallCapacityError",
     "DiskPoint",
     "DomainError",
     "GeneratorSet",

@@ -1,10 +1,11 @@
 """Command-line interface: geometry dumps, orbits, areas, tilings, validation.
 
-Exit codes: 0 success, 1 I/O errors, 2 argument errors, 3 domain errors
-(parameters outside the admissible region), 4 validation failure, 5
-numerical errors (a quadrature that does not converge or overflows, or a
-cancellation).  With ``--format json`` domain errors additionally produce a
-JSON error object on stdout.
+Exit codes: 0 success, 1 I/O errors, 2 argument errors (also a tiling radius
+outside 0..6, or a ball past the float64 precision limit |u|^2 <= 1e14), 3
+domain errors (parameters outside the admissible region), 4 validation
+failure, 5 numerical errors (a quadrature that does not converge or
+overflows, or a cancellation).  With ``--format json`` domain errors
+additionally produce a JSON error object on stdout.
 """
 
 from __future__ import annotations
@@ -321,12 +322,12 @@ def _cmd_area(args: argparse.Namespace) -> int:
 def _cmd_tiling(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
     gens = generators(params)
+    b = ball(gens, args.radius)
     if args.format == "svg" or args.vertices is not None:
-        tiles = cells(gens, args.radius)
+        tiles = cells(gens, args.radius, group_ball=b)
     if args.format == "svg":
         emit_svg(args.output, tiles)
     elif args.format == "json":
-        b = ball(gens, args.radius)
         emit_json(args.output, {
             "radius": args.radius,
             "count": len(b),
@@ -337,7 +338,6 @@ def _cmd_tiling(args: argparse.Namespace) -> int:
             ],
         })
     else:
-        b = ball(gens, args.radius)
         rows = [
             (el.word, el.transform.u.real, el.transform.u.imag,
              el.transform.v.real, el.transform.v.imag)

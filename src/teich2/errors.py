@@ -6,7 +6,6 @@ __all__ = [
     "DomainError",
     "OutOfDomainError",
     "StepTooLargeError",
-    "BallCapacityError",
     "NumericalError",
 ]
 
@@ -32,10 +31,6 @@ class OutOfDomainError(DomainError):
 
 class StepTooLargeError(DomainError):
     """A finite-difference step would leave the admissible region."""
-
-
-class BallCapacityError(RuntimeError):
-    """Group-ball enumeration exceeded the configured element cap."""
 
 
 class NumericalError(RuntimeError):

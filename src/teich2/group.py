@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BallCapacityError
-from .hyperbolic import MobiusTransform, m_half_turn, projective_gap, rotation
+from .hyperbolic import MobiusTransform, m_half_turn, rotation
 from .octagon import OctagonGeometry, OctagonParams, build_geometry, in_octagon
 
 __all__ = [
+    "BALL_SIZES",
     "GeneratorSet",
     "GroupBall",
     "BallElement",
@@ -37,9 +37,17 @@ __all__ = [
     "cells",
 ]
 
-# BFS dedup: candidate pairs are confirmed equal below this entry distance
-DEDUP_TOLERANCE = 1e-9
-_KEY_QUANTUM = 1e-6
+# exact ball sizes of the genus-2 surface group, radius 0..6 (Cannon 1984)
+BALL_SIZES = (1, 9, 65, 457, 3193, 22289, 155577)
+# default bar of side_pairing_check
+SIDE_PAIRING_TOLERANCE = 1e-9
+# ball() merges g and h when sinh(d/2) = |z - w| |u_g| |u_h| < ORBIT_GAP for
+# their orbit points z = g(0) = v/conj(u) and w = h(0).  Distinct elements sit
+# at d >= twice the octagon's inradius about 0, >= 1.77 (tests/test_group.py);
+# roundoff in sinh(d/2) is about eps |u|^2, so |u|^2 > _U2_LIMIT is refused.
+ORBIT_GAP = 0.25
+_U2_LIMIT = 1e14
+_BIN = 2.0**-20  # bin width of the orbit-point hash
 
 # letter order fixes the deterministic (shortest-lex) word ordering
 LETTERS = "aAbBcCdD"
@@ -133,7 +141,7 @@ def side_pairing_check(
     gens: GeneratorSet,
     samples: int = 1000,
     seed: int = 0,
-    tol: float = DEDUP_TOLERANCE,
+    tol: float = SIDE_PAIRING_TOLERANCE,
 ) -> SidePairingReport:
     """Verify that g_k carries side k+4 onto side k.
 
@@ -187,74 +195,63 @@ class GroupBall:
         return [e.word for e in self.elements]
 
 
-def _key(t: MobiusTransform) -> tuple[int, int, int, int]:
-    return (
-        round(t.u.real / _KEY_QUANTUM),
-        round(t.u.imag / _KEY_QUANTUM),
-        round(t.v.real / _KEY_QUANTUM),
-        round(t.v.imag / _KEY_QUANTUM),
-    )
-
-
-def _candidate_keys(t: MobiusTransform):
-    # neighbor bins are probed only for coordinates near a bin edge, so one
-    # element straddling an edge cannot split into two entries
+def _probe_keys(z: complex, margin: float) -> list[tuple[int, int]]:
+    """Hash bins holding every point within min(margin, _BIN/2) of z, own bin first."""
     axes = []
-    for x in (t.u.real, t.u.imag, t.v.real, t.v.imag):
-        q = x / _KEY_QUANTUM
-        r = round(q)
-        offs = [r]
-        if 0.5 - abs(q - r) <= 2.0 * DEDUP_TOLERANCE / _KEY_QUANTUM:
-            offs.append(r + 1 if q > r else r - 1)
-        axes.append(offs)
-    for k0 in axes[0]:
-        for k1 in axes[1]:
-            for k2 in axes[2]:
-                for k3 in axes[3]:
-                    yield (k0, k1, k2, k3)
+    for x in (z.real / _BIN, z.imag / _BIN):
+        k = round(x)
+        near_edge = 0.5 - abs(x - k) <= margin / _BIN
+        axes.append((k, k + 1 if x > k else k - 1) if near_edge else (k,))
+    return [(i, j) for i in axes[0] for j in axes[1]]
 
 
-def _match(store: dict, t: MobiusTransform) -> bool:
-    for key in _candidate_keys(t):
-        for hit in store.get(key, ()):
-            if projective_gap(hit, t) <= DEDUP_TOLERANCE:
-                return True
-    return False
-
-
-def ball(gens: GeneratorSet, n: int, cap: int = 200_000) -> GroupBall:
-    """Shortest-word BFS ball of radius n with canonical-sign dedup.
+def ball(gens: GeneratorSet, n: int) -> GroupBall:
+    """Shortest-word BFS ball of radius n, deduplicated by orbit point.
 
     Deterministic: the frontier is expanded in (length, word) lexicographic
     order over the letters a,A,b,B,c,C,d,D, and the first (shortest-lex)
-    word reaching an element is kept.  Raises BallCapacityError beyond
-    ``cap`` elements.
+    word reaching an element is kept, with its canonical sign.  Raises
+    ValueError for n outside 0..6, and past the float64 limit |u|^2 <= 1e14.
     """
-    if n < 0:
-        raise ValueError(f"ball radius must be >= 0, got {n!r}")
+    if not 0 <= n < len(BALL_SIZES):
+        raise ValueError(f"ball radius must be in 0..{len(BALL_SIZES) - 1}, got {n!r}")
     letters = gens.letters()
-    ident = MobiusTransform.identity().canonical()
-    store: dict[tuple[int, int, int, int], list[MobiusTransform]] = {_key(ident): [ident]}
+    ident = MobiusTransform.identity()
+    bins: dict[tuple[int, int], list[tuple[complex, float]]] = {(0, 0): [(0j, 1.0)]}
     elements = [BallElement("", ident)]
     frontier = [("", ident)]
     for _ in range(n):
         next_frontier: list[tuple[str, MobiusTransform]] = []
         for word, t in frontier:
-            last = word[-1] if word else ""
+            back = word[-1:].swapcase()
             for label, gen in letters:
-                if last and label == last.swapcase():
+                if label == back:
                     continue  # free reduction: skip immediate backtracking
-                cand = (t @ gen).canonical()
-                if _match(store, cand):
-                    continue
-                if len(elements) >= cap:
-                    raise BallCapacityError(
-                        f"ball exceeded cap of {cap} elements at radius {len(word) + 1}"
+                try:
+                    cand = t @ gen
+                except ValueError:  # |u|^2 - |v|^2 lost to roundoff
+                    cand = None
+                size = abs(t.u) * abs(gen.u) if cand is None else abs(cand.u)
+                if cand is None or size * size > _U2_LIMIT:
+                    p = gens.params
+                    raise ValueError(
+                        f"radius-{n} ball at a={p.a!r}, alpha_tilde={p.alpha_tilde!r}: "
+                        f"|u| = {size:.3g} at word length {len(word) + 1} exceeds the "
+                        f"float64 precision limit |u|^2 <= {_U2_LIMIT:g}"
                     )
-                store.setdefault(_key(cand), []).append(cand)
+                z = cand.v / cand.u.conjugate()
+                keys = _probe_keys(z, ORBIT_GAP / (size * size))
+                if any(
+                    abs(z - w) * size * w_size < ORBIT_GAP
+                    for key in keys
+                    for w, w_size in bins.get(key, ())
+                ):
+                    continue
+                bins.setdefault(keys[0], []).append((z, size))
+                kept = cand.canonical()
                 new_word = word + label
-                elements.append(BallElement(new_word, cand))
-                next_frontier.append((new_word, cand))
+                elements.append(BallElement(new_word, kept))
+                next_frontier.append((new_word, kept))
         frontier = next_frontier
     return GroupBall(n, tuple(elements), relation_defect(gens).sign)
 
@@ -268,12 +265,17 @@ class Cell:
     midpoints: tuple[complex, ...]
 
 
-def cells(gens: GeneratorSet, n: int, geom: OctagonGeometry | None = None) -> list[Cell]:
-    """Images of the octagon under every element of the radius-n ball."""
+def cells(
+    gens: GeneratorSet, n: int, geom: OctagonGeometry | None = None,
+    group_ball: GroupBall | None = None,
+) -> list[Cell]:
+    """Images of the octagon under every element of ``group_ball`` (default ball(gens, n))."""
     if geom is None:
         geom = build_geometry(gens.params)
+    if group_ball is None:
+        group_ball = ball(gens, n)
     out = []
-    for el in ball(gens, n).elements:
+    for el in group_ball.elements:
         t = el.transform
         out.append(
             Cell(

@@ -24,7 +24,7 @@ __all__ = [
     "projective_gap",
 ]
 
-# constructors reject SU(1,1) pairs whose normalization defect exceeds this
+# constructors reject SU(1,1) pairs with |det - 1| above this times |u|^2+|v|^2
 SU_DEFECT_TOLERANCE = 1e-9
 # |Tr| within this band of 2 classifies as parabolic
 PARABOLIC_BAND = 1e-9
@@ -120,8 +120,8 @@ class GeodesicArc:
 class MobiusTransform:
     """SU(1,1) matrix [[u, v], [conj(v), conj(u)]] acting on the disk.
 
-    Construction renormalizes |u|^2 - |v|^2 to exactly 1 when the defect is
-    below SU_DEFECT_TOLERANCE and rejects the pair otherwise.
+    Construction renormalizes |u|^2 - |v|^2 to exactly 1 when its defect is
+    below SU_DEFECT_TOLERANCE * (|u|^2 + |v|^2) and rejects the pair otherwise.
     """
 
     u: complex
@@ -129,8 +129,9 @@ class MobiusTransform:
 
     def __post_init__(self):
         u, v = complex(self.u), complex(self.v)
-        det = abs(u) ** 2 - abs(v) ** 2
-        if abs(det - 1.0) > SU_DEFECT_TOLERANCE:
+        uu, vv = abs(u) ** 2, abs(v) ** 2
+        det = uu - vv
+        if det <= 0.0 or abs(det - 1.0) > SU_DEFECT_TOLERANCE * (uu + vv):
             raise ValueError(f"|u|^2-|v|^2 = {det!r} is not renormalizable to 1")
         scale = 1.0 / math.sqrt(det)
         object.__setattr__(self, "u", u * scale)

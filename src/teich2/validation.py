@@ -24,6 +24,7 @@ from .fenchel_nielsen import (
     wp_fd_check,
 )
 from .group import (
+    BALL_SIZES,
     GeneratorSet,
     ball,
     generators,
@@ -101,20 +102,20 @@ def _side_pairing(
 def _fn_consistency(
     params: OctagonParams, geom: OctagonGeometry, gens: GeneratorSet
 ) -> dict[str, float]:
-    data = pants_data(params)
-    fn_res = 0.0
-    for k in range(3):
-        fn_res = max(fn_res, abs(data.c[k] - math.cosh(0.5 * data.lengths[k])))
-    for k, ref in enumerate(d_closed(params)):
-        fn_res = max(fn_res, abs(data.d[k] - ref))
-    fn_res = max(fn_res, *(abs(r) for r in dt_residuals(data)))
-    p_plus = complex(geom.p_plus)
-    p_minus = complex(geom.p_minus)
-    fn_res = max(fn_res, abs(data.lengths[0] - 2.0 * dist(p_plus, p_minus)))
-    fn_res = max(fn_res, abs(data.lengths[2] - 2.0 * dist(0.0, params.a)))
-    data_p = pants_data(params, primed=True)
-    fn_res = max(fn_res, abs(data_p.lengths[0] - 2.0 * dist(1j * p_plus, p_minus)))
-    return {"fn_consistency": fn_res}
+    data, data_p = pants_data(params), pants_data(params, primed=True)
+    p_plus, p_minus = complex(geom.p_plus), complex(geom.p_minus)
+    pairs = [(c, math.cosh(0.5 * length)) for c, length in zip(data.c, data.lengths)]
+    pairs += zip(data.d, d_closed(params))
+    pairs += [
+        (data.lengths[0], 2.0 * dist(p_plus, p_minus)),
+        (data.lengths[2], 2.0 * dist(0.0, params.a)),
+        (data_p.lengths[0], 2.0 * dist(1j * p_plus, p_minus)),
+    ]
+    # (residual, reference) pairs judged as |residual| / max(1, |reference|);
+    # dt_residuals gives d_k - rhs_k
+    res = [(x - ref, ref) for x, ref in pairs]
+    res += [(r, d - r) for d, r in zip(data.d, dt_residuals(data))]
+    return {"fn_consistency": max(abs(r) / max(1.0, abs(ref)) for r, ref in res)}
 
 
 def _wolpert(
@@ -260,8 +261,8 @@ def run_validation(
 
     reg = OctagonParams(iso.A_REG, 0.0)
     counts_ok = (
-        len(ball(generators(reg), 1)) == 9
-        and len(ball(generators(probe), 2)) == 65
+        len(ball(generators(reg), 1)) == BALL_SIZES[1]
+        and len(ball(generators(probe), 2)) == BALL_SIZES[2]
     )
     results["ball_counts"] = 0.0 if counts_ok else 1.0
 

@@ -11,7 +11,7 @@ import time
 from conftest import record
 
 from teich2.fenchel_nielsen import fn_twists
-from teich2.group import ball, generators, relation_defect
+from teich2.group import BALL_SIZES, ball, generators, relation_defect
 from teich2.isoperimetric import A_REG, E_REG, P_REG, e_of_a, e_of_p, parabola_fit
 from teich2.octagon import OctagonParams, build_geometry, perimeter
 from teich2.validation import CHECKS
@@ -184,8 +184,8 @@ def test_criterion_11_ball_counts():
     b4 = ball(gens, 4)
     elapsed = time.perf_counter() - t0
     ok = (
-        len(b1) == 9
-        and len(b2) == 65
+        len(b1) == BALL_SIZES[1]
+        and len(b2) == BALL_SIZES[2]
         and b2.words() == rerun.words()
         and all(
             x.transform.projective_gap(y.transform) == 0.0

@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+from teich2 import cli, group
 from teich2.cli import run
+from teich2.group import BALL_SIZES, GeneratorSet
 
 A_ARGS = ["--a", "0.8", "--alpha-tilde", str(math.pi / 12)]
 
@@ -177,7 +179,7 @@ class TestTilingCommand:
     def test_svg_tile_count(self, capsys):
         code, out, _ = run_capture(capsys, ["tiling", *A_ARGS, "-n", "2", "--format", "svg"])
         assert code == 0
-        assert out.count("<path") == 65
+        assert out.count("<path") == BALL_SIZES[2]
 
     def test_vertices_sidecar(self, capsys, tmp_path):
         path = tmp_path / "cells.csv"
@@ -193,8 +195,50 @@ class TestTilingCommand:
         code, out, _ = run_capture(capsys, ["tiling", *A_ARGS, "-n", "2", "--format", "json"])
         assert code == 0
         doc = json.loads(out)
-        assert doc["count"] == 65
+        assert doc["count"] == BALL_SIZES[2]
         assert doc["relation_sign"] == 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+    def test_ball_built_once(self, capsys, monkeypatch, tmp_path, fmt):
+        calls = []
+        real_ball = group.ball
+        counted = lambda gens, n: calls.append(n) or real_ball(gens, n)  # noqa: E731
+        monkeypatch.setattr(cli, "ball", counted)
+        monkeypatch.setattr(group, "ball", counted)  # what cells() calls
+        code, _, _ = run_capture(
+            capsys,
+            ["tiling", *A_ARGS, "-n", "1", "--format", fmt,
+             "--vertices", str(tmp_path / "cells.csv")],
+        )
+        assert code == 0
+        assert calls == [1]
+
+    def test_radius_five_whole_ball(self, capsys):
+        code, out, _ = run_capture(
+            capsys, ["tiling", "--a", "0.8", "--alpha-tilde", "0.2", "-n", "5"]
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 1 + BALL_SIZES[5]
+
+    @pytest.mark.parametrize(
+        "point, radius, needle",
+        [
+            (["--a", "0.8", "--alpha-tilde", "0.2"], "-1", "radius must be in 0..6"),
+            (["--a", "0.8", "--alpha-tilde", "0.2"], "7", "radius must be in 0..6"),
+            (["--a", "0.9905482311121936", "--alpha-tilde", "-0.7527861665680812"], "4",
+             "radius-4 ball at a=0.9905482311121936, alpha_tilde=-0.7527861665680812: |u| = "),
+        ],
+    )
+    def test_refusals_exit_2(self, capsys, monkeypatch, point, radius, needle):
+        if radius != "4":
+            # the radius bound is checked before any product is formed
+            monkeypatch.setattr(GeneratorSet, "letters", lambda self: pytest.fail("enumerated"))
+        code, out, err = run_capture(capsys, ["tiling", *point, "-n", radius])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("teich2: argument error: ")
+        assert needle in err
+        assert len(err.splitlines()) == 1
 
 
 class TestValidateCommand:

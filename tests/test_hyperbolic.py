@@ -108,6 +108,19 @@ class TestMobiusTransform:
         t = MobiusTransform(1.0 + 3e-10, 0.0)
         assert_allclose(abs(t.u) ** 2 - abs(t.v) ** 2, 1.0, rtol=1e-15)
 
+    def test_defect_measured_against_entry_size(self):
+        # at |v| = 1e6 the bar is 1e-9 (|u|^2 + |v|^2) = 2e3
+        v = 1e6
+        t = MobiusTransform(math.sqrt(v * v + 1.0 + 1e2), v)
+        assert abs(abs(t.u) ** 2 - abs(t.v) ** 2 - 1.0) < 1e-3
+        with pytest.raises(ValueError):
+            MobiusTransform(math.sqrt(v * v + 1.0 + 1e4), v)
+
+    def test_nonpositive_det_rejected(self):
+        for u, v in ((1e9, 1e9), (1e9, 1e9 + 1.0)):
+            with pytest.raises(ValueError):
+                MobiusTransform(u, v)
+
     def test_compose_matches_sequential_action(self):
         rng = np.random.default_rng(42)
         for _ in range(20):

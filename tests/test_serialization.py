@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from teich2.group import cells, generators
+from teich2.group import BALL_SIZES, cells, generators
 from teich2.octagon import OctagonParams, build_geometry
 from teich2.serialization import (
     SCHEMA,
@@ -98,7 +98,7 @@ class TestSVG:
     def test_tiling_path_count_matches_ball(self):
         tiles = cells(generators(self.params), 1, geom=self.geom)
         text = svg_text(tiles)
-        assert text.count("<path") == 9
+        assert text.count("<path") == BALL_SIZES[1]
 
     def test_diameter_fallback_uses_line(self):
         class Chord:

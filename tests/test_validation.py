@@ -27,3 +27,11 @@ def test_no_tolerance_is_reported_by_two_checks():
 def test_empty_grid_rejected():
     with pytest.raises(ValueError, match="no points"):
         run_validation(n_a=0, n_alpha=3)
+
+
+def test_fn_consistency_is_relative_for_large_quantities():
+    # d_k is about 2e4 here; its identities hold to ~1e-11 relative but
+    # miss 1e-9 in absolute terms
+    params = OctagonParams(0.995, -0.33224804589778684)
+    res = CHECKS["fn_consistency"].fn(params, build_geometry(params), generators(params))
+    assert res["fn_consistency"] <= DEFAULT_TOLERANCES["fn_consistency"]
