@@ -245,7 +245,7 @@ def _cmd_fn(args: argparse.Namespace) -> int:
             "c": list(data.c),
             "d": list(data.d),
             "p_aux": data.p_aux,
-            "dt_residuals": [abs(r) for r in dt_residuals(data)],
+            "dt_residuals": list(dt_residuals(data)),
         }
     payload["lt_relations"] = {
         "residual_l3": lt.residual_l3,

@@ -138,11 +138,15 @@ def pants_data(params: OctagonParams, primed: bool = False) -> PantsData:
 
 
 def dt_residuals(data: PantsData) -> tuple[float, float, float]:
-    """Residuals of d_k = p_aux/(c_k^2 - 1) * (1 + cosh tau_k) - 1."""
+    """Residuals of d_k = p_aux/(c_k^2 - 1) * (1 + cosh tau_k) - 1.
+
+    Each is |d_k - rhs_k| / max(1, |rhs_k|): d_k grows without bound near the
+    domain boundary, so the identity is judged relatively there.
+    """
     out = []
     for k in range(3):
         rhs = data.p_aux / (data.c[k] ** 2 - 1.0) * (1.0 + math.cosh(data.twists[k])) - 1.0
-        out.append(data.d[k] - rhs)
+        out.append(abs(data.d[k] - rhs) / max(1.0, abs(rhs)))
     return tuple(out)
 
 

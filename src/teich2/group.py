@@ -161,18 +161,19 @@ def side_pairing_check(
         p = geom.midpoints[k]
         midpoint_res = max(midpoint_res, abs(g(-p) - p))
 
-    rng = np.random.default_rng(seed)
-    bound = max(geom.params.a, geom.b)
     violations = 0
     drawn = 0
-    while drawn < samples:
-        z = complex(*rng.uniform(-bound, bound, 2))
-        if not in_octagon(geom, z, shrink=1e-4):
-            continue
-        drawn += 1
-        for g in gens.g:
-            if in_octagon(geom, g(z), shrink=-1e-7):
-                violations += 1
+    if samples > 0:
+        rng = np.random.default_rng(seed)
+        bound = max(geom.params.a, geom.b)
+        while drawn < samples:
+            z = complex(*rng.uniform(-bound, bound, 2))
+            if not in_octagon(geom, z, shrink=1e-4):
+                continue
+            drawn += 1
+            for g in gens.g:
+                if in_octagon(geom, g(z), shrink=-1e-7):
+                    violations += 1
     return SidePairingReport(endpoint_res, midpoint_res, drawn, violations, tol)
 
 

@@ -184,10 +184,13 @@ def wp_area(p_star: float) -> AreaResult:
     def g(t: float) -> float:
         return width * float(_area_integrand(np.asarray(lo + width * t), e_star))
 
-    area, err, info = quad(
-        g, 0.0, 1.0, epsabs=QUAD_TOLERANCE, epsrel=QUAD_TOLERANCE,
-        limit=200, full_output=True,
-    )[:3]
+    # at large P f rounds to 1 and arctanh gives inf, reported below; the
+    # context is entered once here, not on each of quad's scalar evaluations
+    with np.errstate(divide="ignore"):
+        area, err, info = quad(
+            g, 0.0, 1.0, epsabs=QUAD_TOLERANCE, epsrel=QUAD_TOLERANCE,
+            limit=200, full_output=True,
+        )[:3]
     if not (math.isfinite(area) and err <= 1e-6 * max(1.0, abs(area))):
         raise NumericalError(
             f"area quadrature did not converge at p_star = {p_star!r}: "
@@ -196,67 +199,49 @@ def wp_area(p_star: float) -> AreaResult:
     return AreaResult(p_star, area, err, int(info["neval"]))
 
 
-def _wp_density_masked(a: np.ndarray, at: np.ndarray, cosh_star: float) -> np.ndarray:
-    """WP density where the point is in-domain and strictly inside the orbit."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        b = b_of(a, at)
-        ok = (b < 1.0) & (2.0 * a * a * np.cos(at) ** 2 > 1.0) & (a < 1.0)
-        p = perimeter_ab(a, np.where(ok, b, 0.5))
-        inside = ok & (p < 8.0 * math.acosh(cosh_star))
-        dens = np.where(inside, wp_coefficient_raw(a, at), 0.0)
-    return dens
+def _bisect(inside, lo, hi) -> np.ndarray:
+    """Elementwise boundary of ``inside`` between lo (inside) and hi (outside)."""
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        ok = inside(mid)
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    return 0.5 * (lo + hi)
 
 
-def wp_area_grid(p_star: float, n: int = 1200, refine: int = 16) -> float:
-    """Independent 2-D midpoint integration of the WP density over {P < p_star}.
+def wp_area_grid(p_star: float) -> float:
+    """Independent 2-D integration of the WP density over {P < p_star}.
 
-    Cells of an n-by-n grid over the bounding box are classified by the
-    inside-orbit indicator at their corners; boundary cells are re-integrated
-    on a refine-by-refine midpoint subgrid to suppress the O(1/n) staircase
-    error of the indicator.
+    The region is found by bisecting the indicator P(a, alpha_tilde) < p_star
+    alone: along alpha_tilde = 0 for the a-range, then on each column for the
+    |alpha_tilde| bound below the domain edge.  P is even and increasing in
+    |alpha_tilde| on a column, so the column is [-t, t]; the density is
+    integrated over it by 64-point Gauss-Legendre.  The 256 columns sit at
+    a = mid - half cos(theta) and are summed by the midpoint rule in theta,
+    which absorbs the square-root vanishing at both ends.  Agrees with
+    wp_area to 1e-12 relative for P up to 41 and 3e-7 at P = 50; beyond, the
+    density's poles at a = 1 and at the domain edge come too close to the
+    orbit for these node counts (3e-4 at P = 60).
     """
     if p_star < P_REG - 1e-12:
         raise DomainError(f"p_star = {p_star!r} lies below P_reg = {P_REG!r}")
-    e_star = e_of_p(max(p_star, P_REG))
-    cosh_star = e_star / 2.0 - 1.0
-    lo, hi = a_extremes(e_star)
-    if hi - lo <= 0.0:
+    if p_star <= P_REG:
         return 0.0
-    at_max = math.pi / 4.0
-    a_edges = np.linspace(lo, hi, n + 1)
-    at_edges = np.linspace(-at_max, at_max, n + 1)
-    da = a_edges[1] - a_edges[0]
-    dat = at_edges[1] - at_edges[0]
 
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ca, cat = np.meshgrid(a_edges, at_edges, indexing="ij")
-        cb = b_of(ca, cat)
-        cok = (cb < 1.0) & (2.0 * ca * ca * np.cos(cat) ** 2 > 1.0)
-        cp = perimeter_ab(ca, np.where(cok, cb, 0.5))
-        corner_in = cok & (cp < 8.0 * math.acosh(cosh_star))
-    in_count = (
-        corner_in[:-1, :-1].astype(int)
-        + corner_in[1:, :-1]
-        + corner_in[:-1, 1:]
-        + corner_in[1:, 1:]
-    )
+    def inside(a, at):
+        # at large P the boundary comes within rounding of the domain edge,
+        # where b rounds to 1; the inf or nan there counts as outside
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return perimeter_ab(a, b_of(a, at)) < p_star
 
-    mid_a = 0.5 * (a_edges[:-1] + a_edges[1:])
-    mid_at = 0.5 * (at_edges[:-1] + at_edges[1:])
-    ma, mat = np.meshgrid(mid_a, mid_at, indexing="ij")
-    interior = in_count == 4
-    total = float(np.sum(_wp_density_masked(ma[interior], mat[interior], cosh_star)))
-    total *= da * dat
-
-    bi, bj = np.nonzero((in_count > 0) & (in_count < 4))
-    if bi.size:
-        offs = (np.arange(refine) + 0.5) / refine
-        sub_a = a_edges[bi][:, None, None] + da * offs[None, :, None]
-        sub_at = at_edges[bj][:, None, None] + dat * offs[None, None, :]
-        sub_a, sub_at = np.broadcast_arrays(sub_a, sub_at)
-        dens = _wp_density_masked(sub_a.ravel(), sub_at.ravel(), cosh_star)
-        total += float(np.sum(dens)) * da * dat / (refine * refine)
-    return total
+    a_lo, a_hi = _bisect(lambda a: inside(a, 0.0), A_REG, [2.0 ** -0.5, 1.0])
+    mid, half = 0.5 * (a_lo + a_hi), 0.5 * (a_hi - a_lo)
+    theta = (np.arange(256) + 0.5) * (math.pi / 256)
+    a = mid - half * np.cos(theta)
+    t = _bisect(lambda at: inside(a, at), 0.0, np.arccos(1.0 / (math.sqrt(2.0) * a)))
+    x, w = np.polynomial.legendre.leggauss(64)
+    column = t * (wp_coefficient_raw(a[:, None], t[:, None] * x) @ w)
+    return float(half * (math.pi / 256) * np.sum(np.sin(theta) * column))
 
 
 @dataclass(frozen=True)

@@ -148,7 +148,7 @@ def test_criterion_09_orbit_asymptote():
 
 
 def test_criterion_10_wp_areas():
-    desc = "areas: zero at P_reg, quad vs grid rel <= 1e-4, parabola fit, < 60 s"
+    desc = "areas: zero at P_reg, quad vs grid rel <= 1e-9, parabola fit, < 60 s"
     t0 = time.perf_counter()
     at_reg = CHECKS["area_regular"].fn()["area_regular"]
     worst_rel = CHECKS["area_cross_check"].fn((25.0, 30.0, 35.0, 41.0))[
@@ -160,7 +160,7 @@ def test_criterion_10_wp_areas():
     elapsed = time.perf_counter() - t0
     ok = (
         at_reg <= 1e-10
-        and worst_rel <= 1e-4
+        and worst_rel <= 1e-9
         and c1_rel <= 0.10
         and c2_rel <= 0.03
         and elapsed < 60.0

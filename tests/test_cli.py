@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import teich2
 from teich2 import cli, group
 from teich2.cli import run
 from teich2.group import BALL_SIZES, GeneratorSet
@@ -90,8 +95,22 @@ class TestErrorHandling:
         # 500: the integrand overflows to inf; 201: quad does not converge
         code, out, err = run_capture(capsys, ["area", "--p-min", p_min, "--p-max", p_max])
         assert code == 5
-        assert "numerical error" in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("teich2: numerical error:")
         assert "inf" not in out
+
+    def test_area_overflow_stderr_is_one_line(self):
+        # a fresh interpreter shows numpy's RuntimeWarnings, which pytest captures
+        src = str(Path(teich2.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "teich2", "area", "--p-min", "500", "--p-max", "501"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 5
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("teich2: numerical error:")
 
 
 class TestGroupCommand:
@@ -115,6 +134,16 @@ class TestFnCommand:
         assert abs(doc["primed"]["lengths"][0] - 4.6443080241811216) < 1e-12
         assert abs(doc["wp"]["coefficient"] - 91.517142985189263) < 1e-10
         assert doc["wp"]["fd_relative_error"] < 1e-5
+
+    def test_dt_residuals_relative_near_boundary(self, capsys):
+        # d_3 is about 2e4 here, off by 1.8e-7 absolute and ~1e-11 relative
+        argv = ["fn", "--a", "0.995", "--alpha-tilde", "-0.33224804589778684"]
+        code, out, _ = run_capture(capsys, argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["unprimed"]["d"][2] > 1e4
+        for label in ("unprimed", "primed"):
+            assert all(0.0 <= r <= 1e-9 for r in doc[label]["dt_residuals"])
 
     def test_fd_step_flag(self, capsys):
         code, out, _ = run_capture(capsys, ["fn", *A_ARGS, "--fd-step", "1e-6"])

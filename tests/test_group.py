@@ -135,6 +135,19 @@ class TestSidePairing:
         r2 = side_pairing_check(geom, gens, samples=100, seed=7)
         assert r1 == r2
 
+    def test_no_samples_builds_no_generator(self, monkeypatch):
+        geom, gens = build_geometry(P0), generators(P0)
+        full = side_pairing_check(geom, gens, samples=20)
+
+        def refuse(*args):
+            raise AssertionError("random generator built for zero samples")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        rep = side_pairing_check(geom, gens, samples=0)
+        assert (rep.interior_samples, rep.interior_violations) == (0, 0)
+        assert rep.endpoint_residual == full.endpoint_residual
+        assert rep.midpoint_residual == full.midpoint_residual
+
 
 class TestBall:
     def test_counts(self):

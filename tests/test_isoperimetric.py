@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from teich2 import isoperimetric as iso
 from teich2.errors import DomainError, NumericalError
 from teich2.isoperimetric import (
     A_REG,
@@ -21,7 +22,7 @@ from teich2.isoperimetric import (
     wp_area,
     wp_area_grid,
 )
-from teich2.octagon import OctagonParams, perimeter
+from teich2.octagon import OctagonParams, b_of, perimeter, perimeter_ab
 
 P0 = 27.023328706074827  # perimeter at (0.8, pi/12)
 E0 = 31.343747228912957
@@ -185,9 +186,42 @@ class TestWPArea:
             wp_area_grid(20.0)
 
     def test_grid_integration_agrees(self):
-        q = wp_area(30.0).area
-        g = wp_area_grid(30.0, n=600)
-        assert abs(g - q) / q < 5e-4
+        for p_star in (24.5, 25.0, 30.0, 35.0, 41.0):
+            q = wp_area(p_star).area
+            assert abs(wp_area_grid(p_star) - q) / q <= 1e-11, p_star
+
+    def test_grid_zero_at_regular(self):
+        assert wp_area_grid(P_REG) == 0.0
+        with pytest.raises(DomainError):
+            wp_area_grid(P_REG - 1e-9)
+
+    def test_grid_quiet_where_boundary_meets_domain_edge(self):
+        # past P ~ 300 bisection reaches points where b rounds to 1
+        assert math.isfinite(wp_area_grid(400.0))
+
+    def test_grid_route_independent_of_orbit_formulas(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("grid route used the orbit closed forms")
+
+        for name in ("e_of_p", "a_extremes", "orbit_point"):
+            monkeypatch.setattr(iso, name, refuse)
+        assert wp_area_grid(30.0) > 0.0
+
+    def test_perimeter_increases_in_alpha_tilde_on_columns(self):
+        # wp_area_grid takes each column inside the orbit as [-t, t]
+        for a in np.linspace(2.0 ** -0.5, 1.0, 41)[1:-1]:
+            edge = math.acos(1.0 / (math.sqrt(2.0) * a))
+            at = edge * np.linspace(0.0, 1.0, 400)[:-1]
+            p = perimeter_ab(a, b_of(a, at))
+            assert np.all(np.diff(p) > 0.0), a
+            assert np.allclose(perimeter_ab(a, b_of(a, -at)), p, rtol=1e-14)
+
+    def test_symmetric_perimeter_monotone_each_side_of_regular(self):
+        # wp_area_grid bisects P(a, 0) = p_star on each side of A_REG
+        left = np.linspace(2.0 ** -0.5, A_REG, 400)[1:]
+        right = np.linspace(A_REG, 1.0, 400)[:-1]
+        assert np.all(np.diff(perimeter_ab(left, b_of(left, 0.0))) < 0.0)
+        assert np.all(np.diff(perimeter_ab(right, b_of(right, 0.0))) > 0.0)
 
     def test_integrand_reduction_identity(self):
         # f = sqrt((E*-4)(1-a^2)/(E*(1-a^2)-4)) sqrt(1-E/E*) equals
