@@ -34,7 +34,7 @@ from .group import (
     relation_defect,
     side_pairing_check,
 )
-from .hyperbolic import DiskPoint, GeodesicArc, MobiusTransform, dist
+from .hyperbolic import GeodesicArc, MobiusTransform, dist
 from .isoperimetric import (
     A_REG,
     E_REG,
@@ -65,7 +65,6 @@ __all__ = [
     "A_REG",
     "E_REG",
     "P_REG",
-    "DiskPoint",
     "DomainError",
     "GeneratorSet",
     "GeodesicArc",

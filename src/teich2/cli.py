@@ -32,6 +32,7 @@ from .octagon import (
     interior_angles_numeric,
     perimeter,
     perimeter_numeric,
+    validate_params,
 )
 from .serialization import emit_csv, emit_json, emit_svg
 from .validation import DEFAULT_TOLERANCES, run_validation
@@ -121,8 +122,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _params_from_args(args: argparse.Namespace) -> OctagonParams:
     if args.alpha is not None:
-        return OctagonParams.from_alpha(args.a, args.alpha, margin=args.margin)
-    return OctagonParams(args.a, args.alpha_tilde, margin=args.margin)
+        return validate_params(args.a, args.alpha - math.pi / 4, args.margin)
+    return validate_params(args.a, args.alpha_tilde, args.margin)
 
 
 def _flatten(value: Any, prefix: str, rows: list[tuple[str, Any]]) -> None:
@@ -237,8 +238,8 @@ def _cmd_fn(args: argparse.Namespace) -> int:
         "params": {"a": params.a, "alpha": params.alpha,
                    "alpha_tilde": params.alpha_tilde, "b": params.b},
     }
-    for label, primed in (("unprimed", False), ("primed", True)):
-        data = pants_data(params, primed=primed)
+    for label, point in (("unprimed", params), ("primed", params.conjugate())):
+        data = pants_data(point)
         payload[label] = {
             "lengths": list(data.lengths),
             "twists": list(data.twists),
@@ -267,8 +268,6 @@ def _cmd_fn(args: argparse.Namespace) -> int:
 
 def _cmd_orbit(args: argparse.Namespace) -> int:
     targets = args.perimeters or list(_DEFAULT_ORBIT_PERIMETERS)
-    if args.samples < 1:
-        raise DomainError(f"need at least one sample, got {args.samples!r}")
     orbits = []
     for p_target in targets:
         e = iso.e_of_p(p_target)
@@ -324,7 +323,7 @@ def _cmd_tiling(args: argparse.Namespace) -> int:
     gens = generators(params)
     b = ball(gens, args.radius)
     if args.format == "svg" or args.vertices is not None:
-        tiles = cells(gens, args.radius, group_ball=b)
+        tiles = cells(b, build_geometry(params))
     if args.format == "svg":
         emit_svg(args.output, tiles)
     elif args.format == "json":
@@ -402,8 +401,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except DomainError as exc:
         print(f"teich2: domain error: {exc}", file=sys.stderr)
         if getattr(args, "format", None) == "json":
-            emit_json(getattr(args, "output", None),
-                      {"error": {"type": type(exc).__name__, "message": str(exc)}})
+            emit_json(None, {"error": {"type": type(exc).__name__, "message": str(exc)}})
         return 3
     except ValueError as exc:
         print(f"teich2: argument error: {exc}", file=sys.stderr)

@@ -115,26 +115,23 @@ def d_closed(params: OctagonParams) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class PantsData:
-    """Full Fenchel-Nielsen record of one pants decomposition.
-
-    ``primed`` marks the image decomposition; its numbers are those of the
-    unprimed record evaluated at the conjugate parameters (b, -alpha_tilde).
-    """
+    """Full Fenchel-Nielsen record of one pants decomposition."""
 
     lengths: tuple[float, float, float]
     twists: tuple[float, float, float]
     c: tuple[float, float, float]
     d: tuple[float, float, float]
     p_aux: float
-    primed: bool = False
 
 
-def pants_data(params: OctagonParams, primed: bool = False) -> PantsData:
-    """Assemble lengths, twists and trace parameters for one decomposition."""
-    at = params.conjugate() if primed else params
-    c, d = trace_params(at)
+def pants_data(params: OctagonParams) -> PantsData:
+    """Assemble lengths, twists and trace parameters for one decomposition.
+
+    The primed decomposition is ``pants_data(params.conjugate())``.
+    """
+    c, d = trace_params(params)
     p_aux = c[0] ** 2 + c[1] ** 2 + c[2] ** 2 + 2.0 * c[0] * c[1] * c[2] - 1.0
-    return PantsData(fn_lengths(at), fn_twists(at), c, d, p_aux, primed)
+    return PantsData(fn_lengths(params), fn_twists(params), c, d, p_aux)
 
 
 def dt_residuals(data: PantsData) -> tuple[float, float, float]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hyperbolic import MobiusTransform, m_half_turn, rotation
-from .octagon import OctagonGeometry, OctagonParams, build_geometry, in_octagon
+from .octagon import OctagonGeometry, OctagonParams, in_octagon
 
 __all__ = [
     "BALL_SIZES",
@@ -39,8 +39,6 @@ __all__ = [
 
 # exact ball sizes of the genus-2 surface group, radius 0..6 (Cannon 1984)
 BALL_SIZES = (1, 9, 65, 457, 3193, 22289, 155577)
-# default bar of side_pairing_check
-SIDE_PAIRING_TOLERANCE = 1e-9
 # ball() merges g and h when sinh(d/2) = |z - w| |u_g| |u_h| < ORBIT_GAP for
 # their orbit points z = g(0) = v/conj(u) and w = h(0).  Distinct elements sit
 # at d >= twice the octagon's inradius about 0, >= 1.77 (tests/test_group.py);
@@ -60,10 +58,6 @@ class GeneratorSet:
     params: OctagonParams
     g: tuple[MobiusTransform, MobiusTransform, MobiusTransform, MobiusTransform]
     norm: float
-
-    @property
-    def inverses(self) -> tuple[MobiusTransform, ...]:
-        return tuple(t.inverse() for t in self.g)
 
     def letters(self) -> list[tuple[str, MobiusTransform]]:
         """(label, transform) pairs in the canonical a,A,b,B,... order."""
@@ -125,31 +119,20 @@ class SidePairingReport:
     midpoint_residual: float
     interior_samples: int
     interior_violations: int
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.endpoint_residual <= self.tolerance
-            and self.midpoint_residual <= self.tolerance
-            and self.interior_violations == 0
-        )
 
 
 def side_pairing_check(
-    geom: OctagonGeometry,
-    gens: GeneratorSet,
-    samples: int = 1000,
-    seed: int = 0,
-    tol: float = SIDE_PAIRING_TOLERANCE,
+    geom: OctagonGeometry, gens: GeneratorSet, samples: int = 1000, seed: int = 0
 ) -> SidePairingReport:
     """Verify that g_k carries side k+4 onto side k.
 
     Endpoints of side k+4 must land on the endpoint pair of side k (as a
     set), the opposite midpoint -p_k must map to p_k, and images of
     interior sample points must leave the octagon (weak disjointness of
-    g_k[F] and F).
+    g_k[F] and F).  Raises ValueError for a negative sample count.
     """
+    if samples < 0:
+        raise ValueError(f"sample count must be >= 0, got {samples!r}")
     v = geom.vertices
     endpoint_res = 0.0
     midpoint_res = 0.0
@@ -174,7 +157,7 @@ def side_pairing_check(
             for g in gens.g:
                 if in_octagon(geom, g(z), shrink=-1e-7):
                     violations += 1
-    return SidePairingReport(endpoint_res, midpoint_res, drawn, violations, tol)
+    return SidePairingReport(endpoint_res, midpoint_res, drawn, violations)
 
 
 @dataclass(frozen=True)
@@ -266,15 +249,8 @@ class Cell:
     midpoints: tuple[complex, ...]
 
 
-def cells(
-    gens: GeneratorSet, n: int, geom: OctagonGeometry | None = None,
-    group_ball: GroupBall | None = None,
-) -> list[Cell]:
-    """Images of the octagon under every element of ``group_ball`` (default ball(gens, n))."""
-    if geom is None:
-        geom = build_geometry(gens.params)
-    if group_ball is None:
-        group_ball = ball(gens, n)
+def cells(group_ball: GroupBall, geom: OctagonGeometry) -> list[Cell]:
+    """Images of the octagon ``geom`` under every element of ``group_ball``."""
     out = []
     for el in group_ball.elements:
         t = el.transform

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
-    "DiskPoint",
     "GeodesicArc",
     "MobiusTransform",
     "dist",
@@ -32,33 +31,16 @@ PARABOLIC_BAND = 1e-9
 _SIGN_EPS = 1e-9
 
 
-def _as_complex(p: "DiskPoint | complex | float") -> complex:
-    return complex(p)
-
-
 def _require_in_disk(z: complex) -> complex:
     if abs(z) >= 1.0:
         raise ValueError(f"point {z!r} is not strictly inside the unit disk")
     return z
 
 
-@dataclass(frozen=True)
-class DiskPoint:
-    """A validated point of the open unit disk."""
-
-    z: complex
-
-    def __post_init__(self):
-        _require_in_disk(complex(self.z))
-
-    def __complex__(self) -> complex:
-        return complex(self.z)
-
-
-def dist(z: "DiskPoint | complex | float", w: "DiskPoint | complex | float") -> float:
+def dist(z: complex, w: complex) -> float:
     """Hyperbolic distance arccosh(1 + 2|z-w|^2 / ((1-|z|^2)(1-|w|^2)))."""
-    zc = _require_in_disk(_as_complex(z))
-    wc = _require_in_disk(_as_complex(w))
+    zc = _require_in_disk(complex(z))
+    wc = _require_in_disk(complex(w))
     num = 2.0 * abs(zc - wc) ** 2
     den = (1.0 - abs(zc) ** 2) * (1.0 - abs(wc) ** 2)
     return math.acosh(1.0 + num / den)
@@ -66,50 +48,31 @@ def dist(z: "DiskPoint | complex | float", w: "DiskPoint | complex | float") -> 
 
 @dataclass(frozen=True)
 class GeodesicArc:
-    """A complete geodesic: circle orthogonal to the boundary, or a diameter.
+    """A complete geodesic off the origin: a circle orthogonal to the boundary.
 
-    Circular arcs store the Euclidean radius ``radius`` > 0 and the angle
-    ``phi`` of the Euclidean center, which sits at sqrt(1+R^2) e^{i phi}.
-    ``radius=None`` marks the diameter through the origin in direction
-    ``phi`` (the R -> infinity limit of the circular parametrization).
+    Stores the Euclidean radius ``radius`` > 0 and the angle ``phi`` of the
+    Euclidean center, which sits at sqrt(1+R^2) e^{i phi}.  No octagon side
+    is a diameter, so diameters are not represented.
     """
 
-    radius: float | None
+    radius: float
     phi: float
 
     def __post_init__(self):
-        if self.radius is not None and not self.radius > 0.0:
+        if not self.radius > 0.0:
             raise ValueError(f"arc radius must be positive, got {self.radius!r}")
-
-    @classmethod
-    def circular(cls, radius: float, phi: float) -> "GeodesicArc":
-        return cls(float(radius), float(phi))
-
-    @classmethod
-    def diameter(cls, phi: float) -> "GeodesicArc":
-        return cls(None, float(phi))
-
-    @property
-    def kind(self) -> str:
-        return "diameter" if self.radius is None else "circular"
 
     @property
     def center(self) -> complex:
-        """Euclidean center sqrt(1+R^2) e^{i phi} (circular arcs only)."""
-        if self.radius is None:
-            raise ValueError("a diameter has no Euclidean center")
+        """Euclidean center sqrt(1+R^2) e^{i phi}."""
         return math.sqrt(1.0 + self.radius**2) * cmath.exp(1j * self.phi)
 
     def point(self, s: float) -> complex:
         """Unit-speed point at arc length s from the point nearest the origin.
 
-        Circular arcs evaluate
-        (cosh s + i R sinh s) / (sqrt(1+R^2) cosh s + R) * e^{i phi},
-        which traces the circle of radius R about sqrt(1+R^2) e^{i phi};
-        diameters evaluate tanh(s/2) e^{i phi}.
+        Evaluates (cosh s + i R sinh s) / (sqrt(1+R^2) cosh s + R) * e^{i phi},
+        which traces the circle of radius R about sqrt(1+R^2) e^{i phi}.
         """
-        if self.radius is None:
-            return math.tanh(0.5 * s) * cmath.exp(1j * self.phi)
         r = self.radius
         ch, sh = math.cosh(s), math.sinh(s)
         w = (ch + 1j * r * sh) / (math.sqrt(1.0 + r * r) * ch + r)
@@ -141,8 +104,8 @@ class MobiusTransform:
     def identity(cls) -> "MobiusTransform":
         return cls(1.0 + 0.0j, 0.0j)
 
-    def __call__(self, z: "DiskPoint | complex | float") -> complex:
-        zc = _require_in_disk(_as_complex(z))
+    def __call__(self, z: complex) -> complex:
+        zc = _require_in_disk(complex(z))
         return (self.u * zc + self.v) / (self.v.conjugate() * zc + self.u.conjugate())
 
     def __matmul__(self, other: "MobiusTransform") -> "MobiusTransform":
@@ -174,9 +137,6 @@ class MobiusTransform:
                 return self
         return self
 
-    def projective_gap(self, other: "MobiusTransform") -> float:
-        return projective_gap(self, other)
-
 
 def projective_gap(a: MobiusTransform, b: MobiusTransform) -> float:
     """Sup-norm distance between (u,v) pairs, minimized over the global sign."""
@@ -190,13 +150,13 @@ def rotation(phi: float) -> MobiusTransform:
     return MobiusTransform(cmath.exp(0.5j * phi), 0.0j)
 
 
-def translation(p: "DiskPoint | complex | float") -> MobiusTransform:
+def translation(p: complex) -> MobiusTransform:
     """H(p) = -1/(1-|p|^2) [[1+|p|^2, 2p], [2 conj(p), 1+|p|^2]].
 
     Acts as the half turn about the origin followed by the half turn about
     p, so H(p)[-p] = p; a hyperbolic translation for p != 0.
     """
-    pc = _require_in_disk(_as_complex(p))
+    pc = _require_in_disk(complex(p))
     scale = -1.0 / (1.0 - abs(pc) ** 2)
     return MobiusTransform(scale * (1.0 + abs(pc) ** 2), scale * 2.0 * pc)
 

@@ -38,8 +38,6 @@ __all__ = [
 ]
 
 ALPHA_TILDE_MAX = math.pi / 4
-# residual bound certified for the vertex-on-arc construction
-VERTEX_ARC_TOLERANCE = 1e-10
 
 
 def lower_a(alpha_tilde: float) -> float:
@@ -52,39 +50,34 @@ def b_of(a, alpha_tilde):
     return 1.0 / (np.sqrt(2.0) * a * np.cos(alpha_tilde))
 
 
+def _check_domain(a: float, at: float, m: float) -> None:
+    # the admissible region shrunk by m, one OutOfDomainError per inequality
+    hi = ALPHA_TILDE_MAX - m
+    if not -hi < at < hi:
+        raise OutOfDomainError("alpha_range", math.copysign(hi, at), at)
+    lo = lower_a(at) + m
+    if not a > lo:
+        raise OutOfDomainError("lower_a", lo, a)
+    if not a < 1.0 - m:
+        raise OutOfDomainError("upper_a", 1.0 - m, a)
+
+
 @dataclass(frozen=True)
 class OctagonParams:
-    """Validated octagon parameters (a, alpha_tilde) with a safety margin.
+    """Octagon parameters (a, alpha_tilde) inside the admissible region.
 
-    ``margin`` > 0 demands the point keep that distance from every domain
-    boundary; construction raises OutOfDomainError naming the violated
-    inequality otherwise.
+    Construction raises OutOfDomainError naming the violated inequality.
     """
 
     a: float
     alpha_tilde: float
-    margin: float = 0.0
 
     def __post_init__(self):
-        a, at, m = self.a, self.alpha_tilde, self.margin
-        if not 0.0 <= m <= 0.2:
-            raise ValueError(f"margin must lie in [0, 0.2], got {m!r}")
-        hi = ALPHA_TILDE_MAX - m
-        if not -hi < at < hi:
-            raise OutOfDomainError("alpha_range", math.copysign(hi, at), at)
-        lo = lower_a(at) + m
-        if not a > lo:
-            raise OutOfDomainError("lower_a", lo, a)
-        if not a < 1.0 - m:
-            raise OutOfDomainError("upper_a", 1.0 - m, a)
+        _check_domain(self.a, self.alpha_tilde, 0.0)
 
     @property
     def alpha(self) -> float:
         return self.alpha_tilde + math.pi / 4
-
-    @classmethod
-    def from_alpha(cls, a: float, alpha: float, margin: float = 0.0) -> "OctagonParams":
-        return cls(a, alpha - math.pi / 4, margin)
 
     @property
     def b(self) -> float:
@@ -92,12 +85,21 @@ class OctagonParams:
 
     def conjugate(self) -> "OctagonParams":
         """The involution image (b, -alpha_tilde); applying it twice returns (a, alpha_tilde)."""
-        return OctagonParams(self.b, -self.alpha_tilde, self.margin)
+        return OctagonParams(self.b, -self.alpha_tilde)
 
 
 def validate_params(a: float, alpha_tilde: float, margin: float = 0.0) -> OctagonParams:
-    """Validate (a, alpha_tilde) against the admissible region."""
-    return OctagonParams(float(a), float(alpha_tilde), float(margin))
+    """Parameters that keep at least ``margin`` from every domain boundary.
+
+    Only the given point is checked, not derived points such as its
+    conjugate.  Raises ValueError for a margin outside [0, 0.2] and
+    OutOfDomainError naming the violated inequality and its shifted bound.
+    """
+    a, alpha_tilde, margin = float(a), float(alpha_tilde), float(margin)
+    if not 0.0 <= margin <= 0.2:
+        raise ValueError(f"margin must lie in [0, 0.2], got {margin!r}")
+    _check_domain(a, alpha_tilde, margin)
+    return OctagonParams(a, alpha_tilde)
 
 
 @dataclass(frozen=True)
@@ -134,7 +136,7 @@ class OctagonGeometry:
     def side_arc(self, k: int) -> GeodesicArc:
         """Geodesic arc carrying side k (center angle phi+- + (k//2) pi/2)."""
         base = self.arc_plus if k % 2 == 0 else self.arc_minus
-        return GeodesicArc.circular(base.radius, base.phi + (k // 2) * math.pi / 2)
+        return GeodesicArc(base.radius, base.phi + (k // 2) * math.pi / 2)
 
 
 def build_geometry(params: OctagonParams) -> OctagonGeometry:
@@ -178,8 +180,8 @@ def build_geometry(params: OctagonParams) -> OctagonGeometry:
         beta=beta,
         t_plus=t_plus,
         t_minus=t_minus,
-        arc_plus=GeodesicArc.circular(r_plus, phi_plus),
-        arc_minus=GeodesicArc.circular(r_minus, phi_minus),
+        arc_plus=GeodesicArc(r_plus, phi_plus),
+        arc_minus=GeodesicArc(r_minus, phi_minus),
         omega_plus=omega_plus,
         omega_minus=omega_minus,
         omega4=2.0 * a / (1.0 + a2),

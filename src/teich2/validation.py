@@ -33,7 +33,7 @@ from .group import (
     relation_defect,
     side_pairing_check,
 )
-from .hyperbolic import dist, translation
+from .hyperbolic import dist, projective_gap, translation
 from .octagon import (
     OctagonGeometry,
     OctagonParams,
@@ -87,8 +87,8 @@ def _triple_agreement(
     triple = 0.0
     for k in range(4):
         pk = omegas[k] / (1.0 + math.sqrt(1.0 - abs(omegas[k]) ** 2))
-        triple = max(triple, gens.g[k].projective_gap(mm[k] @ mm[5]))
-        triple = max(triple, gens.g[k].projective_gap(translation(pk)))
+        triple = max(triple, projective_gap(gens.g[k], mm[k] @ mm[5]))
+        triple = max(triple, projective_gap(gens.g[k], translation(pk)))
     return {"triple_agreement": triple}
 
 
@@ -102,7 +102,7 @@ def _side_pairing(
 def _fn_consistency(
     params: OctagonParams, geom: OctagonGeometry, gens: GeneratorSet
 ) -> dict[str, float]:
-    data, data_p = pants_data(params), pants_data(params, primed=True)
+    data, data_p = pants_data(params), pants_data(params.conjugate())
     p_plus, p_minus = complex(geom.p_plus), complex(geom.p_minus)
     pairs = [(c, math.cosh(0.5 * length)) for c, length in zip(data.c, data.lengths)]
     pairs += zip(data.d, d_closed(params))

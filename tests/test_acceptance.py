@@ -12,6 +12,7 @@ from conftest import record
 
 from teich2.fenchel_nielsen import fn_twists
 from teich2.group import BALL_SIZES, ball, generators, relation_defect
+from teich2.hyperbolic import projective_gap
 from teich2.isoperimetric import A_REG, E_REG, P_REG, e_of_a, e_of_p, parabola_fit
 from teich2.octagon import OctagonParams, build_geometry, perimeter
 from teich2.validation import CHECKS
@@ -188,7 +189,7 @@ def test_criterion_11_ball_counts():
         and len(b2) == BALL_SIZES[2]
         and b2.words() == rerun.words()
         and all(
-            x.transform.projective_gap(y.transform) == 0.0
+            projective_gap(x.transform, y.transform) == 0.0
             for x, y in zip(b2.elements, rerun.elements)
         )
         and elapsed < 10.0

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -56,6 +57,67 @@ class TestOctagonCommand:
         assert out1 == out2
 
 
+# one row per case: argv ({tmp} is a fresh directory), exit code, a regex the
+# whole of stderr must match (so "." stays within one line), and what stdout
+# holds: "payload" (a result), "error" (the JSON error object) or "" (nothing)
+EXIT_CODES = [
+    (["octagon", *A_ARGS], 0, "", "payload"),
+    (["fn", "--a", "0.95", "--alpha-tilde", "0", "--margin", "0.04"], 0, "", "payload"),
+    (["octagon", *A_ARGS, "-o", "{tmp}/missing/x.json"], 1,
+     r"teich2: i/o error: .*No such file or directory.*\n", ""),
+    (["octagon", "--a", "0.8"], 2,
+     r"usage: (?s:.*)teich2 octagon: error: one of the arguments --alpha --alpha-tilde "
+     r"is required\n", ""),
+    (["orbit", "--samples", "0"], 2,
+     r"teich2: argument error: need at least one sample, got 0\n", ""),
+    (["group", *A_ARGS, "--samples", "-3"], 2,
+     r"teich2: argument error: sample count must be >= 0, got -3\n", ""),
+    (["octagon", *A_ARGS, "--margin", "0.5"], 2,
+     r"teich2: argument error: margin must lie in \[0, 0.2\], got 0.5\n", ""),
+    (["validate", "--tolerance", "bogus=1"], 2,
+     r"teich2: argument error: expected NAME=VALUE with NAME in .*, got 'bogus=1'\n", ""),
+    (["octagon", "--a", "0.5", "--alpha-tilde", "0"], 3,
+     r"teich2: domain error: lower_a: value 0.5 violates bound 0.7071067811865475\n", "error"),
+    (["octagon", "--a", "0.5", "--alpha-tilde", "0", "-o", "{tmp}/missing/x.json"], 3,
+     r"teich2: domain error: lower_a: value 0.5 violates bound 0.7071067811865475\n", "error"),
+    (["fn", "--a", "0.95", "--alpha-tilde", "0", "--margin", "0.06"], 3,
+     r"teich2: domain error: upper_a: value 0.95 violates bound 0.94\n", "error"),
+    (["octagon", "--a", "0.8", "--alpha", "1.55", "--margin", "0.05"], 3,
+     r"teich2: domain error: alpha_range: value 0.7646018366025518 violates bound "
+     r"0.7353981633974482\n", "error"),
+    (["orbit", "--P", "20"], 3, r"teich2: domain error: .*\n", ""),
+    (["validate", "--grid", "3", "3", "--tolerance", "orbit_constancy=1e-30"], 4,
+     r"((ok  |FAIL) .*\n)+", "payload"),
+    (["area", "--p-min", "500", "--p-max", "501"], 5,
+     r"teich2: numerical error: .*\n", ""),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, err, out", EXIT_CODES,
+    ids=[f"{code}-{argv[0]}-{k}" for k, (argv, code, _, _) in enumerate(EXIT_CODES)],
+)
+def test_exit_code_table(capsys, tmp_path, argv, code, err, out):
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    try:
+        got = run(argv)
+    except SystemExit as exc:  # argparse reports bad flags itself
+        got = exc.code
+    captured = capsys.readouterr()
+    assert got == code
+    assert re.fullmatch(err, captured.err), captured.err
+    if out == "error":
+        doc = json.loads(captured.out)
+        assert set(doc) == {"schema", "error"}
+        assert doc["error"]["type"] == "OutOfDomainError"
+        assert f'teich2: domain error: {doc["error"]["message"]}\n' == captured.err
+    elif out == "payload":
+        assert "error" not in json.loads(captured.out)
+    else:
+        assert captured.out == ""
+    assert not (tmp_path / "missing").exists()
+
+
 class TestErrorHandling:
     def test_domain_error_exit_3(self, capsys):
         code, out, err = run_capture(capsys, ["octagon", "--a", "0.5", "--alpha-tilde", "0"])
@@ -84,6 +146,15 @@ class TestErrorHandling:
         code, _, err = run_capture(capsys, ["validate", "--tolerance", "bogus=1"])
         assert code == 2
         assert "argument error" in err
+
+    def test_margin_checks_the_given_point_only(self, capsys):
+        # the conjugate (0.744.., 0) of (0.95, 0) is nearer the boundary than 0.04
+        base = ["fn", "--a", "0.95", "--alpha-tilde", "0"]
+        for fmt in ("json", "csv"):
+            plain = run_capture(capsys, [*base, "--format", fmt])
+            with_margin = run_capture(capsys, [*base, "--margin", "0.04", "--format", fmt])
+            assert plain[0] == 0
+            assert with_margin == plain
 
     def test_orbit_below_regular_exits_3(self, capsys):
         code, _, err = run_capture(capsys, ["orbit", "--P", "20"])
@@ -233,7 +304,6 @@ class TestTilingCommand:
         real_ball = group.ball
         counted = lambda gens, n: calls.append(n) or real_ball(gens, n)  # noqa: E731
         monkeypatch.setattr(cli, "ball", counted)
-        monkeypatch.setattr(group, "ball", counted)  # what cells() calls
         code, _, _ = run_capture(
             capsys,
             ["tiling", *A_ARGS, "-n", "1", "--format", fmt,

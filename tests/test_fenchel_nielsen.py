@@ -122,9 +122,8 @@ class TestPantsData:
             assert max(abs(r) for r in res) < 1e-9
 
     def test_primed_is_conjugate_evaluation(self):
-        data_p = pants_data(P0, primed=True)
         conj = P0.conjugate()
-        assert data_p.primed
+        data_p = pants_data(conj)
         assert data_p.lengths == fn_lengths(conj)
         assert data_p.twists == fn_twists(conj)
         assert_allclose(data_p.lengths[0], L1_PRIMED, rtol=1e-13)
@@ -135,12 +134,12 @@ class TestPantsData:
             if p.alpha_tilde == 0.0:
                 continue
             t = pants_data(p).twists[0]
-            tp = pants_data(p, primed=True).twists[0]
+            tp = pants_data(p.conjugate()).twists[0]
             assert t * tp < 0.0
 
     def test_primed_involution(self):
         base = pants_data(P0)
-        again = pants_data(P0.conjugate(), primed=True)
+        again = pants_data(P0.conjugate().conjugate())
         assert_allclose(again.lengths, base.lengths, rtol=1e-12)
         assert_allclose(again.twists, base.twists, rtol=1e-12)
 
@@ -148,7 +147,7 @@ class TestPantsData:
         rng = np.random.default_rng(5)
         for p in random_params(rng, 8):
             geom = build_geometry(p)
-            lp = pants_data(p, primed=True).lengths[0]
+            lp = pants_data(p.conjugate()).lengths[0]
             assert_allclose(
                 lp, 2.0 * dist(1j * complex(geom.p_plus), complex(geom.p_minus)),
                 rtol=1e-10,
@@ -189,8 +188,12 @@ class TestWPForm:
         for primed in (False, True):
             chk = wp_fd_check(P0, h=h, primed=primed)
             a, at = P0.a, P0.alpha_tilde
-            da = [pants_data(OctagonParams(a + s, at), primed) for s in (h, -h)]
-            dt = [pants_data(OctagonParams(a, at + s), primed) for s in (h, -h)]
+            # wp_fd_check(primed=True) steps along (a, alpha_tilde), then conjugates
+            da = [OctagonParams(a + s, at) for s in (h, -h)]
+            dt = [OctagonParams(a, at + s) for s in (h, -h)]
+            if primed:
+                da, dt = [q.conjugate() for q in da], [q.conjugate() for q in dt]
+            da, dt = [pants_data(q) for q in da], [pants_data(q) for q in dt]
             for k in range(3):
                 dl_da = (da[0].lengths[k] - da[1].lengths[k]) / (2.0 * h)
                 dl_dat = (dt[0].lengths[k] - dt[1].lengths[k]) / (2.0 * h)

@@ -87,8 +87,10 @@ class TestGenerators:
         labels = [label for label, _ in gens.letters()]
         assert labels == ["a", "A", "b", "B", "c", "C", "d", "D"]
         ident = MobiusTransform.identity()
-        for k, ginv in enumerate(gens.inverses):
-            assert projective_gap(gens.g[k] @ ginv, ident) < 1e-13
+        letters = [t for _, t in gens.letters()]
+        for k, g in enumerate(gens.g):
+            assert letters[2 * k] is g
+            assert projective_gap(g @ letters[2 * k + 1], ident) < 1e-13
 
 
 class TestTripleConstruction:
@@ -99,8 +101,8 @@ class TestTripleConstruction:
         omegas = omega_table(geom)
         for k in range(4):
             pk = omegas[k] / (1.0 + math.sqrt(1.0 - abs(omegas[k]) ** 2))
-            assert gens.g[k].projective_gap(mm[k] @ mm[5]) < 1e-12
-            assert gens.g[k].projective_gap(translation(pk)) < 1e-12
+            assert projective_gap(gens.g[k], mm[k] @ mm[5]) < 1e-12
+            assert projective_gap(gens.g[k], translation(pk)) < 1e-12
 
 
 class TestRelation:
@@ -126,7 +128,6 @@ class TestSidePairing:
         assert rep.midpoint_residual < 1e-12
         assert rep.interior_samples == 300
         assert rep.interior_violations == 0
-        assert rep.passed
 
     def test_seed_reproducible(self):
         geom = build_geometry(P0)
@@ -134,6 +135,10 @@ class TestSidePairing:
         r1 = side_pairing_check(geom, gens, samples=100, seed=7)
         r2 = side_pairing_check(geom, gens, samples=100, seed=7)
         assert r1 == r2
+
+    def test_negative_sample_count_rejected(self):
+        with pytest.raises(ValueError, match="sample count must be >= 0, got -3"):
+            side_pairing_check(build_geometry(P0), generators(P0), samples=-3)
 
     def test_no_samples_builds_no_generator(self, monkeypatch):
         geom, gens = build_geometry(P0), generators(P0)
@@ -255,19 +260,19 @@ class TestBall:
 class TestCells:
     def test_cell_count_matches_ball(self):
         gens = generators(P0)
-        tiles = cells(gens, 2)
+        tiles = cells(ball(gens, 2), build_geometry(P0))
         assert len(tiles) == BALL_SIZES[2]
 
     def test_identity_cell_is_base_octagon(self):
         geom = build_geometry(P0)
-        tile = cells(generators(P0), 0, geom=geom)[0]
+        tile = cells(ball(generators(P0), 0), geom)[0]
         assert tile.word == ""
         assert_allclose(tile.vertices, geom.vertices, rtol=1e-15)
 
     def test_neighbor_cells_share_paired_side(self):
         geom = build_geometry(P0)
         gens = generators(P0)
-        tile = [c for c in cells(gens, 1, geom=geom) if c.word == "a"][0]
+        tile = [c for c in cells(ball(gens, 1), geom) if c.word == "a"][0]
         # g0 maps side 4 onto side 0, so the image octagon touches side 0
         image = {round(v.real, 9) + 1j * round(v.imag, 9) for v in tile.vertices}
         for v in (geom.vertices[0], geom.vertices[1]):

@@ -18,6 +18,7 @@ from teich2.octagon import (
     perimeter,
     perimeter_ab,
     perimeter_numeric,
+    validate_params,
 )
 
 A0 = 0.8
@@ -60,16 +61,38 @@ class TestParams:
         OctagonParams(0.75, 0.0)
 
     def test_margin_tightens_bounds(self):
-        OctagonParams(0.99, 0.0)
+        assert validate_params(0.99, 0.0) == OctagonParams(0.99, 0.0)
+        assert validate_params(0.99, 0.0, 0.005) == OctagonParams(0.99, 0.0)
         with pytest.raises(OutOfDomainError):
-            OctagonParams(0.99, 0.0, margin=0.02)
-        with pytest.raises(ValueError):
-            OctagonParams(0.8, 0.0, margin=0.5)
+            validate_params(0.99, 0.0, 0.02)
 
-    def test_from_alpha(self):
-        p = OctagonParams.from_alpha(A0, math.pi / 4 + AT0)
-        assert_allclose(p.alpha_tilde, AT0, rtol=1e-15)
-        assert_allclose(p.alpha, math.pi / 4 + AT0, rtol=1e-15)
+    @pytest.mark.parametrize(
+        "a, at, which, value, bound",
+        [
+            (0.99, 0.0, "upper_a", 0.99, 0.98),
+            (0.72, 0.0, "lower_a", 0.72, 1.0 / math.sqrt(2.0) + 0.02),
+            (0.99, 0.77, "alpha_range", 0.77, math.pi / 4 - 0.02),
+            (0.99, -0.77, "alpha_range", -0.77, -(math.pi / 4 - 0.02)),
+        ],
+    )
+    def test_margin_error_names_the_shifted_bound(self, a, at, which, value, bound):
+        OctagonParams(a, at)  # inside the domain itself
+        with pytest.raises(OutOfDomainError) as info:
+            validate_params(a, at, 0.02)
+        err = info.value
+        assert (err.which, err.value) == (which, value)
+        assert_allclose(err.bound, bound, rtol=1e-15)
+        assert str(err) == f"{which}: value {value!r} violates bound {err.bound!r}"
+
+    @pytest.mark.parametrize("margin", [-0.01, 0.21, 0.5, math.nan])
+    def test_margin_outside_range_rejected(self, margin):
+        with pytest.raises(ValueError, match=r"margin must lie in \[0, 0.2\]"):
+            validate_params(A0, AT0, margin)
+
+    def test_margin_checks_only_the_given_point(self):
+        # (0.95, 0) keeps 0.04 from the boundary; its conjugate (0.744.., 0) does not
+        p = validate_params(0.95, 0.0, 0.04)
+        assert p.conjugate().a < 1.0 / math.sqrt(2.0) + 0.04
 
     def test_b_value_and_involution(self):
         p = OctagonParams(A0, AT0)
@@ -204,7 +227,7 @@ class TestDomainGrid:
         grid = domain_grid(6, 5, margin=0.02)
         assert len(grid) == 30
         for p in grid:
-            OctagonParams(p.a, p.alpha_tilde, margin=0.015)
+            validate_params(p.a, p.alpha_tilde, 0.015)
 
     def test_excessive_margin_rejected(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from teich2.group import BALL_SIZES, cells, generators
+from teich2.group import BALL_SIZES, ball, cells, generators
 from teich2.octagon import OctagonParams, build_geometry
 from teich2.serialization import (
     SCHEMA,
@@ -96,7 +96,7 @@ class TestSVG:
         assert text.count(" A ") == 8  # eight true circular arcs
 
     def test_tiling_path_count_matches_ball(self):
-        tiles = cells(generators(self.params), 1, geom=self.geom)
+        tiles = cells(ball(generators(self.params), 1), self.geom)
         text = svg_text(tiles)
         assert text.count("<path") == BALL_SIZES[1]
 
@@ -109,5 +109,5 @@ class TestSVG:
         assert " L " in text
 
     def test_reproducible_bytes(self):
-        tiles = cells(generators(self.params), 1, geom=self.geom)
+        tiles = cells(ball(generators(self.params), 1), self.geom)
         assert svg_text(tiles) == svg_text(tiles)
