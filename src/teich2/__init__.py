@@ -9,12 +9,7 @@ can cross-check itself; the ``validate`` CLI subcommand runs the full suite.
 
 from __future__ import annotations
 
-from .errors import (
-    DomainError,
-    NumericalError,
-    OutOfDomainError,
-    StepTooLargeError,
-)
+from .errors import DomainError, NumericalError, OutOfDomainError
 from .fenchel_nielsen import (
     PantsData,
     fn_lengths,
@@ -22,8 +17,8 @@ from .fenchel_nielsen import (
     lt_relations_check,
     pants_data,
     trace_params,
+    wolpert_summands,
     wp_coefficient,
-    wp_fd_check,
 )
 from .group import (
     GeneratorSet,
@@ -75,7 +70,6 @@ __all__ = [
     "OctagonParams",
     "OutOfDomainError",
     "PantsData",
-    "StepTooLargeError",
     "a_extremes",
     "asymptotic_orbit",
     "ball",
@@ -98,8 +92,8 @@ __all__ = [
     "run_validation",
     "side_pairing_check",
     "trace_params",
+    "wolpert_summands",
     "wp_area",
     "wp_area_grid",
     "wp_coefficient",
-    "wp_fd_check",
 ]

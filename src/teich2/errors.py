@@ -5,7 +5,6 @@ from __future__ import annotations
 __all__ = [
     "DomainError",
     "OutOfDomainError",
-    "StepTooLargeError",
     "NumericalError",
 ]
 
@@ -27,10 +26,6 @@ class OutOfDomainError(DomainError):
         self.bound = bound
         self.value = value
         super().__init__(f"{which}: value {value!r} violates bound {bound!r}")
-
-
-class StepTooLargeError(DomainError):
-    """A finite-difference step would leave the admissible region."""
 
 
 class NumericalError(RuntimeError):

@@ -26,16 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, StepTooLargeError
 from .group import m_matrices
-from .octagon import OctagonParams, build_geometry
+from .octagon import OctagonParams, b_of, build_geometry
 
 __all__ = [
-    "ACOSH_CLAMP",
-    "FD_STEP",
     "PantsData",
     "LTReport",
-    "WolpertCheck",
     "fn_lengths",
     "fn_twists",
     "trace_params",
@@ -45,43 +41,44 @@ __all__ = [
     "lt_relations_check",
     "wp_coefficient",
     "wp_coefficient_raw",
-    "wp_fd_check",
+    "wolpert_summands",
 ]
 
-# arccosh arguments may dip below 1 by roundoff at symmetric points
-ACOSH_CLAMP = 1e-12
 
-# central-difference step for the Wolpert form check
-FD_STEP = 1e-5
+def _fn_forms(a, alpha_tilde):
+    """Closed-form (l1, l3, tau1, tau3); l2 = l1 and tau2 = tau1.
+
+    Accepts floats, complex numbers and arrays.  The forms are analytic on
+    the domain and free of cancellation: l1 = 2 arccosh(a^2/(1-a^2)) and
+    cosh tau1 - 1 = 2 sin^2(at) / (2a^2 cos^2(at) - 1) are taken through
+    arccosh x = 2 asinh sqrt((x - 1)/2), with 1 - a^2 as (1 - a)(1 + a).
+    """
+    q = 2.0 * a * a * np.cos(alpha_tilde) ** 2 - 1.0
+    l1 = 4.0 * np.arcsinh(np.sqrt((2.0 * a * a - 1.0) / (2.0 * (1.0 - a) * (1.0 + a))))
+    # + 0.0 turns the -0.0 of the conjugate of alpha_tilde = 0 into 0.0
+    tau1 = 2.0 * np.arcsinh(np.sin(alpha_tilde) / np.sqrt(q)) + 0.0
+    tau3 = np.log((1.0 + a) / (1.0 - a))
+    return l1, 2.0 * tau3, tau1, tau3
 
 
-def _acosh_guarded(x: float, what: str) -> float:
-    if x < 1.0 - ACOSH_CLAMP:
-        raise DomainError(f"arccosh argument for {what} is {x!r} < 1")
-    return math.acosh(max(x, 1.0))
+def _fn_data(params: OctagonParams):
+    # (lengths, twists) as plain floats, which repr without numpy's wrapper
+    l1, l3, tau1, tau3 = map(float, _fn_forms(params.a, params.alpha_tilde))
+    return (l1, l1, l3), (tau1, tau1, tau3)
 
 
 def fn_lengths(params: OctagonParams) -> tuple[float, float, float]:
     """Geodesic lengths (l1, l2, l3) of the pants curves, l1 = l2."""
-    a = params.a
-    l12 = 2.0 * _acosh_guarded(a * a / (1.0 - a * a), "l1")
-    l3 = 2.0 * math.log((1.0 + a) / (1.0 - a))
-    return (l12, l12, l3)
+    return _fn_data(params)[0]
 
 
 def fn_twists(params: OctagonParams) -> tuple[float, float, float]:
     """Signed twists (tau1, tau2, tau3); tau1 = tau2, tau3 = l3 / 2.
 
-    The magnitude of tau1 is arccosh((2a^2-1)/(a^2(1-b^2)) - 1) and its sign
-    is the sign of alpha_tilde, vanishing on the symmetric locus.
+    tau1 = 2 asinh(sin(at) / sqrt(2a^2 cos^2(at) - 1)) carries the sign of
+    alpha_tilde and vanishes on the symmetric locus.
     """
-    a, b = params.a, params.b
-    arg = (2.0 * a * a - 1.0) / (a * a * (1.0 - b * b)) - 1.0
-    t12 = math.copysign(_acosh_guarded(arg, "tau1"), params.alpha_tilde)
-    if params.alpha_tilde == 0.0:
-        t12 = 0.0
-    t3 = math.log((1.0 + a) / (1.0 - a))
-    return (t12, t12, t3)
+    return _fn_data(params)[1]
 
 
 def trace_params(
@@ -107,10 +104,16 @@ def trace_params(
 
 
 def d_closed(params: OctagonParams) -> tuple[float, float, float]:
-    """Closed forms of d_k: d1 = d2 = 4/((1-a^2)(1-b^2)) - 1, d3 = 2/(1-a^2)^2 - 1."""
-    a, b = params.a, params.b
-    d12 = 4.0 / ((1.0 - a * a) * (1.0 - b * b)) - 1.0
-    return (d12, d12, 2.0 / (1.0 - a * a) ** 2 - 1.0)
+    """Closed forms of d_k: d1 = d2 = 4/((1-a^2)(1-b^2)) - 1, d3 = 2/(1-a^2)^2 - 1.
+
+    1 - b^2 is taken as (2a^2 cos^2(at) - 1)/(2a^2 cos^2(at)) and 1 - a^2 as
+    (1 - a)(1 + a), which do not cancel near b = 1 or a = 1.
+    """
+    a = params.a
+    two_a2c2 = 2.0 * a * a * math.cos(params.alpha_tilde) ** 2
+    one_minus_a2 = (1.0 - a) * (1.0 + a)
+    d12 = 4.0 * two_a2c2 / (one_minus_a2 * (two_a2c2 - 1.0)) - 1.0
+    return (d12, d12, 2.0 / one_minus_a2**2 - 1.0)
 
 
 @dataclass(frozen=True)
@@ -131,7 +134,7 @@ def pants_data(params: OctagonParams) -> PantsData:
     """
     c, d = trace_params(params)
     p_aux = c[0] ** 2 + c[1] ** 2 + c[2] ** 2 + 2.0 * c[0] * c[1] * c[2] - 1.0
-    return PantsData(fn_lengths(params), fn_twists(params), c, d, p_aux)
+    return PantsData(*_fn_data(params), c, d, p_aux)
 
 
 def dt_residuals(data: PantsData) -> tuple[float, float, float]:
@@ -177,14 +180,12 @@ def lt_relations_check(params: OctagonParams) -> LTReport:
     computed from the conjugate parameters and compared against the rational
     expressions in the unprimed (L1, T1).
     """
-    lengths = fn_lengths(params)
-    twists = fn_twists(params)
+    lengths, twists = _fn_data(params)
     l1 = math.cosh(0.5 * lengths[0])
     l3 = math.cosh(0.5 * lengths[2])
     t1 = math.cosh(0.5 * twists[0])
     primed = params.conjugate()
-    lengths_p = fn_lengths(primed)
-    twists_p = fn_twists(primed)
+    lengths_p, twists_p = _fn_data(primed)
     l1p = math.cosh(0.5 * lengths_p[0])
     t1p = math.cosh(0.5 * twists_p[0])
     lhs_l1p = t1 * t1 * 2.0 * l1 / (l1 - 1.0) - 1.0
@@ -218,51 +219,29 @@ def wp_coefficient(params: OctagonParams) -> float:
     return wp_coefficient_raw(params.a, params.alpha_tilde)
 
 
-@dataclass(frozen=True)
-class WolpertCheck:
-    """Finite-difference value of 1/2 sum_k dl_k ^ dtau_k and its summands."""
+def wolpert_summands(
+    params: OctagonParams, primed: bool = False
+) -> tuple[float, float, float]:
+    """Summands 1/2 [d_a l_k d_at tau_k - d_at l_k d_a tau_k], k = 1, 2, 3, of
+    Wolpert's form 1/2 sum_k dl_k ^ dtau_k in (a, alpha_tilde).
 
-    value: float
-    summands: tuple[float, float, float]
-    step: float
-    primed: bool
-
-
-def wp_fd_check(
-    params: OctagonParams, h: float = FD_STEP, primed: bool = False
-) -> WolpertCheck:
-    """Evaluate Wolpert's form by central differences of the closed-form
-    lengths and twists in (a, alpha_tilde).
-
-    Returns the sum 1/2 sum_k [da l_k dat tau_k - dat l_k da tau_k] together
-    with the individual summands; the k = 3 summand must vanish because l3
-    and tau3 depend on a alone.  Raises StepTooLargeError when any of the
-    four shifted evaluations leaves the admissible domain.
+    Their sum is the coefficient of da ^ dalpha_tilde and the k = 3 summand
+    vanishes, because l3 and tau3 depend on a alone.  The derivatives are
+    complex steps, f'(x) = Im f(x + ih) / h (Squire and Trapp, SIAM Rev. 40,
+    1998): with no difference to cancel they are exact to rounding, and the
+    step stays far inside the domain.  ``primed`` differentiates the forms of
+    the conjugate decomposition at (b(a, at), -at).  The route is independent
+    of ``wp_coefficient_raw``.
     """
-    if h <= 0.0:
-        raise ValueError(f"step must be positive, got {h!r}")
-    a0, at0 = params.a, params.alpha_tilde
-
-    def eval_at(a: float, at: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        try:
-            q = OctagonParams(a, at)
-        except DomainError as exc:
-            raise StepTooLargeError(
-                f"step {h!r} leaves the domain at ({a!r}, {at!r})"
-            ) from exc
-        if primed:
-            q = q.conjugate()
-        return fn_lengths(q), fn_twists(q)
-
-    l_a_plus, tau_a_plus = eval_at(a0 + h, at0)
-    l_a_minus, tau_a_minus = eval_at(a0 - h, at0)
-    l_t_plus, tau_t_plus = eval_at(a0, at0 + h)
-    l_t_minus, tau_t_minus = eval_at(a0, at0 - h)
-    summands = []
-    for k in range(3):
-        dl_da = (l_a_plus[k] - l_a_minus[k]) / (2.0 * h)
-        dl_dat = (l_t_plus[k] - l_t_minus[k]) / (2.0 * h)
-        dtau_da = (tau_a_plus[k] - tau_a_minus[k]) / (2.0 * h)
-        dtau_dat = (tau_t_plus[k] - tau_t_minus[k]) / (2.0 * h)
-        summands.append(0.5 * (dl_da * dtau_dat - dl_dat * dtau_da))
-    return WolpertCheck(sum(summands), tuple(summands), h, primed)
+    h = 1e-30
+    a, at = params.a, params.alpha_tilde
+    if primed:
+        steps = (_fn_forms(b_of(a + 1j * h, at), -at),
+                 _fn_forms(b_of(a, at + 1j * h), -at - 1j * h))
+    else:
+        steps = (_fn_forms(a + 1j * h, at), _fn_forms(a, at + 1j * h))
+    (l1_a, l3_a, tau1_a, tau3_a), (l1_at, l3_at, tau1_at, tau3_at) = (
+        [float(x.imag) / h for x in forms] for forms in steps
+    )
+    s1 = 0.5 * (l1_a * tau1_at - l1_at * tau1_a)
+    return (s1, s1, 0.5 * (l3_a * tau3_at - l3_at * tau3_a))

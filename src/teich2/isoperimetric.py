@@ -55,6 +55,8 @@ _DISC_CLAMP = 1e-12
 
 def e_of_p(p: float) -> float:
     """Auxiliary quantity E = 2(cosh(P/8) + 1)."""
+    if not math.isfinite(p):
+        raise ValueError(f"perimeter must be finite, got {p!r}")
     if p <= 0.0:
         raise DomainError(f"perimeter must be positive, got {p!r}")
     return 2.0 * (math.cosh(p / 8.0) + 1.0)
@@ -62,6 +64,8 @@ def e_of_p(p: float) -> float:
 
 def p_of_e(e: float) -> float:
     """Perimeter P = 8 arccosh(E/2 - 1), inverse of e_of_p."""
+    if not math.isfinite(e):
+        raise ValueError(f"E must be finite, got {e!r}")
     if e <= 4.0:
         raise DomainError(f"E must exceed 4, got {e!r}")
     return 8.0 * math.acosh(e / 2.0 - 1.0)
@@ -261,6 +265,8 @@ def parabola_fit(
     """Fit the quadrature areas over [p_min, p_max] to a parabola through 0."""
     if not p_min < p_max:
         raise ValueError(f"need p_min < p_max, got {p_min!r}, {p_max!r}")
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be finite and positive, got {step!r}")
     ps = np.arange(p_min, p_max + 0.5 * step, step)
     if ps.size < 3:
         raise ValueError(f"need at least 3 samples, got {ps.size}")

@@ -50,6 +50,11 @@ def b_of(a, alpha_tilde):
     return 1.0 / (np.sqrt(2.0) * a * np.cos(alpha_tilde))
 
 
+def _check_margin(margin: float) -> None:
+    if not 0.0 <= margin <= 0.2:
+        raise ValueError(f"margin must lie in [0, 0.2], got {margin!r}")
+
+
 def _check_domain(a: float, at: float, m: float) -> None:
     # the admissible region shrunk by m, one OutOfDomainError per inequality
     hi = ALPHA_TILDE_MAX - m
@@ -96,8 +101,7 @@ def validate_params(a: float, alpha_tilde: float, margin: float = 0.0) -> Octago
     OutOfDomainError naming the violated inequality and its shifted bound.
     """
     a, alpha_tilde, margin = float(a), float(alpha_tilde), float(margin)
-    if not 0.0 <= margin <= 0.2:
-        raise ValueError(f"margin must lie in [0, 0.2], got {margin!r}")
+    _check_margin(margin)
     _check_domain(a, alpha_tilde, margin)
     return OctagonParams(a, alpha_tilde)
 
@@ -256,8 +260,10 @@ def domain_grid(n_a: int = 20, n_alpha: int = 20, margin: float = 0.02) -> list[
 
     alpha_tilde spans the interior of the band where the a-interval
     [lower_a + margin, 1 - margin] is nonempty; each row then carries n_a
-    equally spaced a values.
+    equally spaced a values.  Raises ValueError for a margin outside
+    [0, 0.2], as validate_params does, or one that leaves no grid.
     """
+    _check_margin(margin)
     # lower_a(at) + margin <= 1 - margin pins |at| <= acos(1/(sqrt2 (1-2 margin)))
     arg = 1.0 / (math.sqrt(2.0) * (1.0 - 2.0 * margin))
     if arg >= 1.0:

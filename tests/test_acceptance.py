@@ -107,12 +107,12 @@ def test_criterion_05_fn_consistency(acceptance_grid):
 
 
 def test_criterion_06_wolpert_form(acceptance_grid):
-    desc = "symplectic sum matches 8a/((1-a^2)(2a^2cos^2-1)), rel <= 1e-5"
+    desc = "symplectic sum matches 8a/((1-a^2)(2a^2cos^2-1)), rel <= 1e-10"
     t0 = time.perf_counter()
     worst = grid_worst(acceptance_grid, "wolpert_relative")
     worst_rel, worst_k3 = worst["wolpert_relative"], worst["wolpert_k3"]
     elapsed = time.perf_counter() - t0
-    ok = worst_rel <= 1e-5 and worst_k3 <= 1e-9
+    ok = worst_rel <= 1e-10 and worst_k3 <= 1e-9
     record(6, desc, ok, f"rel={worst_rel:.2e} k3={worst_k3:.2e} t={elapsed:.2f}s")
     assert ok, (worst_rel, worst_k3)
 

@@ -90,6 +90,17 @@ EXIT_CODES = [
      r"((ok  |FAIL) .*\n)+", "payload"),
     (["area", "--p-min", "500", "--p-max", "501"], 5,
      r"teich2: numerical error: .*\n", ""),
+    (["fn", "--a", "0.7072", "--alpha-tilde", "1e-9"], 0, "", "payload"),
+    (["area", "--step", "0"], 2,
+     r"teich2: argument error: step must be finite and positive, got 0.0\n", ""),
+    (["validate", "--grid", "2", "2", "--margin", "-0.1"], 2,
+     r"teich2: argument error: margin must lie in \[0, 0.2\], got -0.1\n", ""),
+    (["validate", "--grid", "2", "2", "--margin", "nan"], 2,
+     r"teich2: argument error: margin must lie in \[0, 0.2\], got nan\n", ""),
+    (["orbit", "--P", "nan"], 2,
+     r"teich2: argument error: perimeter must be finite, got nan\n", ""),
+    (["orbit", "--P", "inf"], 2,
+     r"teich2: argument error: perimeter must be finite, got inf\n", ""),
 ]
 
 
@@ -204,7 +215,7 @@ class TestFnCommand:
         assert abs(doc["unprimed"]["lengths"][0] - 2.3558569217315251) < 1e-12
         assert abs(doc["primed"]["lengths"][0] - 4.6443080241811216) < 1e-12
         assert abs(doc["wp"]["coefficient"] - 91.517142985189263) < 1e-10
-        assert doc["wp"]["fd_relative_error"] < 1e-5
+        assert doc["wp"]["fd_relative_error"] < 1e-14
 
     def test_dt_residuals_relative_near_boundary(self, capsys):
         # d_3 is about 2e4 here, off by 1.8e-7 absolute and ~1e-11 relative
@@ -215,11 +226,6 @@ class TestFnCommand:
         assert doc["unprimed"]["d"][2] > 1e4
         for label in ("unprimed", "primed"):
             assert all(0.0 <= r <= 1e-9 for r in doc[label]["dt_residuals"])
-
-    def test_fd_step_flag(self, capsys):
-        code, out, _ = run_capture(capsys, ["fn", *A_ARGS, "--fd-step", "1e-6"])
-        assert code == 0
-        assert json.loads(out)["wp"]["fd_step"] == 1e-6
 
 
 class TestOrbitCommand:

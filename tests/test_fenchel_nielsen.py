@@ -1,10 +1,9 @@
 import math
 
+import mpmath as mp
 import numpy as np
-import pytest
 from numpy.testing import assert_allclose
 
-from teich2.errors import StepTooLargeError
 from teich2.fenchel_nielsen import (
     d_closed,
     dt_residuals,
@@ -13,9 +12,9 @@ from teich2.fenchel_nielsen import (
     lt_relations_check,
     pants_data,
     trace_params,
+    wolpert_summands,
     wp_coefficient,
     wp_coefficient_raw,
-    wp_fd_check,
 )
 from teich2.hyperbolic import dist
 from teich2.octagon import OctagonParams, build_geometry, lower_a
@@ -178,40 +177,72 @@ class TestWPForm:
         assert (vals > 0).all()
 
     def test_fd_matches_closed_form(self):
-        chk = wp_fd_check(P0)
-        assert abs(chk.value - WP_0) / WP_0 < 1e-5
-        assert abs(chk.summands[2]) < 1e-12
-        assert not chk.primed
-
-    def test_fd_equals_pants_data_differences(self):
-        h = 1e-5
-        for primed in (False, True):
-            chk = wp_fd_check(P0, h=h, primed=primed)
-            a, at = P0.a, P0.alpha_tilde
-            # wp_fd_check(primed=True) steps along (a, alpha_tilde), then conjugates
-            da = [OctagonParams(a + s, at) for s in (h, -h)]
-            dt = [OctagonParams(a, at + s) for s in (h, -h)]
-            if primed:
-                da, dt = [q.conjugate() for q in da], [q.conjugate() for q in dt]
-            da, dt = [pants_data(q) for q in da], [pants_data(q) for q in dt]
-            for k in range(3):
-                dl_da = (da[0].lengths[k] - da[1].lengths[k]) / (2.0 * h)
-                dl_dat = (dt[0].lengths[k] - dt[1].lengths[k]) / (2.0 * h)
-                dtau_da = (da[0].twists[k] - da[1].twists[k]) / (2.0 * h)
-                dtau_dat = (dt[0].twists[k] - dt[1].twists[k]) / (2.0 * h)
-                assert chk.summands[k] == 0.5 * (dl_da * dtau_dat - dl_dat * dtau_da)
+        summands = wolpert_summands(P0)
+        assert abs(sum(summands) - WP_0) / WP_0 < 1e-14
+        assert summands[0] == summands[1]
+        assert summands[2] == 0.0
 
     def test_fd_primed_matches_unprimed(self):
         rng = np.random.default_rng(7)
         for p in random_params(rng, 5):
             coeff = wp_coefficient(p)
-            chk = wp_fd_check(p)
-            chk_p = wp_fd_check(p, primed=True)
-            assert abs(chk.value - coeff) / coeff < 1e-5
-            assert abs(chk_p.value - coeff) / coeff < 1e-5
+            for primed in (False, True):
+                summands = wolpert_summands(p, primed=primed)
+                assert abs(sum(summands) - coeff) / coeff < 1e-13
+                assert summands[2] == 0.0
 
-    def test_step_leaving_domain_rejected(self):
-        with pytest.raises(StepTooLargeError):
-            wp_fd_check(OctagonParams(0.9999, 0.0), h=1e-3)
-        with pytest.raises(ValueError):
-            wp_fd_check(P0, h=0.0)
+
+EPS = 2.0**-52
+DELTA = 1e-6
+
+
+def _reference_points():
+    """Points within DELTA of each domain boundary and within 1e-12 of at = 0."""
+    # tau1 at (0.8, 1e-8) is 3.78e-8; the arccosh form gave 0
+    points = [(0.8, 1e-8), (0.8, math.pi / 12), (A_REG, 0.0), (A_REG, 1e-12)]
+    for at in (0.0, 1e-12, -1e-12, 1e-8, 0.3, -0.5,
+               math.pi / 4 - DELTA, -(math.pi / 4 - DELTA)):
+        lo = lower_a(at)
+        for a in (lo + DELTA, 0.5 * (lo + 1.0), 1.0 - DELTA):
+            if lo < a < 1.0:
+                points.append((a, at))
+    return points
+
+
+def test_closed_forms_match_mpmath():
+    """Lengths, twists, d_k and the complex-step Wolpert value against
+    50-digit mpmath evaluations of the defining formulas at the same floats.
+
+    Bar: relative error <= max(1e-14, 8 eps kappa) with kappa the condition
+    number 1/(2a^2 cos^2(at) - 1) of the point.  It is 1e-14 except near the
+    lower-a boundary, where every quantity inherits the rounding of
+    2a^2 cos^2(at) - 1.  The primed Wolpert route evaluates the forms at the
+    conjugate point (b, -at), so its kappa also takes the conjugate's
+    1/(2b^2 cos^2(at) - 1) = a^2/(1 - a^2), large near a = 1.
+    """
+    with mp.workdps(50):
+        for a, at in _reference_points():
+            params = OctagonParams(a, at)
+            A, T = mp.mpf(a), mp.mpf(at)
+            q = 2 * A * A * mp.cos(T) ** 2 - 1
+            b = 1 / (mp.sqrt(2) * A * mp.cos(T))
+            l1 = 2 * mp.acosh(A * A / (1 - A * A))
+            l3 = 2 * mp.log((1 + A) / (1 - A))
+            tau1 = mp.sign(T) * mp.acosh((2 * A * A - 1) / (A * A * (1 - b * b)) - 1)
+            d12 = 4 / ((1 - A * A) * (1 - b * b)) - 1
+            coeff = 8 * A / ((1 - A * A) * q)
+            kappa = float(1 / q)
+            kappa_primed = max(kappa, float(A * A / (1 - A * A)))
+            cases = [
+                (fn_lengths(params), (l1, l1, l3), kappa),
+                (fn_twists(params), (tau1, tau1, l3 / 2), kappa),
+                (d_closed(params), (d12, d12, 2 / (1 - A * A) ** 2 - 1), kappa),
+                ((sum(wolpert_summands(params)),), (coeff,), kappa),
+                ((sum(wolpert_summands(params, primed=True)),), (coeff,), kappa_primed),
+            ]
+            for got, ref, k in cases:
+                bar = max(1e-14, 8.0 * EPS * k)
+                for x, r in zip(got, ref):
+                    assert type(x) is float
+                    err = abs(mp.mpf(x) - r) / abs(r) if r else abs(x)
+                    assert err <= bar, (a, at, x, r, bar)

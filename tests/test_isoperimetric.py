@@ -59,6 +59,12 @@ class TestAuxiliaryQuantity:
             e_of_p(0.0)
         with pytest.raises(DomainError):
             p_of_e(4.0)
+        # a non-finite input is a bad argument, not a point outside the domain
+        for bad in (math.nan, math.inf, -math.inf):
+            for fn in (e_of_p, p_of_e):
+                with pytest.raises(ValueError, match="must be finite") as exc:
+                    fn(bad)
+                assert not isinstance(exc.value, DomainError)
 
 
 class TestAExtremes:
@@ -249,3 +255,6 @@ class TestParabolaFit:
             parabola_fit(P_REG, P_REG + 0.5, 0.5)
         with pytest.raises(ValueError):
             parabola_fit(30.0, 29.0, 0.5)
+        for step in (0.0, -0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="step must be finite and positive"):
+                parabola_fit(P_REG, 41.0, step)

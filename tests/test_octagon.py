@@ -230,5 +230,9 @@ class TestDomainGrid:
             validate_params(p.a, p.alpha_tilde, 0.015)
 
     def test_excessive_margin_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="leaves no admissible grid"):
             domain_grid(5, 5, margin=0.18)
+        # the margins validate_params rejects, before any point is built
+        for margin in (-0.1, 0.25, math.nan):
+            with pytest.raises(ValueError, match=r"margin must lie in \[0, 0.2\]"):
+                domain_grid(2, 2, margin=margin)
