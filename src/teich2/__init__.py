@@ -42,7 +42,7 @@ from .isoperimetric import (
     p_of_e,
     parabola_fit,
     wp_area,
-    wp_area_grid,
+    wp_area_contour,
 )
 from .octagon import (
     OctagonGeometry,
@@ -94,6 +94,6 @@ __all__ = [
     "trace_params",
     "wolpert_summands",
     "wp_area",
-    "wp_area_grid",
+    "wp_area_contour",
     "wp_coefficient",
 ]

@@ -5,12 +5,14 @@ derivatives of the closed-form lengths and twists and compares it with the
 closed-form coefficient; its ``wp.fd_*`` keys keep their teich2/v1 names.
 
 Exit codes: 0 success, 1 I/O errors, 2 argument errors (also a tiling radius
-outside 0..6, or a ball past the float64 precision limit |u|^2 <= 1e14), 3
-domain errors (octagon parameters outside the admissible region or within
-``--margin`` of its boundary, or an orbit or area perimeter below the
-regular value P_reg), 4 validation failure, 5 numerical errors (a quadrature
-that does not converge or overflows, or a cancellation).  With ``--format
-json`` domain errors additionally produce a JSON error object on stdout.
+outside 0..6, a ball past the float64 precision limit |u|^2 <= 1e14, a NaN
+or infinite float flag, or a negative tolerance), 3 domain errors (octagon
+parameters outside the admissible region or within ``--margin`` of its
+boundary, or an orbit or area perimeter below the regular value P_reg), 4
+validation failure, 5 numerical errors (a quadrature that does not converge
+or overflows, an overflow or cancellation, or a product of SU(1,1) maps that
+rounding broke).  With ``--format json`` domain errors additionally produce
+a JSON error object on stdout.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict
 from typing import Any, Sequence
 
 from . import isoperimetric as iso
@@ -236,7 +239,6 @@ def _cmd_fn(args: argparse.Namespace) -> int:
     coeff = wp_coefficient(params)
     summands = wolpert_summands(params)
     value = sum(summands)
-    lt = lt_relations_check(params)
     payload: dict[str, Any] = {
         "params": {"a": params.a, "alpha": params.alpha,
                    "alpha_tilde": params.alpha_tilde, "b": params.b},
@@ -251,12 +253,7 @@ def _cmd_fn(args: argparse.Namespace) -> int:
             "p_aux": data.p_aux,
             "dt_residuals": list(dt_residuals(data)),
         }
-    payload["lt_relations"] = {
-        "residual_l3": lt.residual_l3,
-        "residual_tau3": lt.residual_tau3,
-        "residual_l1_primed": lt.residual_l1_primed,
-        "residual_t1_primed": lt.residual_t1_primed,
-    }
+    payload["lt_relations"] = asdict(lt_relations_check(params))
     payload["wp"] = {
         "coefficient": coeff,
         "fd_value": value,

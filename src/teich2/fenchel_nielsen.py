@@ -22,7 +22,7 @@ which automatically carries the opposite twist sign.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -137,27 +137,27 @@ def pants_data(params: OctagonParams) -> PantsData:
     return PantsData(*_fn_data(params), c, d, p_aux)
 
 
+def _rel(x: float, ref: float) -> float:
+    """Signed residual (x - ref) / max(1, |ref|), at the scale of the quantity."""
+    return (x - ref) / max(1.0, abs(ref))
+
+
 def dt_residuals(data: PantsData) -> tuple[float, float, float]:
     """Residuals of d_k = p_aux/(c_k^2 - 1) * (1 + cosh tau_k) - 1.
 
     Each is |d_k - rhs_k| / max(1, |rhs_k|): d_k grows without bound near the
     domain boundary, so the identity is judged relatively there.
     """
-    out = []
-    for k in range(3):
-        rhs = data.p_aux / (data.c[k] ** 2 - 1.0) * (1.0 + math.cosh(data.twists[k])) - 1.0
-        out.append(abs(data.d[k] - rhs) / max(1.0, abs(rhs)))
-    return tuple(out)
+    return tuple(
+        abs(_rel(d, data.p_aux / (c**2 - 1.0) * (1.0 + math.cosh(tau)) - 1.0))
+        for c, d, tau in zip(data.c, data.d, data.twists)
+    )
 
 
 @dataclass(frozen=True)
 class LTReport:
     """Residuals of the relations among L = cosh(l/2) and T = cosh(tau/2)."""
 
-    l1: float
-    t1: float
-    l1_primed: float
-    t1_primed: float
     residual_l3: float
     residual_tau3: float
     residual_l1_primed: float
@@ -165,12 +165,7 @@ class LTReport:
 
     @property
     def max_residual(self) -> float:
-        return max(
-            abs(self.residual_l3),
-            abs(self.residual_tau3),
-            abs(self.residual_l1_primed),
-            abs(self.residual_t1_primed),
-        )
+        return max(map(abs, astuple(self)))
 
 
 def lt_relations_check(params: OctagonParams) -> LTReport:
@@ -178,7 +173,8 @@ def lt_relations_check(params: OctagonParams) -> LTReport:
 
     L and T denote cosh of half-lengths and half-twists; the primed pair is
     computed from the conjugate parameters and compared against the rational
-    expressions in the unprimed (L1, T1).
+    expressions in the unprimed (L1, T1).  Residuals are relative, as in
+    dt_residuals: L'1 grows without bound near the domain boundary.
     """
     lengths, twists = _fn_data(params)
     l1 = math.cosh(0.5 * lengths[0])
@@ -193,22 +189,18 @@ def lt_relations_check(params: OctagonParams) -> LTReport:
     den = 2.0 * l1 * t1 * t1 - l1 + 1.0
     lhs_t1p = math.sqrt(num / den)
     return LTReport(
-        l1=l1,
-        t1=t1,
-        l1_primed=l1p,
-        t1_primed=t1p,
-        residual_l3=l3 - (2.0 * l1 + 1.0),
-        residual_tau3=twists[2] - 0.5 * lengths[2],
-        residual_l1_primed=l1p - lhs_l1p,
-        residual_t1_primed=t1p - lhs_t1p,
+        residual_l3=_rel(l3, 2.0 * l1 + 1.0),
+        residual_tau3=_rel(twists[2], 0.5 * lengths[2]),
+        residual_l1_primed=_rel(l1p, lhs_l1p),
+        residual_t1_primed=_rel(t1p, lhs_t1p),
     )
 
 
 def wp_coefficient_raw(a, alpha_tilde):
-    """Array-safe Weil-Petersson density 8a/((1-a^2)(2a^2 cos^2(at) - 1))."""
+    """Array-safe Weil-Petersson density 8a/((1-a)(1+a)(2a^2 cos^2(at) - 1))."""
     a = np.asarray(a, dtype=float)
     at = np.asarray(alpha_tilde, dtype=float)
-    out = 8.0 * a / ((1.0 - a * a) * (2.0 * a * a * np.cos(at) ** 2 - 1.0))
+    out = 8.0 * a / ((1.0 - a) * (1.0 + a) * (2.0 * a * a * np.cos(at) ** 2 - 1.0))
     if out.ndim == 0:
         return float(out)
     return out

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
 from .hyperbolic import MobiusTransform, m_half_turn, rotation
 from .octagon import OctagonGeometry, OctagonParams, in_octagon
 
@@ -57,7 +58,6 @@ class GeneratorSet:
 
     params: OctagonParams
     g: tuple[MobiusTransform, MobiusTransform, MobiusTransform, MobiusTransform]
-    norm: float
 
     def letters(self) -> list[tuple[str, MobiusTransform]]:
         """(label, transform) pairs in the canonical a,A,b,B,... order."""
@@ -79,7 +79,7 @@ def generators(params: OctagonParams) -> GeneratorSet:
     g1 = MobiusTransform(norm * a * (1.0 + tn), norm * ((1.0 - a2) + 1j * (a2 + tn)))
     r = rotation(math.pi / 2)
     ri = r.inverse()
-    return GeneratorSet(params, (g0, g1, r @ g0 @ ri, r @ g1 @ ri), norm)
+    return GeneratorSet(params, (g0, g1, r @ g0 @ ri, r @ g1 @ ri))
 
 
 def omega_table(geom: OctagonGeometry) -> tuple[complex, ...]:
@@ -213,7 +213,7 @@ def ball(gens: GeneratorSet, n: int) -> GroupBall:
                     continue  # free reduction: skip immediate backtracking
                 try:
                     cand = t @ gen
-                except ValueError:  # |u|^2 - |v|^2 lost to roundoff
+                except NumericalError:  # |u|^2 - |v|^2 lost to roundoff
                     cand = None
                 size = abs(t.u) * abs(gen.u) if cand is None else abs(cand.u)
                 if cand is None or size * size > _U2_LIMIT:

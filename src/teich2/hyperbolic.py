@@ -13,6 +13,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+from .errors import NumericalError
+
 __all__ = [
     "GeodesicArc",
     "MobiusTransform",
@@ -84,7 +86,8 @@ class MobiusTransform:
     """SU(1,1) matrix [[u, v], [conj(v), conj(u)]] acting on the disk.
 
     Construction renormalizes |u|^2 - |v|^2 to exactly 1 when its defect is
-    below SU_DEFECT_TOLERANCE * (|u|^2 + |v|^2) and rejects the pair otherwise.
+    below SU_DEFECT_TOLERANCE * (|u|^2 + |v|^2) and rejects the pair otherwise,
+    with ValueError; a product of two maps raises NumericalError instead.
     """
 
     u: complex
@@ -109,10 +112,13 @@ class MobiusTransform:
         return (self.u * zc + self.v) / (self.v.conjugate() * zc + self.u.conjugate())
 
     def __matmul__(self, other: "MobiusTransform") -> "MobiusTransform":
-        return MobiusTransform(
-            self.u * other.u + self.v * other.v.conjugate(),
-            self.u * other.v + self.v * other.u.conjugate(),
-        )
+        try:
+            return MobiusTransform(
+                self.u * other.u + self.v * other.v.conjugate(),
+                self.u * other.v + self.v * other.u.conjugate(),
+            )
+        except ValueError as exc:  # both factors are valid: a rounding breakdown
+            raise NumericalError(f"product of SU(1,1) maps: {exc}") from None
 
     def inverse(self) -> "MobiusTransform":
         return MobiusTransform(self.u.conjugate(), -self.v)

@@ -5,8 +5,8 @@ quantity E = 2(cosh(P/8) + 1) the orbit through perimeter P is an oval in
 the (a, alpha_tilde) domain parametrized by an angle phi, degenerating to
 the point (2^{-1/4}, 0) at the regular perimeter P_reg.  The WP area
 enclosed by an orbit reduces to a single integral over a in [a_minus,
-a_plus], which is cross-checked here against direct 2-D integration of the
-WP density.
+a_plus], which is cross-checked here against Wolpert's contour integral of
+l1 dtau1 around the orbit.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import DomainError, NumericalError
-from .fenchel_nielsen import wp_coefficient_raw
-from .octagon import OctagonParams, b_of, perimeter_ab
+from .fenchel_nielsen import _fn_forms
+from .octagon import OctagonParams
 
 __all__ = [
     "A_REG",
@@ -37,7 +37,7 @@ __all__ = [
     "orbit_samples",
     "asymptotic_orbit",
     "wp_area",
-    "wp_area_grid",
+    "wp_area_contour",
     "parabola_fit",
 ]
 
@@ -59,7 +59,10 @@ def e_of_p(p: float) -> float:
         raise ValueError(f"perimeter must be finite, got {p!r}")
     if p <= 0.0:
         raise DomainError(f"perimeter must be positive, got {p!r}")
-    return 2.0 * (math.cosh(p / 8.0) + 1.0)
+    try:
+        return 2.0 * (math.cosh(p / 8.0) + 1.0)
+    except OverflowError:
+        raise NumericalError(f"E = 2(cosh(P/8) + 1) overflows at P = {p!r}") from None
 
 
 def p_of_e(e: float) -> float:
@@ -82,6 +85,8 @@ def e_of_a(a):
 
 def _discriminant(e: float) -> float:
     disc = e * e - 24.0 * e + 16.0
+    if disc == math.inf:
+        raise NumericalError(f"E^2 overflows at E = {e!r}")
     if disc < -_DISC_CLAMP:
         raise DomainError(f"E = {e!r} lies below the regular value {E_REG!r}")
     return max(disc, 0.0)
@@ -99,7 +104,6 @@ def a_extremes(e: float) -> tuple[float, float]:
 class OrbitSample:
     """One point of an isoperimetric orbit."""
 
-    e: float
     phi: float
     a: float
     alpha_tilde: float
@@ -117,7 +121,7 @@ def orbit_point(e: float, phi: float) -> OrbitSample:
     a = math.sqrt(3.0 * e - 4.0 + c * root) / (2.0 * math.sqrt(e))
     if s == 0.0:
         # the numerator vanishes; at large E the denominator cancels to 0 too
-        return OrbitSample(e, phi, a, 0.0)
+        return OrbitSample(phi, a, 0.0)
     inner = e - 12.0 - c * root
     # (E-12)^2 exceeds the discriminant by 128, so inner > 0 for E > E_reg
     if not inner > 0.0:
@@ -128,7 +132,7 @@ def orbit_point(e: float, phi: float) -> OrbitSample:
         math.sqrt((e - 4.0) * _discriminant(e)) * s
         / (math.sqrt(2.0) * e * math.sqrt(inner))
     )
-    return OrbitSample(e, phi, a, at)
+    return OrbitSample(phi, a, at)
 
 
 def orbit_samples(e: float, n: int) -> list[OrbitSample]:
@@ -162,9 +166,8 @@ def _area_integrand(a: np.ndarray, e_star: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AreaResult:
-    """WP area enclosed by the orbit of perimeter p_star."""
+    """WP area enclosed by an orbit, with quad's error estimate and work."""
 
-    p_star: float
     area: float
     quad_error_estimate: float
     evaluations: int
@@ -183,7 +186,7 @@ def wp_area(p_star: float) -> AreaResult:
     lo, hi = a_extremes(e_star)
     width = hi - lo
     if width <= 0.0:
-        return AreaResult(p_star, 0.0, 0.0, 0)
+        return AreaResult(0.0, 0.0, 0)
 
     def g(t: float) -> float:
         return width * float(_area_integrand(np.asarray(lo + width * t), e_star))
@@ -200,52 +203,45 @@ def wp_area(p_star: float) -> AreaResult:
             f"area quadrature did not converge at p_star = {p_star!r}: "
             f"estimate {area!r}, error {err!r}, {info['neval']} evaluations"
         )
-    return AreaResult(p_star, area, err, int(info["neval"]))
+    return AreaResult(area, err, int(info["neval"]))
 
 
-def _bisect(inside, lo, hi) -> np.ndarray:
-    """Elementwise boundary of ``inside`` between lo (inside) and hi (outside)."""
-    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        ok = inside(mid)
-        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
-    return 0.5 * (lo + hi)
+def wp_area_contour(p_star: float) -> float:
+    """WP area inside the orbit P = p_star as Wolpert's contour integral.
 
-
-def wp_area_grid(p_star: float) -> float:
-    """Independent 2-D integration of the WP density over {P < p_star}.
-
-    The region is found by bisecting the indicator P(a, alpha_tilde) < p_star
-    alone: along alpha_tilde = 0 for the a-range, then on each column for the
-    |alpha_tilde| bound below the domain edge.  P is even and increasing in
-    |alpha_tilde| on a column, so the column is [-t, t]; the density is
-    integrated over it by 64-point Gauss-Legendre.  The 256 columns sit at
-    a = mid - half cos(theta) and are summed by the midpoint rule in theta,
-    which absorbs the square-root vanishing at both ends.  Agrees with
-    wp_area to 1e-12 relative for P up to 41 and 3e-7 at P = 50; beyond, the
-    density's poles at a = 1 and at the domain edge come too close to the
-    orbit for these node counts (3e-4 at P = 60).
+    The WP form 1/2 sum_k dl_k ^ dtau_k is dl1 ^ dtau1 on this family, so by
+    Stokes the area is |oint l1 dtau1|, a periodic integral in phi on which
+    the trapezoid rule converges geometrically (Trefethen and Weideman, SIAM
+    Rev. 56, 2014).  Nodes double from 64 until the estimate agrees with that
+    of its even-indexed half to 1e-13 max(1, area); NumericalError past 2^16
+    nodes (from P ~ 80) or where orbit points round out of the domain.
     """
     if p_star < P_REG - 1e-12:
         raise DomainError(f"p_star = {p_star!r} lies below P_reg = {P_REG!r}")
     if p_star <= P_REG:
         return 0.0
-
-    def inside(a, at):
-        # at large P the boundary comes within rounding of the domain edge,
-        # where b rounds to 1; the inf or nan there counts as outside
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return perimeter_ab(a, b_of(a, at)) < p_star
-
-    a_lo, a_hi = _bisect(lambda a: inside(a, 0.0), A_REG, [2.0 ** -0.5, 1.0])
-    mid, half = 0.5 * (a_lo + a_hi), 0.5 * (a_hi - a_lo)
-    theta = (np.arange(256) + 0.5) * (math.pi / 256)
-    a = mid - half * np.cos(theta)
-    t = _bisect(lambda at: inside(a, at), 0.0, np.arccos(1.0 / (math.sqrt(2.0) * a)))
-    x, w = np.polynomial.legendre.leggauss(64)
-    column = t * (wp_coefficient_raw(a[:, None], t[:, None] * x) @ w)
-    return float(half * (math.pi / 256) * np.sum(np.sin(theta) * column))
+    e_star = e_of_p(p_star)
+    # the even-indexed half of n samples is the previous, n/2-node sample
+    previous = math.nan
+    for n in [2**k for k in range(5, 17)]:
+        samples = orbit_samples(e_star, n)
+        a = np.array([s.a for s in samples])
+        at = np.array([s.alpha_tilde for s in samples])
+        with np.errstate(all="ignore"):  # at large P points round past the edge
+            l1, _, tau1, _ = _fn_forms(a, at)
+            spec = np.fft.rfft(tau1) * (1j * np.arange(n // 2 + 1))
+            spec[-1] = 0.0  # d/dphi of the Nyquist mode of an even n
+            # l1's mean integrates to 0; dropping it spares small orbits cancellation
+            dtau1 = np.fft.irfft(spec, n)
+            area = abs(float(np.dot(l1 - l1.mean(), dtau1))) * 2.0 * math.pi / n
+        change, previous = abs(area - previous), area
+        if change <= 1e-13 * max(1.0, area):
+            return area
+        if not math.isfinite(area) or n == 2**16:
+            raise NumericalError(
+                f"contour area at p_star = {p_star!r} did not converge: {area!r} "
+                f"at {n} nodes, {change!r} from {n // 2}"
+            )
 
 
 @dataclass(frozen=True)
@@ -263,6 +259,8 @@ def parabola_fit(
     p_min: float = P_REG, p_max: float = 41.0, step: float = 0.5
 ) -> ParabolaFit:
     """Fit the quadrature areas over [p_min, p_max] to a parabola through 0."""
+    if not (math.isfinite(p_min) and math.isfinite(p_max)):
+        raise ValueError(f"perimeters must be finite, got {p_min!r}, {p_max!r}")
     if not p_min < p_max:
         raise ValueError(f"need p_min < p_max, got {p_min!r}, {p_max!r}")
     if not 0.0 < step < math.inf:

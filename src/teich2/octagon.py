@@ -97,10 +97,13 @@ def validate_params(a: float, alpha_tilde: float, margin: float = 0.0) -> Octago
     """Parameters that keep at least ``margin`` from every domain boundary.
 
     Only the given point is checked, not derived points such as its
-    conjugate.  Raises ValueError for a margin outside [0, 0.2] and
-    OutOfDomainError naming the violated inequality and its shifted bound.
+    conjugate.  Raises ValueError for a non-finite parameter or a margin
+    outside [0, 0.2], and OutOfDomainError naming the violated inequality
+    and its shifted bound.
     """
     a, alpha_tilde, margin = float(a), float(alpha_tilde), float(margin)
+    if not (math.isfinite(a) and math.isfinite(alpha_tilde)):
+        raise ValueError(f"parameters must be finite, got {a!r}, {alpha_tilde!r}")
     _check_margin(margin)
     _check_domain(a, alpha_tilde, margin)
     return OctagonParams(a, alpha_tilde)

@@ -4,7 +4,7 @@ Every cross-check stated by the library modules is exercised here: group
 relation and discreteness margins, the triple construction of the
 generators, side pairings, Fenchel-Nielsen consistency, the Wolpert form,
 L/T relations, both perimeter routes with interior angles, isoperimetric
-orbit behavior, and the two independent area integrations.  Each identity
+orbit behavior, and the two independent area routes.  Each identity
 is written once, in the ``CHECKS`` table, which the acceptance tests call
 too.  The result is a JSON-ready report with one entry per check.
 """
@@ -62,11 +62,11 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "orbit_mirror": 1e-12,
     "orbit_asymptote": 1e-3,
     "area_regular": 1e-10,
-    "area_cross_check": 1e-9,
+    "area_cross_check": 1e-12,
     "ball_counts": 0.0,
 }
 
-# perimeters at which validate compares the quadrature and grid areas
+# perimeters at which validate compares the quadrature and contour areas
 _AREA_P_STARS = (25.0, 41.0)
 
 
@@ -186,8 +186,8 @@ def _area_cross_check(p_stars: tuple[float, ...]) -> dict[str, float]:
     dev = 0.0
     for p_star in p_stars:
         quad_area = iso.wp_area(p_star).area
-        grid_area = iso.wp_area_grid(p_star)
-        dev = max(dev, abs(grid_area - quad_area) / quad_area)
+        contour_area = iso.wp_area_contour(p_star)
+        dev = max(dev, abs(contour_area - quad_area) / quad_area)
     return {"area_cross_check": dev}
 
 
@@ -229,6 +229,9 @@ def run_validation(
         unknown = set(tolerances) - set(tols)
         if unknown:
             raise ValueError(f"unknown tolerance names: {sorted(unknown)}")
+        for name, tol in tolerances.items():
+            if not 0.0 <= tol < math.inf:
+                raise ValueError(f"tolerance {name} must be finite and >= 0, got {tol!r}")
         tols.update(tolerances)
 
     grid = domain_grid(n_a, n_alpha, margin)

@@ -101,6 +101,25 @@ EXIT_CODES = [
      r"teich2: argument error: perimeter must be finite, got nan\n", ""),
     (["orbit", "--P", "inf"], 2,
      r"teich2: argument error: perimeter must be finite, got inf\n", ""),
+    (["orbit", "--P", "10000", "--samples", "2"], 5,
+     r"teich2: numerical error: E = 2\(cosh\(P/8\) \+ 1\) overflows at P = 10000.0\n", ""),
+    (["orbit", "--P", "5000"], 5, r"teich2: numerical error: E\^2 overflows at E = .*\n", ""),
+    (["octagon", "--a", "nan", "--alpha-tilde", "0"], 2,
+     r"teich2: argument error: parameters must be finite, got nan, 0.0\n", ""),
+    (["fn", "--a", "0.8", "--alpha-tilde", "inf"], 2,
+     r"teich2: argument error: parameters must be finite, got 0.8, inf\n", ""),
+    (["area", "--p-max", "inf"], 2,
+     r"teich2: argument error: perimeters must be finite, got .*, inf\n", ""),
+    (["validate", "--tolerance", "relation_defect=nan"], 2,
+     r"teich2: argument error: tolerance relation_defect must be finite and >= 0, "
+     r"got nan\n", ""),
+    (["validate", "--tolerance", "relation_defect=-1"], 2,
+     r"teich2: argument error: tolerance relation_defect must be finite and >= 0, "
+     r"got -1.0\n", ""),
+    (["validate", "--margin", "1e-6"], 5,
+     r"teich2: numerical error: product of SU\(1,1\) maps: .* is not renormalizable to 1\n", ""),
+    (["fn", "--a", "0.7401651556654594", "--alpha-tilde", "0.3"], 5,
+     r"teich2: numerical error: product of SU\(1,1\) maps: .* is not renormalizable to 1\n", ""),
 ]
 
 

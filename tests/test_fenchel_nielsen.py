@@ -159,6 +159,14 @@ class TestLTRelations:
         assert abs(rep.residual_l3) < 1e-12
         assert abs(rep.residual_tau3) < 1e-15
 
+    def test_residuals_relative_near_boundary(self):
+        # L'1 is about 1186 here; the absolute L'1 residual was 6.4e-10
+        rep = lt_relations_check(OctagonParams(0.7118741777658835, -0.11211394611724779))
+        assert rep.max_residual <= 1e-12
+        residuals = (rep.residual_l3, rep.residual_tau3,
+                     rep.residual_l1_primed, rep.residual_t1_primed)
+        assert rep.max_residual == max(map(abs, residuals))
+
     def test_all_residuals_on_random_points(self):
         rng = np.random.default_rng(6)
         for p in random_params(rng, 25):
@@ -210,8 +218,9 @@ def _reference_points():
 
 
 def test_closed_forms_match_mpmath():
-    """Lengths, twists, d_k and the complex-step Wolpert value against
-    50-digit mpmath evaluations of the defining formulas at the same floats.
+    """Lengths, twists, d_k, the complex-step Wolpert value and the WP
+    coefficient against 50-digit mpmath evaluations of the defining formulas
+    at the same floats.
 
     Bar: relative error <= max(1e-14, 8 eps kappa) with kappa the condition
     number 1/(2a^2 cos^2(at) - 1) of the point.  It is 1e-14 except near the
@@ -239,6 +248,7 @@ def test_closed_forms_match_mpmath():
                 (d_closed(params), (d12, d12, 2 / (1 - A * A) ** 2 - 1), kappa),
                 ((sum(wolpert_summands(params)),), (coeff,), kappa),
                 ((sum(wolpert_summands(params, primed=True)),), (coeff,), kappa_primed),
+                ((wp_coefficient(params),), (coeff,), kappa),
             ]
             for got, ref, k in cases:
                 bar = max(1e-14, 8.0 * EPS * k)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from teich2.errors import NumericalError
 from teich2.group import (
     _BIN,
     BALL_SIZES,
@@ -241,7 +242,7 @@ class TestBall:
 
     def test_unnormalizable_product_reported_as_precision_limit(self, monkeypatch):
         def lost(self, other):
-            raise ValueError("|u|^2-|v|^2 = 0.0 is not renormalizable to 1")
+            raise NumericalError("|u|^2-|v|^2 = 0.0 is not renormalizable to 1")
 
         gens = generators(P0)
         monkeypatch.setattr(MobiusTransform, "__matmul__", lost)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from teich2.errors import NumericalError
 from teich2.hyperbolic import (
     GeodesicArc,
     MobiusTransform,
@@ -105,6 +106,15 @@ class TestMobiusTransform:
         for u, v in ((1e9, 1e9), (1e9, 1e9 + 1.0)):
             with pytest.raises(ValueError):
                 MobiusTransform(u, v)
+
+    def test_unrenormalizable_product_is_numerical_error(self):
+        # each factor is valid, but the product's |u|^2 - |v|^2 rounds to 0
+        r = 1.0 - 1e-7
+        with pytest.raises(NumericalError, match="not renormalizable"):
+            translation(r) @ translation(1j * r)
+        # a pair that is passed in stays a bad argument
+        with pytest.raises(ValueError, match="not renormalizable"):
+            translation(1.0 - 1e-8)
 
     def test_compose_matches_sequential_action(self):
         rng = np.random.default_rng(42)

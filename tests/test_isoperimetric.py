@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
 
+from teich2 import fenchel_nielsen
 from teich2 import isoperimetric as iso
 from teich2.errors import DomainError, NumericalError
 from teich2.isoperimetric import (
@@ -20,9 +24,9 @@ from teich2.isoperimetric import (
     p_of_e,
     parabola_fit,
     wp_area,
-    wp_area_grid,
+    wp_area_contour,
 )
-from teich2.octagon import OctagonParams, b_of, perimeter, perimeter_ab
+from teich2.octagon import OctagonParams, perimeter
 
 P0 = 27.023328706074827  # perimeter at (0.8, pi/12)
 E0 = 31.343747228912957
@@ -32,6 +36,23 @@ PHI_TO_A08 = 2.2446964410497214
 
 AREAS = {25.0: 1.4494758684, 30.0: 16.2768188212, 35.0: 33.8652285730,
          41.0: 58.7677554327}
+
+# 40-digit mpmath quadrature of the area integral where wp_area's quad is
+# 1.2e-12 and 3.0e-12 off, within its 1e-10 tolerance
+AREAS_MP = {49.125: 99.310537045170165464, 49.21147184377696: 99.784947912362175134}
+
+
+def tight_quad_area(p_star: float) -> float:
+    """wp_area's integral with quad pushed to its floor, 2e-14 relative."""
+    e_star = e_of_p(p_star)
+    lo, hi = a_extremes(e_star)
+    width = hi - lo
+    if width <= 0.0:
+        return 0.0
+    return quad(
+        lambda t: width * float(iso._area_integrand(np.asarray(lo + width * t), e_star)),
+        0.0, 1.0, epsabs=0.0, epsrel=2e-14, limit=500, full_output=True,
+    )[0]
 
 
 class TestAuxiliaryQuantity:
@@ -189,45 +210,44 @@ class TestWPArea:
         with pytest.raises(DomainError):
             wp_area(P_REG - 0.01)
         with pytest.raises(DomainError):
-            wp_area_grid(20.0)
+            wp_area_contour(20.0)
 
-    def test_grid_integration_agrees(self):
-        for p_star in (24.5, 25.0, 30.0, 35.0, 41.0):
-            q = wp_area(p_star).area
-            assert abs(wp_area_grid(p_star) - q) / q <= 1e-11, p_star
+    def test_contour_agrees_with_quadrature(self):
+        for p_star in [*np.arange(24.5, 41.01, 0.25), 50.0, 60.0]:
+            q = wp_area(float(p_star)).area
+            assert abs(wp_area_contour(float(p_star)) - q) / q <= 1e-12, p_star
 
-    def test_grid_zero_at_regular(self):
-        assert wp_area_grid(P_REG) == 0.0
+    def test_contour_matches_mpmath_where_quad_drifts(self):
+        for p_star, ref in AREAS_MP.items():
+            assert abs(wp_area_contour(p_star) - ref) / ref <= 1e-14, p_star
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(P_REG, 60.0))
+    def test_contour_matches_quadrature_property(self, p_star):
+        # at the scale max(1, area): both routes read a small orbit's area off
+        # points rounded to absolute precision, so tiny areas agree absolutely
+        ref = tight_quad_area(p_star)
+        assert abs(wp_area_contour(p_star) - ref) <= 1e-12 * max(1.0, ref)
+
+    def test_contour_zero_at_regular(self):
+        assert wp_area_contour(P_REG) == 0.0
         with pytest.raises(DomainError):
-            wp_area_grid(P_REG - 1e-9)
+            wp_area_contour(P_REG - 1e-9)
 
-    def test_grid_quiet_where_boundary_meets_domain_edge(self):
-        # past P ~ 300 bisection reaches points where b rounds to 1
-        assert math.isfinite(wp_area_grid(400.0))
+    @pytest.mark.parametrize("p_star", [80.0, 200.0, 400.0])
+    def test_contour_breakdown_raises(self, p_star):
+        # 80: no agreement by 2^16 nodes; 200 and 400: orbit points round
+        # past the domain edge, which must not warn (warnings are errors here)
+        with pytest.raises(NumericalError):
+            wp_area_contour(p_star)
 
-    def test_grid_route_independent_of_orbit_formulas(self, monkeypatch):
+    def test_contour_route_independent_of_wp_density(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("grid route used the orbit closed forms")
+            raise AssertionError("contour route used the WP density")
 
-        for name in ("e_of_p", "a_extremes", "orbit_point"):
-            monkeypatch.setattr(iso, name, refuse)
-        assert wp_area_grid(30.0) > 0.0
-
-    def test_perimeter_increases_in_alpha_tilde_on_columns(self):
-        # wp_area_grid takes each column inside the orbit as [-t, t]
-        for a in np.linspace(2.0 ** -0.5, 1.0, 41)[1:-1]:
-            edge = math.acos(1.0 / (math.sqrt(2.0) * a))
-            at = edge * np.linspace(0.0, 1.0, 400)[:-1]
-            p = perimeter_ab(a, b_of(a, at))
-            assert np.all(np.diff(p) > 0.0), a
-            assert np.allclose(perimeter_ab(a, b_of(a, -at)), p, rtol=1e-14)
-
-    def test_symmetric_perimeter_monotone_each_side_of_regular(self):
-        # wp_area_grid bisects P(a, 0) = p_star on each side of A_REG
-        left = np.linspace(2.0 ** -0.5, A_REG, 400)[1:]
-        right = np.linspace(A_REG, 1.0, 400)[:-1]
-        assert np.all(np.diff(perimeter_ab(left, b_of(left, 0.0))) < 0.0)
-        assert np.all(np.diff(perimeter_ab(right, b_of(right, 0.0))) > 0.0)
+        monkeypatch.setattr(iso, "_area_integrand", refuse)
+        monkeypatch.setattr(fenchel_nielsen, "wp_coefficient_raw", refuse)
+        assert_allclose(wp_area_contour(30.0), AREAS[30.0], rtol=1e-10)
 
     def test_integrand_reduction_identity(self):
         # f = sqrt((E*-4)(1-a^2)/(E*(1-a^2)-4)) sqrt(1-E/E*) equals

@@ -89,6 +89,12 @@ class TestParams:
         with pytest.raises(ValueError, match=r"margin must lie in \[0, 0.2\]"):
             validate_params(A0, AT0, margin)
 
+    @pytest.mark.parametrize("a, at", [(math.nan, AT0), (A0, math.inf), (-math.inf, 0.0)])
+    def test_non_finite_parameters_rejected(self, a, at):
+        with pytest.raises(ValueError, match="parameters must be finite") as exc:
+            validate_params(a, at)
+        assert not isinstance(exc.value, OutOfDomainError)
+
     def test_margin_checks_only_the_given_point(self):
         # (0.95, 0) keeps 0.04 from the boundary; its conjugate (0.744.., 0) does not
         p = validate_params(0.95, 0.0, 0.04)

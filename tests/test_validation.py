@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from teich2.group import generators
@@ -27,6 +29,12 @@ def test_no_tolerance_is_reported_by_two_checks():
 def test_empty_grid_rejected():
     with pytest.raises(ValueError, match="no points"):
         run_validation(n_a=0, n_alpha=3)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+def test_bad_tolerance_value_rejected(tol):
+    with pytest.raises(ValueError, match="tolerance relation_defect must be finite and >= 0"):
+        run_validation(n_a=2, n_alpha=2, tolerances={"relation_defect": tol})
 
 
 def test_fn_consistency_is_relative_for_large_quantities():
