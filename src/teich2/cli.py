@@ -5,14 +5,15 @@ derivatives of the closed-form lengths and twists and compares it with the
 closed-form coefficient; its ``wp.fd_*`` keys keep their teich2/v1 names.
 
 Exit codes: 0 success, 1 I/O errors, 2 argument errors (also a tiling radius
-outside 0..6, a ball past the float64 precision limit |u|^2 <= 1e14, a NaN
-or infinite float flag, or a negative tolerance), 3 domain errors (octagon
-parameters outside the admissible region or within ``--margin`` of its
-boundary, or an orbit or area perimeter below the regular value P_reg), 4
-validation failure, 5 numerical errors (a quadrature that does not converge
-or overflows, an overflow or cancellation, or a product of SU(1,1) maps that
-rounding broke).  With ``--format json`` domain errors additionally produce
-a JSON error object on stdout.
+outside 0..6, a ball element that float64 cannot represent at the given
+point, a NaN or infinite float flag, or a negative tolerance), 3 domain errors
+(octagon parameters outside the admissible region or within ``--margin`` of
+its boundary, or an orbit or area perimeter below the regular value P_reg),
+4 validation failure, 5 numerical errors (a quadrature that does not converge
+or overflows, an overflow or cancellation, a product of SU(1,1) maps that
+rounding broke, or an orbit point that rounds out of the domain).  With
+``--format json`` domain errors additionally produce a JSON error object on
+stdout.
 """
 
 from __future__ import annotations

@@ -40,13 +40,6 @@ __all__ = [
 
 # exact ball sizes of the genus-2 surface group, radius 0..6 (Cannon 1984)
 BALL_SIZES = (1, 9, 65, 457, 3193, 22289, 155577)
-# ball() merges g and h when sinh(d/2) = |z - w| |u_g| |u_h| < ORBIT_GAP for
-# their orbit points z = g(0) = v/conj(u) and w = h(0).  Distinct elements sit
-# at d >= twice the octagon's inradius about 0, >= 1.77 (tests/test_group.py);
-# roundoff in sinh(d/2) is about eps |u|^2, so |u|^2 > _U2_LIMIT is refused.
-ORBIT_GAP = 0.25
-_U2_LIMIT = 1e14
-_BIN = 2.0**-20  # bin width of the orbit-point hash
 
 # letter order fixes the deterministic (shortest-lex) word ordering
 LETTERS = "aAbBcCdD"
@@ -179,64 +172,76 @@ class GroupBall:
         return [e.word for e in self.elements]
 
 
-def _probe_keys(z: complex, margin: float) -> list[tuple[int, int]]:
-    """Hash bins holding every point within min(margin, _BIN/2) of z, own bin first."""
-    axes = []
-    for x in (z.real / _BIN, z.imag / _BIN):
-        k = round(x)
-        near_edge = 0.5 - abs(x - k) <= margin / _BIN
-        axes.append((k, k + 1 if x > k else k - 1) if near_edge else (k,))
-    return [(i, j) for i in axes[0] for j in axes[1]]
+def _times(b: np.ndarray) -> np.ndarray:
+    """Matrix of x -> x b on rows (c0..c3) of c0 + c1 zeta + c2 zeta^2 + c3 zeta^3."""
+    # row j is zeta^j b: b shifted up j places, the wrapped ones negated (zeta^4 = -1)
+    return np.array([np.roll(b, j) * np.where(np.arange(4) < j, -1, 1) for j in range(4)])
+
+
+def _letter_maps() -> list[np.ndarray]:
+    """Integer 8x8 matrices of (u, w) -> (u, w) g for the letters g = a, A, ..., D.
+
+    At the regular octagon an element is (u, lambda e^{i pi/8} w) with u, w in
+    Z[zeta], zeta = e^{i pi/4}, lambda^2 = 2 + 2 sqrt2: g_k has u = -(1 + sqrt2),
+    w = -zeta^k, and a product is (u1 u2 + lambda^2 w1 conj(w2), u1 w2 + w1 conj(u2)).
+    """
+    u = _times(np.array([-1, -1, 0, 1]))  # -(1 + sqrt2), sqrt2 = zeta - zeta^3: real
+    lam2 = _times(np.array([2, 2, 0, -2]))
+    maps = []
+    for k in range(4):
+        for w in (-np.eye(4, dtype=np.int64)[k], np.eye(4, dtype=np.int64)[k]):  # g_k, g_k^-1
+            w_conj = np.array([w[0], -w[3], -w[2], -w[1]])  # zeta^j -> -zeta^(4-j)
+            maps.append(np.block([[u, _times(w)], [_times(w_conj @ lam2), u]]))
+    return maps
+
+
+def _ball_words(n: int) -> list[tuple[int, int]]:
+    """(parent index, letter index) of the shortest-lex word of every ball element.
+
+    Ball element k + 1 is element ``parent`` times ``gens.letters()[letter]``.  All
+    points share one group presentation, so words are compared once, exactly, as
+    the int64 rows of ``_letter_maps`` (entries below 1.2e4 up to radius 7).
+    """
+    step = np.concatenate(_letter_maps(), axis=1)  # a row (u, w) times all 8 letters at once
+    prev, sphere = np.empty((0, 8), np.int64), np.eye(1, 8, dtype=np.int64)
+    words: list[tuple[int, int]] = []
+    for _ in range(n):
+        cand = (sphere @ step).reshape(-1, 8)  # parent-major, letter-minor: shortlex
+        # first nonzero integer positive: one sign per PSU(1,1) element
+        cand *= np.sign(cand[np.arange(len(cand)), (cand != 0).argmax(axis=1)])[:, None]
+        # word length has the relator's even parity, so a candidate can only
+        # repeat an element of the previous sphere or an earlier candidate
+        both = np.concatenate([prev, cand])
+        _, first = np.unique(both.view(np.dtype((np.void, 64))).ravel(), return_index=True)
+        new = np.sort(first[first >= len(prev)]) - len(prev)
+        # the sphere is the last len(sphere) of the len(words) + 1 elements so far
+        words += zip((len(words) + 1 - len(sphere) + new // 8).tolist(), (new % 8).tolist())
+        prev, sphere = sphere, cand[new]
+    return words
 
 
 def ball(gens: GeneratorSet, n: int) -> GroupBall:
-    """Shortest-word BFS ball of radius n, deduplicated by orbit point.
+    """Ball of radius n in shortlex order: ``_ball_words`` multiplied out at gens.
 
-    Deterministic: the frontier is expanded in (length, word) lexicographic
-    order over the letters a,A,b,B,c,C,d,D, and the first (shortest-lex)
-    word reaching an element is kept, with its canonical sign.  Raises
-    ValueError for n outside 0..6, and past the float64 limit |u|^2 <= 1e14.
+    Each element keeps its canonical sign.  Raises ValueError for n outside
+    0..6, and where float64 rounding breaks a product (the precision limit).
     """
     if not 0 <= n < len(BALL_SIZES):
         raise ValueError(f"ball radius must be in 0..{len(BALL_SIZES) - 1}, got {n!r}")
     letters = gens.letters()
-    ident = MobiusTransform.identity()
-    bins: dict[tuple[int, int], list[tuple[complex, float]]] = {(0, 0): [(0j, 1.0)]}
-    elements = [BallElement("", ident)]
-    frontier = [("", ident)]
-    for _ in range(n):
-        next_frontier: list[tuple[str, MobiusTransform]] = []
-        for word, t in frontier:
-            back = word[-1:].swapcase()
-            for label, gen in letters:
-                if label == back:
-                    continue  # free reduction: skip immediate backtracking
-                try:
-                    cand = t @ gen
-                except NumericalError:  # |u|^2 - |v|^2 lost to roundoff
-                    cand = None
-                size = abs(t.u) * abs(gen.u) if cand is None else abs(cand.u)
-                if cand is None or size * size > _U2_LIMIT:
-                    p = gens.params
-                    raise ValueError(
-                        f"radius-{n} ball at a={p.a!r}, alpha_tilde={p.alpha_tilde!r}: "
-                        f"|u| = {size:.3g} at word length {len(word) + 1} exceeds the "
-                        f"float64 precision limit |u|^2 <= {_U2_LIMIT:g}"
-                    )
-                z = cand.v / cand.u.conjugate()
-                keys = _probe_keys(z, ORBIT_GAP / (size * size))
-                if any(
-                    abs(z - w) * size * w_size < ORBIT_GAP
-                    for key in keys
-                    for w, w_size in bins.get(key, ())
-                ):
-                    continue
-                bins.setdefault(keys[0], []).append((z, size))
-                kept = cand.canonical()
-                new_word = word + label
-                elements.append(BallElement(new_word, kept))
-                next_frontier.append((new_word, kept))
-        frontier = next_frontier
+    elements = [BallElement("", MobiusTransform.identity())]
+    for parent, k in _ball_words(n):
+        label, gen = letters[k]
+        word = elements[parent].word + label
+        try:
+            kept = (elements[parent].transform @ gen).canonical()
+        except (NumericalError, ValueError) as exc:  # |u|^2 - |v|^2 lost to roundoff
+            p = gens.params
+            raise ValueError(
+                f"radius-{n} ball at a={p.a!r}, alpha_tilde={p.alpha_tilde!r}: element "
+                f"{word!r} is past the float64 precision limit ({exc})"
+            ) from None
+        elements.append(BallElement(word, kept))
     return GroupBall(n, tuple(elements), relation_defect(gens).sign)
 
 
@@ -251,14 +256,8 @@ class Cell:
 
 def cells(group_ball: GroupBall, geom: OctagonGeometry) -> list[Cell]:
     """Images of the octagon ``geom`` under every element of ``group_ball``."""
-    out = []
-    for el in group_ball.elements:
-        t = el.transform
-        out.append(
-            Cell(
-                el.word,
-                tuple(t(v) for v in geom.vertices),
-                tuple(t(p) for p in geom.midpoints),
-            )
-        )
-    return out
+    return [
+        Cell(el.word, tuple(map(el.transform, geom.vertices)),
+             tuple(map(el.transform, geom.midpoints)))
+        for el in group_ball.elements
+    ]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, OutOfDomainError
 from .fenchel_nielsen import _fn_forms
 from .octagon import OctagonParams
 
@@ -110,7 +110,13 @@ class OrbitSample:
 
     @property
     def params(self) -> OctagonParams:
-        return OctagonParams(self.a, self.alpha_tilde)
+        """The point as octagon parameters; NumericalError if it rounded out of the domain."""
+        try:
+            return OctagonParams(self.a, self.alpha_tilde)
+        except OutOfDomainError as exc:  # exact orbit points of P > P_reg lie inside
+            raise NumericalError(
+                f"orbit point at phi = {self.phi!r} rounds out of the domain: {exc}"
+            ) from None
 
 
 def orbit_point(e: float, phi: float) -> OrbitSample:

@@ -11,7 +11,7 @@ import pytest
 import teich2
 from teich2 import cli, group
 from teich2.cli import run
-from teich2.group import BALL_SIZES, GeneratorSet
+from teich2.group import BALL_SIZES
 
 A_ARGS = ["--a", "0.8", "--alpha-tilde", str(math.pi / 12)]
 
@@ -120,6 +120,13 @@ EXIT_CODES = [
      r"teich2: numerical error: product of SU\(1,1\) maps: .* is not renormalizable to 1\n", ""),
     (["fn", "--a", "0.7401651556654594", "--alpha-tilde", "0.3"], 5,
      r"teich2: numerical error: product of SU\(1,1\) maps: .* is not renormalizable to 1\n", ""),
+    (["orbit", "--P", "300", "--samples", "4"], 5,
+     r"teich2: numerical error: orbit point at phi = 1.5707963267948966 rounds out of the "
+     r"domain: lower_a: value 0.8660254037844385 violates bound 0.8660254037844385\n", ""),
+    (["tiling", "--a", "0.995099525262749", "--alpha-tilde", "-0.7740075264130591", "-n", "4"], 2,
+     r"teich2: argument error: radius-4 ball at a=0.995099525262749, "
+     r"alpha_tilde=-0.7740075264130591: element '\w+' is past the float64 precision limit "
+     r"\(.*\)\n", ""),
 ]
 
 
@@ -349,14 +356,11 @@ class TestTilingCommand:
         [
             (["--a", "0.8", "--alpha-tilde", "0.2"], "-1", "radius must be in 0..6"),
             (["--a", "0.8", "--alpha-tilde", "0.2"], "7", "radius must be in 0..6"),
-            (["--a", "0.9905482311121936", "--alpha-tilde", "-0.7527861665680812"], "4",
-             "radius-4 ball at a=0.9905482311121936, alpha_tilde=-0.7527861665680812: |u| = "),
         ],
     )
     def test_refusals_exit_2(self, capsys, monkeypatch, point, radius, needle):
-        if radius != "4":
-            # the radius bound is checked before any product is formed
-            monkeypatch.setattr(GeneratorSet, "letters", lambda self: pytest.fail("enumerated"))
+        # the radius bound is checked before any word is enumerated
+        monkeypatch.setattr(group, "_ball_words", lambda n: pytest.fail("enumerated"))
         code, out, err = run_capture(capsys, ["tiling", *point, "-n", radius])
         assert code == 2
         assert out == ""

@@ -1,18 +1,18 @@
 import math
-import sys
-from pathlib import Path
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from teich2 import group
 from teich2.errors import NumericalError
 from teich2.group import (
-    _BIN,
     BALL_SIZES,
-    ORBIT_GAP,
-    GeneratorSet,
-    _probe_keys,
+    _ball_words,
+    _letter_maps,
     ball,
     cells,
     generators,
@@ -22,7 +22,7 @@ from teich2.group import (
     side_pairing_check,
 )
 from teich2.hyperbolic import MobiusTransform, dist, projective_gap, translation
-from teich2.octagon import OctagonParams, build_geometry, domain_grid
+from teich2.octagon import OctagonParams, build_geometry, domain_grid, lower_a
 
 A_REG = 2.0 ** -0.25
 P0 = OctagonParams(0.8, math.pi / 12)
@@ -39,22 +39,24 @@ MARGIN_005_POINTS = [
     OctagonParams(0.8286353908466143, -0.4933380075451987),
     OctagonParams(0.9161338114692945, -0.3523842911037134),
 ]
-# whole-domain points whose radius-4 balls pass the float64 precision limit;
-# at the second, a product's |u|^2 - |v|^2 is lost to roundoff altogether
+# whole-domain points whose radius-4 balls the float orbit-point comparison
+# refused: at the first the exact words give the whole ball; at the second a
+# product's |u|^2 - |v|^2 is lost to roundoff altogether
 PAST_PRECISION = [
     OctagonParams(0.9905482311121936, -0.7527861665680812),
     OctagonParams(0.995099525262749, -0.7740075264130591),
 ]
+# Z[zeta] row (c0..c3) of c0 + c1 zeta + c2 zeta^2 + c3 zeta^3 -> complex
+ZETA = np.exp(0.25j * np.pi * np.arange(4))
 
 
-def domain_probe_points(seed):
-    """The benchmark's jittered whole-domain points (perfbench/workloads.py)."""
-    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
-    if perfbench not in sys.path:
-        sys.path.append(perfbench)
-    import workloads
-
-    return [OctagonParams(a, at) for a, at in workloads.domain_probe_points(seed)]
+@st.composite
+def domain_points(draw, margin=1e-3):
+    """Points of the whole domain at least ``margin`` from its boundary."""
+    at_max = math.acos(1.0 / (math.sqrt(2.0) * (1.0 - 2.0 * margin)))
+    at = draw(st.floats(-at_max, at_max))
+    lo = lower_a(at) + margin
+    return OctagonParams(lo + draw(st.floats(0.0, 1.0)) * (1.0 - margin - lo), at)
 
 
 class TestGenerators:
@@ -175,18 +177,6 @@ class TestBall:
         for el in ball(generators(P0), 3).elements:
             assert el.transform.canonical() == el.transform
 
-    def test_probe_keys_cover_the_margin(self):
-        # a point within the margin of z in each coordinate lies in a bin
-        # that z probes, also across bin edges and corners
-        rng = np.random.default_rng(5)
-        margin = 1e-3 * _BIN
-        for _ in range(2000):
-            corner = complex(*(np.round(rng.uniform(-0.9, 0.9, 2) / _BIN) + 0.5)) * _BIN
-            z = corner + complex(*rng.uniform(-margin, margin, 2))
-            w = z + complex(*rng.uniform(-margin, margin, 2))
-            assert _probe_keys(w, margin)[0] in _probe_keys(z, margin)
-        assert len(_probe_keys(0.25 * _BIN * (1 + 1j), margin)) == 1
-
     def test_elements_pairwise_distinct(self):
         b = ball(generators(P0), 2)
         els = [e.transform for e in b.elements]
@@ -209,30 +199,41 @@ class TestBall:
             assert len(ball(generators(params), 4)) == BALL_SIZES[4], params
         assert len(ball(generators(MARGIN_005_POINTS[0]), 5)) == BALL_SIZES[5]
 
-    def test_orbit_gap_reason(self):
-        # the octagon holds the disk of radius r about 0 (r its distance to
-        # the nearest side geodesic), so orbit points of distinct elements
-        # lie >= 2r apart; sinh of half that stays far above ORBIT_GAP
-        points = domain_grid(10, 10, 0.001) + domain_probe_points(1)
-        closest = two_r = math.inf
-        for params in points:
-            b = ball(generators(params), 3)
-            assert len(b) == BALL_SIZES[3]
-            near = min(2.0 * math.asinh(abs(e.transform.v)) for e in b.elements[1:])
-            geom = build_geometry(params)
-            r = min(dist(0.0, arc.point(0.0)) for arc in (geom.arc_plus, geom.arc_minus))
-            assert 2.0 * r <= near + 1e-12
-            closest, two_r = min(closest, near), min(two_r, 2.0 * r)
-        assert closest >= 1.8
-        assert math.sinh(0.5 * two_r) > 3.0 * ORBIT_GAP
+    @settings(max_examples=40, deadline=None)
+    @given(domain_points())
+    def test_orbit_points_twice_the_inradius_apart(self, params):
+        # the octagon holds the disk of radius r about 0 (r its distance to the
+        # nearest side geodesic), so orbit points of distinct elements lie >= 2r
+        # apart: a geometric check of the exact words at every point
+        gens = generators(params)
+        try:
+            b = ball(gens, 3)
+        except ValueError as exc:
+            # refused only where float64 may not hold the element: a word of
+            # length L has |u| <= (2 max|u_k|)^L, and |u|^2 - |v|^2 = 1 is lost
+            # once eps |u|^2 reaches 1 (near the corner a = 1, alpha_tilde = pi/4)
+            word = re.search(r"element '(\w+)' is past the float64 precision limit", str(exc))
+            u_max = max(abs(g.u) for g in gens.g)
+            assert (2.0 * u_max) ** (2 * len(word[1])) * np.finfo(float).eps > 1.0
+            return
+        assert len(b) == BALL_SIZES[3]
+        u = np.array([e.transform.u for e in b.elements])
+        v = np.array([e.transform.v for e in b.elements])
+        # sinh(d/2) for d = dist(g(0), h(0)) is |v| of g^-1 h, rounded to ~eps |u_g| |u_h|
+        half = np.abs(u.conj()[:, None] * v - v[:, None] * u.conj())
+        slack = 4.0 * np.finfo(float).eps * np.abs(u)[:, None] * np.abs(u)
+        np.fill_diagonal(half, np.inf)
+        geom = build_geometry(params)
+        r = min(dist(0.0, arc.point(0.0)) for arc in (geom.arc_plus, geom.arc_minus))
+        assert np.all(half >= math.sinh(r) - slack)
 
     def test_radius_bound_checked_before_enumeration(self, monkeypatch):
         gens = generators(P0)
 
-        def fail(self):
+        def fail(n):
             raise AssertionError("ball enumerated past its radius bound")
 
-        monkeypatch.setattr(GeneratorSet, "letters", fail)
+        monkeypatch.setattr(group, "_ball_words", fail)
         with pytest.raises(ValueError, match="ball radius must be in 0..6"):
             ball(gens, len(BALL_SIZES))
 
@@ -249,13 +250,38 @@ class TestBall:
         with pytest.raises(ValueError, match="precision limit"):
             ball(gens, 1)
 
-    @pytest.mark.parametrize("params", PAST_PRECISION)
-    def test_precision_limit(self, params):
+    def test_exact_count_where_orbit_points_were_refused(self):
+        assert len(ball(generators(PAST_PRECISION[0]), 4)) == BALL_SIZES[4]
+
+    def test_precision_limit(self):
+        params = PAST_PRECISION[1]
         with pytest.raises(ValueError) as info:
             ball(generators(params), 4)
         msg = str(info.value)
         assert f"radius-4 ball at a={params.a!r}, alpha_tilde={params.alpha_tilde!r}" in msg
-        assert "|u| = " in msg and "precision limit" in msg
+        assert "element '" in msg and "precision limit" in msg
+        assert len(msg.splitlines()) == 1
+
+
+class TestExactWords:
+    def test_letters_match_float_generators_at_regular_point(self):
+        gens = generators(OctagonParams(A_REG, 0.0))
+        scale = math.sqrt(2.0 + 2.0 * math.sqrt(2.0)) * np.exp(0.125j * np.pi)
+        for (_, t), m in zip(gens.letters(), _letter_maps()):
+            row = m[0]  # the letter itself: the identity (1, 0) times it
+            exact = MobiusTransform(row[:4] @ ZETA, scale * (row[4:] @ ZETA))
+            assert projective_gap(exact, t) <= 1e-14
+
+    def test_relator_is_exact_identity(self):
+        maps = _letter_maps()
+        row = np.eye(1, 8, dtype=np.int64)[0]
+        for letter in "aBcDAbCd":  # g0 g1^-1 g2 g3^-1 g0^-1 g1 g2^-1 g3
+            row = row @ maps["aAbBcCdD".index(letter)]
+        assert row.tolist() == [1, 0, 0, 0, 0, 0, 0, 0]
+
+    @pytest.mark.parametrize("n", range(len(BALL_SIZES)))
+    def test_word_counts_match_ball_sizes(self, n):
+        assert len(_ball_words(n)) + 1 == BALL_SIZES[n]
 
 
 class TestCells:
