@@ -1,0 +1,81 @@
+"""Elementary functions for closed forms written once, for one point and for arrays.
+
+Each function takes numpy arrays, evaluated elementwise by numpy, or
+Python numbers (and numpy scalars), evaluated by ``math`` and ``cmath``.
+A form written with them is thus one pass over the arrays of a whole
+parameter grid, and at one point a plain-Python computation of a few
+microseconds, which keeps the scalar API as cheap as hand-written scalar
+code.  The two evaluations agree to rounding: numpy's and the C library's
+transcendental functions can differ in the last bit.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+
+import numpy as np
+
+__all__ = [
+    "sqrt", "cos", "sin", "tan", "arctan", "arccos", "arcsinh", "arccosh", "cosh",
+    "exp", "log", "maximum", "minimum", "where", "first_true",
+]
+
+
+def _unary(real, complex_, array):
+    def fn(x):
+        if type(x) is float:  # the common case of one point, tested first
+            return real(x)
+        if isinstance(x, np.ndarray):
+            return array(x)
+        if isinstance(x, complex):
+            return complex_(x)
+        return real(x)
+
+    fn.__name__ = array.__name__
+    return fn
+
+
+sqrt = _unary(math.sqrt, cmath.sqrt, np.sqrt)
+cos = _unary(math.cos, cmath.cos, np.cos)
+sin = _unary(math.sin, cmath.sin, np.sin)
+tan = _unary(math.tan, cmath.tan, np.tan)
+arctan = _unary(math.atan, cmath.atan, np.arctan)
+arccos = _unary(math.acos, cmath.acos, np.arccos)
+arcsinh = _unary(math.asinh, cmath.asinh, np.arcsinh)
+arccosh = _unary(math.acosh, cmath.acosh, np.arccosh)
+cosh = _unary(math.cosh, cmath.cosh, np.cosh)
+exp = _unary(math.exp, cmath.exp, np.exp)
+log = _unary(math.log, cmath.log, np.log)
+
+
+def _is_array(*xs) -> bool:
+    return any(isinstance(x, np.ndarray) for x in xs)
+
+
+def maximum(x, y):
+    """Elementwise larger value; NaN wins, as with np.maximum."""
+    if _is_array(x, y):
+        return np.maximum(x, y)
+    return x if x > y or x != x else y
+
+
+def minimum(x, y):
+    """Elementwise smaller value; NaN wins, as with np.minimum."""
+    if _is_array(x, y):
+        return np.minimum(x, y)
+    return x if x < y or x != x else y
+
+
+def where(cond, x, y):
+    """x where cond holds, else y."""
+    if _is_array(cond, x, y):
+        return np.where(cond, x, y)
+    return x if cond else y
+
+
+def first_true(mask) -> int | None:
+    """Flat index of the first true element of mask (C order), or None."""
+    if isinstance(mask, np.ndarray):
+        return int(np.argmax(mask)) if mask.any() else None
+    return 0 if mask else None

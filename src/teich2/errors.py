@@ -29,4 +29,12 @@ class OutOfDomainError(DomainError):
 
 
 class NumericalError(RuntimeError):
-    """A computation broke down numerically: no convergence, overflow, or cancellation."""
+    """A computation broke down numerically: no convergence, overflow, or cancellation.
+
+    ``index`` is the flat position of the first failing element when the
+    computation ran over an array, and None otherwise.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        self.index = index
+        super().__init__(message)

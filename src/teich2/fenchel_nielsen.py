@@ -17,30 +17,40 @@ Twists are signed by ``sgn(alpha_tilde)`` so that Wolpert's expression
 ``da ^ dalpha_tilde`` with a plus sign on the whole domain.  The primed
 decomposition is the evaluation at the conjugate parameters ``(b, -at)``,
 which automatically carries the opposite twist sign.
+
+Every form is written once, elementwise over arrays (a, alpha_tilde) of
+parameter points; the functions that take ``OctagonParams`` are its views
+at one point.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .group import m_matrices
-from .octagon import OctagonParams, b_of, build_geometry
+from . import _elementwise as ew
+from .group import half_turn_pairs, omega_forms
+from .hyperbolic import su_mul
+from .octagon import OctagonParams, b_of, octagon_forms
 
 __all__ = [
     "PantsData",
     "LTReport",
     "fn_lengths",
     "fn_twists",
+    "trace_forms",
     "trace_params",
+    "d_closed_forms",
     "d_closed",
+    "pants_forms",
     "pants_data",
     "dt_residuals",
+    "lt_forms",
     "lt_relations_check",
     "wp_coefficient",
     "wp_coefficient_raw",
+    "wolpert_forms",
     "wolpert_summands",
 ]
 
@@ -53,17 +63,16 @@ def _fn_forms(a, alpha_tilde):
     cosh tau1 - 1 = 2 sin^2(at) / (2a^2 cos^2(at) - 1) are taken through
     arccosh x = 2 asinh sqrt((x - 1)/2), with 1 - a^2 as (1 - a)(1 + a).
     """
-    q = 2.0 * a * a * np.cos(alpha_tilde) ** 2 - 1.0
-    l1 = 4.0 * np.arcsinh(np.sqrt((2.0 * a * a - 1.0) / (2.0 * (1.0 - a) * (1.0 + a))))
+    q = 2.0 * a * a * ew.cos(alpha_tilde) ** 2 - 1.0
+    l1 = 4.0 * ew.arcsinh(ew.sqrt((2.0 * a * a - 1.0) / (2.0 * (1.0 - a) * (1.0 + a))))
     # + 0.0 turns the -0.0 of the conjugate of alpha_tilde = 0 into 0.0
-    tau1 = 2.0 * np.arcsinh(np.sin(alpha_tilde) / np.sqrt(q)) + 0.0
-    tau3 = np.log((1.0 + a) / (1.0 - a))
+    tau1 = 2.0 * ew.arcsinh(ew.sin(alpha_tilde) / ew.sqrt(q)) + 0.0
+    tau3 = ew.log((1.0 + a) / (1.0 - a))
     return l1, 2.0 * tau3, tau1, tau3
 
 
 def _fn_data(params: OctagonParams):
-    # (lengths, twists) as plain floats, which repr without numpy's wrapper
-    l1, l3, tau1, tau3 = map(float, _fn_forms(params.a, params.alpha_tilde))
+    l1, l3, tau1, tau3 = _fn_forms(params.a, params.alpha_tilde)
     return (l1, l1, l3), (tau1, tau1, tau3)
 
 
@@ -81,39 +90,49 @@ def fn_twists(params: OctagonParams) -> tuple[float, float, float]:
     return _fn_data(params)[1]
 
 
-def trace_params(
-    params: OctagonParams,
-) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
-    """Trace parameters ((c1,c2,c3), (d1,d2,d3)) from half-turn products.
+def _trace(x):
+    # trace 2 Re u of a (u, v) pair
+    return 2.0 * x[0].real
+
+
+def trace_forms(a, alpha_tilde):
+    """Trace parameters ((c1,c2,c3), (d1,d2,d3)) from half-turn products, elementwise.
 
     c_k are minus half-traces of M0 M1, M2 M3, M4 M5; d_k are half of the
     squared traces of M0 M4 M5, M2 M1 M0, M5 M3 M2, each minus one.
     """
-    m = m_matrices(build_geometry(params))
-    c = (
-        -0.5 * (m[0] @ m[1]).trace,
-        -0.5 * (m[2] @ m[3]).trace,
-        -0.5 * (m[4] @ m[5]).trace,
-    )
-    d = (
-        0.5 * (m[0] @ m[4] @ m[5]).trace ** 2 - 1.0,
-        0.5 * (m[2] @ m[1] @ m[0]).trace ** 2 - 1.0,
-        0.5 * (m[5] @ m[3] @ m[2]).trace ** 2 - 1.0,
+    f = octagon_forms(a, alpha_tilde)
+    m = half_turn_pairs(omega_forms(f.omega_plus, f.omega_minus, f.omega4))
+    c = tuple(-0.5 * _trace(su_mul(m[i], m[j])) for i, j in ((0, 1), (2, 3), (4, 5)))
+    d = tuple(
+        0.5 * _trace(su_mul(su_mul(m[i], m[j]), m[k])) ** 2 - 1.0
+        for i, j, k in ((0, 4, 5), (2, 1, 0), (5, 3, 2))
     )
     return c, d
 
 
-def d_closed(params: OctagonParams) -> tuple[float, float, float]:
+def trace_params(
+    params: OctagonParams,
+) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+    """trace_forms at one point."""
+    return trace_forms(params.a, params.alpha_tilde)
+
+
+def d_closed_forms(a, alpha_tilde):
     """Closed forms of d_k: d1 = d2 = 4/((1-a^2)(1-b^2)) - 1, d3 = 2/(1-a^2)^2 - 1.
 
     1 - b^2 is taken as (2a^2 cos^2(at) - 1)/(2a^2 cos^2(at)) and 1 - a^2 as
-    (1 - a)(1 + a), which do not cancel near b = 1 or a = 1.
+    (1 - a)(1 + a), which do not cancel near b = 1 or a = 1.  Elementwise.
     """
-    a = params.a
-    two_a2c2 = 2.0 * a * a * math.cos(params.alpha_tilde) ** 2
+    two_a2c2 = 2.0 * a * a * ew.cos(alpha_tilde) ** 2
     one_minus_a2 = (1.0 - a) * (1.0 + a)
     d12 = 4.0 * two_a2c2 / (one_minus_a2 * (two_a2c2 - 1.0)) - 1.0
     return (d12, d12, 2.0 / one_minus_a2**2 - 1.0)
+
+
+def d_closed(params: OctagonParams) -> tuple[float, float, float]:
+    """d_closed_forms at one point."""
+    return d_closed_forms(params.a, params.alpha_tilde)
 
 
 @dataclass(frozen=True)
@@ -127,29 +146,37 @@ class PantsData:
     p_aux: float
 
 
+def pants_forms(a, alpha_tilde) -> PantsData:
+    """Lengths, twists and trace parameters of one decomposition, as a
+    PantsData of arrays (elementwise over the parameter arrays)."""
+    l1, l3, tau1, tau3 = _fn_forms(a, alpha_tilde)
+    c, d = trace_forms(a, alpha_tilde)
+    p_aux = c[0] ** 2 + c[1] ** 2 + c[2] ** 2 + 2.0 * c[0] * c[1] * c[2] - 1.0
+    return PantsData((l1, l1, l3), (tau1, tau1, tau3), c, d, p_aux)
+
+
 def pants_data(params: OctagonParams) -> PantsData:
-    """Assemble lengths, twists and trace parameters for one decomposition.
+    """pants_forms at one point.
 
     The primed decomposition is ``pants_data(params.conjugate())``.
     """
-    c, d = trace_params(params)
-    p_aux = c[0] ** 2 + c[1] ** 2 + c[2] ** 2 + 2.0 * c[0] * c[1] * c[2] - 1.0
-    return PantsData(*_fn_data(params), c, d, p_aux)
+    return pants_forms(params.a, params.alpha_tilde)
 
 
-def _rel(x: float, ref: float) -> float:
-    """Signed residual (x - ref) / max(1, |ref|), at the scale of the quantity."""
-    return (x - ref) / max(1.0, abs(ref))
+def _rel(x, ref):
+    """Signed residual (x - ref) / max(1, |ref|), at the scale of the quantity; elementwise."""
+    return (x - ref) / ew.maximum(1.0, abs(ref))
 
 
 def dt_residuals(data: PantsData) -> tuple[float, float, float]:
     """Residuals of d_k = p_aux/(c_k^2 - 1) * (1 + cosh tau_k) - 1.
 
     Each is |d_k - rhs_k| / max(1, |rhs_k|): d_k grows without bound near the
-    domain boundary, so the identity is judged relatively there.
+    domain boundary, so the identity is judged relatively there.  Elementwise
+    for a PantsData of arrays; floats for one of floats.
     """
     return tuple(
-        abs(_rel(d, data.p_aux / (c**2 - 1.0) * (1.0 + math.cosh(tau)) - 1.0))
+        abs(_rel(d, data.p_aux / (c**2 - 1.0) * (1.0 + ew.cosh(tau)) - 1.0))
         for c, d, tau in zip(data.c, data.d, data.twists)
     )
 
@@ -165,35 +192,41 @@ class LTReport:
 
     @property
     def max_residual(self) -> float:
-        return max(map(abs, astuple(self)))
+        """The largest |residual|; elementwise for a report of arrays."""
+        return np.abs(astuple(self)).max(axis=0)
 
 
-def lt_relations_check(params: OctagonParams) -> LTReport:
+def lt_forms(a, alpha_tilde) -> LTReport:
     """Check L3 = 2 L1 + 1, tau3 = l3/2, and the primed L'1, T'1 relations.
 
     L and T denote cosh of half-lengths and half-twists; the primed pair is
     computed from the conjugate parameters and compared against the rational
     expressions in the unprimed (L1, T1).  Residuals are relative, as in
-    dt_residuals: L'1 grows without bound near the domain boundary.
+    dt_residuals: L'1 grows without bound near the domain boundary.  An
+    LTReport of arrays, elementwise over the parameter arrays.
     """
-    lengths, twists = _fn_data(params)
-    l1 = math.cosh(0.5 * lengths[0])
-    l3 = math.cosh(0.5 * lengths[2])
-    t1 = math.cosh(0.5 * twists[0])
-    primed = params.conjugate()
-    lengths_p, twists_p = _fn_data(primed)
-    l1p = math.cosh(0.5 * lengths_p[0])
-    t1p = math.cosh(0.5 * twists_p[0])
+    l1_len, l3_len, tau1, tau3 = _fn_forms(a, alpha_tilde)
+    l1p_len, _, tau1p, _ = _fn_forms(b_of(a, alpha_tilde), -alpha_tilde)
+    l1 = ew.cosh(0.5 * l1_len)
+    l3 = ew.cosh(0.5 * l3_len)
+    t1 = ew.cosh(0.5 * tau1)
+    l1p = ew.cosh(0.5 * l1p_len)
+    t1p = ew.cosh(0.5 * tau1p)
     lhs_l1p = t1 * t1 * 2.0 * l1 / (l1 - 1.0) - 1.0
     num = l1 * l1 * t1 * t1 + l1 * t1 * t1 - l1 * l1 + 1.0
     den = 2.0 * l1 * t1 * t1 - l1 + 1.0
-    lhs_t1p = math.sqrt(num / den)
+    lhs_t1p = ew.sqrt(num / den)
     return LTReport(
         residual_l3=_rel(l3, 2.0 * l1 + 1.0),
-        residual_tau3=_rel(twists[2], 0.5 * lengths[2]),
+        residual_tau3=_rel(tau3, 0.5 * l3_len),
         residual_l1_primed=_rel(l1p, lhs_l1p),
         residual_t1_primed=_rel(t1p, lhs_t1p),
     )
+
+
+def lt_relations_check(params: OctagonParams) -> LTReport:
+    """lt_forms at one point."""
+    return lt_forms(params.a, params.alpha_tilde)
 
 
 def wp_coefficient_raw(a, alpha_tilde):
@@ -211,9 +244,7 @@ def wp_coefficient(params: OctagonParams) -> float:
     return wp_coefficient_raw(params.a, params.alpha_tilde)
 
 
-def wolpert_summands(
-    params: OctagonParams, primed: bool = False
-) -> tuple[float, float, float]:
+def wolpert_forms(a, alpha_tilde, primed: bool = False):
     """Summands 1/2 [d_a l_k d_at tau_k - d_at l_k d_a tau_k], k = 1, 2, 3, of
     Wolpert's form 1/2 sum_k dl_k ^ dtau_k in (a, alpha_tilde).
 
@@ -223,17 +254,24 @@ def wolpert_summands(
     1998): with no difference to cancel they are exact to rounding, and the
     step stays far inside the domain.  ``primed`` differentiates the forms of
     the conjugate decomposition at (b(a, at), -at).  The route is independent
-    of ``wp_coefficient_raw``.
+    of ``wp_coefficient_raw``.  Elementwise over the parameter arrays.
     """
     h = 1e-30
-    a, at = params.a, params.alpha_tilde
+    at = alpha_tilde
     if primed:
         steps = (_fn_forms(b_of(a + 1j * h, at), -at),
                  _fn_forms(b_of(a, at + 1j * h), -at - 1j * h))
     else:
         steps = (_fn_forms(a + 1j * h, at), _fn_forms(a, at + 1j * h))
     (l1_a, l3_a, tau1_a, tau3_a), (l1_at, l3_at, tau1_at, tau3_at) = (
-        [float(x.imag) / h for x in forms] for forms in steps
+        [x.imag / h for x in forms] for forms in steps
     )
     s1 = 0.5 * (l1_a * tau1_at - l1_at * tau1_a)
     return (s1, s1, 0.5 * (l3_a * tau3_at - l3_at * tau3_a))
+
+
+def wolpert_summands(
+    params: OctagonParams, primed: bool = False
+) -> tuple[float, float, float]:
+    """wolpert_forms at one point."""
+    return wolpert_forms(params.a, params.alpha_tilde, primed)

@@ -8,6 +8,11 @@ side k) and satisfy the single genus-2 relation
 Each generator is realized three independent ways: the explicit closed-form
 matrix, the product M_k M_5 of trace-zero half turns, and the half-turn
 composition H(p_k) about the side midpoint.
+
+The generators, the relation word and the side-pairing residuals are
+written once, over (u, v) pairs of arrays (one map per parameter point);
+``generators``, ``relation_defect`` and ``side_pairing_check`` are their
+views at one point.
 """
 
 from __future__ import annotations
@@ -17,8 +22,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _elementwise as ew
 from .errors import NumericalError
-from .hyperbolic import MobiusTransform, m_half_turn, rotation
+from .hyperbolic import (
+    MobiusTransform,
+    half_turn_pair,
+    m_half_turn,
+    rotation,
+    su_act,
+    su_inverse,
+    su_mul,
+    su_normalize,
+)
 from .octagon import OctagonGeometry, OctagonParams, in_octagon
 
 __all__ = [
@@ -29,10 +44,15 @@ __all__ = [
     "Cell",
     "RelationReport",
     "SidePairingReport",
+    "generator_pairs",
     "generators",
+    "omega_forms",
     "omega_table",
+    "half_turn_pairs",
     "m_matrices",
+    "relation_pairs",
     "relation_defect",
+    "pairing_residuals",
     "side_pairing_check",
     "ball",
     "cells",
@@ -61,29 +81,67 @@ class GeneratorSet:
         return out
 
 
-def generators(params: OctagonParams) -> GeneratorSet:
-    """Closed-form g0, g1 and their pi/2-rotation conjugates g2, g3."""
-    a, at = params.a, params.alpha_tilde
+def generator_pairs(a, alpha_tilde):
+    """(u, v) pairs of g0..g3 at parameter arrays: the closed-form g0, g1 and
+    their conjugates R g R^-1 by the pi/2 rotation R."""
     a2 = a * a
-    tn = math.tan(at)
-    cos2 = math.cos(at) ** 2
-    norm = -math.cos(at) / math.sqrt((1.0 - a2) * (2.0 * a2 * cos2 - 1.0))
-    g0 = MobiusTransform(norm * a * (1.0 - tn), norm * ((a2 - tn) + 1j * (1.0 - a2)))
-    g1 = MobiusTransform(norm * a * (1.0 + tn), norm * ((1.0 - a2) + 1j * (a2 + tn)))
+    tn = ew.tan(alpha_tilde)
+    cos2 = ew.cos(alpha_tilde) ** 2
+    norm = -ew.cos(alpha_tilde) / ew.sqrt((1.0 - a2) * (2.0 * a2 * cos2 - 1.0))
+    g0 = su_normalize(norm * a * (1.0 - tn), norm * ((a2 - tn) + 1j * (1.0 - a2)))
+    g1 = su_normalize(norm * a * (1.0 + tn), norm * ((1.0 - a2) + 1j * (a2 + tn)))
     r = rotation(math.pi / 2)
     ri = r.inverse()
-    return GeneratorSet(params, (g0, g1, r @ g0 @ ri, r @ g1 @ ri))
+    r, ri = (r.u, r.v), (ri.u, ri.v)
+    return g0, g1, su_mul(su_mul(r, g0), ri), su_mul(su_mul(r, g1), ri)
+
+
+def generators(params: OctagonParams) -> GeneratorSet:
+    """The generator_pairs of one point as maps."""
+    g = generator_pairs(params.a, params.alpha_tilde)
+    return GeneratorSet(params, tuple(MobiusTransform._normalized(u, v) for u, v in g))
+
+
+def omega_forms(omega_plus, omega_minus, omega4):
+    """(omega_0..omega_5) = (omega+, omega-, i omega+, i omega-, 2a/(1+a^2), 0); array-safe."""
+    return (omega_plus, omega_minus, 1j * omega_plus, 1j * omega_minus, omega4 + 0j, 0j)
 
 
 def omega_table(geom: OctagonGeometry) -> tuple[complex, ...]:
-    """(omega_0..omega_5) = (omega+, omega-, i omega+, i omega-, 2a/(1+a^2), 0)."""
-    op, om = geom.omega_plus, geom.omega_minus
-    return (op, om, 1j * op, 1j * om, complex(geom.omega4), 0j)
+    """omega_forms of one octagon."""
+    return omega_forms(geom.omega_plus, geom.omega_minus, geom.omega4)
+
+
+def half_turn_pairs(omegas):
+    """(u, v) pairs of the trace-zero half turns M_k = M(omega_k) for an omega
+    table of arrays, elementwise."""
+    return tuple(su_normalize(*half_turn_pair(w)) for w in omegas)
 
 
 def m_matrices(geom: OctagonGeometry) -> tuple[MobiusTransform, ...]:
     """Trace-zero half turns M_k = M(omega_k) for the table above."""
     return tuple(m_half_turn(w) for w in omega_table(geom))
+
+
+def _pairs(gens: GeneratorSet):
+    return tuple((t.u, t.v) for t in gens.g)
+
+
+def relation_pairs(g):
+    """(defect, sign) of the relation word over generator pairs g, elementwise.
+
+    The word g0 g1^-1 g2 g3^-1 g0^-1 g1 g2^-1 g3 is multiplied left to right
+    and compared with +identity and -identity; the realized lift sign is
+    measured, not assumed.
+    """
+    g0, g1, g2, g3 = g
+    word = g0
+    for x in (su_inverse(g1), g2, su_inverse(g3), su_inverse(g0), g1, su_inverse(g2), g3):
+        word = su_mul(word, x)
+    u, v = word
+    plus = ew.maximum(abs(u - 1.0), abs(v))
+    minus = ew.maximum(abs(u + 1.0), abs(v))
+    return ew.minimum(plus, minus), ew.where(plus <= minus, 1, -1)
 
 
 @dataclass(frozen=True)
@@ -93,17 +151,9 @@ class RelationReport:
 
 
 def relation_defect(gens: GeneratorSet) -> RelationReport:
-    """Defect of g0 g1^-1 g2 g3^-1 g0^-1 g1 g2^-1 g3 against +-identity.
-
-    The realized lift sign is measured, not assumed.
-    """
-    g0, g1, g2, g3 = gens.g
-    word = g0 @ g1.inverse() @ g2 @ g3.inverse() @ g0.inverse() @ g1 @ g2.inverse() @ g3
-    plus = max(abs(word.u - 1.0), abs(word.v))
-    minus = max(abs(word.u + 1.0), abs(word.v))
-    if plus <= minus:
-        return RelationReport(plus, +1)
-    return RelationReport(minus, -1)
+    """Defect of g0 g1^-1 g2 g3^-1 g0^-1 g1 g2^-1 g3 against +-identity (relation_pairs)."""
+    defect, sign = relation_pairs(_pairs(gens))
+    return RelationReport(float(defect), int(sign))
 
 
 @dataclass(frozen=True)
@@ -114,28 +164,39 @@ class SidePairingReport:
     interior_violations: int
 
 
+def pairing_residuals(vertices, midpoints, g):
+    """(endpoint, midpoint) residuals of the side pairing, elementwise.
+
+    g_k must carry the endpoints of side k+4 onto the endpoint pair of side
+    k (as a set) and the opposite midpoint -p_k onto p_k.  ``vertices`` and
+    ``midpoints`` are indexed by k first, as in OctagonForms.
+    """
+    endpoint = midpoint = 0.0
+    for k, (u, v) in enumerate(g):
+        t0, t1 = vertices[k], vertices[(k + 1) % 8]
+        for src in (vertices[(k + 4) % 8], vertices[(k + 5) % 8]):
+            img = su_act(u, v, src)
+            endpoint = ew.maximum(endpoint, ew.minimum(abs(img - t0), abs(img - t1)))
+        p = midpoints[k]
+        midpoint = ew.maximum(midpoint, abs(su_act(u, v, -p) - p))
+    return endpoint, midpoint
+
+
 def side_pairing_check(
     geom: OctagonGeometry, gens: GeneratorSet, samples: int = 1000, seed: int = 0
 ) -> SidePairingReport:
     """Verify that g_k carries side k+4 onto side k.
 
-    Endpoints of side k+4 must land on the endpoint pair of side k (as a
-    set), the opposite midpoint -p_k must map to p_k, and images of
-    interior sample points must leave the octagon (weak disjointness of
-    g_k[F] and F).  Raises ValueError for a negative sample count.
+    Besides the pairing_residuals, images of interior sample points must
+    leave the octagon (weak disjointness of g_k[F] and F).  The samples are
+    the first ``samples`` points of the seeded uniform stream of (x, y) in
+    the bounding square that lie in the octagon shrunk by 1e-4.  Raises
+    ValueError for a negative sample count.
     """
     if samples < 0:
         raise ValueError(f"sample count must be >= 0, got {samples!r}")
-    v = geom.vertices
-    endpoint_res = 0.0
-    midpoint_res = 0.0
-    for k, g in enumerate(gens.g):
-        targets = (v[k], v[(k + 1) % 8])
-        for src in (v[(k + 4) % 8], v[(k + 5) % 8]):
-            img = g(src)
-            endpoint_res = max(endpoint_res, min(abs(img - t) for t in targets))
-        p = geom.midpoints[k]
-        midpoint_res = max(midpoint_res, abs(g(-p) - p))
+    g = _pairs(gens)
+    endpoint, midpoint = pairing_residuals(geom.vertices, geom.midpoints, g)
 
     violations = 0
     drawn = 0
@@ -143,14 +204,13 @@ def side_pairing_check(
         rng = np.random.default_rng(seed)
         bound = max(geom.params.a, geom.b)
         while drawn < samples:
-            z = complex(*rng.uniform(-bound, bound, 2))
-            if not in_octagon(geom, z, shrink=1e-4):
-                continue
-            drawn += 1
-            for g in gens.g:
-                if in_octagon(geom, g(z), shrink=-1e-7):
-                    violations += 1
-    return SidePairingReport(endpoint_res, midpoint_res, drawn, violations)
+            # a block of the stream as x + iy; at most samples - drawn are accepted
+            block = rng.uniform(-bound, bound, (samples - drawn, 2)).view(complex)[:, 0]
+            for z in block.tolist():
+                if in_octagon(geom, z, shrink=1e-4):
+                    drawn += 1
+                    violations += sum(in_octagon(geom, t(z), shrink=-1e-7) for t in gens.g)
+    return SidePairingReport(endpoint, midpoint, drawn, violations)
 
 
 @dataclass(frozen=True)

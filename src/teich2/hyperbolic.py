@@ -5,6 +5,11 @@ The model is the open unit disk |z| < 1 carrying the metric
 isometries act as z -> (u z + v)/(conj(v) z + conj(u)) with
 |u|^2 - |v|^2 = 1; the pair (u, v) and its negative give the same map,
 so group equality is always taken up to global sign.
+
+The formulas for the action, the product and the renormalization test are
+written once, elementwise: ``MobiusTransform`` applies them to one pair of
+complex numbers, and ``su_normalize``, ``su_mul`` and ``su_inverse`` to
+(u, v) pairs of numbers or of numpy arrays, one map per element.
 """
 
 from __future__ import annotations
@@ -13,16 +18,27 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import _elementwise as ew
 from .errors import NumericalError
 
 __all__ = [
     "GeodesicArc",
     "MobiusTransform",
     "dist",
+    "arc_center",
     "translation",
+    "translation_pair",
     "m_half_turn",
+    "half_turn_pair",
     "rotation",
     "projective_gap",
+    "su_normalize",
+    "su_mul",
+    "su_inverse",
+    "su_gap",
+    "su_act",
 ]
 
 # constructors reject SU(1,1) pairs with |det - 1| above this times |u|^2+|v|^2
@@ -39,13 +55,21 @@ def _require_in_disk(z: complex) -> complex:
     return z
 
 
-def dist(z: complex, w: complex) -> float:
-    """Hyperbolic distance arccosh(1 + 2|z-w|^2 / ((1-|z|^2)(1-|w|^2)))."""
-    zc = _require_in_disk(complex(z))
-    wc = _require_in_disk(complex(w))
-    num = 2.0 * abs(zc - wc) ** 2
-    den = (1.0 - abs(zc) ** 2) * (1.0 - abs(wc) ** 2)
-    return math.acosh(1.0 + num / den)
+def dist(z, w):
+    """Hyperbolic distance arccosh(1 + 2|z-w|^2 / ((1-|z|^2)(1-|w|^2))).
+
+    Elementwise on arrays, which broadcast together; a float for two points.
+    """
+    for p in (z, w):
+        k = ew.first_true(abs(p) >= 1.0)
+        if k is not None:
+            _require_in_disk(complex(np.ravel(p)[k]))
+    return ew.arccosh(1.0 + 2.0 * abs(z - w) ** 2 / ((1.0 - abs(z) ** 2) * (1.0 - abs(w) ** 2)))
+
+
+def arc_center(radius, phi):
+    """Euclidean center sqrt(1+R^2) e^{i phi} of a geodesic circle; array-safe."""
+    return ew.sqrt(1.0 + radius**2) * ew.exp(1j * phi)
 
 
 @dataclass(frozen=True)
@@ -67,7 +91,7 @@ class GeodesicArc:
     @property
     def center(self) -> complex:
         """Euclidean center sqrt(1+R^2) e^{i phi}."""
-        return math.sqrt(1.0 + self.radius**2) * cmath.exp(1j * self.phi)
+        return complex(arc_center(self.radius, self.phi))
 
     def point(self, s: float) -> complex:
         """Unit-speed point at arc length s from the point nearest the origin.
@@ -79,6 +103,63 @@ class GeodesicArc:
         ch, sh = math.cosh(s), math.sinh(s)
         w = (ch + 1j * r * sh) / (math.sqrt(1.0 + r * r) * ch + r)
         return w * cmath.exp(1j * self.phi)
+
+
+def su_act(u, v, z):
+    """The image (u z + v)/(conj(v) z + conj(u)) of z under the pair (u, v); elementwise."""
+    return (u * z + v) / (v.conjugate() * z + u.conjugate())
+
+
+def _su_product(u1, v1, u2, v2):
+    """(u, v) of the matrix product of two SU(1,1) pairs; elementwise on arrays."""
+    return u1 * u2 + v1 * v2.conjugate(), u1 * v2 + v1 * u2.conjugate()
+
+
+def _su_defect(u, v):
+    """(|u|^2 - |v|^2, whether it is too far from 1 to renormalize); elementwise."""
+    uu, vv = abs(u) ** 2, abs(v) ** 2
+    det = uu - vv
+    return det, (det <= 0.0) | (abs(det - 1.0) > SU_DEFECT_TOLERANCE * (uu + vv))
+
+
+def _not_renormalizable(det) -> str:
+    return f"|u|^2-|v|^2 = {float(det)!r} is not renormalizable to 1"
+
+
+def su_normalize(u, v, product: bool = False):
+    """The constructor of MobiusTransform on (u, v) numbers or arrays, which
+    broadcast together.
+
+    Returns the pairs scaled to |u|^2 - |v|^2 = 1.  At the first pair in C
+    order that the constructor would reject it raises ValueError, or for a
+    ``product`` NumericalError whose ``index`` is that pair's flat position.
+    """
+    det, bad = _su_defect(u, v)
+    k = ew.first_true(bad)
+    if k is not None:
+        message = _not_renormalizable(np.ravel(det)[k])
+        if product:
+            raise NumericalError(f"product of SU(1,1) maps: {message}", k)
+        raise ValueError(message)
+    scale = 1.0 / ew.sqrt(det)
+    return u * scale, v * scale
+
+
+def su_mul(x, y):
+    """``x @ y`` on (u, v) pairs of numbers or arrays: the renormalized product."""
+    return su_normalize(*_su_product(*x, *y), product=True)
+
+
+def su_inverse(x):
+    """``x.inverse()`` on a (u, v) pair of numbers or arrays."""
+    return su_normalize(x[0].conjugate(), -x[1])
+
+
+def su_gap(x, y):
+    """Sup-norm distance between (u, v) pairs, minimized over the global sign; elementwise."""
+    (u1, v1), (u2, v2) = x, y
+    plus = ew.maximum(abs(u1 - u2), abs(v1 - v2))
+    return ew.minimum(plus, ew.maximum(abs(u1 + u2), abs(v1 + v2)))
 
 
 @dataclass(frozen=True)
@@ -95,28 +176,32 @@ class MobiusTransform:
 
     def __post_init__(self):
         u, v = complex(self.u), complex(self.v)
-        uu, vv = abs(u) ** 2, abs(v) ** 2
-        det = uu - vv
-        if det <= 0.0 or abs(det - 1.0) > SU_DEFECT_TOLERANCE * (uu + vv):
-            raise ValueError(f"|u|^2-|v|^2 = {det!r} is not renormalizable to 1")
+        det, bad = _su_defect(u, v)
+        if bad:
+            raise ValueError(_not_renormalizable(det))
         scale = 1.0 / math.sqrt(det)
         object.__setattr__(self, "u", u * scale)
         object.__setattr__(self, "v", v * scale)
+
+    @classmethod
+    def _normalized(cls, u: complex, v: complex) -> "MobiusTransform":
+        # a pair already at |u|^2 - |v|^2 = 1 (from su_normalize, or a negated
+        # map): the constructor's test and scaling would only add rounding
+        t = object.__new__(cls)
+        object.__setattr__(t, "u", complex(u))
+        object.__setattr__(t, "v", complex(v))
+        return t
 
     @classmethod
     def identity(cls) -> "MobiusTransform":
         return cls(1.0 + 0.0j, 0.0j)
 
     def __call__(self, z: complex) -> complex:
-        zc = _require_in_disk(complex(z))
-        return (self.u * zc + self.v) / (self.v.conjugate() * zc + self.u.conjugate())
+        return su_act(self.u, self.v, _require_in_disk(complex(z)))
 
     def __matmul__(self, other: "MobiusTransform") -> "MobiusTransform":
         try:
-            return MobiusTransform(
-                self.u * other.u + self.v * other.v.conjugate(),
-                self.u * other.v + self.v * other.u.conjugate(),
-            )
+            return MobiusTransform(*_su_product(self.u, self.v, other.u, other.v))
         except ValueError as exc:  # both factors are valid: a rounding breakdown
             raise NumericalError(f"product of SU(1,1) maps: {exc}") from None
 
@@ -135,20 +220,22 @@ class MobiusTransform:
         return "hyperbolic" if t > 2.0 else "elliptic"
 
     def canonical(self) -> "MobiusTransform":
-        """Sign representative: first nonzero of (Re u, Im u, Re v, Im v) > 0."""
+        """Sign representative: first nonzero of (Re u, Im u, Re v, Im v) > 0.
+
+        Negation is exact, so the negated pair skips the constructor's test
+        and renormalization, which could reject it or move it by rounding.
+        """
         for c in (self.u.real, self.u.imag, self.v.real, self.v.imag):
             if abs(c) > _SIGN_EPS:
                 if c < 0.0:
-                    return MobiusTransform(-self.u, -self.v)
+                    return MobiusTransform._normalized(-self.u, -self.v)
                 return self
         return self
 
 
 def projective_gap(a: MobiusTransform, b: MobiusTransform) -> float:
     """Sup-norm distance between (u,v) pairs, minimized over the global sign."""
-    plus = max(abs(a.u - b.u), abs(a.v - b.v))
-    minus = max(abs(a.u + b.u), abs(a.v + b.v))
-    return min(plus, minus)
+    return float(su_gap((a.u, a.v), (b.u, b.v)))
 
 
 def rotation(phi: float) -> MobiusTransform:
@@ -156,23 +243,31 @@ def rotation(phi: float) -> MobiusTransform:
     return MobiusTransform(cmath.exp(0.5j * phi), 0.0j)
 
 
+def translation_pair(p):
+    """(u, v) of H(p) = -1/(1-|p|^2) [[1+|p|^2, 2p], [2 conj(p), 1+|p|^2]]; array-safe."""
+    scale = -1.0 / (1.0 - abs(p) ** 2)
+    return scale * (1.0 + abs(p) ** 2), scale * 2.0 * p
+
+
 def translation(p: complex) -> MobiusTransform:
-    """H(p) = -1/(1-|p|^2) [[1+|p|^2, 2p], [2 conj(p), 1+|p|^2]].
+    """H(p), the map of translation_pair.
 
     Acts as the half turn about the origin followed by the half turn about
     p, so H(p)[-p] = p; a hyperbolic translation for p != 0.
     """
-    pc = _require_in_disk(complex(p))
-    scale = -1.0 / (1.0 - abs(pc) ** 2)
-    return MobiusTransform(scale * (1.0 + abs(pc) ** 2), scale * 2.0 * pc)
+    return MobiusTransform(*translation_pair(_require_in_disk(complex(p))))
+
+
+def half_turn_pair(omega):
+    """(u, v) of M(omega) = i/sqrt(1-|omega|^2) [[1, -omega], [conj(omega), -1]]; array-safe."""
+    scale = 1j / ew.sqrt(1.0 - abs(omega) ** 2)
+    return scale, -scale * omega
 
 
 def m_half_turn(omega: complex) -> MobiusTransform:
-    """M(omega) = i/sqrt(1-|omega|^2) [[1, -omega], [conj(omega), -1]].
+    """M(omega), the map of half_turn_pair.
 
     Trace-zero (a half turn about the disk point mapped from omega);
     M(omega)^2 = -identity.
     """
-    oc = _require_in_disk(complex(omega))
-    scale = 1j / math.sqrt(1.0 - abs(oc) ** 2)
-    return MobiusTransform(scale, -scale * oc)
+    return MobiusTransform(*half_turn_pair(_require_in_disk(complex(omega))))

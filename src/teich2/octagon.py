@@ -8,6 +8,9 @@ alternating radii R+-.  Admissible region:
     -pi/4 < alpha_tilde < pi/4,   1/(sqrt(2) cos alpha_tilde) < a < 1.
 
 Gluing opposite sides yields a genus-2 surface of hyperbolic area 4 pi.
+
+The closed forms are written once, in ``octagon_forms``, elementwise over
+arrays of parameters; ``build_geometry`` is its view at one point.
 """
 
 from __future__ import annotations
@@ -15,17 +18,21 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
+from . import _elementwise as ew
 from .errors import OutOfDomainError
-from .hyperbolic import GeodesicArc, dist
+from .hyperbolic import GeodesicArc, arc_center, dist
 
 __all__ = [
     "OctagonParams",
     "OctagonGeometry",
+    "OctagonForms",
     "validate_params",
     "lower_a",
+    "octagon_forms",
     "build_geometry",
     "interior_angles_numeric",
     "vertex_angle",
@@ -34,6 +41,7 @@ __all__ = [
     "b_of",
     "perimeter_numeric",
     "in_octagon",
+    "grid_arrays",
     "domain_grid",
 ]
 
@@ -47,7 +55,7 @@ def lower_a(alpha_tilde: float) -> float:
 
 def b_of(a, alpha_tilde):
     """Second vertex modulus b = 1/(sqrt(2) a cos alpha_tilde); array-safe."""
-    return 1.0 / (np.sqrt(2.0) * a * np.cos(alpha_tilde))
+    return 1.0 / (math.sqrt(2.0) * a * ew.cos(alpha_tilde))
 
 
 def _check_margin(margin: float) -> None:
@@ -109,14 +117,96 @@ def validate_params(a: float, alpha_tilde: float, margin: float = 0.0) -> Octago
     return OctagonParams(a, alpha_tilde)
 
 
+# e^{i k pi/2}, k = 0..3: the rotations that carry vertices, midpoints and sides
+_ROT = tuple(cmath.exp(1j * k * math.pi / 2) for k in range(4))
+# side k lies on its base arc turned by (k//2) pi/2
+_QUARTERS = tuple(k * (math.pi / 2) for k in range(4))
+
+
+def _alternate(even, odd):
+    """even[k] at 2k and odd[k] at 2k + 1, k = 0..3: a tuple of 8 numbers, or
+    an (8,) + S array for arrays of shape S."""
+    out = [x for pair in zip(even, odd) for x in pair]
+    return np.stack(out) if isinstance(out[0], np.ndarray) else tuple(out)
+
+
+class OctagonForms(NamedTuple):
+    """The closed forms of ``octagon_forms`` at parameters of shape S.
+
+    Scalars have shape S; ``vertices``, ``midpoints`` and the side circles'
+    ``centres`` have shape (8,) + S, and their index k is that of
+    OctagonGeometry.  At one point they are numbers and tuples.
+    """
+
+    b: np.ndarray
+    beta: np.ndarray
+    t_plus: np.ndarray
+    t_minus: np.ndarray
+    r_plus: np.ndarray
+    r_minus: np.ndarray
+    phi_plus: np.ndarray
+    phi_minus: np.ndarray
+    omega_plus: np.ndarray
+    omega_minus: np.ndarray
+    omega4: np.ndarray
+    vertices: np.ndarray
+    midpoints: np.ndarray
+    centres: np.ndarray
+
+
+def octagon_forms(a, alpha_tilde) -> OctagonForms:
+    """Sides, angles, vertices and midpoints, elementwise over parameter arrays.
+
+    The parameters are taken as given: callers keep them in the domain.
+    """
+    at = alpha_tilde
+    b = b_of(a, at)
+    a2 = a * a
+    b2 = b * b
+    tn = ew.tan(at)
+    cos2 = ew.cos(at) ** 2
+
+    t_plus = a2 + tn
+    t_minus = a2 - tn
+    r_plus = ew.sqrt(t_plus**2 + (1.0 - a2) ** 2) / (2.0 * a)
+    r_minus = ew.sqrt(t_minus**2 + (1.0 - a2) ** 2) / (2.0 * a)
+    phi_plus = ew.arctan(t_plus / (1.0 + a2))
+    phi_minus = ew.arctan((1.0 + a2) / t_minus)
+    beta = ew.arctan((1.0 - a2) * 2.0 * a2 * cos2 / (2.0 * a2 * cos2 - 1.0))
+
+    den = 1.0 - a2 * b2
+    w = b * ew.exp(1j * (at + math.pi / 4))  # the vertex b e^{i alpha}
+    omega_plus = (w * (1.0 - a2) + a * (1.0 - b2)) / den
+    omega_minus = (w * (1.0 - a2) + 1j * a * (1.0 - b2)) / den
+    p_plus = omega_plus / (1.0 + ew.sqrt(1.0 - abs(omega_plus) ** 2))
+    p_minus = omega_minus / (1.0 + ew.sqrt(1.0 - abs(omega_minus) ** 2))
+    return OctagonForms(
+        b=b,
+        beta=beta,
+        t_plus=t_plus,
+        t_minus=t_minus,
+        r_plus=r_plus,
+        r_minus=r_minus,
+        phi_plus=phi_plus,
+        phi_minus=phi_minus,
+        omega_plus=omega_plus,
+        omega_minus=omega_minus,
+        omega4=2.0 * a / (1.0 + a2),
+        vertices=_alternate([a * r for r in _ROT], [w * r for r in _ROT]),
+        midpoints=_alternate([p_plus * r for r in _ROT], [p_minus * r for r in _ROT]),
+        centres=_alternate([arc_center(r_plus, phi_plus + q) for q in _QUARTERS],
+                           [arc_center(r_minus, phi_minus + q) for q in _QUARTERS]),
+    )
+
+
 @dataclass(frozen=True)
 class OctagonGeometry:
     """All derived octagon data for one parameter point.
 
     ``vertices[k]`` runs counterclockwise: v0 = a, v1 = b e^{i alpha},
     v2 = i a, ...; side k joins vertices k and k+1 (mod 8) and is the arc
-    of ``arc_plus``/``arc_minus`` rotated by (k//2) pi/2; ``midpoints[k]``
-    is the hyperbolic midpoint of side k.
+    of ``arc_plus``/``arc_minus`` rotated by (k//2) pi/2, a circle about
+    ``centres[k]``; ``midpoints[k]`` is the hyperbolic midpoint of side k.
     """
 
     params: OctagonParams
@@ -131,6 +221,7 @@ class OctagonGeometry:
     omega4: float
     vertices: tuple[complex, ...] = field(repr=False)
     midpoints: tuple[complex, ...] = field(repr=False)
+    centres: tuple[complex, ...] = field(repr=False)
 
     @property
     def p_plus(self) -> complex:
@@ -147,76 +238,49 @@ class OctagonGeometry:
 
 
 def build_geometry(params: OctagonParams) -> OctagonGeometry:
-    """Evaluate the closed forms for sides, angles, vertices and midpoints."""
-    a, at = params.a, params.alpha_tilde
-    alpha = params.alpha
-    b = params.b
-    a2 = a * a
-    b2 = b * b
-    tn = math.tan(at)
-    cos2 = math.cos(at) ** 2
-
-    t_plus = a2 + tn
-    t_minus = a2 - tn
-    r_plus = math.sqrt(t_plus**2 + (1.0 - a2) ** 2) / (2.0 * a)
-    r_minus = math.sqrt(t_minus**2 + (1.0 - a2) ** 2) / (2.0 * a)
-    phi_plus = math.atan(t_plus / (1.0 + a2))
-    phi_minus = math.atan((1.0 + a2) / t_minus)
-    beta = math.atan((1.0 - a2) * 2.0 * a2 * cos2 / (2.0 * a2 * cos2 - 1.0))
-
-    den = 1.0 - a2 * b2
-    omega_plus = (b * cmath.exp(1j * alpha) * (1.0 - a2) + a * (1.0 - b2)) / den
-    omega_minus = (b * cmath.exp(1j * alpha) * (1.0 - a2) + 1j * a * (1.0 - b2)) / den
-    p_plus = omega_plus / (1.0 + math.sqrt(1.0 - abs(omega_plus) ** 2))
-    p_minus = omega_minus / (1.0 + math.sqrt(1.0 - abs(omega_minus) ** 2))
-
-    verts = []
-    for k in range(4):
-        rot = cmath.exp(1j * k * math.pi / 2)
-        verts.append(a * rot)
-        verts.append(b * cmath.exp(1j * alpha) * rot)
-    mids = []
-    for k in range(4):
-        rot = cmath.exp(1j * k * math.pi / 2)
-        mids.append(p_plus * rot)
-        mids.append(p_minus * rot)
-
+    """octagon_forms at one point."""
+    f = octagon_forms(params.a, params.alpha_tilde)
     return OctagonGeometry(
         params=params,
-        b=b,
-        beta=beta,
-        t_plus=t_plus,
-        t_minus=t_minus,
-        arc_plus=GeodesicArc(r_plus, phi_plus),
-        arc_minus=GeodesicArc(r_minus, phi_minus),
-        omega_plus=omega_plus,
-        omega_minus=omega_minus,
-        omega4=2.0 * a / (1.0 + a2),
-        vertices=tuple(verts),
-        midpoints=tuple(mids),
+        b=f.b,
+        beta=f.beta,
+        t_plus=f.t_plus,
+        t_minus=f.t_minus,
+        arc_plus=GeodesicArc(f.r_plus, f.phi_plus),
+        arc_minus=GeodesicArc(f.r_minus, f.phi_minus),
+        omega_plus=f.omega_plus,
+        omega_minus=f.omega_minus,
+        omega4=f.omega4,
+        vertices=f.vertices,
+        midpoints=f.midpoints,
+        centres=f.centres,
     )
 
 
-def _tangent_toward(v: complex, w: complex, center: complex) -> complex:
+def _tangent_toward(v, w, center):
     # unit Euclidean tangent of the arc at v, oriented toward the chord to w
     t = 1j * (v - center)
-    if (t.conjugate() * (w - v)).real < 0.0:
-        t = -t
+    t = ew.where((t.conjugate() * (w - v)).real < 0.0, -t, t)
     return t / abs(t)
 
 
-def vertex_angle(geom: OctagonGeometry, k: int) -> float:
+def vertex_angles(vertices, centres, k: int):
     """Interior angle at vertex k from Euclidean arc tangents.
 
-    The disk metric is conformal, so Euclidean angles between tangent
-    directions equal hyperbolic ones.
+    ``vertices`` and the side-circle ``centres`` are indexed by k first:
+    tuples of one octagon, or (8,) + S arrays for many.  The disk metric is
+    conformal, so Euclidean angles between tangent directions equal
+    hyperbolic ones.
     """
-    v = geom.vertices[k]
-    prev_arc = geom.side_arc((k - 1) % 8)
-    next_arc = geom.side_arc(k)
-    t1 = _tangent_toward(v, geom.vertices[(k - 1) % 8], prev_arc.center)
-    t2 = _tangent_toward(v, geom.vertices[(k + 1) % 8], next_arc.center)
-    return math.acos(max(-1.0, min(1.0, (t1.conjugate() * t2).real)))
+    v = vertices[k]
+    t1 = _tangent_toward(v, vertices[(k - 1) % 8], centres[(k - 1) % 8])
+    t2 = _tangent_toward(v, vertices[(k + 1) % 8], centres[k])
+    return ew.arccos(ew.minimum(ew.maximum((t1.conjugate() * t2).real, -1.0), 1.0))
+
+
+def vertex_angle(geom: OctagonGeometry, k: int) -> float:
+    """Interior angle at vertex k of one octagon (vertex_angles)."""
+    return vertex_angles(geom.vertices, geom.centres, k)
 
 
 def interior_angles_numeric(geom: OctagonGeometry) -> tuple[float, float]:
@@ -237,10 +301,14 @@ def perimeter(params: OctagonParams) -> float:
     return float(perimeter_ab(params.a, params.b))
 
 
+def vertex_sum(vertices):
+    """Sum of the 8 vertex-to-vertex hyperbolic distances (vertices indexed by k first)."""
+    return sum(dist(vertices[k], vertices[(k + 1) % 8]) for k in range(8))
+
+
 def perimeter_numeric(geom: OctagonGeometry) -> float:
-    """Perimeter as the sum of the 8 vertex-to-vertex hyperbolic distances."""
-    v = geom.vertices
-    return sum(dist(v[k], v[(k + 1) % 8]) for k in range(8))
+    """Perimeter of one octagon as its vertex_sum."""
+    return vertex_sum(geom.vertices)
 
 
 def in_octagon(geom: OctagonGeometry, z: complex, shrink: float = 0.0) -> bool:
@@ -251,20 +319,26 @@ def in_octagon(geom: OctagonGeometry, z: complex, shrink: float = 0.0) -> bool:
     """
     if abs(z) >= 1.0:
         return False
-    for k in range(8):
-        arc = geom.side_arc(k)
-        if abs(z - arc.center) <= arc.radius + shrink:
-            return False
-    return True
+    r_plus, r_minus = geom.arc_plus.radius + shrink, geom.arc_minus.radius + shrink
+    c = geom.centres
+    return (abs(z - c[0]) > r_plus and abs(z - c[1]) > r_minus
+            and abs(z - c[2]) > r_plus and abs(z - c[3]) > r_minus
+            and abs(z - c[4]) > r_plus and abs(z - c[5]) > r_minus
+            and abs(z - c[6]) > r_plus and abs(z - c[7]) > r_minus)
 
 
-def domain_grid(n_a: int = 20, n_alpha: int = 20, margin: float = 0.02) -> list[OctagonParams]:
+def grid_arrays(
+    n_a: int = 20, n_alpha: int = 20, margin: float = 0.02
+) -> tuple[np.ndarray, np.ndarray]:
     """Tensor grid of in-domain points at distance >= margin from the boundary.
 
     alpha_tilde spans the interior of the band where the a-interval
     [lower_a + margin, 1 - margin] is nonempty; each row then carries n_a
-    equally spaced a values.  Raises ValueError for a margin outside
-    [0, 0.2], as validate_params does, or one that leaves no grid.
+    equally spaced a values.  Returns the arrays (a, alpha_tilde), row by
+    row.  Raises ValueError for a margin outside [0, 0.2], as
+    validate_params does, or one that leaves no grid, and OutOfDomainError
+    at the first point outside the domain (a row's a values are monotone, so
+    its two ends are checked).
     """
     _check_margin(margin)
     # lower_a(at) + margin <= 1 - margin pins |at| <= acos(1/(sqrt2 (1-2 margin)))
@@ -273,9 +347,14 @@ def domain_grid(n_a: int = 20, n_alpha: int = 20, margin: float = 0.02) -> list[
         raise ValueError(f"margin {margin!r} leaves no admissible grid")
     at_max = math.acos(arg)
     alphas = np.linspace(-at_max, at_max, n_alpha + 2)[1:-1]
-    grid = []
-    for at in alphas:
-        a_lo = lower_a(float(at)) + margin
-        for a in np.linspace(a_lo, 1.0 - margin, n_a):
-            grid.append(OctagonParams(float(a), float(at)))
-    return grid
+    rows = [np.linspace(lower_a(float(at)) + margin, 1.0 - margin, n_a) for at in alphas]
+    for at, row in zip(alphas, rows):
+        for a in row[:1].tolist() + row[-1:].tolist():
+            _check_domain(a, float(at), 0.0)
+    return np.concatenate(rows + [np.empty(0)]), np.repeat(alphas, n_a)
+
+
+def domain_grid(n_a: int = 20, n_alpha: int = 20, margin: float = 0.02) -> list[OctagonParams]:
+    """The grid_arrays points as octagon parameters."""
+    a, at = grid_arrays(n_a, n_alpha, margin)
+    return [OctagonParams(x, y) for x, y in zip(a.tolist(), at.tolist())]

@@ -6,7 +6,9 @@ generators, side pairings, Fenchel-Nielsen consistency, the Wolpert form,
 L/T relations, both perimeter routes with interior angles, isoperimetric
 orbit behavior, and the two independent area routes.  Each identity
 is written once, in the ``CHECKS`` table, which the acceptance tests call
-too.  The result is a JSON-ready report with one entry per check.
+too.  The per-point identities take the whole grid at once, as numpy
+arrays, through the same closed forms that the scalar API evaluates at one
+point.  The result is a JSON-ready report with one entry per check.
 """
 
 from __future__ import annotations
@@ -14,34 +16,39 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from . import isoperimetric as iso
+from .errors import NumericalError
 from .fenchel_nielsen import (
-    d_closed,
+    d_closed_forms,
     dt_residuals,
-    lt_relations_check,
-    pants_data,
-    wolpert_summands,
-    wp_coefficient,
+    lt_forms,
+    pants_forms,
+    wolpert_forms,
+    wp_coefficient_raw,
 )
 from .group import (
     BALL_SIZES,
-    GeneratorSet,
     ball,
+    generator_pairs,
     generators,
-    m_matrices,
-    omega_table,
-    relation_defect,
+    half_turn_pairs,
+    omega_forms,
+    pairing_residuals,
+    relation_pairs,
     side_pairing_check,
 )
-from .hyperbolic import dist, projective_gap, translation
+from .hyperbolic import dist, su_gap, su_mul, su_normalize, translation_pair
 from .octagon import (
-    OctagonGeometry,
     OctagonParams,
+    b_of,
     build_geometry,
-    domain_grid,
-    interior_angles_numeric,
-    perimeter,
-    perimeter_numeric,
+    grid_arrays,
+    octagon_forms,
+    perimeter_ab,
+    vertex_angles,
+    vertex_sum,
 )
 
 __all__ = ["CHECKS", "DEFAULT_TOLERANCES", "run_validation"]
@@ -69,81 +76,78 @@ DEFAULT_TOLERANCES: dict[str, float] = {
 # perimeters at which validate compares the quadrature and contour areas
 _AREA_P_STARS = (25.0, 41.0)
 
+# grid points per pass through the per-point checks: the arrays of one pass
+# take about 1.5 kB per point at their peak
+_BLOCK = 1024
 
-def _relation(
-    params: OctagonParams, geom: OctagonGeometry, gens: GeneratorSet
-) -> dict[str, float]:
+
+def _relation(a: np.ndarray, at: np.ndarray) -> dict[str, np.ndarray]:
+    g = generator_pairs(a, at)
+    min_trace = np.min([abs(2.0 * u.real) for u, _ in g], axis=0)
     return {
-        "relation_defect": relation_defect(gens).defect,
-        "generator_traces": max(0.0, 2.0 - min(abs(g.trace) for g in gens.g)),
+        "relation_defect": relation_pairs(g)[0],
+        "generator_traces": np.maximum(0.0, 2.0 - min_trace),
     }
 
 
-def _triple_agreement(
-    params: OctagonParams, geom: OctagonGeometry, gens: GeneratorSet
-) -> dict[str, float]:
-    mm = m_matrices(geom)
-    omegas = omega_table(geom)
+def _triple_agreement(a: np.ndarray, at: np.ndarray) -> dict[str, np.ndarray]:
+    f = octagon_forms(a, at)
+    g = generator_pairs(a, at)
+    omegas = omega_forms(f.omega_plus, f.omega_minus, f.omega4)
+    m = half_turn_pairs(omegas)
     triple = 0.0
     for k in range(4):
-        pk = omegas[k] / (1.0 + math.sqrt(1.0 - abs(omegas[k]) ** 2))
-        triple = max(triple, projective_gap(gens.g[k], mm[k] @ mm[5]))
-        triple = max(triple, projective_gap(gens.g[k], translation(pk)))
+        pk = omegas[k] / (1.0 + np.sqrt(1.0 - abs(omegas[k]) ** 2))
+        triple = np.maximum(triple, su_gap(g[k], su_mul(m[k], m[5])))
+        triple = np.maximum(triple, su_gap(g[k], su_normalize(*translation_pair(pk))))
     return {"triple_agreement": triple}
 
 
-def _side_pairing(
-    params: OctagonParams, geom: OctagonGeometry, gens: GeneratorSet
-) -> dict[str, float]:
-    sp = side_pairing_check(geom, gens, samples=0)
-    return {"side_pairing": max(sp.endpoint_residual, sp.midpoint_residual)}
+def _side_pairing(a: np.ndarray, at: np.ndarray) -> dict[str, np.ndarray]:
+    f = octagon_forms(a, at)
+    endpoint, midpoint = pairing_residuals(f.vertices, f.midpoints, generator_pairs(a, at))
+    return {"side_pairing": np.maximum(endpoint, midpoint)}
 
 
-def _fn_consistency(
-    params: OctagonParams, geom: OctagonGeometry, gens: GeneratorSet
-) -> dict[str, float]:
-    data, data_p = pants_data(params), pants_data(params.conjugate())
-    p_plus, p_minus = complex(geom.p_plus), complex(geom.p_minus)
-    pairs = [(c, math.cosh(0.5 * length)) for c, length in zip(data.c, data.lengths)]
-    pairs += zip(data.d, d_closed(params))
+def _fn_consistency(a: np.ndarray, at: np.ndarray) -> dict[str, np.ndarray]:
+    f = octagon_forms(a, at)
+    data, data_p = pants_forms(a, at), pants_forms(f.b, -at)
+    p_plus, p_minus = f.midpoints[0], f.midpoints[1]
+    pairs = [(c, np.cosh(0.5 * length)) for c, length in zip(data.c, data.lengths)]
+    pairs += zip(data.d, d_closed_forms(a, at))
     pairs += [
         (data.lengths[0], 2.0 * dist(p_plus, p_minus)),
-        (data.lengths[2], 2.0 * dist(0.0, params.a)),
+        (data.lengths[2], 2.0 * dist(0.0, a)),
         (data_p.lengths[0], 2.0 * dist(1j * p_plus, p_minus)),
     ]
     # judged as |x - ref| / max(1, |ref|), as dt_residuals judges its identity
-    res = [abs(x - ref) / max(1.0, abs(ref)) for x, ref in pairs]
-    return {"fn_consistency": max(res + list(dt_residuals(data)))}
+    res = [abs(x - ref) / np.maximum(1.0, abs(ref)) for x, ref in pairs]
+    return {"fn_consistency": np.max(res + list(dt_residuals(data)), axis=0)}
 
 
-def _wolpert(
-    params: OctagonParams, geom: OctagonGeometry, gens: GeneratorSet
-) -> dict[str, float]:
-    coeff = wp_coefficient(params)
-    s, s_p = wolpert_summands(params), wolpert_summands(params, primed=True)
+def _wolpert(a: np.ndarray, at: np.ndarray) -> dict[str, np.ndarray]:
+    coeff = wp_coefficient_raw(a, at)
+    s, s_p = wolpert_forms(a, at), wolpert_forms(a, at, primed=True)
     return {
-        "wolpert_relative": max(abs(sum(s) - coeff), abs(sum(s_p) - coeff)) / coeff,
-        "wolpert_k3": max(abs(s[2]), abs(s_p[2])) / coeff,
+        "wolpert_relative": np.maximum(abs(sum(s) - coeff), abs(sum(s_p) - coeff)) / coeff,
+        "wolpert_k3": np.maximum(abs(s[2]), abs(s_p[2])) / coeff,
     }
 
 
-def _lt_relations(
-    params: OctagonParams, geom: OctagonGeometry, gens: GeneratorSet
-) -> dict[str, float]:
-    return {"lt_relations": lt_relations_check(params).max_residual}
+def _lt_relations(a: np.ndarray, at: np.ndarray) -> dict[str, np.ndarray]:
+    return {"lt_relations": lt_forms(a, at).max_residual}
 
 
-def _perimeter_and_angles(
-    params: OctagonParams, geom: OctagonGeometry, gens: GeneratorSet
-) -> dict[str, float]:
-    ang0, ang1 = interior_angles_numeric(geom)
+def _perimeter_and_angles(a: np.ndarray, at: np.ndarray) -> dict[str, np.ndarray]:
+    f = octagon_forms(a, at)
+    ang0, ang1 = (vertex_angles(f.vertices, f.centres, k) for k in (0, 1))
     return {
-        "perimeter_routes": abs(perimeter(params) - perimeter_numeric(geom)),
-        "interior_angles": max(
-            abs(ang0 - geom.beta),
-            abs(ang1 - (0.5 * math.pi - geom.beta)),
+        "perimeter_routes": abs(perimeter_ab(a, f.b) - vertex_sum(f.vertices)),
+        "interior_angles": np.max([
+            abs(ang0 - f.beta),
+            abs(ang1 - (0.5 * math.pi - f.beta)),
             abs(4.0 * (ang0 + ang1) - 2.0 * math.pi),
-        ),
+        ], axis=0),
     }
 
 
@@ -151,19 +155,17 @@ def _orbit_constancy() -> dict[str, float]:
     constancy = 0.0
     mirror = 0.0
     for p_target in range(25, 42, 2):
-        e = iso.e_of_p(float(p_target))
-        samples = iso.orbit_samples(e, 256)
-        for s in samples:
-            constancy = max(
-                constancy, abs(perimeter(s.params) - p_target) / p_target
-            )
-        for j in range(1, 129):
-            left, right = samples[j], samples[256 - j]
-            mirror = max(
-                mirror,
-                abs(left.a - right.a),
-                abs(left.alpha_tilde + right.alpha_tilde),
-            )
+        samples = iso.orbit_samples(iso.e_of_p(float(p_target)), 256)
+        a = np.array([s.a for s in samples])
+        at = np.array([s.alpha_tilde for s in samples])
+        p_check = perimeter_ab(a, b_of(a, at))
+        constancy = max(constancy, float(np.max(abs(p_check - p_target))) / p_target)
+        # sample j mirrors sample 256 - j, j = 1..128, across alpha_tilde = 0
+        mirror = max(
+            mirror,
+            float(np.max(abs(a[1:129] - a[255:127:-1]))),
+            float(np.max(abs(at[1:129] + at[255:127:-1]))),
+        )
     return {"orbit_constancy": constancy, "orbit_mirror": mirror}
 
 
@@ -198,7 +200,8 @@ class _Check(NamedTuple):
 
 # Each entry is keyed by the first DEFAULT_TOLERANCES name its function
 # reports and returns {name: residual} for one or two names.  Per-point
-# functions take (params, geom, gens) of one grid point; the others run once,
+# functions take arrays (a, alpha_tilde) of grid points, which they keep in
+# the domain, and return one residual array per name; the others run once,
 # and area_cross_check takes the perimeters to compare at.  The probe-point
 # checks side_pairing_interior and ball_counts live in run_validation.
 CHECKS: dict[str, _Check] = {
@@ -214,6 +217,37 @@ CHECKS: dict[str, _Check] = {
     "area_regular": _Check(False, _area_regular),
     "area_cross_check": _Check(False, _area_cross_check),
 }
+
+
+def _per_point_worst(a: np.ndarray, at: np.ndarray) -> dict[str, float]:
+    """Largest residual of each per-point check over the grid points (a, at).
+
+    The points go through CHECKS in blocks of _BLOCK, which bounds the
+    arrays held at once; a breakdown at one point is reported with that
+    point and the check.
+    """
+    worst: dict[str, list] = {}
+    for start in range(0, a.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        for key, check in CHECKS.items():
+            if not check.per_point:
+                continue
+            try:
+                residuals = check.fn(a[block], at[block])
+            except NumericalError as exc:
+                if exc.index is None:
+                    raise
+                k = start + exc.index
+                lead, _, detail = str(exc).partition(": ")
+                raise NumericalError(
+                    f"{lead}: {key} at grid point a={float(a[k])!r}, "
+                    f"alpha_tilde={float(at[k])!r}: {detail}",
+                    k,
+                ) from None
+            for name, r in residuals.items():
+                worst.setdefault(name, []).append(np.max(r))
+    # np.max, unlike max(), lets a NaN residual through to fail its check
+    return {name: float(np.max(values)) for name, values in worst.items()}
 
 
 def run_validation(
@@ -234,19 +268,12 @@ def run_validation(
                 raise ValueError(f"tolerance {name} must be finite and >= 0, got {tol!r}")
         tols.update(tolerances)
 
-    grid = domain_grid(n_a, n_alpha, margin)
-    if not grid:
+    a, at = grid_arrays(n_a, n_alpha, margin)
+    if not a.size:
         raise ValueError(f"grid {n_a} x {n_alpha} has no points")
-    point_checks = [c.fn for c in CHECKS.values() if c.per_point]
-    results: dict[str, float] = {}
-    for params in grid:
-        geom = build_geometry(params)
-        gens = generators(params)
-        for fn in point_checks:
-            for name, residual in fn(params, geom, gens).items():
-                results[name] = max(results.get(name, residual), residual)
+    results = _per_point_worst(a, at)
 
-    probe = grid[len(grid) // 2]
+    probe = OctagonParams(float(a[a.size // 2]), float(at[a.size // 2]))
     sp = side_pairing_check(
         build_geometry(probe), generators(probe), samples=500, seed=seed
     )
@@ -278,7 +305,7 @@ def run_validation(
         )
     return {
         "grid": {"n_a": n_a, "n_alpha": n_alpha, "margin": margin},
-        "points": len(grid),
+        "points": int(a.size),
         "seed": seed,
         "checks": checks,
         "passed": all(c["passed"] for c in checks),

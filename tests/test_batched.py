@@ -1,0 +1,159 @@
+"""The batched per-point kernel: one pass over arrays of parameter points.
+
+validate evaluates every per-point identity over arrays (a, alpha_tilde) of
+the whole grid; the scalar API evaluates the same forms at one point.  These
+tests hold the two to each other and check properties of the batch itself.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose
+
+from teich2.errors import NumericalError, OutOfDomainError
+from teich2.fenchel_nielsen import pants_data, pants_forms, wolpert_forms, wolpert_summands
+from teich2.group import generator_pairs, generators
+from teich2.octagon import (
+    OctagonParams,
+    b_of,
+    build_geometry,
+    domain_grid,
+    grid_arrays,
+    lower_a,
+    octagon_forms,
+)
+from teich2 import validation
+from teich2.validation import CHECKS, DEFAULT_TOLERANCES, run_validation
+
+EPS = np.finfo(float).eps
+PER_POINT = {key: check.fn for key, check in CHECKS.items() if check.per_point}
+
+
+def domain_arrays(draw, margin, size):
+    """Arrays (a, alpha_tilde) of points at least ``margin`` from the boundary."""
+    at_max = math.acos(1.0 / (math.sqrt(2.0) * (1.0 - 2.0 * margin)))
+    ats = draw(st.lists(st.floats(-at_max, at_max), min_size=size[0], max_size=size[1]))
+    ts = draw(st.lists(st.floats(0.0, 1.0), min_size=len(ats), max_size=len(ats)))
+    lo = np.array([lower_a(at) + margin for at in ats])
+    return lo + np.array(ts) * (1.0 - margin - lo), np.array(ats)
+
+
+@st.composite
+def batches(draw, margin=1e-3, size=(1, 24)):
+    return domain_arrays(draw, margin, size)
+
+
+def test_grid_arrays_are_the_domain_grid():
+    a, at = grid_arrays(7, 5, 0.03)
+    grid = domain_grid(7, 5, 0.03)
+    assert a.shape == at.shape == (35,)
+    assert [(p.a, p.alpha_tilde) for p in grid] == list(zip(a.tolist(), at.tolist()))
+
+
+def test_grid_arrays_check_the_domain():
+    # margin 0 puts each row's first a on the lower bound itself
+    with pytest.raises(OutOfDomainError, match="lower_a"):
+        grid_arrays(4, 4, 0.0)
+
+
+def test_octagon_forms_match_build_geometry():
+    # numpy's complex arithmetic and Python's differ in the last bit; the
+    # midpoints take 1 - |omega|^2, which spreads that over a few bits
+    a, at = grid_arrays(6, 6, 0.02)
+    f = octagon_forms(a, at)
+    assert f.vertices.shape == f.midpoints.shape == f.centres.shape == (8, 36)
+    for k, (x, y) in enumerate(zip(a.tolist(), at.tolist())):
+        geom = build_geometry(OctagonParams(x, y))
+        assert_allclose([f.b[k], f.beta[k], f.omega4[k]], [geom.b, geom.beta, geom.omega4],
+                        rtol=4 * EPS)
+        assert_allclose([f.omega_plus[k], f.omega_minus[k]],
+                        [geom.omega_plus, geom.omega_minus], rtol=4 * EPS)
+        assert_allclose(f.vertices[:, k], geom.vertices, rtol=4 * EPS)
+        assert_allclose(f.midpoints[:, k], geom.midpoints, rtol=16 * EPS)
+        assert_allclose(f.centres[:, k], [geom.side_arc(j).center for j in range(8)],
+                        rtol=4 * EPS)
+
+
+def test_scalar_views_match_the_batch():
+    a, at = grid_arrays(6, 6, 0.02)
+    g = generator_pairs(a, at)
+    data = pants_forms(a, at)
+    summands = wolpert_forms(a, at, primed=True)
+    for k, (x, y) in enumerate(zip(a.tolist(), at.tolist())):
+        params = OctagonParams(x, y)
+        gens = generators(params)
+        for (u, v), t in zip(g, gens.g):
+            # renormalization scales last-bit differences by |u|^2 + |v|^2
+            tol = 8 * EPS * (abs(t.u) ** 2 + abs(t.v) ** 2)
+            assert_allclose([u[k], v[k]], [t.u, t.v], rtol=tol)
+        view = pants_data(params)
+        assert_allclose([x[k] for x in data.lengths + data.twists],
+                        view.lengths + view.twists, rtol=4 * EPS)
+        assert_allclose([x[k] for x in data.c], view.c, rtol=1e-12)
+        assert_allclose([x[k] for x in summands], wolpert_summands(params, primed=True),
+                        rtol=8 * EPS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(batches(margin=1e-3))
+def test_side_pairing_under_its_bar(batch):
+    res = PER_POINT["side_pairing"](*batch)
+    assert np.max(res["side_pairing"]) <= DEFAULT_TOLERANCES["side_pairing"]
+
+
+# At margin 1e-3 the relation defect exceeds its absolute 1e-9 bar near the
+# corner a = 1, alpha_tilde = pi/4 (about 5e-7, where |u|^2 + |v|^2 ~ 8e5);
+# over the whole domain the bar holds from margin ~0.01, and the default 0.02
+# is tested here.
+@settings(max_examples=60, deadline=None)
+@given(batches(margin=0.02))
+def test_relation_defect_under_its_bar(batch):
+    res = PER_POINT["relation_defect"](*batch)
+    assert np.max(res["relation_defect"]) <= DEFAULT_TOLERANCES["relation_defect"]
+    assert np.max(res["generator_traces"]) <= DEFAULT_TOLERANCES["generator_traces"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(batches(margin=1e-3))
+def test_conjugation_is_an_involution(batch):
+    a, at = batch
+    assert_allclose(b_of(b_of(a, at), -at), a, rtol=6 * EPS, atol=0.0)
+    for x, y in zip(a.tolist(), at.tolist()):
+        back = OctagonParams(x, y).conjugate().conjugate()
+        assert back.alpha_tilde == y
+        assert abs(back.a - x) <= 6 * EPS * x
+
+
+@settings(max_examples=25, deadline=None)
+@given(batches(margin=1e-3, size=(2, 24)), st.data())
+def test_batch_invariance(batch, data):
+    a, at = batch
+    k = data.draw(st.integers(0, len(a) - 1))
+    for key, fn in PER_POINT.items():
+        together, alone = fn(a, at), fn(a[k:k + 1], at[k:k + 1])
+        for name, residual in together.items():
+            x, y = alone[name][0], residual[k]
+            assert abs(x - y) <= 1e-15 * abs(y), (key, name, x, y)
+
+
+def test_blocks_do_not_change_the_report(monkeypatch):
+    whole = run_validation(6, 5, 0.02)
+    monkeypatch.setattr(validation, "_BLOCK", 7)
+    assert run_validation(6, 5, 0.02) == whole
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_breakdown_names_the_grid_point_and_check(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(validation, "_BLOCK", block)
+    with pytest.raises(NumericalError) as info:
+        run_validation(20, 20, margin=1e-6)
+    message = str(info.value)
+    assert message.startswith("product of SU(1,1) maps: relation_defect at grid point a=")
+    assert message.endswith("is not renormalizable to 1")
+    a, at = grid_arrays(20, 20, 1e-6)
+    k = info.value.index
+    assert f"a={float(a[k])!r}, alpha_tilde={float(at[k])!r}: |u|^2-|v|^2 = " in message

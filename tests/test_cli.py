@@ -117,7 +117,8 @@ EXIT_CODES = [
      r"teich2: argument error: tolerance relation_defect must be finite and >= 0, "
      r"got -1.0\n", ""),
     (["validate", "--margin", "1e-6"], 5,
-     r"teich2: numerical error: product of SU\(1,1\) maps: .* is not renormalizable to 1\n", ""),
+     r"teich2: numerical error: product of SU\(1,1\) maps: relation_defect at grid point "
+     r"a=0\.\d+, alpha_tilde=-?0\.\d+: .* is not renormalizable to 1\n", ""),
     (["fn", "--a", "0.7401651556654594", "--alpha-tilde", "0.3"], 5,
      r"teich2: numerical error: product of SU\(1,1\) maps: .* is not renormalizable to 1\n", ""),
     (["orbit", "--P", "300", "--samples", "4"], 5,

@@ -143,6 +143,25 @@ class TestSidePairing:
         with pytest.raises(ValueError, match="sample count must be >= 0, got -3"):
             side_pairing_check(build_geometry(P0), generators(P0), samples=-3)
 
+    # (interior_samples, interior_violations) for seeds 0..4, recorded when
+    # each candidate was drawn on its own; drawing the stream in blocks must
+    # keep them.  Generators of another point make the violation counts
+    # sensitive to the accepted samples.
+    @pytest.mark.parametrize("point, gens_point, samples, counts", [
+        ((0.8, 0.1), (0.8, 0.1), 500, [0] * 5),
+        ((0.86, -0.3), (0.86, -0.3), 500, [0] * 5),
+        ((0.72, 0.02), (0.72, 0.02), 500, [0] * 5),
+        ((0.8, 0.1), (0.9, 0.3), 200, [15, 20, 11, 16, 17]),
+        ((0.86, -0.3), (0.8, -0.35), 200, [12, 10, 10, 15, 11]),
+        ((0.72, 0.02), (0.8, -0.1), 200, [26, 26, 33, 21, 26]),
+    ])
+    def test_interior_counts_pinned_per_seed(self, point, gens_point, samples, counts):
+        geom = build_geometry(OctagonParams(*point))
+        gens = generators(OctagonParams(*gens_point))
+        reps = [side_pairing_check(geom, gens, samples=samples, seed=s) for s in range(5)]
+        assert [r.interior_samples for r in reps] == [samples] * 5
+        assert [r.interior_violations for r in reps] == counts
+
     def test_no_samples_builds_no_generator(self, monkeypatch):
         geom, gens = build_geometry(P0), generators(P0)
         full = side_pairing_check(geom, gens, samples=20)

@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from teich2.errors import NumericalError
+from teich2.group import generators
 from teich2.hyperbolic import (
     GeodesicArc,
     MobiusTransform,
@@ -13,8 +14,11 @@ from teich2.hyperbolic import (
     m_half_turn,
     projective_gap,
     rotation,
+    su_mul,
+    su_normalize,
     translation,
 )
+from teich2.octagon import OctagonParams
 
 
 def random_disk_points(rng, n, rmax=0.95):
@@ -142,6 +146,20 @@ class TestMobiusTransform:
         assert c.u.real > 0
         assert projective_gap(c, t) == 0.0
 
+    def test_canonical_negates_exactly(self):
+        # the radius-4 element aCAA at this point has |u| ~ 3e7, where
+        # |u|^2 - |v|^2 of the renormalized pair rounds far from 1 (0.75 here,
+        # 0.0 on another lift): renormalizing the negated pair again moved it
+        # by 15% or rejected it, so canonical() must negate exactly
+        gens = generators(OctagonParams(0.8832031542650554, -0.6409572070710325))
+        letters = dict(gens.letters())
+        a, big_c, big_a = letters["a"], letters["C"], letters["A"]
+        t = a @ big_c @ big_a @ MobiusTransform(-big_a.u, -big_a.v)
+        assert t.u.real < 0.0
+        c = t.canonical()
+        assert (c.u, c.v) == (-t.u, -t.v)
+        assert c.canonical() is c
+
     def test_projective_gap_ignores_sign(self):
         t = translation(0.3 + 0.2j)
         neg = MobiusTransform(-t.u, -t.v)
@@ -170,3 +188,44 @@ class TestPrimitives:
             assert projective_gap(m @ m, MobiusTransform.identity()) < 1e-12
             fixed = w / (1 + math.sqrt(1 - abs(w) ** 2))
             assert_allclose(m(fixed), fixed, rtol=1e-12, atol=1e-14)
+
+
+class TestPairArrays:
+    def test_product_matches_maps(self):
+        rng = np.random.default_rng(17)
+        ps, qs = random_disk_points(rng, 20, rmax=0.8), random_disk_points(rng, 20, rmax=0.8)
+        maps = [(translation(p), translation(q) @ rotation(1.3)) for p, q in zip(ps, qs)]
+        x = tuple(np.array([getattr(s, f) for s, _ in maps]) for f in ("u", "v"))
+        y = tuple(np.array([getattr(t, f) for _, t in maps]) for f in ("u", "v"))
+        u, v = su_mul(x, y)
+        for k, (s, t) in enumerate(maps):
+            st = s @ t
+            # numpy's complex rounding differs from Python's in the last bit, and
+            # renormalization scales that by |u|^2 + |v|^2
+            size = abs(st.u) ** 2 + abs(st.v) ** 2
+            assert_allclose((u[k], v[k]), (st.u, st.v), rtol=4 * np.finfo(float).eps * size)
+
+    def test_breakdown_names_the_first_failing_element(self):
+        # as in test_unrenormalizable_product_is_numerical_error, at positions 2 and 4
+        r = 1.0 - 1e-7
+        h, hi = translation(r), translation(1j * r)
+        fine = translation(0.3)
+        x = np.array([fine.u, fine.u, h.u, fine.u, h.u]), \
+            np.array([fine.v, fine.v, h.v, fine.v, h.v])
+        y = np.array([fine.u] * 2 + [hi.u] + [fine.u] + [hi.u]), \
+            np.array([fine.v] * 2 + [hi.v] + [fine.v] + [hi.v])
+        with pytest.raises(NumericalError, match="product of SU\\(1,1\\) maps: .* not renormalizable") as info:
+            su_mul(x, y)
+        assert info.value.index == 2
+        # the constructor's test on arrays stays a bad argument
+        with pytest.raises(ValueError, match="not renormalizable"):
+            su_normalize(np.array([1.0, 1.0 + 1e-6]), np.zeros(2))
+
+    def test_dist_elementwise(self):
+        rng = np.random.default_rng(23)
+        z, w = random_disk_points(rng, 30), random_disk_points(rng, 30)
+        d = dist(z, w)
+        assert d.shape == (30,)
+        assert_allclose(d, [dist(complex(p), complex(q)) for p, q in zip(z, w)], rtol=1e-14)
+        with pytest.raises(ValueError, match=r"point \(0\.8\+0\.7j\) is not strictly inside"):
+            dist(np.array([0.1, 0.8 + 0.7j]), 0.0)

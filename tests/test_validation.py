@@ -1,9 +1,8 @@
 import math
 
+import numpy as np
 import pytest
 
-from teich2.group import generators
-from teich2.octagon import OctagonParams, build_geometry
 from teich2.validation import CHECKS, DEFAULT_TOLERANCES, run_validation
 
 # checked once at the probe point inside run_validation, not through CHECKS
@@ -11,12 +10,10 @@ PROBE_CHECKS = {"side_pairing_interior", "ball_counts"}
 
 
 def test_no_tolerance_is_reported_by_two_checks():
-    params = OctagonParams(0.8, 0.1)
-    geom, gens = build_geometry(params), generators(params)
     reported = []
     for key, check in CHECKS.items():
         if check.per_point:
-            res = check.fn(params, geom, gens)
+            res = check.fn(np.array([0.8]), np.array([0.1]))
         elif key == "area_cross_check":
             res = check.fn(())  # no perimeters: the name without a sweep
         else:
@@ -40,6 +37,5 @@ def test_bad_tolerance_value_rejected(tol):
 def test_fn_consistency_is_relative_for_large_quantities():
     # d_k is about 2e4 here; its identities hold to ~1e-11 relative but
     # miss 1e-9 in absolute terms
-    params = OctagonParams(0.995, -0.33224804589778684)
-    res = CHECKS["fn_consistency"].fn(params, build_geometry(params), generators(params))
+    res = CHECKS["fn_consistency"].fn(np.array([0.995]), np.array([-0.33224804589778684]))
     assert res["fn_consistency"] <= DEFAULT_TOLERANCES["fn_consistency"]
