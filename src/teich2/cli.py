@@ -24,6 +24,8 @@ import sys
 from dataclasses import asdict
 from typing import Any, Sequence
 
+import numpy as np
+
 from . import isoperimetric as iso
 from .errors import DomainError, NumericalError
 from .fenchel_nielsen import (
@@ -203,7 +205,8 @@ def _octagon_payload(params: OctagonParams) -> dict[str, Any]:
 def _cmd_octagon(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
     if args.format == "svg":
-        emit_svg(args.output, [build_geometry(params)])
+        geom = build_geometry(params)
+        emit_svg(args.output, np.array([geom.vertices]), np.array([geom.midpoints]))
         return 0
     _emit_payload(args, _octagon_payload(params))
     return 0
@@ -325,29 +328,28 @@ def _cmd_tiling(args: argparse.Namespace) -> int:
     if args.format == "svg" or args.vertices is not None:
         tiles = cells(b, build_geometry(params))
     if args.format == "svg":
-        emit_svg(args.output, tiles)
+        emit_svg(args.output, tiles.vertices, tiles.midpoints)
     elif args.format == "json":
         emit_json(args.output, {
             "radius": args.radius,
             "count": len(b),
             "relation_sign": b.relation_sign,
             "elements": [
-                {"word": el.word, "u": el.transform.u, "v": el.transform.v}
-                for el in b.elements
+                {"word": word, "u": u, "v": v}
+                for word, u, v in zip(b.shortlex, b.u.tolist(), b.v.tolist())
             ],
         })
     else:
-        rows = [
-            (el.word, el.transform.u.real, el.transform.u.imag,
-             el.transform.v.real, el.transform.v.imag)
-            for el in b.elements
-        ]
+        rows = zip(b.shortlex, b.u.real.tolist(), b.u.imag.tolist(),
+                   b.v.real.tolist(), b.v.imag.tolist())
         emit_csv(args.output, ("word", "u_re", "u_im", "v_re", "v_im"), rows)
     if args.vertices is not None:
-        vrows = []
-        for tile in tiles:
-            for k, v in enumerate(tile.vertices):
-                vrows.append((tile.word, k, v.real, v.imag))
+        vrows = (
+            (word, k, x, y)
+            for word, xs, ys in zip(tiles.words, tiles.vertices.real.tolist(),
+                                    tiles.vertices.imag.tolist())
+            for k, (x, y) in enumerate(zip(xs, ys))
+        )
         emit_csv(args.vertices, ("word", "k", "x", "y"), vrows)
     return 0
 

@@ -12,7 +12,8 @@ composition H(p_k) about the side midpoint.
 The generators, the relation word and the side-pairing residuals are
 written once, over (u, v) pairs of arrays (one map per parameter point);
 ``generators``, ``relation_defect`` and ``side_pairing_check`` are their
-views at one point.
+views at one point.  A ball is multiplied out one sphere at a time, and its
+tiles are drawn with one action over the arrays of the whole ball.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from . import _elementwise as ew
 from .errors import NumericalError
 from .hyperbolic import (
     MobiusTransform,
+    _require_in_disk,
     half_turn_pair,
     m_half_turn,
     rotation,
@@ -33,6 +35,7 @@ from .hyperbolic import (
     su_inverse,
     su_mul,
     su_normalize,
+    su_sign_flip,
 )
 from .octagon import OctagonGeometry, OctagonParams, in_octagon
 
@@ -41,7 +44,7 @@ __all__ = [
     "GeneratorSet",
     "GroupBall",
     "BallElement",
-    "Cell",
+    "Cells",
     "RelationReport",
     "SidePairingReport",
     "generator_pairs",
@@ -63,6 +66,9 @@ BALL_SIZES = (1, 9, 65, 457, 3193, 22289, 155577)
 
 # letter order fixes the deterministic (shortest-lex) word ordering
 LETTERS = "aAbBcCdD"
+# ball elements per su_act pass in cells: a whole radius-4 ball, and bounded
+# temporaries for the 155577 elements of radius 6
+_CELL_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -203,13 +209,15 @@ def side_pairing_check(
     if samples > 0:
         rng = np.random.default_rng(seed)
         bound = max(geom.params.a, geom.b)
+        gu, gv = (np.array(part)[:, None] for part in zip(*g))
         while drawn < samples:
             # a block of the stream as x + iy; at most samples - drawn are accepted
             block = rng.uniform(-bound, bound, (samples - drawn, 2)).view(complex)[:, 0]
-            for z in block.tolist():
-                if in_octagon(geom, z, shrink=1e-4):
-                    drawn += 1
-                    violations += sum(in_octagon(geom, t(z), shrink=-1e-7) for t in gens.g)
+            inside = [z for z in block.tolist() if in_octagon(geom, z, shrink=1e-4)]
+            drawn += len(inside)
+            # row k: the images under g_k, rounded as the maps round them
+            images = su_act(gu, gv, np.array(inside, complex), ew.CPYTHON)
+            violations += sum(in_octagon(geom, w, shrink=-1e-7) for w in images.ravel().tolist())
     return SidePairingReport(endpoint, midpoint, drawn, violations)
 
 
@@ -219,17 +227,27 @@ class BallElement:
     transform: MobiusTransform
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupBall:
+    """Ball elements in shortlex order: word ``shortlex[i]`` is the map (u[i], v[i])."""
+
     radius: int
-    elements: tuple[BallElement, ...]
+    shortlex: tuple[str, ...]
+    u: np.ndarray
+    v: np.ndarray
     relation_sign: int
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.shortlex)
 
     def words(self) -> list[str]:
-        return [e.word for e in self.elements]
+        return list(self.shortlex)
+
+    @property
+    def elements(self) -> tuple[BallElement, ...]:
+        """The elements one by one, as maps."""
+        return tuple(BallElement(w, MobiusTransform._normalized(u, v))
+                     for w, u, v in zip(self.shortlex, self.u.tolist(), self.v.tolist()))
 
 
 def _times(b: np.ndarray) -> np.ndarray:
@@ -255,16 +273,17 @@ def _letter_maps() -> list[np.ndarray]:
     return maps
 
 
-def _ball_words(n: int) -> list[tuple[int, int]]:
-    """(parent index, letter index) of the shortest-lex word of every ball element.
+def _ball_words(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per sphere 1..n, the (parent, letter) index arrays of its shortlex words.
 
-    Ball element k + 1 is element ``parent`` times ``gens.letters()[letter]``.  All
-    points share one group presentation, so words are compared once, exactly, as
-    the int64 rows of ``_letter_maps`` (entries below 1.2e4 up to radius 7).
+    Element i of sphere r is element ``parent[i]`` of sphere r - 1 times
+    ``gens.letters()[letter[i]]``.  All points share one group presentation,
+    so words are compared once, exactly, as the int64 rows of
+    ``_letter_maps`` (entries below 1.2e4 up to radius 7).
     """
     step = np.concatenate(_letter_maps(), axis=1)  # a row (u, w) times all 8 letters at once
     prev, sphere = np.empty((0, 8), np.int64), np.eye(1, 8, dtype=np.int64)
-    words: list[tuple[int, int]] = []
+    spheres = []
     for _ in range(n):
         cand = (sphere @ step).reshape(-1, 8)  # parent-major, letter-minor: shortlex
         # first nonzero integer positive: one sign per PSU(1,1) element
@@ -274,50 +293,66 @@ def _ball_words(n: int) -> list[tuple[int, int]]:
         both = np.concatenate([prev, cand])
         _, first = np.unique(both.view(np.dtype((np.void, 64))).ravel(), return_index=True)
         new = np.sort(first[first >= len(prev)]) - len(prev)
-        # the sphere is the last len(sphere) of the len(words) + 1 elements so far
-        words += zip((len(words) + 1 - len(sphere) + new // 8).tolist(), (new % 8).tolist())
+        spheres.append((new // 8, new % 8))
         prev, sphere = sphere, cand[new]
-    return words
+    return spheres
 
 
 def ball(gens: GeneratorSet, n: int) -> GroupBall:
     """Ball of radius n in shortlex order: ``_ball_words`` multiplied out at gens.
 
-    Each element keeps its canonical sign.  Raises ValueError for n outside
-    0..6, and where float64 rounding breaks a product (the precision limit).
+    Each sphere is one su_mul of its parents' pairs by its letters' pairs,
+    rounded as the maps one at a time round them (``CPYTHON``), and each
+    element keeps its canonical sign (su_sign_flip).  Raises
+    ValueError for n outside 0..6, and where float64 rounding breaks a
+    product (the precision limit), naming the first such word in shortlex
+    order.
     """
     if not 0 <= n < len(BALL_SIZES):
         raise ValueError(f"ball radius must be in 0..{len(BALL_SIZES) - 1}, got {n!r}")
     letters = gens.letters()
-    elements = [BallElement("", MobiusTransform.identity())]
-    for parent, k in _ball_words(n):
-        label, gen = letters[k]
-        word = elements[parent].word + label
+    labels = [label for label, _ in letters]
+    lu, lv = np.array([t.u for _, t in letters]), np.array([t.v for _, t in letters])
+    words, us, vs = [("",)], [np.ones(1, complex)], [np.zeros(1, complex)]
+    for parent, letter in _ball_words(n):
+        sphere = [words[-1][p] + labels[k] for p, k in zip(parent.tolist(), letter.tolist())]
         try:
-            kept = (elements[parent].transform @ gen).canonical()
-        except (NumericalError, ValueError) as exc:  # |u|^2 - |v|^2 lost to roundoff
+            u, v = su_mul((us[-1][parent], vs[-1][parent]), (lu[letter], lv[letter]), ew.CPYTHON)
+        except NumericalError as exc:  # |u|^2 - |v|^2 lost to roundoff
             p = gens.params
             raise ValueError(
                 f"radius-{n} ball at a={p.a!r}, alpha_tilde={p.alpha_tilde!r}: element "
-                f"{word!r} is past the float64 precision limit ({exc})"
+                f"{sphere[exc.index]!r} is past the float64 precision limit ({exc})"
             ) from None
-        elements.append(BallElement(word, kept))
-    return GroupBall(n, tuple(elements), relation_defect(gens).sign)
+        flip = su_sign_flip(u, v)
+        words.append(tuple(sphere))
+        us.append(np.where(flip, -u, u))
+        vs.append(np.where(flip, -v, v))
+    shortlex = tuple(w for sphere in words for w in sphere)
+    return GroupBall(n, shortlex, np.concatenate(us), np.concatenate(vs),
+                     relation_defect(gens).sign)
 
 
-@dataclass(frozen=True)
-class Cell:
-    """One tile of the disk tiling: a ball element applied to the octagon."""
+@dataclass(frozen=True, eq=False)
+class Cells:
+    """Tiles of the disk tiling: row i holds the images of the octagon's
+    vertices and side midpoints under ball element ``words[i]``."""
 
-    word: str
-    vertices: tuple[complex, ...]
-    midpoints: tuple[complex, ...]
+    words: tuple[str, ...]
+    vertices: np.ndarray  # (N, 8) complex
+    midpoints: np.ndarray  # (N, 8) complex
+
+    def __len__(self) -> int:
+        return len(self.words)
 
 
-def cells(group_ball: GroupBall, geom: OctagonGeometry) -> list[Cell]:
-    """Images of the octagon ``geom`` under every element of ``group_ball``."""
-    return [
-        Cell(el.word, tuple(map(el.transform, geom.vertices)),
-             tuple(map(el.transform, geom.midpoints)))
-        for el in group_ball.elements
-    ]
+def cells(group_ball: GroupBall, geom: OctagonGeometry) -> Cells:
+    """Images of the octagon ``geom`` under every element of ``group_ball``,
+    rounded as the maps one at a time round them (``CPYTHON``)."""
+    points = _require_in_disk(np.array([*geom.vertices, *geom.midpoints]))
+    u, v = group_ball.u[:, None], group_ball.v[:, None]
+    images = np.concatenate([
+        su_act(u[start:start + _CELL_BLOCK], v[start:start + _CELL_BLOCK], points, ew.CPYTHON)
+        for start in range(0, len(u), _CELL_BLOCK)
+    ])
+    return Cells(group_ball.shortlex, images[:, :8], images[:, 8:])

@@ -8,8 +8,13 @@ so group equality is always taken up to global sign.
 
 The formulas for the action, the product and the renormalization test are
 written once, elementwise: ``MobiusTransform`` applies them to one pair of
-complex numbers, and ``su_normalize``, ``su_mul`` and ``su_inverse`` to
-(u, v) pairs of numbers or of numpy arrays, one map per element.
+complex numbers, and ``su_normalize``, ``su_mul``, ``su_inverse``,
+``su_act`` and ``su_sign_flip`` to (u, v) pairs of numbers or of numpy
+arrays, one map per element.  On arrays the product, the action and the
+renormalization use numpy's complex loops, or with ``arith=CPYTHON``
+CPython's own rounding, which makes maps and images computed over arrays
+bit-identical to the same ones computed one pair at a time
+(``_elementwise.Arithmetic``).
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ __all__ = [
     "su_inverse",
     "su_gap",
     "su_act",
+    "su_sign_flip",
 ]
 
 # constructors reject SU(1,1) pairs with |det - 1| above this times |u|^2+|v|^2
@@ -49,8 +55,13 @@ PARABOLIC_BAND = 1e-9
 _SIGN_EPS = 1e-9
 
 
-def _require_in_disk(z: complex) -> complex:
-    if abs(z) >= 1.0:
+def _require_in_disk(z):
+    """z itself, or ValueError naming the first point (C order) with |z| >= 1."""
+    if isinstance(z, np.ndarray):
+        k = ew.first_true(abs(z) >= 1.0)
+        if k is not None:
+            _require_in_disk(complex(z.flat[k]))
+    elif abs(z) >= 1.0:
         raise ValueError(f"point {z!r} is not strictly inside the unit disk")
     return z
 
@@ -60,10 +71,8 @@ def dist(z, w):
 
     Elementwise on arrays, which broadcast together; a float for two points.
     """
-    for p in (z, w):
-        k = ew.first_true(abs(p) >= 1.0)
-        if k is not None:
-            _require_in_disk(complex(np.ravel(p)[k]))
+    _require_in_disk(z)
+    _require_in_disk(w)
     return ew.arccosh(1.0 + 2.0 * abs(z - w) ** 2 / ((1.0 - abs(z) ** 2) * (1.0 - abs(w) ** 2)))
 
 
@@ -105,19 +114,21 @@ class GeodesicArc:
         return w * cmath.exp(1j * self.phi)
 
 
-def su_act(u, v, z):
+def su_act(u, v, z, arith: ew.Arithmetic = ew.NATIVE):
     """The image (u z + v)/(conj(v) z + conj(u)) of z under the pair (u, v); elementwise."""
-    return (u * z + v) / (v.conjugate() * z + u.conjugate())
+    mul = arith.mul
+    return arith.div(mul(u, z) + v, mul(v.conjugate(), z) + u.conjugate())
 
 
-def _su_product(u1, v1, u2, v2):
+def _su_product(u1, v1, u2, v2, arith: ew.Arithmetic = ew.NATIVE):
     """(u, v) of the matrix product of two SU(1,1) pairs; elementwise on arrays."""
-    return u1 * u2 + v1 * v2.conjugate(), u1 * v2 + v1 * u2.conjugate()
+    mul = arith.mul
+    return mul(u1, u2) + mul(v1, v2.conjugate()), mul(u1, v2) + mul(v1, u2.conjugate())
 
 
-def _su_defect(u, v):
+def _su_defect(u, v, arith: ew.Arithmetic = ew.NATIVE):
     """(|u|^2 - |v|^2, whether it is too far from 1 to renormalize); elementwise."""
-    uu, vv = abs(u) ** 2, abs(v) ** 2
+    uu, vv = arith.abs2(u), arith.abs2(v)
     det = uu - vv
     return det, (det <= 0.0) | (abs(det - 1.0) > SU_DEFECT_TOLERANCE * (uu + vv))
 
@@ -126,7 +137,7 @@ def _not_renormalizable(det) -> str:
     return f"|u|^2-|v|^2 = {float(det)!r} is not renormalizable to 1"
 
 
-def su_normalize(u, v, product: bool = False):
+def su_normalize(u, v, product: bool = False, arith: ew.Arithmetic = ew.NATIVE):
     """The constructor of MobiusTransform on (u, v) numbers or arrays, which
     broadcast together.
 
@@ -134,7 +145,7 @@ def su_normalize(u, v, product: bool = False):
     order that the constructor would reject it raises ValueError, or for a
     ``product`` NumericalError whose ``index`` is that pair's flat position.
     """
-    det, bad = _su_defect(u, v)
+    det, bad = _su_defect(u, v, arith)
     k = ew.first_true(bad)
     if k is not None:
         message = _not_renormalizable(np.ravel(det)[k])
@@ -142,17 +153,27 @@ def su_normalize(u, v, product: bool = False):
             raise NumericalError(f"product of SU(1,1) maps: {message}", k)
         raise ValueError(message)
     scale = 1.0 / ew.sqrt(det)
-    return u * scale, v * scale
+    return arith.mul(u, scale), arith.mul(v, scale)
 
 
-def su_mul(x, y):
+def su_mul(x, y, arith: ew.Arithmetic = ew.NATIVE):
     """``x @ y`` on (u, v) pairs of numbers or arrays: the renormalized product."""
-    return su_normalize(*_su_product(*x, *y), product=True)
+    return su_normalize(*_su_product(*x, *y, arith), product=True, arith=arith)
 
 
 def su_inverse(x):
     """``x.inverse()`` on a (u, v) pair of numbers or arrays."""
     return su_normalize(x[0].conjugate(), -x[1])
+
+
+def su_sign_flip(u, v):
+    """Whether the canonical-sign rule negates (u, v): the first of (Re u, Im u,
+    Re v, Im v) with |c| > _SIGN_EPS is negative; elementwise, as numpy bools."""
+    flip = decided = np.zeros(np.shape(u), bool)
+    for c in (np.real(u), np.imag(u), np.real(v), np.imag(v)):
+        big = ~decided & (abs(c) > _SIGN_EPS)
+        flip, decided = flip | (big & (c < 0.0)), decided | big
+    return flip
 
 
 def su_gap(x, y):
@@ -220,16 +241,13 @@ class MobiusTransform:
         return "hyperbolic" if t > 2.0 else "elliptic"
 
     def canonical(self) -> "MobiusTransform":
-        """Sign representative: first nonzero of (Re u, Im u, Re v, Im v) > 0.
+        """Sign representative by su_sign_flip: first nonzero of (Re u, Im u, Re v, Im v) > 0.
 
         Negation is exact, so the negated pair skips the constructor's test
         and renormalization, which could reject it or move it by rounding.
         """
-        for c in (self.u.real, self.u.imag, self.v.real, self.v.imag):
-            if abs(c) > _SIGN_EPS:
-                if c < 0.0:
-                    return MobiusTransform._normalized(-self.u, -self.v)
-                return self
+        if su_sign_flip(self.u, self.v):
+            return MobiusTransform._normalized(-self.u, -self.v)
         return self
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -126,8 +127,9 @@ EXIT_CODES = [
      r"domain: lower_a: value 0.8660254037844385 violates bound 0.8660254037844385\n", ""),
     (["tiling", "--a", "0.995099525262749", "--alpha-tilde", "-0.7740075264130591", "-n", "4"], 2,
      r"teich2: argument error: radius-4 ball at a=0.995099525262749, "
-     r"alpha_tilde=-0.7740075264130591: element '\w+' is past the float64 precision limit "
-     r"\(.*\)\n", ""),
+     r"alpha_tilde=-0.7740075264130591: element 'aaaa' is past the float64 precision limit "
+     r"\(product of SU\(1,1\) maps: \|u\|\^2-\|v\|\^2 = -1024\.0 is not renormalizable "
+     r"to 1\)\n", ""),
 ]
 
 
@@ -344,6 +346,17 @@ class TestTilingCommand:
         )
         assert code == 0
         assert calls == [1]
+
+    def test_svg_golden_digest(self, capsys):
+        # sha256 of the SVG written by the element-by-element tiling on x86-64
+        # Linux; the batched arcs and templates must keep every byte
+        code, out, _ = run_capture(
+            capsys,
+            ["tiling", "--a", "0.85", "--alpha-tilde", "0.03", "-n", "3", "--format", "svg"],
+        )
+        assert code == 0
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == "d42e39008858be64ff05cfb6ce12b653cc1abe3fb47d18550edec53ae2c1f3aa"
 
     def test_radius_five_whole_ball(self, capsys):
         code, out, _ = run_capture(

@@ -46,6 +46,10 @@ PAST_PRECISION = [
     OctagonParams(0.9905482311121936, -0.7527861665680812),
     OctagonParams(0.995099525262749, -0.7740075264130591),
 ]
+# the first shortlex word whose product breaks at PAST_PRECISION[1], and its
+# |u|^2 - |v|^2, as the element-by-element product chain refused them
+PAST_PRECISION_WORD = ("aaaa", -1024.0)
+EPS = np.finfo(float).eps
 # Z[zeta] row (c0..c3) of c0 + c1 zeta + c2 zeta^2 + c3 zeta^3 -> complex
 ZETA = np.exp(0.25j * np.pi * np.arange(4))
 
@@ -196,6 +200,37 @@ class TestBall:
         for el in ball(generators(P0), 3).elements:
             assert el.transform.canonical() == el.transform
 
+    def test_ball_is_the_product_chain_bitwise(self):
+        # su_mul over a sphere rounds as the scalar products do
+        gens = generators(P0)
+        letters = dict(gens.letters())
+        b = ball(gens, 2)
+        chain = {"": MobiusTransform.identity()}
+        for word in b.shortlex[1:]:
+            chain[word] = (chain[word[:-1]] @ letters[word[-1]]).canonical()
+        expected = [(chain[w].u, chain[w].v) for w in b.shortlex]
+        assert list(zip(b.u.tolist(), b.v.tolist())) == expected
+
+    @settings(max_examples=20, deadline=None)
+    @given(domain_points())
+    def test_batched_ball_matches_product_chain(self, params):
+        gens = generators(params)
+        try:
+            b = ball(gens, 3)
+        except ValueError as exc:
+            assert "precision limit" in str(exc)
+            return
+        letters = dict(gens.letters())
+        for word, u, v in zip(b.shortlex, b.u.tolist(), b.v.tolist()):
+            t = MobiusTransform.identity()
+            for label in word:  # the shortlex chain, one canonical product at a time
+                t = (t @ letters[label]).canonical()
+            size = abs(u) ** 2 + abs(v) ** 2
+            assert max(abs(u - t.u), abs(v - t.v)) <= 8.0 * size * EPS * math.sqrt(size), word
+            # canonical sign: the first part above the sign threshold is positive
+            first = next(c for c in (u.real, u.imag, v.real, v.imag) if abs(c) > 1e-9)
+            assert first > 0.0, word
+
     def test_elements_pairwise_distinct(self):
         b = ball(generators(P0), 2)
         els = [e.transform for e in b.elements]
@@ -261,11 +296,11 @@ class TestBall:
             ball(generators(P0), -1)
 
     def test_unnormalizable_product_reported_as_precision_limit(self, monkeypatch):
-        def lost(self, other):
-            raise NumericalError("|u|^2-|v|^2 = 0.0 is not renormalizable to 1")
+        def lost(x, y, arith):
+            raise NumericalError("|u|^2-|v|^2 = 0.0 is not renormalizable to 1", 0)
 
         gens = generators(P0)
-        monkeypatch.setattr(MobiusTransform, "__matmul__", lost)
+        monkeypatch.setattr(group, "su_mul", lost)
         with pytest.raises(ValueError, match="precision limit"):
             ball(gens, 1)
 
@@ -278,7 +313,9 @@ class TestBall:
             ball(generators(params), 4)
         msg = str(info.value)
         assert f"radius-4 ball at a={params.a!r}, alpha_tilde={params.alpha_tilde!r}" in msg
-        assert "element '" in msg and "precision limit" in msg
+        word, det = PAST_PRECISION_WORD
+        assert f"element {word!r} is past the float64 precision limit" in msg
+        assert f"|u|^2-|v|^2 = {det!r} is not renormalizable to 1" in msg
         assert len(msg.splitlines()) == 1
 
 
@@ -300,7 +337,11 @@ class TestExactWords:
 
     @pytest.mark.parametrize("n", range(len(BALL_SIZES)))
     def test_word_counts_match_ball_sizes(self, n):
-        assert len(_ball_words(n)) + 1 == BALL_SIZES[n]
+        spheres = _ball_words(n)
+        assert [len(p) for p, _ in spheres] == np.diff(BALL_SIZES[: n + 1]).tolist()
+        # every parent index names an element of the previous sphere
+        sizes = [1] + [len(p) for p, _ in spheres]
+        assert all(0 <= p.min() and p.max() < size for (p, _), size in zip(spheres, sizes))
 
 
 class TestCells:
@@ -308,18 +349,29 @@ class TestCells:
         gens = generators(P0)
         tiles = cells(ball(gens, 2), build_geometry(P0))
         assert len(tiles) == BALL_SIZES[2]
+        assert tiles.vertices.shape == tiles.midpoints.shape == (BALL_SIZES[2], 8)
 
     def test_identity_cell_is_base_octagon(self):
         geom = build_geometry(P0)
-        tile = cells(ball(generators(P0), 0), geom)[0]
-        assert tile.word == ""
-        assert_allclose(tile.vertices, geom.vertices, rtol=1e-15)
+        tiles = cells(ball(generators(P0), 0), geom)
+        assert tiles.words == ("",)
+        assert_allclose(tiles.vertices[0], geom.vertices, rtol=1e-15)
+
+    def test_images_match_maps_bitwise(self):
+        # the batched action is the scalar one: same words, same bits
+        geom = build_geometry(P0)
+        b = ball(generators(P0), 2)
+        tiles = cells(b, geom)
+        for k, el in enumerate(b.elements):
+            assert tiles.vertices[k].tolist() == [el.transform(z) for z in geom.vertices]
+            assert tiles.midpoints[k].tolist() == [el.transform(z) for z in geom.midpoints]
 
     def test_neighbor_cells_share_paired_side(self):
         geom = build_geometry(P0)
         gens = generators(P0)
-        tile = [c for c in cells(ball(gens, 1), geom) if c.word == "a"][0]
+        tiles = cells(ball(gens, 1), geom)
+        row = tiles.vertices[tiles.words.index("a")]
         # g0 maps side 4 onto side 0, so the image octagon touches side 0
-        image = {round(v.real, 9) + 1j * round(v.imag, 9) for v in tile.vertices}
+        image = {round(v.real, 9) + 1j * round(v.imag, 9) for v in row.tolist()}
         for v in (geom.vertices[0], geom.vertices[1]):
             assert round(v.real, 9) + 1j * round(v.imag, 9) in image

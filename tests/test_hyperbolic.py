@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from teich2._elementwise import CPYTHON
 from teich2.errors import NumericalError
 from teich2.group import generators
 from teich2.hyperbolic import (
@@ -14,8 +15,10 @@ from teich2.hyperbolic import (
     m_half_turn,
     projective_gap,
     rotation,
+    su_act,
     su_mul,
     su_normalize,
+    su_sign_flip,
     translation,
 )
 from teich2.octagon import OctagonParams
@@ -204,6 +207,25 @@ class TestPairArrays:
             # renormalization scales that by |u|^2 + |v|^2
             size = abs(st.u) ** 2 + abs(st.v) ** 2
             assert_allclose((u[k], v[k]), (st.u, st.v), rtol=4 * np.finfo(float).eps * size)
+        # CPython's rounding on arrays: the same bits as the maps
+        u, v = su_mul(x, y, CPYTHON)
+        assert list(zip(u.tolist(), v.tolist())) == [((s @ t).u, (s @ t).v) for s, t in maps]
+
+    def test_action_matches_maps(self):
+        rng = np.random.default_rng(19)
+        maps = [translation(p) @ rotation(0.4) for p in random_disk_points(rng, 20, rmax=0.95)]
+        u, v = np.array([t.u for t in maps]), np.array([t.v for t in maps])
+        z = random_disk_points(rng, 7, rmax=0.99)
+        images = su_act(u[:, None], v[:, None], z, CPYTHON)
+        assert images.tolist() == [[t(w) for w in z.tolist()] for t in maps]
+        assert_allclose(su_act(u[:, None], v[:, None], z), images, rtol=1e-13)
+
+    def test_sign_flip_elementwise(self):
+        u = np.array([-2.0, 1e-12 - 1j, 1e-12 + 1e-12j, 0j])
+        v = np.array([1.0, 0j, -3.0, 0j])
+        assert su_sign_flip(u, v).tolist() == [True, True, True, False]
+        assert [bool(su_sign_flip(a, b)) for a, b in zip(u.tolist(), v.tolist())] == [
+            True, True, True, False]
 
     def test_breakdown_names_the_first_failing_element(self):
         # as in test_unrenormalizable_product_is_numerical_error, at positions 2 and 4

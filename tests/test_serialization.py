@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -88,8 +89,11 @@ class TestSVG:
         self.params = OctagonParams(0.8, math.pi / 12)
         self.geom = build_geometry(self.params)
 
+    def octagon_svg(self):
+        return svg_text(np.array([self.geom.vertices]), np.array([self.geom.midpoints]))
+
     def test_single_octagon_document(self):
-        text = svg_text([self.geom])
+        text = self.octagon_svg()
         assert text.startswith("<?xml")
         assert text.count("<path") == 1
         assert "<circle" in text
@@ -97,17 +101,30 @@ class TestSVG:
 
     def test_tiling_path_count_matches_ball(self):
         tiles = cells(ball(generators(self.params), 1), self.geom)
-        text = svg_text(tiles)
+        text = svg_text(tiles.vertices, tiles.midpoints)
         assert text.count("<path") == BALL_SIZES[1]
 
     def test_diameter_fallback_uses_line(self):
-        class Chord:
-            vertices = (-0.5 + 0j, 0.5 + 0j)
-            midpoints = (0j, 0j)
+        # a two-sided cell along a diameter: each side's start, midpoint and
+        # end are collinear, so both sides are lines (the _COLLINEAR_EPS branch)
+        text = svg_text(np.array([[-0.5 + 0j, 0.5 + 0j]]), np.array([[0j, 0j]]))
+        assert 'd="M 252.5000 500.0000 L 747.5000 500.0000 L 252.5000 500.0000 Z"' in text
 
-        text = svg_text([Chord()])
-        assert " L " in text
+    def test_collinear_side_beside_arcs(self):
+        # one chord among the octagon's arcs keeps its own command and columns
+        vertices = np.array([self.geom.vertices])
+        midpoints = np.array([self.geom.midpoints])
+        midpoints[0, 3] = 0.5 * (vertices[0, 3] + vertices[0, 4])
+
+        def commands(text):
+            return re.findall(r"[MALZ][^MALZ\"]*", re.search(r' d="([^"]*)"', text)[1])
+
+        arcs, mixed = commands(self.octagon_svg()), commands(svg_text(vertices, midpoints))
+        end = vertices[0, 4]
+        line = f"L {500 + 495 * end.real:.4f} {500 - 495 * end.imag:.4f} "
+        assert mixed == arcs[:4] + [line] + arcs[5:]
 
     def test_reproducible_bytes(self):
         tiles = cells(ball(generators(self.params), 1), self.geom)
-        assert svg_text(tiles) == svg_text(tiles)
+        text = svg_text(tiles.vertices, tiles.midpoints)
+        assert svg_text(tiles.vertices, tiles.midpoints) == text
