@@ -22,10 +22,12 @@ import argparse
 import math
 import sys
 from dataclasses import asdict
+from itertools import chain
 from typing import Any, Sequence
 
 import numpy as np
 
+from . import _elementwise as ew
 from . import isoperimetric as iso
 from .errors import DomainError, NumericalError
 from .fenchel_nielsen import (
@@ -37,10 +39,14 @@ from .fenchel_nielsen import (
 )
 from .group import ball, cells, generators, relation_defect, side_pairing_check
 from .octagon import (
+    ALPHA_TILDE_MAX,
     OctagonParams,
+    b_of,
     build_geometry,
     interior_angles_numeric,
+    lower_a,
     perimeter,
+    perimeter_ab,
     perimeter_numeric,
     validate_params,
 )
@@ -270,33 +276,27 @@ def _cmd_fn(args: argparse.Namespace) -> int:
 
 
 def _cmd_orbit(args: argparse.Namespace) -> int:
-    targets = args.perimeters or list(_DEFAULT_ORBIT_PERIMETERS)
     orbits = []
-    for p_target in targets:
+    for p_target in args.perimeters or _DEFAULT_ORBIT_PERIMETERS:
         e = iso.e_of_p(p_target)
-        samples = iso.orbit_samples(e, args.samples)
-        orbits.append((p_target, e, samples))
+        phi = iso._phases(args.samples)
+        orbits.append((p_target, e, phi, *iso.orbit_forms(e, phi)))
+    tables = []
+    for _, _, phi, a, at in orbits:
+        # OrbitSample.params raises for the first sample that rounds out of the domain
+        k = ew.first_true(~((abs(at) < ALPHA_TILDE_MAX) & (a > lower_a(at)) & (a < 1.0)))
+        if k is not None:
+            iso.OrbitSample(float(phi[k]), float(a[k]), float(at[k])).params
+        p_check = perimeter_ab(a, b_of(a, at))
+        tables.append(list(zip(phi.tolist(), a.tolist(), at.tolist(), p_check.tolist())))
     if args.format == "json":
-        emit_json(args.output, {
-            "orbits": [
-                {
-                    "p_target": p_target,
-                    "e": e,
-                    "samples": [
-                        {"phi": s.phi, "a": s.a, "alpha_tilde": s.alpha_tilde,
-                         "p_check": perimeter(s.params)}
-                        for s in samples
-                    ],
-                }
-                for p_target, e, samples in orbits
-            ],
-        })
+        keys = ("phi", "a", "alpha_tilde", "p_check")
+        emit_json(args.output, {"orbits": [
+            {"p_target": p_target, "e": e, "samples": [dict(zip(keys, row)) for row in rows]}
+            for (p_target, e, *_), rows in zip(orbits, tables)
+        ]})
         return 0
-    rows = []
-    for _, _, samples in orbits:
-        for s in samples:
-            rows.append((s.phi, s.a, s.alpha_tilde, perimeter(s.params)))
-    emit_csv(args.output, ("phi", "a", "alpha_tilde", "P_check"), rows)
+    emit_csv(args.output, ("phi", "a", "alpha_tilde", "P_check"), chain.from_iterable(tables))
     return 0
 
 

@@ -230,13 +230,8 @@ def lt_relations_check(params: OctagonParams) -> LTReport:
 
 
 def wp_coefficient_raw(a, alpha_tilde):
-    """Array-safe Weil-Petersson density 8a/((1-a)(1+a)(2a^2 cos^2(at) - 1))."""
-    a = np.asarray(a, dtype=float)
-    at = np.asarray(alpha_tilde, dtype=float)
-    out = 8.0 * a / ((1.0 - a) * (1.0 + a) * (2.0 * a * a * np.cos(at) ** 2 - 1.0))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    """Weil-Petersson density 8a/((1-a)(1+a)(2a^2 cos^2(at) - 1)); elementwise."""
+    return 8.0 * a / ((1.0 - a) * (1.0 + a) * (2.0 * a * a * ew.cos(alpha_tilde) ** 2 - 1.0))
 
 
 def wp_coefficient(params: OctagonParams) -> float:

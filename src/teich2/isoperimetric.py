@@ -3,10 +3,12 @@
 An orbit is a level set of the octagon perimeter P.  With the auxiliary
 quantity E = 2(cosh(P/8) + 1) the orbit through perimeter P is an oval in
 the (a, alpha_tilde) domain parametrized by an angle phi, degenerating to
-the point (2^{-1/4}, 0) at the regular perimeter P_reg.  The WP area
-enclosed by an orbit reduces to a single integral over a in [a_minus,
-a_plus], which is cross-checked here against Wolpert's contour integral of
-l1 dtau1 around the orbit.
+the point (2^{-1/4}, 0) at the regular perimeter P_reg.  That curve is
+written once, elementwise over phi, in ``orbit_forms``; orbit points,
+samples and the extremes of a are its views.  The WP area enclosed by an
+orbit reduces to a single integral over a in [a_minus, a_plus], which is
+cross-checked here against Wolpert's contour integral of l1 dtau1 around
+the orbit.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
+from . import _elementwise as ew
 from .errors import DomainError, NumericalError, OutOfDomainError
 from .fenchel_nielsen import _fn_forms
 from .octagon import OctagonParams
@@ -33,6 +36,7 @@ __all__ = [
     "p_of_e",
     "e_of_a",
     "a_extremes",
+    "orbit_forms",
     "orbit_point",
     "orbit_samples",
     "asymptotic_orbit",
@@ -75,12 +79,8 @@ def p_of_e(e: float) -> float:
 
 
 def e_of_a(a):
-    """E along the symmetric locus alpha_tilde = 0: E = 4a^2/((1-a^2)(2a^2-1))."""
-    a = np.asarray(a, dtype=float)
-    out = 4.0 * a * a / ((1.0 - a * a) * (2.0 * a * a - 1.0))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    """E along the symmetric locus alpha_tilde = 0: E = 4a^2/((1-a^2)(2a^2-1)); elementwise."""
+    return 4.0 * a * a / ((1.0 - a * a) * (2.0 * a * a - 1.0))
 
 
 def _discriminant(e: float) -> float:
@@ -93,11 +93,8 @@ def _discriminant(e: float) -> float:
 
 
 def a_extremes(e: float) -> tuple[float, float]:
-    """Minimal and maximal a on the orbit of E; both satisfy e_of_a(a) = E."""
-    root = math.sqrt(_discriminant(e))
-    lo = math.sqrt(3.0 * e - 4.0 - root) / (2.0 * math.sqrt(e))
-    hi = math.sqrt(3.0 * e - 4.0 + root) / (2.0 * math.sqrt(e))
-    return lo, hi
+    """Minimal and maximal a on the orbit of E, at phi = pi and 0; both satisfy e_of_a(a) = E."""
+    return orbit_forms(e, math.pi)[0], orbit_forms(e, 0.0)[0]
 
 
 @dataclass(frozen=True)
@@ -119,45 +116,62 @@ class OrbitSample:
             ) from None
 
 
-def orbit_point(e: float, phi: float) -> OrbitSample:
-    """Point of the orbit of E at angle phi; phi = 0 and pi hit a_plus, a_minus."""
-    root = math.sqrt(_discriminant(e))
+def orbit_forms(e: float, phi):
+    """(a, alpha_tilde) of the orbit of E at angles phi; elementwise over phi.
+
+    NumericalError where sin(phi) != 0 and E - 12 - cos(phi) sqrt(disc)
+    cancels to <= 0; its index is that of the first such phi (C order).
+    """
+    disc = _discriminant(e)
+    root = math.sqrt(disc)
     phi = phi % (2.0 * math.pi)
-    c, s = math.cos(phi), math.sin(phi)
-    a = math.sqrt(3.0 * e - 4.0 + c * root) / (2.0 * math.sqrt(e))
-    if s == 0.0:
-        # the numerator vanishes; at large E the denominator cancels to 0 too
-        return OrbitSample(phi, a, 0.0)
+    c, s = ew.cos(phi), ew.sin(phi)
+    a = ew.sqrt(3.0 * e - 4.0 + c * root) / (2.0 * math.sqrt(e))
     inner = e - 12.0 - c * root
     # (E-12)^2 exceeds the discriminant by 128, so inner > 0 for E > E_reg
-    if not inner > 0.0:
+    on_axis = s == 0.0
+    k = ew.first_true(np.logical_not(on_axis | (inner > 0.0)))
+    if k is not None:
         raise NumericalError(
-            f"orbit of E = {e!r} cancels to {inner!r} at phi = {phi!r}"
+            f"orbit of E = {e!r} cancels to {float(np.ravel(inner)[k])!r} "
+            f"at phi = {float(np.ravel(phi)[k])!r}",
+            k,
         )
-    at = math.atan(
-        math.sqrt((e - 4.0) * _discriminant(e)) * s
-        / (math.sqrt(2.0) * e * math.sqrt(inner))
-    )
-    return OrbitSample(phi, a, at)
+    # on the axis sin(phi) = 0 zeroes the numerator, and at large E inner
+    # cancels to 0 there too: alpha_tilde = 0 is set there, not divided out
+    num = math.sqrt((e - 4.0) * disc) * ew.where(on_axis, 1.0, s)
+    den = math.sqrt(2.0) * e * ew.sqrt(ew.where(on_axis, 1.0, inner))
+    return a, ew.where(on_axis, 0.0, ew.arctan(num / den))
+
+
+def orbit_point(e: float, phi: float) -> OrbitSample:
+    """Point of the orbit of E at angle phi; phi = 0 and pi hit a_plus, a_minus."""
+    return OrbitSample(phi % (2.0 * math.pi), *orbit_forms(e, phi))
+
+
+def _phases(n: int) -> np.ndarray:
+    """The n equally spaced angles phi = 2 pi j / n, j = 0 .. n-1."""
+    if n < 1:
+        raise ValueError(f"need at least one sample, got {n!r}")
+    return 2.0 * math.pi * np.arange(n) / n
 
 
 def orbit_samples(e: float, n: int) -> list[OrbitSample]:
     """Orbit at n equally spaced angles phi = 2 pi j / n, j = 0 .. n-1."""
-    if n < 1:
-        raise ValueError(f"need at least one sample, got {n!r}")
-    return [orbit_point(e, 2.0 * math.pi * j / n) for j in range(n)]
+    phi = _phases(n)
+    a, at = orbit_forms(e, phi)
+    return list(map(OrbitSample, phi.tolist(), a.tolist(), at.tolist()))
 
 
 def asymptotic_orbit(phi: float) -> tuple[float, float]:
-    """Large-P limit (a, alpha_tilde) of the orbit point at angle phi.
+    """Large-P limit (a, alpha_tilde) of the orbit point at angle phi; elementwise.
 
     a tends to sqrt(3 + cos phi)/2 and alpha_tilde to
     arctan(sin phi / sqrt(2(1 - cos phi))), which equals arctan(cos(phi/2))
     on (0, 2 pi); the phi = 0 value is the limiting corner pi/4.
     """
     phi = phi % (2.0 * math.pi)
-    a = 0.5 * math.sqrt(3.0 + math.cos(phi))
-    return a, math.atan(math.cos(0.5 * phi))
+    return 0.5 * ew.sqrt(3.0 + ew.cos(phi)), ew.arctan(ew.cos(0.5 * phi))
 
 
 def _area_integrand(a: np.ndarray, e_star: float) -> np.ndarray:
@@ -230,9 +244,7 @@ def wp_area_contour(p_star: float) -> float:
     # the even-indexed half of n samples is the previous, n/2-node sample
     previous = math.nan
     for n in [2**k for k in range(5, 17)]:
-        samples = orbit_samples(e_star, n)
-        a = np.array([s.a for s in samples])
-        at = np.array([s.alpha_tilde for s in samples])
+        a, at = orbit_forms(e_star, _phases(n))
         with np.errstate(all="ignore"):  # at large P points round past the edge
             l1, _, tau1, _ = _fn_forms(a, at)
             spec = np.fft.rfft(tau1) * (1j * np.arange(n // 2 + 1))

@@ -49,8 +49,8 @@ ALPHA_TILDE_MAX = math.pi / 4
 
 
 def lower_a(alpha_tilde: float) -> float:
-    """Lower admissible bound 1/(sqrt(2) cos alpha_tilde) for a."""
-    return 1.0 / (math.sqrt(2.0) * math.cos(alpha_tilde))
+    """Lower admissible bound 1/(sqrt(2) cos alpha_tilde) for a; elementwise."""
+    return 1.0 / (math.sqrt(2.0) * ew.cos(alpha_tilde))
 
 
 def b_of(a, alpha_tilde):

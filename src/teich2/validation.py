@@ -152,39 +152,30 @@ def _perimeter_and_angles(a: np.ndarray, at: np.ndarray) -> dict[str, np.ndarray
 
 
 def _orbit_constancy() -> dict[str, float]:
-    constancy = 0.0
-    mirror = 0.0
+    constancy = mirror = 0.0
+    phi = iso._phases(256)
     for p_target in range(25, 42, 2):
-        samples = iso.orbit_samples(iso.e_of_p(float(p_target)), 256)
-        a = np.array([s.a for s in samples])
-        at = np.array([s.alpha_tilde for s in samples])
+        a, at = iso.orbit_forms(iso.e_of_p(float(p_target)), phi)
         p_check = perimeter_ab(a, b_of(a, at))
         constancy = max(constancy, float(np.max(abs(p_check - p_target))) / p_target)
-        # sample j mirrors sample 256 - j, j = 1..128, across alpha_tilde = 0
-        mirror = max(
-            mirror,
-            float(np.max(abs(a[1:129] - a[255:127:-1]))),
-            float(np.max(abs(at[1:129] + at[255:127:-1]))),
-        )
+        # sample j mirrors sample 256 - j across alpha_tilde = 0
+        mirror = max(mirror, float(np.max(abs(a[1:] - a[:0:-1]))),
+                     float(np.max(abs(at[1:] + at[:0:-1]))))
     return {"orbit_constancy": constancy, "orbit_mirror": mirror}
 
 
 def _orbit_asymptote() -> dict[str, float]:
-    e200 = iso.e_of_p(200.0)
-    sup = 0.0
-    for j in range(256):
-        phi = (j + 0.5) * 2.0 * math.pi / 256.0
-        s = iso.orbit_point(e200, phi)
-        a_inf, at_inf = iso.asymptotic_orbit(phi)
-        sup = max(sup, abs(s.a - a_inf), abs(s.alpha_tilde - at_inf))
-    return {"orbit_asymptote": sup}
+    phi = (np.arange(256) + 0.5) * 2.0 * math.pi / 256.0
+    a, at = iso.orbit_forms(iso.e_of_p(200.0), phi)
+    a_inf, at_inf = iso.asymptotic_orbit(phi)
+    return {"orbit_asymptote": float(np.max(np.maximum(abs(a - a_inf), abs(at - at_inf))))}
 
 
 def _area_regular() -> dict[str, float]:
     return {"area_regular": abs(iso.wp_area(iso.P_REG).area)}
 
 
-def _area_cross_check(p_stars: tuple[float, ...]) -> dict[str, float]:
+def _area_cross_check(p_stars: tuple[float, ...] = _AREA_P_STARS) -> dict[str, float]:
     dev = 0.0
     for p_star in p_stars:
         quad_area = iso.wp_area(p_star).area
@@ -202,8 +193,9 @@ class _Check(NamedTuple):
 # reports and returns {name: residual} for one or two names.  Per-point
 # functions take arrays (a, alpha_tilde) of grid points, which they keep in
 # the domain, and return one residual array per name; the others run once,
-# and area_cross_check takes the perimeters to compare at.  The probe-point
-# checks side_pairing_interior and ball_counts live in run_validation.
+# and area_cross_check takes the perimeters to compare at (_AREA_P_STARS by
+# default).  The probe-point checks side_pairing_interior and ball_counts
+# live in run_validation.
 CHECKS: dict[str, _Check] = {
     "relation_defect": _Check(True, _relation),
     "triple_agreement": _Check(True, _triple_agreement),
@@ -279,10 +271,9 @@ def run_validation(
     )
     results["side_pairing_interior"] = float(sp.interior_violations)
 
-    results.update(CHECKS["orbit_constancy"].fn())
-    results.update(CHECKS["orbit_asymptote"].fn())
-    results.update(CHECKS["area_regular"].fn())
-    results.update(CHECKS["area_cross_check"].fn(_AREA_P_STARS))
+    for check in CHECKS.values():
+        if not check.per_point:
+            results.update(check.fn())
 
     reg = OctagonParams(iso.A_REG, 0.0)
     counts_ok = (

@@ -19,6 +19,7 @@ from teich2.isoperimetric import (
     asymptotic_orbit,
     e_of_a,
     e_of_p,
+    orbit_forms,
     orbit_point,
     orbit_samples,
     p_of_e,
@@ -153,6 +154,34 @@ class TestOrbit:
             e = e_of_p(rng.uniform(24.6, 90.0))
             s = orbit_point(e, rng.uniform(0.0, 2.0 * math.pi))
             OctagonParams(s.a, s.alpha_tilde)  # must not raise
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(E_REG, e_of_p(200.0), exclude_min=True),
+           st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=16))
+    def test_orbit_forms_is_orbit_point_elementwise(self, e, phis):
+        points = []
+        for phi in phis:
+            try:
+                points.append(orbit_point(e, phi))
+            except NumericalError:
+                points.append(None)
+        if None in points:
+            with pytest.raises(NumericalError) as exc:
+                orbit_forms(e, np.array(phis))
+            assert exc.value.index == points.index(None)
+        else:
+            a, at = orbit_forms(e, np.array(phis))
+            assert a.tolist() == [s.a for s in points]
+            ulp = np.spacing([abs(s.alpha_tilde) for s in points])
+            assert np.all(abs(at - [s.alpha_tilde for s in points]) <= 4.0 * ulp)
+        assert a_extremes(e) == tuple(orbit_forms(e, np.array([math.pi, 0.0]))[0])
+
+    def test_cancellation_names_its_phi(self):
+        # cos(1e-9) rounds to 1, where E - 12 - sqrt(disc) cancels to 0 at P = 200
+        phi = np.array([0.0, 1.0, 1e-9, 2.0])
+        with pytest.raises(NumericalError, match=r"at phi = 1e-09$") as exc:
+            orbit_forms(e_of_p(200.0), phi)
+        assert exc.value.index == 2
 
     def test_sample_count_guard(self):
         with pytest.raises(ValueError):
