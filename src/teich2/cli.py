@@ -27,7 +27,6 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from . import _elementwise as ew
 from . import isoperimetric as iso
 from .errors import DomainError, NumericalError
 from .fenchel_nielsen import (
@@ -39,12 +38,11 @@ from .fenchel_nielsen import (
 )
 from .group import ball, cells, generators, relation_defect, side_pairing_check
 from .octagon import (
-    ALPHA_TILDE_MAX,
     OctagonParams,
+    _domain_error,
     b_of,
     build_geometry,
     interior_angles_numeric,
-    lower_a,
     perimeter,
     perimeter_ab,
     perimeter_numeric,
@@ -283,10 +281,10 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
         orbits.append((p_target, e, phi, *iso.orbit_forms(e, phi)))
     tables = []
     for _, _, phi, a, at in orbits:
-        # OrbitSample.params raises for the first sample that rounds out of the domain
-        k = ew.first_true(~((abs(at) < ALPHA_TILDE_MAX) & (a > lower_a(at)) & (a < 1.0)))
-        if k is not None:
-            iso.OrbitSample(float(phi[k]), float(a[k]), float(at[k])).params
+        found = _domain_error(a, at, 0.0)
+        if found is not None:  # as OrbitSample.params, for the first such sample
+            k, exc = found
+            raise iso._rounded_out(float(phi[k]), exc)
         p_check = perimeter_ab(a, b_of(a, at))
         tables.append(list(zip(phi.tolist(), a.tolist(), at.tolist(), p_check.tolist())))
     if args.format == "json":

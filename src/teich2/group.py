@@ -215,8 +215,8 @@ def side_pairing_check(
             block = rng.uniform(-bound, bound, (samples - drawn, 2)).view(complex)[:, 0]
             inside = [z for z in block.tolist() if in_octagon(geom, z, shrink=1e-4)]
             drawn += len(inside)
-            # row k: the images under g_k, rounded as the maps round them
-            images = su_act(gu, gv, np.array(inside, complex), ew.CPYTHON)
+            # row k: the images under g_k
+            images = su_act(gu, gv, np.array(inside, complex))
             violations += sum(in_octagon(geom, w, shrink=-1e-7) for w in images.ravel().tolist())
     return SidePairingReport(endpoint, midpoint, drawn, violations)
 
@@ -301,12 +301,11 @@ def _ball_words(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
 def ball(gens: GeneratorSet, n: int) -> GroupBall:
     """Ball of radius n in shortlex order: ``_ball_words`` multiplied out at gens.
 
-    Each sphere is one su_mul of its parents' pairs by its letters' pairs,
-    rounded as the maps one at a time round them (``CPYTHON``), and each
-    element keeps its canonical sign (su_sign_flip).  Raises
-    ValueError for n outside 0..6, and where float64 rounding breaks a
-    product (the precision limit), naming the first such word in shortlex
-    order.
+    Each sphere is one su_mul of its parents' pairs by its letters' pairs, in
+    numpy's complex arithmetic, and each element keeps its canonical sign
+    (su_sign_flip).  Raises ValueError for n outside 0..6, and where float64
+    rounding breaks a product (the precision limit), naming the first such
+    word in shortlex order.
     """
     if not 0 <= n < len(BALL_SIZES):
         raise ValueError(f"ball radius must be in 0..{len(BALL_SIZES) - 1}, got {n!r}")
@@ -317,7 +316,7 @@ def ball(gens: GeneratorSet, n: int) -> GroupBall:
     for parent, letter in _ball_words(n):
         sphere = [words[-1][p] + labels[k] for p, k in zip(parent.tolist(), letter.tolist())]
         try:
-            u, v = su_mul((us[-1][parent], vs[-1][parent]), (lu[letter], lv[letter]), ew.CPYTHON)
+            u, v = su_mul((us[-1][parent], vs[-1][parent]), (lu[letter], lv[letter]))
         except NumericalError as exc:  # |u|^2 - |v|^2 lost to roundoff
             p = gens.params
             raise ValueError(
@@ -347,12 +346,12 @@ class Cells:
 
 
 def cells(group_ball: GroupBall, geom: OctagonGeometry) -> Cells:
-    """Images of the octagon ``geom`` under every element of ``group_ball``,
-    rounded as the maps one at a time round them (``CPYTHON``)."""
+    """Images of the octagon ``geom`` under every element of ``group_ball``:
+    one su_act over the ball's arrays, in blocks of _CELL_BLOCK elements."""
     points = _require_in_disk(np.array([*geom.vertices, *geom.midpoints]))
     u, v = group_ball.u[:, None], group_ball.v[:, None]
     images = np.concatenate([
-        su_act(u[start:start + _CELL_BLOCK], v[start:start + _CELL_BLOCK], points, ew.CPYTHON)
+        su_act(u[start:start + _CELL_BLOCK], v[start:start + _CELL_BLOCK], points)
         for start in range(0, len(u), _CELL_BLOCK)
     ])
     return Cells(group_ball.shortlex, images[:, :8], images[:, 8:])

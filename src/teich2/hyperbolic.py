@@ -7,14 +7,13 @@ isometries act as z -> (u z + v)/(conj(v) z + conj(u)) with
 so group equality is always taken up to global sign.
 
 The formulas for the action, the product and the renormalization test are
-written once, elementwise: ``MobiusTransform`` applies them to one pair of
-complex numbers, and ``su_normalize``, ``su_mul``, ``su_inverse``,
-``su_act`` and ``su_sign_flip`` to (u, v) pairs of numbers or of numpy
-arrays, one map per element.  On arrays the product, the action and the
-renormalization use numpy's complex loops, or with ``arith=CPYTHON``
-CPython's own rounding, which makes maps and images computed over arrays
-bit-identical to the same ones computed one pair at a time
-(``_elementwise.Arithmetic``).
+written once, elementwise, in ``su_normalize``, ``su_mul``, ``su_inverse``,
+``su_act`` and ``su_sign_flip`` over (u, v) pairs of numbers or of numpy
+arrays, one map per element; ``MobiusTransform`` is their view at one pair.
+Numbers are multiplied in CPython's complex arithmetic and arrays in
+numpy's complex loops, which may fuse multiply-adds depending on the CPU, so
+a product or an image computed over arrays can differ from the one computed
+one pair at a time by a relative amount of order eps (|u|^2 + |v|^2).
 """
 
 from __future__ import annotations
@@ -114,30 +113,17 @@ class GeodesicArc:
         return w * cmath.exp(1j * self.phi)
 
 
-def su_act(u, v, z, arith: ew.Arithmetic = ew.NATIVE):
+def su_act(u, v, z):
     """The image (u z + v)/(conj(v) z + conj(u)) of z under the pair (u, v); elementwise."""
-    mul = arith.mul
-    return arith.div(mul(u, z) + v, mul(v.conjugate(), z) + u.conjugate())
+    return (u * z + v) / (v.conjugate() * z + u.conjugate())
 
 
-def _su_product(u1, v1, u2, v2, arith: ew.Arithmetic = ew.NATIVE):
+def _su_product(u1, v1, u2, v2):
     """(u, v) of the matrix product of two SU(1,1) pairs; elementwise on arrays."""
-    mul = arith.mul
-    return mul(u1, u2) + mul(v1, v2.conjugate()), mul(u1, v2) + mul(v1, u2.conjugate())
+    return u1 * u2 + v1 * v2.conjugate(), u1 * v2 + v1 * u2.conjugate()
 
 
-def _su_defect(u, v, arith: ew.Arithmetic = ew.NATIVE):
-    """(|u|^2 - |v|^2, whether it is too far from 1 to renormalize); elementwise."""
-    uu, vv = arith.abs2(u), arith.abs2(v)
-    det = uu - vv
-    return det, (det <= 0.0) | (abs(det - 1.0) > SU_DEFECT_TOLERANCE * (uu + vv))
-
-
-def _not_renormalizable(det) -> str:
-    return f"|u|^2-|v|^2 = {float(det)!r} is not renormalizable to 1"
-
-
-def su_normalize(u, v, product: bool = False, arith: ew.Arithmetic = ew.NATIVE):
+def su_normalize(u, v, product: bool = False):
     """The constructor of MobiusTransform on (u, v) numbers or arrays, which
     broadcast together.
 
@@ -145,20 +131,21 @@ def su_normalize(u, v, product: bool = False, arith: ew.Arithmetic = ew.NATIVE):
     order that the constructor would reject it raises ValueError, or for a
     ``product`` NumericalError whose ``index`` is that pair's flat position.
     """
-    det, bad = _su_defect(u, v, arith)
-    k = ew.first_true(bad)
+    uu, vv = abs(u) ** 2, abs(v) ** 2
+    det = uu - vv
+    k = ew.first_true((det <= 0.0) | (abs(det - 1.0) > SU_DEFECT_TOLERANCE * (uu + vv)))
     if k is not None:
-        message = _not_renormalizable(np.ravel(det)[k])
+        message = f"|u|^2-|v|^2 = {float(np.ravel(det)[k])!r} is not renormalizable to 1"
         if product:
             raise NumericalError(f"product of SU(1,1) maps: {message}", k)
         raise ValueError(message)
     scale = 1.0 / ew.sqrt(det)
-    return arith.mul(u, scale), arith.mul(v, scale)
+    return u * scale, v * scale
 
 
-def su_mul(x, y, arith: ew.Arithmetic = ew.NATIVE):
+def su_mul(x, y):
     """``x @ y`` on (u, v) pairs of numbers or arrays: the renormalized product."""
-    return su_normalize(*_su_product(*x, *y, arith), product=True, arith=arith)
+    return su_normalize(*_su_product(*x, *y), product=True)
 
 
 def su_inverse(x):
@@ -187,22 +174,19 @@ def su_gap(x, y):
 class MobiusTransform:
     """SU(1,1) matrix [[u, v], [conj(v), conj(u)]] acting on the disk.
 
-    Construction renormalizes |u|^2 - |v|^2 to exactly 1 when its defect is
-    below SU_DEFECT_TOLERANCE * (|u|^2 + |v|^2) and rejects the pair otherwise,
-    with ValueError; a product of two maps raises NumericalError instead.
+    Construction is su_normalize: it renormalizes |u|^2 - |v|^2 to exactly 1
+    when its defect is below SU_DEFECT_TOLERANCE * (|u|^2 + |v|^2) and rejects
+    the pair otherwise, with ValueError; a product of two maps (su_mul) raises
+    NumericalError instead.
     """
 
     u: complex
     v: complex
 
     def __post_init__(self):
-        u, v = complex(self.u), complex(self.v)
-        det, bad = _su_defect(u, v)
-        if bad:
-            raise ValueError(_not_renormalizable(det))
-        scale = 1.0 / math.sqrt(det)
-        object.__setattr__(self, "u", u * scale)
-        object.__setattr__(self, "v", v * scale)
+        u, v = su_normalize(complex(self.u), complex(self.v))
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
 
     @classmethod
     def _normalized(cls, u: complex, v: complex) -> "MobiusTransform":
@@ -221,13 +205,10 @@ class MobiusTransform:
         return su_act(self.u, self.v, _require_in_disk(complex(z)))
 
     def __matmul__(self, other: "MobiusTransform") -> "MobiusTransform":
-        try:
-            return MobiusTransform(*_su_product(self.u, self.v, other.u, other.v))
-        except ValueError as exc:  # both factors are valid: a rounding breakdown
-            raise NumericalError(f"product of SU(1,1) maps: {exc}") from None
+        return MobiusTransform._normalized(*su_mul((self.u, self.v), (other.u, other.v)))
 
     def inverse(self) -> "MobiusTransform":
-        return MobiusTransform(self.u.conjugate(), -self.v)
+        return MobiusTransform._normalized(*su_inverse((self.u, self.v)))
 
     @property
     def trace(self) -> float:

@@ -110,10 +110,13 @@ class OrbitSample:
         """The point as octagon parameters; NumericalError if it rounded out of the domain."""
         try:
             return OctagonParams(self.a, self.alpha_tilde)
-        except OutOfDomainError as exc:  # exact orbit points of P > P_reg lie inside
-            raise NumericalError(
-                f"orbit point at phi = {self.phi!r} rounds out of the domain: {exc}"
-            ) from None
+        except OutOfDomainError as exc:
+            raise _rounded_out(self.phi, exc) from None
+
+
+def _rounded_out(phi: float, exc: OutOfDomainError) -> NumericalError:
+    # exact orbit points of P > P_reg lie inside the domain
+    return NumericalError(f"orbit point at phi = {phi!r} rounds out of the domain: {exc}")
 
 
 def orbit_forms(e: float, phi):

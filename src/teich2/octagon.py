@@ -63,16 +63,36 @@ def _check_margin(margin: float) -> None:
         raise ValueError(f"margin must lie in [0, 0.2], got {margin!r}")
 
 
-def _check_domain(a: float, at: float, m: float) -> None:
-    # the admissible region shrunk by m, one OutOfDomainError per inequality
+def _domain_error(a, at, m: float) -> tuple[int, OutOfDomainError] | None:
+    """The first point (C order) outside the admissible region shrunk by m, as
+    its flat index and the OutOfDomainError of the first inequality it
+    violates (alpha_range, lower_a, upper_a), or None; elementwise over
+    numbers or arrays, which broadcast together."""
     hi = ALPHA_TILDE_MAX - m
-    if not -hi < at < hi:
-        raise OutOfDomainError("alpha_range", math.copysign(hi, at), at)
-    lo = lower_a(at) + m
-    if not a > lo:
-        raise OutOfDomainError("lower_a", lo, a)
-    if not a < 1.0 - m:
-        raise OutOfDomainError("upper_a", 1.0 - m, a)
+    in_range = (-hi < at) & (at < hi)
+    lo = lower_a(ew.where(in_range, at, 0.0)) + m  # alpha_range is reported first
+    above, below = a > lo, a < 1.0 - m
+    # "not inside" by where, since ~ negates a Python bool to a nonzero int
+    k = ew.first_true(ew.where(in_range & above & below, False, True))
+    if k is None:
+        return None
+    shape = np.broadcast_shapes(np.shape(a), np.shape(at))
+
+    def at_k(x):
+        return np.broadcast_to(x, shape).flat[k].item()
+
+    if not at_k(in_range):
+        return k, OutOfDomainError("alpha_range", math.copysign(hi, at_k(at)), at_k(at))
+    if not at_k(above):
+        return k, OutOfDomainError("lower_a", at_k(lo), at_k(a))
+    return k, OutOfDomainError("upper_a", 1.0 - m, at_k(a))
+
+
+def _check_domain(a, at, m: float) -> None:
+    """Raise the _domain_error of (a, at), if any."""
+    found = _domain_error(a, at, m)
+    if found is not None:
+        raise found[1]
 
 
 @dataclass(frozen=True)
@@ -337,8 +357,7 @@ def grid_arrays(
     equally spaced a values.  Returns the arrays (a, alpha_tilde), row by
     row.  Raises ValueError for a margin outside [0, 0.2], as
     validate_params does, or one that leaves no grid, and OutOfDomainError
-    at the first point outside the domain (a row's a values are monotone, so
-    its two ends are checked).
+    at the first point outside the domain.
     """
     _check_margin(margin)
     # lower_a(at) + margin <= 1 - margin pins |at| <= acos(1/(sqrt2 (1-2 margin)))
@@ -348,10 +367,9 @@ def grid_arrays(
     at_max = math.acos(arg)
     alphas = np.linspace(-at_max, at_max, n_alpha + 2)[1:-1]
     rows = [np.linspace(lower_a(float(at)) + margin, 1.0 - margin, n_a) for at in alphas]
-    for at, row in zip(alphas, rows):
-        for a in row[:1].tolist() + row[-1:].tolist():
-            _check_domain(a, float(at), 0.0)
-    return np.concatenate(rows + [np.empty(0)]), np.repeat(alphas, n_a)
+    a, at = np.concatenate(rows + [np.empty(0)]), np.repeat(alphas, n_a)
+    _check_domain(a, at, 0.0)
+    return a, at
 
 
 def domain_grid(n_a: int = 20, n_alpha: int = 20, margin: float = 0.02) -> list[OctagonParams]:

@@ -46,12 +46,13 @@ PAST_PRECISION = [
     OctagonParams(0.9905482311121936, -0.7527861665680812),
     OctagonParams(0.995099525262749, -0.7740075264130591),
 ]
-# the first shortlex word whose product breaks at PAST_PRECISION[1], and its
-# |u|^2 - |v|^2, as the element-by-element product chain refused them
-PAST_PRECISION_WORD = ("aaaa", -1024.0)
 EPS = np.finfo(float).eps
 # Z[zeta] row (c0..c3) of c0 + c1 zeta + c2 zeta^2 + c3 zeta^3 -> complex
 ZETA = np.exp(0.25j * np.pi * np.arange(4))
+
+
+def _norm(t: MobiusTransform) -> float:
+    return math.sqrt(abs(t.u) ** 2 + abs(t.v) ** 2)
 
 
 @st.composite
@@ -200,17 +201,6 @@ class TestBall:
         for el in ball(generators(P0), 3).elements:
             assert el.transform.canonical() == el.transform
 
-    def test_ball_is_the_product_chain_bitwise(self):
-        # su_mul over a sphere rounds as the scalar products do
-        gens = generators(P0)
-        letters = dict(gens.letters())
-        b = ball(gens, 2)
-        chain = {"": MobiusTransform.identity()}
-        for word in b.shortlex[1:]:
-            chain[word] = (chain[word[:-1]] @ letters[word[-1]]).canonical()
-        expected = [(chain[w].u, chain[w].v) for w in b.shortlex]
-        assert list(zip(b.u.tolist(), b.v.tolist())) == expected
-
     @settings(max_examples=20, deadline=None)
     @given(domain_points())
     def test_batched_ball_matches_product_chain(self, params):
@@ -221,12 +211,18 @@ class TestBall:
             assert "precision limit" in str(exc)
             return
         letters = dict(gens.letters())
+        # the shortlex chain, one canonical product at a time, and the forward
+        # error bound B of numpy's products against it, in units of 8 eps:
+        # the parent's error carried by the letter g, plus this product's rounding
+        chain, bound = {"": MobiusTransform.identity()}, {"": 0.0}
         for word, u, v in zip(b.shortlex, b.u.tolist(), b.v.tolist()):
-            t = MobiusTransform.identity()
-            for label in word:  # the shortlex chain, one canonical product at a time
-                t = (t @ letters[label]).canonical()
-            size = abs(u) ** 2 + abs(v) ** 2
-            assert max(abs(u - t.u), abs(v - t.v)) <= 8.0 * size * EPS * math.sqrt(size), word
+            if word:
+                parent, g = chain[word[:-1]], letters[word[-1]]
+                chain[word] = (parent @ g).canonical()
+                size = abs(u) ** 2 + abs(v) ** 2
+                bound[word] = (bound[word[:-1]] + _norm(parent)) * _norm(g) + size ** 1.5
+            t = chain[word]
+            assert max(abs(u - t.u), abs(v - t.v)) <= 8.0 * EPS * bound[word], word
             # canonical sign: the first part above the sign threshold is positive
             first = next(c for c in (u.real, u.imag, v.real, v.imag) if abs(c) > 1e-9)
             assert first > 0.0, word
@@ -296,7 +292,7 @@ class TestBall:
             ball(generators(P0), -1)
 
     def test_unnormalizable_product_reported_as_precision_limit(self, monkeypatch):
-        def lost(x, y, arith):
+        def lost(x, y):
             raise NumericalError("|u|^2-|v|^2 = 0.0 is not renormalizable to 1", 0)
 
         gens = generators(P0)
@@ -308,15 +304,18 @@ class TestBall:
         assert len(ball(generators(PAST_PRECISION[0]), 4)) == BALL_SIZES[4]
 
     def test_precision_limit(self):
+        # which word of sphere 4 breaks first depends on the last bits of
+        # numpy's complex loops, which it chooses by CPU; the message names it
         params = PAST_PRECISION[1]
+        gens = generators(params)
         with pytest.raises(ValueError) as info:
-            ball(generators(params), 4)
+            ball(gens, 4)
         msg = str(info.value)
-        assert f"radius-4 ball at a={params.a!r}, alpha_tilde={params.alpha_tilde!r}" in msg
-        word, det = PAST_PRECISION_WORD
-        assert f"element {word!r} is past the float64 precision limit" in msg
-        assert f"|u|^2-|v|^2 = {det!r} is not renormalizable to 1" in msg
-        assert len(msg.splitlines()) == 1
+        assert re.fullmatch(
+            rf"radius-4 ball at a={params.a!r}, alpha_tilde={params.alpha_tilde!r}: "
+            r"element '[aAbBcCdD]{4}' is past the float64 precision limit \(product of "
+            r"SU\(1,1\) maps: \|u\|\^2-\|v\|\^2 = \S+ is not renormalizable to 1\)", msg)
+        assert len(ball(gens, 3)) == BALL_SIZES[3]
 
 
 class TestExactWords:
@@ -357,14 +356,23 @@ class TestCells:
         assert tiles.words == ("",)
         assert_allclose(tiles.vertices[0], geom.vertices, rtol=1e-15)
 
-    def test_images_match_maps_bitwise(self):
-        # the batched action is the scalar one: same words, same bits
-        geom = build_geometry(P0)
-        b = ball(generators(P0), 2)
+    @settings(max_examples=20, deadline=None)
+    @given(domain_points())
+    def test_images_match_maps(self, params):
+        # the batched action is the scalar one up to numpy's rounding, which
+        # the map's size |u|^2 + |v|^2 scales
+        geom = build_geometry(params)
+        try:
+            b = ball(generators(params), 3)
+        except ValueError as exc:
+            assert "precision limit" in str(exc)
+            return
         tiles = cells(b, geom)
         for k, el in enumerate(b.elements):
-            assert tiles.vertices[k].tolist() == [el.transform(z) for z in geom.vertices]
-            assert tiles.midpoints[k].tolist() == [el.transform(z) for z in geom.midpoints]
+            t = el.transform
+            bar = 4.0 * EPS * (abs(t.u) ** 2 + abs(t.v) ** 2)
+            assert np.all(abs(tiles.vertices[k] - [t(z) for z in geom.vertices]) <= bar)
+            assert np.all(abs(tiles.midpoints[k] - [t(z) for z in geom.midpoints]) <= bar)
 
     def test_neighbor_cells_share_paired_side(self):
         geom = build_geometry(P0)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from teich2._elementwise import CPYTHON
 from teich2.errors import NumericalError
 from teich2.group import generators
 from teich2.hyperbolic import (
@@ -207,17 +206,13 @@ class TestPairArrays:
             # renormalization scales that by |u|^2 + |v|^2
             size = abs(st.u) ** 2 + abs(st.v) ** 2
             assert_allclose((u[k], v[k]), (st.u, st.v), rtol=4 * np.finfo(float).eps * size)
-        # CPython's rounding on arrays: the same bits as the maps
-        u, v = su_mul(x, y, CPYTHON)
-        assert list(zip(u.tolist(), v.tolist())) == [((s @ t).u, (s @ t).v) for s, t in maps]
 
     def test_action_matches_maps(self):
         rng = np.random.default_rng(19)
         maps = [translation(p) @ rotation(0.4) for p in random_disk_points(rng, 20, rmax=0.95)]
         u, v = np.array([t.u for t in maps]), np.array([t.v for t in maps])
         z = random_disk_points(rng, 7, rmax=0.99)
-        images = su_act(u[:, None], v[:, None], z, CPYTHON)
-        assert images.tolist() == [[t(w) for w in z.tolist()] for t in maps]
+        images = [[t(w) for w in z.tolist()] for t in maps]
         assert_allclose(su_act(u[:, None], v[:, None], z), images, rtol=1e-13)
 
     def test_sign_flip_elementwise(self):

@@ -3,12 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from teich2.errors import OutOfDomainError
 from teich2.hyperbolic import dist
 from teich2.octagon import (
+    ALPHA_TILDE_MAX,
     OctagonParams,
+    _domain_error,
     b_of,
     build_geometry,
     domain_grid,
@@ -94,6 +98,33 @@ class TestParams:
         with pytest.raises(ValueError, match="parameters must be finite") as exc:
             validate_params(a, at)
         assert not isinstance(exc.value, OutOfDomainError)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from([0.0, 0.02]))
+    def test_domain_check_elementwise(self, data, margin):
+        # alpha_tilde values inside, outside and on the shifted bounds; a on
+        # the shifted bounds of its column or anywhere near the domain
+        hi = ALPHA_TILDE_MAX - margin
+        ats = data.draw(st.lists(st.one_of(st.floats(-0.9, 0.9), st.sampled_from([-hi, hi])),
+                                 min_size=1, max_size=5))
+        column = st.integers(0, len(ats) - 1)
+        a = st.one_of(st.floats(0.6, 1.05),
+                      column.map(lambda j: lower_a(ats[j]) + margin), st.just(1.0 - margin))
+        rows = data.draw(st.lists(a, min_size=1, max_size=5))
+        # rows of a against columns of alpha_tilde: C order runs along a row
+        found = _domain_error(np.array(rows)[:, None], np.array(ats), margin)
+        first = None
+        for k, (x, y) in enumerate((x, y) for x in rows for y in ats):
+            try:
+                validate_params(x, y, margin)
+            except OutOfDomainError as exc:
+                first = k, (exc.which, exc.bound, exc.value)
+                break
+        if first is None:
+            assert found is None
+        else:
+            k, err = found
+            assert (k, (err.which, err.bound, err.value)) == first
 
     def test_margin_checks_only_the_given_point(self):
         # (0.95, 0) keeps 0.04 from the boundary; its conjugate (0.744.., 0) does not
