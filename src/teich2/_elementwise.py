@@ -21,8 +21,8 @@ import math
 import numpy as np
 
 __all__ = [
-    "sqrt", "cos", "sin", "tan", "arctan", "arccos", "arcsinh", "arccosh", "cosh",
-    "exp", "log", "maximum", "minimum", "where", "first_true",
+    "sqrt", "cos", "sin", "tan", "arctan", "arccos", "arcsinh", "arccosh", "arctanh",
+    "cosh", "exp", "log", "maximum", "minimum", "where", "first_true",
 ]
 
 
@@ -48,6 +48,16 @@ arctan = _unary(math.atan, cmath.atan, np.arctan)
 arccos = _unary(math.acos, cmath.acos, np.arccos)
 arcsinh = _unary(math.asinh, cmath.asinh, np.arcsinh)
 arccosh = _unary(math.acosh, cmath.acosh, np.arccosh)
+def _atanh(x):
+    # numpy's values at the edges, where math.atanh raises: +-inf at +-1, nan beyond
+    if -1.0 < x < 1.0:
+        return math.atanh(x)
+    if x == 1.0 or x == -1.0:
+        return math.copysign(math.inf, x)
+    return math.nan
+
+
+arctanh = _unary(_atanh, cmath.atanh, np.arctanh)
 cosh = _unary(math.cosh, cmath.cosh, np.cosh)
 exp = _unary(math.exp, cmath.exp, np.exp)
 log = _unary(math.log, cmath.log, np.log)

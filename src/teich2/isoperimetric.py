@@ -177,14 +177,15 @@ def asymptotic_orbit(phi: float) -> tuple[float, float]:
     return 0.5 * ew.sqrt(3.0 + ew.cos(phi)), ew.arctan(ew.cos(0.5 * phi))
 
 
-def _area_integrand(a: np.ndarray, e_star: float) -> np.ndarray:
+def _area_integrand(a, e_star: float):
+    """WP area density at a, integrated over the orbit's a-interval; elementwise over a."""
     one_minus_a2 = 1.0 - a * a
     two_a2 = 2.0 * a * a - 1.0
     # E*(1-a^2) - 4 = (E - 12 -+ sqrt(disc))/4 > 0 on the whole a-interval
     ratio = (e_star - 4.0) * one_minus_a2 / (e_star * one_minus_a2 - 4.0)
-    one_minus_e = np.maximum(1.0 - e_of_a(a) / e_star, 0.0)
-    f = np.sqrt(ratio * one_minus_e)
-    return 16.0 * a / (one_minus_a2 * np.sqrt(two_a2)) * np.arctanh(f)
+    one_minus_e = ew.maximum(1.0 - e_of_a(a) / e_star, 0.0)
+    f = ew.sqrt(ratio * one_minus_e)
+    return 16.0 * a / (one_minus_a2 * ew.sqrt(two_a2)) * ew.arctanh(f)
 
 
 @dataclass(frozen=True)
@@ -201,7 +202,11 @@ def wp_area(p_star: float) -> AreaResult:
 
     The integral over a in [a_minus, a_plus] is taken in the normalized
     variable t with a = a_minus + (a_plus - a_minus) t, which regularizes
-    the square-root vanishing of the integrand at both endpoints.
+    the square-root vanishing of the integrand at both endpoints.  quad
+    asks for one node at a time, and each takes the float route of
+    ``_area_integrand`` (``math``, about a microsecond), not numpy's.
+    NumericalError where quad does not converge, as from P ~ 200, or the
+    integrand overflows: from P ~ 400 f rounds to 1 and arctanh(f) = inf.
     """
     if p_star < P_REG - 1e-12:
         raise DomainError(f"p_star = {p_star!r} lies below P_reg = {P_REG!r}")
@@ -212,15 +217,12 @@ def wp_area(p_star: float) -> AreaResult:
         return AreaResult(0.0, 0.0, 0)
 
     def g(t: float) -> float:
-        return width * float(_area_integrand(np.asarray(lo + width * t), e_star))
+        return width * _area_integrand(lo + width * t, e_star)
 
-    # at large P f rounds to 1 and arctanh gives inf, reported below; the
-    # context is entered once here, not on each of quad's scalar evaluations
-    with np.errstate(divide="ignore"):
-        area, err, info = quad(
-            g, 0.0, 1.0, epsabs=QUAD_TOLERANCE, epsrel=QUAD_TOLERANCE,
-            limit=200, full_output=True,
-        )[:3]
+    area, err, info = quad(
+        g, 0.0, 1.0, epsabs=QUAD_TOLERANCE, epsrel=QUAD_TOLERANCE,
+        limit=200, full_output=True,
+    )[:3]
     if not (math.isfinite(area) and err <= 1e-6 * max(1.0, abs(area))):
         raise NumericalError(
             f"area quadrature did not converge at p_star = {p_star!r}: "

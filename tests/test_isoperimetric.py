@@ -1,4 +1,7 @@
+import cmath
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+from teich2 import _elementwise as ew
 from teich2 import fenchel_nielsen
 from teich2 import isoperimetric as iso
 from teich2.errors import DomainError, NumericalError
@@ -38,6 +42,12 @@ PHI_TO_A08 = 2.2446964410497214
 AREAS = {25.0: 1.4494758684, 30.0: 16.2768188212, 35.0: 33.8652285730,
          41.0: 58.7677554327}
 
+EPS = np.finfo(float).eps
+
+# the area-table benchmark's oracle: its reference rows and relative bar
+AREA_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "area_reference.csv"
+AREA_RELATIVE = 1e-10
+
 # 40-digit mpmath quadrature of the area integral where wp_area's quad is
 # 1.2e-12 and 3.0e-12 off, within its 1e-10 tolerance
 AREAS_MP = {49.125: 99.310537045170165464, 49.21147184377696: 99.784947912362175134}
@@ -51,7 +61,7 @@ def tight_quad_area(p_star: float) -> float:
     if width <= 0.0:
         return 0.0
     return quad(
-        lambda t: width * float(iso._area_integrand(np.asarray(lo + width * t), e_star)),
+        lambda t: width * iso._area_integrand(lo + width * t, e_star),
         0.0, 1.0, epsabs=0.0, epsrel=2e-14, limit=500, full_output=True,
     )[0]
 
@@ -277,6 +287,50 @@ class TestWPArea:
         monkeypatch.setattr(iso, "_area_integrand", refuse)
         monkeypatch.setattr(fenchel_nielsen, "wp_coefficient_raw", refuse)
         assert_allclose(wp_area_contour(30.0), AREAS[30.0], rtol=1e-10)
+
+    @pytest.mark.parametrize("p_star", [25.0, 99.58, 161.0])
+    def test_integrand_float_route_is_array_route(self, p_star):
+        # quad takes the float route, one node at a time; libm's and numpy's
+        # sqrt and atanh may differ in the last bit
+        e_star = e_of_p(p_star)
+        lo, hi = a_extremes(e_star)
+        t = np.concatenate([np.linspace(0.0, 1.0, 401)[1:-1], np.logspace(-14, -1, 27)])
+        a = np.concatenate([lo + (hi - lo) * t, hi - (hi - lo) * t])
+        batched = iso._area_integrand(a, e_star)
+        scalar = [iso._area_integrand(x, e_star) for x in a.tolist()]
+        assert all(type(x) is float for x in scalar)
+        assert np.isfinite(batched).all()
+        assert_allclose(scalar, batched, rtol=4 * EPS, atol=0.0)
+
+    def test_integrand_inf_where_f_rounds_to_one(self):
+        # at P = 400 f rounds to 1 inside the a-interval: both routes give inf,
+        # numpy's value, where math.atanh would raise
+        e_star = e_of_p(400.0)
+        lo, hi = a_extremes(e_star)
+        a = lo + (hi - lo) * 0.5
+        assert iso._area_integrand(a, e_star) == math.inf
+        with np.errstate(divide="ignore"):
+            assert iso._area_integrand(np.array([a]), e_star)[0] == math.inf
+
+    def test_arctanh_float_route_matches_numpy_at_the_edges(self):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for x in [0.0, -0.5, 0.999, 1.0, -1.0, 1.5, -2.0, math.inf, math.nan]:
+                assert_allclose(ew.arctanh(x), np.arctanh(x), rtol=EPS, atol=0.0)
+        assert ew.arctanh(0.5j) == cmath.atanh(0.5j)
+
+    def test_reference_table_within_oracle_bar(self):
+        # every 8th row of the area-table benchmark's reference; a change to the
+        # integrand or the quad call that would fail its oracle fails here first
+        with open(AREA_REFERENCE, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))[::8]
+        assert len(rows) > 100
+        for row in rows:
+            p_star, ref = float(row["P"]), float(row["area"])
+            area = wp_area(p_star).area
+            if row["k"] == "0":  # P_reg, where the oracle's bar is absolute
+                assert abs(area) <= AREA_RELATIVE, p_star
+            else:
+                assert abs(area - ref) <= AREA_RELATIVE * abs(ref), p_star
 
     def test_integrand_reduction_identity(self):
         # f = sqrt((E*-4)(1-a^2)/(E*(1-a^2)-4)) sqrt(1-E/E*) equals
