@@ -40,14 +40,6 @@ def _unary(real, complex_, array):
     return fn
 
 
-sqrt = _unary(math.sqrt, cmath.sqrt, np.sqrt)
-cos = _unary(math.cos, cmath.cos, np.cos)
-sin = _unary(math.sin, cmath.sin, np.sin)
-tan = _unary(math.tan, cmath.tan, np.tan)
-arctan = _unary(math.atan, cmath.atan, np.arctan)
-arccos = _unary(math.acos, cmath.acos, np.arccos)
-arcsinh = _unary(math.asinh, cmath.asinh, np.arcsinh)
-arccosh = _unary(math.acosh, cmath.acosh, np.arccosh)
 def _atanh(x):
     # numpy's values at the edges, where math.atanh raises: +-inf at +-1, nan beyond
     if -1.0 < x < 1.0:
@@ -57,6 +49,14 @@ def _atanh(x):
     return math.nan
 
 
+sqrt = _unary(math.sqrt, cmath.sqrt, np.sqrt)
+cos = _unary(math.cos, cmath.cos, np.cos)
+sin = _unary(math.sin, cmath.sin, np.sin)
+tan = _unary(math.tan, cmath.tan, np.tan)
+arctan = _unary(math.atan, cmath.atan, np.arctan)
+arccos = _unary(math.acos, cmath.acos, np.arccos)
+arcsinh = _unary(math.asinh, cmath.asinh, np.arcsinh)
+arccosh = _unary(math.acosh, cmath.acosh, np.arccosh)
 arctanh = _unary(_atanh, cmath.atanh, np.arctanh)
 cosh = _unary(math.cosh, cmath.cosh, np.cosh)
 exp = _unary(math.exp, cmath.exp, np.exp)

@@ -290,8 +290,8 @@ class TestWPArea:
 
     @pytest.mark.parametrize("p_star", [25.0, 99.58, 161.0])
     def test_integrand_float_route_is_array_route(self, p_star):
-        # quad takes the float route, one node at a time; libm's and numpy's
-        # sqrt and atanh may differ in the last bit
+        # quad takes the float route, one node at a time; libm's atanh and
+        # numpy's may differ in the last bit
         e_star = e_of_p(p_star)
         lo, hi = a_extremes(e_star)
         t = np.concatenate([np.linspace(0.0, 1.0, 401)[1:-1], np.logspace(-14, -1, 27)])
