@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import _elementwise as ew
 from .errors import DomainError, NumericalError, OutOfDomainError
@@ -205,6 +204,8 @@ def wp_area(p_star: float) -> AreaResult:
     the square-root vanishing of the integrand at both endpoints.  quad
     asks for one node at a time, and each takes the float route of
     ``_area_integrand`` (``math``, about a microsecond), not numpy's.
+    ``scipy.integrate`` is imported on the first call, not with the module,
+    so that importing teich2 does not load scipy.
     NumericalError where quad does not converge, as from P ~ 200, or the
     integrand overflows: from P ~ 400 f rounds to 1 and arctanh(f) = inf.
     """
@@ -218,6 +219,9 @@ def wp_area(p_star: float) -> AreaResult:
 
     def g(t: float) -> float:
         return width * _area_integrand(lo + width * t, e_star)
+
+    # scipy.integrate is most of a cold `import teich2`, and only this call needs it
+    from scipy.integrate import quad
 
     area, err, info = quad(
         g, 0.0, 1.0, epsabs=QUAD_TOLERANCE, epsrel=QUAD_TOLERANCE,

@@ -23,6 +23,34 @@ def run_capture(capsys, argv):
     return code, captured.out, captured.err
 
 
+def run_fresh(args):
+    """Run python with args in a fresh interpreter that imports this checkout's teich2."""
+    src = str(Path(teich2.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+# runs teich2.cli.run on each argv in a fresh interpreter; prints the exit
+# codes and the scipy modules then loaded as JSON
+COLD_START = """
+import json, os, sys
+import teich2, teich2.cli
+argvs = json.loads(sys.argv[1])
+codes = [teich2.cli.run([*argv, "-o", os.devnull]) for argv in argvs]
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+
+def cold_start(argvs):
+    proc = run_fresh(["-c", COLD_START, json.dumps(argvs)])
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 class TestOctagonCommand:
     def test_json_payload(self, capsys):
         code, out, _ = run_capture(capsys, ["octagon", *A_ARGS])
@@ -212,16 +240,24 @@ class TestErrorHandling:
 
     def test_area_overflow_stderr_is_one_line(self):
         # a fresh interpreter shows numpy's RuntimeWarnings, which pytest captures
-        src = str(Path(teich2.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        proc = subprocess.run(
-            [sys.executable, "-m", "teich2", "area", "--p-min", "500", "--p-max", "501"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_fresh(["-m", "teich2", "area", "--p-min", "500", "--p-max", "501"])
         assert proc.returncode == 5
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("teich2: numerical error:")
+
+
+class TestColdStart:
+    def test_query_commands_do_not_load_scipy(self):
+        # scipy.integrate is most of a cold import; only the area quadrature needs it
+        argvs = [["octagon", *A_ARGS], ["group", *A_ARGS], ["fn", *A_ARGS],
+                 ["orbit"], ["tiling", *A_ARGS, "-n", "3"]]
+        result = cold_start(argvs)
+        assert result == {"codes": [0] * len(argvs), "scipy": []}
+
+    def test_area_loads_the_quadrature_on_first_use(self):
+        result = cold_start([["area", "--p-max", "30"]])
+        assert result["codes"] == [0]
+        assert "scipy.integrate" in result["scipy"]
 
 
 class TestGroupCommand:

@@ -52,6 +52,13 @@ AREA_RELATIVE = 1e-10
 # 1.2e-12 and 3.0e-12 off, within its 1e-10 tolerance
 AREAS_MP = {49.125: 99.310537045170165464, 49.21147184377696: 99.784947912362175134}
 
+# 30-digit mpmath areas from P = 41 to 161, written by make_wp_area_mpmath.py;
+# wp_area meets QUAD_TOLERANCE below P ~ 99.5 and misses it above by up to
+# 2.1e-7 relative
+AREAS_MPMATH = Path(__file__).resolve().parent / "data" / "wp_area_mpmath.csv"
+QUAD_MISS_FROM = 99.5
+QUAD_MISS = 3e-7
+
 
 def tight_quad_area(p_star: float) -> float:
     """wp_area's integral with quad pushed to its floor, 2e-14 relative."""
@@ -331,6 +338,14 @@ class TestWPArea:
                 assert abs(area) <= AREA_RELATIVE, p_star
             else:
                 assert abs(area - ref) <= AREA_RELATIVE * abs(ref), p_star
+
+    def test_matches_mpmath_to_documented_accuracy(self):
+        with open(AREAS_MPMATH, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        for row in rows:
+            p_star, ref = float(row["P"]), float(row["area"])
+            bar = iso.QUAD_TOLERANCE if p_star < QUAD_MISS_FROM else QUAD_MISS
+            assert abs(wp_area(p_star).area - ref) <= bar * ref, p_star
 
     def test_integrand_reduction_identity(self):
         # f = sqrt((E*-4)(1-a^2)/(E*(1-a^2)-4)) sqrt(1-E/E*) equals
