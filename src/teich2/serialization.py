@@ -7,8 +7,11 @@ documents carry a top level ``"schema": "teich2/v1"`` marker and serialize
 floats with Python's shortest round-tripping repr, so parsing reproduces
 the doubles bit-exactly.  SVG maps the unit disk to a 1000 x 1000 viewport
 and renders geodesic sides as true circular arcs through three sampled
-points; the arcs of all cells are computed as array expressions, and each
-path is written with one %-template.
+points, with numbers in %.4f form.  The arcs of all cells are computed as
+array expressions, and the path lines of each block of cells are written
+as one uint8 array: the numbers are formatted in integer arithmetic from
+digit tables, and only the few that integer rounding cannot settle (on
+half-way ties, non-finite, or 1e4 and above) go through Python's %.4f.
 """
 
 from __future__ import annotations
@@ -40,9 +43,9 @@ SVG_SCALE = 495.0  # disk radius in pixels, centered in the viewport
 
 # three arc points closer than this in pixels are rendered as a chord
 _COLLINEAR_EPS = 1e-6
-# cells per pass of the arc arrays: a whole radius-4 tiling, and bounded
-# temporaries for the 155577 cells of radius 6
-_BLOCK = 4096
+# cells per pass of the path kernel, whose byte arrays grow with the block:
+# a radius-4 tiling SVG peaks at 36 MB RSS with 512-cell blocks, 41 MB with 4096
+_BLOCK = 512
 
 
 def format_float(x: float) -> str:
@@ -50,15 +53,16 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _cell(x: Any) -> str:
-    return format_float(x) if isinstance(x, float) else str(x)
-
-
 def csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
+    """CSV text: floats (numpy's too) in format_float's form, inlined because
+    a call per cell cost a quarter to a third of the writer's time; other
+    cells as str."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(list(header))
-    writer.writerows([_cell(x) for x in row] for row in rows)
+    writer.writerows(
+        [f"{float(x):.17g}" if isinstance(x, float) else str(x) for x in row] for row in rows
+    )
     return buf.getvalue()
 
 
@@ -75,12 +79,6 @@ def json_text(payload: dict[str, Any]) -> str:
     return json.dumps(doc, indent=2, default=_json_default) + "\n"
 
 
-# the path of one cell, and its side commands as %-templates
-_PATH = '<path d="M %%.4f %%.4f %s Z" fill="none" stroke="#000000" stroke-width="0.5"/>'
-_ARC = "A %.4f %.4f 0 0 %d %.4f %.4f"
-_LINE = "L %.4f %.4f"
-
-
 def _pix(z):
     """Pixel coordinates (x, y) of disk points; elementwise."""
     return SVG_SIZE / 2.0 + SVG_SCALE * np.real(z), SVG_SIZE / 2.0 - SVG_SCALE * np.imag(z)
@@ -94,8 +92,13 @@ def _arcs(x1, y1, x2, y2):
     ``chord`` marks three numerically collinear points (the image of a
     diameter geodesic), drawn as a line.  Otherwise the side is the circle
     through the three points, of radius r; octagon sides are always minor
-    arcs, so the large-arc flag is 0, and the sweep flag (1.0 or 0.0)
+    arcs, so the large-arc flag is 0, and the sweep flag (True for 1)
     follows the orientation of the three points.
+
+    ``_COLLINEAR_EPS`` bounds |d|, twice the area of the three points'
+    triangle in px², not their relative collinearity: a short side is a
+    chord however much it bends.  At (a, α̃) = (0.95, 0.5) sides up to
+    2.7e-3 px long, with a sagitta of up to 4.6e-4 px, are drawn as lines.
     """
     x3, y3 = np.roll(x1, -1, axis=1), np.roll(y1, -1, axis=1)
     d = 2.0 * (x1 * (y2 - y3) + x2 * (y3 - y1) + x3 * (y1 - y2))
@@ -107,36 +110,101 @@ def _arcs(x1, y1, x2, y2):
         uy = (q1 * (x3 - x2) + q2 * (x1 - x3) + q3 * (x2 - x1)) / d
     r = np.hypot(x1 - ux, y1 - uy)
     cross = (x2 - x1) * (y3 - y2) - (y2 - y1) * (x3 - x2)
-    return abs(d) < _COLLINEAR_EPS, r, (cross > 0.0).astype(float)
+    return abs(d) < _COLLINEAR_EPS, r, cross > 0.0
 
 
-def _path_template(chords: Sequence[bool]) -> tuple[str, list[int]]:
-    """Path template of a cell whose sides ``chords`` are lines, and the
-    columns of its row (x0, y0, then r, r, sweep, x, y per side) that fill it."""
-    commands, columns = [], [0, 1]
-    for k, chord in enumerate(chords):
-        first = 2 + 5 * k
-        commands.append(_LINE if chord else _ARC)
-        columns += range(first + 3 if chord else first, first + 5)
-    return _PATH % " ".join(commands), columns
+def _digit_table(keep: int) -> np.ndarray:
+    """The 4 ASCII digits of each of 0..9999 as one uint32, with the leading
+    zeros before the last ``keep`` digits as 0 bytes."""
+    d = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    digits = np.stack(np.meshgrid(d, d, d, d, indexing="ij"), axis=-1).reshape(10000, 4)
+    place = 10 ** np.arange(3, -1, -1)
+    digits[(np.arange(10000)[:, None] < place) & (place >= 10**keep)] = 0
+    return digits.view(np.uint32).ravel()
 
 
-def _paths(vertices, midpoints):
-    """The <path> line of each cell: row i of the (N, k) complex arrays holds
-    cell i's vertices and side midpoints."""
+_FRACTION = _digit_table(4)  # 42 -> "0042"
+_INTEGER = _digit_table(1)  # 42 -> "  42", with 0 bytes for the blanks
+_FIELD = 10  # sign, four integer digits, '.', four decimals
+
+
+def _fixed4(values) -> np.ndarray:
+    """The bytes of ``"%.4f" % x`` for each float64 x, as a uint8 array of
+    shape values.shape + (width,), left to right with 0 bytes as padding.
+
+    t = |x| 1e4 is rounded once, and rounding is monotonic, so t lies on the
+    same side of each half-way tie k + 0.5 (a double) as the exact product,
+    or on the tie itself; off the ties rint(t) is thus %.4f's correctly
+    rounded value.  Values whose t is a tie, non-finite values and integer
+    parts of 1e4 or more are formatted by Python, and widen every field to
+    the longest of their strings.
+    """
+    values = np.asarray(values, dtype=float)
+    a = np.abs(values)
+    small = a < 1e4  # False for inf and NaN
+    t = np.where(small, a, 0.0) * 1e4
+    n = np.rint(t)
+    slow = ~small | (n >= 1e8) | (t - np.floor(t) == 0.5)
+    texts = ["%.4f" % x for x in values[slow].tolist()]
+    width = max(map(len, texts), default=0)
+    out = np.zeros(values.shape + (max(width, _FIELD),), np.uint8)
+    out[..., 0] = np.where(np.signbit(values), ord("-"), 0)
+    whole, frac = np.divmod(np.where(slow, 0, n).astype(np.int64), 10000)
+    out[..., 1:5] = _INTEGER.take(whole)[..., None].view(np.uint8)
+    out[..., 5] = ord(".")
+    out[..., 6:10] = _FRACTION.take(frac)[..., None].view(np.uint8)
+    if texts:
+        out[slow] = 0
+        out[slow, :width] = np.frombuffer(
+            "".join(s.ljust(width, "\0") for s in texts).encode("ascii"), np.uint8
+        ).reshape(len(texts), width)
+    return out
+
+
+def _bytes(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode("ascii"), np.uint8)
+
+
+# the bytes of each cell's path line around its numbers: M x0 y0, then per
+# side "A r r 0 0 sweep x y" with the end vertex x, y
+_HEAD = _bytes('<path d="M ')
+_TAIL = _bytes(' Z" fill="none" stroke="#000000" stroke-width="0.5"/>\n')
+
+
+def _paths(vertices, midpoints) -> str:
+    """The <path> lines of the cells, each ending in a newline: row i of the
+    (N, k) complex arrays holds cell i's vertices and side midpoints.
+
+    Every line is laid out in one (N, bytes) uint8 array, with the numbers
+    formatted by ``_fixed4``; a chord side's "A" becomes "L" and its radii
+    and flags are zeroed, and the 0 bytes are dropped before one decode.
+    """
     x, y = _pix(vertices)
     chord, r, sweep = _arcs(x, y, *_pix(midpoints))
-    n, k = x.shape
-    # row i: the start x0, y0, then r, r, sweep and the end x, y of each side
-    sides = np.stack([r, r, sweep, np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)], axis=-1)
-    rows = np.concatenate([x[:, :1], y[:, :1], sides.reshape(n, 5 * k)], axis=1)
-    arcs_only, _ = _path_template([False] * k)
-    for row, chords, any_chord in zip(rows, chord, chord.any(axis=1).tolist()):
-        if any_chord:
-            template, columns = _path_template(chords.tolist())
-            yield template % tuple(row[columns].tolist())
-        else:
-            yield arcs_only % tuple(row.tolist())
+    # a chord's radius (inf, NaN or huge) is never printed: masked, it cannot
+    # send its field to Python's %.4f and widen the block
+    fx, fy, fr = _fixed4(np.stack([x, y, np.where(chord, 0.0, r)]))
+    n, k, w = fx.shape
+    # one side: " A " r " " r " 0 0 " sweep " " x " " y
+    cols = np.cumsum([0, 3, w, 1, w, 5, 1, 1, w, 1, w])
+    sides = np.empty((n, k, cols[-1]), np.uint8)
+    sides[..., 0:3] = _bytes(" A ")
+    sides[..., cols[1]:cols[2]] = fr
+    sides[..., cols[2]] = ord(" ")
+    sides[..., cols[3]:cols[4]] = fr
+    sides[..., cols[4]:cols[5]] = _bytes(" 0 0 ")
+    sides[..., cols[5]] = ord("0") + sweep
+    sides[..., cols[6]] = ord(" ")
+    sides[..., cols[7]:cols[8]] = np.roll(fx, -1, axis=1)
+    sides[..., cols[8]] = ord(" ")
+    sides[..., cols[9]:cols[10]] = np.roll(fy, -1, axis=1)
+    sides[chord, 1] = ord("L")
+    sides[chord, cols[1]:cols[7]] = 0
+    lines = np.concatenate([
+        np.broadcast_to(_HEAD, (n, _HEAD.size)), fx[:, 0], np.full((n, 1), ord(" "), np.uint8),
+        fy[:, 0], sides.reshape(n, -1), np.broadcast_to(_TAIL, (n, _TAIL.size)),
+    ], axis=1)
+    return lines[lines != 0].tobytes().decode("ascii")
 
 
 def svg_text(vertices, midpoints) -> str:
@@ -144,18 +212,18 @@ def svg_text(vertices, midpoints) -> str:
     holds cell i's vertices and side midpoints."""
     vertices, midpoints = np.asarray(vertices), np.asarray(midpoints)
     half = SVG_SIZE / 2.0
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
+    head = (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
-        f'height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
+        f'height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">\n'
         f'<circle cx="{half}" cy="{half}" r="{SVG_SCALE}" '
-        'fill="none" stroke="#999999" stroke-width="1"/>',
-    ]
-    for start in range(0, len(vertices), _BLOCK):
-        block = slice(start, start + _BLOCK)
-        lines.extend(_paths(vertices[block], midpoints[block]))
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+        'fill="none" stroke="#999999" stroke-width="1"/>\n'
+    )
+    paths = (
+        _paths(vertices[start:start + _BLOCK], midpoints[start:start + _BLOCK])
+        for start in range(0, len(vertices), _BLOCK)
+    )
+    return head + "".join(paths) + "</svg>\n"
 
 
 def _write(path: str | None, text: str) -> None:

@@ -4,9 +4,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from teich2 import serialization
 from teich2.group import BALL_SIZES, ball, cells, generators
-from teich2.octagon import OctagonParams, build_geometry
+from teich2.octagon import OctagonParams, build_geometry, domain_grid
 from teich2.serialization import (
     SCHEMA,
     csv_text,
@@ -42,6 +45,12 @@ class TestCSV:
     def test_mixed_cell_types(self):
         text = csv_text(["w", "n", "x"], [["ab", 3, 0.5]])
         assert text.splitlines()[1] == "ab,3,0.5"
+
+    def test_cell_forms(self):
+        # numpy floats as their float, everything else as str, csv quoting kept
+        row = [np.float64(0.1), np.float32(0.5), None, True, 'a,"b"', 1e-300, -0.0]
+        text = csv_text(["c"] * len(row), [row])
+        assert text.splitlines()[1] == '0.10000000000000001,0.5,None,True,"a,""b""",1e-300,-0'
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "out.csv"
@@ -128,3 +137,143 @@ class TestSVG:
         tiles = cells(ball(generators(self.params), 1), self.geom)
         text = svg_text(tiles.vertices, tiles.midpoints)
         assert svg_text(tiles.vertices, tiles.midpoints) == text
+
+
+def fixed4(x: float) -> bytes:
+    """The formatter's bytes for one value, padding dropped."""
+    field = serialization._fixed4(np.array([x]))[0]
+    return field[field != 0].tobytes()
+
+
+# half-way ties of %.4f and their float neighbours
+TIES = [k / 32 for k in range(-40, 41)] + [12.34565, 0.00005, 999.99995]
+NEAR_TIES = [np.nextafter(x, d) for x in TIES for d in (-math.inf, math.inf)]
+
+
+class TestFixed4:
+    @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    @example(0.03125)
+    @example(-0.03125)
+    @example(0.0)
+    @example(-0.0)
+    @example(-0.00004)
+    @example(-1e-300)
+    @example(5e-324)
+    @example(-2.2250738585072014e-308)
+    @example(9999.99995)
+    @example(9999.99994)
+    @example(9999.99996)
+    @example(-9999.99999)
+    @example(1e4)
+    @example(123456.78905)
+    @example(1e300)
+    @example(1.7976931348623157e308)
+    @example(math.nan)
+    @example(math.inf)
+    @example(-math.inf)
+    def test_matches_python(self, x):
+        assert fixed4(x) == ("%.4f" % x).encode()
+
+    def test_ties_and_their_neighbours(self):
+        values = TIES + NEAR_TIES
+        assert [fixed4(x) for x in values] == [("%.4f" % x).encode() for x in values]
+
+    def test_one_array_of_mixed_values(self):
+        # Python's strings widen every field of the array, and each value
+        # keeps its own bytes
+        rng = np.random.default_rng(3)
+        values = np.concatenate([
+            rng.uniform(-1e4, 1e4, 20000), rng.uniform(0.0, 1000.0, 20000),
+            (rng.integers(0, 2 * 10**8, 20000) + 0.5) * 1e-4, TIES, NEAR_TIES,
+            [-0.0, 1e300, -math.inf, math.nan, 5e-324, 9999.99995],
+        ]).reshape(2, -1)
+        fields = serialization._fixed4(values)
+        assert fields.shape == values.shape + (len("%.4f" % 1e300),)
+        got = [f[f != 0].tobytes().decode() for f in fields.reshape(-1, fields.shape[-1])]
+        assert got == ["%.4f" % x for x in values.ravel().tolist()]
+
+
+# the per-cell writer the path kernel replaced, kept as its byte oracle:
+# one %-template per cell, with its side commands chosen per row
+_PATH = '<path d="M %%.4f %%.4f %s Z" fill="none" stroke="#000000" stroke-width="0.5"/>'
+_ARC = "A %.4f %.4f 0 0 %d %.4f %.4f"
+_LINE = "L %.4f %.4f"
+
+
+def _path_template(chords):
+    """Path template of a cell whose sides ``chords`` are lines, and the
+    columns of its row (x0, y0, then r, r, sweep, x, y per side) that fill it."""
+    commands, columns = [], [0, 1]
+    for k, chord in enumerate(chords):
+        first = 2 + 5 * k
+        commands.append(_LINE if chord else _ARC)
+        columns += range(first + 3 if chord else first, first + 5)
+    return _PATH % " ".join(commands), columns
+
+
+def reference_svg_text(vertices, midpoints):
+    vertices, midpoints = np.asarray(vertices), np.asarray(midpoints)
+    x, y = serialization._pix(vertices)
+    chord, r, sweep = serialization._arcs(x, y, *serialization._pix(midpoints))
+    n, k = x.shape
+    sides = np.stack([r, r, sweep, np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)], axis=-1)
+    rows = np.concatenate([x[:, :1], y[:, :1], sides.reshape(n, 5 * k)], axis=1)
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<svg xmlns="http://www.w3.org/2000/svg" width="1000" height="1000" viewBox="0 0 1000 1000">',
+        '<circle cx="500.0" cy="500.0" r="495.0" fill="none" stroke="#999999" stroke-width="1"/>',
+    ]
+    for row, chords in zip(rows, chord):
+        template, columns = _path_template(chords.tolist())
+        lines.append(template % tuple(row[columns].tolist()))
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def assert_same_svg(vertices, midpoints):
+    # names the first differing line, without diffing megabytes of text
+    got = svg_text(vertices, midpoints).splitlines()
+    want = reference_svg_text(vertices, midpoints).splitlines()
+    diff = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
+    assert diff is None, f"line {diff}: {got[diff]!r} != {want[diff]!r}"
+    assert len(got) == len(want)
+    return "\n".join(got) + "\n"
+
+
+def tiling_arrays(a, alpha_tilde, radius=4):
+    params = OctagonParams(a, alpha_tilde)
+    tiles = cells(ball(generators(params), radius), build_geometry(params))
+    return tiles.vertices, tiles.midpoints
+
+
+class TestSVGAgainstTemplates:
+    @pytest.mark.parametrize(
+        "a, alpha_tilde",
+        [(p.a, p.alpha_tilde) for p in domain_grid(3, 3, 0.02)] + [(2.0**-0.25, 0.0)],
+    )
+    def test_radius_four_over_the_domain(self, a, alpha_tilde):
+        assert_same_svg(*tiling_arrays(a, alpha_tilde))
+
+    @pytest.mark.parametrize("a, alpha_tilde", [(0.95, 0.5), (0.99, -0.7)])
+    def test_chord_heavy_tilings(self, a, alpha_tilde):
+        # thousands of cells mix lines and arcs, and whole cells are lines
+        text = assert_same_svg(*tiling_arrays(a, alpha_tilde))
+        assert text.count(" L ") > 5000
+        assert len(re.findall(r'd="M [^A"]* Z"', text)) > 100
+
+    def test_diameter_and_mixed_cells(self):
+        geom = build_geometry(OctagonParams(0.8, math.pi / 12))
+        vertices = np.array([geom.vertices, geom.vertices])
+        midpoints = np.array([geom.midpoints, geom.midpoints])
+        midpoints[1, 3] = 0.5 * (vertices[1, 3] + vertices[1, 4])
+        assert " L " in assert_same_svg(vertices, midpoints)
+        assert_same_svg(np.array([[-0.5 + 0j, 0.5 + 0j]]), np.array([[0j, 0j]]))
+
+    def test_no_cells(self):
+        empty = np.empty((0, 8), complex)
+        assert "<path" not in assert_same_svg(empty, empty)
+
+    def test_blocks_join_seamlessly(self, monkeypatch):
+        vertices, midpoints = tiling_arrays(0.95, 0.5, radius=3)
+        monkeypatch.setattr(serialization, "_BLOCK", 100)
+        assert_same_svg(vertices, midpoints)
