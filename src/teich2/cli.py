@@ -22,7 +22,6 @@ import argparse
 import math
 import sys
 from dataclasses import asdict
-from itertools import chain
 from typing import Any, Sequence
 
 import numpy as np
@@ -139,27 +138,29 @@ def _params_from_args(args: argparse.Namespace) -> OctagonParams:
     return validate_params(args.a, args.alpha_tilde, args.margin)
 
 
-def _flatten(value: Any, prefix: str, rows: list[tuple[str, Any]]) -> None:
+def _flatten(value: Any, prefix: str, keys: list[str], values: list[Any]) -> None:
     if isinstance(value, dict):
         for key, item in value.items():
-            _flatten(item, f"{prefix}.{key}" if prefix else str(key), rows)
+            _flatten(item, f"{prefix}.{key}" if prefix else str(key), keys, values)
     elif isinstance(value, (list, tuple)):
         for k, item in enumerate(value):
-            _flatten(item, f"{prefix}[{k}]", rows)
+            _flatten(item, f"{prefix}[{k}]", keys, values)
     elif isinstance(value, complex):
-        rows.append((f"{prefix}.re", value.real))
-        rows.append((f"{prefix}.im", value.imag))
+        keys += (f"{prefix}.re", f"{prefix}.im")
+        values += (value.real, value.imag)
     else:
-        rows.append((prefix, value))
+        keys.append(prefix)
+        values.append(value)
 
 
 def _emit_payload(args: argparse.Namespace, payload: dict[str, Any]) -> None:
     if args.format == "json":
         emit_json(args.output, payload)
     else:
-        rows: list[tuple[str, Any]] = []
-        _flatten(payload, "", rows)
-        emit_csv(args.output, ("key", "value"), rows)
+        keys: list[str] = []
+        values: list[Any] = []
+        _flatten(payload, "", keys, values)
+        emit_csv(args.output, ("key", "value"), (keys, values))
 
 
 def _octagon_payload(params: OctagonParams) -> dict[str, Any]:
@@ -285,16 +286,17 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
         if found is not None:  # as OrbitSample.params, for the first such sample
             k, exc = found
             raise iso._rounded_out(float(phi[k]), exc)
-        p_check = perimeter_ab(a, b_of(a, at))
-        tables.append(list(zip(phi.tolist(), a.tolist(), at.tolist(), p_check.tolist())))
+        tables.append((phi, a, at, perimeter_ab(a, b_of(a, at))))
     if args.format == "json":
         keys = ("phi", "a", "alpha_tilde", "p_check")
         emit_json(args.output, {"orbits": [
-            {"p_target": p_target, "e": e, "samples": [dict(zip(keys, row)) for row in rows]}
-            for (p_target, e, *_), rows in zip(orbits, tables)
+            {"p_target": p_target, "e": e,
+             "samples": [dict(zip(keys, row)) for row in zip(*(c.tolist() for c in table))]}
+            for (p_target, e, *_), table in zip(orbits, tables)
         ]})
         return 0
-    emit_csv(args.output, ("phi", "a", "alpha_tilde", "P_check"), chain.from_iterable(tables))
+    emit_csv(args.output, ("phi", "a", "alpha_tilde", "P_check"),
+             [np.concatenate(column) for column in zip(*tables)])
     return 0
 
 
@@ -311,7 +313,7 @@ def _cmd_area(args: argparse.Namespace) -> int:
             ],
         })
         return 0
-    emit_csv(args.output, ("P", "area"), list(zip(fit.p_values, fit.areas)))
+    emit_csv(args.output, ("P", "area"), (fit.p_values, fit.areas))
     print(
         f"fit: c1={fit.c1:.6g} c2={fit.c2:.6g} residual={fit.residual_norm:.3g}",
         file=sys.stderr,
@@ -338,17 +340,14 @@ def _cmd_tiling(args: argparse.Namespace) -> int:
             ],
         })
     else:
-        rows = zip(b.shortlex, b.u.real.tolist(), b.u.imag.tolist(),
-                   b.v.real.tolist(), b.v.imag.tolist())
-        emit_csv(args.output, ("word", "u_re", "u_im", "v_re", "v_im"), rows)
+        emit_csv(args.output, ("word", "u_re", "u_im", "v_re", "v_im"),
+                 (b.shortlex, b.u.real, b.u.imag, b.v.real, b.v.imag))
     if args.vertices is not None:
-        vrows = (
-            (word, k, x, y)
-            for word, xs, ys in zip(tiles.words, tiles.vertices.real.tolist(),
-                                    tiles.vertices.imag.tolist())
-            for k, (x, y) in enumerate(zip(xs, ys))
-        )
-        emit_csv(args.vertices, ("word", "k", "x", "y"), vrows)
+        n, k = tiles.vertices.shape
+        emit_csv(args.vertices, ("word", "k", "x", "y"), (
+            [word for word in tiles.words for _ in range(k)], list(range(k)) * n,
+            tiles.vertices.real.ravel(), tiles.vertices.imag.ravel(),
+        ))
     return 0
 
 

@@ -250,10 +250,15 @@ class GroupBall:
                      for w, u, v in zip(self.shortlex, self.u.tolist(), self.v.tolist()))
 
 
+# row j, column i of _times: zeta^j b has b[(i - j) % 4] at zeta^i, negated
+# where it wrapped past zeta^4 = -1 (i < j)
+_SHIFT = (np.arange(4) - np.arange(4)[:, None]) % 4
+_WRAP = np.where(np.arange(4) < np.arange(4)[:, None], -1, 1)
+
+
 def _times(b: np.ndarray) -> np.ndarray:
     """Matrix of x -> x b on rows (c0..c3) of c0 + c1 zeta + c2 zeta^2 + c3 zeta^3."""
-    # row j is zeta^j b: b shifted up j places, the wrapped ones negated (zeta^4 = -1)
-    return np.array([np.roll(b, j) * np.where(np.arange(4) < j, -1, 1) for j in range(4)])
+    return b[_SHIFT] * _WRAP
 
 
 def _letter_maps() -> list[np.ndarray]:

@@ -1,8 +1,12 @@
 """CSV, JSON and SVG emitters with fixed, byte-reproducible formatting.
 
-CSV writes floats as %.17g: 17 significant digits, enough to round-trip a
-double, with trailing zeros stripped (0.5, not 0.50000000000000000).  It
-uses a '.' decimal separator, a header row, and LF line endings.  JSON
+CSV writes floats as %.17g (``format_float``): 17 significant digits,
+enough to round-trip a double, with trailing zeros stripped (0.5, not
+0.50000000000000000).  It uses a '.' decimal separator, a header row, LF
+line endings and csv.writer's minimal quoting.  Tables are given as
+columns; a float64 array column is formatted in integer arithmetic, exact
+digit for digit (``_g17``), and each block of rows is written as one uint8
+array, while a table of Python cells is joined as text.  JSON
 documents carry a top level ``"schema": "teich2/v1"`` marker and serialize
 floats with Python's shortest round-tripping repr, so parsing reproduces
 the doubles bit-exactly.  SVG maps the unit disk to a 1000 x 1000 viewport
@@ -16,8 +20,6 @@ half-way ties, non-finite, or 1e4 and above) go through Python's %.4f.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import sys
 from typing import Any, Iterable, Sequence
@@ -46,6 +48,10 @@ _COLLINEAR_EPS = 1e-6
 # cells per pass of the path kernel, whose byte arrays grow with the block:
 # a radius-4 tiling SVG peaks at 36 MB RSS with 512-cell blocks, 41 MB with 4096
 _BLOCK = 512
+# rows per pass of the CSV writer: _g17's arrays take a few hundred bytes per
+# value, so a block of the four-float ball dump stays within a few MB
+_ROWS = 4096
+_COMMA, _NEWLINE = np.uint8(ord(",")), np.uint8(ord("\n"))
 
 
 def format_float(x: float) -> str:
@@ -53,17 +59,65 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
-    """CSV text: floats (numpy's too) in format_float's form, inlined because
-    a call per cell cost a quarter to a third of the writer's time; other
-    cells as str."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(header))
-    writer.writerows(
-        [f"{float(x):.17g}" if isinstance(x, float) else str(x) for x in row] for row in rows
-    )
-    return buf.getvalue()
+def _quoted(cell: str, alone: bool) -> str:
+    if "," in cell or '"' in cell or "\n" in cell or (alone and not cell):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _cells(column: Iterable[Any], alone: bool) -> list[str]:
+    """The CSV text of each cell of a column of Python objects: floats (numpy's
+    too) as ``format_float``, anything else as ``str``, quoted as csv.writer's
+    QUOTE_MINIMAL does with a "\\n" line terminator: a cell holding ',', '"'
+    or "\\n", or the empty cell when it is ``alone`` in its row."""
+    cells = [format_float(x) if isinstance(x, float) else str(x) for x in column]
+    joined = "".join(cells)
+    if "\0" in joined:  # 0 bytes are the padding of the byte route
+        raise ValueError("a CSV cell holds a NUL character")
+    if "," in joined or '"' in joined or "\n" in joined or (alone and "" in cells):
+        cells = [_quoted(c, alone) for c in cells]
+    return cells
+
+
+def csv_text(header: Sequence[str], columns: Sequence[Any]) -> str:
+    """CSV text of a table given as columns of equal length, one per header name.
+
+    A float64 ndarray column is formatted by ``_g17``; any other column cell
+    by cell (``_cells``).  A table without such an array is joined as text.
+    Otherwise each block of _ROWS rows is laid out as one uint8 array and
+    decoded once, as ``_paths`` does with its path lines.
+    """
+    header, columns = list(header), list(columns)
+    rows = len(columns[0]) if columns else 0
+    if len(columns) != len(header) or any(len(c) != rows for c in columns):
+        raise ValueError(
+            f"a CSV table needs one column per header name, all of one length: "
+            f"{len(header)} names, column lengths {[len(c) for c in columns]}"
+        )
+    alone = len(columns) == 1
+    text = [",".join(_cells(header, alone)) + "\n"]
+    columns = [
+        c if isinstance(c, np.ndarray) and c.dtype == np.float64 else _cells(c, alone)
+        for c in columns
+    ]
+    floats = [c for c in columns if isinstance(c, np.ndarray)]
+    if not floats:
+        text.extend(line + "\n" for line in map(",".join, zip(*columns)))
+        return "".join(text)
+    for start in range(0, rows, _ROWS):
+        n = min(_ROWS, rows - start)
+        numbers = iter(_g17(np.stack([c[start:start + n] for c in floats])))
+        pieces = []  # (bytes, n): a row per byte place
+        for column in columns:
+            if isinstance(column, np.ndarray):
+                field = next(numbers)
+            else:
+                field = _padded(column[start:start + n])
+            pieces += (field.T, np.broadcast_to(_COMMA, (1, n)))
+        pieces[-1] = np.broadcast_to(_NEWLINE, (1, n))
+        lines = np.concatenate(pieces).T
+        text.append(lines[lines != 0].tobytes().decode())
+    return "".join(text)
 
 
 def _json_default(x: Any) -> Any:
@@ -145,20 +199,125 @@ def _fixed4(values) -> np.ndarray:
     t = np.where(small, a, 0.0) * 1e4
     n = np.rint(t)
     slow = ~small | (n >= 1e8) | (t - np.floor(t) == 0.5)
-    texts = ["%.4f" % x for x in values[slow].tolist()]
-    width = max(map(len, texts), default=0)
-    out = np.zeros(values.shape + (max(width, _FIELD),), np.uint8)
+    texts = _padded(["%.4f" % x for x in values[slow].tolist()])
+    out = np.zeros(values.shape + (max(texts.shape[1], _FIELD),), np.uint8)
     out[..., 0] = np.where(np.signbit(values), ord("-"), 0)
     whole, frac = np.divmod(np.where(slow, 0, n).astype(np.int64), 10000)
     out[..., 1:5] = _INTEGER.take(whole)[..., None].view(np.uint8)
     out[..., 5] = ord(".")
     out[..., 6:10] = _FRACTION.take(frac)[..., None].view(np.uint8)
-    if texts:
+    if len(texts):
         out[slow] = 0
-        out[slow, :width] = np.frombuffer(
-            "".join(s.ljust(width, "\0") for s in texts).encode("ascii"), np.uint8
-        ).reshape(len(texts), width)
+        out[slow, :texts.shape[1]] = texts
     return out
+
+
+def _padded(texts: Sequence[str]) -> np.ndarray:
+    """The UTF-8 bytes of each text as one row of a uint8 array, with 0 bytes
+    as padding."""
+    raw = [t.encode() for t in texts]
+    width = max(map(len, raw), default=0)
+    return np.frombuffer(
+        b"".join(r.ljust(width, b"\0") for r in raw), np.uint8
+    ).reshape(len(raw), width)
+
+
+def _split(a):
+    """High and low halves of float64 a, 26 significant bits at most each (Veltkamp)."""
+    c = 134217729.0 * a  # 2**27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+def _pow10_product(a, k):
+    """(p, e) with p = fl(a 10**k) and p + e = a 10**k exactly, for k = 0..22:
+    Dekker's two-product (Numer. Math. 18, 1971), barring overflow and
+    underflow; elementwise."""
+    p = a * _POW10[k]
+    ah, al = _split(a)
+    bh, bl = _POW10_HIGH[k], _POW10_LOW[k]
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+# 10**k for k = 0..22, each exact in float64, and its halves for _pow10_product
+_POW10 = 10.0 ** np.arange(23)
+_POW10_HIGH, _POW10_LOW = _split(_POW10)
+_G17_WIDTH = 24  # '-', then "0.000" and 17 digits, or Python's longest %.17g
+_G17_PLACES = np.arange(25, dtype=np.uint8)[:, None]
+
+
+def _g17(values) -> np.ndarray:
+    """The bytes of ``"%.17g" % x`` for each float64 x, as a uint8 array of
+    shape values.shape + (24,), left to right with 0 bytes as padding.
+
+    %.17g writes the 17 significant digits D = round-half-even(|x| 10**(16 -
+    E)) in fixed form for the decimal exponents E = -4..16, and those are
+    computed exactly, as integers (the route of Ryu printf, Adams, PLDI
+    2019): 10**(16 - E) is a double, Dekker's product gives p + e =
+    |x| 10**(16 - E) exactly, and p >= 1e16 > 2**53 is an even integer, so
+    D = p + rint(e), with rint's half-even ties.  The text is the 21 digits
+    of V = D 10**(4 - Z), Z = max(-E, 0), which are Z zeros, D and 4 - Z
+    zeros, from the 4-digit groups of _FRACTION, with a '.' after the first
+    max(E, 0) + 1 of them; trailing zeros of the fraction, and a '.' left
+    without one, are masked off.  The bytes are chosen by arithmetic on
+    (place, value) arrays, as numpy's ``where`` on uint8 is many times
+    slower.  Zeros, the exponent form, NaN and infinities are formatted by
+    ``format_float``.
+    """
+    values = np.asarray(values, dtype=float)
+    flat = values.ravel()
+    n = len(flat)
+    a = np.abs(flat)
+    # E = -4..16 exactly: the double 1e-4 lies above 10**-4, 1e17 is exact
+    fast = (a >= 1e-4) & (a < 1e17)  # False for NaN
+    a[~fast] = 1.0
+    # log10 can be one off next to a power of ten: the exact product
+    # a 10**(16 - E) must lie in [1e16, 1e17)
+    e = np.clip(np.floor(np.log10(a)), -5, 16).astype(np.intp)
+    p, err = _pow10_product(a, 16 - e)
+    low = (p < 1e16) | ((p == 1e16) & (err < 0))
+    high = (p > 1e17) | ((p == 1e17) & (err >= 0))
+    off = low | high
+    if off.any():
+        e += high.astype(np.intp) - low
+        p[off], err[off] = _pow10_product(a[off], 16 - e[off])
+    # D never rounds up to 10**17: no double lies within half a unit of D
+    # below 10**(E + 1) (checked in the tests), so E stays
+    d = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    # V = D 10**(4 - Z) = top 10**8 + rest, with top < 10**13
+    scale = 10 ** (4 - np.maximum(-e, 0))
+    top = d // 10**8
+    rest = (d - top * 10**8) * scale
+    top = top * scale + rest // 10**8
+    groups = np.empty((6, n), np.intp)  # V's 4-digit groups, the first below 10
+    for k, place in enumerate((10**12, 10**8, 10**4)):
+        groups[k] = top // place
+        top -= groups[k] * place
+    groups[3] = top
+    rest %= 10**8
+    groups[4] = rest // 10**4
+    groups[5] = rest - groups[4] * 10**4
+    # place i of "000" and V's 21 digits, then a 0 byte
+    digits = np.zeros((25, n), np.uint8)
+    by_place = _FRACTION.take(groups).view(np.uint8).reshape(6, n, 4).transpose(0, 2, 1)
+    digits[:24].reshape(6, 4, n)[...] = by_place
+    # body place j holds V[j] up to j = point, '.', then V[j - 1]
+    point = np.maximum(e, 0).astype(np.uint8)
+    body = digits[2:24] + (_G17_PLACES[:22] <= point) * (digits[3:25] - digits[2:24])
+    body += (_G17_PLACES[:22] == point + 1) * (np.uint8(ord(".")) - body)
+    # the text ends at V's last nonzero digit, at body place last - 1, or
+    # before the '.' if that digit is not in the fraction
+    last = np.max((digits[:24] != ord("0")) * _G17_PLACES[:24], axis=0)
+    fraction = last > point + 3
+    length = fast * (point + 1 + fraction * (last - 2 - point))  # 0 where Python writes
+    out = np.zeros((_G17_WIDTH, n), np.uint8)
+    out[0] = np.signbit(flat) * fast * np.uint8(ord("-"))
+    out[1:23] = body * (_G17_PLACES[:22] < length)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        texts = _padded([format_float(x) for x in flat[slow].tolist()])
+        out[:texts.shape[1], slow] = texts.T
+    return out.T.reshape(values.shape + (_G17_WIDTH,))
 
 
 def _bytes(text: str) -> np.ndarray:
@@ -234,8 +393,8 @@ def _write(path: str | None, text: str) -> None:
         fh.write(text)
 
 
-def emit_csv(path: str | None, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    _write(path, csv_text(header, rows))
+def emit_csv(path: str | None, header: Sequence[str], columns: Sequence[Any]) -> None:
+    _write(path, csv_text(header, columns))
 
 
 def emit_json(path: str | None, payload: dict[str, Any]) -> None:

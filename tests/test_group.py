@@ -13,6 +13,7 @@ from teich2.group import (
     BALL_SIZES,
     _ball_words,
     _letter_maps,
+    _times,
     ball,
     cells,
     generators,
@@ -333,6 +334,18 @@ class TestExactWords:
         for letter in "aBcDAbCd":  # g0 g1^-1 g2 g3^-1 g0^-1 g1 g2^-1 g3
             row = row @ maps["aAbBcCdD".index(letter)]
         assert row.tolist() == [1, 0, 0, 0, 0, 0, 0, 0]
+
+    def test_times_is_the_product_in_z_zeta(self):
+        # x @ _times(b) against x b in Z[zeta]/(zeta^4 + 1), by polynomial
+        # multiplication with zeta^(4 + m) = -zeta^m
+        rng = np.random.default_rng(11)
+        for x, b in rng.integers(-50, 51, (200, 2, 4)):
+            product = [0] * 4
+            for i in range(4):
+                for j in range(4):
+                    sign = 1 if i + j < 4 else -1
+                    product[(i + j) % 4] += sign * int(x[i]) * int(b[j])
+            assert (x @ _times(b)).tolist() == product
 
     @pytest.mark.parametrize("n", range(len(BALL_SIZES)))
     def test_word_counts_match_ball_sizes(self, n):

@@ -1,6 +1,9 @@
+import csv
+import io
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,31 +38,47 @@ class TestFloatFormat:
 
 class TestCSV:
     def test_header_only_for_empty(self):
-        assert csv_text(["a", "b"], []) == "a,b\n"
+        assert csv_text(["a", "b"], [[], []]) == "a,b\n"
 
     def test_lf_endings_and_digits(self):
         text = csv_text(["x"], [[1.0 / 3.0]])
         assert "\r" not in text
         assert text == "x\n0.33333333333333331\n"
+        assert csv_text(["x"], [np.array([1.0 / 3.0])]) == text
 
     def test_mixed_cell_types(self):
-        text = csv_text(["w", "n", "x"], [["ab", 3, 0.5]])
+        text = csv_text(["w", "n", "x"], [["ab"], [3], [0.5]])
         assert text.splitlines()[1] == "ab,3,0.5"
 
     def test_cell_forms(self):
         # numpy floats as their float, everything else as str, csv quoting kept
         row = [np.float64(0.1), np.float32(0.5), None, True, 'a,"b"', 1e-300, -0.0]
-        text = csv_text(["c"] * len(row), [row])
+        text = csv_text(["c"] * len(row), [[cell] for cell in row])
         assert text.splitlines()[1] == '0.10000000000000001,0.5,None,True,"a,""b""",1e-300,-0'
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "out.csv"
-        emit_csv(str(path), ["x", "y"], [[0.1, 0.2], [0.3, 0.4]])
+        emit_csv(str(path), ["x", "y"], [[0.1, 0.3], [0.2, 0.4]])
         raw = path.read_bytes()
         assert b"\r" not in raw
         lines = raw.decode().splitlines()
         assert lines[0] == "x,y"
         assert [float(v) for v in lines[1].split(",")] == [0.1, 0.2]
+
+    @pytest.mark.parametrize("header, columns", [
+        (["a", "b"], [[1, 2], [3]]),
+        (["a", "b"], [np.zeros(3), ["x", "y"]]),
+        (["a", "b"], [[1, 2]]),
+        (["a"], [[1], [2]]),
+    ])
+    def test_ragged_or_unnamed_columns_rejected(self, header, columns):
+        with pytest.raises(ValueError):
+            csv_text(header, columns)
+
+    def test_nul_rejected(self):
+        # 0 bytes pad the byte route, so a NUL in a cell could not be written
+        with pytest.raises(ValueError, match="NUL"):
+            csv_text(["a", "b"], [["x\0y"], np.zeros(1)])
 
 
 class TestJSON:
@@ -277,3 +296,175 @@ class TestSVGAgainstTemplates:
         vertices, midpoints = tiling_arrays(0.95, 0.5, radius=3)
         monkeypatch.setattr(serialization, "_BLOCK", 100)
         assert_same_svg(vertices, midpoints)
+
+
+def g17(x: float) -> bytes:
+    """The %.17g kernel's bytes for one value, padding dropped."""
+    field = serialization._g17(np.array([x]))[0]
+    return field[field != 0].tobytes()
+
+
+# powers of ten from 1e-6 to 1e17, their float neighbours, and the 17th
+# digit's exact half-way ties, which %.17g rounds to even
+POWERS = [10.0**k for k in range(-6, 18)]
+NEAR_POWERS = [np.nextafter(x, d) for x in POWERS for d in (-math.inf, math.inf)]
+G17_TIES = [1.00000762939453125, 100000000000000.125, 100000000000000.375,
+            1000000000000000.25, 1000000000000000.75, 10000000000000.0625]
+
+
+class TestG17:
+    @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    @example(0.0)
+    @example(-0.0)
+    @example(5e-324)
+    @example(-2.2250738585072014e-308)
+    @example(2.225073858507201e-308)
+    @example(1e-4)
+    @example(-1e-4)
+    @example(9.999999999999999e-05)
+    @example(0.00010000000000000002)
+    @example(99999999999999999.0)
+    @example(99999999999999984.0)
+    @example(9999999999999998.0)
+    @example(1e16)
+    @example(2.0**53)
+    @example(2.0**53 - 1)
+    @example(2.0**53 + 2)
+    @example(-(2.0**53) + 1)
+    @example(1e308)
+    @example(1.7976931348623157e308)
+    @example(math.nan)
+    @example(math.inf)
+    @example(-math.inf)
+    def test_matches_python(self, x):
+        assert g17(x) == ("%.17g" % x).encode()
+
+    def test_powers_of_ten_and_neighbours(self):
+        # where log10 can be one off, and where the fixed form ends
+        values = POWERS + NEAR_POWERS + [-x for x in POWERS + NEAR_POWERS]
+        assert [g17(x) for x in values] == [("%.17g" % x).encode() for x in values]
+
+    def test_ties_round_half_to_even(self):
+        for x in G17_TIES:
+            e = math.floor(math.log10(x))
+            assert (Fraction(x) * 10 ** (16 - e)).denominator == 2  # an exact tie
+        values = G17_TIES + [np.nextafter(x, d) for x in G17_TIES for d in (-math.inf, math.inf)]
+        assert [g17(x) for x in values] == [("%.17g" % x).encode() for x in values]
+        assert g17(1000000000000000.25) == b"1000000000000000.2"
+
+    def test_no_double_rounds_up_to_the_next_power_of_ten(self):
+        # the kernel has no carry: below 10**(E + 1), E = -4..16, the largest
+        # double lies more than half a unit of the 17th digit away
+        for e in range(-4, 17):
+            power = Fraction(10) ** (e + 1)
+            x = float(power)
+            if Fraction(x) >= power:
+                x = math.nextafter(x, 0.0)
+            assert round(Fraction(x) * Fraction(10) ** (16 - e)) < 10**17
+
+    def test_one_array_of_mixed_values(self):
+        rng = np.random.default_rng(17)
+        values = np.concatenate([
+            rng.standard_normal(20000) * 10.0 ** rng.integers(-8, 20, 20000),
+            rng.uniform(-1.0, 1.0, 20000),
+            np.frombuffer(rng.bytes(8 * 20000), np.float64),
+            rng.integers(-10**17, 10**17, 2000).astype(float),
+            POWERS, NEAR_POWERS, G17_TIES,
+            [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308],
+        ])
+        values = values[: len(values) // 2 * 2].reshape(2, -1)
+        fields = serialization._g17(values)
+        assert fields.shape == values.shape + (24,)
+        got = [f[f != 0].tobytes().decode() for f in fields.reshape(-1, 24)]
+        assert got == ["%.17g" % x for x in values.ravel().tolist()]
+
+    @pytest.mark.parametrize("a, alpha_tilde", [(2.0**-0.25, 0.0), (0.85, 0.03), (0.8209, -0.08)])
+    def test_python_formats_only_zeros_and_the_exponent_form(self, monkeypatch, a, alpha_tilde):
+        # on the benchmark's ball dumps, about 1% of the values (2% at the
+        # regular point) are zeros or below 1e-4
+        b = ball(generators(OctagonParams(a, alpha_tilde)), 4)
+        values = np.stack([b.u.real, b.u.imag, b.v.real, b.v.imag])
+        formatted = []
+        monkeypatch.setattr(serialization, "format_float", lambda x: formatted.append(x) or "%.17g" % x)
+        serialization._g17(values)
+        small = (np.abs(values) < 1e-4).sum()
+        assert len(formatted) == small
+        assert small / values.size < 0.025
+
+
+def reference_csv_text(header, rows):
+    """The row-wise writer csv_text replaced, kept as its byte oracle: cells
+    formatted one at a time and written by the csv module."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(list(header))
+    writer.writerows(
+        [f"{float(x):.17g}" if isinstance(x, float) else str(x) for x in row] for row in rows
+    )
+    return buf.getvalue()
+
+
+def assert_same_csv(header, columns):
+    text = csv_text(header, columns)
+    assert text == reference_csv_text(header, zip(*columns))
+    return text
+
+
+# Python cells of every kind csv_text meets, NUL and lone surrogates aside
+CELL_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"))
+PYTHON_CELLS = st.one_of(
+    st.floats(), st.integers(), st.booleans(), st.none(), CELL_TEXT,
+    st.sampled_from([",", '"', "\r", "\n", "a,b", 'say "hi"', "", "x\r\ny"]),
+    st.floats(width=32).map(np.float32), st.floats().map(np.float64),
+)
+
+
+@st.composite
+def tables(draw):
+    rows = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.booleans(), max_size=4))
+    header = draw(st.lists(CELL_TEXT, min_size=len(kinds), max_size=len(kinds)))
+    columns = [
+        np.array(draw(st.lists(st.floats(), min_size=rows, max_size=rows)), dtype=float)
+        if array else draw(st.lists(PYTHON_CELLS, min_size=rows, max_size=rows))
+        for array in kinds
+    ]
+    return header, columns
+
+
+class TestCSVAgainstReference:
+    @given(tables())
+    def test_random_tables(self, table):
+        assert_same_csv(*table)
+
+    @pytest.mark.parametrize("cell", [",", '"', "\r", "\n", "a,b", 'a"b', "a\r\nb", "", " x "])
+    def test_quoting(self, cell):
+        assert_same_csv([cell, "x"], [[cell, "y", cell], np.array([0.5, -1.0, 1e-5])])
+        assert_same_csv([cell], [[cell, "y", cell]])
+
+    def test_one_empty_cell_alone_in_its_row(self):
+        assert assert_same_csv(["w"], [["", "a", ""]]) == 'w\n""\na\n""\n'
+        assert assert_same_csv([""], [["a"]]) == '""\na\n'
+        assert_same_csv(["w", "x"], [["", "a"], np.array([1.0, 2.0])])
+
+    def test_cell_kinds(self):
+        cells = [None, True, False, 3, -7, np.int64(5), np.float32(0.1), np.float64(0.1),
+                 -0.0, 0.0, 1e-300, math.inf, math.nan, "text"]
+        assert_same_csv(["cell", "x"], [cells, np.linspace(-1.0, 1.0, len(cells))])
+        assert_same_csv(["cell"], [cells])
+
+    def test_empty_tables(self):
+        assert assert_same_csv([], []) == "\n"
+        assert_same_csv(["a", "b"], [[], np.empty(0)])
+
+    @pytest.mark.parametrize("a, alpha_tilde", [(2.0**-0.25, 0.0), (0.95, 0.5)])
+    def test_ball_dump(self, a, alpha_tilde):
+        b = ball(generators(OctagonParams(a, alpha_tilde)), 4)
+        columns = (b.shortlex, b.u.real, b.u.imag, b.v.real, b.v.imag)
+        text = assert_same_csv(("word", "u_re", "u_im", "v_re", "v_im"), columns)
+        assert text.count("\n") == 3194
+
+    def test_blocks_join_seamlessly(self, monkeypatch):
+        b = ball(generators(OctagonParams(0.95, 0.5)), 3)
+        monkeypatch.setattr(serialization, "_ROWS", 100)
+        assert_same_csv(("word", "u_re", "v_im"), (b.shortlex, b.u.real, b.v.imag))
