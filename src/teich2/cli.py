@@ -6,14 +6,14 @@ closed-form coefficient; its ``wp.fd_*`` keys keep their teich2/v1 names.
 
 Exit codes: 0 success, 1 I/O errors, 2 argument errors (also a tiling radius
 outside 0..6, a ball element that float64 cannot represent at the given
-point, a NaN or infinite float flag, or a negative tolerance), 3 domain errors
-(octagon parameters outside the admissible region or within ``--margin`` of
-its boundary, or an orbit or area perimeter below the regular value P_reg),
-4 validation failure, 5 numerical errors (a quadrature that does not converge
-or overflows, an overflow or cancellation, a product of SU(1,1) maps that
-rounding broke, or an orbit point that rounds out of the domain).  With
-``--format json`` domain errors additionally produce a JSON error object on
-stdout.
+point, a NaN or infinite float flag, a ``validate --grid`` side below 1, or a
+negative tolerance), 3 domain errors (octagon parameters outside the
+admissible region or within ``--margin`` of its boundary, or an orbit or area
+perimeter below the regular value P_reg), 4 validation failure, 5 numerical
+errors (a quadrature that does not converge or overflows, an overflow or
+cancellation, a product of SU(1,1) maps that rounding broke, or an orbit
+point that rounds out of the domain).  With ``--format json`` domain errors
+additionally produce a JSON error object on stdout.
 """
 
 from __future__ import annotations
@@ -130,6 +130,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_output(sp, ("json",))
     return parser
+
+
+_PARSER = _build_parser()
 
 
 def _params_from_args(args: argparse.Namespace) -> OctagonParams:
@@ -393,8 +396,13 @@ _COMMANDS = {
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code.
+
+    argv defaults to sys.argv[1:]; argparse itself exits with 2 on a bad
+    flag.  run may be called any number of times in one process: every call
+    parses with the same parser, built once at import.
+    """
+    args = _PARSER.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except DomainError as exc:

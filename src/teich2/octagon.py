@@ -356,8 +356,9 @@ def grid_arrays(
     [lower_a + margin, 1 - margin] is nonempty; each row then carries n_a
     equally spaced a values.  Returns the arrays (a, alpha_tilde), row by
     row.  Raises ValueError for a margin outside [0, 0.2], as
-    validate_params does, or one that leaves no grid, and OutOfDomainError
-    at the first point outside the domain.
+    validate_params does, or one that leaves no grid, for a side n_a or
+    n_alpha below 1, and OutOfDomainError at the first point outside the
+    domain.
     """
     _check_margin(margin)
     # lower_a(at) + margin <= 1 - margin pins |at| <= acos(1/(sqrt2 (1-2 margin)))
@@ -365,9 +366,11 @@ def grid_arrays(
     if arg >= 1.0:
         raise ValueError(f"margin {margin!r} leaves no admissible grid")
     at_max = math.acos(arg)
+    if n_a < 1 or n_alpha < 1:
+        raise ValueError(f"grid {n_a} x {n_alpha} has no points")
     alphas = np.linspace(-at_max, at_max, n_alpha + 2)[1:-1]
     rows = [np.linspace(lower_a(float(at)) + margin, 1.0 - margin, n_a) for at in alphas]
-    a, at = np.concatenate(rows + [np.empty(0)]), np.repeat(alphas, n_a)
+    a, at = np.concatenate(rows), np.repeat(alphas, n_a)
     _check_domain(a, at, 0.0)
     return a, at
 

@@ -59,6 +59,12 @@ def test_grid_arrays_check_the_domain():
         grid_arrays(4, 4, 0.0)
 
 
+@pytest.mark.parametrize("n_a, n_alpha", [(5, -1), (3, 0)])
+def test_grid_arrays_need_positive_sides(n_a, n_alpha):
+    with pytest.raises(ValueError, match=f"grid {n_a} x {n_alpha} has no points"):
+        grid_arrays(n_a, n_alpha, 0.02)
+
+
 def test_octagon_forms_match_build_geometry():
     # numpy's complex arithmetic and Python's differ in the last bit; the
     # midpoints take 1 - |omega|^2, which spreads that over a few bits

@@ -13,6 +13,7 @@ import teich2
 from teich2 import cli, group
 from teich2.cli import run
 from teich2.group import BALL_SIZES
+from teich2.validation import DEFAULT_TOLERANCES
 
 A_ARGS = ["--a", "0.8", "--alpha-tilde", str(math.pi / 12)]
 
@@ -158,6 +159,8 @@ EXIT_CODES = [
      r"alpha_tilde=-0.7740075264130591: element '[aAbBcCdD]{4}' is past the float64 precision "
      r"limit \(product of SU\(1,1\) maps: \|u\|\^2-\|v\|\^2 = \S+ is not renormalizable "
      r"to 1\)\n", ""),
+    (["validate", "--grid", "-1", "5"], 2,
+     r"teich2: argument error: grid -1 x 5 has no points\n", ""),
 ]
 
 
@@ -244,6 +247,44 @@ class TestErrorHandling:
         assert proc.returncode == 5
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("teich2: numerical error:")
+
+
+class TestRepeatedRuns:
+    """Many run calls in one process share one parser and leak no state."""
+
+    def test_tolerance_override_does_not_stick(self, capsys):
+        code, _, _ = run_capture(
+            capsys, ["validate", "--grid", "3", "3", "--tolerance", "orbit_constancy=1e-30"]
+        )
+        assert code == 4
+        code, out, _ = run_capture(capsys, ["validate", "--grid", "3", "3"])
+        assert code == 0
+        tols = {c["name"]: c["tolerance"] for c in json.loads(out)["checks"]}
+        assert tols["orbit_constancy"] == DEFAULT_TOLERANCES["orbit_constancy"]
+
+    def test_perimeters_do_not_stick(self, capsys):
+        code, _, _ = run_capture(capsys, ["orbit", "--P", "30", "--samples", "4"])
+        assert code == 0
+        code, out, _ = run_capture(capsys, ["orbit", "--samples", "4"])
+        assert code == 0
+        p_checks = [float(line.split(",")[3]) for line in out.splitlines()[1:]]
+        assert [round(p, 6) for p in p_checks[::4]] == cli._DEFAULT_ORBIT_PERIMETERS
+
+    def test_query_after_argparse_rejection_matches_cold_run(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["octagon", "--alpha-tilde", "0"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(["octagon", *A_ARGS, "-o", str(tmp_path / "warm.json")]) == 0
+        proc = run_fresh(["-m", "teich2", "octagon", *A_ARGS, "-o", str(tmp_path / "cold.json")])
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "warm.json").read_bytes() == (tmp_path / "cold.json").read_bytes()
+
+    def test_run_does_not_rebuild_the_parser(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_build_parser", lambda: pytest.fail("parser rebuilt"))
+        code, out, _ = run_capture(capsys, ["octagon", *A_ARGS])
+        assert code == 0
+        assert len(json.loads(out)["vertices"]) == 8
 
 
 class TestColdStart:
