@@ -29,7 +29,7 @@ from .group import (
     relation_defect,
     side_pairing_check,
 )
-from .hyperbolic import GeodesicArc, MobiusTransform, dist
+from .hyperbolic import MobiusTransform, dist
 from .isoperimetric import (
     A_REG,
     E_REG,
@@ -45,7 +45,7 @@ from .isoperimetric import (
     wp_area_contour,
 )
 from .octagon import (
-    OctagonGeometry,
+    OctagonForms,
     OctagonParams,
     build_geometry,
     in_octagon,
@@ -62,11 +62,10 @@ __all__ = [
     "P_REG",
     "DomainError",
     "GeneratorSet",
-    "GeodesicArc",
     "GroupBall",
     "MobiusTransform",
     "NumericalError",
-    "OctagonGeometry",
+    "OctagonForms",
     "OctagonParams",
     "OutOfDomainError",
     "PantsData",

@@ -6,7 +6,8 @@ closed-form coefficient; its ``wp.fd_*`` keys keep their teich2/v1 names.
 
 Exit codes: 0 success, 1 I/O errors, 2 argument errors (also a tiling radius
 outside 0..6, a ball element that float64 cannot represent at the given
-point, a NaN or infinite float flag, a ``validate --grid`` side below 1, or a
+point, a NaN or infinite float flag, an ``area --step`` that asks for more
+rows than numpy can allocate, a ``validate --grid`` side below 1, or a
 negative tolerance), 3 domain errors (octagon parameters outside the
 admissible region or within ``--margin`` of its boundary, or an orbit or area
 perimeter below the regular value P_reg), 4 validation failure, 5 numerical
@@ -41,11 +42,11 @@ from .octagon import (
     _domain_error,
     b_of,
     build_geometry,
-    interior_angles_numeric,
     perimeter,
     perimeter_ab,
-    perimeter_numeric,
     validate_params,
+    vertex_angles,
+    vertex_sum,
 )
 from .serialization import emit_csv, emit_json, emit_svg
 from .validation import DEFAULT_TOLERANCES, run_validation
@@ -169,8 +170,8 @@ def _emit_payload(args: argparse.Namespace, payload: dict[str, Any]) -> None:
 def _octagon_payload(params: OctagonParams) -> dict[str, Any]:
     geom = build_geometry(params)
     p_closed = perimeter(params)
-    p_sum = perimeter_numeric(geom)
-    ang0, ang1 = interior_angles_numeric(geom)
+    p_sum = vertex_sum(geom.vertices)
+    ang0, ang1 = (vertex_angles(geom.vertices, geom.centres, k) for k in (0, 1))
     area = 6.0 * math.pi - 4.0 * (ang0 + ang1)
     return {
         "params": {
@@ -181,10 +182,10 @@ def _octagon_payload(params: OctagonParams) -> dict[str, Any]:
         },
         "beta": geom.beta,
         "arcs": {
-            "r_plus": geom.arc_plus.radius,
-            "r_minus": geom.arc_minus.radius,
-            "phi_plus": geom.arc_plus.phi,
-            "phi_minus": geom.arc_minus.phi,
+            "r_plus": geom.r_plus,
+            "r_minus": geom.r_minus,
+            "phi_plus": geom.phi_plus,
+            "phi_minus": geom.phi_minus,
             "t_plus": geom.t_plus,
             "t_minus": geom.t_minus,
         },
@@ -336,7 +337,7 @@ def _cmd_tiling(args: argparse.Namespace) -> int:
         emit_json(args.output, {
             "radius": args.radius,
             "count": len(b),
-            "relation_sign": b.relation_sign,
+            "relation_sign": relation_defect(gens).sign,
             "elements": [
                 {"word": word, "u": u, "v": v}
                 for word, u, v in zip(b.shortlex, b.u.tolist(), b.v.tolist())

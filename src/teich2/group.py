@@ -12,8 +12,9 @@ composition H(p_k) about the side midpoint.
 The generators, the relation word and the side-pairing residuals are
 written once, over (u, v) pairs of arrays (one map per parameter point);
 ``generators``, ``relation_defect`` and ``side_pairing_check`` are their
-views at one point.  A ball is multiplied out one sphere at a time, and its
-tiles are drawn with one action over the arrays of the whole ball.
+views at one point.  A ball is its shortlex words and the (u, v) arrays of
+its elements: it is multiplied out one sphere at a time, and its tiles are
+drawn with one action over the arrays of the whole ball.
 """
 
 from __future__ import annotations
@@ -37,13 +38,12 @@ from .hyperbolic import (
     su_normalize,
     su_sign_flip,
 )
-from .octagon import OctagonGeometry, OctagonParams, in_octagon
+from .octagon import OctagonForms, OctagonParams, in_octagon
 
 __all__ = [
     "BALL_SIZES",
     "GeneratorSet",
     "GroupBall",
-    "BallElement",
     "Cells",
     "RelationReport",
     "SidePairingReport",
@@ -113,7 +113,7 @@ def omega_forms(omega_plus, omega_minus, omega4):
     return (omega_plus, omega_minus, 1j * omega_plus, 1j * omega_minus, omega4 + 0j, 0j)
 
 
-def omega_table(geom: OctagonGeometry) -> tuple[complex, ...]:
+def omega_table(geom: OctagonForms) -> tuple[complex, ...]:
     """omega_forms of one octagon."""
     return omega_forms(geom.omega_plus, geom.omega_minus, geom.omega4)
 
@@ -124,7 +124,7 @@ def half_turn_pairs(omegas):
     return tuple(su_normalize(*half_turn_pair(w)) for w in omegas)
 
 
-def m_matrices(geom: OctagonGeometry) -> tuple[MobiusTransform, ...]:
+def m_matrices(geom: OctagonForms) -> tuple[MobiusTransform, ...]:
     """Trace-zero half turns M_k = M(omega_k) for the table above."""
     return tuple(m_half_turn(w) for w in omega_table(geom))
 
@@ -189,7 +189,7 @@ def pairing_residuals(vertices, midpoints, g):
 
 
 def side_pairing_check(
-    geom: OctagonGeometry, gens: GeneratorSet, samples: int = 1000, seed: int = 0
+    geom: OctagonForms, gens: GeneratorSet, samples: int = 1000, seed: int = 0
 ) -> SidePairingReport:
     """Verify that g_k carries side k+4 onto side k.
 
@@ -208,7 +208,7 @@ def side_pairing_check(
     drawn = 0
     if samples > 0:
         rng = np.random.default_rng(seed)
-        bound = max(geom.params.a, geom.b)
+        bound = max(geom.vertices[0].real, geom.b)  # vertex 0 is a + 0j
         gu, gv = (np.array(part)[:, None] for part in zip(*g))
         while drawn < samples:
             # a block of the stream as x + iy; at most samples - drawn are accepted
@@ -221,33 +221,16 @@ def side_pairing_check(
     return SidePairingReport(endpoint, midpoint, drawn, violations)
 
 
-@dataclass(frozen=True)
-class BallElement:
-    word: str
-    transform: MobiusTransform
-
-
 @dataclass(frozen=True, eq=False)
 class GroupBall:
     """Ball elements in shortlex order: word ``shortlex[i]`` is the map (u[i], v[i])."""
 
-    radius: int
     shortlex: tuple[str, ...]
     u: np.ndarray
     v: np.ndarray
-    relation_sign: int
 
     def __len__(self) -> int:
         return len(self.shortlex)
-
-    def words(self) -> list[str]:
-        return list(self.shortlex)
-
-    @property
-    def elements(self) -> tuple[BallElement, ...]:
-        """The elements one by one, as maps."""
-        return tuple(BallElement(w, MobiusTransform._normalized(u, v))
-                     for w, u, v in zip(self.shortlex, self.u.tolist(), self.v.tolist()))
 
 
 # row j, column i of _times: zeta^j b has b[(i - j) % 4] at zeta^i, negated
@@ -333,8 +316,7 @@ def ball(gens: GeneratorSet, n: int) -> GroupBall:
         us.append(np.where(flip, -u, u))
         vs.append(np.where(flip, -v, v))
     shortlex = tuple(w for sphere in words for w in sphere)
-    return GroupBall(n, shortlex, np.concatenate(us), np.concatenate(vs),
-                     relation_defect(gens).sign)
+    return GroupBall(shortlex, np.concatenate(us), np.concatenate(vs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,7 +332,7 @@ class Cells:
         return len(self.words)
 
 
-def cells(group_ball: GroupBall, geom: OctagonGeometry) -> Cells:
+def cells(group_ball: GroupBall, geom: OctagonForms) -> Cells:
     """Images of the octagon ``geom`` under every element of ``group_ball``:
     one su_act over the ball's arrays, in blocks of _CELL_BLOCK elements."""
     points = _require_in_disk(np.array([*geom.vertices, *geom.midpoints]))

@@ -1,4 +1,4 @@
-"""Poincare-disk primitives: distance, geodesic arcs, SU(1,1) Mobius maps.
+"""Poincare-disk primitives: distance, geodesic circle centres, SU(1,1) maps.
 
 The model is the open unit disk |z| < 1 carrying the metric
 4(dx^2+dy^2)/(1-x^2-y^2)^2 of curvature -1.  Orientation-preserving
@@ -19,7 +19,6 @@ one pair at a time by a relative amount of order eps (|u|^2 + |v|^2).
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,6 @@ from . import _elementwise as ew
 from .errors import NumericalError
 
 __all__ = [
-    "GeodesicArc",
     "MobiusTransform",
     "dist",
     "arc_center",
@@ -78,39 +76,6 @@ def dist(z, w):
 def arc_center(radius, phi):
     """Euclidean center sqrt(1+R^2) e^{i phi} of a geodesic circle; array-safe."""
     return ew.sqrt(1.0 + radius**2) * ew.exp(1j * phi)
-
-
-@dataclass(frozen=True)
-class GeodesicArc:
-    """A complete geodesic off the origin: a circle orthogonal to the boundary.
-
-    Stores the Euclidean radius ``radius`` > 0 and the angle ``phi`` of the
-    Euclidean center, which sits at sqrt(1+R^2) e^{i phi}.  No octagon side
-    is a diameter, so diameters are not represented.
-    """
-
-    radius: float
-    phi: float
-
-    def __post_init__(self):
-        if not self.radius > 0.0:
-            raise ValueError(f"arc radius must be positive, got {self.radius!r}")
-
-    @property
-    def center(self) -> complex:
-        """Euclidean center sqrt(1+R^2) e^{i phi}."""
-        return complex(arc_center(self.radius, self.phi))
-
-    def point(self, s: float) -> complex:
-        """Unit-speed point at arc length s from the point nearest the origin.
-
-        Evaluates (cosh s + i R sinh s) / (sqrt(1+R^2) cosh s + R) * e^{i phi},
-        which traces the circle of radius R about sqrt(1+R^2) e^{i phi}.
-        """
-        r = self.radius
-        ch, sh = math.cosh(s), math.sinh(s)
-        w = (ch + 1j * r * sh) / (math.sqrt(1.0 + r * r) * ch + r)
-        return w * cmath.exp(1j * self.phi)
 
 
 def su_act(u, v, z):

@@ -292,7 +292,12 @@ def parabola_fit(
         raise ValueError(f"need p_min < p_max, got {p_min!r}, {p_max!r}")
     if not 0.0 < step < math.inf:
         raise ValueError(f"step must be finite and positive, got {step!r}")
-    ps = np.arange(p_min, p_max + 0.5 * step, step)
+    try:
+        ps = np.arange(p_min, p_max + 0.5 * step, step)
+    except (ValueError, MemoryError):  # more rows than numpy can allocate
+        raise ValueError(
+            f"step {step!r} gives too many rows over [{p_min!r}, {p_max!r}]"
+        ) from None
     if ps.size < 3:
         raise ValueError(f"need at least 3 samples, got {ps.size}")
     areas = np.array([wp_area(float(p)).area for p in ps])

@@ -10,36 +10,32 @@ alternating radii R+-.  Admissible region:
 Gluing opposite sides yields a genus-2 surface of hyperbolic area 4 pi.
 
 The closed forms are written once, in ``octagon_forms``, elementwise over
-arrays of parameters; ``build_geometry`` is its view at one point.
+arrays of parameters; ``build_geometry`` is its record at one point.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import _elementwise as ew
 from .errors import OutOfDomainError
-from .hyperbolic import GeodesicArc, arc_center, dist
+from .hyperbolic import arc_center, dist
 
 __all__ = [
     "OctagonParams",
-    "OctagonGeometry",
     "OctagonForms",
     "validate_params",
     "lower_a",
     "octagon_forms",
     "build_geometry",
-    "interior_angles_numeric",
-    "vertex_angle",
     "perimeter",
     "perimeter_ab",
     "b_of",
-    "perimeter_numeric",
     "in_octagon",
     "grid_arrays",
     "domain_grid",
@@ -154,8 +150,12 @@ class OctagonForms(NamedTuple):
     """The closed forms of ``octagon_forms`` at parameters of shape S.
 
     Scalars have shape S; ``vertices``, ``midpoints`` and the side circles'
-    ``centres`` have shape (8,) + S, and their index k is that of
-    OctagonGeometry.  At one point they are numbers and tuples.
+    ``centres`` have shape (8,) + S.  At one point they are numbers and
+    tuples.  ``vertices[k]`` runs counterclockwise: v0 = a, v1 = b e^{i alpha},
+    v2 = i a, ...; side k joins vertices k and k+1 (mod 8) and lies on the
+    circle of radius ``r_plus`` (k even) or ``r_minus`` (k odd) about
+    ``centres[k]``, at angle ``phi_plus``/``phi_minus`` + (k//2) pi/2;
+    ``midpoints[k]`` is the hyperbolic midpoint of side k.
     """
 
     b: np.ndarray
@@ -219,62 +219,9 @@ def octagon_forms(a, alpha_tilde) -> OctagonForms:
     )
 
 
-@dataclass(frozen=True)
-class OctagonGeometry:
-    """All derived octagon data for one parameter point.
-
-    ``vertices[k]`` runs counterclockwise: v0 = a, v1 = b e^{i alpha},
-    v2 = i a, ...; side k joins vertices k and k+1 (mod 8) and is the arc
-    of ``arc_plus``/``arc_minus`` rotated by (k//2) pi/2, a circle about
-    ``centres[k]``; ``midpoints[k]`` is the hyperbolic midpoint of side k.
-    """
-
-    params: OctagonParams
-    b: float
-    beta: float
-    t_plus: float
-    t_minus: float
-    arc_plus: GeodesicArc
-    arc_minus: GeodesicArc
-    omega_plus: complex
-    omega_minus: complex
-    omega4: float
-    vertices: tuple[complex, ...] = field(repr=False)
-    midpoints: tuple[complex, ...] = field(repr=False)
-    centres: tuple[complex, ...] = field(repr=False)
-
-    @property
-    def p_plus(self) -> complex:
-        return self.midpoints[0]
-
-    @property
-    def p_minus(self) -> complex:
-        return self.midpoints[1]
-
-    def side_arc(self, k: int) -> GeodesicArc:
-        """Geodesic arc carrying side k (center angle phi+- + (k//2) pi/2)."""
-        base = self.arc_plus if k % 2 == 0 else self.arc_minus
-        return GeodesicArc(base.radius, base.phi + (k // 2) * math.pi / 2)
-
-
-def build_geometry(params: OctagonParams) -> OctagonGeometry:
+def build_geometry(params: OctagonParams) -> OctagonForms:
     """octagon_forms at one point."""
-    f = octagon_forms(params.a, params.alpha_tilde)
-    return OctagonGeometry(
-        params=params,
-        b=f.b,
-        beta=f.beta,
-        t_plus=f.t_plus,
-        t_minus=f.t_minus,
-        arc_plus=GeodesicArc(f.r_plus, f.phi_plus),
-        arc_minus=GeodesicArc(f.r_minus, f.phi_minus),
-        omega_plus=f.omega_plus,
-        omega_minus=f.omega_minus,
-        omega4=f.omega4,
-        vertices=f.vertices,
-        midpoints=f.midpoints,
-        centres=f.centres,
-    )
+    return octagon_forms(params.a, params.alpha_tilde)
 
 
 def _tangent_toward(v, w, center):
@@ -298,16 +245,6 @@ def vertex_angles(vertices, centres, k: int):
     return ew.arccos(ew.minimum(ew.maximum((t1.conjugate() * t2).real, -1.0), 1.0))
 
 
-def vertex_angle(geom: OctagonGeometry, k: int) -> float:
-    """Interior angle at vertex k of one octagon (vertex_angles)."""
-    return vertex_angles(geom.vertices, geom.centres, k)
-
-
-def interior_angles_numeric(geom: OctagonGeometry) -> tuple[float, float]:
-    """(angle at an a-vertex, angle at a b-vertex) from the tangent oracle."""
-    return vertex_angle(geom, 0), vertex_angle(geom, 1)
-
-
 def perimeter_ab(a, b):
     """Closed-form perimeter 8 arccosh[...] in terms of (a, b); array-safe."""
     a2 = np.square(a)
@@ -326,12 +263,7 @@ def vertex_sum(vertices):
     return sum(dist(vertices[k], vertices[(k + 1) % 8]) for k in range(8))
 
 
-def perimeter_numeric(geom: OctagonGeometry) -> float:
-    """Perimeter of one octagon as its vertex_sum."""
-    return vertex_sum(geom.vertices)
-
-
-def in_octagon(geom: OctagonGeometry, z: complex, shrink: float = 0.0) -> bool:
+def in_octagon(geom: OctagonForms, z: complex, shrink: float = 0.0) -> bool:
     """True if z lies in the octagon interior, shrunk by ``shrink``.
 
     The octagon is the locus outside all eight side circles, so membership
@@ -339,7 +271,7 @@ def in_octagon(geom: OctagonGeometry, z: complex, shrink: float = 0.0) -> bool:
     """
     if abs(z) >= 1.0:
         return False
-    r_plus, r_minus = geom.arc_plus.radius + shrink, geom.arc_minus.radius + shrink
+    r_plus, r_minus = geom.r_plus + shrink, geom.r_minus + shrink
     c = geom.centres
     return (abs(z - c[0]) > r_plus and abs(z - c[1]) > r_minus
             and abs(z - c[2]) > r_plus and abs(z - c[3]) > r_minus

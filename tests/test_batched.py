@@ -73,14 +73,10 @@ def test_octagon_forms_match_build_geometry():
     assert f.vertices.shape == f.midpoints.shape == f.centres.shape == (8, 36)
     for k, (x, y) in enumerate(zip(a.tolist(), at.tolist())):
         geom = build_geometry(OctagonParams(x, y))
-        assert_allclose([f.b[k], f.beta[k], f.omega4[k]], [geom.b, geom.beta, geom.omega4],
-                        rtol=4 * EPS)
-        assert_allclose([f.omega_plus[k], f.omega_minus[k]],
-                        [geom.omega_plus, geom.omega_minus], rtol=4 * EPS)
-        assert_allclose(f.vertices[:, k], geom.vertices, rtol=4 * EPS)
-        assert_allclose(f.midpoints[:, k], geom.midpoints, rtol=16 * EPS)
-        assert_allclose(f.centres[:, k], [geom.side_arc(j).center for j in range(8)],
-                        rtol=4 * EPS)
+        for name in f._fields:
+            batch, point = getattr(f, name)[..., k], getattr(geom, name)
+            assert_allclose(batch, point, rtol=(16 if name == "midpoints" else 4) * EPS,
+                            err_msg=name)
 
 
 def test_scalar_views_match_the_batch():

@@ -161,6 +161,11 @@ EXIT_CODES = [
      r"to 1\)\n", ""),
     (["validate", "--grid", "-1", "5"], 2,
      r"teich2: argument error: grid -1 x 5 has no points\n", ""),
+    # more rows than numpy can index (1e-300) or allocate (1e-17: about 71 PiB)
+    (["area", "--p-min", "41", "--p-max", "41.1", "--step", "1e-300"], 2,
+     r"teich2: argument error: step 1e-300 gives too many rows over \[41.0, 41.1\]\n", ""),
+    (["area", "--p-min", "41", "--p-max", "41.1", "--step", "1e-17"], 2,
+     r"teich2: argument error: step 1e-17 gives too many rows over \[41.0, 41.1\]\n", ""),
 ]
 
 

@@ -62,7 +62,7 @@ class TestLengths:
         for p in random_params(rng, 12):
             geom = build_geometry(p)
             l1, _, l3 = fn_lengths(p)
-            assert_allclose(l1, 2.0 * dist(geom.p_plus, geom.p_minus), rtol=1e-11)
+            assert_allclose(l1, 2.0 * dist(geom.midpoints[0], geom.midpoints[1]), rtol=1e-11)
             assert_allclose(l3, 2.0 * dist(0.0, p.a), rtol=1e-13)
 
 
@@ -148,7 +148,7 @@ class TestPantsData:
             geom = build_geometry(p)
             lp = pants_data(p.conjugate()).lengths[0]
             assert_allclose(
-                lp, 2.0 * dist(1j * complex(geom.p_plus), complex(geom.p_minus)),
+                lp, 2.0 * dist(1j * geom.midpoints[0], geom.midpoints[1]),
                 rtol=1e-10,
             )
 

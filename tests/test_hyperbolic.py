@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 from teich2.errors import NumericalError
 from teich2.group import generators
 from teich2.hyperbolic import (
-    GeodesicArc,
     MobiusTransform,
     dist,
     m_half_turn,
@@ -62,28 +61,6 @@ class TestDist:
                          lambda: rotation(0.3)(z), lambda: translation(z)):
                 with pytest.raises(ValueError, match="not strictly inside the unit disk"):
                     call()
-
-
-class TestGeodesicArc:
-    def test_circular_points_lie_on_center_circle(self):
-        arc = GeodesicArc(0.61, 0.5)
-        center = math.sqrt(1 + 0.61**2) * cmath.exp(0.5j)
-        assert_allclose(complex(arc.center), center, rtol=1e-15)
-        for s in np.linspace(-2.0, 2.0, 17):
-            z = arc.point(s)
-            assert abs(z) < 1.0
-            assert_allclose(abs(z - center), 0.61, rtol=1e-12)
-
-    def test_arclength_parametrization(self):
-        # parameter differences are hyperbolic distances along the arc
-        arc = GeodesicArc(0.3236, 1.3477)
-        for s1, s2 in [(-1.0, 0.5), (0.0, 2.0), (-2.0, -0.5)]:
-            assert_allclose(dist(arc.point(s1), arc.point(s2)), abs(s2 - s1),
-                            rtol=1e-11)
-
-    def test_rejects_nonpositive_radius(self):
-        with pytest.raises(ValueError):
-            GeodesicArc(-0.2, 0.0)
 
 
 class TestMobiusTransform:

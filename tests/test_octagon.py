@@ -17,12 +17,12 @@ from teich2.octagon import (
     build_geometry,
     domain_grid,
     in_octagon,
-    interior_angles_numeric,
     lower_a,
     perimeter,
     perimeter_ab,
-    perimeter_numeric,
     validate_params,
+    vertex_angles,
+    vertex_sum,
 )
 
 A0 = 0.8
@@ -153,10 +153,10 @@ class TestGeometryClosedForms:
     def test_arc_data(self):
         assert_allclose(self.geom.t_plus, T_PLUS, rtol=1e-14)
         assert_allclose(self.geom.t_minus, T_MINUS, rtol=1e-14)
-        assert_allclose(self.geom.arc_plus.radius, R_PLUS, rtol=1e-14)
-        assert_allclose(self.geom.arc_minus.radius, R_MINUS, rtol=1e-14)
-        assert_allclose(self.geom.arc_plus.phi, PHI_PLUS, rtol=1e-14)
-        assert_allclose(self.geom.arc_minus.phi, PHI_MINUS, rtol=1e-14)
+        assert_allclose(self.geom.r_plus, R_PLUS, rtol=1e-14)
+        assert_allclose(self.geom.r_minus, R_MINUS, rtol=1e-14)
+        assert_allclose(self.geom.phi_plus, PHI_PLUS, rtol=1e-14)
+        assert_allclose(self.geom.phi_minus, PHI_MINUS, rtol=1e-14)
         assert_allclose(self.geom.beta, BETA, rtol=1e-14)
 
     def test_omegas(self):
@@ -184,8 +184,7 @@ class TestSides:
         for p in random_params(rng, 10):
             geom = build_geometry(p)
             for k in range(8):
-                arc = geom.side_arc(k)
-                c, r = complex(arc.center), arc.radius
+                c, r = geom.centres[k], (geom.r_plus, geom.r_minus)[k % 2]
                 for v in (geom.vertices[k], geom.vertices[(k + 1) % 8]):
                     assert abs(abs(v - c) - r) < 1e-10
 
@@ -217,7 +216,7 @@ class TestPerimeter:
         rng = np.random.default_rng(42)
         for p in random_params(rng, 25):
             geom = build_geometry(p)
-            assert_allclose(perimeter(p), perimeter_numeric(geom), rtol=1e-10)
+            assert_allclose(perimeter(p), vertex_sum(geom.vertices), rtol=1e-10)
 
     def test_perimeter_ab_array(self):
         vals = perimeter_ab(np.array([A0, A0]), np.array([B0, B0]))
@@ -232,14 +231,15 @@ class TestPerimeter:
 class TestAngles:
     def test_numeric_angles_match_beta(self):
         geom = build_geometry(OctagonParams(A0, AT0))
-        a0, a1 = interior_angles_numeric(geom)
+        a0, a1 = (vertex_angles(geom.vertices, geom.centres, k) for k in (0, 1))
         assert_allclose(a0, BETA, atol=1e-10)
         assert_allclose(a1, math.pi / 2 - BETA, atol=1e-10)
 
     def test_angle_sum_is_two_pi(self):
         rng = np.random.default_rng(21)
         for p in random_params(rng, 10):
-            a0, a1 = interior_angles_numeric(build_geometry(p))
+            geom = build_geometry(p)
+            a0, a1 = (vertex_angles(geom.vertices, geom.centres, k) for k in (0, 1))
             assert_allclose(4 * (a0 + a1), 2 * math.pi, rtol=1e-10)
 
 
