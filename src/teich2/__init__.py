@@ -29,7 +29,7 @@ from .group import (
     relation_defect,
     side_pairing_check,
 )
-from .hyperbolic import MobiusTransform, dist
+from .hyperbolic import dist
 from .isoperimetric import (
     A_REG,
     E_REG,
@@ -63,7 +63,6 @@ __all__ = [
     "DomainError",
     "GeneratorSet",
     "GroupBall",
-    "MobiusTransform",
     "NumericalError",
     "OctagonForms",
     "OctagonParams",

@@ -37,6 +37,7 @@ from .fenchel_nielsen import (
     wp_coefficient,
 )
 from .group import ball, cells, generators, relation_defect, side_pairing_check
+from .hyperbolic import classify
 from .octagon import (
     OctagonParams,
     _domain_error,
@@ -231,9 +232,9 @@ def _cmd_group(args: argparse.Namespace) -> int:
         "params": {"a": params.a, "alpha": params.alpha,
                    "alpha_tilde": params.alpha_tilde, "b": params.b},
         "generators": [
-            {"label": f"g{k}", "u": g.u, "v": g.v, "trace": g.trace,
-             "class": g.classify()}
-            for k, g in enumerate(gens.g)
+            {"label": f"g{k}", "u": complex(u), "v": complex(v), "trace": 2.0 * u.real,
+             "class": classify(u)}
+            for k, (u, v) in enumerate(gens.g)
         ],
         "relation": {"defect": rel.defect, "sign": rel.sign},
         "side_pairing": {

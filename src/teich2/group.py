@@ -9,12 +9,13 @@ Each generator is realized three independent ways: the explicit closed-form
 matrix, the product M_k M_5 of trace-zero half turns, and the half-turn
 composition H(p_k) about the side midpoint.
 
-The generators, the relation word and the side-pairing residuals are
-written once, over (u, v) pairs of arrays (one map per parameter point);
-``generators``, ``relation_defect`` and ``side_pairing_check`` are their
-views at one point.  A ball is its shortlex words and the (u, v) arrays of
-its elements: it is multiplied out one sphere at a time, and its tiles are
-drawn with one action over the arrays of the whole ball.
+A group element is its SU(1,1) pair (u, v).  The generators, the relation
+word and the side-pairing residuals are written once, over (u, v) pairs of
+arrays (one map per parameter point); ``generators``, ``relation_defect``
+and ``side_pairing_check`` are their views at one point.  A ball is its
+shortlex words and the (u, v) arrays of its elements: it is multiplied out
+one sphere at a time, and its tiles are drawn with one action over the
+arrays of the whole ball.
 """
 
 from __future__ import annotations
@@ -27,10 +28,8 @@ import numpy as np
 from . import _elementwise as ew
 from .errors import NumericalError
 from .hyperbolic import (
-    MobiusTransform,
     _require_in_disk,
     half_turn_pair,
-    m_half_turn,
     rotation,
     su_act,
     su_inverse,
@@ -50,9 +49,7 @@ __all__ = [
     "generator_pairs",
     "generators",
     "omega_forms",
-    "omega_table",
     "half_turn_pairs",
-    "m_matrices",
     "relation_pairs",
     "relation_defect",
     "pairing_residuals",
@@ -73,18 +70,10 @@ _CELL_BLOCK = 4096
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """The four side-pairing generators with their rotation structure."""
+    """The (u, v) pairs of the four side-pairing generators g0..g3 at ``params``."""
 
     params: OctagonParams
-    g: tuple[MobiusTransform, MobiusTransform, MobiusTransform, MobiusTransform]
-
-    def letters(self) -> list[tuple[str, MobiusTransform]]:
-        """(label, transform) pairs in the canonical a,A,b,B,... order."""
-        out = []
-        for k, t in enumerate(self.g):
-            out.append((LETTERS[2 * k], t))
-            out.append((LETTERS[2 * k + 1], t.inverse()))
-        return out
+    g: tuple[tuple[complex, complex], ...]
 
 
 def generator_pairs(a, alpha_tilde):
@@ -96,16 +85,15 @@ def generator_pairs(a, alpha_tilde):
     norm = -ew.cos(alpha_tilde) / ew.sqrt((1.0 - a2) * (2.0 * a2 * cos2 - 1.0))
     g0 = su_normalize(norm * a * (1.0 - tn), norm * ((a2 - tn) + 1j * (1.0 - a2)))
     g1 = su_normalize(norm * a * (1.0 + tn), norm * ((1.0 - a2) + 1j * (a2 + tn)))
-    r = rotation(math.pi / 2)
-    ri = r.inverse()
-    r, ri = (r.u, r.v), (ri.u, ri.v)
+    rot = rotation(math.pi / 2)
+    r = (rot.u, rot.v)
+    ri = su_inverse(r)
     return g0, g1, su_mul(su_mul(r, g0), ri), su_mul(su_mul(r, g1), ri)
 
 
 def generators(params: OctagonParams) -> GeneratorSet:
-    """The generator_pairs of one point as maps."""
-    g = generator_pairs(params.a, params.alpha_tilde)
-    return GeneratorSet(params, tuple(MobiusTransform._normalized(u, v) for u, v in g))
+    """The generator_pairs of one point."""
+    return GeneratorSet(params, generator_pairs(params.a, params.alpha_tilde))
 
 
 def omega_forms(omega_plus, omega_minus, omega4):
@@ -113,24 +101,10 @@ def omega_forms(omega_plus, omega_minus, omega4):
     return (omega_plus, omega_minus, 1j * omega_plus, 1j * omega_minus, omega4 + 0j, 0j)
 
 
-def omega_table(geom: OctagonForms) -> tuple[complex, ...]:
-    """omega_forms of one octagon."""
-    return omega_forms(geom.omega_plus, geom.omega_minus, geom.omega4)
-
-
 def half_turn_pairs(omegas):
     """(u, v) pairs of the trace-zero half turns M_k = M(omega_k) for an omega
     table of arrays, elementwise."""
     return tuple(su_normalize(*half_turn_pair(w)) for w in omegas)
-
-
-def m_matrices(geom: OctagonForms) -> tuple[MobiusTransform, ...]:
-    """Trace-zero half turns M_k = M(omega_k) for the table above."""
-    return tuple(m_half_turn(w) for w in omega_table(geom))
-
-
-def _pairs(gens: GeneratorSet):
-    return tuple((t.u, t.v) for t in gens.g)
 
 
 def relation_pairs(g):
@@ -158,7 +132,7 @@ class RelationReport:
 
 def relation_defect(gens: GeneratorSet) -> RelationReport:
     """Defect of g0 g1^-1 g2 g3^-1 g0^-1 g1 g2^-1 g3 against +-identity (relation_pairs)."""
-    defect, sign = relation_pairs(_pairs(gens))
+    defect, sign = relation_pairs(gens.g)
     return RelationReport(float(defect), int(sign))
 
 
@@ -201,7 +175,7 @@ def side_pairing_check(
     """
     if samples < 0:
         raise ValueError(f"sample count must be >= 0, got {samples!r}")
-    g = _pairs(gens)
+    g = gens.g
     endpoint, midpoint = pairing_residuals(geom.vertices, geom.midpoints, g)
 
     violations = 0
@@ -264,8 +238,8 @@ def _letter_maps() -> list[np.ndarray]:
 def _ball_words(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per sphere 1..n, the (parent, letter) index arrays of its shortlex words.
 
-    Element i of sphere r is element ``parent[i]`` of sphere r - 1 times
-    ``gens.letters()[letter[i]]``.  All points share one group presentation,
+    Element i of sphere r is element ``parent[i]`` of sphere r - 1 times the
+    letter ``LETTERS[letter[i]]``.  All points share one group presentation,
     so words are compared once, exactly, as the int64 rows of
     ``_letter_maps`` (entries below 1.2e4 up to radius 7).
     """
@@ -297,12 +271,11 @@ def ball(gens: GeneratorSet, n: int) -> GroupBall:
     """
     if not 0 <= n < len(BALL_SIZES):
         raise ValueError(f"ball radius must be in 0..{len(BALL_SIZES) - 1}, got {n!r}")
-    letters = gens.letters()
-    labels = [label for label, _ in letters]
-    lu, lv = np.array([t.u for _, t in letters]), np.array([t.v for _, t in letters])
+    letters = [x for g in gens.g for x in (g, su_inverse(g))]  # a, A, b, B, ...
+    lu, lv = (np.array(part, complex) for part in zip(*letters))
     words, us, vs = [("",)], [np.ones(1, complex)], [np.zeros(1, complex)]
     for parent, letter in _ball_words(n):
-        sphere = [words[-1][p] + labels[k] for p, k in zip(parent.tolist(), letter.tolist())]
+        sphere = [words[-1][p] + LETTERS[k] for p, k in zip(parent.tolist(), letter.tolist())]
         try:
             u, v = su_mul((us[-1][parent], vs[-1][parent]), (lu[letter], lv[letter]))
         except NumericalError as exc:  # |u|^2 - |v|^2 lost to roundoff

@@ -9,7 +9,8 @@ so group equality is always taken up to global sign.
 The formulas for the action, the product and the renormalization test are
 written once, elementwise, in ``su_normalize``, ``su_mul``, ``su_inverse``,
 ``su_act`` and ``su_sign_flip`` over (u, v) pairs of numbers or of numpy
-arrays, one map per element; ``MobiusTransform`` is their view at one pair.
+arrays, one map per element: a group element is its pair.
+``MobiusTransform`` is the record of one pair that ``rotation`` returns.
 Numbers are multiplied in CPython's complex arithmetic and arrays in
 numpy's complex loops, which may fuse multiply-adds depending on the CPU, so
 a product or an image computed over arrays can differ from the one computed
@@ -30,12 +31,10 @@ __all__ = [
     "MobiusTransform",
     "dist",
     "arc_center",
-    "translation",
     "translation_pair",
-    "m_half_turn",
     "half_turn_pair",
     "rotation",
-    "projective_gap",
+    "classify",
     "su_normalize",
     "su_mul",
     "su_inverse",
@@ -89,7 +88,7 @@ def _su_product(u1, v1, u2, v2):
 
 
 def su_normalize(u, v, product: bool = False):
-    """The constructor of MobiusTransform on (u, v) numbers or arrays, which
+    """The constructor of SU(1,1) pairs on (u, v) numbers or arrays, which
     broadcast together.
 
     Returns the pairs scaled to |u|^2 - |v|^2 = 1.  At the first pair in C
@@ -109,12 +108,12 @@ def su_normalize(u, v, product: bool = False):
 
 
 def su_mul(x, y):
-    """``x @ y`` on (u, v) pairs of numbers or arrays: the renormalized product."""
+    """The product x y of (u, v) pairs of numbers or arrays, renormalized."""
     return su_normalize(*_su_product(*x, *y), product=True)
 
 
 def su_inverse(x):
-    """``x.inverse()`` on a (u, v) pair of numbers or arrays."""
+    """The inverse (conj(u), -v) of a (u, v) pair of numbers or arrays, renormalized."""
     return su_normalize(x[0].conjugate(), -x[1])
 
 
@@ -135,14 +134,21 @@ def su_gap(x, y):
     return ew.minimum(plus, ew.maximum(abs(u1 + u2), abs(v1 + v2)))
 
 
+def classify(u) -> str:
+    """elliptic / parabolic / hyperbolic by |Tr| = |2 Re u| of a pair against 2 (band 1e-9)."""
+    t = abs(2.0 * u.real)
+    if abs(t - 2.0) <= PARABOLIC_BAND:
+        return "parabolic"
+    return "hyperbolic" if t > 2.0 else "elliptic"
+
+
 @dataclass(frozen=True)
 class MobiusTransform:
-    """SU(1,1) matrix [[u, v], [conj(v), conj(u)]] acting on the disk.
+    """SU(1,1) matrix [[u, v], [conj(v), conj(u)]]: one (u, v) pair as a record.
 
     Construction is su_normalize: it renormalizes |u|^2 - |v|^2 to exactly 1
     when its defect is below SU_DEFECT_TOLERANCE * (|u|^2 + |v|^2) and rejects
-    the pair otherwise, with ValueError; a product of two maps (su_mul) raises
-    NumericalError instead.
+    the pair otherwise, with ValueError.
     """
 
     u: complex
@@ -153,54 +159,6 @@ class MobiusTransform:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
 
-    @classmethod
-    def _normalized(cls, u: complex, v: complex) -> "MobiusTransform":
-        # a pair already at |u|^2 - |v|^2 = 1 (from su_normalize, or a negated
-        # map): the constructor's test and scaling would only add rounding
-        t = object.__new__(cls)
-        object.__setattr__(t, "u", complex(u))
-        object.__setattr__(t, "v", complex(v))
-        return t
-
-    @classmethod
-    def identity(cls) -> "MobiusTransform":
-        return cls(1.0 + 0.0j, 0.0j)
-
-    def __call__(self, z: complex) -> complex:
-        return su_act(self.u, self.v, _require_in_disk(complex(z)))
-
-    def __matmul__(self, other: "MobiusTransform") -> "MobiusTransform":
-        return MobiusTransform._normalized(*su_mul((self.u, self.v), (other.u, other.v)))
-
-    def inverse(self) -> "MobiusTransform":
-        return MobiusTransform._normalized(*su_inverse((self.u, self.v)))
-
-    @property
-    def trace(self) -> float:
-        return 2.0 * self.u.real
-
-    def classify(self) -> str:
-        """elliptic / parabolic / hyperbolic by |Tr| vs 2 (band 1e-9)."""
-        t = abs(self.trace)
-        if abs(t - 2.0) <= PARABOLIC_BAND:
-            return "parabolic"
-        return "hyperbolic" if t > 2.0 else "elliptic"
-
-    def canonical(self) -> "MobiusTransform":
-        """Sign representative by su_sign_flip: first nonzero of (Re u, Im u, Re v, Im v) > 0.
-
-        Negation is exact, so the negated pair skips the constructor's test
-        and renormalization, which could reject it or move it by rounding.
-        """
-        if su_sign_flip(self.u, self.v):
-            return MobiusTransform._normalized(-self.u, -self.v)
-        return self
-
-
-def projective_gap(a: MobiusTransform, b: MobiusTransform) -> float:
-    """Sup-norm distance between (u,v) pairs, minimized over the global sign."""
-    return float(su_gap((a.u, a.v), (b.u, b.v)))
-
 
 def rotation(phi: float) -> MobiusTransform:
     """R_phi = diag(e^{i phi/2}, e^{-i phi/2}); acts as z -> e^{i phi} z."""
@@ -208,30 +166,20 @@ def rotation(phi: float) -> MobiusTransform:
 
 
 def translation_pair(p):
-    """(u, v) of H(p) = -1/(1-|p|^2) [[1+|p|^2, 2p], [2 conj(p), 1+|p|^2]]; array-safe."""
+    """(u, v) of H(p) = -1/(1-|p|^2) [[1+|p|^2, 2p], [2 conj(p), 1+|p|^2]]; array-safe.
+
+    H(p) is the half turn about the origin followed by the half turn about
+    p, so H(p)[-p] = p; a hyperbolic translation for p != 0.
+    """
     scale = -1.0 / (1.0 - abs(p) ** 2)
     return scale * (1.0 + abs(p) ** 2), scale * 2.0 * p
 
 
-def translation(p: complex) -> MobiusTransform:
-    """H(p), the map of translation_pair.
-
-    Acts as the half turn about the origin followed by the half turn about
-    p, so H(p)[-p] = p; a hyperbolic translation for p != 0.
-    """
-    return MobiusTransform(*translation_pair(_require_in_disk(complex(p))))
-
-
 def half_turn_pair(omega):
-    """(u, v) of M(omega) = i/sqrt(1-|omega|^2) [[1, -omega], [conj(omega), -1]]; array-safe."""
+    """(u, v) of M(omega) = i/sqrt(1-|omega|^2) [[1, -omega], [conj(omega), -1]]; array-safe.
+
+    M(omega) is the trace-zero half turn about the disk point
+    omega / (1 + sqrt(1 - |omega|^2)), so M(omega)^2 = -identity.
+    """
     scale = 1j / ew.sqrt(1.0 - abs(omega) ** 2)
     return scale, -scale * omega
-
-
-def m_half_turn(omega: complex) -> MobiusTransform:
-    """M(omega), the map of half_turn_pair.
-
-    Trace-zero (a half turn about the disk point mapped from omega);
-    M(omega)^2 = -identity.
-    """
-    return MobiusTransform(*half_turn_pair(_require_in_disk(complex(omega))))

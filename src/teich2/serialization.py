@@ -3,10 +3,11 @@
 CSV writes floats as %.17g (``format_float``): 17 significant digits,
 enough to round-trip a double, with trailing zeros stripped (0.5, not
 0.50000000000000000).  It uses a '.' decimal separator, a header row, LF
-line endings and csv.writer's minimal quoting.  Tables are given as
-columns; a float64 array column is formatted in integer arithmetic, exact
-digit for digit (``_g17``), and each block of rows is written as one uint8
-array, while a table of Python cells is joined as text.  JSON
+line endings and csv.writer's minimal quoting, which here also quotes a
+cell holding a carriage return.  Tables are given as columns; a float64
+array column is formatted in integer arithmetic, exact digit for digit
+(``_g17``), and each block of rows is written as one uint8 array, while a
+table of Python cells is joined as text.  JSON
 documents carry a top level ``"schema": "teich2/v1"`` marker and serialize
 floats with Python's shortest round-tripping repr, so parsing reproduces
 the doubles bit-exactly.  SVG maps the unit disk to a 1000 x 1000 viewport
@@ -51,6 +52,8 @@ _BLOCK = 512
 # rows per pass of the CSV writer: _g17's arrays take a few hundred bytes per
 # value, so a block of the four-float ball dump stays within a few MB
 _ROWS = 4096
+# a CSV cell holding one of these characters is quoted
+_QUOTED = ',"\r\n'
 _COMMA, _NEWLINE = np.uint8(ord(",")), np.uint8(ord("\n"))
 
 
@@ -60,7 +63,7 @@ def format_float(x: float) -> str:
 
 
 def _quoted(cell: str, alone: bool) -> str:
-    if "," in cell or '"' in cell or "\n" in cell or (alone and not cell):
+    if any(c in cell for c in _QUOTED) or (alone and not cell):
         return '"' + cell.replace('"', '""') + '"'
     return cell
 
@@ -68,13 +71,14 @@ def _quoted(cell: str, alone: bool) -> str:
 def _cells(column: Iterable[Any], alone: bool) -> list[str]:
     """The CSV text of each cell of a column of Python objects: floats (numpy's
     too) as ``format_float``, anything else as ``str``, quoted as csv.writer's
-    QUOTE_MINIMAL does with a "\\n" line terminator: a cell holding ',', '"'
-    or "\\n", or the empty cell when it is ``alone`` in its row."""
+    QUOTE_MINIMAL does with a "\\r\\n" line terminator: a cell holding ',', '"',
+    "\\r" or "\\n", or the empty cell when it is ``alone`` in its row.  Rows end
+    with "\\n"."""
     cells = [format_float(x) if isinstance(x, float) else str(x) for x in column]
     joined = "".join(cells)
     if "\0" in joined:  # 0 bytes are the padding of the byte route
         raise ValueError("a CSV cell holds a NUL character")
-    if "," in joined or '"' in joined or "\n" in joined or (alone and "" in cells):
+    if any(c in joined for c in _QUOTED) or (alone and "" in cells):
         cells = [_quoted(c, alone) for c in cells]
     return cells
 

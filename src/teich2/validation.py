@@ -97,9 +97,8 @@ def _triple_agreement(a: np.ndarray, at: np.ndarray) -> dict[str, np.ndarray]:
     m = half_turn_pairs(omegas)
     triple = 0.0
     for k in range(4):
-        pk = omegas[k] / (1.0 + np.sqrt(1.0 - abs(omegas[k]) ** 2))
         triple = np.maximum(triple, su_gap(g[k], su_mul(m[k], m[5])))
-        triple = np.maximum(triple, su_gap(g[k], su_normalize(*translation_pair(pk))))
+        triple = np.maximum(triple, su_gap(g[k], su_normalize(*translation_pair(f.midpoints[k]))))
     return {"triple_agreement": triple}
 
 

@@ -66,7 +66,7 @@ def test_criterion_02_relation_and_traces(acceptance_grid):
     for params in acceptance_grid:
         gens = generators(params)
         assert relation_defect(gens).sign == +1
-        min_excess = min(min_excess, min(abs(g.trace) for g in gens.g) - 2.0)
+        min_excess = min(min_excess, min(abs(2.0 * u.real) for u, _ in gens.g) - 2.0)
     elapsed = time.perf_counter() - t0
     ok = worst_defect <= 1e-9 and min_excess > 0.0 and elapsed < 5.0
     record(2, desc, ok, f"defect={worst_defect:.2e} t={elapsed:.2f}s")

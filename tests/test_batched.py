@@ -87,10 +87,10 @@ def test_scalar_views_match_the_batch():
     for k, (x, y) in enumerate(zip(a.tolist(), at.tolist())):
         params = OctagonParams(x, y)
         gens = generators(params)
-        for (u, v), t in zip(g, gens.g):
+        for (u, v), (tu, tv) in zip(g, gens.g):
             # renormalization scales last-bit differences by |u|^2 + |v|^2
-            tol = 8 * EPS * (abs(t.u) ** 2 + abs(t.v) ** 2)
-            assert_allclose([u[k], v[k]], [t.u, t.v], rtol=tol)
+            tol = 8 * EPS * (abs(tu) ** 2 + abs(tv) ** 2)
+            assert_allclose([u[k], v[k]], [tu, tv], rtol=tol)
         view = pants_data(params)
         assert_allclose([x[k] for x in data.lengths + data.twists],
                         view.lengths + view.twists, rtol=4 * EPS)

@@ -317,6 +317,21 @@ class TestGroupCommand:
         assert doc["side_pairing"]["interior_violations"] == 0
         assert all(g["class"] == "hyperbolic" for g in doc["generators"])
 
+    def test_generator_pairs_written_as_complex(self, capsys):
+        # at one point the closed forms give g0 a real u, a float; the payload
+        # writes each u and v as a complex number all the same
+        argv = ["group", "--a", "0.95", "--alpha-tilde", "-0.5", "--samples", "0"]
+        assert type(group.generators(teich2.OctagonParams(0.95, -0.5)).g[0][0]) is float
+        code, out, _ = run_capture(capsys, argv)
+        assert code == 0
+        for g in json.loads(out)["generators"]:
+            assert all(isinstance(g[part], list) and len(g[part]) == 2 for part in "uv")
+        code, out, _ = run_capture(capsys, [*argv, "--format", "csv"])
+        assert code == 0
+        keys = {line.split(",")[0] for line in out.splitlines()}
+        assert {f"generators[{k}].{part}.{c}" for k in range(4) for part in "uv"
+                for c in ("re", "im")} <= keys
+
 
 class TestFnCommand:
     def test_json_payload(self, capsys):

@@ -11,25 +11,28 @@ from teich2 import group
 from teich2.errors import NumericalError
 from teich2.group import (
     BALL_SIZES,
+    LETTERS,
     _ball_words,
     _letter_maps,
     _times,
     ball,
     cells,
     generators,
-    m_matrices,
-    omega_table,
+    half_turn_pairs,
+    omega_forms,
     relation_defect,
     side_pairing_check,
 )
 from teich2.hyperbolic import (
-    MobiusTransform,
+    classify,
     dist,
-    projective_gap,
     su_act,
     su_gap,
+    su_inverse,
+    su_mul,
+    su_normalize,
     su_sign_flip,
-    translation,
+    translation_pair,
 )
 from teich2.octagon import OctagonParams, build_geometry, domain_grid, lower_a
 
@@ -56,12 +59,18 @@ PAST_PRECISION = [
     OctagonParams(0.995099525262749, -0.7740075264130591),
 ]
 EPS = np.finfo(float).eps
+IDENTITY = (1.0 + 0.0j, 0.0j)
 # Z[zeta] row (c0..c3) of c0 + c1 zeta + c2 zeta^2 + c3 zeta^3 -> complex
 ZETA = np.exp(0.25j * np.pi * np.arange(4))
 
 
-def _norm(t: MobiusTransform) -> float:
-    return math.sqrt(abs(t.u) ** 2 + abs(t.v) ** 2)
+def _norm(t) -> float:
+    return math.sqrt(abs(t[0]) ** 2 + abs(t[1]) ** 2)
+
+
+def _letters(gens):
+    """The letters a, A, b, B, ... of ball: each generator pair and its inverse."""
+    return dict(zip(LETTERS, (x for g in gens.g for x in (g, su_inverse(g)))))
 
 
 @st.composite
@@ -76,11 +85,11 @@ def domain_points(draw, margin=1e-3):
 class TestGenerators:
     def test_regular_point_values(self):
         gens = generators(OctagonParams(A_REG, 0.0))
-        g0 = gens.g[0]
-        assert_allclose(g0.u, U0_REG, rtol=1e-14)
-        assert_allclose(g0.v, V0_REG, rtol=1e-14)
-        for g in gens.g:
-            assert_allclose(abs(g.trace), TRACE_REG, rtol=1e-13)
+        u0, v0 = gens.g[0]
+        assert_allclose(u0, U0_REG, rtol=1e-14)
+        assert_allclose(v0, V0_REG, rtol=1e-14)
+        for u, _ in gens.g:
+            assert_allclose(abs(2.0 * u.real), TRACE_REG, rtol=1e-13)
 
     def test_all_hyperbolic_in_domain(self):
         rng = np.random.default_rng(42)
@@ -88,38 +97,36 @@ class TestGenerators:
             at = rng.uniform(-0.6, 0.6)
             a = rng.uniform(1.0 / (math.sqrt(2.0) * math.cos(at)) + 0.02, 0.98)
             gens = generators(OctagonParams(a, at))
-            for g in gens.g:
-                assert g.classify() == "hyperbolic"
-                assert abs(g.trace) > 2.0
+            for u, _ in gens.g:
+                assert classify(u) == "hyperbolic"
+                assert abs(2.0 * u.real) > 2.0
 
     def test_rotation_conjugation_pairs(self):
         # g2, g3 are the quarter-turn conjugates of g0, g1: u fixed, v times i
         gens = generators(P0)
         for k in (0, 1):
-            assert_allclose(gens.g[k + 2].u, gens.g[k].u, rtol=1e-13)
-            assert_allclose(gens.g[k + 2].v, 1j * gens.g[k].v, rtol=1e-13)
+            assert_allclose(gens.g[k + 2][0], gens.g[k][0], rtol=1e-13)
+            assert_allclose(gens.g[k + 2][1], 1j * gens.g[k][1], rtol=1e-13)
 
     def test_letters_order_and_inverses(self):
+        # the radius-1 ball holds the letters in order: g_k, then its inverse
         gens = generators(P0)
-        labels = [label for label, _ in gens.letters()]
-        assert labels == ["a", "A", "b", "B", "c", "C", "d", "D"]
-        ident = MobiusTransform.identity()
-        letters = [t for _, t in gens.letters()]
+        b = ball(gens, 1)
+        assert b.shortlex[1:] == tuple(LETTERS) == ("a", "A", "b", "B", "c", "C", "d", "D")
         for k, g in enumerate(gens.g):
-            assert letters[2 * k] is g
-            assert projective_gap(g @ letters[2 * k + 1], ident) < 1e-13
+            assert su_gap((b.u[2 * k + 1], b.v[2 * k + 1]), g) < 1e-13
+            assert su_gap(su_mul(g, (b.u[2 * k + 2], b.v[2 * k + 2])), IDENTITY) < 1e-13
 
 
 class TestTripleConstruction:
     def test_generators_match_matrix_products_and_translations(self):
         geom = build_geometry(P0)
         gens = generators(P0)
-        mm = m_matrices(geom)
-        omegas = omega_table(geom)
+        m = half_turn_pairs(omega_forms(geom.omega_plus, geom.omega_minus, geom.omega4))
         for k in range(4):
-            pk = omegas[k] / (1.0 + math.sqrt(1.0 - abs(omegas[k]) ** 2))
-            assert projective_gap(gens.g[k], mm[k] @ mm[5]) < 1e-12
-            assert projective_gap(gens.g[k], translation(pk)) < 1e-12
+            assert su_gap(gens.g[k], su_mul(m[k], m[5])) < 1e-12
+            h = su_normalize(*translation_pair(geom.midpoints[k]))
+            assert su_gap(gens.g[k], h) < 1e-12
 
 
 class TestRelation:
@@ -218,19 +225,21 @@ class TestBall:
         except ValueError as exc:
             assert "precision limit" in str(exc)
             return
-        letters = dict(gens.letters())
-        # the shortlex chain, one canonical product at a time, and the forward
-        # error bound B of numpy's products against it, in units of 8 eps:
-        # the parent's error carried by the letter g, plus this product's rounding
-        chain, bound = {"": MobiusTransform.identity()}, {"": 0.0}
+        letters = _letters(gens)
+        # the shortlex chain, one canonical product at a time in CPython's
+        # arithmetic, and the forward error bound B of numpy's products against
+        # it, in units of 8 eps: the parent's error carried by the letter g,
+        # plus this product's rounding
+        chain, bound = {"": IDENTITY}, {"": 0.0}
         for word, u, v in zip(b.shortlex, b.u.tolist(), b.v.tolist()):
             if word:
                 parent, g = chain[word[:-1]], letters[word[-1]]
-                chain[word] = (parent @ g).canonical()
+                pu, pv = su_mul(parent, g)
+                chain[word] = (-pu, -pv) if su_sign_flip(pu, pv) else (pu, pv)
                 size = abs(u) ** 2 + abs(v) ** 2
                 bound[word] = (bound[word[:-1]] + _norm(parent)) * _norm(g) + size ** 1.5
-            t = chain[word]
-            assert max(abs(u - t.u), abs(v - t.v)) <= 8.0 * EPS * bound[word], word
+            tu, tv = chain[word]
+            assert max(abs(u - tu), abs(v - tv)) <= 8.0 * EPS * bound[word], word
             # canonical sign: the first part above the sign threshold is positive
             first = next(c for c in (u.real, u.imag, v.real, v.imag) if abs(c) > 1e-9)
             assert first > 0.0, word
@@ -268,7 +277,7 @@ class TestBall:
             # length L has |u| <= (2 max|u_k|)^L, and |u|^2 - |v|^2 = 1 is lost
             # once eps |u|^2 reaches 1 (near the corner a = 1, alpha_tilde = pi/4)
             word = re.search(r"element '(\w+)' is past the float64 precision limit", str(exc))
-            u_max = max(abs(g.u) for g in gens.g)
+            u_max = max(abs(u) for u, _ in gens.g)
             assert (2.0 * u_max) ** (2 * len(word[1])) * np.finfo(float).eps > 1.0
             return
         assert len(b) == BALL_SIZES[3]
@@ -328,10 +337,10 @@ class TestExactWords:
     def test_letters_match_float_generators_at_regular_point(self):
         gens = generators(OctagonParams(A_REG, 0.0))
         scale = math.sqrt(2.0 + 2.0 * math.sqrt(2.0)) * np.exp(0.125j * np.pi)
-        for (_, t), m in zip(gens.letters(), _letter_maps()):
+        for t, m in zip(_letters(gens).values(), _letter_maps()):
             row = m[0]  # the letter itself: the identity (1, 0) times it
-            exact = MobiusTransform(row[:4] @ ZETA, scale * (row[4:] @ ZETA))
-            assert projective_gap(exact, t) <= 1e-14
+            exact = su_normalize(row[:4] @ ZETA, scale * (row[4:] @ ZETA))
+            assert su_gap(exact, t) <= 1e-14
 
     def test_relator_is_exact_identity(self):
         maps = _letter_maps()

@@ -394,14 +394,17 @@ class TestG17:
 
 def reference_csv_text(header, rows):
     """The row-wise writer csv_text replaced, kept as its byte oracle: cells
-    formatted one at a time and written by the csv module."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(header))
-    writer.writerows(
+    formatted one at a time and written by the csv module.  Each row is
+    written with a "\\r\\n" terminator, so that the csv module quotes a cell
+    holding "\\r" as well as one holding "\\n", and then ended with "\\n"."""
+    lines = []
+    for row in [list(header)] + [
         [f"{float(x):.17g}" if isinstance(x, float) else str(x) for x in row] for row in rows
-    )
-    return buf.getvalue()
+    ]:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        lines.append(buf.getvalue()[:-2] + "\n")
+    return "".join(lines)
 
 
 def assert_same_csv(header, columns):
@@ -441,6 +444,15 @@ class TestCSVAgainstReference:
     def test_quoting(self, cell):
         assert_same_csv([cell, "x"], [[cell, "y", cell], np.array([0.5, -1.0, 1e-5])])
         assert_same_csv([cell], [[cell, "y", cell]])
+
+    @pytest.mark.parametrize("floats", [False, True])
+    def test_bare_carriage_return_reads_back(self, floats):
+        # the csv module's "\\n"-terminated writer leaves this cell unquoted,
+        # and csv.reader then refuses the file
+        column = np.array([0.5]) if floats else ["z"]
+        text = csv_text(("a", "b"), (["x\ry"], column))
+        assert list(csv.reader(io.StringIO(text, newline=""))) == [
+            ["a", "b"], ["x\ry", "0.5" if floats else "z"]]
 
     def test_one_empty_cell_alone_in_its_row(self):
         assert assert_same_csv(["w"], [["", "a", ""]]) == 'w\n""\na\n""\n'
