@@ -125,7 +125,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", type=int, nargs=2, default=[20, 20],
                     metavar=("N_A", "N_ALPHA"))
     sp.add_argument("--margin", type=float, default=0.02)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=0,
+                    help="echoed in the report and unused; kept for the teich2/v1 schema")
     sp.add_argument(
         "--tolerance", action="append", default=[], metavar="NAME=VALUE",
         help="override a named tolerance, repeatable",

@@ -53,6 +53,7 @@ __all__ = [
     "relation_pairs",
     "relation_defect",
     "pairing_residuals",
+    "crossing_violations",
     "side_pairing_check",
     "ball",
     "cells",
@@ -160,6 +161,27 @@ def pairing_residuals(vertices, midpoints, g):
         p = midpoints[k]
         midpoint = ew.maximum(midpoint, abs(su_act(u, v, -p) - p))
     return endpoint, midpoint
+
+
+def crossing_violations(centres, r_plus, r_minus, g):
+    """How many of the eight maps g_k, g_k^-1 fail to carry the octagon
+    across their side, from 0 to 8; elementwise.
+
+    The octagon lies outside its eight side circles and contains 0, and g_k
+    maps side k+4 onto side k, so g_k carries it across side k exactly when
+    g_k(0) = v_k/conj(u_k) lies strictly inside side k's circle, and g_k^-1
+    carries it across side k+4 exactly when g_k^-1(0) = -v_k/u_k lies
+    strictly inside that side's circle.  ``centres`` is indexed by side
+    first, as in OctagonForms; sides k and k+4 have radius ``r_plus`` for k
+    even and ``r_minus`` for k odd.
+    """
+    count = 0
+    for k, (u, v) in enumerate(g):
+        radius = r_plus if k % 2 == 0 else r_minus
+        for image, centre in ((v / u.conjugate(), centres[k]), (-v / u, centres[k + 4])):
+            # a NaN distance counts as a failure
+            count = count + ew.where(abs(image - centre) < radius, 0, 1)
+    return count
 
 
 def side_pairing_check(

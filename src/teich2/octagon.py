@@ -301,8 +301,8 @@ def grid_arrays(
     if n_a < 1 or n_alpha < 1:
         raise ValueError(f"grid {n_a} x {n_alpha} has no points")
     alphas = np.linspace(-at_max, at_max, n_alpha + 2)[1:-1]
-    rows = [np.linspace(lower_a(float(at)) + margin, 1.0 - margin, n_a) for at in alphas]
-    a, at = np.concatenate(rows), np.repeat(alphas, n_a)
+    a = np.linspace(lower_a(alphas) + margin, 1.0 - margin, n_a, axis=1).ravel()
+    at = np.repeat(alphas, n_a)
     _check_domain(a, at, 0.0)
     return a, at
 

@@ -8,7 +8,18 @@ orbit behavior, and the two independent area routes.  Each identity
 is written once, in the ``CHECKS`` table, which the acceptance tests call
 too.  The per-point identities take the whole grid at once, as numpy
 arrays, through the same closed forms that the scalar API evaluates at one
-point.  The result is a JSON-ready report with one entry per check.
+point; each block of points computes its octagon forms and generators once,
+in a ``PointBlock`` that its checks share.  The result is a JSON-ready
+report with one entry per check.
+
+By Poincare's polygon theorem (Maskit, Adv. Math. 7, 1971; Beardon, The
+Geometry of Discrete Groups, 1983, sec. 9.8) the octagon is a fundamental
+domain of the group its side pairings generate when three conditions hold,
+and each is checked exactly at every grid point: g_k maps side k+4 onto
+side k (``side_pairing``), the vertex cycle's angles sum to 2 pi
+(``interior_angles``), and g_k carries the octagon across side k
+(``side_pairing_interior``, which counts the maps g_k, g_k^-1 whose image of
+the centre 0 is not strictly inside the side circle it must cross).
 """
 
 from __future__ import annotations
@@ -31,19 +42,19 @@ from .fenchel_nielsen import (
 from .group import (
     BALL_SIZES,
     ball,
+    crossing_violations,
     generator_pairs,
     generators,
     half_turn_pairs,
     omega_forms,
     pairing_residuals,
     relation_pairs,
-    side_pairing_check,
 )
 from .hyperbolic import dist, su_gap, su_mul, su_normalize, translation_pair
 from .octagon import (
+    OctagonForms,
     OctagonParams,
     b_of,
-    build_geometry,
     grid_arrays,
     octagon_forms,
     perimeter_ab,
@@ -51,7 +62,7 @@ from .octagon import (
     vertex_sum,
 )
 
-__all__ = ["CHECKS", "DEFAULT_TOLERANCES", "run_validation"]
+__all__ = ["CHECKS", "DEFAULT_TOLERANCES", "PointBlock", "point_block", "run_validation"]
 
 DEFAULT_TOLERANCES: dict[str, float] = {
     "relation_defect": 1e-9,
@@ -81,18 +92,30 @@ _AREA_P_STARS = (25.0, 41.0)
 _BLOCK = 1024
 
 
-def _relation(a: np.ndarray, at: np.ndarray) -> dict[str, np.ndarray]:
-    g = generator_pairs(a, at)
-    min_trace = np.min([abs(2.0 * u.real) for u, _ in g], axis=0)
+class PointBlock(NamedTuple):
+    """Grid points (a, alpha_tilde) and the forms the per-point checks share."""
+
+    a: np.ndarray
+    at: np.ndarray
+    forms: OctagonForms
+    g: tuple
+
+
+def point_block(a: np.ndarray, at: np.ndarray) -> PointBlock:
+    """The octagon_forms and generator_pairs of (a, at), computed once."""
+    return PointBlock(a, at, octagon_forms(a, at), generator_pairs(a, at))
+
+
+def _relation(p: PointBlock) -> dict[str, np.ndarray]:
+    min_trace = np.min([abs(2.0 * u.real) for u, _ in p.g], axis=0)
     return {
-        "relation_defect": relation_pairs(g)[0],
+        "relation_defect": relation_pairs(p.g)[0],
         "generator_traces": np.maximum(0.0, 2.0 - min_trace),
     }
 
 
-def _triple_agreement(a: np.ndarray, at: np.ndarray) -> dict[str, np.ndarray]:
-    f = octagon_forms(a, at)
-    g = generator_pairs(a, at)
+def _triple_agreement(p: PointBlock) -> dict[str, np.ndarray]:
+    f, g = p.forms, p.g
     omegas = omega_forms(f.omega_plus, f.omega_minus, f.omega4)
     m = half_turn_pairs(omegas)
     triple = 0.0
@@ -102,14 +125,17 @@ def _triple_agreement(a: np.ndarray, at: np.ndarray) -> dict[str, np.ndarray]:
     return {"triple_agreement": triple}
 
 
-def _side_pairing(a: np.ndarray, at: np.ndarray) -> dict[str, np.ndarray]:
-    f = octagon_forms(a, at)
-    endpoint, midpoint = pairing_residuals(f.vertices, f.midpoints, generator_pairs(a, at))
-    return {"side_pairing": np.maximum(endpoint, midpoint)}
+def _side_pairing(p: PointBlock) -> dict[str, np.ndarray]:
+    f = p.forms
+    endpoint, midpoint = pairing_residuals(f.vertices, f.midpoints, p.g)
+    return {
+        "side_pairing": np.maximum(endpoint, midpoint),
+        "side_pairing_interior": crossing_violations(f.centres, f.r_plus, f.r_minus, p.g),
+    }
 
 
-def _fn_consistency(a: np.ndarray, at: np.ndarray) -> dict[str, np.ndarray]:
-    f = octagon_forms(a, at)
+def _fn_consistency(p: PointBlock) -> dict[str, np.ndarray]:
+    a, at, f = p.a, p.at, p.forms
     data, data_p = pants_forms(a, at), pants_forms(f.b, -at)
     p_plus, p_minus = f.midpoints[0], f.midpoints[1]
     pairs = [(c, np.cosh(0.5 * length)) for c, length in zip(data.c, data.lengths)]
@@ -124,24 +150,24 @@ def _fn_consistency(a: np.ndarray, at: np.ndarray) -> dict[str, np.ndarray]:
     return {"fn_consistency": np.max(res + list(dt_residuals(data)), axis=0)}
 
 
-def _wolpert(a: np.ndarray, at: np.ndarray) -> dict[str, np.ndarray]:
-    coeff = wp_coefficient_raw(a, at)
-    s, s_p = wolpert_forms(a, at), wolpert_forms(a, at, primed=True)
+def _wolpert(p: PointBlock) -> dict[str, np.ndarray]:
+    coeff = wp_coefficient_raw(p.a, p.at)
+    s, s_p = wolpert_forms(p.a, p.at), wolpert_forms(p.a, p.at, primed=True)
     return {
         "wolpert_relative": np.maximum(abs(sum(s) - coeff), abs(sum(s_p) - coeff)) / coeff,
         "wolpert_k3": np.maximum(abs(s[2]), abs(s_p[2])) / coeff,
     }
 
 
-def _lt_relations(a: np.ndarray, at: np.ndarray) -> dict[str, np.ndarray]:
-    return {"lt_relations": lt_forms(a, at).max_residual}
+def _lt_relations(p: PointBlock) -> dict[str, np.ndarray]:
+    return {"lt_relations": lt_forms(p.a, p.at).max_residual}
 
 
-def _perimeter_and_angles(a: np.ndarray, at: np.ndarray) -> dict[str, np.ndarray]:
-    f = octagon_forms(a, at)
+def _perimeter_and_angles(p: PointBlock) -> dict[str, np.ndarray]:
+    f = p.forms
     ang0, ang1 = (vertex_angles(f.vertices, f.centres, k) for k in (0, 1))
     return {
-        "perimeter_routes": abs(perimeter_ab(a, f.b) - vertex_sum(f.vertices)),
+        "perimeter_routes": abs(perimeter_ab(p.a, f.b) - vertex_sum(f.vertices)),
         "interior_angles": np.max([
             abs(ang0 - f.beta),
             abs(ang1 - (0.5 * math.pi - f.beta)),
@@ -190,11 +216,10 @@ class _Check(NamedTuple):
 
 # Each entry is keyed by the first DEFAULT_TOLERANCES name its function
 # reports and returns {name: residual} for one or two names.  Per-point
-# functions take arrays (a, alpha_tilde) of grid points, which they keep in
-# the domain, and return one residual array per name; the others run once,
-# and area_cross_check takes the perimeters to compare at (_AREA_P_STARS by
-# default).  The probe-point checks side_pairing_interior and ball_counts
-# live in run_validation.
+# functions take the point_block of grid points in the domain and return one
+# residual array per name; the others run once, and area_cross_check takes
+# the perimeters to compare at (_AREA_P_STARS by default).  The probe-point
+# check ball_counts lives in run_validation.
 CHECKS: dict[str, _Check] = {
     "relation_defect": _Check(True, _relation),
     "triple_agreement": _Check(True, _triple_agreement),
@@ -214,17 +239,17 @@ def _per_point_worst(a: np.ndarray, at: np.ndarray) -> dict[str, float]:
     """Largest residual of each per-point check over the grid points (a, at).
 
     The points go through CHECKS in blocks of _BLOCK, which bounds the
-    arrays held at once; a breakdown at one point is reported with that
-    point and the check.
+    arrays held at once, and the checks of a block share its point_block; a
+    breakdown at one point is reported with that point and the check.
     """
     worst: dict[str, list] = {}
     for start in range(0, a.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
+        block = point_block(a[start:start + _BLOCK], at[start:start + _BLOCK])
         for key, check in CHECKS.items():
             if not check.per_point:
                 continue
             try:
-                residuals = check.fn(a[block], at[block])
+                residuals = check.fn(block)
             except NumericalError as exc:
                 if exc.index is None:
                     raise
@@ -248,7 +273,11 @@ def run_validation(
     seed: int = 0,
     tolerances: dict[str, float] | None = None,
 ) -> dict:
-    """Run every invariant check and return a JSON-ready report."""
+    """Run every invariant check and return a JSON-ready report.
+
+    ``seed`` is echoed in the report and used by no check: it stays for the
+    teich2/v1 report schema.
+    """
     tols = dict(DEFAULT_TOLERANCES)
     if tolerances:
         unknown = set(tolerances) - set(tols)
@@ -262,17 +291,12 @@ def run_validation(
     a, at = grid_arrays(n_a, n_alpha, margin)
     results = _per_point_worst(a, at)
 
-    probe = OctagonParams(float(a[a.size // 2]), float(at[a.size // 2]))
-    sp = side_pairing_check(
-        build_geometry(probe), generators(probe), samples=500, seed=seed
-    )
-    results["side_pairing_interior"] = float(sp.interior_violations)
-
     for check in CHECKS.values():
         if not check.per_point:
             results.update(check.fn())
 
     reg = OctagonParams(iso.A_REG, 0.0)
+    probe = OctagonParams(float(a[a.size // 2]), float(at[a.size // 2]))
     counts_ok = (
         len(ball(generators(reg), 1)) == BALL_SIZES[1]
         and len(ball(generators(probe), 2)) == BALL_SIZES[2]

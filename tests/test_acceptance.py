@@ -16,7 +16,7 @@ from teich2.group import BALL_SIZES, ball, generators, relation_defect
 from teich2.hyperbolic import su_gap
 from teich2.isoperimetric import A_REG, E_REG, P_REG, e_of_a, e_of_p, parabola_fit
 from teich2.octagon import OctagonParams, perimeter
-from teich2.validation import CHECKS
+from teich2.validation import CHECKS, point_block
 
 C1_COEFF = 0.05622
 C2_COEFF = 2.62132
@@ -27,7 +27,7 @@ def grid_worst(grid, name):
     evaluated in one batch as validate does."""
     a = np.array([p.a for p in grid])
     at = np.array([p.alpha_tilde for p in grid])
-    return {key: float(np.max(r)) for key, r in CHECKS[name].fn(a, at).items()}
+    return {key: float(np.max(r)) for key, r in CHECKS[name].fn(point_block(a, at)).items()}
 
 
 def test_criterion_01_regular_constants():
@@ -84,13 +84,14 @@ def test_criterion_03_triple_construction(acceptance_grid):
 
 
 def test_criterion_04_side_pairing(acceptance_grid):
-    desc = "side pairing: endpoints and opposite midpoints, <= 1e-9"
+    desc = "side pairing: endpoints and opposite midpoints, <= 1e-9; crossing exact"
     t0 = time.perf_counter()
-    worst = grid_worst(acceptance_grid, "side_pairing")["side_pairing"]
+    worst = grid_worst(acceptance_grid, "side_pairing")
+    worst_res, crossing = worst["side_pairing"], worst["side_pairing_interior"]
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-9
-    record(4, desc, ok, f"res={worst:.2e} t={elapsed:.2f}s")
-    assert ok, worst
+    ok = worst_res <= 1e-9 and crossing == 0
+    record(4, desc, ok, f"res={worst_res:.2e} crossing={crossing:.0f} t={elapsed:.2f}s")
+    assert ok, (worst_res, crossing)
 
 
 def test_criterion_05_fn_consistency(acceptance_grid):

@@ -15,7 +15,8 @@ from numpy.testing import assert_allclose
 
 from teich2.errors import NumericalError, OutOfDomainError
 from teich2.fenchel_nielsen import pants_data, pants_forms, wolpert_forms, wolpert_summands
-from teich2.group import generator_pairs, generators
+from teich2.group import crossing_violations, generator_pairs, generators
+from teich2.hyperbolic import su_inverse
 from teich2.octagon import (
     OctagonParams,
     b_of,
@@ -26,7 +27,7 @@ from teich2.octagon import (
     octagon_forms,
 )
 from teich2 import validation
-from teich2.validation import CHECKS, DEFAULT_TOLERANCES, run_validation
+from teich2.validation import CHECKS, DEFAULT_TOLERANCES, point_block, run_validation
 
 EPS = np.finfo(float).eps
 PER_POINT = {key: check.fn for key, check in CHECKS.items() if check.per_point}
@@ -51,6 +52,24 @@ def test_grid_arrays_are_the_domain_grid():
     grid = domain_grid(7, 5, 0.03)
     assert a.shape == at.shape == (35,)
     assert [(p.a, p.alpha_tilde) for p in grid] == list(zip(a.tolist(), at.tolist()))
+
+
+def _grid_rows(n_a, n_alpha, margin):
+    """grid_arrays built one a-row at a time: the oracle of its one linspace."""
+    at_max = math.acos(1.0 / (math.sqrt(2.0) * (1.0 - 2.0 * margin)))
+    alphas = np.linspace(-at_max, at_max, n_alpha + 2)[1:-1]
+    rows = [np.linspace(lower_a(float(at)) + margin, 1.0 - margin, n_a) for at in alphas]
+    return np.concatenate(rows), np.repeat(alphas, n_a)
+
+
+@pytest.mark.parametrize("n_a, n_alpha, margin", [
+    (1, 1, 0.02), (1, 9, 0.1), (9, 1, 0.005), (2, 3, 0.14), (20, 20, 0.02),
+    (40, 41, 0.0068), (11, 11, 0.0446), (200, 200, 0.005), (3, 1000, 1e-4),
+])
+def test_grid_arrays_match_the_row_loop(n_a, n_alpha, margin):
+    a, at = grid_arrays(n_a, n_alpha, margin)
+    ref_a, ref_at = _grid_rows(n_a, n_alpha, margin)
+    assert a.tobytes() == ref_a.tobytes() and at.tobytes() == ref_at.tobytes()
 
 
 def test_grid_arrays_check_the_domain():
@@ -102,8 +121,21 @@ def test_scalar_views_match_the_batch():
 @settings(max_examples=60, deadline=None)
 @given(batches(margin=1e-3))
 def test_side_pairing_under_its_bar(batch):
-    res = PER_POINT["side_pairing"](*batch)
+    res = PER_POINT["side_pairing"](point_block(*batch))
     assert np.max(res["side_pairing"]) <= DEFAULT_TOLERANCES["side_pairing"]
+    # every g_k carries the octagon across side k at every point
+    assert not np.any(res["side_pairing_interior"])
+
+
+def test_crossing_counts_every_inverted_generator():
+    # g_k^-1 carries the octagon across side k+4, never across side k, so
+    # inverting every generator fails all eight crossings at every point
+    a, at = grid_arrays(30, 30, 1e-3)
+    f = octagon_forms(a, at)
+    g = generator_pairs(a, at)
+    assert not np.any(crossing_violations(f.centres, f.r_plus, f.r_minus, g))
+    inverted = [su_inverse(x) for x in g]
+    assert np.all(crossing_violations(f.centres, f.r_plus, f.r_minus, inverted) == 8)
 
 
 # At margin 1e-3 the relation defect exceeds its absolute 1e-9 bar near the
@@ -113,7 +145,7 @@ def test_side_pairing_under_its_bar(batch):
 @settings(max_examples=60, deadline=None)
 @given(batches(margin=0.02))
 def test_relation_defect_under_its_bar(batch):
-    res = PER_POINT["relation_defect"](*batch)
+    res = PER_POINT["relation_defect"](point_block(*batch))
     assert np.max(res["relation_defect"]) <= DEFAULT_TOLERANCES["relation_defect"]
     assert np.max(res["generator_traces"]) <= DEFAULT_TOLERANCES["generator_traces"]
 
@@ -135,7 +167,7 @@ def test_batch_invariance(batch, data):
     a, at = batch
     k = data.draw(st.integers(0, len(a) - 1))
     for key, fn in PER_POINT.items():
-        together, alone = fn(a, at), fn(a[k:k + 1], at[k:k + 1])
+        together, alone = fn(point_block(a, at)), fn(point_block(a[k:k + 1], at[k:k + 1]))
         for name, residual in together.items():
             x, y = alone[name][0], residual[k]
             assert abs(x - y) <= 1e-15 * abs(y), (key, name, x, y)

@@ -3,17 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from teich2.validation import CHECKS, DEFAULT_TOLERANCES, run_validation
+from teich2 import validation
+from teich2.octagon import grid_arrays
+from teich2.validation import CHECKS, DEFAULT_TOLERANCES, point_block, run_validation
 
-# checked once at the probe point inside run_validation, not through CHECKS
-PROBE_CHECKS = {"side_pairing_interior", "ball_counts"}
+# checked once at a probe point inside run_validation, not through CHECKS:
+# the ball sizes are a property of the group, not of each grid point
+PROBE_CHECKS = {"ball_counts"}
 
 
 def test_no_tolerance_is_reported_by_two_checks():
     reported = []
     for key, check in CHECKS.items():
         if check.per_point:
-            res = check.fn(np.array([0.8]), np.array([0.1]))
+            res = check.fn(point_block(np.array([0.8]), np.array([0.1])))
         elif key == "area_cross_check":
             res = check.fn(())  # no perimeters: the name without a sweep
         else:
@@ -37,5 +40,22 @@ def test_bad_tolerance_value_rejected(tol):
 def test_fn_consistency_is_relative_for_large_quantities():
     # d_k is about 2e4 here; its identities hold to ~1e-11 relative but
     # miss 1e-9 in absolute terms
-    res = CHECKS["fn_consistency"].fn(np.array([0.995]), np.array([-0.33224804589778684]))
+    res = CHECKS["fn_consistency"].fn(point_block(np.array([0.995]),
+                                                  np.array([-0.33224804589778684])))
     assert res["fn_consistency"] <= DEFAULT_TOLERANCES["fn_consistency"]
+
+
+@pytest.mark.parametrize("n_a, n_alpha, margin", [(20, 20, 0.005), (40, 41, 0.0068)])
+def test_shared_block_moves_no_residual(n_a, n_alpha, margin):
+    # the oracle gives each check a point_block of its own, as when every
+    # check computed its own forms; a check that wrote into the shared forms
+    # would move the residuals of the checks after it
+    a, at = grid_arrays(n_a, n_alpha, margin)
+    for start in range(0, a.size, validation._BLOCK):
+        rows = slice(start, start + validation._BLOCK)
+        shared = point_block(a[rows], at[rows])
+        for key, check in CHECKS.items():
+            if check.per_point:
+                fresh = check.fn(point_block(a[rows], at[rows]))
+                for name, residual in check.fn(shared).items():
+                    assert residual.tobytes() == fresh[name].tobytes(), (key, name, start)
