@@ -13,7 +13,11 @@ the orbit.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +58,17 @@ QUAD_TOLERANCE = 1e-10
 
 # discriminant E^2 - 24E + 16 may round slightly negative at E_reg
 _DISC_CLAMP = 1e-12
+
+# why QUADPACK's qagse stopped, by its ier code; with ier 0 the check below
+# fails only on a non-finite estimate, which qagse does not flag
+_QAGSE_IER = {
+    0: "no failure flagged, but the integrand is not finite",
+    1: "subdivision limit reached",
+    2: "roundoff error",
+    3: "bad integrand behaviour",
+    4: "roundoff error in the extrapolation table",
+    5: "divergent or slowly convergent",
+}
 
 
 def e_of_p(p: float) -> float:
@@ -189,11 +204,42 @@ def _area_integrand(a, e_star: float):
 
 @dataclass(frozen=True)
 class AreaResult:
-    """WP area enclosed by an orbit, with quad's error estimate and work."""
+    """WP area enclosed by an orbit, with QUADPACK's error estimate and work."""
 
     area: float
     quad_error_estimate: float
     evaluations: int
+
+
+@functools.cache
+def _quadpack():
+    """scipy's QUADPACK extension module, loaded from its file on first use.
+
+    Importing ``scipy.integrate`` for ``quad`` maps about 355 scipy modules,
+    most of a cold ``validate`` or ``area``; ``_qagse`` needs only this
+    extension, which imports scipy's light callback helpers.  It registers
+    itself in ``sys.modules`` as ``teich2._quadpack``.  ModuleNotFoundError
+    if scipy or the extension is not found.
+    """
+    spec = importlib.util.find_spec("scipy")  # for a top-level name, imports nothing
+    if spec is None or not spec.submodule_search_locations:
+        raise ModuleNotFoundError(
+            "wp_area needs scipy's QUADPACK extension, and scipy is not installed "
+            "(searched sys.path)", name="scipy",
+        )
+    here = os.path.join(spec.submodule_search_locations[0], "integrate")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(here, "_quadpack" + suffix)
+        if os.path.isfile(path):
+            # the name's last part must be _quadpack, the extension's PyInit symbol
+            ext = importlib.util.spec_from_file_location("teich2._quadpack", path)
+            module = importlib.util.module_from_spec(ext)
+            ext.loader.exec_module(module)
+            return module
+    raise ModuleNotFoundError(
+        f"wp_area needs scipy's QUADPACK extension, and no _quadpack extension "
+        f"is in scipy's directory {here!r}", name="scipy.integrate._quadpack",
+    )
 
 
 def wp_area(p_star: float) -> AreaResult:
@@ -201,13 +247,15 @@ def wp_area(p_star: float) -> AreaResult:
 
     The integral over a in [a_minus, a_plus] is taken in the normalized
     variable t with a = a_minus + (a_plus - a_minus) t, which regularizes
-    the square-root vanishing of the integrand at both endpoints.  quad
-    asks for one node at a time, and each takes the float route of
+    the square-root vanishing of the integrand at both endpoints, by
+    QUADPACK's qagse with the arguments of scipy's ``quad``.  qagse asks
+    for one node at a time, and each takes the float route of
     ``_area_integrand`` (``math``, about a microsecond), not numpy's.
-    ``scipy.integrate`` is imported on the first call, not with the module,
-    so that importing teich2 does not load scipy.
-    NumericalError where quad does not converge, as from P ~ 200, or the
-    integrand overflows: from P ~ 400 f rounds to 1 and arctanh(f) = inf.
+    scipy's QUADPACK extension is loaded on the first call, without
+    ``scipy.integrate``, so that importing teich2 loads no scipy.
+    NumericalError where qagse does not converge, as from P ~ 200, or the
+    integrand overflows: from P ~ 302 f rounds to 1 and arctanh(f) = inf;
+    its message names qagse's ier code.
     """
     if p_star < P_REG - 1e-12:
         raise DomainError(f"p_star = {p_star!r} lies below P_reg = {P_REG!r}")
@@ -220,17 +268,16 @@ def wp_area(p_star: float) -> AreaResult:
     def g(t: float) -> float:
         return width * _area_integrand(lo + width * t, e_star)
 
-    # scipy.integrate is most of a cold `import teich2`, and only this call needs it
-    from scipy.integrate import quad
-
-    area, err, info = quad(
-        g, 0.0, 1.0, epsabs=QUAD_TOLERANCE, epsrel=QUAD_TOLERANCE,
-        limit=200, full_output=True,
-    )[:3]
+    # quad's call for finite limits a < b: (func, a, b, args, full_output,
+    # epsabs, epsrel, limit); epsabs > 0 and limit > 0, so ier 6 cannot occur
+    area, err, info, ier = _quadpack()._qagse(
+        g, 0.0, 1.0, (), 1, QUAD_TOLERANCE, QUAD_TOLERANCE, 200,
+    )
     if not (math.isfinite(area) and err <= 1e-6 * max(1.0, abs(area))):
         raise NumericalError(
             f"area quadrature did not converge at p_star = {p_star!r}: "
-            f"estimate {area!r}, error {err!r}, {info['neval']} evaluations"
+            f"estimate {area!r}, error {err!r}, {info['neval']} evaluations; "
+            f"QUADPACK ier {ier}: {_QAGSE_IER[ier]}"
         )
     return AreaResult(area, err, int(info["neval"]))
 

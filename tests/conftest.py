@@ -1,7 +1,13 @@
-"""Shared fixtures and the acceptance-criteria summary hook."""
+"""Shared fixtures, the fresh-interpreter helper and the acceptance-criteria summary hook."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import teich2
 from teich2.octagon import domain_grid
 
 _CRITERIA: dict[int, tuple[str, bool, str]] = {}
@@ -11,6 +17,16 @@ _TOTAL = 12
 def record(num: int, description: str, ok: bool, detail: str = "") -> None:
     """Register one acceptance-criterion outcome for the terminal summary."""
     _CRITERIA[num] = (description, ok, detail)
+
+
+def run_fresh(args):
+    """Run python with args in a fresh interpreter that imports this checkout's teich2."""
+    src = str(Path(teich2.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 @pytest.fixture(scope="session")

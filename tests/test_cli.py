@@ -1,13 +1,10 @@
 import hashlib
 import json
 import math
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
+from conftest import run_fresh
 
 import teich2
 from teich2 import cli, group
@@ -24,25 +21,16 @@ def run_capture(capsys, argv):
     return code, captured.out, captured.err
 
 
-def run_fresh(args):
-    """Run python with args in a fresh interpreter that imports this checkout's teich2."""
-    src = str(Path(teich2.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120,
-    )
-
-
 # runs teich2.cli.run on each argv in a fresh interpreter; prints the exit
-# codes and the scipy modules then loaded as JSON
+# codes, the scipy modules then loaded and whether wp_area's QUADPACK
+# extension is loaded, as JSON
 COLD_START = """
 import json, os, sys
 import teich2, teich2.cli
 argvs = json.loads(sys.argv[1])
 codes = [teich2.cli.run([*argv, "-o", os.devnull]) for argv in argvs]
 scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"codes": codes, "scipy": scipy}))
+print(json.dumps({"codes": codes, "scipy": scipy, "quadpack": "teich2._quadpack" in sys.modules}))
 """
 
 
@@ -294,16 +282,23 @@ class TestRepeatedRuns:
 
 class TestColdStart:
     def test_query_commands_do_not_load_scipy(self):
-        # scipy.integrate is most of a cold import; only the area quadrature needs it
+        # only the area quadrature needs scipy, for its QUADPACK extension
         argvs = [["octagon", *A_ARGS], ["group", *A_ARGS], ["fn", *A_ARGS],
                  ["orbit"], ["tiling", *A_ARGS, "-n", "3"]]
         result = cold_start(argvs)
-        assert result == {"codes": [0] * len(argvs), "scipy": []}
+        assert result == {"codes": [0] * len(argvs), "scipy": [], "quadpack": False}
 
-    def test_area_loads_the_quadrature_on_first_use(self):
-        result = cold_start([["area", "--p-max", "30"]])
-        assert result["codes"] == [0]
-        assert "scipy.integrate" in result["scipy"]
+    def test_import_does_not_load_the_quadrature(self):
+        assert cold_start([]) == {"codes": [], "scipy": [], "quadpack": False}
+
+    def test_area_and_validate_do_not_load_scipy_integrate(self):
+        # wp_area loads QUADPACK's extension on first use, by its file;
+        # scipy.integrate would map about 355 scipy modules
+        result = cold_start([["area", "--p-max", "30"], ["validate"]])
+        assert result["codes"] == [0, 0]
+        assert result["quadpack"]
+        heavy = ("scipy.integrate", "scipy.special", "scipy.sparse", "scipy.linalg")
+        assert [m for m in result["scipy"] if m.startswith(heavy)] == []
 
 
 class TestGroupCommand:

@@ -1,10 +1,13 @@
 import cmath
 import csv
+import importlib.machinery
+import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_fresh
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -60,17 +63,66 @@ QUAD_MISS_FROM = 99.5
 QUAD_MISS = 3e-7
 
 
-def tight_quad_area(p_star: float) -> float:
-    """wp_area's integral with quad pushed to its floor, 2e-14 relative."""
-    e_star = e_of_p(p_star)
+def area_density(p_star: float):
+    """wp_area's integrand in t on [0, 1], or None where the orbit is a point."""
+    e_star = e_of_p(max(p_star, P_REG))
     lo, hi = a_extremes(e_star)
     width = hi - lo
     if width <= 0.0:
+        return None
+    return lambda t: width * iso._area_integrand(lo + width * t, e_star)
+
+
+def tight_quad_area(p_star: float) -> float:
+    """wp_area's integral with quad pushed to its floor, 2e-14 relative."""
+    g = area_density(p_star)
+    if g is None:
         return 0.0
-    return quad(
-        lambda t: width * iso._area_integrand(lo + width * t, e_star),
-        0.0, 1.0, epsabs=0.0, epsrel=2e-14, limit=500, full_output=True,
-    )[0]
+    return quad(g, 0.0, 1.0, epsabs=0.0, epsrel=2e-14, limit=500, full_output=True)[0]
+
+
+def quad_outcome(p_star: float):
+    """(area, error estimate, evaluations, message) of scipy.integrate.quad
+    with wp_area's arguments; message is quad's text for a nonzero ier, else None."""
+    g = area_density(p_star)
+    if g is None:
+        return 0.0, 0.0, 0, None
+    area, err, info, *message = quad(
+        g, 0.0, 1.0, epsabs=iso.QUAD_TOLERANCE, epsrel=iso.QUAD_TOLERANCE,
+        limit=200, full_output=True,
+    )
+    return area, err, info["neval"], (message[0] if message else None)
+
+
+# in a fresh interpreter, wp_area and scipy.integrate.quad at a few
+# perimeters, in the order argv[1] names; prints both as JSON of hex floats
+IMPORT_ORDER = """
+import json, sys
+from teich2 import isoperimetric as iso
+P = (25.0, 41.0, 99.58, 161.0)
+
+def wp_area():
+    return [[r.area.hex(), r.quad_error_estimate.hex(), r.evaluations]
+            for r in map(iso.wp_area, P)]
+
+def quad():
+    from scipy.integrate import quad
+    rows = []
+    for p in P:
+        e = iso.e_of_p(p)
+        lo, hi = iso.a_extremes(e)
+        w = hi - lo
+        area, err, info = quad(
+            lambda t: w * iso._area_integrand(lo + w * t, e), 0.0, 1.0,
+            epsabs=iso.QUAD_TOLERANCE, epsrel=iso.QUAD_TOLERANCE, limit=200,
+            full_output=True,
+        )[:3]
+        rows.append([area.hex(), err.hex(), info["neval"]])
+    return rows
+
+first, second = (wp_area, quad) if sys.argv[1] == "wp_area" else (quad, wp_area)
+print(json.dumps({first.__name__: first(), second.__name__: second()}))
+"""
 
 
 class TestAuxiliaryQuantity:
@@ -246,11 +298,27 @@ class TestWPArea:
         areas = [wp_area(p).area for p in np.arange(P_REG, 41.0, 2.0)]
         assert all(x < y for x, y in zip(areas, areas[1:]))
 
-    @pytest.mark.parametrize("p_star", [201.0, 400.0])
-    def test_breakdown_raises(self, p_star):
-        # 201: no convergence; 400: the integrand overflows and quad returns inf
-        with pytest.raises(NumericalError):
+    @pytest.mark.parametrize("p_star, ier, quad_message", [
+        # 201: no convergence
+        pytest.param(201.0, "ier 4: roundoff error in the extrapolation table",
+                     "Roundoff error is detected\n  in the extrapolation table", id="201.0"),
+        # 300: all 200 subintervals used, which a smaller limit would change
+        pytest.param(300.0, "ier 1: subdivision limit reached",
+                     "The maximum number of subdivisions (200) has been achieved", id="300.0"),
+        # 400: the integrand overflows and QUADPACK returns inf, flagging nothing
+        pytest.param(400.0, "ier 0: no failure flagged, but the integrand is not finite",
+                     None, id="400.0"),
+    ])
+    def test_breakdown_raises(self, p_star, ier, quad_message):
+        area, err, neval, message = quad_outcome(p_star)
+        with pytest.raises(NumericalError) as exc:
             wp_area(p_star)
+        assert f"estimate {area!r}, error {err!r}, {neval} evaluations" in str(exc.value)
+        assert f"QUADPACK {ier}" in str(exc.value)
+        if quad_message is None:
+            assert message is None
+        else:
+            assert quad_message in message
 
     def test_below_regular_rejected(self):
         with pytest.raises(DomainError):
@@ -338,6 +406,48 @@ class TestWPArea:
                 assert abs(area) <= AREA_RELATIVE, p_star
             else:
                 assert abs(area - ref) <= AREA_RELATIVE * abs(ref), p_star
+
+    def test_matches_quad_bit_for_bit(self):
+        # every 8th reference row: the directly loaded QUADPACK gives quad's
+        # area, error estimate and evaluation count, also above P ~ 99.6,
+        # where QUADPACK flags roundoff but its estimate passes wp_area's bar
+        with open(AREA_REFERENCE, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))[::8]
+        for row in rows:
+            p_star = float(row["P"])
+            res = wp_area(p_star)
+            area, err, neval, _ = quad_outcome(p_star)
+            assert (res.area.hex(), res.quad_error_estimate.hex(), res.evaluations) == (
+                area.hex(), err.hex(), neval), p_star
+
+    @pytest.mark.parametrize("first", ["wp_area", "quad"])
+    def test_import_order_does_not_matter(self, first):
+        # the extension is loaded twice in one process when scipy.integrate
+        # is also imported, once under each name
+        proc = run_fresh(["-c", IMPORT_ORDER, first])
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert next(iter(result)) == first
+        assert result["wp_area"] == result["quad"]
+        assert result["wp_area"] == [
+            [r.area.hex(), r.quad_error_estimate.hex(), r.evaluations]
+            for r in map(wp_area, (25.0, 41.0, 99.58, 161.0))
+        ]
+
+    def test_quadpack_not_found_is_a_typed_error(self, monkeypatch, tmp_path):
+        iso._quadpack.cache_clear()  # the next call searches again
+        monkeypatch.setattr(iso.importlib.util, "find_spec", lambda name: None)
+        with pytest.raises(ModuleNotFoundError, match="scipy is not installed"):
+            wp_area(30.0)
+        spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.setattr(iso.importlib.util, "find_spec", lambda name: spec)
+        with pytest.raises(ModuleNotFoundError) as exc:
+            wp_area(30.0)
+        assert "scipy" in str(exc.value)
+        assert repr(str(tmp_path / "integrate")) in str(exc.value)
+        monkeypatch.undo()
+        assert_allclose(wp_area(30.0).area, AREAS[30.0], rtol=1e-10)
 
     def test_matches_mpmath_to_documented_accuracy(self):
         with open(AREAS_MPMATH, newline="", encoding="utf-8") as fh:
