@@ -12,11 +12,8 @@ from __future__ import annotations
 from .errors import DomainError, NumericalError, OutOfDomainError
 from .fenchel_nielsen import (
     PantsData,
-    fn_lengths,
-    fn_twists,
     lt_relations_check,
     pants_data,
-    trace_params,
     wolpert_summands,
     wp_coefficient,
 )
@@ -37,9 +34,6 @@ from .isoperimetric import (
     a_extremes,
     asymptotic_orbit,
     e_of_p,
-    orbit_point,
-    orbit_samples,
-    p_of_e,
     parabola_fit,
     wp_area,
     wp_area_contour,
@@ -75,21 +69,15 @@ __all__ = [
     "cells",
     "dist",
     "e_of_p",
-    "fn_lengths",
-    "fn_twists",
     "generators",
     "in_octagon",
     "lt_relations_check",
-    "orbit_point",
-    "orbit_samples",
-    "p_of_e",
     "pants_data",
     "parabola_fit",
     "perimeter",
     "relation_defect",
     "run_validation",
     "side_pairing_check",
-    "trace_params",
     "wolpert_summands",
     "wp_area",
     "wp_area_contour",

@@ -289,9 +289,11 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
     tables = []
     for _, _, phi, a, at in orbits:
         found = _domain_error(a, at, 0.0)
-        if found is not None:  # as OrbitSample.params, for the first such sample
+        if found is not None:  # exact orbit points of P > P_reg lie inside the domain
             k, exc = found
-            raise iso._rounded_out(float(phi[k]), exc)
+            raise NumericalError(
+                f"orbit point at phi = {float(phi[k])!r} rounds out of the domain: {exc}"
+            )
         tables.append((phi, a, at, perimeter_ab(a, b_of(a, at))))
     if args.format == "json":
         keys = ("phi", "a", "alpha_tilde", "p_check")

@@ -19,8 +19,11 @@ decomposition is the evaluation at the conjugate parameters ``(b, -at)``,
 which automatically carries the opposite twist sign.
 
 Every form is written once, elementwise over arrays (a, alpha_tilde) of
-parameter points; the functions that take ``OctagonParams`` are its views
-at one point.
+parameter points, and takes floats as well: ``pants_forms`` gives lengths,
+twists and traces, ``d_closed_forms`` the closed-form d_k.  The functions
+that take ``OctagonParams`` (``pants_data``, ``lt_relations_check``,
+``wp_coefficient`` and ``wolpert_summands``) are their views at one point,
+for ``teich2 fn``.
 """
 
 from __future__ import annotations
@@ -37,12 +40,8 @@ from .octagon import OctagonParams, b_of, octagon_forms
 __all__ = [
     "PantsData",
     "LTReport",
-    "fn_lengths",
-    "fn_twists",
     "trace_forms",
-    "trace_params",
     "d_closed_forms",
-    "d_closed",
     "pants_forms",
     "pants_data",
     "dt_residuals",
@@ -62,6 +61,8 @@ def _fn_forms(a, alpha_tilde):
     the domain and free of cancellation: l1 = 2 arccosh(a^2/(1-a^2)) and
     cosh tau1 - 1 = 2 sin^2(at) / (2a^2 cos^2(at) - 1) are taken through
     arccosh x = 2 asinh sqrt((x - 1)/2), with 1 - a^2 as (1 - a)(1 + a).
+    tau1 carries the sign of alpha_tilde and vanishes on the symmetric
+    locus; tau3 = l3 / 2.
     """
     q = 2.0 * a * a * ew.cos(alpha_tilde) ** 2 - 1.0
     l1 = 4.0 * ew.arcsinh(ew.sqrt((2.0 * a * a - 1.0) / (2.0 * (1.0 - a) * (1.0 + a))))
@@ -69,25 +70,6 @@ def _fn_forms(a, alpha_tilde):
     tau1 = 2.0 * ew.arcsinh(ew.sin(alpha_tilde) / ew.sqrt(q)) + 0.0
     tau3 = ew.log((1.0 + a) / (1.0 - a))
     return l1, 2.0 * tau3, tau1, tau3
-
-
-def _fn_data(params: OctagonParams):
-    l1, l3, tau1, tau3 = _fn_forms(params.a, params.alpha_tilde)
-    return (l1, l1, l3), (tau1, tau1, tau3)
-
-
-def fn_lengths(params: OctagonParams) -> tuple[float, float, float]:
-    """Geodesic lengths (l1, l2, l3) of the pants curves, l1 = l2."""
-    return _fn_data(params)[0]
-
-
-def fn_twists(params: OctagonParams) -> tuple[float, float, float]:
-    """Signed twists (tau1, tau2, tau3); tau1 = tau2, tau3 = l3 / 2.
-
-    tau1 = 2 asinh(sin(at) / sqrt(2a^2 cos^2(at) - 1)) carries the sign of
-    alpha_tilde and vanishes on the symmetric locus.
-    """
-    return _fn_data(params)[1]
 
 
 def _trace(x):
@@ -111,13 +93,6 @@ def trace_forms(a, alpha_tilde):
     return c, d
 
 
-def trace_params(
-    params: OctagonParams,
-) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
-    """trace_forms at one point."""
-    return trace_forms(params.a, params.alpha_tilde)
-
-
 def d_closed_forms(a, alpha_tilde):
     """Closed forms of d_k: d1 = d2 = 4/((1-a^2)(1-b^2)) - 1, d3 = 2/(1-a^2)^2 - 1.
 
@@ -128,11 +103,6 @@ def d_closed_forms(a, alpha_tilde):
     one_minus_a2 = (1.0 - a) * (1.0 + a)
     d12 = 4.0 * two_a2c2 / (one_minus_a2 * (two_a2c2 - 1.0)) - 1.0
     return (d12, d12, 2.0 / one_minus_a2**2 - 1.0)
-
-
-def d_closed(params: OctagonParams) -> tuple[float, float, float]:
-    """d_closed_forms at one point."""
-    return d_closed_forms(params.a, params.alpha_tilde)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,9 @@ An orbit is a level set of the octagon perimeter P.  With the auxiliary
 quantity E = 2(cosh(P/8) + 1) the orbit through perimeter P is an oval in
 the (a, alpha_tilde) domain parametrized by an angle phi, degenerating to
 the point (2^{-1/4}, 0) at the regular perimeter P_reg.  That curve is
-written once, elementwise over phi, in ``orbit_forms``; orbit points,
-samples and the extremes of a are its views.  The WP area enclosed by an
-orbit reduces to a single integral over a in [a_minus, a_plus], which is
+written once, elementwise over phi, in ``orbit_forms``, which takes a
+float phi as well; the extremes of a are its view.  The WP area enclosed by
+an orbit reduces to a single integral over a in [a_minus, a_plus], which is
 cross-checked here against Wolpert's contour integral of l1 dtau1 around
 the orbit.
 """
@@ -23,25 +23,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _elementwise as ew
-from .errors import DomainError, NumericalError, OutOfDomainError
+from .errors import DomainError, NumericalError
 from .fenchel_nielsen import _fn_forms
-from .octagon import OctagonParams
 
 __all__ = [
     "A_REG",
     "E_REG",
     "P_REG",
     "QUAD_TOLERANCE",
-    "OrbitSample",
     "AreaResult",
     "ParabolaFit",
     "e_of_p",
-    "p_of_e",
     "e_of_a",
     "a_extremes",
     "orbit_forms",
-    "orbit_point",
-    "orbit_samples",
     "asymptotic_orbit",
     "wp_area",
     "wp_area_contour",
@@ -83,15 +78,6 @@ def e_of_p(p: float) -> float:
         raise NumericalError(f"E = 2(cosh(P/8) + 1) overflows at P = {p!r}") from None
 
 
-def p_of_e(e: float) -> float:
-    """Perimeter P = 8 arccosh(E/2 - 1), inverse of e_of_p."""
-    if not math.isfinite(e):
-        raise ValueError(f"E must be finite, got {e!r}")
-    if e <= 4.0:
-        raise DomainError(f"E must exceed 4, got {e!r}")
-    return 8.0 * math.acosh(e / 2.0 - 1.0)
-
-
 def e_of_a(a):
     """E along the symmetric locus alpha_tilde = 0: E = 4a^2/((1-a^2)(2a^2-1)); elementwise."""
     return 4.0 * a * a / ((1.0 - a * a) * (2.0 * a * a - 1.0))
@@ -111,31 +97,10 @@ def a_extremes(e: float) -> tuple[float, float]:
     return orbit_forms(e, math.pi)[0], orbit_forms(e, 0.0)[0]
 
 
-@dataclass(frozen=True)
-class OrbitSample:
-    """One point of an isoperimetric orbit."""
-
-    phi: float
-    a: float
-    alpha_tilde: float
-
-    @property
-    def params(self) -> OctagonParams:
-        """The point as octagon parameters; NumericalError if it rounded out of the domain."""
-        try:
-            return OctagonParams(self.a, self.alpha_tilde)
-        except OutOfDomainError as exc:
-            raise _rounded_out(self.phi, exc) from None
-
-
-def _rounded_out(phi: float, exc: OutOfDomainError) -> NumericalError:
-    # exact orbit points of P > P_reg lie inside the domain
-    return NumericalError(f"orbit point at phi = {phi!r} rounds out of the domain: {exc}")
-
-
 def orbit_forms(e: float, phi):
     """(a, alpha_tilde) of the orbit of E at angles phi; elementwise over phi.
 
+    phi = 0 and pi give the extremes a_plus and a_minus.
     NumericalError where sin(phi) != 0 and E - 12 - cos(phi) sqrt(disc)
     cancels to <= 0; its index is that of the first such phi (C order).
     """
@@ -161,23 +126,11 @@ def orbit_forms(e: float, phi):
     return a, ew.where(on_axis, 0.0, ew.arctan(num / den))
 
 
-def orbit_point(e: float, phi: float) -> OrbitSample:
-    """Point of the orbit of E at angle phi; phi = 0 and pi hit a_plus, a_minus."""
-    return OrbitSample(phi % (2.0 * math.pi), *orbit_forms(e, phi))
-
-
 def _phases(n: int) -> np.ndarray:
     """The n equally spaced angles phi = 2 pi j / n, j = 0 .. n-1."""
     if n < 1:
         raise ValueError(f"need at least one sample, got {n!r}")
     return 2.0 * math.pi * np.arange(n) / n
-
-
-def orbit_samples(e: float, n: int) -> list[OrbitSample]:
-    """Orbit at n equally spaced angles phi = 2 pi j / n, j = 0 .. n-1."""
-    phi = _phases(n)
-    a, at = orbit_forms(e, phi)
-    return list(map(OrbitSample, phi.tolist(), a.tolist(), at.tolist()))
 
 
 def asymptotic_orbit(phi: float) -> tuple[float, float]:

@@ -15,7 +15,6 @@ arrays of parameters; ``build_geometry`` is its record at one point.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -38,7 +37,6 @@ __all__ = [
     "b_of",
     "in_octagon",
     "grid_arrays",
-    "domain_grid",
 ]
 
 ALPHA_TILDE_MAX = math.pi / 4
@@ -133,10 +131,9 @@ def validate_params(a: float, alpha_tilde: float, margin: float = 0.0) -> Octago
     return OctagonParams(a, alpha_tilde)
 
 
-# e^{i k pi/2}, k = 0..3: the rotations that carry vertices, midpoints and sides
-_ROT = tuple(cmath.exp(1j * k * math.pi / 2) for k in range(4))
-# side k lies on its base arc turned by (k//2) pi/2
-_QUARTERS = tuple(k * (math.pi / 2) for k in range(4))
+# i^k, k = 0..3: the quarter turns that carry vertices, midpoints and side
+# circles, exact in floating point; complex, so that vertex 0 is complex too
+_ROT = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
 def _alternate(even, odd):
@@ -200,6 +197,7 @@ def octagon_forms(a, alpha_tilde) -> OctagonForms:
     omega_minus = (w * (1.0 - a2) + 1j * a * (1.0 - b2)) / den
     p_plus = omega_plus / (1.0 + ew.sqrt(1.0 - abs(omega_plus) ** 2))
     p_minus = omega_minus / (1.0 + ew.sqrt(1.0 - abs(omega_minus) ** 2))
+    c_plus, c_minus = arc_center(r_plus, phi_plus), arc_center(r_minus, phi_minus)
     return OctagonForms(
         b=b,
         beta=beta,
@@ -214,8 +212,7 @@ def octagon_forms(a, alpha_tilde) -> OctagonForms:
         omega4=2.0 * a / (1.0 + a2),
         vertices=_alternate([a * r for r in _ROT], [w * r for r in _ROT]),
         midpoints=_alternate([p_plus * r for r in _ROT], [p_minus * r for r in _ROT]),
-        centres=_alternate([arc_center(r_plus, phi_plus + q) for q in _QUARTERS],
-                           [arc_center(r_minus, phi_minus + q) for q in _QUARTERS]),
+        centres=_alternate([c_plus * r for r in _ROT], [c_minus * r for r in _ROT]),
     )
 
 
@@ -305,9 +302,3 @@ def grid_arrays(
     at = np.repeat(alphas, n_a)
     _check_domain(a, at, 0.0)
     return a, at
-
-
-def domain_grid(n_a: int = 20, n_alpha: int = 20, margin: float = 0.02) -> list[OctagonParams]:
-    """The grid_arrays points as octagon parameters."""
-    a, at = grid_arrays(n_a, n_alpha, margin)
-    return [OctagonParams(x, y) for x, y in zip(a.tolist(), at.tolist())]

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import teich2
-from teich2.octagon import domain_grid
+from teich2.octagon import grid_arrays
 
 _CRITERIA: dict[int, tuple[str, bool, str]] = {}
 _TOTAL = 12
@@ -31,8 +31,8 @@ def run_fresh(args):
 
 @pytest.fixture(scope="session")
 def acceptance_grid():
-    """20 x 20 in-domain parameter grid with margin 0.02."""
-    return domain_grid(20, 20, margin=0.02)
+    """20 x 20 in-domain parameter grid with margin 0.02, as arrays (a, alpha_tilde)."""
+    return grid_arrays(20, 20, margin=0.02)
 
 
 def pytest_terminal_summary(terminalreporter):

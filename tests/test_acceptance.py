@@ -11,7 +11,7 @@ import time
 import numpy as np
 from conftest import record
 
-from teich2.fenchel_nielsen import fn_twists
+from teich2.fenchel_nielsen import pants_data
 from teich2.group import BALL_SIZES, ball, generators, relation_defect
 from teich2.hyperbolic import su_gap
 from teich2.isoperimetric import A_REG, E_REG, P_REG, e_of_a, e_of_p, parabola_fit
@@ -23,11 +23,9 @@ C2_COEFF = 2.62132
 
 
 def grid_worst(grid, name):
-    """Largest residual of each name the CHECKS entry reports over the grid,
-    evaluated in one batch as validate does."""
-    a = np.array([p.a for p in grid])
-    at = np.array([p.alpha_tilde for p in grid])
-    return {key: float(np.max(r)) for key, r in CHECKS[name].fn(point_block(a, at)).items()}
+    """Largest residual of each name the CHECKS entry reports over the grid
+    arrays (a, alpha_tilde), evaluated in one batch as validate does."""
+    return {key: float(np.max(r)) for key, r in CHECKS[name].fn(point_block(*grid)).items()}
 
 
 def test_criterion_01_regular_constants():
@@ -41,7 +39,7 @@ def test_criterion_01_regular_constants():
         "E_of_a": abs(e_of_a(A_REG) - E_REG),
         "E_of_P": abs(e_of_p(P_REG) - E_REG),
         "a": abs(A_REG - 2.0 ** -0.25),
-        "tau1": abs(fn_twists(reg)[0]),
+        "tau1": abs(pants_data(reg).twists[0]),
     }
     elapsed = time.perf_counter() - t0
     ok = (
@@ -63,8 +61,8 @@ def test_criterion_02_relation_and_traces(acceptance_grid):
     t0 = time.perf_counter()
     worst_defect = grid_worst(acceptance_grid, "relation_defect")["relation_defect"]
     min_excess = math.inf
-    for params in acceptance_grid:
-        gens = generators(params)
+    for a, at in zip(*(x.tolist() for x in acceptance_grid)):
+        gens = generators(OctagonParams(a, at))
         assert relation_defect(gens).sign == +1
         min_excess = min(min_excess, min(abs(2.0 * u.real) for u, _ in gens.g) - 2.0)
     elapsed = time.perf_counter() - t0

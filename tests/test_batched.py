@@ -21,7 +21,6 @@ from teich2.octagon import (
     OctagonParams,
     b_of,
     build_geometry,
-    domain_grid,
     grid_arrays,
     lower_a,
     octagon_forms,
@@ -45,13 +44,6 @@ def domain_arrays(draw, margin, size):
 @st.composite
 def batches(draw, margin=1e-3, size=(1, 24)):
     return domain_arrays(draw, margin, size)
-
-
-def test_grid_arrays_are_the_domain_grid():
-    a, at = grid_arrays(7, 5, 0.03)
-    grid = domain_grid(7, 5, 0.03)
-    assert a.shape == at.shape == (35,)
-    assert [(p.a, p.alpha_tilde) for p in grid] == list(zip(a.tolist(), at.tolist()))
 
 
 def _grid_rows(n_a, n_alpha, margin):

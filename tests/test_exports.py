@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -23,6 +24,26 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     assert module.__all__
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_every_exported_routine_has_a_caller_in_the_package():
+    # a public function or class that only tests call is an API kept for its tests
+    named = set()
+    for path in SOURCES:
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    named.add(node.attr)
+    uncalled = []
+    for name in MODULES[1:]:  # the layers, not the package
+        module = importlib.import_module(name)
+        for attr in module.__all__:
+            obj = getattr(module, attr)
+            if (inspect.isfunction(obj) or inspect.isclass(obj)) and attr not in named:
+                uncalled.append(f"{name}.{attr}")
+    assert uncalled == []
 
 
 def _imported_names(tree: ast.Module) -> list[str]:

@@ -34,7 +34,7 @@ from teich2.hyperbolic import (
     su_sign_flip,
     translation_pair,
 )
-from teich2.octagon import OctagonParams, build_geometry, domain_grid, lower_a
+from teich2.octagon import OctagonParams, build_geometry, grid_arrays, lower_a
 
 A_REG = 2.0 ** -0.25
 P0 = OctagonParams(0.8, math.pi / 12)
@@ -44,7 +44,7 @@ U0_REG = -(1.0 + math.sqrt(2.0))
 V0_REG = -2.0301035302564356 - 0.84089641525371454j
 TRACE_REG = 4.8284271247461901
 
-# points of domain_grid(10, 10, 0.005) where a dedup with absolute entry
+# points of grid_arrays(10, 10, 0.005) where a dedup with absolute entry
 # tolerances raised at radius 4
 MARGIN_005_POINTS = [
     OctagonParams(0.8953176833583073, -0.634291723986684),
@@ -255,7 +255,8 @@ class TestBall:
         assert len(ball(gens, 2)) == BALL_SIZES[2]
 
     def test_exact_counts_on_grid(self):
-        for params in domain_grid(5, 5, 0.02):
+        for a, at in zip(*(x.tolist() for x in grid_arrays(5, 5, 0.02))):
+            params = OctagonParams(a, at)
             assert len(ball(generators(params), 4)) == BALL_SIZES[4], params
 
     def test_exact_counts_near_boundary(self):

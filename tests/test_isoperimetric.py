@@ -27,9 +27,6 @@ from teich2.isoperimetric import (
     e_of_a,
     e_of_p,
     orbit_forms,
-    orbit_point,
-    orbit_samples,
-    p_of_e,
     parabola_fit,
     wp_area,
     wp_area_contour,
@@ -139,7 +136,7 @@ class TestAuxiliaryQuantity:
     def test_round_trip(self):
         rng = np.random.default_rng(42)
         for p in rng.uniform(10.0, 120.0, 100):
-            assert_allclose(p_of_e(e_of_p(p)), p, rtol=1e-12)
+            assert_allclose(8.0 * math.acosh(e_of_p(p) / 2.0 - 1.0), p, rtol=1e-12)
 
     def test_asymptotic_growth(self):
         # E approaches exp(P/8) for large P
@@ -148,14 +145,11 @@ class TestAuxiliaryQuantity:
     def test_domain_guards(self):
         with pytest.raises(DomainError):
             e_of_p(0.0)
-        with pytest.raises(DomainError):
-            p_of_e(4.0)
         # a non-finite input is a bad argument, not a point outside the domain
         for bad in (math.nan, math.inf, -math.inf):
-            for fn in (e_of_p, p_of_e):
-                with pytest.raises(ValueError, match="must be finite") as exc:
-                    fn(bad)
-                assert not isinstance(exc.value, DomainError)
+            with pytest.raises(ValueError, match="must be finite") as exc:
+                e_of_p(bad)
+            assert not isinstance(exc.value, DomainError)
 
 
 class TestAExtremes:
@@ -183,55 +177,56 @@ class TestAExtremes:
 
 class TestOrbit:
     def test_inverts_reference_point(self):
-        s = orbit_point(E0, PHI_TO_A08)
-        assert_allclose(s.a, 0.8, rtol=1e-13)
-        assert_allclose(s.alpha_tilde, math.pi / 12, rtol=1e-13)
+        a, at = orbit_forms(E0, PHI_TO_A08)
+        assert_allclose(a, 0.8, rtol=1e-13)
+        assert_allclose(at, math.pi / 12, rtol=1e-13)
 
     def test_endpoints(self):
         lo, hi = a_extremes(E0)
-        s0 = orbit_point(E0, 0.0)
-        spi = orbit_point(E0, math.pi)
-        assert_allclose(s0.a, hi, rtol=1e-14)
-        assert_allclose(spi.a, lo, rtol=1e-14)
-        assert s0.alpha_tilde == 0.0
-        assert_allclose(spi.alpha_tilde, 0.0, atol=1e-15)
+        a0, at0 = orbit_forms(E0, 0.0)
+        a_pi, at_pi = orbit_forms(E0, math.pi)
+        assert_allclose(a0, hi, rtol=1e-14)
+        assert_allclose(a_pi, lo, rtol=1e-14)
+        assert at0 == 0.0
+        assert_allclose(at_pi, 0.0, atol=1e-15)
 
     def test_phi_zero_at_large_perimeter(self):
         # E - 12 - sqrt(disc) cancels to 0 here; sin(phi) = 0 decides alpha_tilde
-        s = orbit_point(e_of_p(200.0), 0.0)
-        assert s.alpha_tilde == 0.0
-        assert abs(perimeter(s.params) - 200.0) / 200.0 < 1e-8
+        a, at = orbit_forms(e_of_p(200.0), 0.0)
+        assert at == 0.0
+        assert abs(perimeter(OctagonParams(a, at)) - 200.0) / 200.0 < 1e-8
 
     def test_perimeter_constant_along_orbit(self):
         for p_target in (25.0, 41.0):
             e = e_of_p(p_target)
-            for s in orbit_samples(e, 64):
-                dev = abs(perimeter(s.params) - p_target) / p_target
+            a, at = orbit_forms(e, iso._phases(64))
+            for x, y in zip(a.tolist(), at.tolist()):
+                dev = abs(perimeter(OctagonParams(x, y)) - p_target) / p_target
                 assert dev < 1e-10
 
     def test_mirror_symmetry(self):
         e = e_of_p(29.0)
         for phi in (0.3, 1.1, 2.9):
-            s1 = orbit_point(e, phi)
-            s2 = orbit_point(e, 2.0 * math.pi - phi)
-            assert abs(s1.a - s2.a) < 1e-12
-            assert abs(s1.alpha_tilde + s2.alpha_tilde) < 1e-12
+            a1, at1 = orbit_forms(e, phi)
+            a2, at2 = orbit_forms(e, 2.0 * math.pi - phi)
+            assert abs(a1 - a2) < 1e-12
+            assert abs(at1 + at2) < 1e-12
 
     def test_samples_in_domain(self):
         rng = np.random.default_rng(5)
         for _ in range(30):
             e = e_of_p(rng.uniform(24.6, 90.0))
-            s = orbit_point(e, rng.uniform(0.0, 2.0 * math.pi))
-            OctagonParams(s.a, s.alpha_tilde)  # must not raise
+            OctagonParams(*orbit_forms(e, rng.uniform(0.0, 2.0 * math.pi)))  # must not raise
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(E_REG, e_of_p(200.0), exclude_min=True),
            st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=16))
-    def test_orbit_forms_is_orbit_point_elementwise(self, e, phis):
+    def test_orbit_forms_array_call_is_its_float_calls(self, e, phis):
+        # the float route (math) against the array route (numpy)
         points = []
         for phi in phis:
             try:
-                points.append(orbit_point(e, phi))
+                points.append(orbit_forms(e, phi))
             except NumericalError:
                 points.append(None)
         if None in points:
@@ -240,9 +235,10 @@ class TestOrbit:
             assert exc.value.index == points.index(None)
         else:
             a, at = orbit_forms(e, np.array(phis))
-            assert a.tolist() == [s.a for s in points]
-            ulp = np.spacing([abs(s.alpha_tilde) for s in points])
-            assert np.all(abs(at - [s.alpha_tilde for s in points]) <= 4.0 * ulp)
+            assert all(type(x) is float for point in points for x in point)
+            assert a.tolist() == [x for x, _ in points]
+            ulp = np.spacing([abs(y) for _, y in points])
+            assert np.all(abs(at - [y for _, y in points]) <= 4.0 * ulp)
         assert a_extremes(e) == tuple(orbit_forms(e, np.array([math.pi, 0.0]))[0])
 
     def test_cancellation_names_its_phi(self):
@@ -254,7 +250,7 @@ class TestOrbit:
 
     def test_sample_count_guard(self):
         with pytest.raises(ValueError):
-            orbit_samples(E0, 0)
+            iso._phases(0)
 
 
 class TestAsymptotics:
@@ -275,10 +271,10 @@ class TestAsymptotics:
         e = e_of_p(200.0)
         for j in range(32):
             phi = (j + 0.5) * 2.0 * math.pi / 32.0
-            s = orbit_point(e, phi)
+            a, at = orbit_forms(e, phi)
             a_inf, at_inf = asymptotic_orbit(phi)
-            assert abs(s.a - a_inf) < 1e-3
-            assert abs(s.alpha_tilde - at_inf) < 1e-3
+            assert abs(a - a_inf) < 1e-3
+            assert abs(at - at_inf) < 1e-3
 
 
 class TestWPArea:
@@ -461,12 +457,12 @@ class TestWPArea:
         # f = sqrt((E*-4)(1-a^2)/(E*(1-a^2)-4)) sqrt(1-E/E*) equals
         # tan(alpha_tilde)/sqrt(2a^2-1) at orbit points
         e_star = e_of_p(31.0)
-        for s in orbit_samples(e_star, 16)[1:8]:
-            a = s.a
+        a_s, at_s = orbit_forms(e_star, iso._phases(16))
+        for a, at in zip(a_s[1:8].tolist(), at_s[1:8].tolist()):
             f1 = math.sqrt(
                 (e_star - 4.0) * (1.0 - a * a) / (e_star * (1.0 - a * a) - 4.0)
             ) * math.sqrt(max(0.0, 1.0 - e_of_a(a) / e_star))
-            f2 = abs(math.tan(s.alpha_tilde)) / math.sqrt(2.0 * a * a - 1.0)
+            f2 = abs(math.tan(at)) / math.sqrt(2.0 * a * a - 1.0)
             assert abs(f1 - f2) < 1e-9
 
 

@@ -15,9 +15,10 @@ from teich2.octagon import (
     _domain_error,
     b_of,
     build_geometry,
-    domain_grid,
+    grid_arrays,
     in_octagon,
     lower_a,
+    octagon_forms,
     perimeter,
     perimeter_ab,
     validate_params,
@@ -173,9 +174,18 @@ class TestGeometryClosedForms:
         )
 
     def test_quarter_turn_symmetry(self):
-        v = self.geom.vertices
-        for k in range(8):
-            assert_allclose(v[(k + 2) % 8], 1j * v[k], rtol=1e-13, atol=1e-15)
+        # multiplying by i is exact, so the quarter turn holds bit for bit
+        for x in (self.geom.vertices, self.geom.midpoints, self.geom.centres):
+            for k in range(8):
+                assert x[(k + 2) % 8] == 1j * x[k], k
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 60), st.integers(1, 60), st.floats(1e-3, 0.14))
+    def test_quarter_turn_symmetry_on_grids(self, n_a, n_alpha, margin):
+        f = octagon_forms(*grid_arrays(n_a, n_alpha, margin))
+        for x in (f.vertices, f.midpoints, f.centres):
+            for k in range(8):
+                assert np.array_equal(x[(k + 2) % 8], 1j * x[k]), k
 
 
 class TestSides:
@@ -261,15 +271,15 @@ class TestInOctagon:
 
 class TestDomainGrid:
     def test_points_valid_and_counted(self):
-        grid = domain_grid(6, 5, margin=0.02)
-        assert len(grid) == 30
-        for p in grid:
-            validate_params(p.a, p.alpha_tilde, 0.015)
+        a, at = grid_arrays(6, 5, margin=0.02)
+        assert a.shape == at.shape == (30,)
+        for x, y in zip(a.tolist(), at.tolist()):
+            validate_params(x, y, 0.015)
 
     def test_excessive_margin_rejected(self):
         with pytest.raises(ValueError, match="leaves no admissible grid"):
-            domain_grid(5, 5, margin=0.18)
+            grid_arrays(5, 5, margin=0.18)
         # the margins validate_params rejects, before any point is built
         for margin in (-0.1, 0.25, math.nan):
             with pytest.raises(ValueError, match=r"margin must lie in \[0, 0.2\]"):
-                domain_grid(2, 2, margin=margin)
+                grid_arrays(2, 2, margin=margin)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from teich2 import serialization
 from teich2.group import BALL_SIZES, ball, cells, generators
-from teich2.octagon import OctagonParams, build_geometry, domain_grid
+from teich2.octagon import OctagonParams, build_geometry, grid_arrays
 from teich2.serialization import (
     SCHEMA,
     csv_text,
@@ -268,7 +268,7 @@ def tiling_arrays(a, alpha_tilde, radius=4):
 class TestSVGAgainstTemplates:
     @pytest.mark.parametrize(
         "a, alpha_tilde",
-        [(p.a, p.alpha_tilde) for p in domain_grid(3, 3, 0.02)] + [(2.0**-0.25, 0.0)],
+        [*zip(*(x.tolist() for x in grid_arrays(3, 3, 0.02))), (2.0**-0.25, 0.0)],
     )
     def test_radius_four_over_the_domain(self, a, alpha_tilde):
         assert_same_svg(*tiling_arrays(a, alpha_tilde))
