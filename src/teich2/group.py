@@ -67,6 +67,9 @@ LETTERS = "aAbBcCdD"
 # ball elements per su_act pass in cells: a whole radius-4 ball, and bounded
 # temporaries for the 155577 elements of radius 6
 _CELL_BLOCK = 4096
+# |u|^2 - |v|^2 = 1 holds to about eps (|u|^2 + |v|^2): ball refuses past 1/16 of
+# 1/eps, before a product's |u|^2 - |v|^2 rounds to 0 in one arithmetic and not another
+_MAX_SIZE = 1.0 / (16.0 * np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -287,9 +290,10 @@ def ball(gens: GeneratorSet, n: int) -> GroupBall:
 
     Each sphere is one su_mul of its parents' pairs by its letters' pairs, in
     numpy's complex arithmetic, and each element keeps its canonical sign
-    (su_sign_flip).  Raises ValueError for n outside 0..6, and where float64
-    rounding breaks a product (the precision limit), naming the first such
-    word in shortlex order.
+    (su_sign_flip).  Raises ValueError for n outside 0..6, and past the
+    float64 precision limit: where rounding breaks a product, or an element's
+    |u|^2 + |v|^2 passes 1/(16 eps), naming the first such word in shortlex
+    order.
     """
     if not 0 <= n < len(BALL_SIZES):
         raise ValueError(f"ball radius must be in 0..{len(BALL_SIZES) - 1}, got {n!r}")
@@ -300,7 +304,11 @@ def ball(gens: GeneratorSet, n: int) -> GroupBall:
         sphere = [words[-1][p] + LETTERS[k] for p, k in zip(parent.tolist(), letter.tolist())]
         try:
             u, v = su_mul((us[-1][parent], vs[-1][parent]), (lu[letter], lv[letter]))
-        except NumericalError as exc:  # |u|^2 - |v|^2 lost to roundoff
+            size = abs(u) ** 2 + abs(v) ** 2
+            k = ew.first_true(size > _MAX_SIZE)
+            if k is not None:
+                raise NumericalError(f"|u|^2+|v|^2 = {float(size[k])!r} is past 1/(16 eps)", k)
+        except NumericalError as exc:  # |u|^2 - |v|^2 lost, or about to be, to roundoff
             p = gens.params
             raise ValueError(
                 f"radius-{n} ball at a={p.a!r}, alpha_tilde={p.alpha_tilde!r}: element "

@@ -6,9 +6,10 @@ the (a, alpha_tilde) domain parametrized by an angle phi, degenerating to
 the point (2^{-1/4}, 0) at the regular perimeter P_reg.  That curve is
 written once, elementwise over phi, in ``orbit_forms``, which takes a
 float phi as well; the extremes of a are its view.  The WP area enclosed by
-an orbit reduces to a single integral over a in [a_minus, a_plus], which is
-cross-checked here against Wolpert's contour integral of l1 dtau1 around
-the orbit.
+an orbit reduces to a single integral over a in [a_minus, a_plus], taken by
+QUADPACK one node at a time through a float closure built once per orbit
+(``_area_density``), and cross-checked here against Wolpert's contour
+integral of l1 dtau1 around the orbit.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "AreaResult",
     "ParabolaFit",
     "e_of_p",
-    "e_of_a",
     "a_extremes",
     "orbit_forms",
     "asymptotic_orbit",
@@ -78,11 +78,6 @@ def e_of_p(p: float) -> float:
         raise NumericalError(f"E = 2(cosh(P/8) + 1) overflows at P = {p!r}") from None
 
 
-def e_of_a(a):
-    """E along the symmetric locus alpha_tilde = 0: E = 4a^2/((1-a^2)(2a^2-1)); elementwise."""
-    return 4.0 * a * a / ((1.0 - a * a) * (2.0 * a * a - 1.0))
-
-
 def _discriminant(e: float) -> float:
     disc = e * e - 24.0 * e + 16.0
     if disc == math.inf:
@@ -93,7 +88,7 @@ def _discriminant(e: float) -> float:
 
 
 def a_extremes(e: float) -> tuple[float, float]:
-    """Minimal and maximal a on the orbit of E, at phi = pi and 0; both satisfy e_of_a(a) = E."""
+    """Minimal and maximal a on the orbit of E, at phi = pi and 0, where alpha_tilde = 0."""
     return orbit_forms(e, math.pi)[0], orbit_forms(e, 0.0)[0]
 
 
@@ -144,15 +139,27 @@ def asymptotic_orbit(phi: float) -> tuple[float, float]:
     return 0.5 * ew.sqrt(3.0 + ew.cos(phi)), ew.arctan(ew.cos(0.5 * phi))
 
 
-def _area_integrand(a, e_star: float):
-    """WP area density at a, integrated over the orbit's a-interval; elementwise over a."""
-    one_minus_a2 = 1.0 - a * a
-    two_a2 = 2.0 * a * a - 1.0
-    # E*(1-a^2) - 4 = (E - 12 -+ sqrt(disc))/4 > 0 on the whole a-interval
-    ratio = (e_star - 4.0) * one_minus_a2 / (e_star * one_minus_a2 - 4.0)
-    one_minus_e = ew.maximum(1.0 - e_of_a(a) / e_star, 0.0)
-    f = ew.sqrt(ratio * one_minus_e)
-    return 16.0 * a / (one_minus_a2 * ew.sqrt(two_a2)) * ew.arctanh(f)
+def _area_density(lo: float, width: float, e_star: float):
+    """wp_area's integrand in t on [0, 1], width times the WP area density at
+    a = lo + width t, as one ``math`` closure for qagse's one-node calls: numpy's
+    arctanh values where math.atanh raises (inf at f = 1, NaN beyond), and the
+    elementwise formula's operation order, which the tests hold g to bit for bit."""
+    sqrt, atanh, inf, nan = math.sqrt, math.atanh, math.inf, math.nan
+    e_minus_4 = e_star - 4.0
+
+    def g(t: float) -> float:
+        a = lo + width * t
+        one_minus_a2 = 1.0 - a * a
+        two_a2 = 2.0 * a * a - 1.0
+        # E*(1-a^2) - 4 = (E - 12 -+ sqrt(disc))/4 > 0 on the whole a-interval
+        ratio = e_minus_4 * one_minus_a2 / (e_star * one_minus_a2 - 4.0)
+        # 1 - E(a)/E* with E(a) = 4a^2/((1-a^2)(2a^2-1)), clamped at 0 (NaN stays)
+        one_minus_e = 1.0 - 4.0 * a * a / (one_minus_a2 * two_a2) / e_star
+        f = sqrt(ratio * (0.0 if one_minus_e <= 0.0 else one_minus_e))
+        h = atanh(f) if f < 1.0 else inf if f == 1.0 else nan
+        return width * (16.0 * a / (one_minus_a2 * sqrt(two_a2)) * h)
+
+    return g
 
 
 @dataclass(frozen=True)
@@ -202,8 +209,8 @@ def wp_area(p_star: float) -> AreaResult:
     variable t with a = a_minus + (a_plus - a_minus) t, which regularizes
     the square-root vanishing of the integrand at both endpoints, by
     QUADPACK's qagse with the arguments of scipy's ``quad``.  qagse asks
-    for one node at a time, and each takes the float route of
-    ``_area_integrand`` (``math``, about a microsecond), not numpy's.
+    for one node at a time, and each is one call of the ``math`` closure
+    that ``_area_density`` builds for the orbit (under a microsecond).
     scipy's QUADPACK extension is loaded on the first call, without
     ``scipy.integrate``, so that importing teich2 loads no scipy.
     NumericalError where qagse does not converge, as from P ~ 200, or the
@@ -218,13 +225,11 @@ def wp_area(p_star: float) -> AreaResult:
     if width <= 0.0:
         return AreaResult(0.0, 0.0, 0)
 
-    def g(t: float) -> float:
-        return width * _area_integrand(lo + width * t, e_star)
-
     # quad's call for finite limits a < b: (func, a, b, args, full_output,
     # epsabs, epsrel, limit); epsabs > 0 and limit > 0, so ier 6 cannot occur
     area, err, info, ier = _quadpack()._qagse(
-        g, 0.0, 1.0, (), 1, QUAD_TOLERANCE, QUAD_TOLERANCE, 200,
+        _area_density(lo, width, e_star), 0.0, 1.0, (), 1,
+        QUAD_TOLERANCE, QUAD_TOLERANCE, 200,
     )
     if not (math.isfinite(area) and err <= 1e-6 * max(1.0, abs(area))):
         raise NumericalError(

@@ -14,7 +14,7 @@ from conftest import record
 from teich2.fenchel_nielsen import pants_data
 from teich2.group import BALL_SIZES, ball, generators, relation_defect
 from teich2.hyperbolic import su_gap
-from teich2.isoperimetric import A_REG, E_REG, P_REG, e_of_a, e_of_p, parabola_fit
+from teich2.isoperimetric import A_REG, E_REG, P_REG, e_of_p, parabola_fit
 from teich2.octagon import OctagonParams, perimeter
 from teich2.validation import CHECKS, point_block
 
@@ -36,7 +36,8 @@ def test_criterion_01_regular_constants():
         "P": abs(P_REG - 24.45713),
         "P_closed": abs(perimeter(reg) - P_REG),
         "E": abs(E_REG - (12.0 + 8.0 * math.sqrt(2.0))),
-        "E_of_a": abs(e_of_a(A_REG) - E_REG),
+        # E = 4a^2/((1-a^2)(2a^2-1)) on the locus alpha_tilde = 0
+        "E_of_a": abs(4.0 * A_REG**2 / ((1.0 - A_REG**2) * (2.0 * A_REG**2 - 1.0)) - E_REG),
         "E_of_P": abs(e_of_p(P_REG) - E_REG),
         "a": abs(A_REG - 2.0 ** -0.25),
         "tau1": abs(pants_data(reg).twists[0]),

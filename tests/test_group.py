@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -52,8 +52,9 @@ MARGIN_005_POINTS = [
     OctagonParams(0.9161338114692945, -0.3523842911037134),
 ]
 # whole-domain points whose radius-4 balls the float orbit-point comparison
-# refused: at the first the exact words give the whole ball; at the second a
-# product's |u|^2 - |v|^2 is lost to roundoff altogether
+# refused: at the first the exact words give the whole radius-3 ball, and
+# radius 4 passes ball's size bound; at the second a product's |u|^2 - |v|^2
+# is lost to roundoff altogether
 PAST_PRECISION = [
     OctagonParams(0.9905482311121936, -0.7527861665680812),
     OctagonParams(0.995099525262749, -0.7740075264130591),
@@ -218,6 +219,9 @@ class TestBall:
 
     @settings(max_examples=20, deadline=None)
     @given(domain_points())
+    # ball(3) had accepted this point with eps (|u|^2 + |v|^2) = 1.38, where the
+    # CPython chain's |u|^2 - |v|^2 of word bbb rounds to 0
+    @example(OctagonParams(0.9894248434212368, 0.7736177932882728))
     def test_batched_ball_matches_product_chain(self, params):
         gens = generators(params)
         try:
@@ -275,11 +279,12 @@ class TestBall:
             b = ball(gens, 3)
         except ValueError as exc:
             # refused only where float64 may not hold the element: a word of
-            # length L has |u| <= (2 max|u_k|)^L, and |u|^2 - |v|^2 = 1 is lost
-            # once eps |u|^2 reaches 1 (near the corner a = 1, alpha_tilde = pi/4)
+            # length L has |u|^2 + |v|^2 <= (2 max|u_k|)^(2L), and ball refuses
+            # once eps (|u|^2 + |v|^2) passes 1/16, before |u|^2 - |v|^2 = 1 is
+            # lost (near the corner a = 1, alpha_tilde = pi/4)
             word = re.search(r"element '(\w+)' is past the float64 precision limit", str(exc))
             u_max = max(abs(u) for u, _ in gens.g)
-            assert (2.0 * u_max) ** (2 * len(word[1])) * np.finfo(float).eps > 1.0
+            assert (2.0 * u_max) ** (2 * len(word[1])) > group._MAX_SIZE
             return
         assert len(b) == BALL_SIZES[3]
         u, v = b.u, b.v
@@ -317,7 +322,19 @@ class TestBall:
             ball(gens, 1)
 
     def test_exact_count_where_orbit_points_were_refused(self):
-        assert len(ball(generators(PAST_PRECISION[0]), 4)) == BALL_SIZES[4]
+        # radius 3 has eps (|u|^2 + |v|^2) <= 8.7e-5 here; radius 4 reaches 1.08
+        assert len(ball(generators(PAST_PRECISION[0]), 3)) == BALL_SIZES[3]
+
+    def test_size_bound_refuses_before_the_determinant_is_lost(self):
+        # sphere 4 at the first point has eps (|u|^2 + |v|^2) up to 1.08, and
+        # every product's |u|^2 - |v|^2 still reads 0.6 to 1.4
+        params = PAST_PRECISION[0]
+        with pytest.raises(ValueError) as info:
+            ball(generators(params), 4)
+        assert re.fullmatch(
+            rf"radius-4 ball at a={params.a!r}, alpha_tilde={params.alpha_tilde!r}: "
+            r"element '[aAbBcCdD]{4}' is past the float64 precision limit "
+            r"\(\|u\|\^2\+\|v\|\^2 = \S+ is past 1/\(16 eps\)\)", str(info.value))
 
     def test_precision_limit(self):
         # which word of sphere 4 breaks first depends on the last bits of

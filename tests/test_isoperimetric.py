@@ -1,6 +1,6 @@
-import cmath
 import csv
 import importlib.machinery
+import inspect
 import json
 import math
 from pathlib import Path
@@ -24,14 +24,13 @@ from teich2.isoperimetric import (
     AreaResult,
     a_extremes,
     asymptotic_orbit,
-    e_of_a,
     e_of_p,
     orbit_forms,
     parabola_fit,
     wp_area,
     wp_area_contour,
 )
-from teich2.octagon import OctagonParams, perimeter
+from teich2.octagon import OctagonParams, b_of, perimeter, perimeter_ab
 
 P0 = 27.023328706074827  # perimeter at (0.8, pi/12)
 E0 = 31.343747228912957
@@ -60,14 +59,41 @@ QUAD_MISS_FROM = 99.5
 QUAD_MISS = 3e-7
 
 
+def _arctanh(x):
+    """np.arctanh on arrays; on floats math.atanh, with numpy's values at the
+    edges, where math.atanh raises: +-inf at +-1, NaN beyond."""
+    if isinstance(x, np.ndarray):
+        return np.arctanh(x)
+    if -1.0 < x < 1.0:
+        return math.atanh(x)
+    if x == 1.0 or x == -1.0:
+        return math.copysign(math.inf, x)
+    return math.nan
+
+
+def area_integrand(a, e_star: float):
+    """WP area density at a, integrated over the orbit's a-interval; elementwise over a.
+
+    The bit oracle of isoperimetric._area_density: the formula written with
+    the elementwise helpers, in the closure's operation order.
+    """
+    one_minus_a2 = 1.0 - a * a
+    two_a2 = 2.0 * a * a - 1.0
+    ratio = (e_star - 4.0) * one_minus_a2 / (e_star * one_minus_a2 - 4.0)
+    e_of_a = 4.0 * a * a / ((1.0 - a * a) * (2.0 * a * a - 1.0))
+    one_minus_e = ew.maximum(1.0 - e_of_a / e_star, 0.0)
+    f = ew.sqrt(ratio * one_minus_e)
+    return 16.0 * a / (one_minus_a2 * ew.sqrt(two_a2)) * _arctanh(f)
+
+
 def area_density(p_star: float):
-    """wp_area's integrand in t on [0, 1], or None where the orbit is a point."""
+    """wp_area's integrand in t on [0, 1] by the oracle, or None where the orbit is a point."""
     e_star = e_of_p(max(p_star, P_REG))
     lo, hi = a_extremes(e_star)
     width = hi - lo
     if width <= 0.0:
         return None
-    return lambda t: width * iso._area_integrand(lo + width * t, e_star)
+    return lambda t: width * area_integrand(lo + width * t, e_star)
 
 
 def tight_quad_area(p_star: float) -> float:
@@ -91,12 +117,16 @@ def quad_outcome(p_star: float):
     return area, err, info["neval"], (message[0] if message else None)
 
 
-# in a fresh interpreter, wp_area and scipy.integrate.quad at a few
-# perimeters, in the order argv[1] names; prints both as JSON of hex floats
+# in a fresh interpreter, wp_area and scipy.integrate.quad of the oracle
+# area_integrand at a few perimeters, in the order argv[1] names; prints both
+# as JSON of hex floats
 IMPORT_ORDER = """
-import json, sys
+import json, math, sys
+import numpy as np
+from teich2 import _elementwise as ew
 from teich2 import isoperimetric as iso
 P = (25.0, 41.0, 99.58, 161.0)
+""" + inspect.getsource(_arctanh) + inspect.getsource(area_integrand) + """
 
 def wp_area():
     return [[r.area.hex(), r.quad_error_estimate.hex(), r.evaluations]
@@ -110,7 +140,7 @@ def quad():
         lo, hi = iso.a_extremes(e)
         w = hi - lo
         area, err, info = quad(
-            lambda t: w * iso._area_integrand(lo + w * t, e), 0.0, 1.0,
+            lambda t: w * area_integrand(lo + w * t, e), 0.0, 1.0,
             epsabs=iso.QUAD_TOLERANCE, epsrel=iso.QUAD_TOLERANCE, limit=200,
             full_output=True,
         )[:3]
@@ -159,11 +189,13 @@ class TestAExtremes:
         assert_allclose(hi, A_PLUS_0, rtol=1e-14)
 
     def test_back_substitution(self):
+        # both extremes lie on alpha_tilde = 0, where the closed-form perimeter
+        # in (a, b) is an independent route to P*
         rng = np.random.default_rng(1)
         for e in rng.uniform(E_REG + 0.5, 400.0, 40):
-            lo, hi = a_extremes(e)
-            assert_allclose(e_of_a(lo), e, rtol=1e-9)
-            assert_allclose(e_of_a(hi), e, rtol=1e-9)
+            p_star = 8.0 * math.acosh(e / 2.0 - 1.0)
+            for a in a_extremes(e):
+                assert_allclose(perimeter_ab(a, b_of(a, 0.0)), p_star, rtol=1e-9)
 
     def test_degenerate_at_regular_value(self):
         lo, hi = a_extremes(E_REG)
@@ -355,39 +387,53 @@ class TestWPArea:
         def refuse(*args):
             raise AssertionError("contour route used the WP density")
 
-        monkeypatch.setattr(iso, "_area_integrand", refuse)
+        monkeypatch.setattr(iso, "_area_density", refuse)
         monkeypatch.setattr(fenchel_nielsen, "wp_coefficient_raw", refuse)
         assert_allclose(wp_area_contour(30.0), AREAS[30.0], rtol=1e-10)
 
     @pytest.mark.parametrize("p_star", [25.0, 99.58, 161.0])
     def test_integrand_float_route_is_array_route(self, p_star):
-        # quad takes the float route, one node at a time; libm's atanh and
-        # numpy's may differ in the last bit
+        # quad calls the closure one node at a time: it is the oracle on floats
+        # bit for bit, and its numpy evaluation up to libm's and numpy's atanh,
+        # which may differ in the last bit
         e_star = e_of_p(p_star)
         lo, hi = a_extremes(e_star)
+        width = hi - lo
+        g = iso._area_density(lo, width, e_star)
         t = np.concatenate([np.linspace(0.0, 1.0, 401)[1:-1], np.logspace(-14, -1, 27)])
-        a = np.concatenate([lo + (hi - lo) * t, hi - (hi - lo) * t])
-        batched = iso._area_integrand(a, e_star)
-        scalar = [iso._area_integrand(x, e_star) for x in a.tolist()]
-        assert all(type(x) is float for x in scalar)
+        t = np.concatenate([t, 1.0 - t])
+        closure = [g(x) for x in t.tolist()]
+        assert all(type(x) is float for x in closure)
+        assert closure == [width * area_integrand(lo + width * x, e_star) for x in t.tolist()]
+        batched = width * area_integrand(lo + width * t, e_star)
         assert np.isfinite(batched).all()
-        assert_allclose(scalar, batched, rtol=4 * EPS, atol=0.0)
+        assert_allclose(closure, batched, rtol=4 * EPS, atol=0.0)
 
     def test_integrand_inf_where_f_rounds_to_one(self):
-        # at P = 400 f rounds to 1 inside the a-interval: both routes give inf,
-        # numpy's value, where math.atanh would raise
+        # at P = 400 f rounds to 1 inside the a-interval: the closure and the
+        # oracle's numpy evaluation give inf, where math.atanh would raise
         e_star = e_of_p(400.0)
         lo, hi = a_extremes(e_star)
-        a = lo + (hi - lo) * 0.5
-        assert iso._area_integrand(a, e_star) == math.inf
+        width = hi - lo
+        assert iso._area_density(lo, width, e_star)(0.5) == math.inf
         with np.errstate(divide="ignore"):
-            assert iso._area_integrand(np.array([a]), e_star)[0] == math.inf
+            assert width * area_integrand(np.array([lo + width * 0.5]), e_star)[0] == math.inf
 
     def test_arctanh_float_route_matches_numpy_at_the_edges(self):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for x in [0.0, -0.5, 0.999, 1.0, -1.0, 1.5, -2.0, math.inf, math.nan]:
-                assert_allclose(ew.arctanh(x), np.arctanh(x), rtol=EPS, atol=0.0)
-        assert ew.arctanh(0.5j) == cmath.atanh(0.5j)
+        # with lo = 0 and width = 1 the closure is the density at a = t; the
+        # points give f = 0 (clamped), 0 < f < 1, f = 1 (P = 400), f > 1
+        # (E* < 0) and f = NaN (E* = inf): numpy's values, where math.atanh raises
+        e400 = e_of_p(400.0)
+        lo, hi = a_extremes(e400)
+        points = [(A_MINUS_0, E0), (0.8, E0), (lo + (hi - lo) * 0.5, e400),
+                  (0.8, -1.0), (0.8, math.inf)]
+        closure = [iso._area_density(0.0, 1.0, e)(a) for a, e in points]
+        with np.errstate(all="ignore"):
+            numpy = [float(area_integrand(np.array([a]), e)[0]) for a, e in points]
+        assert_allclose(closure, numpy, rtol=4 * EPS, atol=0.0)
+        assert closure[0] == 0.0 and math.isfinite(closure[1])
+        assert closure[2] == math.inf
+        assert math.isnan(closure[3]) and math.isnan(closure[4])
 
     def test_reference_table_within_oracle_bar(self):
         # every 8th row of the area-table benchmark's reference; a change to the
@@ -459,9 +505,10 @@ class TestWPArea:
         e_star = e_of_p(31.0)
         a_s, at_s = orbit_forms(e_star, iso._phases(16))
         for a, at in zip(a_s[1:8].tolist(), at_s[1:8].tolist()):
+            e_of_a = 4.0 * a * a / ((1.0 - a * a) * (2.0 * a * a - 1.0))
             f1 = math.sqrt(
                 (e_star - 4.0) * (1.0 - a * a) / (e_star * (1.0 - a * a) - 4.0)
-            ) * math.sqrt(max(0.0, 1.0 - e_of_a(a) / e_star))
+            ) * math.sqrt(max(0.0, 1.0 - e_of_a / e_star))
             f2 = abs(math.tan(at)) / math.sqrt(2.0 * a * a - 1.0)
             assert abs(f1 - f2) < 1e-9
 
