@@ -10,7 +10,12 @@ array column is formatted in integer arithmetic, exact digit for digit
 table of Python cells is joined as text.  JSON
 documents carry a top level ``"schema": "teich2/v1"`` marker and serialize
 floats with Python's shortest round-tripping repr, so parsing reproduces
-the doubles bit-exactly.  SVG maps the unit disk to a 1000 x 1000 viewport
+the doubles bit-exactly.  They are the bytes of ``json.dumps(doc,
+indent=2)``, which on Python 3.11 runs json's pure-Python encoder, from a
+recursive writer; a list of dicts that share their str keys and hold only
+finite floats, as the orbit samples and area rows do, is written one
+``%r`` template per row.  ``json.dumps`` is kept only in the tests, as the
+byte oracle.  SVG maps the unit disk to a 1000 x 1000 viewport
 and renders geodesic sides as true circular arcs through three sampled
 points, with numbers in %.4f form.  The arcs of all cells are computed as
 array expressions, and the path lines of each block of cells are written
@@ -21,8 +26,10 @@ half-way ties, non-finite, or 1e4 and above) go through Python's %.4f.
 
 from __future__ import annotations
 
-import json
+import itertools
+import math
 import sys
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -124,6 +131,9 @@ def csv_text(header: Sequence[str], columns: Sequence[Any]) -> str:
     return "".join(text)
 
 
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
 def _json_default(x: Any) -> Any:
     if isinstance(x, complex):
         return [x.real, x.imag]
@@ -133,8 +143,95 @@ def _json_default(x: Any) -> Any:
 
 
 def json_text(payload: dict[str, Any]) -> str:
-    doc = {"schema": SCHEMA, **payload}
-    return json.dumps(doc, indent=2, default=_json_default) + "\n"
+    """The document {"schema": SCHEMA, **payload} as ``json.dumps(doc,
+    indent=2, default=_json_default)`` writes it, with a final newline."""
+    out: list[str] = []
+    _json(out, {"schema": SCHEMA, **payload}, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_key(key: Any) -> str:
+    if isinstance(key, str):
+        return _json_string(key)
+    if isinstance(key, float):
+        return _json_string(_json_float(key))
+    if key is True or key is False or key is None:
+        return _json_string(_JSON_CONSTANTS[key])
+    if isinstance(key, int):
+        return _json_string(int.__repr__(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json(out: list[str], o: Any, newline: str) -> None:
+    """Append the text of ``o`` to ``out`` as json's indent-2 encoder does,
+    with ``newline`` the line break and indent of o's own line: the same
+    isinstance order, tuples as lists, NaN and Infinity, ASCII strings, and
+    _json_default for any other type."""
+    if isinstance(o, str):
+        out.append(_json_string(o))
+    elif o is None or o is True or o is False:
+        out.append(_JSON_CONSTANTS[o])
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_json_float(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        rows = _json_rows(o, inner)
+        if rows is not None:
+            out += ("[", inner, rows, newline, "]")
+            return
+        out.append("[")
+        for i, value in enumerate(o):
+            out.append("," + inner if i else inner)
+            _json(out, value, inner)
+        out += (newline, "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        out.append("{")
+        for i, (key, value) in enumerate(o.items()):
+            out += ("," + inner if i else inner, _json_key(key), ": ")
+            _json(out, value, inner)
+        out += (newline, "}")
+    else:
+        _json(out, _json_default(o), newline)
+
+
+def _json_rows(rows: Sequence[Any], inner: str) -> str | None:
+    """The items of a list of dicts that share one tuple of str keys and hold
+    only finite Python floats, each through one %r template, joined by
+    ``"," + inner``; None for any other list."""
+    first = rows[0]
+    if type(first) is not dict or not first:
+        return None
+    keys = tuple(first)
+    if (set(map(type, rows)) != {dict} or set(map(type, keys)) != {str}
+            or not all(map(keys.__eq__, map(tuple, rows)))):
+        return None
+    values = list(map(tuple, map(dict.values, rows)))
+    flat = list(itertools.chain.from_iterable(values))
+    if set(map(type, flat)) != {float} or not all(map(math.isfinite, flat)):
+        return None
+    field = inner + "  "
+    body = ",".join(field + _json_string(k).replace("%", "%%") + ": %r" for k in keys)
+    return ("," + inner).join(map(("{" + body + inner + "}").__mod__, values))
 
 
 def _pix(z):

@@ -34,7 +34,7 @@ from teich2.hyperbolic import (
     su_sign_flip,
     translation_pair,
 )
-from teich2.octagon import OctagonParams, build_geometry, grid_arrays, lower_a
+from teich2.octagon import OctagonParams, build_geometry, grid_arrays, in_octagon, lower_a
 
 A_REG = 2.0 ** -0.25
 P0 = OctagonParams(0.8, math.pi / 12)
@@ -81,6 +81,23 @@ def domain_points(draw, margin=1e-3):
     at = draw(st.floats(-at_max, at_max))
     lo = lower_a(at) + margin
     return OctagonParams(lo + draw(st.floats(0.0, 1.0)) * (1.0 - margin - lo), at)
+
+
+def shrinking_block_probe(geom, gens, samples, seed):
+    """(interior_samples, interior_violations) of side_pairing_check's probe
+    drawn in shrinking blocks: each pass draws as many candidates as samples
+    are missing, and every sample and every image is one in_octagon call."""
+    rng = np.random.default_rng(seed)
+    bound = max(geom.vertices[0].real, geom.b)
+    gu, gv = (np.array(part)[:, None] for part in zip(*gens.g))
+    drawn = violations = 0
+    while drawn < samples:
+        block = rng.uniform(-bound, bound, (samples - drawn, 2)).view(complex)[:, 0]
+        inside = [z for z in block.tolist() if in_octagon(geom, z, shrink=1e-4)]
+        drawn += len(inside)
+        images = su_act(gu, gv, np.array(inside, complex))
+        violations += sum(in_octagon(geom, w, shrink=-1e-7) for w in images.ravel().tolist())
+    return drawn, violations
 
 
 class TestGenerators:
@@ -183,6 +200,48 @@ class TestSidePairing:
         reps = [side_pairing_check(geom, gens, samples=samples, seed=s) for s in range(5)]
         assert [r.interior_samples for r in reps] == [samples] * 5
         assert [r.interior_violations for r in reps] == counts
+
+    @settings(max_examples=25, deadline=None)
+    @given(domain_points(), domain_points(), st.booleans(), st.sampled_from([1, 37, 500]),
+           st.integers(0, 2**32 - 1))
+    @example(OctagonParams(0.8, 0.1), OctagonParams(0.9, 0.3), True, 37, 0)
+    @example(OctagonParams(0.72, 0.02), OctagonParams(0.8, -0.1), True, 500, 3)
+    def test_matches_shrinking_block_probe(self, point, other, paired, samples, seed):
+        geom = build_geometry(point)
+        gens = generators(other if paired else point)
+        rep = side_pairing_check(geom, gens, samples=samples, seed=seed)
+        assert (rep.interior_samples, rep.interior_violations) == shrinking_block_probe(
+            geom, gens, samples, seed)
+
+    @pytest.mark.parametrize("samples", [1, 37, 500])
+    def test_shrinking_block_probe_counts_violations(self, samples):
+        # the oracle above sees violations, so the match is not 0 == 0
+        geom = build_geometry(OctagonParams(0.72, 0.02))
+        gens = generators(OctagonParams(0.8, -0.1))
+        counts = [shrinking_block_probe(geom, gens, samples, s)[1] for s in range(5)]
+        assert sum(counts) > 0
+
+    def test_probe_maps_the_samples_with_one_action(self, monkeypatch):
+        geom, gens = build_geometry(P0), generators(P0)
+        acts, shrinks = [], []
+        act, inside = group.su_act, group.in_octagon
+
+        def counted_act(u, v, z):
+            acts.append(np.shape(z))
+            return act(u, v, z)
+
+        def counted_inside(g, z, shrink=0.0):
+            shrinks.append(shrink)
+            return inside(g, z, shrink=shrink)
+
+        monkeypatch.setattr(group, "su_act", counted_act)
+        monkeypatch.setattr(group, "in_octagon", counted_inside)
+        rep = side_pairing_check(geom, gens, samples=500, seed=2)
+        assert rep.interior_samples == 500
+        # pairing_residuals maps single points; the probe maps all samples once
+        assert [shape for shape in acts if shape] == [(500,)]
+        # in_octagon tests candidates only, never an image
+        assert len(shrinks) > 500 and set(shrinks) == {1e-4}
 
     def test_no_samples_builds_no_generator(self, monkeypatch):
         geom, gens = build_geometry(P0), generators(P0)

@@ -315,6 +315,14 @@ class TestWPArea:
         assert isinstance(res, AreaResult)
         assert abs(res.area) < 1e-10
 
+    @pytest.mark.parametrize("delta", [1e-3, 1e-4])
+    def test_slope_at_regular_perimeter(self, delta):
+        # dA/dP at P_reg is 2 pi / sqrt(det H) with H the Hessian of P in the
+        # Darboux coordinates (l1, tau1), and det H = 4 sqrt2: pi 2^(-1/4).
+        # The difference quotient is off by c1 delta, c1 = 0.052.
+        slope = wp_area(P_REG + delta).area / delta
+        assert abs(slope - math.pi * 2.0 ** -0.25) <= 0.1 * delta
+
     def test_reference_values(self):
         for p_star, ref in AREAS.items():
             res = wp_area(p_star)

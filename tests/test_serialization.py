@@ -81,6 +81,47 @@ class TestCSV:
             csv_text(["a", "b"], [["x\0y"], np.zeros(1)])
 
 
+def json_dumps_oracle(payload) -> str:
+    """The byte oracle of json_text: Python's own encoder."""
+    doc = {"schema": SCHEMA, **payload}
+    return json.dumps(doc, indent=2, default=serialization._json_default) + "\n"
+
+
+JSON_FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+JSON_TEXTS = st.text(max_size=6) | st.sampled_from(["%", "%r", "%%s", "\u00e9", "\u2028", '"\\'])
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), JSON_FLOATS, JSON_TEXTS, st.complex_numbers(),
+    JSON_FLOATS.map(np.float64), JSON_FLOATS.map(np.complex128),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
+    st.floats(width=32).map(np.float32),
+)
+JSON_KEYS = JSON_TEXTS | st.integers() | JSON_FLOATS | st.booleans() | st.none()
+
+
+@st.composite
+def row_tables(draw):
+    """Lists of dicts over one set of str keys, mostly finite Python floats in
+    one key order: the tables json_text writes through one template, and
+    near misses that it must not."""
+    keys = draw(st.lists(JSON_TEXTS, min_size=1, max_size=4, unique=True))
+    values = st.floats(allow_nan=False, allow_infinity=False) | JSON_SCALARS
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        order = draw(st.permutations(keys)) if draw(st.integers(0, 4)) == 0 else keys
+        rows.append({k: draw(values) for k in order})
+    return rows
+
+
+def json_payloads():
+    values = st.recursive(
+        JSON_SCALARS | row_tables(),
+        lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                       | st.dictionaries(JSON_KEYS, inner, max_size=4)),
+        max_leaves=20,
+    )
+    return st.dictionaries(JSON_TEXTS, values, max_size=5)
+
+
 class TestJSON:
     def test_schema_marker_first(self):
         text = json_text({"value": 1.5})
@@ -105,6 +146,31 @@ class TestJSON:
     def test_unserializable_rejected(self):
         with pytest.raises(TypeError):
             json_text({"bad": object()})
+
+    @given(json_payloads())
+    @example({"rows": [{"phi": -0.0, "a": 0.5}, {"phi": 1e-300, "a": -2.5e17}]})
+    @example({"rows": [{"phi": 0.5, "a": math.nan}, {"phi": math.inf, "a": 0.5}]})
+    @example({"rows": [{"%r": 0.5, "\u00e9%%": 0.25}],
+              "rows2": [{"a": 0.5, "b": 1.0}, {"b": 0.5, "a": 1.0}]})
+    @example({"rows": [{"a": 0.5}, {"a": np.float64(0.5)}], "rows2": [{"a": 0.5}, {"a": 1}]})
+    @example({"t": (1, (2.5, ()), {}), 1: [], 2.5: {}, True: None, None: "x", math.nan: -0.0})
+    @example({"x": [math.inf, -math.inf, math.nan], "k": {math.inf: 1, -math.inf: False}})
+    @example({"z": np.complex128(0.5 - 0.0j), "n": np.int64(-3), "f": np.float32(0.1)})
+    def test_matches_json_dumps_byte_for_byte(self, payload):
+        assert json_text(payload) == json_dumps_oracle(payload)
+
+    @pytest.mark.parametrize("payload", [
+        {"bad": [1.0, {"x": object()}]},
+        {"rows": [{"a": 0.5}, {"a": object()}]},
+        {(1, 2): 0.5},
+        {"nested": {np.int64(1): 0.5}},
+        {"nested": {np.float32(0.5): 0.5}},
+    ])
+    def test_refuses_what_json_dumps_refuses(self, payload):
+        with pytest.raises(TypeError) as expected:
+            json_dumps_oracle(payload)
+        with pytest.raises(TypeError, match=re.escape(str(expected.value))):
+            json_text(payload)
 
     def test_file_write(self, tmp_path):
         path = tmp_path / "out.json"
