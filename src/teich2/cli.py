@@ -6,11 +6,12 @@ closed-form coefficient; its ``wp.fd_*`` keys keep their teich2/v1 names.
 
 Exit codes: 0 success, 1 I/O errors, 2 argument errors (also a tiling radius
 outside 0..6, a ball element that float64 cannot represent at the given
-point, a NaN or infinite float flag, an ``area --step`` that asks for more
-rows than numpy can allocate, a ``validate --grid`` side below 1, or a
-negative tolerance), 3 domain errors (octagon parameters outside the
-admissible region or within ``--margin`` of its boundary, or an orbit or area
-perimeter below the regular value P_reg), 4 validation failure, 5 numerical
+point, a NaN or infinite float flag, a size whose arrays numpy cannot
+allocate, as from ``area --step``, ``orbit --samples`` or ``validate
+--grid``, a ``validate --grid`` side below 1, or a negative tolerance), 3
+domain errors (octagon parameters outside the admissible region or within
+``--margin`` of its boundary, or an orbit or area perimeter below the
+regular value P_reg), 4 validation failure, 5 numerical
 errors (a quadrature that does not converge or overflows, an overflow or
 cancellation, a product of SU(1,1) maps that rounding broke, or an orbit
 point that rounds out of the domain).  With ``--format json`` domain errors
@@ -252,7 +253,7 @@ def _cmd_group(args: argparse.Namespace) -> int:
 def _cmd_fn(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
     coeff = wp_coefficient(params)
-    summands = wolpert_summands(params)
+    summands, primed = wolpert_summands(params)
     value = sum(summands)
     payload: dict[str, Any] = {
         "params": {"a": params.a, "alpha": params.alpha,
@@ -274,7 +275,7 @@ def _cmd_fn(args: argparse.Namespace) -> int:
         "fd_value": value,
         "fd_summands": list(summands),
         "fd_relative_error": abs(value - coeff) / coeff,
-        "fd_primed_value": sum(wolpert_summands(params, primed=True)),
+        "fd_primed_value": sum(primed),
     }
     _emit_payload(args, payload)
     return 0
@@ -415,7 +416,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         if getattr(args, "format", None) == "json":
             emit_json(None, {"error": {"type": type(exc).__name__, "message": str(exc)}})
         return 3
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # MemoryError: a size numpy cannot allocate
         print(f"teich2: argument error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -20,10 +20,10 @@ which automatically carries the opposite twist sign.
 
 Every form is written once, elementwise over arrays (a, alpha_tilde) of
 parameter points, and takes floats as well: ``pants_forms`` gives lengths,
-twists and traces, ``d_closed_forms`` the closed-form d_k.  The functions
-that take ``OctagonParams`` (``pants_data``, ``lt_relations_check``,
-``wp_coefficient`` and ``wolpert_summands``) are their views at one point,
-for ``teich2 fn``.
+twists and traces (from the caller's ``group.half_turns`` of the octagon),
+``d_closed_forms`` the closed-form d_k.  The functions that take
+``OctagonParams`` (``pants_data``, ``lt_relations_check``, ``wp_coefficient``
+and ``wolpert_summands``) are their views at one point, for ``teich2 fn``.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from . import _elementwise as ew
-from .group import half_turn_pairs, omega_forms
+from .group import half_turns
 from .hyperbolic import su_mul
-from .octagon import OctagonParams, b_of, octagon_forms
+from .octagon import OctagonParams, b_of, build_geometry
 
 __all__ = [
     "PantsData",
@@ -77,14 +77,12 @@ def _trace(x):
     return 2.0 * x[0].real
 
 
-def trace_forms(a, alpha_tilde):
-    """Trace parameters ((c1,c2,c3), (d1,d2,d3)) from half-turn products, elementwise.
+def trace_forms(m):
+    """Trace parameters ((c1,c2,c3), (d1,d2,d3)) from half turns m = half_turns(forms).
 
     c_k are minus half-traces of M0 M1, M2 M3, M4 M5; d_k are half of the
     squared traces of M0 M4 M5, M2 M1 M0, M5 M3 M2, each minus one.
     """
-    f = octagon_forms(a, alpha_tilde)
-    m = half_turn_pairs(omega_forms(f.omega_plus, f.omega_minus, f.omega4))
     c = tuple(-0.5 * _trace(su_mul(m[i], m[j])) for i, j in ((0, 1), (2, 3), (4, 5)))
     d = tuple(
         0.5 * _trace(su_mul(su_mul(m[i], m[j]), m[k])) ** 2 - 1.0
@@ -116,11 +114,11 @@ class PantsData:
     p_aux: float
 
 
-def pants_forms(a, alpha_tilde) -> PantsData:
-    """Lengths, twists and trace parameters of one decomposition, as a
-    PantsData of arrays (elementwise over the parameter arrays)."""
+def pants_forms(a, alpha_tilde, m) -> PantsData:
+    """Lengths, twists and trace parameters (from m, the half_turns of the
+    octagon) of one decomposition, as a PantsData of arrays, elementwise."""
     l1, l3, tau1, tau3 = _fn_forms(a, alpha_tilde)
-    c, d = trace_forms(a, alpha_tilde)
+    c, d = trace_forms(m)
     p_aux = c[0] ** 2 + c[1] ** 2 + c[2] ** 2 + 2.0 * c[0] * c[1] * c[2] - 1.0
     return PantsData((l1, l1, l3), (tau1, tau1, tau3), c, d, p_aux)
 
@@ -130,7 +128,7 @@ def pants_data(params: OctagonParams) -> PantsData:
 
     The primed decomposition is ``pants_data(params.conjugate())``.
     """
-    return pants_forms(params.a, params.alpha_tilde)
+    return pants_forms(params.a, params.alpha_tilde, half_turns(build_geometry(params)))
 
 
 def _rel(x, ref):
@@ -209,34 +207,33 @@ def wp_coefficient(params: OctagonParams) -> float:
     return wp_coefficient_raw(params.a, params.alpha_tilde)
 
 
-def wolpert_forms(a, alpha_tilde, primed: bool = False):
+def wolpert_forms(a, alpha_tilde):
     """Summands 1/2 [d_a l_k d_at tau_k - d_at l_k d_a tau_k], k = 1, 2, 3, of
-    Wolpert's form 1/2 sum_k dl_k ^ dtau_k in (a, alpha_tilde).
+    Wolpert's form 1/2 sum_k dl_k ^ dtau_k in (a, alpha_tilde), as (summands,
+    primed_summands); the primed ones differentiate the forms of the
+    conjugate decomposition at (b(a, at), -at).
 
-    Their sum is the coefficient of da ^ dalpha_tilde and the k = 3 summand
+    Each sum is the coefficient of da ^ dalpha_tilde and the k = 3 summand
     vanishes, because l3 and tau3 depend on a alone.  The derivatives are
     complex steps, f'(x) = Im f(x + ih) / h (Squire and Trapp, SIAM Rev. 40,
     1998): with no difference to cancel they are exact to rounding, and the
-    step stays far inside the domain.  ``primed`` differentiates the forms of
-    the conjugate decomposition at (b(a, at), -at).  The route is independent
-    of ``wp_coefficient_raw``.  Elementwise over the parameter arrays.
+    step stays far inside the domain.  The route is independent of
+    ``wp_coefficient_raw``.  Elementwise over the parameter arrays.
     """
     h = 1e-30
     at = alpha_tilde
-    if primed:
-        steps = (_fn_forms(b_of(a + 1j * h, at), -at),
-                 _fn_forms(b_of(a, at + 1j * h), -at - 1j * h))
-    else:
-        steps = (_fn_forms(a + 1j * h, at), _fn_forms(a, at + 1j * h))
-    (l1_a, l3_a, tau1_a, tau3_a), (l1_at, l3_at, tau1_at, tau3_at) = (
-        [x.imag / h for x in forms] for forms in steps
-    )
-    s1 = 0.5 * (l1_a * tau1_at - l1_at * tau1_a)
-    return (s1, s1, 0.5 * (l3_a * tau3_at - l3_at * tau3_a))
+    out = []
+    for steps in ((_fn_forms(a + 1j * h, at), _fn_forms(a, at + 1j * h)),
+                  (_fn_forms(b_of(a + 1j * h, at), -at),
+                   _fn_forms(b_of(a, at + 1j * h), -at - 1j * h))):
+        (l1_a, l3_a, tau1_a, tau3_a), (l1_at, l3_at, tau1_at, tau3_at) = (
+            [x.imag / h for x in forms] for forms in steps
+        )
+        s1 = 0.5 * (l1_a * tau1_at - l1_at * tau1_a)
+        out.append((s1, s1, 0.5 * (l3_a * tau3_at - l3_at * tau3_a)))
+    return tuple(out)
 
 
-def wolpert_summands(
-    params: OctagonParams, primed: bool = False
-) -> tuple[float, float, float]:
-    """wolpert_forms at one point."""
-    return wolpert_forms(params.a, params.alpha_tilde, primed)
+def wolpert_summands(params: OctagonParams):
+    """wolpert_forms at one point: (summands, primed_summands)."""
+    return wolpert_forms(params.a, params.alpha_tilde)

@@ -7,7 +7,8 @@ side k) and satisfy the single genus-2 relation
 
 Each generator is realized three independent ways: the explicit closed-form
 matrix, the product M_k M_5 of trace-zero half turns, and the half-turn
-composition H(p_k) about the side midpoint.
+composition H(p_k) about the side midpoint.  The half turns M_0..M_5 of
+``half_turns`` also give the Fenchel-Nielsen trace parameters.
 
 A group element is its SU(1,1) pair (u, v).  The generators, the relation
 word and the side-pairing residuals are written once, over (u, v) pairs of
@@ -49,8 +50,7 @@ __all__ = [
     "SidePairingReport",
     "generator_pairs",
     "generators",
-    "omega_forms",
-    "half_turn_pairs",
+    "half_turns",
     "relation_pairs",
     "relation_defect",
     "pairing_residuals",
@@ -101,14 +101,11 @@ def generators(params: OctagonParams) -> GeneratorSet:
     return GeneratorSet(params, generator_pairs(params.a, params.alpha_tilde))
 
 
-def omega_forms(omega_plus, omega_minus, omega4):
-    """(omega_0..omega_5) = (omega+, omega-, i omega+, i omega-, 2a/(1+a^2), 0); array-safe."""
-    return (omega_plus, omega_minus, 1j * omega_plus, 1j * omega_minus, omega4 + 0j, 0j)
-
-
-def half_turn_pairs(omegas):
-    """(u, v) pairs of the trace-zero half turns M_k = M(omega_k) for an omega
-    table of arrays, elementwise."""
+def half_turns(forms: OctagonForms):
+    """(u, v) pairs of the trace-zero half turns M(omega_k) of the octagon ``forms``,
+    elementwise: (omega_0..omega_5) = (omega+, omega-, i omega+, i omega-, 2a/(1+a^2), 0)."""
+    w_plus, w_minus = forms.omega_plus, forms.omega_minus
+    omegas = (w_plus, w_minus, 1j * w_plus, 1j * w_minus, forms.omega4 + 0j, 0j)
     return tuple(su_normalize(*half_turn_pair(w)) for w in omegas)
 
 

@@ -8,9 +8,9 @@ orbit behavior, and the two independent area routes.  Each identity
 is written once, in the ``CHECKS`` table, which the acceptance tests call
 too.  The per-point identities take the whole grid at once, as numpy
 arrays, through the same closed forms that the scalar API evaluates at one
-point; each block of points computes its octagon forms and generators once,
-in a ``PointBlock`` that its checks share.  The result is a JSON-ready
-report with one entry per check.
+point; each block of points computes its octagon forms, half turns and
+generators once, in a ``PointBlock`` that its checks share.  The result is a
+JSON-ready report with one entry per check.
 
 By Poincare's polygon theorem (Maskit, Adv. Math. 7, 1971; Beardon, The
 Geometry of Discrete Groups, 1983, sec. 9.8) the octagon is a fundamental
@@ -32,6 +32,7 @@ import numpy as np
 from . import isoperimetric as iso
 from .errors import NumericalError
 from .fenchel_nielsen import (
+    _fn_forms,
     d_closed_forms,
     dt_residuals,
     lt_forms,
@@ -45,8 +46,7 @@ from .group import (
     crossing_violations,
     generator_pairs,
     generators,
-    half_turn_pairs,
-    omega_forms,
+    half_turns,
     pairing_residuals,
     relation_pairs,
 )
@@ -99,11 +99,13 @@ class PointBlock(NamedTuple):
     at: np.ndarray
     forms: OctagonForms
     g: tuple
+    m: tuple
 
 
 def point_block(a: np.ndarray, at: np.ndarray) -> PointBlock:
-    """The octagon_forms and generator_pairs of (a, at), computed once."""
-    return PointBlock(a, at, octagon_forms(a, at), generator_pairs(a, at))
+    """The octagon_forms, generator_pairs and half_turns of (a, at), computed once."""
+    forms = octagon_forms(a, at)
+    return PointBlock(a, at, forms, generator_pairs(a, at), half_turns(forms))
 
 
 def _relation(p: PointBlock) -> dict[str, np.ndarray]:
@@ -115,9 +117,7 @@ def _relation(p: PointBlock) -> dict[str, np.ndarray]:
 
 
 def _triple_agreement(p: PointBlock) -> dict[str, np.ndarray]:
-    f, g = p.forms, p.g
-    omegas = omega_forms(f.omega_plus, f.omega_minus, f.omega4)
-    m = half_turn_pairs(omegas)
+    f, g, m = p.forms, p.g, p.m
     triple = 0.0
     for k in range(4):
         triple = np.maximum(triple, su_gap(g[k], su_mul(m[k], m[5])))
@@ -136,14 +136,14 @@ def _side_pairing(p: PointBlock) -> dict[str, np.ndarray]:
 
 def _fn_consistency(p: PointBlock) -> dict[str, np.ndarray]:
     a, at, f = p.a, p.at, p.forms
-    data, data_p = pants_forms(a, at), pants_forms(f.b, -at)
+    data = pants_forms(a, at, p.m)
     p_plus, p_minus = f.midpoints[0], f.midpoints[1]
     pairs = [(c, np.cosh(0.5 * length)) for c, length in zip(data.c, data.lengths)]
     pairs += zip(data.d, d_closed_forms(a, at))
     pairs += [
         (data.lengths[0], 2.0 * dist(p_plus, p_minus)),
         (data.lengths[2], 2.0 * dist(0.0, a)),
-        (data_p.lengths[0], 2.0 * dist(1j * p_plus, p_minus)),
+        (_fn_forms(f.b, -at)[0], 2.0 * dist(1j * p_plus, p_minus)),
     ]
     # judged as |x - ref| / max(1, |ref|), as dt_residuals judges its identity
     res = [abs(x - ref) / np.maximum(1.0, abs(ref)) for x, ref in pairs]
@@ -152,7 +152,7 @@ def _fn_consistency(p: PointBlock) -> dict[str, np.ndarray]:
 
 def _wolpert(p: PointBlock) -> dict[str, np.ndarray]:
     coeff = wp_coefficient_raw(p.a, p.at)
-    s, s_p = wolpert_forms(p.a, p.at), wolpert_forms(p.a, p.at, primed=True)
+    s, s_p = wolpert_forms(p.a, p.at)
     return {
         "wolpert_relative": np.maximum(abs(sum(s) - coeff), abs(sum(s_p) - coeff)) / coeff,
         "wolpert_k3": np.maximum(abs(s[2]), abs(s_p[2])) / coeff,

@@ -9,13 +9,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from teich2.errors import NumericalError, OutOfDomainError
-from teich2.fenchel_nielsen import pants_data, pants_forms, wolpert_forms, wolpert_summands
-from teich2.group import crossing_violations, generator_pairs, generators
+from teich2.fenchel_nielsen import (
+    _fn_forms,
+    pants_data,
+    pants_forms,
+    wolpert_forms,
+    wolpert_summands,
+    wp_coefficient_raw,
+)
+from teich2.group import crossing_violations, generator_pairs, generators, half_turns
 from teich2.hyperbolic import su_inverse
 from teich2.octagon import (
     OctagonParams,
@@ -24,6 +31,7 @@ from teich2.octagon import (
     grid_arrays,
     lower_a,
     octagon_forms,
+    perimeter_ab,
 )
 from teich2 import validation
 from teich2.validation import CHECKS, DEFAULT_TOLERANCES, point_block, run_validation
@@ -93,8 +101,8 @@ def test_octagon_forms_match_build_geometry():
 def test_scalar_views_match_the_batch():
     a, at = grid_arrays(6, 6, 0.02)
     g = generator_pairs(a, at)
-    data = pants_forms(a, at)
-    summands = wolpert_forms(a, at, primed=True)
+    data = pants_forms(a, at, half_turns(octagon_forms(a, at)))
+    summands = wolpert_forms(a, at)[1]
     for k, (x, y) in enumerate(zip(a.tolist(), at.tolist())):
         params = OctagonParams(x, y)
         gens = generators(params)
@@ -106,7 +114,7 @@ def test_scalar_views_match_the_batch():
         assert_allclose([x[k] for x in data.lengths + data.twists],
                         view.lengths + view.twists, rtol=4 * EPS)
         assert_allclose([x[k] for x in data.c], view.c, rtol=1e-12)
-        assert_allclose([x[k] for x in summands], wolpert_summands(params, primed=True),
+        assert_allclose([x[k] for x in summands], wolpert_summands(params)[1],
                         rtol=8 * EPS)
 
 
@@ -151,6 +159,30 @@ def test_conjugation_is_an_involution(batch):
         back = OctagonParams(x, y).conjugate().conjugate()
         assert back.alpha_tilde == y
         assert abs(back.a - x) <= 6 * EPS * x
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 60), st.floats(-6.0, -1.0), st.data())
+@example(137, 91, -9.0, None)
+@example(137, 91, -6.0, None)
+@example(137, 91, -3.0, None)
+@example(137, 91, math.log10(0.02), None)
+def test_mirror_identities_hold_to_the_bit(n_a, n_alpha, log_margin, data):
+    # the octagon at (a, -at) mirrors the one at (a, at): b, the perimeter,
+    # the lengths, tau3 and the WP density are even in alpha_tilde, and tau1
+    # is odd; cos is even and sin, asinh odd in every arithmetic used here
+    a, at = grid_arrays(n_a, n_alpha, 10.0**log_margin)
+    k = data.draw(st.integers(0, a.size - 1)) if data is not None else a.size // 2
+    for x, y in ((a, at), (a[k].item(), at[k].item())):  # arrays and floats
+        assert _bits(perimeter_ab(x, b_of(x, y))) == _bits(perimeter_ab(x, b_of(x, -y)))
+        (l1, l3, tau1, tau3), (l1_m, l3_m, tau1_m, tau3_m) = _fn_forms(x, y), _fn_forms(x, -y)
+        assert _bits([l1, l3, tau3]) == _bits([l1_m, l3_m, tau3_m])
+        assert _bits(tau1_m) == _bits(0.0 - tau1)  # 0.0 - 0.0 is 0.0, as tau1 at -0.0
+        assert _bits(wp_coefficient_raw(x, y)) == _bits(wp_coefficient_raw(x, -y))
 
 
 @settings(max_examples=25, deadline=None)

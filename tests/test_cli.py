@@ -154,6 +154,11 @@ EXIT_CODES = [
      r"teich2: argument error: step 1e-300 gives too many rows over \[41.0, 41.1\]\n", ""),
     (["area", "--p-min", "41", "--p-max", "41.1", "--step", "1e-17"], 2,
      r"teich2: argument error: step 1e-17 gives too many rows over \[41.0, 41.1\]\n", ""),
+    # arrays of about 7 TiB, which numpy refuses at once
+    (["orbit", "--samples", "1000000000000", "-o", "{tmp}/missing"], 2,
+     r"teich2: argument error: Unable to allocate .*\n", ""),
+    (["validate", "--grid", "1000000", "1000000", "-o", "{tmp}/missing"], 2,
+     r"teich2: argument error: Unable to allocate .*\n", ""),
 ]
 
 

@@ -18,8 +18,7 @@ from teich2.group import (
     ball,
     cells,
     generators,
-    half_turn_pairs,
-    omega_forms,
+    half_turns,
     relation_defect,
     side_pairing_check,
 )
@@ -140,7 +139,7 @@ class TestTripleConstruction:
     def test_generators_match_matrix_products_and_translations(self):
         geom = build_geometry(P0)
         gens = generators(P0)
-        m = half_turn_pairs(omega_forms(geom.omega_plus, geom.omega_minus, geom.omega4))
+        m = half_turns(geom)
         for k in range(4):
             assert su_gap(gens.g[k], su_mul(m[k], m[5])) < 1e-12
             h = su_normalize(*translation_pair(geom.midpoints[k]))

@@ -1,9 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from teich2 import validation
+from teich2 import group, octagon, validation
 from teich2.octagon import grid_arrays
 from teich2.validation import CHECKS, DEFAULT_TOLERANCES, point_block, run_validation
 
@@ -59,3 +60,33 @@ def test_shared_block_moves_no_residual(n_a, n_alpha, margin):
                 fresh = check.fn(point_block(a[rows], at[rows]))
                 for name, residual in check.fn(shared).items():
                     assert residual.tobytes() == fresh[name].tobytes(), (key, name, start)
+
+
+def test_one_block_evaluates_its_octagon_and_half_turns_once(monkeypatch):
+    # every teich2 module that binds the name calls through the counter, as
+    # perfbench's tracer patches it, so calls by way of build_geometry or
+    # pants_data count too
+    calls = {}
+    for fn in (octagon.octagon_forms, group.half_turns):
+        log = calls[fn.__name__] = []
+
+        def counted(*args, _fn=fn, _log=log):
+            result = _fn(*args)
+            _log.append((args, result))
+            return result
+
+        for name, module in list(sys.modules.items()):
+            if (name == "teich2" or name.startswith("teich2.")) and \
+                    getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counted)
+    a, at = grid_arrays(40, 40, 0.02)  # two blocks: 1024 points and 576
+    run_validation(40, 40, 0.02)
+    blocks = range(0, a.size, validation._BLOCK)
+    assert len(calls["octagon_forms"]) == len(calls["half_turns"]) == len(blocks) == 2
+    for start, (args, forms), ((m_forms,), _) in zip(
+            blocks, calls["octagon_forms"], calls["half_turns"]):
+        # the block's own points, not their conjugates (b, -at)
+        block_a, block_at = args
+        assert block_a.tobytes() == a[start:start + validation._BLOCK].tobytes()
+        assert block_at.tobytes() == at[start:start + validation._BLOCK].tobytes()
+        assert m_forms is forms
