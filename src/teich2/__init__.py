@@ -10,20 +10,13 @@ can cross-check itself; the ``validate`` CLI subcommand runs the full suite.
 from __future__ import annotations
 
 from .errors import DomainError, NumericalError, OutOfDomainError
-from .fenchel_nielsen import (
-    PantsData,
-    lt_relations_check,
-    pants_data,
-    wolpert_summands,
-    wp_coefficient,
-)
+from .fenchel_nielsen import PantsData, pants_data
 from .group import (
     GeneratorSet,
     GroupBall,
     ball,
     cells,
     generators,
-    relation_defect,
     side_pairing_check,
 )
 from .hyperbolic import dist
@@ -43,7 +36,6 @@ from .octagon import (
     OctagonParams,
     build_geometry,
     in_octagon,
-    perimeter,
 )
 from .validation import run_validation
 
@@ -71,15 +63,10 @@ __all__ = [
     "e_of_p",
     "generators",
     "in_octagon",
-    "lt_relations_check",
     "pants_data",
     "parabola_fit",
-    "perimeter",
-    "relation_defect",
     "run_validation",
     "side_pairing_check",
-    "wolpert_summands",
     "wp_area",
     "wp_area_contour",
-    "wp_coefficient",
 ]

@@ -32,19 +32,18 @@ from . import isoperimetric as iso
 from .errors import DomainError, NumericalError
 from .fenchel_nielsen import (
     dt_residuals,
-    lt_relations_check,
+    lt_forms,
     pants_data,
-    wolpert_summands,
-    wp_coefficient,
+    wolpert_forms,
+    wp_coefficient_raw,
 )
-from .group import ball, cells, generators, relation_defect, side_pairing_check
+from .group import ball, cells, generators, relation_pairs, side_pairing_check
 from .hyperbolic import classify
 from .octagon import (
     OctagonParams,
     _domain_error,
     b_of,
     build_geometry,
-    perimeter,
     perimeter_ab,
     validate_params,
     vertex_angles,
@@ -172,7 +171,7 @@ def _emit_payload(args: argparse.Namespace, payload: dict[str, Any]) -> None:
 
 def _octagon_payload(params: OctagonParams) -> dict[str, Any]:
     geom = build_geometry(params)
-    p_closed = perimeter(params)
+    p_closed = float(perimeter_ab(params.a, params.b))
     p_sum = vertex_sum(geom.vertices)
     ang0, ang1 = (vertex_angles(geom.vertices, geom.centres, k) for k in (0, 1))
     area = 6.0 * math.pi - 4.0 * (ang0 + ang1)
@@ -228,7 +227,7 @@ def _cmd_group(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
     geom = build_geometry(params)
     gens = generators(params)
-    rel = relation_defect(gens)
+    defect, sign = relation_pairs(gens.g)
     sp = side_pairing_check(geom, gens, samples=args.samples, seed=args.seed)
     payload = {
         "params": {"a": params.a, "alpha": params.alpha,
@@ -238,7 +237,7 @@ def _cmd_group(args: argparse.Namespace) -> int:
              "class": classify(u)}
             for k, (u, v) in enumerate(gens.g)
         ],
-        "relation": {"defect": rel.defect, "sign": rel.sign},
+        "relation": {"defect": defect, "sign": sign},
         "side_pairing": {
             "endpoint_residual": sp.endpoint_residual,
             "midpoint_residual": sp.midpoint_residual,
@@ -252,8 +251,9 @@ def _cmd_group(args: argparse.Namespace) -> int:
 
 def _cmd_fn(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
-    coeff = wp_coefficient(params)
-    summands, primed = wolpert_summands(params)
+    a, at = params.a, params.alpha_tilde
+    coeff = wp_coefficient_raw(a, at)
+    summands, primed = wolpert_forms(a, at)
     value = sum(summands)
     payload: dict[str, Any] = {
         "params": {"a": params.a, "alpha": params.alpha,
@@ -269,7 +269,7 @@ def _cmd_fn(args: argparse.Namespace) -> int:
             "p_aux": data.p_aux,
             "dt_residuals": list(dt_residuals(data)),
         }
-    payload["lt_relations"] = asdict(lt_relations_check(params))
+    payload["lt_relations"] = asdict(lt_forms(a, at))
     payload["wp"] = {
         "coefficient": coeff,
         "fd_value": value,
@@ -335,14 +335,14 @@ def _cmd_tiling(args: argparse.Namespace) -> int:
     gens = generators(params)
     b = ball(gens, args.radius)
     if args.format == "svg" or args.vertices is not None:
-        tiles = cells(b, build_geometry(params))
+        vertices, midpoints = cells(b, build_geometry(params))
     if args.format == "svg":
-        emit_svg(args.output, tiles.vertices, tiles.midpoints)
+        emit_svg(args.output, vertices, midpoints)
     elif args.format == "json":
         emit_json(args.output, {
             "radius": args.radius,
             "count": len(b),
-            "relation_sign": relation_defect(gens).sign,
+            "relation_sign": relation_pairs(gens.g)[1],
             "elements": [
                 {"word": word, "u": u, "v": v}
                 for word, u, v in zip(b.shortlex, b.u.tolist(), b.v.tolist())
@@ -352,10 +352,10 @@ def _cmd_tiling(args: argparse.Namespace) -> int:
         emit_csv(args.output, ("word", "u_re", "u_im", "v_re", "v_im"),
                  (b.shortlex, b.u.real, b.u.imag, b.v.real, b.v.imag))
     if args.vertices is not None:
-        n, k = tiles.vertices.shape
+        n, k = vertices.shape
         emit_csv(args.vertices, ("word", "k", "x", "y"), (
-            [word for word in tiles.words for _ in range(k)], list(range(k)) * n,
-            tiles.vertices.real.ravel(), tiles.vertices.imag.ravel(),
+            [word for word in b.shortlex for _ in range(k)], list(range(k)) * n,
+            vertices.real.ravel(), vertices.imag.ravel(),
         ))
     return 0
 

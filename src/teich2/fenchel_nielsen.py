@@ -21,9 +21,10 @@ which automatically carries the opposite twist sign.
 Every form is written once, elementwise over arrays (a, alpha_tilde) of
 parameter points, and takes floats as well: ``pants_forms`` gives lengths,
 twists and traces (from the caller's ``group.half_turns`` of the octagon),
-``d_closed_forms`` the closed-form d_k.  The functions that take
-``OctagonParams`` (``pants_data``, ``lt_relations_check``, ``wp_coefficient``
-and ``wolpert_summands``) are their views at one point, for ``teich2 fn``.
+``d_closed_forms`` the closed-form d_k, ``lt_forms`` the L/T relations,
+``wp_coefficient_raw`` the closed-form WP coefficient and ``wolpert_forms``
+Wolpert's summands.  ``pants_data`` takes one ``OctagonParams`` and builds
+the half turns that ``pants_forms`` needs from its octagon.
 """
 
 from __future__ import annotations
@@ -46,11 +47,8 @@ __all__ = [
     "pants_data",
     "dt_residuals",
     "lt_forms",
-    "lt_relations_check",
-    "wp_coefficient",
     "wp_coefficient_raw",
     "wolpert_forms",
-    "wolpert_summands",
 ]
 
 
@@ -192,19 +190,10 @@ def lt_forms(a, alpha_tilde) -> LTReport:
     )
 
 
-def lt_relations_check(params: OctagonParams) -> LTReport:
-    """lt_forms at one point."""
-    return lt_forms(params.a, params.alpha_tilde)
-
-
 def wp_coefficient_raw(a, alpha_tilde):
-    """Weil-Petersson density 8a/((1-a)(1+a)(2a^2 cos^2(at) - 1)); elementwise."""
+    """Weil-Petersson density 8a/((1-a)(1+a)(2a^2 cos^2(at) - 1)), the
+    coefficient of da ^ dalpha_tilde in the WP form; elementwise."""
     return 8.0 * a / ((1.0 - a) * (1.0 + a) * (2.0 * a * a * ew.cos(alpha_tilde) ** 2 - 1.0))
-
-
-def wp_coefficient(params: OctagonParams) -> float:
-    """Coefficient of da ^ dalpha_tilde in the Weil-Petersson form."""
-    return wp_coefficient_raw(params.a, params.alpha_tilde)
 
 
 def wolpert_forms(a, alpha_tilde):
@@ -232,8 +221,3 @@ def wolpert_forms(a, alpha_tilde):
         s1 = 0.5 * (l1_a * tau1_at - l1_at * tau1_a)
         out.append((s1, s1, 0.5 * (l3_a * tau3_at - l3_at * tau3_a)))
     return tuple(out)
-
-
-def wolpert_summands(params: OctagonParams):
-    """wolpert_forms at one point: (summands, primed_summands)."""
-    return wolpert_forms(params.a, params.alpha_tilde)

@@ -12,11 +12,11 @@ composition H(p_k) about the side midpoint.  The half turns M_0..M_5 of
 
 A group element is its SU(1,1) pair (u, v).  The generators, the relation
 word and the side-pairing residuals are written once, over (u, v) pairs of
-arrays (one map per parameter point); ``generators``, ``relation_defect``
-and ``side_pairing_check`` are their views at one point.  A ball is its
-shortlex words and the (u, v) arrays of its elements: it is multiplied out
-one sphere at a time, and its tiles are drawn with one action over the
-arrays of the whole ball.
+arrays (one map per parameter point) or over the number pairs of one
+point; ``generators`` and ``side_pairing_check`` take the records of one
+point.  A ball is its shortlex words and the (u, v) arrays of its
+elements: it is multiplied out one sphere at a time, and its tiles are
+drawn with one action over the arrays of the whole ball.
 """
 
 from __future__ import annotations
@@ -45,14 +45,11 @@ __all__ = [
     "BALL_SIZES",
     "GeneratorSet",
     "GroupBall",
-    "Cells",
-    "RelationReport",
     "SidePairingReport",
     "generator_pairs",
     "generators",
     "half_turns",
     "relation_pairs",
-    "relation_defect",
     "pairing_residuals",
     "crossing_violations",
     "side_pairing_check",
@@ -124,18 +121,6 @@ def relation_pairs(g):
     plus = ew.maximum(abs(u - 1.0), abs(v))
     minus = ew.maximum(abs(u + 1.0), abs(v))
     return ew.minimum(plus, minus), ew.where(plus <= minus, 1, -1)
-
-
-@dataclass(frozen=True)
-class RelationReport:
-    defect: float
-    sign: int
-
-
-def relation_defect(gens: GeneratorSet) -> RelationReport:
-    """Defect of g0 g1^-1 g2 g3^-1 g0^-1 g1 g2^-1 g3 against +-identity (relation_pairs)."""
-    defect, sign = relation_pairs(gens.g)
-    return RelationReport(float(defect), int(sign))
 
 
 @dataclass(frozen=True)
@@ -331,26 +316,17 @@ def ball(gens: GeneratorSet, n: int) -> GroupBall:
     return GroupBall(shortlex, np.concatenate(us), np.concatenate(vs))
 
 
-@dataclass(frozen=True, eq=False)
-class Cells:
-    """Tiles of the disk tiling: row i holds the images of the octagon's
-    vertices and side midpoints under ball element ``words[i]``."""
-
-    words: tuple[str, ...]
-    vertices: np.ndarray  # (N, 8) complex
-    midpoints: np.ndarray  # (N, 8) complex
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-
-def cells(group_ball: GroupBall, geom: OctagonForms) -> Cells:
+def cells(group_ball: GroupBall, geom: OctagonForms) -> tuple[np.ndarray, np.ndarray]:
     """Images of the octagon ``geom`` under every element of ``group_ball``:
-    one su_act over the ball's arrays, in blocks of _CELL_BLOCK elements."""
+    one su_act over the ball's arrays, in blocks of _CELL_BLOCK elements.
+
+    Returns the (N, 8) complex arrays (vertices, midpoints); row i holds the
+    images under ball element ``group_ball.shortlex[i]``.
+    """
     points = _require_in_disk(np.array([*geom.vertices, *geom.midpoints]))
     u, v = group_ball.u[:, None], group_ball.v[:, None]
     images = np.concatenate([
         su_act(u[start:start + _CELL_BLOCK], v[start:start + _CELL_BLOCK], points)
         for start in range(0, len(u), _CELL_BLOCK)
     ])
-    return Cells(group_ball.shortlex, images[:, :8], images[:, 8:])
+    return images[:, :8], images[:, 8:]

@@ -9,8 +9,10 @@ alternating radii R+-.  Admissible region:
 
 Gluing opposite sides yields a genus-2 surface of hyperbolic area 4 pi.
 
-The closed forms are written once, in ``octagon_forms``, elementwise over
-arrays of parameters; ``build_geometry`` is its record at one point.
+The closed forms are written once, elementwise over arrays of parameters
+or at one float point: ``octagon_forms`` and the perimeter ``perimeter_ab``
+(symmetric in a and b).  ``build_geometry`` is the record of
+``octagon_forms`` at one ``OctagonParams``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ __all__ = [
     "lower_a",
     "octagon_forms",
     "build_geometry",
-    "perimeter",
     "perimeter_ab",
     "b_of",
     "in_octagon",
@@ -248,11 +249,6 @@ def perimeter_ab(a, b):
     b2 = np.square(b)
     num = 1.0 - a2 * b2 + np.sqrt((1.0 - a2) ** 2 + (1.0 - b2) ** 2)
     return 8.0 * np.arccosh(num / ((1.0 - a2) * (1.0 - b2)))
-
-
-def perimeter(params: OctagonParams) -> float:
-    """Octagon perimeter from the closed form (symmetric in a and b)."""
-    return float(perimeter_ab(params.a, params.b))
 
 
 def vertex_sum(vertices):

@@ -480,6 +480,36 @@ class TestTilingCommand:
         assert len(err.splitlines()) == 1
 
 
+POINT = ["--a", "0.8", "--alpha-tilde", "0.2618"]
+CONJUGATE_SIDE = ["--a", "0.95", "--alpha-tilde", "-0.5"]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["octagon", *POINT, "--format", "json"],
+     "57db4a72961d09209cddbf63b47a3149212f231904c03e4310180ed34d801e37"),
+    (["octagon", *POINT, "--format", "csv"],
+     "ec45e4d9683ca8fadb311c40920dfef9805a5a1b41053df40c37115250d2ac57"),
+    (["group", *POINT, "--samples", "37", "--seed", "3", "--format", "json"],
+     "147e62f65db2a929b3b247f76c91ec964b9d6871eba560410b3be23c8e813b35"),
+    (["group", *POINT, "--format", "csv"],
+     "045859126c76d0ba02ba9b85824b03da12f7587c0ab5d8d085d467a111048f82"),
+    (["fn", *POINT, "--format", "json"],
+     "a7cf30499da9debb460ade298d598e887126844edcbf5709afc984a0c4b94bac"),
+    (["fn", *POINT, "--format", "csv"],
+     "071fc0dcf2a49991fb743324dd7d55ac50e66179534a030c2f079334ccdbdc8f"),
+    (["fn", *CONJUGATE_SIDE, "--format", "json"],
+     "3e0041a6f1d50985320c8bd4ff6c29cf2276b34a62e92e88d00e0a45f260d41b"),
+    (["fn", *CONJUGATE_SIDE, "--format", "csv"],
+     "327ab741cda114fad78f1ece51e3767a9b979dbbb31cc1dba7cb540ec6cce8bc"),
+])
+def test_point_query_golden_digest(capsys, argv, digest):
+    # sha256 of the one-point octagon, group and fn outputs on x86-64 Linux;
+    # a change in how the CLI reaches the forms must keep every byte
+    code, out, err = run_capture(capsys, argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 class TestValidateCommand:
     def test_small_grid_passes(self, capsys, tmp_path):
         path = tmp_path / "report.json"

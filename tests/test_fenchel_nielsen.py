@@ -8,11 +8,10 @@ from teich2.fenchel_nielsen import (
     _fn_forms,
     d_closed_forms,
     dt_residuals,
-    lt_relations_check,
+    lt_forms,
     pants_data,
     trace_forms,
-    wolpert_summands,
-    wp_coefficient,
+    wolpert_forms,
     wp_coefficient_raw,
 )
 from teich2.group import half_turns
@@ -153,13 +152,13 @@ class TestPantsData:
 
 class TestLTRelations:
     def test_l3_relation_is_algebraic(self):
-        rep = lt_relations_check(P0)
+        rep = lt_forms(P0.a, P0.alpha_tilde)
         assert abs(rep.residual_l3) < 1e-12
         assert abs(rep.residual_tau3) < 1e-15
 
     def test_residuals_relative_near_boundary(self):
         # L'1 is about 1186 here; the absolute L'1 residual was 6.4e-10
-        rep = lt_relations_check(OctagonParams(0.7118741777658835, -0.11211394611724779))
+        rep = lt_forms(0.7118741777658835, -0.11211394611724779)
         assert rep.max_residual <= 1e-12
         residuals = (rep.residual_l3, rep.residual_tau3,
                      rep.residual_l1_primed, rep.residual_t1_primed)
@@ -168,14 +167,13 @@ class TestLTRelations:
     def test_all_residuals_on_random_points(self):
         rng = np.random.default_rng(6)
         for p in random_params(rng, 25):
-            assert lt_relations_check(p).max_residual < 1e-9
+            assert lt_forms(p.a, p.alpha_tilde).max_residual < 1e-9
 
 
 class TestWPForm:
     def test_coefficient_reference_values(self):
-        assert_allclose(wp_coefficient(P0), WP_0, rtol=1e-13)
-        assert_allclose(wp_coefficient(OctagonParams(A_REG, 0.0)), WP_REG,
-                        rtol=1e-13)
+        assert_allclose(wp_coefficient_raw(P0.a, P0.alpha_tilde), WP_0, rtol=1e-13)
+        assert_allclose(wp_coefficient_raw(A_REG, 0.0), WP_REG, rtol=1e-13)
 
     def test_coefficient_positive_and_array_safe(self):
         vals = wp_coefficient_raw(np.array([0.8, A_REG]), np.array([0.1, 0.0]))
@@ -183,7 +181,7 @@ class TestWPForm:
         assert (vals > 0).all()
 
     def test_fd_matches_closed_form(self):
-        summands = wolpert_summands(P0)[0]
+        summands = wolpert_forms(P0.a, P0.alpha_tilde)[0]
         assert abs(sum(summands) - WP_0) / WP_0 < 1e-14
         assert summands[0] == summands[1]
         assert summands[2] == 0.0
@@ -191,8 +189,8 @@ class TestWPForm:
     def test_fd_primed_matches_unprimed(self):
         rng = np.random.default_rng(7)
         for p in random_params(rng, 5):
-            coeff = wp_coefficient(p)
-            for summands in wolpert_summands(p):
+            coeff = wp_coefficient_raw(p.a, p.alpha_tilde)
+            for summands in wolpert_forms(p.a, p.alpha_tilde):
                 assert abs(sum(summands) - coeff) / coeff < 1e-13
                 assert summands[2] == 0.0
 
@@ -228,7 +226,6 @@ def test_closed_forms_match_mpmath():
     """
     with mp.workdps(50):
         for a, at in _reference_points():
-            params = OctagonParams(a, at)
             A, T = mp.mpf(a), mp.mpf(at)
             q = 2 * A * A * mp.cos(T) ** 2 - 1
             b = 1 / (mp.sqrt(2) * A * mp.cos(T))
@@ -242,14 +239,14 @@ def test_closed_forms_match_mpmath():
             # the closed forms alone: pants_data also takes the half-turn
             # traces, which raise NumericalError near the corner
             got_l1, got_l3, got_tau1, got_tau3 = _fn_forms(a, at)
-            summands, summands_primed = wolpert_summands(params)
+            summands, summands_primed = wolpert_forms(a, at)
             cases = [
                 ((got_l1, got_l3), (l1, l3), kappa),
                 ((got_tau1, got_tau3), (tau1, l3 / 2), kappa),
                 (d_closed_forms(a, at), (d12, d12, 2 / (1 - A * A) ** 2 - 1), kappa),
                 ((sum(summands),), (coeff,), kappa),
                 ((sum(summands_primed),), (coeff,), kappa_primed),
-                ((wp_coefficient(params),), (coeff,), kappa),
+                ((wp_coefficient_raw(a, at),), (coeff,), kappa),
             ]
             for got, ref, k in cases:
                 bar = max(1e-14, 8.0 * EPS * k)

@@ -19,7 +19,7 @@ from teich2.group import (
     cells,
     generators,
     half_turns,
-    relation_defect,
+    relation_pairs,
     side_pairing_check,
 )
 from teich2.hyperbolic import (
@@ -148,17 +148,17 @@ class TestTripleConstruction:
 
 class TestRelation:
     def test_defect_and_sign(self):
-        rep = relation_defect(generators(P0))
-        assert rep.defect < 1e-12
-        assert rep.sign == 1
+        defect, sign = relation_pairs(generators(P0).g)
+        assert defect < 1e-12
+        assert sign == 1
 
     def test_defect_across_domain(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             at = rng.uniform(-0.7, 0.7)
             a = rng.uniform(1.0 / (math.sqrt(2.0) * math.cos(at)) + 0.02, 0.98)
-            rep = relation_defect(generators(OctagonParams(a, at)))
-            assert rep.defect < 1e-9
+            defect, _ = relation_pairs(generators(OctagonParams(a, at)).g)
+            assert defect < 1e-9
 
 
 class TestSidePairing:
@@ -449,15 +449,17 @@ class TestExactWords:
 class TestCells:
     def test_cell_count_matches_ball(self):
         gens = generators(P0)
-        tiles = cells(ball(gens, 2), build_geometry(P0))
-        assert len(tiles) == BALL_SIZES[2]
-        assert tiles.vertices.shape == tiles.midpoints.shape == (BALL_SIZES[2], 8)
+        b = ball(gens, 2)
+        vertices, midpoints = cells(b, build_geometry(P0))
+        assert len(b) == BALL_SIZES[2]
+        assert vertices.shape == midpoints.shape == (BALL_SIZES[2], 8)
 
     def test_identity_cell_is_base_octagon(self):
         geom = build_geometry(P0)
-        tiles = cells(ball(generators(P0), 0), geom)
-        assert tiles.words == ("",)
-        assert_allclose(tiles.vertices[0], geom.vertices, rtol=1e-15)
+        b = ball(generators(P0), 0)
+        vertices, _ = cells(b, geom)
+        assert b.shortlex == ("",)
+        assert_allclose(vertices[0], geom.vertices, rtol=1e-15)
 
     @settings(max_examples=20, deadline=None)
     @given(domain_points())
@@ -470,18 +472,18 @@ class TestCells:
         except ValueError as exc:
             assert "precision limit" in str(exc)
             return
-        tiles = cells(b, geom)
+        vertices, midpoints = cells(b, geom)
         for k, (u, v) in enumerate(zip(b.u.tolist(), b.v.tolist())):
             bar = 4.0 * EPS * (abs(u) ** 2 + abs(v) ** 2)
-            for images, points in ((tiles.vertices, geom.vertices),
-                                   (tiles.midpoints, geom.midpoints)):
+            for images, points in ((vertices, geom.vertices), (midpoints, geom.midpoints)):
                 assert np.all(abs(images[k] - [su_act(u, v, z) for z in points]) <= bar)
 
     def test_neighbor_cells_share_paired_side(self):
         geom = build_geometry(P0)
         gens = generators(P0)
-        tiles = cells(ball(gens, 1), geom)
-        row = tiles.vertices[tiles.words.index("a")]
+        b = ball(gens, 1)
+        vertices, _ = cells(b, geom)
+        row = vertices[b.shortlex.index("a")]
         # g0 maps side 4 onto side 0, so the image octagon touches side 0
         image = {round(v.real, 9) + 1j * round(v.imag, 9) for v in row.tolist()}
         for v in (geom.vertices[0], geom.vertices[1]):

@@ -19,7 +19,6 @@ from teich2.octagon import (
     in_octagon,
     lower_a,
     octagon_forms,
-    perimeter,
     perimeter_ab,
     validate_params,
     vertex_angles,
@@ -220,13 +219,14 @@ class TestSides:
 
 class TestPerimeter:
     def test_reference_value(self):
-        assert_allclose(perimeter(OctagonParams(A0, AT0)), PERIMETER0, rtol=1e-14)
+        p = OctagonParams(A0, AT0)
+        assert_allclose(perimeter_ab(p.a, p.b), PERIMETER0, rtol=1e-14)
 
     def test_closed_form_equals_vertex_sum(self):
         rng = np.random.default_rng(42)
         for p in random_params(rng, 25):
             geom = build_geometry(p)
-            assert_allclose(perimeter(p), vertex_sum(geom.vertices), rtol=1e-10)
+            assert_allclose(perimeter_ab(p.a, p.b), vertex_sum(geom.vertices), rtol=1e-10)
 
     def test_perimeter_ab_array(self):
         vals = perimeter_ab(np.array([A0, A0]), np.array([B0, B0]))
@@ -235,7 +235,8 @@ class TestPerimeter:
     def test_involution_preserves_perimeter(self):
         rng = np.random.default_rng(9)
         for p in random_params(rng, 15):
-            assert_allclose(perimeter(p), perimeter(p.conjugate()), rtol=1e-12)
+            q = p.conjugate()
+            assert_allclose(perimeter_ab(p.a, p.b), perimeter_ab(q.a, q.b), rtol=1e-12)
 
 
 class TestAngles:

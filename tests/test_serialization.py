@@ -194,8 +194,7 @@ class TestSVG:
         assert text.count(" A ") == 8  # eight true circular arcs
 
     def test_tiling_path_count_matches_ball(self):
-        tiles = cells(ball(generators(self.params), 1), self.geom)
-        text = svg_text(tiles.vertices, tiles.midpoints)
+        text = svg_text(*cells(ball(generators(self.params), 1), self.geom))
         assert text.count("<path") == BALL_SIZES[1]
 
     def test_diameter_fallback_uses_line(self):
@@ -219,9 +218,9 @@ class TestSVG:
         assert mixed == arcs[:4] + [line] + arcs[5:]
 
     def test_reproducible_bytes(self):
-        tiles = cells(ball(generators(self.params), 1), self.geom)
-        text = svg_text(tiles.vertices, tiles.midpoints)
-        assert svg_text(tiles.vertices, tiles.midpoints) == text
+        vertices, midpoints = cells(ball(generators(self.params), 1), self.geom)
+        text = svg_text(vertices, midpoints)
+        assert svg_text(vertices, midpoints) == text
 
 
 def fixed4(x: float) -> bytes:
@@ -327,8 +326,7 @@ def assert_same_svg(vertices, midpoints):
 
 def tiling_arrays(a, alpha_tilde, radius=4):
     params = OctagonParams(a, alpha_tilde)
-    tiles = cells(ball(generators(params), radius), build_geometry(params))
-    return tiles.vertices, tiles.midpoints
+    return cells(ball(generators(params), radius), build_geometry(params))
 
 
 class TestSVGAgainstTemplates:
