@@ -15,14 +15,18 @@ word and the side-pairing residuals are written once, over (u, v) pairs of
 arrays (one map per parameter point) or over the number pairs of one
 point; ``generators`` and ``side_pairing_check`` take the records of one
 point.  A ball is its shortlex words and the (u, v) arrays of its
-elements: it is multiplied out one sphere at a time, and its tiles are
-drawn with one action over the arrays of the whole ball.
+elements.  Which words name distinct elements, and in which order, does not
+depend on the point: the word tree is built once per process, one sphere at
+a time as radii are asked for, and every ball multiplies it out at its
+point.  A ball's tiles are drawn with one action over the arrays of the
+whole ball.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,29 +258,78 @@ def _letter_maps() -> list[np.ndarray]:
     return maps
 
 
+class _WordTree:
+    """The shortlex word tree of the presentation, grown outward on demand.
+
+    All points share one group presentation, so the tree is one constant of
+    the process: ``spheres[r - 1]`` holds sphere r's read-only (parent,
+    letter) index arrays and ``words[r]`` its words.  Words are compared
+    exactly, as the int64 rows of ``_letter_maps`` (entries below 1.2e4 up to
+    radius 7), and growing needs only the rows of the two outermost spheres,
+    which are dropped once the tree reaches the largest radius.
+    """
+
+    def __init__(self) -> None:
+        self.spheres: list[tuple[np.ndarray, np.ndarray]] = []
+        self.words: list[tuple[str, ...]] = [("",)]
+        self._shortlex: dict[int, tuple[str, ...]] = {}
+        self._rows: tuple[np.ndarray, np.ndarray] | None = None
+        self._lock = threading.Lock()
+
+    def grow(self, n: int) -> None:
+        """Build spheres up to radius n, 0 <= n < len(BALL_SIZES)."""
+        if len(self.spheres) >= n:
+            return
+        with self._lock:
+            if len(self.spheres) >= n:
+                return
+            step = np.concatenate(_letter_maps(), axis=1)  # a row (u, w) times all 8 letters
+            if self.spheres:
+                prev, sphere = self._rows
+            else:
+                prev, sphere = np.empty((0, 8), np.int64), np.eye(1, 8, dtype=np.int64)
+            while len(self.spheres) < n:
+                cand = (sphere @ step).reshape(-1, 8)  # parent-major, letter-minor: shortlex
+                # first nonzero integer positive: one sign per PSU(1,1) element
+                cand *= np.sign(cand[np.arange(len(cand)), (cand != 0).argmax(axis=1)])[:, None]
+                # word length has the relator's even parity, so a candidate can only
+                # repeat an element of the previous sphere or an earlier candidate
+                both = np.concatenate([prev, cand])
+                _, first = np.unique(both.view(np.dtype((np.void, 64))).ravel(), return_index=True)
+                new = np.sort(first[first >= len(prev)]) - len(prev)
+                parent, letter = new // 8, new % 8
+                parent.flags.writeable = letter.flags.writeable = False
+                outer = self.words[-1]
+                words = tuple([outer[p] + LETTERS[k]
+                               for p, k in zip(parent.tolist(), letter.tolist())])
+                prev, sphere = sphere, cand[new]
+                # spheres last: grow's unlocked test reads its length
+                self.words.append(words)
+                self._rows = (prev, sphere)
+                self.spheres.append((parent, letter))
+            if n == len(BALL_SIZES) - 1:
+                self._rows = None
+
+    def shortlex(self, n: int) -> tuple[str, ...]:
+        """The words of radius n, 0 <= n <= len(spheres), as one shared tuple."""
+        flat = self._shortlex.get(n)
+        if flat is None:
+            flat = self._shortlex.setdefault(n, tuple(itertools.chain(*self.words[: n + 1])))
+        return flat
+
+
+_TREE = _WordTree()
+
+
 def _ball_words(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per sphere 1..n, the (parent, letter) index arrays of its shortlex words.
 
     Element i of sphere r is element ``parent[i]`` of sphere r - 1 times the
-    letter ``LETTERS[letter[i]]``.  All points share one group presentation,
-    so words are compared once, exactly, as the int64 rows of
-    ``_letter_maps`` (entries below 1.2e4 up to radius 7).
+    letter ``LETTERS[letter[i]]``.  The arrays are the read-only ones of the
+    process's one word tree, which the first call up to a radius builds.
     """
-    step = np.concatenate(_letter_maps(), axis=1)  # a row (u, w) times all 8 letters at once
-    prev, sphere = np.empty((0, 8), np.int64), np.eye(1, 8, dtype=np.int64)
-    spheres = []
-    for _ in range(n):
-        cand = (sphere @ step).reshape(-1, 8)  # parent-major, letter-minor: shortlex
-        # first nonzero integer positive: one sign per PSU(1,1) element
-        cand *= np.sign(cand[np.arange(len(cand)), (cand != 0).argmax(axis=1)])[:, None]
-        # word length has the relator's even parity, so a candidate can only
-        # repeat an element of the previous sphere or an earlier candidate
-        both = np.concatenate([prev, cand])
-        _, first = np.unique(both.view(np.dtype((np.void, 64))).ravel(), return_index=True)
-        new = np.sort(first[first >= len(prev)]) - len(prev)
-        spheres.append((new // 8, new % 8))
-        prev, sphere = sphere, cand[new]
-    return spheres
+    _TREE.grow(n)
+    return _TREE.spheres[:n]
 
 
 def ball(gens: GeneratorSet, n: int) -> GroupBall:
@@ -284,18 +337,19 @@ def ball(gens: GeneratorSet, n: int) -> GroupBall:
 
     Each sphere is one su_mul of its parents' pairs by its letters' pairs, in
     numpy's complex arithmetic, and each element keeps its canonical sign
-    (su_sign_flip).  Raises ValueError for n outside 0..6, and past the
-    float64 precision limit: where rounding breaks a product, or an element's
-    |u|^2 + |v|^2 passes 1/(16 eps), naming the first such word in shortlex
-    order.
+    (su_sign_flip).  The words are the shared tree's, and balls of one radius
+    share one ``shortlex`` tuple.  Raises ValueError for n outside 0..6, and
+    past the float64 precision limit: where rounding breaks a product, or an
+    element's |u|^2 + |v|^2 passes 1/(16 eps), naming the first such word in
+    shortlex order.
     """
     if not 0 <= n < len(BALL_SIZES):
         raise ValueError(f"ball radius must be in 0..{len(BALL_SIZES) - 1}, got {n!r}")
+    spheres = _ball_words(n)
     letters = [x for g in gens.g for x in (g, su_inverse(g))]  # a, A, b, B, ...
     lu, lv = (np.array(part, complex) for part in zip(*letters))
-    words, us, vs = [("",)], [np.ones(1, complex)], [np.zeros(1, complex)]
-    for parent, letter in _ball_words(n):
-        sphere = [words[-1][p] + LETTERS[k] for p, k in zip(parent.tolist(), letter.tolist())]
+    us, vs = [np.ones(1, complex)], [np.zeros(1, complex)]
+    for r, (parent, letter) in enumerate(spheres, 1):
         try:
             u, v = su_mul((us[-1][parent], vs[-1][parent]), (lu[letter], lv[letter]))
             size = abs(u) ** 2 + abs(v) ** 2
@@ -306,14 +360,12 @@ def ball(gens: GeneratorSet, n: int) -> GroupBall:
             p = gens.params
             raise ValueError(
                 f"radius-{n} ball at a={p.a!r}, alpha_tilde={p.alpha_tilde!r}: element "
-                f"{sphere[exc.index]!r} is past the float64 precision limit ({exc})"
+                f"{_TREE.words[r][exc.index]!r} is past the float64 precision limit ({exc})"
             ) from None
         flip = su_sign_flip(u, v)
-        words.append(tuple(sphere))
         us.append(np.where(flip, -u, u))
         vs.append(np.where(flip, -v, v))
-    shortlex = tuple(w for sphere in words for w in sphere)
-    return GroupBall(shortlex, np.concatenate(us), np.concatenate(vs))
+    return GroupBall(_TREE.shortlex(n), np.concatenate(us), np.concatenate(vs))
 
 
 def cells(group_ball: GroupBall, geom: OctagonForms) -> tuple[np.ndarray, np.ndarray]:

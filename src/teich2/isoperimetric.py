@@ -246,21 +246,29 @@ def wp_area_contour(p_star: float) -> float:
     The WP form 1/2 sum_k dl_k ^ dtau_k is dl1 ^ dtau1 on this family, so by
     Stokes the area is |oint l1 dtau1|, a periodic integral in phi on which
     the trapezoid rule converges geometrically (Trefethen and Weideman, SIAM
-    Rev. 56, 2014).  Nodes double from 64 until the estimate agrees with that
-    of its even-indexed half to 1e-13 max(1, area); NumericalError past 2^16
-    nodes (from P ~ 80) or where orbit points round out of the domain.
+    Rev. 56, 2014).  Nodes double from 64, each doubling evaluating only the
+    new odd-indexed ones, until the estimate agrees with that of its
+    even-indexed half to 1e-13 max(1, area); NumericalError past 2^16 nodes
+    (from P ~ 80) or where orbit points round out of the domain.
     """
     if p_star < P_REG - 1e-12:
         raise DomainError(f"p_star = {p_star!r} lies below P_reg = {P_REG!r}")
     if p_star <= P_REG:
         return 0.0
     e_star = e_of_p(p_star)
-    # the even-indexed half of n samples is the previous, n/2-node sample
     previous = math.nan
     for n in [2**k for k in range(5, 17)]:
-        a, at = orbit_forms(e_star, _phases(n))
+        # the even-indexed half of n samples is the previous, n/2-node sample,
+        # so a doubling evaluates only the odd-indexed phases
+        fresh = _phases(n) if n == 32 else _phases(n)[1::2]
+        a, at = orbit_forms(e_star, fresh)
         with np.errstate(all="ignore"):  # at large P points round past the edge
-            l1, _, tau1, _ = _fn_forms(a, at)
+            fresh_l1, _, fresh_tau1, _ = _fn_forms(a, at)
+            if n == 32:
+                l1, tau1 = fresh_l1, fresh_tau1
+            else:
+                l1 = np.column_stack([l1, fresh_l1]).ravel()
+                tau1 = np.column_stack([tau1, fresh_tau1]).ravel()
             spec = np.fft.rfft(tau1) * (1j * np.arange(n // 2 + 1))
             spec[-1] = 0.0  # d/dphi of the Nyquist mode of an even n
             # l1's mean integrates to 0; dropping it spares small orbits cancellation

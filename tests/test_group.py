@@ -446,6 +446,62 @@ class TestExactWords:
         assert all(0 <= p.min() and p.max() < size for (p, _), size in zip(spheres, sizes))
 
 
+class TestWordTree:
+    @pytest.fixture
+    def tree(self, monkeypatch):
+        # a fresh, empty tree, and a count of the grow calls that build spheres
+        fresh = group._WordTree()
+        monkeypatch.setattr(group, "_TREE", fresh)
+        builds = []
+        maps = group._letter_maps
+        monkeypatch.setattr(group, "_letter_maps", lambda: builds.append(1) or maps())
+        return fresh, builds
+
+    @pytest.mark.parametrize("order", [(2, 4), (4, 2)])
+    def test_smaller_ball_is_prefix(self, tree, order):
+        gens = generators(P0)
+        balls = {n: ball(gens, n) for n in order}
+        small, large = balls[2], balls[4]
+        size = BALL_SIZES[2]
+        assert small.shortlex == large.shortlex[:size]
+        assert np.array_equal(small.u, large.u[:size])
+        assert np.array_equal(small.v, large.v[:size])
+
+    def test_radius_shares_one_word_tuple(self):
+        first = ball(generators(P0), 3)
+        second = ball(generators(OctagonParams(0.95, -0.5)), 3)
+        assert first.shortlex is second.shortlex
+
+    def test_second_ball_builds_no_sphere(self, tree):
+        fresh, builds = tree
+        gens = generators(P0)
+        ball(gens, 1)
+        ball(gens, 2)  # extends the radius-1 tree by one sphere
+        assert len(builds) == 2 and len(fresh.spheres) == 2
+        ball(gens, 4)
+        spheres = list(fresh.spheres)
+        for n in (4, 2, 0):
+            ball(gens, n)
+        assert len(builds) == 3
+        assert all(x is y for x, y in zip(fresh.spheres, spheres))
+
+    def test_tree_grown_in_steps_is_tree_grown_at_once(self, tree):
+        fresh, _ = tree
+        for n in range(1, 6):
+            fresh.grow(n)
+        at_once = group._WordTree()
+        at_once.grow(5)
+        assert fresh.words == at_once.words
+        for (p1, k1), (p2, k2) in zip(fresh.spheres, at_once.spheres):
+            assert np.array_equal(p1, p2) and np.array_equal(k1, k2)
+
+    def test_index_arrays_read_only(self):
+        for parent, letter in _ball_words(3):
+            for array in (parent, letter):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
+
+
 class TestCells:
     def test_cell_count_matches_ball(self):
         gens = generators(P0)

@@ -393,6 +393,23 @@ class TestWPArea:
         with pytest.raises(NumericalError):
             wp_area_contour(p_star)
 
+    @pytest.mark.parametrize("p_star", [25.0, 33.3, 41.0, 60.0, 77.0])
+    def test_contour_evaluates_new_nodes_only(self, p_star):
+        # the reference evaluates all n nodes at every doubling; reusing the
+        # previous samples as the even-indexed half changes no bit
+        e_star = e_of_p(p_star)
+        previous = math.nan
+        for n in [2**k for k in range(5, 17)]:
+            l1, _, tau1, _ = fenchel_nielsen._fn_forms(*orbit_forms(e_star, iso._phases(n)))
+            spec = np.fft.rfft(tau1) * (1j * np.arange(n // 2 + 1))
+            spec[-1] = 0.0
+            dtau1 = np.fft.irfft(spec, n)
+            area = abs(float(np.dot(l1 - l1.mean(), dtau1))) * 2.0 * math.pi / n
+            change, previous = abs(area - previous), area
+            if change <= 1e-13 * max(1.0, area):
+                break
+        assert wp_area_contour(p_star) == area
+
     def test_contour_route_independent_of_wp_density(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("contour route used the WP density")
