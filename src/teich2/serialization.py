@@ -6,8 +6,10 @@ enough to round-trip a double, with trailing zeros stripped (0.5, not
 line endings and csv.writer's minimal quoting, which here also quotes a
 cell holding a carriage return.  Tables are given as columns; a float64
 array column is formatted in integer arithmetic, exact digit for digit
-(``_g17``), and each block of rows is written as one uint8 array, while a
-table of Python cells is joined as text.  JSON
+(``_g17``), and each block of rows is written as one uint8 array, in
+which the text cells of a column are joined, encoded once and scattered
+into rows by their byte lengths (``_padded``), while a table of Python
+cells is joined as text.  JSON
 documents carry a top level ``"schema": "teich2/v1"`` marker and serialize
 floats with Python's shortest round-tripping repr, so parsing reproduces
 the doubles bit-exactly.  They are the bytes of ``json.dumps(doc,
@@ -18,10 +20,11 @@ finite floats, as the orbit samples and area rows do, is written one
 byte oracle.  SVG maps the unit disk to a 1000 x 1000 viewport
 and renders geodesic sides as true circular arcs through three sampled
 points, with numbers in %.4f form.  The arcs of all cells are computed as
-array expressions, and the path lines of each block of cells are written
-as one uint8 array: the numbers are formatted in integer arithmetic from
-digit tables, and only the few that integer rounding cannot settle (on
-half-way ties, non-finite, or 1e4 and above) go through Python's %.4f.
+array expressions, and the path lines of each block of cells are laid out
+in one uint8 array, filled from a template row that holds the text around
+the numbers: the numbers are formatted in integer arithmetic from digit
+tables, and only the few that integer rounding cannot settle (on half-way
+ties, non-finite, or 1e4 and above) go through Python's %.4f.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import itertools
 import math
 import sys
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -54,7 +57,8 @@ SVG_SCALE = 495.0  # disk radius in pixels, centered in the viewport
 # three arc points closer than this in pixels are rendered as a chord
 _COLLINEAR_EPS = 1e-6
 # cells per pass of the path kernel, whose byte arrays grow with the block:
-# a radius-4 tiling SVG peaks at 36 MB RSS with 512-cell blocks, 41 MB with 4096
+# a radius-4 tiling SVG peaks at 36.3-36.5 MB RSS with 512-cell blocks,
+# 41.2-41.3 MB with 4096
 _BLOCK = 512
 # rows per pass of the CSV writer: _g17's arrays take a few hundred bytes per
 # value, so a block of the four-float ball dump stays within a few MB
@@ -75,13 +79,17 @@ def _quoted(cell: str, alone: bool) -> str:
     return cell
 
 
-def _cells(column: Iterable[Any], alone: bool) -> list[str]:
+def _cells(column: Sequence[Any], alone: bool) -> Sequence[str]:
     """The CSV text of each cell of a column of Python objects: floats (numpy's
     too) as ``format_float``, anything else as ``str``, quoted as csv.writer's
     QUOTE_MINIMAL does with a "\\r\\n" line terminator: a cell holding ',', '"',
     "\\r" or "\\n", or the empty cell when it is ``alone`` in its row.  Rows end
-    with "\\n"."""
-    cells = [format_float(x) if isinstance(x, float) else str(x) for x in column]
+    with "\\n".  A column whose cells are all of type str, such as a ball's
+    words, is its own texts, with no call per cell unless one needs quoting."""
+    if set(map(type, column)) <= {str}:
+        cells = column
+    else:
+        cells = [format_float(x) if isinstance(x, float) else str(x) for x in column]
     joined = "".join(cells)
     if "\0" in joined:  # 0 bytes are the padding of the byte route
         raise ValueError("a CSV cell holds a NUL character")
@@ -127,7 +135,7 @@ def csv_text(header: Sequence[str], columns: Sequence[Any]) -> str:
             pieces += (field.T, np.broadcast_to(_COMMA, (1, n)))
         pieces[-1] = np.broadcast_to(_NEWLINE, (1, n))
         lines = np.concatenate(pieces).T
-        text.append(lines[lines != 0].tobytes().decode())
+        text.append(lines.tobytes().translate(None, b"\0").decode())
     return "".join(text)
 
 
@@ -254,18 +262,32 @@ def _arcs(x1, y1, x2, y2):
     triangle in px², not their relative collinearity: a short side is a
     chord however much it bends.  At (a, α̃) = (0.95, 0.5) sides up to
     2.7e-3 px long, with a sagitta of up to 4.6e-4 px, are drawn as lines.
+
+    Each coordinate difference is computed once and shared by d, the
+    centre (ux, uy) and the orientation ``cross``.  The orientation
+    (x2 - x1)(y3 - y2) - (y2 - y1)(x3 - x2) is written with the shared
+    differences y2 - y3 and y1 - y2, whose negations are exact, so it keeps
+    its bits.
     """
-    x3, y3 = np.roll(x1, -1, axis=1), np.roll(y1, -1, axis=1)
-    d = 2.0 * (x1 * (y2 - y3) + x2 * (y3 - y1) + x3 * (y1 - y2))
+    x3, y3 = _next(x1), _next(y1)
+    dx21, dx32, dx13 = x2 - x1, x3 - x2, x1 - x3
+    dy12, dy23, dy31 = y1 - y2, y2 - y3, y3 - y1
+    d = 2.0 * (x1 * dy23 + x2 * dy31 + x3 * dy12)
     q1 = x1 * x1 + y1 * y1
     q2 = x2 * x2 + y2 * y2
-    q3 = x3 * x3 + y3 * y3
+    q3 = _next(q1)
     with np.errstate(divide="ignore", invalid="ignore"):  # d = 0 on a chord
-        ux = (q1 * (y2 - y3) + q2 * (y3 - y1) + q3 * (y1 - y2)) / d
-        uy = (q1 * (x3 - x2) + q2 * (x1 - x3) + q3 * (x2 - x1)) / d
+        ux = (q1 * dy23 + q2 * dy31 + q3 * dy12) / d
+        uy = (q1 * dx32 + q2 * dx13 + q3 * dx21) / d
     r = np.hypot(x1 - ux, y1 - uy)
-    cross = (x2 - x1) * (y3 - y2) - (y2 - y1) * (x3 - x2)
+    cross = dy12 * dx32 - dx21 * dy23
     return abs(d) < _COLLINEAR_EPS, r, cross > 0.0
+
+
+def _next(a):
+    """The values of each row's next vertex: column k holds a[:, k + 1], and
+    the last column a[:, 0]."""
+    return np.concatenate((a[:, 1:], a[:, :1]), axis=1)
 
 
 def _digit_table(keep: int) -> np.ndarray:
@@ -292,7 +314,10 @@ def _fixed4(values) -> np.ndarray:
     or on the tie itself; off the ties rint(t) is thus %.4f's correctly
     rounded value.  Values whose t is a tie, non-finite values and integer
     parts of 1e4 or more are formatted by Python, and widen every field to
-    the longest of their strings.
+    the longest of their strings.  The sign byte, the 4-digit integer and
+    fraction groups (each stored as one uint32 through an unaligned view of
+    the output) and the '.' fill the first 10 bytes of every field; only the
+    bytes after them, and the fields of Python's strings, are zeroed.
     """
     values = np.asarray(values, dtype=float)
     a = np.abs(values)
@@ -300,14 +325,21 @@ def _fixed4(values) -> np.ndarray:
     t = np.where(small, a, 0.0) * 1e4
     n = np.rint(t)
     slow = ~small | (n >= 1e8) | (t - np.floor(t) == 0.5)
-    texts = _padded(["%.4f" % x for x in values[slow].tolist()])
-    out = np.zeros(values.shape + (max(texts.shape[1], _FIELD),), np.uint8)
-    out[..., 0] = np.where(np.signbit(values), ord("-"), 0)
-    whole, frac = np.divmod(np.where(slow, 0, n).astype(np.int64), 10000)
-    out[..., 1:5] = _INTEGER.take(whole)[..., None].view(np.uint8)
+    width, texts = _FIELD, None
+    if slow.any():
+        texts = _padded(["%.4f" % x for x in values[slow].tolist()])
+        width = max(width, texts.shape[1])
+        n = np.where(slow, 0.0, n)
+    out = np.empty(values.shape + (width,), np.uint8)
+    out[..., 0] = np.signbit(values) * np.uint8(ord("-"))
+    n = n.astype(np.int32)  # below 1e8 < 2**31
+    whole = n // 10000
+    frac = n - whole * 10000
+    out[..., 1:5].view(np.uint32)[..., 0] = _INTEGER.take(whole)
     out[..., 5] = ord(".")
-    out[..., 6:10] = _FRACTION.take(frac)[..., None].view(np.uint8)
-    if len(texts):
+    out[..., 6:10].view(np.uint32)[..., 0] = _FRACTION.take(frac)
+    out[..., _FIELD:] = 0
+    if texts is not None:
         out[slow] = 0
         out[slow, :texts.shape[1]] = texts
     return out
@@ -315,12 +347,20 @@ def _fixed4(values) -> np.ndarray:
 
 def _padded(texts: Sequence[str]) -> np.ndarray:
     """The UTF-8 bytes of each text as one row of a uint8 array, with 0 bytes
-    as padding."""
-    raw = [t.encode() for t in texts]
-    width = max(map(len, raw), default=0)
-    return np.frombuffer(
-        b"".join(r.ljust(width, b"\0") for r in raw), np.uint8
-    ).reshape(len(raw), width)
+    as padding.
+
+    The texts are joined with NUL separators and encoded once.  UTF-8
+    writes no other 0 byte, so the separators give each text's byte length,
+    and the bytes, each text's NUL included, are scattered into the rows by
+    those lengths.  No text may hold a NUL (``_cells`` refuses one).
+    """
+    if not texts:
+        return np.zeros((0, 0), np.uint8)
+    data = np.frombuffer(("\0".join(texts) + "\0").encode(), np.uint8)
+    lengths = np.diff(np.flatnonzero(data == 0), prepend=-1)  # with the NUL
+    out = np.zeros((len(lengths), lengths.max()), np.uint8)
+    out[np.arange(out.shape[1]) < lengths[:, None]] = data
+    return out[:, :-1]
 
 
 def _split(a):
@@ -421,23 +461,25 @@ def _g17(values) -> np.ndarray:
     return out.T.reshape(values.shape + (_G17_WIDTH,))
 
 
-def _bytes(text: str) -> np.ndarray:
-    return np.frombuffer(text.encode("ascii"), np.uint8)
-
-
 # the bytes of each cell's path line around its numbers: M x0 y0, then per
-# side "A r r 0 0 sweep x y" with the end vertex x, y
-_HEAD = _bytes('<path d="M ')
-_TAIL = _bytes(' Z" fill="none" stroke="#000000" stroke-width="0.5"/>\n')
+# side "A r r 0 0 sweep x y" with the end vertex x, y; each number's field
+# (%b) and the sweep digit are 0 bytes in the template row
+_HEAD = b'<path d="M '
+_SIDE = b" A %b %b 0 0 \0 %b %b"
+_TAIL = b' Z" fill="none" stroke="#000000" stroke-width="0.5"/>\n'
 
 
 def _paths(vertices, midpoints) -> str:
     """The <path> lines of the cells, each ending in a newline: row i of the
     (N, k) complex arrays holds cell i's vertices and side midpoints.
 
-    Every line is laid out in one (N, bytes) uint8 array, with the numbers
-    formatted by ``_fixed4``; a chord side's "A" becomes "L" and its radii
-    and flags are zeroed, and the 0 bytes are dropped before one decode.
+    Every line is laid out in one (N, bytes) uint8 array, filled from one
+    template row that holds the text around the numbers, with 0 bytes where
+    the numbers go.  The numbers, formatted by ``_fixed4``, and the sweep
+    digits are written into a (N, k, side) view of the array, each side's
+    end vertex being the next side's start.  A chord side's "A" becomes "L"
+    and its radii and flags are zeroed, and the 0 bytes are dropped before
+    one decode.
     """
     x, y = _pix(vertices)
     chord, r, sweep = _arcs(x, y, *_pix(midpoints))
@@ -445,26 +487,27 @@ def _paths(vertices, midpoints) -> str:
     # send its field to Python's %.4f and widen the block
     fx, fy, fr = _fixed4(np.stack([x, y, np.where(chord, 0.0, r)]))
     n, k, w = fx.shape
+    gap = b"\0" * w
+    side = _SIDE % (gap, gap, gap, gap)
+    row = _HEAD + gap + b" " + gap + side * k + _TAIL
+    lines = np.empty((n, len(row)), np.uint8)
+    lines[:] = np.frombuffer(row, np.uint8)
+    x0, y0 = len(_HEAD), len(_HEAD) + w + 1
+    lines[:, x0:x0 + w] = fx[:, 0]
+    lines[:, y0:y0 + w] = fy[:, 0]
+    sides = lines[:, y0 + w:y0 + w + k * len(side)].reshape(n, k, len(side))
     # one side: " A " r " " r " 0 0 " sweep " " x " " y
-    cols = np.cumsum([0, 3, w, 1, w, 5, 1, 1, w, 1, w])
-    sides = np.empty((n, k, cols[-1]), np.uint8)
-    sides[..., 0:3] = _bytes(" A ")
-    sides[..., cols[1]:cols[2]] = fr
-    sides[..., cols[2]] = ord(" ")
-    sides[..., cols[3]:cols[4]] = fr
-    sides[..., cols[4]:cols[5]] = _bytes(" 0 0 ")
-    sides[..., cols[5]] = ord("0") + sweep
-    sides[..., cols[6]] = ord(" ")
-    sides[..., cols[7]:cols[8]] = np.roll(fx, -1, axis=1)
-    sides[..., cols[8]] = ord(" ")
-    sides[..., cols[9]:cols[10]] = np.roll(fy, -1, axis=1)
+    r1, r2, flag, xk, yk = 3, 4 + w, 9 + 2 * w, 11 + 2 * w, 12 + 3 * w
+    sides[..., r1:r1 + w] = fr
+    sides[..., r2:r2 + w] = fr
+    sides[..., flag] = ord("0") + sweep
+    sides[:, :-1, xk:xk + w] = fx[:, 1:]
+    sides[:, -1, xk:xk + w] = fx[:, 0]
+    sides[:, :-1, yk:yk + w] = fy[:, 1:]
+    sides[:, -1, yk:yk + w] = fy[:, 0]
     sides[chord, 1] = ord("L")
-    sides[chord, cols[1]:cols[7]] = 0
-    lines = np.concatenate([
-        np.broadcast_to(_HEAD, (n, _HEAD.size)), fx[:, 0], np.full((n, 1), ord(" "), np.uint8),
-        fy[:, 0], sides.reshape(n, -1), np.broadcast_to(_TAIL, (n, _TAIL.size)),
-    ], axis=1)
-    return lines[lines != 0].tobytes().decode("ascii")
+    sides[chord, r1:xk] = 0
+    return lines.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def svg_text(vertices, midpoints) -> str:

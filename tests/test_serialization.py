@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from teich2 import serialization
@@ -276,6 +276,21 @@ class TestFixed4:
         got = [f[f != 0].tobytes().decode() for f in fields.reshape(-1, fields.shape[-1])]
         assert got == ["%.4f" % x for x in values.ravel().tolist()]
 
+    @pytest.mark.parametrize("slow", [
+        [], [1e4, -123456.78905], [0.03125, 999.99995], [math.nan, -0.0], [-math.inf, 1e300],
+    ])
+    def test_path_kernel_shape(self, slow):
+        # the (x, y, r) stack of a block of cells: without a value for
+        # Python's %.4f every field is 10 bytes; with one, all widen
+        rng = np.random.default_rng(len(slow))
+        values = rng.uniform(-20.0, 1000.0, (3, 37, 8))
+        values.flat[rng.choice(values.size, len(slow), replace=False)] = slow
+        fields = serialization._fixed4(values)
+        width = max([10] + [len("%.4f" % x) for x in slow])
+        assert fields.shape == (3, 37, 8, width)
+        got = [f[f != 0].tobytes().decode() for f in fields.reshape(-1, width)]
+        assert got == ["%.4f" % x for x in values.ravel().tolist()]
+
 
 # the per-cell writer the path kernel replaced, kept as its byte oracle:
 # one %-template per cell, with its side commands chosen per row
@@ -295,10 +310,31 @@ def _path_template(chords):
     return _PATH % " ".join(commands), columns
 
 
+def reference_pix(z):
+    return 500.0 + 495.0 * np.real(z), 500.0 - 495.0 * np.imag(z)
+
+
+def reference_arcs(x1, y1, x2, y2):
+    """The arc formula as the per-cell writer used it, np.roll and all: the
+    oracle's own copy, so that a bit moved by the kernel's shared
+    differences shows in the bytes."""
+    x3, y3 = np.roll(x1, -1, axis=1), np.roll(y1, -1, axis=1)
+    d = 2.0 * (x1 * (y2 - y3) + x2 * (y3 - y1) + x3 * (y1 - y2))
+    q1 = x1 * x1 + y1 * y1
+    q2 = x2 * x2 + y2 * y2
+    q3 = x3 * x3 + y3 * y3
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ux = (q1 * (y2 - y3) + q2 * (y3 - y1) + q3 * (y1 - y2)) / d
+        uy = (q1 * (x3 - x2) + q2 * (x1 - x3) + q3 * (x2 - x1)) / d
+    r = np.hypot(x1 - ux, y1 - uy)
+    cross = (x2 - x1) * (y3 - y2) - (y2 - y1) * (x3 - x2)
+    return abs(d) < 1e-6, r, cross > 0.0
+
+
 def reference_svg_text(vertices, midpoints):
     vertices, midpoints = np.asarray(vertices), np.asarray(midpoints)
-    x, y = serialization._pix(vertices)
-    chord, r, sweep = serialization._arcs(x, y, *serialization._pix(midpoints))
+    x, y = reference_pix(vertices)
+    chord, r, sweep = reference_arcs(x, y, *reference_pix(midpoints))
     n, k = x.shape
     sides = np.stack([r, r, sweep, np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)], axis=-1)
     rows = np.concatenate([x[:, :1], y[:, :1], sides.reshape(n, 5 * k)], axis=1)
@@ -352,6 +388,18 @@ class TestSVGAgainstTemplates:
         assert " L " in assert_same_svg(vertices, midpoints)
         assert_same_svg(np.array([[-0.5 + 0j, 0.5 + 0j]]), np.array([[0j, 0j]]))
 
+    def test_widened_fields(self):
+        # a side bent by about 0.01 px has a radius above 1e4 px: Python's
+        # %.4f writes it, and every field of the block widens
+        geom = build_geometry(OctagonParams(0.8, math.pi / 12))
+        vertices = np.array([geom.vertices, geom.vertices])
+        midpoints = np.array([geom.midpoints, geom.midpoints])
+        chord = vertices[1, 4] - vertices[1, 3]
+        midpoints[1, 3] = 0.5 * (vertices[1, 3] + vertices[1, 4]) + 2e-5j * chord / abs(chord)
+        text = assert_same_svg(vertices, midpoints)
+        radius = re.findall(r" A (\S+) ", text.splitlines()[-2])[3]
+        assert float(radius) >= 1e4
+
     def test_no_cells(self):
         empty = np.empty((0, 8), complex)
         assert "<path" not in assert_same_svg(empty, empty)
@@ -360,6 +408,31 @@ class TestSVGAgainstTemplates:
         vertices, midpoints = tiling_arrays(0.95, 0.5, radius=3)
         monkeypatch.setattr(serialization, "_BLOCK", 100)
         assert_same_svg(vertices, midpoints)
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.floats(-0.02, 0.02), st.floats(-0.08, 0.08))
+    def test_points_near_the_regular_octagon(self, da, dat):
+        assert_same_svg(*tiling_arrays(2.0**-0.25 + da, dat))
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.floats(-0.01, 0.01), st.floats(-0.05, 0.05))
+    def test_chord_heavy_points(self, da, dat):
+        text = assert_same_svg(*tiling_arrays(0.95 + da, 0.5 + dat))
+        assert text.count(" L ") > 1000
+
+    def test_a_last_block_of_one_all_chord_cell(self):
+        # a tiny octagon, 1e-3 px across, whose sides all bend less than
+        # the collinearity bar, drawn alone in the second block
+        vertices, midpoints = tiling_arrays(0.95, 0.5)
+        turn = np.exp(2j * np.pi * np.arange(8) / 8)
+        tiny = 0.3 + 0.2j + 1e-6 * turn
+        mid = 0.3 + 0.2j + 1e-6 * np.cos(np.pi / 8) * turn * np.exp(1j * np.pi / 8)
+        vertices = np.concatenate([vertices[:512], [tiny]])
+        midpoints = np.concatenate([midpoints[:512], [mid]])
+        assert len(vertices) == serialization._BLOCK + 1
+        text = assert_same_svg(vertices, midpoints)
+        last = text.splitlines()[-2]
+        assert last.count(" L ") == 8 and " A " not in last
 
 
 def g17(x: float) -> bytes:
@@ -517,6 +590,23 @@ class TestCSVAgainstReference:
         text = csv_text(("a", "b"), (["x\ry"], column))
         assert list(csv.reader(io.StringIO(text, newline=""))) == [
             ["a", "b"], ["x\ry", "0.5" if floats else "z"]]
+
+    @pytest.mark.parametrize("words", [
+        ["a", "é", "日本", "\U0001d538x", ""],
+        ["a", "b,c", "", "d"],
+        ['say "hi"', "é", "x"],
+        ["a\rb", "c\nd", "e\r\nf", "日"],
+    ])
+    def test_str_columns(self, words):
+        # a column of str cells, beside float columns and alone
+        floats = np.linspace(-1.0, 1.0, len(words))
+        assert_same_csv(["w", "x"], [words, floats])
+        assert_same_csv(["w", "v", "x"], [tuple(words), words[::-1], floats])
+        assert_same_csv(["w"], [words])
+        with pytest.raises(ValueError, match="NUL"):
+            csv_text(["w", "x"], [[*words[:-1], "a\0"], floats])
+        with pytest.raises(ValueError, match="NUL"):
+            csv_text(["w"], [["\0", *words]])
 
     def test_one_empty_cell_alone_in_its_row(self):
         assert assert_same_csv(["w"], [["", "a", ""]]) == 'w\n""\na\n""\n'
