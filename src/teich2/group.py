@@ -41,7 +41,6 @@ from .hyperbolic import (
     su_inverse,
     su_mul,
     su_normalize,
-    su_sign_flip,
 )
 from .octagon import OctagonForms, OctagonParams, in_octagon
 
@@ -336,8 +335,8 @@ def ball(gens: GeneratorSet, n: int) -> GroupBall:
     """Ball of radius n in shortlex order: ``_ball_words`` multiplied out at gens.
 
     Each sphere is one su_mul of its parents' pairs by its letters' pairs, in
-    numpy's complex arithmetic, and each element keeps its canonical sign
-    (su_sign_flip).  The words are the shared tree's, and balls of one radius
+    numpy's complex arithmetic, and each element keeps its canonical sign,
+    Re u > 0: every element but the identity is hyperbolic, so |Re u| > 1.  The words are the shared tree's, and balls of one radius
     share one ``shortlex`` tuple.  Raises ValueError for n outside 0..6, and
     past the float64 precision limit: where rounding breaks a product, or an
     element's |u|^2 + |v|^2 passes 1/(16 eps), naming the first such word in
@@ -362,7 +361,7 @@ def ball(gens: GeneratorSet, n: int) -> GroupBall:
                 f"radius-{n} ball at a={p.a!r}, alpha_tilde={p.alpha_tilde!r}: element "
                 f"{_TREE.words[r][exc.index]!r} is past the float64 precision limit ({exc})"
             ) from None
-        flip = su_sign_flip(u, v)
+        flip = u.real < 0.0
         us.append(np.where(flip, -u, u))
         vs.append(np.where(flip, -v, v))
     return GroupBall(_TREE.shortlex(n), np.concatenate(us), np.concatenate(vs))

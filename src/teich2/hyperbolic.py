@@ -7,9 +7,9 @@ isometries act as z -> (u z + v)/(conj(v) z + conj(u)) with
 so group equality is always taken up to global sign.
 
 The formulas for the action, the product and the renormalization test are
-written once, elementwise, in ``su_normalize``, ``su_mul``, ``su_inverse``,
-``su_act`` and ``su_sign_flip`` over (u, v) pairs of numbers or of numpy
-arrays, one map per element: a group element is its pair.
+written once, elementwise, in ``su_normalize``, ``su_mul``, ``su_inverse``
+and ``su_act`` over (u, v) pairs of numbers or of numpy arrays, one map per
+element: a group element is its pair.
 ``MobiusTransform`` is the record of one pair that ``rotation`` returns.
 Numbers are multiplied in CPython's complex arithmetic and arrays in
 numpy's complex loops, which may fuse multiply-adds depending on the CPU, so
@@ -40,15 +40,12 @@ __all__ = [
     "su_inverse",
     "su_gap",
     "su_act",
-    "su_sign_flip",
 ]
 
 # constructors reject SU(1,1) pairs with |det - 1| above this times |u|^2+|v|^2
 SU_DEFECT_TOLERANCE = 1e-9
 # |Tr| within this band of 2 classifies as parabolic
 PARABOLIC_BAND = 1e-9
-# components below this are treated as zero by the canonical-sign rule
-_SIGN_EPS = 1e-9
 
 
 def _require_in_disk(z):
@@ -115,16 +112,6 @@ def su_mul(x, y):
 def su_inverse(x):
     """The inverse (conj(u), -v) of a (u, v) pair of numbers or arrays, renormalized."""
     return su_normalize(x[0].conjugate(), -x[1])
-
-
-def su_sign_flip(u, v):
-    """Whether the canonical-sign rule negates (u, v): the first of (Re u, Im u,
-    Re v, Im v) with |c| > _SIGN_EPS is negative; elementwise, as numpy bools."""
-    flip = decided = np.zeros(np.shape(u), bool)
-    for c in (np.real(u), np.imag(u), np.real(v), np.imag(v)):
-        big = ~decided & (abs(c) > _SIGN_EPS)
-        flip, decided = flip | (big & (c < 0.0)), decided | big
-    return flip
 
 
 def su_gap(x, y):

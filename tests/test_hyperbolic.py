@@ -18,7 +18,6 @@ from teich2.hyperbolic import (
     su_inverse,
     su_mul,
     su_normalize,
-    su_sign_flip,
     translation_pair,
 )
 from teich2.octagon import OctagonParams
@@ -144,24 +143,25 @@ class TestMobiusTransform:
         assert classify(-1.0 - 1e-8) == "hyperbolic"
 
     def test_canonical_sign(self):
+        # ball's canonical sign negates a pair where Re u < 0: a hyperbolic pair
+        # has |Re u| = |Tr|/2 > 1, so the negated pair has Re u > 1
         t = su_normalize(-2.0, complex(math.sqrt(3.0)))
-        assert su_sign_flip(*t)
+        assert classify(t[0]) == "hyperbolic" and t[0].real < -1.0
         c = (-t[0], -t[1])
-        assert c[0].real > 0 and not su_sign_flip(*c)
+        assert c[0].real > 1.0
         assert su_gap(c, t) == 0.0
 
     def test_canonical_negates_exactly(self):
         # the radius-4 element aCAA at this point has |u| ~ 3e7, where
-        # |u|^2 - |v|^2 of the renormalized pair rounds far from 1 (0.75 here,
-        # 0.0 on another lift): renormalizing the negated pair again would move
-        # it by 15% or reject it, so the canonical sign (ball's) is a plain
-        # negation, and su_sign_flip must not flip the negated pair back
+        # |u|^2 - |v|^2 of the pair rounds far from 1 (0.75 here, 0.0 on
+        # another lift): renormalizing the negated pair would move it by 15% or
+        # reject it, so the canonical sign (ball's) is a plain negation, and
+        # Re u of the negated pair is far from the rule's threshold 0
         gens = generators(OctagonParams(0.8832031542650554, -0.6409572070710325))
         a, big_a, big_c = gens.g[0], su_inverse(gens.g[0]), su_inverse(gens.g[2])
         t = su_mul(su_mul(su_mul(a, big_c), big_a), (-big_a[0], -big_a[1]))
-        assert t[0].real < 0.0 and abs(t[0]) > 1e7
-        assert su_sign_flip(*t)
-        assert not su_sign_flip(-t[0], -t[1])
+        assert t[0].real < -1.0 and abs(t[0]) > 1e7
+        assert -t[0].real > 1.0 and su_gap((-t[0], -t[1]), t) == 0.0
 
     def test_su_gap_ignores_sign(self):
         t = h_pair(0.3 + 0.2j)
@@ -216,13 +216,6 @@ class TestPairArrays:
         z = random_disk_points(rng, 7, rmax=0.99)
         images = [[su_act(*t, w) for w in z.tolist()] for t in maps]
         assert_allclose(su_act(u[:, None], v[:, None], z), images, rtol=1e-13)
-
-    def test_sign_flip_elementwise(self):
-        u = np.array([-2.0, 1e-12 - 1j, 1e-12 + 1e-12j, 0j])
-        v = np.array([1.0, 0j, -3.0, 0j])
-        assert su_sign_flip(u, v).tolist() == [True, True, True, False]
-        assert [bool(su_sign_flip(a, b)) for a, b in zip(u.tolist(), v.tolist())] == [
-            True, True, True, False]
 
     def test_breakdown_names_the_first_failing_element(self):
         # as in test_unrenormalizable_product_is_numerical_error, at positions 2 and 4
