@@ -171,7 +171,7 @@ def _emit_payload(args: argparse.Namespace, payload: dict[str, Any]) -> None:
 
 def _octagon_payload(params: OctagonParams) -> dict[str, Any]:
     geom = build_geometry(params)
-    p_closed = float(perimeter_ab(params.a, params.b))
+    p_closed = perimeter_ab(params.a, params.b)
     p_sum = vertex_sum(geom.vertices)
     ang0, ang1 = (vertex_angles(geom.vertices, geom.centres, k) for k in (0, 1))
     area = 6.0 * math.pi - 4.0 * (ang0 + ang1)
@@ -354,7 +354,7 @@ def _cmd_tiling(args: argparse.Namespace) -> int:
     if args.vertices is not None:
         n, k = vertices.shape
         emit_csv(args.vertices, ("word", "k", "x", "y"), (
-            [word for word in b.shortlex for _ in range(k)], list(range(k)) * n,
+            [word for word in b.shortlex for _ in range(k)], [str(j) for j in range(k)] * n,
             vertices.real.ravel(), vertices.imag.ravel(),
         ))
     return 0

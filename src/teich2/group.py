@@ -14,10 +14,12 @@ A group element is its SU(1,1) pair (u, v).  The generators, the relation
 word and the side-pairing residuals are written once, over (u, v) pairs of
 arrays (one map per parameter point) or over the number pairs of one
 point; ``generators`` and ``side_pairing_check`` take the records of one
-point.  A ball is its shortlex words and the (u, v) arrays of its
-elements.  Which words name distinct elements, and in which order, does not
-depend on the point: the word tree is built once per process, one sphere at
-a time as radii are asked for, and every ball multiplies it out at its
+point.  The closed-form g0 and g1 and the half turns are in SU(1,1) by
+construction and are used as computed; only products are renormalized.
+A ball is its shortlex words and the (u, v) arrays of its elements.
+Which words name distinct elements, and in which order, does not depend
+on the point: the word tree is built once per process, one sphere at a
+time as radii are asked for, and every ball multiplies it out at its
 point.  A ball's tiles are drawn with one action over the arrays of the
 whole ball.
 """
@@ -40,7 +42,6 @@ from .hyperbolic import (
     su_act,
     su_inverse,
     su_mul,
-    su_normalize,
 )
 from .octagon import OctagonForms, OctagonParams, in_octagon
 
@@ -83,13 +84,17 @@ class GeneratorSet:
 
 def generator_pairs(a, alpha_tilde):
     """(u, v) pairs of g0..g3 at parameter arrays: the closed-form g0, g1 and
-    their conjugates R g R^-1 by the pi/2 rotation R."""
+    their conjugates R g R^-1 by the pi/2 rotation R.
+
+    g0 and g1 are in SU(1,1) by construction (``norm`` is their
+    normalization), so they are returned as computed.
+    """
     a2 = a * a
     tn = ew.tan(alpha_tilde)
     cos2 = ew.cos(alpha_tilde) ** 2
     norm = -ew.cos(alpha_tilde) / ew.sqrt((1.0 - a2) * (2.0 * a2 * cos2 - 1.0))
-    g0 = su_normalize(norm * a * (1.0 - tn), norm * ((a2 - tn) + 1j * (1.0 - a2)))
-    g1 = su_normalize(norm * a * (1.0 + tn), norm * ((1.0 - a2) + 1j * (a2 + tn)))
+    g0 = norm * a * (1.0 - tn), norm * ((a2 - tn) + 1j * (1.0 - a2))
+    g1 = norm * a * (1.0 + tn), norm * ((1.0 - a2) + 1j * (a2 + tn))
     rot = rotation(math.pi / 2)
     r = (rot.u, rot.v)
     ri = su_inverse(r)
@@ -103,10 +108,11 @@ def generators(params: OctagonParams) -> GeneratorSet:
 
 def half_turns(forms: OctagonForms):
     """(u, v) pairs of the trace-zero half turns M(omega_k) of the octagon ``forms``,
-    elementwise: (omega_0..omega_5) = (omega+, omega-, i omega+, i omega-, 2a/(1+a^2), 0)."""
+    elementwise, as half_turn_pair gives them:
+    (omega_0..omega_5) = (omega+, omega-, i omega+, i omega-, 2a/(1+a^2), 0)."""
     w_plus, w_minus = forms.omega_plus, forms.omega_minus
     omegas = (w_plus, w_minus, 1j * w_plus, 1j * w_minus, forms.omega4 + 0j, 0j)
-    return tuple(su_normalize(*half_turn_pair(w)) for w in omegas)
+    return tuple(half_turn_pair(w) for w in omegas)
 
 
 def relation_pairs(g):
@@ -336,8 +342,9 @@ def ball(gens: GeneratorSet, n: int) -> GroupBall:
 
     Each sphere is one su_mul of its parents' pairs by its letters' pairs, in
     numpy's complex arithmetic, and each element keeps its canonical sign,
-    Re u > 0: every element but the identity is hyperbolic, so |Re u| > 1.  The words are the shared tree's, and balls of one radius
-    share one ``shortlex`` tuple.  Raises ValueError for n outside 0..6, and
+    Re u > 0: every element but the identity is hyperbolic, so |Re u| > 1.
+    The words are the shared tree's, and balls of one radius share one
+    ``shortlex`` tuple.  Raises ValueError for n outside 0..6, and
     past the float64 precision limit: where rounding breaks a product, or an
     element's |u|^2 + |v|^2 passes 1/(16 eps), naming the first such word in
     shortlex order.

@@ -9,7 +9,11 @@ so group equality is always taken up to global sign.
 The formulas for the action, the product and the renormalization test are
 written once, elementwise, in ``su_normalize``, ``su_mul``, ``su_inverse``
 and ``su_act`` over (u, v) pairs of numbers or of numpy arrays, one map per
-element: a group element is its pair.
+element: a group element is its pair.  Only a computed product is
+renormalized.  A pair that is in SU(1,1) by construction, such as an
+inverse, ``translation_pair`` or ``half_turn_pair``, is returned as
+computed: rescaling it by 1/sqrt(|u|^2 - |v|^2) would add error of order
+eps (|u|^2 + |v|^2) and remove none.
 ``MobiusTransform`` is the record of one pair that ``rotation`` returns.
 Numbers are multiplied in CPython's complex arithmetic and arrays in
 numpy's complex loops, which may fuse multiply-adds depending on the CPU, so
@@ -42,7 +46,7 @@ __all__ = [
     "su_act",
 ]
 
-# constructors reject SU(1,1) pairs with |det - 1| above this times |u|^2+|v|^2
+# su_normalize rejects products with |det - 1| above this times |u|^2+|v|^2
 SU_DEFECT_TOLERANCE = 1e-9
 # |Tr| within this band of 2 classifies as parabolic
 PARABOLIC_BAND = 1e-9
@@ -84,34 +88,35 @@ def _su_product(u1, v1, u2, v2):
     return u1 * u2 + v1 * v2.conjugate(), u1 * v2 + v1 * u2.conjugate()
 
 
-def su_normalize(u, v, product: bool = False):
-    """The constructor of SU(1,1) pairs on (u, v) numbers or arrays, which
-    broadcast together.
+def su_normalize(u, v):
+    """Computed (u, v) products of numbers or arrays, which broadcast
+    together, scaled to |u|^2 - |v|^2 = 1.
 
-    Returns the pairs scaled to |u|^2 - |v|^2 = 1.  At the first pair in C
-    order that the constructor would reject it raises ValueError, or for a
-    ``product`` NumericalError whose ``index`` is that pair's flat position.
+    Raises NumericalError at the first pair in C order whose |u|^2 - |v|^2
+    is not a finite positive number within SU_DEFECT_TOLERANCE (|u|^2 + |v|^2)
+    of 1, NaN included; its ``index`` is that pair's flat position.
     """
     uu, vv = abs(u) ** 2, abs(v) ** 2
     det = uu - vv
-    k = ew.first_true((det <= 0.0) | (abs(det - 1.0) > SU_DEFECT_TOLERANCE * (uu + vv)))
+    ok = (det > 0.0) & (det < np.inf) & (abs(det - 1.0) <= SU_DEFECT_TOLERANCE * (uu + vv))
+    k = ew.first_true(ew.where(ok, False, True))
     if k is not None:
-        message = f"|u|^2-|v|^2 = {float(np.ravel(det)[k])!r} is not renormalizable to 1"
-        if product:
-            raise NumericalError(f"product of SU(1,1) maps: {message}", k)
-        raise ValueError(message)
+        raise NumericalError(
+            f"product of SU(1,1) maps: |u|^2-|v|^2 = {float(np.ravel(det)[k])!r} "
+            "is not renormalizable to 1", k)
     scale = 1.0 / ew.sqrt(det)
     return u * scale, v * scale
 
 
 def su_mul(x, y):
     """The product x y of (u, v) pairs of numbers or arrays, renormalized."""
-    return su_normalize(*_su_product(*x, *y), product=True)
+    return su_normalize(*_su_product(*x, *y))
 
 
 def su_inverse(x):
-    """The inverse (conj(u), -v) of a (u, v) pair of numbers or arrays, renormalized."""
-    return su_normalize(x[0].conjugate(), -x[1])
+    """The inverse (conj(u), -v) of a (u, v) pair of numbers or arrays; its
+    |u|^2 - |v|^2 is the pair's own, bit for bit."""
+    return x[0].conjugate(), -x[1]
 
 
 def su_gap(x, y):
@@ -135,7 +140,7 @@ class MobiusTransform:
 
     Construction is su_normalize: it renormalizes |u|^2 - |v|^2 to exactly 1
     when its defect is below SU_DEFECT_TOLERANCE * (|u|^2 + |v|^2) and rejects
-    the pair otherwise, with ValueError.
+    the pair otherwise, with NumericalError.
     """
 
     u: complex

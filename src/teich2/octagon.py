@@ -244,11 +244,11 @@ def vertex_angles(vertices, centres, k: int):
 
 
 def perimeter_ab(a, b):
-    """Closed-form perimeter 8 arccosh[...] in terms of (a, b); array-safe."""
-    a2 = np.square(a)
-    b2 = np.square(b)
-    num = 1.0 - a2 * b2 + np.sqrt((1.0 - a2) ** 2 + (1.0 - b2) ** 2)
-    return 8.0 * np.arccosh(num / ((1.0 - a2) * (1.0 - b2)))
+    """Closed-form perimeter 8 arccosh[...] in terms of (a, b); elementwise."""
+    a2 = a * a
+    b2 = b * b
+    num = 1.0 - a2 * b2 + ew.sqrt((1.0 - a2) ** 2 + (1.0 - b2) ** 2)
+    return 8.0 * ew.arccosh(num / ((1.0 - a2) * (1.0 - b2)))
 
 
 def vertex_sum(vertices):

@@ -50,7 +50,7 @@ from .group import (
     pairing_residuals,
     relation_pairs,
 )
-from .hyperbolic import dist, su_gap, su_mul, su_normalize, translation_pair
+from .hyperbolic import dist, su_gap, su_mul, translation_pair
 from .octagon import (
     OctagonForms,
     OctagonParams,
@@ -121,7 +121,7 @@ def _triple_agreement(p: PointBlock) -> dict[str, np.ndarray]:
     triple = 0.0
     for k in range(4):
         triple = np.maximum(triple, su_gap(g[k], su_mul(m[k], m[5])))
-        triple = np.maximum(triple, su_gap(g[k], su_normalize(*translation_pair(f.midpoints[k]))))
+        triple = np.maximum(triple, su_gap(g[k], translation_pair(f.midpoints[k])))
     return {"triple_agreement": triple}
 
 

@@ -490,17 +490,17 @@ CONJUGATE_SIDE = ["--a", "0.95", "--alpha-tilde", "-0.5"]
     (["octagon", *POINT, "--format", "csv"],
      "ec45e4d9683ca8fadb311c40920dfef9805a5a1b41053df40c37115250d2ac57"),
     (["group", *POINT, "--samples", "37", "--seed", "3", "--format", "json"],
-     "147e62f65db2a929b3b247f76c91ec964b9d6871eba560410b3be23c8e813b35"),
+     "5b05334cf0fc844009232523f42f71fbd3fc6a15be0b85187798e6351ed958f9"),
     (["group", *POINT, "--format", "csv"],
-     "045859126c76d0ba02ba9b85824b03da12f7587c0ab5d8d085d467a111048f82"),
+     "8a9a26979800cc7e94728abc411cfcd5de5c49b52d58b53eee7950f8e881d34c"),
     (["fn", *POINT, "--format", "json"],
-     "a7cf30499da9debb460ade298d598e887126844edcbf5709afc984a0c4b94bac"),
+     "809f2d2183e6fde0ac005c340d8664281ebddfea08de0be7287da0fddb038354"),
     (["fn", *POINT, "--format", "csv"],
-     "071fc0dcf2a49991fb743324dd7d55ac50e66179534a030c2f079334ccdbdc8f"),
+     "09b15c9315a772dcd83329f276712804d774b66940cff0ce6e0ea93ab9ea9fe1"),
     (["fn", *CONJUGATE_SIDE, "--format", "json"],
-     "3e0041a6f1d50985320c8bd4ff6c29cf2276b34a62e92e88d00e0a45f260d41b"),
+     "fc7340598e61712c8a368690760f75e957ebb70083a42e5a3cb23b5c0812a822"),
     (["fn", *CONJUGATE_SIDE, "--format", "csv"],
-     "327ab741cda114fad78f1ece51e3767a9b979dbbb31cc1dba7cb540ec6cce8bc"),
+     "56e6138810c8439305e854790820119ead265634b6a53705ebd310a63605f18d"),
 ])
 def test_point_query_golden_digest(capsys, argv, digest):
     # sha256 of the one-point octagon, group and fn outputs on x86-64 Linux;

@@ -1,6 +1,8 @@
+import cmath
 import math
 import re
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +19,7 @@ from teich2.group import (
     _times,
     ball,
     cells,
+    generator_pairs,
     generators,
     half_turns,
     relation_pairs,
@@ -25,6 +28,7 @@ from teich2.group import (
 from teich2.hyperbolic import (
     classify,
     dist,
+    half_turn_pair,
     su_act,
     su_gap,
     su_inverse,
@@ -65,6 +69,12 @@ ZETA = np.exp(0.25j * np.pi * np.arange(4))
 
 def _norm(t) -> float:
     return math.sqrt(abs(t[0]) ** 2 + abs(t[1]) ** 2)
+
+
+def _conditioning(a, at):
+    """1/q + 1/(1 - a^2), q = 2 a^2 cos^2(at) - 1: how the closed-form g0 and
+    g1 magnify the rounding of their inputs near the lower-a edge and a = 1."""
+    return 1.0 / (2.0 * a * a * np.cos(at) ** 2 - 1.0) + 1.0 / (1.0 - a * a)
 
 
 def _letters(gens):
@@ -117,6 +127,49 @@ class TestGenerators:
                 assert classify(u) == "hyperbolic"
                 assert abs(2.0 * u.real) > 2.0
 
+    @pytest.mark.parametrize("margin", [0.02, 1e-3])
+    def test_closed_forms_match_mpmath(self, margin):
+        # g0 and g1 are in SU(1,1) by construction and are not renormalized, so
+        # they carry only the rounding of their closed forms.  Bar, relative to
+        # their size: 2 eps _conditioning(a, at), at most 98 eps at margin 0.02
+        # and 2000 eps at 1e-3 on this grid.  Measured: 5.2 eps and 222 eps;
+        # renormalizing them made it 139 eps and 4364 eps
+        a, at = grid_arrays(20, 20, margin)
+        g = generator_pairs(a, at)
+        with mp.workdps(50):
+            for i, (x, y) in enumerate(zip(a.tolist(), at.tolist())):
+                A, T = mp.mpf(x), mp.mpf(y)
+                a2, tn = A * A, mp.tan(T)
+                norm = -mp.cos(T) / mp.sqrt((1 - a2) * (2 * a2 * mp.cos(T) ** 2 - 1))
+                exact = ((norm * A * (1 - tn), norm * ((a2 - tn) + 1j * (1 - a2))),
+                         (norm * A * (1 + tn), norm * ((1 - a2) + 1j * (a2 + tn))))
+                bar = 2.0 * EPS * _conditioning(x, y)
+                for k, (u_ref, v_ref) in enumerate(exact):
+                    size = mp.sqrt(abs(u_ref) ** 2 + abs(v_ref) ** 2)
+                    for u, v in ((g[k][0][i], g[k][1][i]), generator_pairs(x, y)[k]):
+                        err = max(abs(complex(u) - u_ref), abs(complex(v) - v_ref)) / size
+                        assert err <= bar, (x, y, k, float(err / EPS))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(domain_points(0.02), domain_points(1e-3), domain_points(1e-6)),
+           st.floats(0.0, 13.0), st.floats(0.0, 2.0 * math.pi))
+    def test_pairs_in_su11_by_construction(self, params, digits, angle):
+        # g0, g1, the half turns M(w) of half_turns and the translations H(w)
+        # are used as computed, not renormalized, so |u|^2 - |v|^2 = 1 must
+        # hold to c kappa eps, kappa = |u|^2 + |v|^2: c = 2 _conditioning(a, at)
+        # for g0 and g1, whose closed form magnifies their rounding, and c = 4
+        # for M(w) and H(w) with 1 - |w| down to 1e-13.  Measured: 0.38
+        # _conditioning(a, at) on 1e5 points down to margin 1e-6, and 2.0 and
+        # 3.0 on 2e5 points of the disk
+        a, at = params.a, params.alpha_tilde
+        g0, g1, _, _ = generator_pairs(a, at)
+        w = (1.0 - 10.0 ** -digits) * cmath.exp(1j * angle)
+        c_g = 2.0 * _conditioning(a, at)
+        for (u, v), c in ((g0, c_g), (g1, c_g), (half_turn_pair(w), 4.0),
+                          (translation_pair(w), 4.0)):
+            uu, vv = abs(u) ** 2, abs(v) ** 2
+            assert abs(uu - vv - 1.0) <= c * (uu + vv) * EPS, (params, w, u, v)
+
     def test_rotation_conjugation_pairs(self):
         # g2, g3 are the quarter-turn conjugates of g0, g1: u fixed, v times i
         gens = generators(P0)
@@ -141,7 +194,7 @@ class TestTripleConstruction:
         m = half_turns(geom)
         for k in range(4):
             assert su_gap(gens.g[k], su_mul(m[k], m[5])) < 1e-12
-            h = su_normalize(*translation_pair(geom.midpoints[k]))
+            h = translation_pair(geom.midpoints[k])
             assert su_gap(gens.g[k], h) < 1e-12
 
 

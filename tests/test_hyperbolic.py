@@ -32,8 +32,8 @@ def random_disk_points(rng, n, rmax=0.95):
 
 
 def h_pair(p):
-    """The normalized pair of H(p) at one point p."""
-    return su_normalize(*translation_pair(complex(p)))
+    """The pair of H(p) at one point p."""
+    return translation_pair(complex(p))
 
 
 def r_pair(phi):
@@ -85,10 +85,10 @@ class TestMobiusTransform:
         assert classify(IDENTITY[0]) == "parabolic"
 
     def test_su11_defect_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalError):
             su_normalize(1.0 + 1e-6, 0.0)
         # the record's constructor is su_normalize
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalError):
             MobiusTransform(1.0 + 1e-6, 0.0)
 
     def test_small_defect_renormalized(self):
@@ -102,22 +102,35 @@ class TestMobiusTransform:
         v = 1e6
         u, w = su_normalize(math.sqrt(v * v + 1.0 + 1e2), v)
         assert abs(abs(u) ** 2 - abs(w) ** 2 - 1.0) < 1e-3
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalError):
             su_normalize(math.sqrt(v * v + 1.0 + 1e4), v)
 
     def test_nonpositive_det_rejected(self):
         for u, v in ((1e9, 1e9), (1e9, 1e9 + 1.0)):
-            with pytest.raises(ValueError):
+            with pytest.raises(NumericalError):
                 su_normalize(u, v)
+
+    def test_non_finite_product_rejected(self):
+        # |u|^2 - |v|^2 is NaN here, which compares false both ways
+        with pytest.raises(NumericalError, match="= nan is not renormalizable") as info:
+            su_mul((math.inf, 0.0), (1.0, 0.0))
+        assert info.value.index == 0
+        # and inf here, within any bar relative to |u|^2 + |v|^2 = inf
+        with pytest.raises(NumericalError, match="= inf is not renormalizable"):
+            su_normalize(math.inf, 0.0)
+        fine = (np.full(3, 1.25), np.full(3, 0.75 + 0j))
+        for bad in (math.inf, math.nan):
+            x = (np.array([1.25, bad, 1.25]), fine[1])
+            with np.errstate(invalid="ignore"), pytest.raises(
+                    NumericalError, match="not renormalizable") as info:
+                su_mul(fine, x)
+            assert info.value.index == 1
 
     def test_unrenormalizable_product_is_numerical_error(self):
         # each factor is valid, but the product's |u|^2 - |v|^2 rounds to 0
         r = 1.0 - 1e-7
         with pytest.raises(NumericalError, match="not renormalizable"):
             su_mul(h_pair(r), h_pair(1j * r))
-        # a pair that is passed in stays a bad argument
-        with pytest.raises(ValueError, match="not renormalizable"):
-            h_pair(1.0 - 1e-8)
 
     def test_compose_matches_sequential_action(self):
         rng = np.random.default_rng(42)
@@ -186,7 +199,7 @@ class TestPrimitives:
     def test_half_turn_pair_is_involution(self):
         rng = np.random.default_rng(13)
         for w in random_disk_points(rng, 20, rmax=0.9):
-            m = su_normalize(*half_turn_pair(complex(w)))
+            m = half_turn_pair(complex(w))
             assert_allclose(2.0 * m[0].real, 0.0, atol=1e-15)
             # M(omega)^2 = -identity
             assert_allclose(su_mul(m, m), (-1.0, 0.0), atol=1e-12)
@@ -226,9 +239,9 @@ class TestPairArrays:
         with pytest.raises(NumericalError, match="product of SU\\(1,1\\) maps: .* not renormalizable") as info:
             su_mul(x, y)
         assert info.value.index == 2
-        # the constructor's test on arrays stays a bad argument
-        with pytest.raises(ValueError, match="not renormalizable"):
+        with pytest.raises(NumericalError, match="not renormalizable") as info:
             su_normalize(np.array([1.0, 1.0 + 1e-6]), np.zeros(2))
+        assert info.value.index == 1
 
     def test_dist_elementwise(self):
         rng = np.random.default_rng(23)

@@ -220,6 +220,8 @@ class TestSides:
 class TestPerimeter:
     def test_reference_value(self):
         p = OctagonParams(A0, AT0)
+        # one point is evaluated by math, as a Python float
+        assert type(perimeter_ab(p.a, p.b)) is float
         assert_allclose(perimeter_ab(p.a, p.b), PERIMETER0, rtol=1e-14)
 
     def test_closed_form_equals_vertex_sum(self):
