@@ -11,14 +11,7 @@ from __future__ import annotations
 
 from .errors import DomainError, NumericalError, OutOfDomainError
 from .fenchel_nielsen import PantsData, pants_data
-from .group import (
-    GeneratorSet,
-    GroupBall,
-    ball,
-    cells,
-    generators,
-    side_pairing_check,
-)
+from .group import GroupBall, ball, cells, generators, side_pairing_check
 from .hyperbolic import dist
 from .isoperimetric import (
     A_REG,
@@ -47,7 +40,6 @@ __all__ = [
     "E_REG",
     "P_REG",
     "DomainError",
-    "GeneratorSet",
     "GroupBall",
     "NumericalError",
     "OctagonForms",

@@ -13,9 +13,10 @@ composition H(p_k) about the side midpoint.  The half turns M_0..M_5 of
 A group element is its SU(1,1) pair (u, v).  The generators, the relation
 word and the side-pairing residuals are written once, over (u, v) pairs of
 arrays (one map per parameter point) or over the number pairs of one
-point; ``generators`` and ``side_pairing_check`` take the records of one
-point.  The closed-form g0 and g1 and the half turns are in SU(1,1) by
-construction and are used as computed; only products are renormalized.
+point; ``generators`` is ``generator_pairs`` at one ``OctagonParams``, and
+``ball`` and ``side_pairing_check`` take its four pairs.  The closed-form
+g0 and g1 and the half turns are in SU(1,1) by construction and are used
+as computed; only products are renormalized.
 A ball is its shortlex words and the (u, v) arrays of its elements.
 Which words name distinct elements, and in which order, does not depend
 on the point: the word tree is built once per process, one sphere at a
@@ -47,9 +48,7 @@ from .octagon import OctagonForms, OctagonParams, in_octagon
 
 __all__ = [
     "BALL_SIZES",
-    "GeneratorSet",
     "GroupBall",
-    "SidePairingReport",
     "generator_pairs",
     "generators",
     "half_turns",
@@ -74,14 +73,6 @@ _CELL_BLOCK = 4096
 _MAX_SIZE = 1.0 / (16.0 * np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    """The (u, v) pairs of the four side-pairing generators g0..g3 at ``params``."""
-
-    params: OctagonParams
-    g: tuple[tuple[complex, complex], ...]
-
-
 def generator_pairs(a, alpha_tilde):
     """(u, v) pairs of g0..g3 at parameter arrays: the closed-form g0, g1 and
     their conjugates R g R^-1 by the pi/2 rotation R.
@@ -101,9 +92,9 @@ def generator_pairs(a, alpha_tilde):
     return g0, g1, su_mul(su_mul(r, g0), ri), su_mul(su_mul(r, g1), ri)
 
 
-def generators(params: OctagonParams) -> GeneratorSet:
-    """The generator_pairs of one point."""
-    return GeneratorSet(params, generator_pairs(params.a, params.alpha_tilde))
+def generators(params: OctagonParams):
+    """The generator_pairs of one point: the (u, v) pairs of g0..g3."""
+    return generator_pairs(params.a, params.alpha_tilde)
 
 
 def half_turns(forms: OctagonForms):
@@ -130,14 +121,6 @@ def relation_pairs(g):
     plus = ew.maximum(abs(u - 1.0), abs(v))
     minus = ew.maximum(abs(u + 1.0), abs(v))
     return ew.minimum(plus, minus), ew.where(plus <= minus, 1, -1)
-
-
-@dataclass(frozen=True)
-class SidePairingReport:
-    endpoint_residual: float
-    midpoint_residual: float
-    interior_samples: int
-    interior_violations: int
 
 
 def pairing_residuals(vertices, midpoints, g):
@@ -179,24 +162,22 @@ def crossing_violations(centres, r_plus, r_minus, g):
     return count
 
 
-def side_pairing_check(
-    geom: OctagonForms, gens: GeneratorSet, samples: int = 1000, seed: int = 0
-) -> SidePairingReport:
-    """Verify that g_k carries side k+4 onto side k.
+def side_pairing_check(geom: OctagonForms, g, samples: int = 1000, seed: int = 0):
+    """Verify that the generator pairs g carry side k+4 onto side k.
 
-    Besides the pairing_residuals, images of interior sample points must
-    leave the octagon (weak disjointness of g_k[F] and F).  The samples are
-    the first ``samples`` points of the seeded uniform stream of (x, y) in
-    the bounding square that lie in the octagon shrunk by 1e-4, and an image
-    violates where it lies in the octagon grown by 1e-7.  Raises ValueError
-    for a negative sample count.
+    Returns (endpoint, midpoint, violations): the pairing_residuals, and how
+    many images of interior sample points fail to leave the octagon (weak
+    disjointness of g_k[F] and F).  The samples are the first ``samples``
+    points of the seeded uniform stream of (x, y) in the bounding square
+    that lie in the octagon shrunk by 1e-4, and an image violates where it
+    lies in the octagon grown by 1e-7.  Raises ValueError for a negative
+    sample count.
     """
     if samples < 0:
         raise ValueError(f"sample count must be >= 0, got {samples!r}")
-    g = gens.g
     endpoint, midpoint = pairing_residuals(geom.vertices, geom.midpoints, g)
     if samples == 0:
-        return SidePairingReport(endpoint, midpoint, 0, 0)
+        return endpoint, midpoint, 0
 
     rng = np.random.default_rng(seed)
     bound = max(geom.vertices[0].real, geom.b)  # vertex 0 is a + 0j
@@ -220,7 +201,7 @@ def side_pairing_check(
     radius = np.array([geom.r_plus, geom.r_minus] * 4)[:, None, None] - 1e-7
     outside = (np.hypot(d.real, d.imag) > radius).all(axis=0)
     hit = (np.hypot(images.real, images.imag) < 1.0) & outside
-    return SidePairingReport(endpoint, midpoint, samples, int(np.count_nonzero(hit)))
+    return endpoint, midpoint, int(np.count_nonzero(hit))
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,36 +307,28 @@ class _WordTree:
 _TREE = _WordTree()
 
 
-def _ball_words(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per sphere 1..n, the (parent, letter) index arrays of its shortlex words.
+def ball(g, n: int) -> GroupBall:
+    """Ball of radius n in shortlex order: the word tree multiplied out at the
+    generator pairs g.
 
     Element i of sphere r is element ``parent[i]`` of sphere r - 1 times the
-    letter ``LETTERS[letter[i]]``.  The arrays are the read-only ones of the
-    process's one word tree, which the first call up to a radius builds.
-    """
-    _TREE.grow(n)
-    return _TREE.spheres[:n]
-
-
-def ball(gens: GeneratorSet, n: int) -> GroupBall:
-    """Ball of radius n in shortlex order: ``_ball_words`` multiplied out at gens.
-
-    Each sphere is one su_mul of its parents' pairs by its letters' pairs, in
+    letter ``LETTERS[letter[i]]``, by the (parent, letter) arrays of the
+    process's one word tree, which the first ball of a radius grows.  Each
+    sphere is one su_mul of its parents' pairs by its letters' pairs, in
     numpy's complex arithmetic, and each element keeps its canonical sign,
     Re u > 0: every element but the identity is hyperbolic, so |Re u| > 1.
-    The words are the shared tree's, and balls of one radius share one
-    ``shortlex`` tuple.  Raises ValueError for n outside 0..6, and
-    past the float64 precision limit: where rounding breaks a product, or an
-    element's |u|^2 + |v|^2 passes 1/(16 eps), naming the first such word in
-    shortlex order.
+    Balls of one radius share one ``shortlex`` tuple.  Raises ValueError for
+    n outside 0..6, and past the float64 precision limit: where rounding
+    breaks a product, or an element's |u|^2 + |v|^2 passes 1/(16 eps),
+    naming the radius and the first such word in shortlex order.
     """
     if not 0 <= n < len(BALL_SIZES):
         raise ValueError(f"ball radius must be in 0..{len(BALL_SIZES) - 1}, got {n!r}")
-    spheres = _ball_words(n)
-    letters = [x for g in gens.g for x in (g, su_inverse(g))]  # a, A, b, B, ...
+    _TREE.grow(n)
+    letters = [x for pair in g for x in (pair, su_inverse(pair))]  # a, A, b, B, ...
     lu, lv = (np.array(part, complex) for part in zip(*letters))
     us, vs = [np.ones(1, complex)], [np.zeros(1, complex)]
-    for r, (parent, letter) in enumerate(spheres, 1):
+    for r, (parent, letter) in enumerate(_TREE.spheres[:n], 1):
         try:
             u, v = su_mul((us[-1][parent], vs[-1][parent]), (lu[letter], lv[letter]))
             size = abs(u) ** 2 + abs(v) ** 2
@@ -363,10 +336,9 @@ def ball(gens: GeneratorSet, n: int) -> GroupBall:
             if k is not None:
                 raise NumericalError(f"|u|^2+|v|^2 = {float(size[k])!r} is past 1/(16 eps)", k)
         except NumericalError as exc:  # |u|^2 - |v|^2 lost, or about to be, to roundoff
-            p = gens.params
             raise ValueError(
-                f"radius-{n} ball at a={p.a!r}, alpha_tilde={p.alpha_tilde!r}: element "
-                f"{_TREE.words[r][exc.index]!r} is past the float64 precision limit ({exc})"
+                f"radius-{n} ball: element {_TREE.words[r][exc.index]!r} "
+                f"is past the float64 precision limit ({exc})"
             ) from None
         flip = u.real < 0.0
         us.append(np.where(flip, -u, u))

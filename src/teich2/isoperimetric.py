@@ -51,6 +51,9 @@ P_REG = 8.0 * math.acosh(5.0 + 4.0 * math.sqrt(2.0))
 # by up to 2.1e-7 relative, while its own error estimate passes
 QUAD_TOLERANCE = 1e-10
 
+# the orbits of `teich2 orbit` without --P, which validate's orbit checks use too
+_ORBIT_PERIMETERS = (25.0, 27.0, 29.0, 31.0, 33.0, 35.0, 37.0, 39.0, 41.0)
+
 # discriminant E^2 - 24E + 16 may round slightly negative at E_reg
 _DISC_CLAMP = 1e-12
 

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _elementwise as ew
-from .errors import OutOfDomainError
+from .errors import NumericalError, OutOfDomainError
 from .hyperbolic import arc_center, dist
 
 __all__ = [
@@ -58,6 +58,11 @@ def _check_margin(margin: float) -> None:
         raise ValueError(f"margin must lie in [0, 0.2], got {margin!r}")
 
 
+def _item(x, shape, k: int):
+    """Element k (C order) of x broadcast to ``shape``, as a Python number."""
+    return np.broadcast_to(x, shape).flat[k].item()
+
+
 def _domain_error(a, at, m: float) -> tuple[int, OutOfDomainError] | None:
     """The first point (C order) outside the admissible region shrunk by m, as
     its flat index and the OutOfDomainError of the first inequality it
@@ -72,15 +77,12 @@ def _domain_error(a, at, m: float) -> tuple[int, OutOfDomainError] | None:
     if k is None:
         return None
     shape = np.broadcast_shapes(np.shape(a), np.shape(at))
-
-    def at_k(x):
-        return np.broadcast_to(x, shape).flat[k].item()
-
-    if not at_k(in_range):
-        return k, OutOfDomainError("alpha_range", math.copysign(hi, at_k(at)), at_k(at))
-    if not at_k(above):
-        return k, OutOfDomainError("lower_a", at_k(lo), at_k(a))
-    return k, OutOfDomainError("upper_a", 1.0 - m, at_k(a))
+    a_k, at_k = _item(a, shape, k), _item(at, shape, k)
+    if not _item(in_range, shape, k):
+        return k, OutOfDomainError("alpha_range", math.copysign(hi, at_k), at_k)
+    if not _item(above, shape, k):
+        return k, OutOfDomainError("lower_a", _item(lo, shape, k), a_k)
+    return k, OutOfDomainError("upper_a", 1.0 - m, a_k)
 
 
 def _check_domain(a, at, m: float) -> None:
@@ -176,6 +178,9 @@ def octagon_forms(a, alpha_tilde) -> OctagonForms:
     """Sides, angles, vertices and midpoints, elementwise over parameter arrays.
 
     The parameters are taken as given: callers keep them in the domain.
+    Raises NumericalError, with the index and the point, where 1 - |omega|^2
+    of a side midpoint rounds to 0 or below, as it can at points within
+    about 2.4e-6 of the boundary near the corner a = 1, |alpha_tilde| = pi/4.
     """
     at = alpha_tilde
     b = b_of(a, at)
@@ -196,8 +201,16 @@ def octagon_forms(a, alpha_tilde) -> OctagonForms:
     w = b * ew.exp(1j * (at + math.pi / 4))  # the vertex b e^{i alpha}
     omega_plus = (w * (1.0 - a2) + a * (1.0 - b2)) / den
     omega_minus = (w * (1.0 - a2) + 1j * a * (1.0 - b2)) / den
-    p_plus = omega_plus / (1.0 + ew.sqrt(1.0 - abs(omega_plus) ** 2))
-    p_minus = omega_minus / (1.0 + ew.sqrt(1.0 - abs(omega_minus) ** 2))
+    gap_plus, gap_minus = 1.0 - abs(omega_plus) ** 2, 1.0 - abs(omega_minus) ** 2
+    gap = ew.minimum(gap_plus, gap_minus)  # NaN wins, and is not > 0
+    k = ew.first_true(ew.where(gap > 0.0, False, True))
+    if k is not None:
+        shape = np.shape(gap)
+        raise NumericalError(
+            f"side midpoints at a={_item(a, shape, k)!r}, alpha_tilde={_item(at, shape, k)!r}: "
+            f"1 - |omega|^2 = {_item(gap, shape, k)!r} is not > 0", k)
+    p_plus = omega_plus / (1.0 + ew.sqrt(gap_plus))
+    p_minus = omega_minus / (1.0 + ew.sqrt(gap_minus))
     c_plus, c_minus = arc_center(r_plus, phi_plus), arc_center(r_minus, phi_minus)
     return OctagonForms(
         b=b,

@@ -45,7 +45,6 @@ from .group import (
     ball,
     crossing_violations,
     generator_pairs,
-    generators,
     half_turns,
     pairing_residuals,
     relation_pairs,
@@ -53,7 +52,6 @@ from .group import (
 from .hyperbolic import dist, su_gap, su_mul, translation_pair
 from .octagon import (
     OctagonForms,
-    OctagonParams,
     b_of,
     grid_arrays,
     octagon_forms,
@@ -179,8 +177,8 @@ def _perimeter_and_angles(p: PointBlock) -> dict[str, np.ndarray]:
 def _orbit_constancy() -> dict[str, float]:
     constancy = mirror = 0.0
     phi = iso._phases(256)
-    for p_target in range(25, 42, 2):
-        a, at = iso.orbit_forms(iso.e_of_p(float(p_target)), phi)
+    for p_target in iso._ORBIT_PERIMETERS:
+        a, at = iso.orbit_forms(iso.e_of_p(p_target), phi)
         p_check = perimeter_ab(a, b_of(a, at))
         constancy = max(constancy, float(np.max(abs(p_check - p_target))) / p_target)
         # sample j mirrors sample 256 - j across alpha_tilde = 0
@@ -295,11 +293,10 @@ def run_validation(
         if not check.per_point:
             results.update(check.fn())
 
-    reg = OctagonParams(iso.A_REG, 0.0)
-    probe = OctagonParams(float(a[a.size // 2]), float(at[a.size // 2]))
+    probe = generator_pairs(float(a[a.size // 2]), float(at[a.size // 2]))
     counts_ok = (
-        len(ball(generators(reg), 1)) == BALL_SIZES[1]
-        and len(ball(generators(probe), 2)) == BALL_SIZES[2]
+        len(ball(generator_pairs(iso.A_REG, 0.0), 1)) == BALL_SIZES[1]
+        and len(ball(probe, 2)) == BALL_SIZES[2]
     )
     results["ball_counts"] = 0.0 if counts_ok else 1.0
 

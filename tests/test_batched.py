@@ -105,7 +105,7 @@ def test_scalar_views_match_the_batch():
     for k, (x, y) in enumerate(zip(a.tolist(), at.tolist())):
         params = OctagonParams(x, y)
         gens = generators(params)
-        for (u, v), (tu, tv) in zip(g, gens.g):
+        for (u, v), (tu, tv) in zip(g, gens):
             # renormalization scales last-bit differences by |u|^2 + |v|^2
             tol = 8 * EPS * (abs(tu) ** 2 + abs(tv) ** 2)
             assert_allclose([u[k], v[k]], [tu, tv], rtol=tol)

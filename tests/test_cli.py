@@ -8,6 +8,7 @@ from conftest import run_fresh
 
 import teich2
 from teich2 import cli, group
+from teich2 import isoperimetric as iso
 from teich2.cli import run
 from teich2.group import BALL_SIZES
 from teich2.validation import DEFAULT_TOLERANCES
@@ -93,7 +94,7 @@ EXIT_CODES = [
     (["octagon", *A_ARGS, "--margin", "0.5"], 2,
      r"teich2: argument error: margin must lie in \[0, 0.2\], got 0.5\n", ""),
     (["validate", "--tolerance", "bogus=1"], 2,
-     r"teich2: argument error: expected NAME=VALUE with NAME in .*, got 'bogus=1'\n", ""),
+     r"teich2: argument error: unknown tolerance names: \['bogus'\]\n", ""),
     (["octagon", "--a", "0.5", "--alpha-tilde", "0"], 3,
      r"teich2: domain error: lower_a: value 0.5 violates bound 0.7071067811865475\n", "error"),
     (["octagon", "--a", "0.5", "--alpha-tilde", "0", "-o", "{tmp}/missing/x.json"], 3,
@@ -143,10 +144,9 @@ EXIT_CODES = [
      r"teich2: numerical error: orbit point at phi = 1.5707963267948966 rounds out of the "
      r"domain: lower_a: value 0.8660254037844385 violates bound 0.8660254037844385\n", ""),
     (["tiling", "--a", "0.995099525262749", "--alpha-tilde", "-0.7740075264130591", "-n", "4"], 2,
-     r"teich2: argument error: radius-4 ball at a=0.995099525262749, "
-     r"alpha_tilde=-0.7740075264130591: element '[aAbBcCdD]{4}' is past the float64 precision "
-     r"limit \(product of SU\(1,1\) maps: \|u\|\^2-\|v\|\^2 = \S+ is not renormalizable "
-     r"to 1\)\n", ""),
+     r"teich2: argument error: radius-4 ball: element '[aAbBcCdD]{4}' is past the float64 "
+     r"precision limit \(product of SU\(1,1\) maps: \|u\|\^2-\|v\|\^2 = \S+ is not "
+     r"renormalizable to 1\)\n", ""),
     (["validate", "--grid", "-1", "5"], 2,
      r"teich2: argument error: grid -1 x 5 has no points\n", ""),
     # more rows than numpy can index (1e-300) or allocate (1e-17: about 71 PiB)
@@ -159,6 +159,12 @@ EXIT_CODES = [
      r"teich2: argument error: Unable to allocate .*\n", ""),
     (["validate", "--grid", "1000000", "1000000", "-o", "{tmp}/missing"], 2,
      r"teich2: argument error: Unable to allocate .*\n", ""),
+    # at the corner a = 1, alpha_tilde = pi/4, 1 - |omega+|^2 rounds below 0
+    (["octagon", "--a", "0.999999", "--alpha-tilde", "0.7853961633914485"], 5,
+     r"teich2: numerical error: side midpoints at a=0\.999999, "
+     r"alpha_tilde=0\.7853961633914485: 1 - \|omega\|\^2 = -\S+ is not > 0\n", ""),
+    (["validate", "--tolerance", "relation_defect"], 2,
+     r"teich2: argument error: expected NAME=VALUE, got 'relation_defect'\n", ""),
 ]
 
 
@@ -266,7 +272,7 @@ class TestRepeatedRuns:
         code, out, _ = run_capture(capsys, ["orbit", "--samples", "4"])
         assert code == 0
         p_checks = [float(line.split(",")[3]) for line in out.splitlines()[1:]]
-        assert [round(p, 6) for p in p_checks[::4]] == cli._DEFAULT_ORBIT_PERIMETERS
+        assert tuple(round(p, 6) for p in p_checks[::4]) == iso._ORBIT_PERIMETERS
 
     def test_query_after_argparse_rejection_matches_cold_run(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -321,7 +327,7 @@ class TestGroupCommand:
         # at one point the closed forms give g0 a real u, a float; the payload
         # writes each u and v as a complex number all the same
         argv = ["group", "--a", "0.95", "--alpha-tilde", "-0.5", "--samples", "0"]
-        assert type(group.generators(teich2.OctagonParams(0.95, -0.5)).g[0][0]) is float
+        assert type(group.generators(teich2.OctagonParams(0.95, -0.5))[0][0]) is float
         code, out, _ = run_capture(capsys, argv)
         assert code == 0
         for g in json.loads(out)["generators"]:
@@ -471,7 +477,7 @@ class TestTilingCommand:
     )
     def test_refusals_exit_2(self, capsys, monkeypatch, point, radius, needle):
         # the radius bound is checked before any word is enumerated
-        monkeypatch.setattr(group, "_ball_words", lambda n: pytest.fail("enumerated"))
+        monkeypatch.setattr(group._TREE, "grow", lambda n: pytest.fail("enumerated"))
         code, out, err = run_capture(capsys, ["tiling", *point, "-n", radius])
         assert code == 2
         assert out == ""

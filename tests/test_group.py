@@ -14,7 +14,6 @@ from teich2.errors import NumericalError
 from teich2.group import (
     BALL_SIZES,
     LETTERS,
-    _ball_words,
     _letter_maps,
     _times,
     ball,
@@ -79,7 +78,7 @@ def _conditioning(a, at):
 
 def _letters(gens):
     """The letters a, A, b, B, ... of ball: each generator pair and its inverse."""
-    return dict(zip(LETTERS, (x for g in gens.g for x in (g, su_inverse(g)))))
+    return dict(zip(LETTERS, (x for g in gens for x in (g, su_inverse(g)))))
 
 
 @st.composite
@@ -92,12 +91,12 @@ def domain_points(draw, margin=1e-3):
 
 
 def shrinking_block_probe(geom, gens, samples, seed):
-    """(interior_samples, interior_violations) of side_pairing_check's probe
+    """(samples drawn, violations) of side_pairing_check's probe
     drawn in shrinking blocks: each pass draws as many candidates as samples
     are missing, and every sample and every image is one in_octagon call."""
     rng = np.random.default_rng(seed)
     bound = max(geom.vertices[0].real, geom.b)
-    gu, gv = (np.array(part)[:, None] for part in zip(*gens.g))
+    gu, gv = (np.array(part)[:, None] for part in zip(*gens))
     drawn = violations = 0
     while drawn < samples:
         block = rng.uniform(-bound, bound, (samples - drawn, 2)).view(complex)[:, 0]
@@ -111,10 +110,10 @@ def shrinking_block_probe(geom, gens, samples, seed):
 class TestGenerators:
     def test_regular_point_values(self):
         gens = generators(OctagonParams(A_REG, 0.0))
-        u0, v0 = gens.g[0]
+        u0, v0 = gens[0]
         assert_allclose(u0, U0_REG, rtol=1e-14)
         assert_allclose(v0, V0_REG, rtol=1e-14)
-        for u, _ in gens.g:
+        for u, _ in gens:
             assert_allclose(abs(2.0 * u.real), TRACE_REG, rtol=1e-13)
 
     def test_all_hyperbolic_in_domain(self):
@@ -123,7 +122,7 @@ class TestGenerators:
             at = rng.uniform(-0.6, 0.6)
             a = rng.uniform(1.0 / (math.sqrt(2.0) * math.cos(at)) + 0.02, 0.98)
             gens = generators(OctagonParams(a, at))
-            for u, _ in gens.g:
+            for u, _ in gens:
                 assert classify(u) == "hyperbolic"
                 assert abs(2.0 * u.real) > 2.0
 
@@ -170,19 +169,27 @@ class TestGenerators:
             uu, vv = abs(u) ** 2, abs(v) ** 2
             assert abs(uu - vv - 1.0) <= c * (uu + vv) * EPS, (params, w, u, v)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(domain_points(0.02), domain_points(1e-6)))
+    def test_generators_are_the_pairs_of_their_point(self, params):
+        # repr tells every float bit apart, -0.0 from 0.0, and float from complex
+        g = generators(params)
+        assert len(g) == 4
+        assert repr(g) == repr(generator_pairs(params.a, params.alpha_tilde))
+
     def test_rotation_conjugation_pairs(self):
         # g2, g3 are the quarter-turn conjugates of g0, g1: u fixed, v times i
         gens = generators(P0)
         for k in (0, 1):
-            assert_allclose(gens.g[k + 2][0], gens.g[k][0], rtol=1e-13)
-            assert_allclose(gens.g[k + 2][1], 1j * gens.g[k][1], rtol=1e-13)
+            assert_allclose(gens[k + 2][0], gens[k][0], rtol=1e-13)
+            assert_allclose(gens[k + 2][1], 1j * gens[k][1], rtol=1e-13)
 
     def test_letters_order_and_inverses(self):
         # the radius-1 ball holds the letters in order: g_k, then its inverse
         gens = generators(P0)
         b = ball(gens, 1)
         assert b.shortlex[1:] == tuple(LETTERS) == ("a", "A", "b", "B", "c", "C", "d", "D")
-        for k, g in enumerate(gens.g):
+        for k, g in enumerate(gens):
             assert su_gap((b.u[2 * k + 1], b.v[2 * k + 1]), g) < 1e-13
             assert su_gap(su_mul(g, (b.u[2 * k + 2], b.v[2 * k + 2])), IDENTITY) < 1e-13
 
@@ -193,14 +200,14 @@ class TestTripleConstruction:
         gens = generators(P0)
         m = half_turns(geom)
         for k in range(4):
-            assert su_gap(gens.g[k], su_mul(m[k], m[5])) < 1e-12
+            assert su_gap(gens[k], su_mul(m[k], m[5])) < 1e-12
             h = translation_pair(geom.midpoints[k])
-            assert su_gap(gens.g[k], h) < 1e-12
+            assert su_gap(gens[k], h) < 1e-12
 
 
 class TestRelation:
     def test_defect_and_sign(self):
-        defect, sign = relation_pairs(generators(P0).g)
+        defect, sign = relation_pairs(generators(P0))
         assert defect < 1e-12
         assert sign == 1
 
@@ -209,18 +216,18 @@ class TestRelation:
         for _ in range(10):
             at = rng.uniform(-0.7, 0.7)
             a = rng.uniform(1.0 / (math.sqrt(2.0) * math.cos(at)) + 0.02, 0.98)
-            defect, _ = relation_pairs(generators(OctagonParams(a, at)).g)
+            defect, _ = relation_pairs(generators(OctagonParams(a, at)))
             assert defect < 1e-9
 
 
 class TestSidePairing:
     def test_residuals_and_containment(self):
         geom = build_geometry(P0)
-        rep = side_pairing_check(geom, generators(P0), samples=300, seed=1)
-        assert rep.endpoint_residual < 1e-12
-        assert rep.midpoint_residual < 1e-12
-        assert rep.interior_samples == 300
-        assert rep.interior_violations == 0
+        endpoint, midpoint, violations = side_pairing_check(
+            geom, generators(P0), samples=300, seed=1)
+        assert endpoint < 1e-12
+        assert midpoint < 1e-12
+        assert violations == 0
 
     def test_seed_reproducible(self):
         geom = build_geometry(P0)
@@ -233,7 +240,7 @@ class TestSidePairing:
         with pytest.raises(ValueError, match="sample count must be >= 0, got -3"):
             side_pairing_check(build_geometry(P0), generators(P0), samples=-3)
 
-    # (interior_samples, interior_violations) for seeds 0..4, recorded when
+    # interior violations for seeds 0..4, recorded when
     # each candidate was drawn on its own; drawing the stream in blocks must
     # keep them.  Generators of another point make the violation counts
     # sensitive to the accepted samples.
@@ -249,8 +256,7 @@ class TestSidePairing:
         geom = build_geometry(OctagonParams(*point))
         gens = generators(OctagonParams(*gens_point))
         reps = [side_pairing_check(geom, gens, samples=samples, seed=s) for s in range(5)]
-        assert [r.interior_samples for r in reps] == [samples] * 5
-        assert [r.interior_violations for r in reps] == counts
+        assert [r[2] for r in reps] == counts
 
     @settings(max_examples=25, deadline=None)
     @given(domain_points(), domain_points(), st.booleans(), st.sampled_from([1, 37, 500]),
@@ -260,9 +266,8 @@ class TestSidePairing:
     def test_matches_shrinking_block_probe(self, point, other, paired, samples, seed):
         geom = build_geometry(point)
         gens = generators(other if paired else point)
-        rep = side_pairing_check(geom, gens, samples=samples, seed=seed)
-        assert (rep.interior_samples, rep.interior_violations) == shrinking_block_probe(
-            geom, gens, samples, seed)
+        _, _, violations = side_pairing_check(geom, gens, samples=samples, seed=seed)
+        assert (samples, violations) == shrinking_block_probe(geom, gens, samples, seed)
 
     @pytest.mark.parametrize("samples", [1, 37, 500])
     def test_shrinking_block_probe_counts_violations(self, samples):
@@ -287,8 +292,7 @@ class TestSidePairing:
 
         monkeypatch.setattr(group, "su_act", counted_act)
         monkeypatch.setattr(group, "in_octagon", counted_inside)
-        rep = side_pairing_check(geom, gens, samples=500, seed=2)
-        assert rep.interior_samples == 500
+        side_pairing_check(geom, gens, samples=500, seed=2)
         # pairing_residuals maps single points; the probe maps all samples once
         assert [shape for shape in acts if shape] == [(500,)]
         # in_octagon tests candidates only, never an image
@@ -302,10 +306,7 @@ class TestSidePairing:
             raise AssertionError("random generator built for zero samples")
 
         monkeypatch.setattr(np.random, "default_rng", refuse)
-        rep = side_pairing_check(geom, gens, samples=0)
-        assert (rep.interior_samples, rep.interior_violations) == (0, 0)
-        assert rep.endpoint_residual == full.endpoint_residual
-        assert rep.midpoint_residual == full.midpoint_residual
+        assert side_pairing_check(geom, gens, samples=0) == (*full[:2], 0)
 
 
 class TestBall:
@@ -401,7 +402,7 @@ class TestBall:
             # once eps (|u|^2 + |v|^2) passes 1/16, before |u|^2 - |v|^2 = 1 is
             # lost (near the corner a = 1, alpha_tilde = pi/4)
             word = re.search(r"element '(\w+)' is past the float64 precision limit", str(exc))
-            u_max = max(abs(u) for u, _ in gens.g)
+            u_max = max(abs(u) for u, _ in gens)
             assert (2.0 * u_max) ** (2 * len(word[1])) > group._MAX_SIZE
             return
         assert len(b) == BALL_SIZES[3]
@@ -422,7 +423,7 @@ class TestBall:
         def fail(n):
             raise AssertionError("ball enumerated past its radius bound")
 
-        monkeypatch.setattr(group, "_ball_words", fail)
+        monkeypatch.setattr(group._TREE, "grow", fail)
         with pytest.raises(ValueError, match="ball radius must be in 0..6"):
             ball(gens, len(BALL_SIZES))
 
@@ -446,26 +447,23 @@ class TestBall:
     def test_size_bound_refuses_before_the_determinant_is_lost(self):
         # sphere 4 at the first point has eps (|u|^2 + |v|^2) up to 1.08, and
         # every product's |u|^2 - |v|^2 still reads 0.6 to 1.4
-        params = PAST_PRECISION[0]
         with pytest.raises(ValueError) as info:
-            ball(generators(params), 4)
+            ball(generators(PAST_PRECISION[0]), 4)
         assert re.fullmatch(
-            rf"radius-4 ball at a={params.a!r}, alpha_tilde={params.alpha_tilde!r}: "
-            r"element '[aAbBcCdD]{4}' is past the float64 precision limit "
+            r"radius-4 ball: element '[aAbBcCdD]{4}' is past the float64 precision limit "
             r"\(\|u\|\^2\+\|v\|\^2 = \S+ is past 1/\(16 eps\)\)", str(info.value))
 
     def test_precision_limit(self):
         # which word of sphere 4 breaks first depends on the last bits of
         # numpy's complex loops, which it chooses by CPU; the message names it
-        params = PAST_PRECISION[1]
-        gens = generators(params)
+        gens = generators(PAST_PRECISION[1])
         with pytest.raises(ValueError) as info:
             ball(gens, 4)
         msg = str(info.value)
         assert re.fullmatch(
-            rf"radius-4 ball at a={params.a!r}, alpha_tilde={params.alpha_tilde!r}: "
-            r"element '[aAbBcCdD]{4}' is past the float64 precision limit \(product of "
-            r"SU\(1,1\) maps: \|u\|\^2-\|v\|\^2 = \S+ is not renormalizable to 1\)", msg)
+            r"radius-4 ball: element '[aAbBcCdD]{4}' is past the float64 precision limit "
+            r"\(product of SU\(1,1\) maps: \|u\|\^2-\|v\|\^2 = \S+ is not renormalizable "
+            r"to 1\)", msg)
         assert len(ball(gens, 3)) == BALL_SIZES[3]
 
 
@@ -499,7 +497,8 @@ class TestExactWords:
 
     @pytest.mark.parametrize("n", range(len(BALL_SIZES)))
     def test_word_counts_match_ball_sizes(self, n):
-        spheres = _ball_words(n)
+        group._TREE.grow(n)
+        spheres = group._TREE.spheres[:n]
         assert [len(p) for p, _ in spheres] == np.diff(BALL_SIZES[: n + 1]).tolist()
         # every parent index names an element of the previous sphere
         sizes = [1] + [len(p) for p, _ in spheres]
@@ -556,7 +555,8 @@ class TestWordTree:
             assert np.array_equal(p1, p2) and np.array_equal(k1, k2)
 
     def test_index_arrays_read_only(self):
-        for parent, letter in _ball_words(3):
+        group._TREE.grow(3)
+        for parent, letter in group._TREE.spheres[:3]:
             for array in (parent, letter):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 0

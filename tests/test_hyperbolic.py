@@ -171,7 +171,7 @@ class TestMobiusTransform:
         # reject it, so the canonical sign (ball's) is a plain negation, and
         # Re u of the negated pair is far from the rule's threshold 0
         gens = generators(OctagonParams(0.8832031542650554, -0.6409572070710325))
-        a, big_a, big_c = gens.g[0], su_inverse(gens.g[0]), su_inverse(gens.g[2])
+        a, big_a, big_c = gens[0], su_inverse(gens[0]), su_inverse(gens[2])
         t = su_mul(su_mul(su_mul(a, big_c), big_a), (-big_a[0], -big_a[1]))
         assert t[0].real < -1.0 and abs(t[0]) > 1e7
         assert -t[0].real > 1.0 and su_gap((-t[0], -t[1]), t) == 0.0

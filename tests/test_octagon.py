@@ -3,11 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from teich2.errors import OutOfDomainError
+from teich2.errors import NumericalError, OutOfDomainError
 from teich2.hyperbolic import dist
 from teich2.octagon import (
     ALPHA_TILDE_MAX,
@@ -185,6 +185,41 @@ class TestGeometryClosedForms:
         for x in (f.vertices, f.midpoints, f.centres):
             for k in range(8):
                 assert np.array_equal(x[(k + 2) % 8], 1j * x[k]), k
+
+
+@st.composite
+def corner_points(draw):
+    """In-domain (a, alpha_tilde) within 1e-6 of a corner a = 1, |alpha_tilde| = pi/4."""
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    at = sign * (ALPHA_TILDE_MAX - draw(st.floats(0.0, 1e-6)))
+    lo = lower_a(at)
+    a = lo + draw(st.floats(0.0, 1.0)) * (1.0 - lo)
+    assume(_domain_error(a, at, 0.0) is None)
+    return a, at
+
+
+class TestCorner:
+    # 1 - |omega|^2 rounds to 0 or below at about half of these points, and
+    # the midpoint formula p = omega/(1 + sqrt(1 - |omega|^2)) has no value there
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(corner_points(), min_size=1, max_size=6))
+    @example([(0.999999, 0.7853961633914485)])
+    def test_midpoints_in_disk_or_numerical_error(self, points):
+        a, at = (np.array(x) for x in zip(*points))
+        for args in [*points, (a, at)]:
+            try:
+                p = np.array(octagon_forms(*args).midpoints)
+            except NumericalError as exc:
+                x, y = points[exc.index] if isinstance(args[0], np.ndarray) else args
+                assert f"a={x!r}, alpha_tilde={y!r}: 1 - |omega|^2 = " in str(exc)
+                continue
+            assert np.isfinite(p).all() and (abs(p) < 1.0).all(), args
+
+    def test_array_error_names_the_first_failing_point(self):
+        points = [(A0, AT0), (0.999999, 0.7853961633914485)] * 2
+        with pytest.raises(NumericalError) as info:
+            octagon_forms(*(np.array(x) for x in zip(*points)))
+        assert info.value.index == 1
 
 
 class TestSides:
