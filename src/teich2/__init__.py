@@ -10,7 +10,7 @@ can cross-check itself; the ``validate`` CLI subcommand runs the full suite.
 from __future__ import annotations
 
 from .errors import DomainError, NumericalError, OutOfDomainError
-from .fenchel_nielsen import PantsData, pants_data
+from .fenchel_nielsen import PantsData
 from .group import GroupBall, ball, cells, generators, side_pairing_check
 from .hyperbolic import dist
 from .isoperimetric import (
@@ -55,7 +55,6 @@ __all__ = [
     "e_of_p",
     "generators",
     "in_octagon",
-    "pants_data",
     "parabola_fit",
     "run_validation",
     "side_pairing_check",

@@ -10,7 +10,8 @@ transcendental functions can differ in the last bit.  Complex products,
 quotients and moduli are the operators, CPython's on numbers and numpy's
 loops on arrays; numpy chooses its loops by CPU at run time, and they may
 fuse multiply-adds, so array results can move in the last bits between
-machines.
+machines.  A math or cmath domain error, as from a square root of a
+rounded negative number, is raised as NumericalError.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import math
 
 import numpy as np
 
+from .errors import NumericalError
+
 __all__ = [
     "sqrt", "cos", "sin", "tan", "arctan", "arccos", "arcsinh", "arccosh", "cosh",
     "exp", "log", "maximum", "minimum", "where", "first_true",
@@ -28,13 +31,16 @@ __all__ = [
 
 def _unary(real, complex_, array):
     def fn(x):
-        if type(x) is float:  # the common case of one point, tested first
+        try:
+            if type(x) is float:  # the common case of one point, tested first
+                return real(x)
+            if isinstance(x, np.ndarray):
+                return array(x)
+            if isinstance(x, complex):
+                return complex_(x)
             return real(x)
-        if isinstance(x, np.ndarray):
-            return array(x)
-        if isinstance(x, complex):
-            return complex_(x)
-        return real(x)
+        except ValueError as exc:  # math and cmath: an argument outside the domain
+            raise NumericalError(f"{fn.__name__}({x!r}): {exc}") from None
 
     fn.__name__ = array.__name__
     return fn

@@ -14,8 +14,10 @@ region or within ``--margin`` of its boundary, or an orbit or area
 perimeter below the regular value P_reg), 4 validation failure, 5 numerical
 errors (a quadrature that does not converge or overflows, an overflow or
 cancellation, a product of SU(1,1) maps that rounding broke, an orbit
-point that rounds out of the domain, or a point near the corner a = 1,
-|alpha_tilde| = pi/4 whose side midpoints round out of the disk).  With
+point that rounds out of the domain, a point near the corner a = 1,
+|alpha_tilde| = pi/4 whose side midpoints round out of the disk, or a float
+form that divides by a rounded 0, whose error line names the point, or
+meets a math domain error, at a point next to the domain's edge).  With
 ``--format json`` domain errors additionally produce a JSON error object on
 stdout.
 """
@@ -35,23 +37,24 @@ from .errors import DomainError, NumericalError
 from .fenchel_nielsen import (
     dt_residuals,
     lt_forms,
-    pants_data,
+    pants_forms,
     wolpert_forms,
     wp_coefficient_raw,
 )
-from .group import ball, cells, generators, relation_pairs, side_pairing_check
+from .group import ball, cells, generators, half_turns, relation_pairs, side_pairing_check
 from .hyperbolic import classify
 from .octagon import (
     OctagonParams,
     _domain_error,
     b_of,
     build_geometry,
+    octagon_forms,
     perimeter_ab,
     validate_params,
     vertex_angles,
     vertex_sum,
 )
-from .serialization import emit_csv, emit_json, emit_svg
+from .serialization import csv_text, json_text, svg_text
 from .validation import run_validation
 
 __all__ = ["run", "main"]
@@ -159,24 +162,33 @@ def _flatten(value: Any, prefix: str, keys: list[str], values: list[Any]) -> Non
         values.append(value)
 
 
-def _emit_payload(args: argparse.Namespace, payload: dict[str, Any]) -> None:
+def _write(path: str | None, text: str) -> None:
+    """Write text to stdout for path None or "-", else to a UTF-8 file, as is."""
+    if path is None or path == "-":
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
+def _write_payload(args: argparse.Namespace, payload: dict[str, Any]) -> None:
     if args.format == "json":
-        emit_json(args.output, payload)
-    else:
-        keys: list[str] = []
-        values: list[Any] = []
-        _flatten(payload, "", keys, values)
-        emit_csv(args.output, ("key", "value"), (keys, values))
+        _write(args.output, json_text(payload))
+        return
+    keys: list[str] = []
+    values: list[Any] = []
+    _flatten(payload, "", keys, values)
+    _write(args.output, csv_text(("key", "value"), (keys, values)))
 
 
 def _params_block(params: OctagonParams) -> dict[str, float]:
-    return {"a": params.a, "alpha": params.alpha, "alpha_tilde": params.alpha_tilde,
-            "b": params.b}
+    a, at = params.a, params.alpha_tilde
+    return {"a": a, "alpha": at + math.pi / 4, "alpha_tilde": at, "b": b_of(a, at)}
 
 
 def _octagon_payload(params: OctagonParams) -> dict[str, Any]:
     geom = build_geometry(params)
-    p_closed = perimeter_ab(params.a, params.b)
+    p_closed = perimeter_ab(params.a, geom.b)
     p_sum = vertex_sum(geom.vertices)
     ang0, ang1 = (vertex_angles(geom.vertices, geom.centres, k) for k in (0, 1))
     area = 6.0 * math.pi - 4.0 * (ang0 + ang1)
@@ -217,9 +229,9 @@ def _cmd_octagon(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
     if args.format == "svg":
         geom = build_geometry(params)
-        emit_svg(args.output, np.array([geom.vertices]), np.array([geom.midpoints]))
+        _write(args.output, svg_text(np.array([geom.vertices]), np.array([geom.midpoints])))
         return 0
-    _emit_payload(args, _octagon_payload(params))
+    _write_payload(args, _octagon_payload(params))
     return 0
 
 
@@ -245,7 +257,7 @@ def _cmd_group(args: argparse.Namespace) -> int:
             "interior_violations": violations,
         },
     }
-    _emit_payload(args, payload)
+    _write_payload(args, payload)
     return 0
 
 
@@ -256,8 +268,8 @@ def _cmd_fn(args: argparse.Namespace) -> int:
     summands, primed = wolpert_forms(a, at)
     value = sum(summands)
     payload: dict[str, Any] = {"params": _params_block(params)}
-    for label, point in (("unprimed", params), ("primed", params.conjugate())):
-        data = pants_data(point)
+    for label, (x, y) in (("unprimed", (a, at)), ("primed", (b_of(a, at), -at))):
+        data = pants_forms(x, y, half_turns(octagon_forms(x, y)))
         payload[label] = {
             "lengths": list(data.lengths),
             "twists": list(data.twists),
@@ -274,7 +286,7 @@ def _cmd_fn(args: argparse.Namespace) -> int:
         "fd_relative_error": abs(value - coeff) / coeff,
         "fd_primed_value": sum(primed),
     }
-    _emit_payload(args, payload)
+    _write_payload(args, payload)
     return 0
 
 
@@ -283,33 +295,33 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
     for p_target in args.perimeters or iso._ORBIT_PERIMETERS:
         e = iso.e_of_p(p_target)
         phi = iso._phases(args.samples)
-        orbits.append((p_target, e, phi, *iso.orbit_forms(e, phi)))
-    tables = []
-    for _, _, phi, a, at in orbits:
+        a, at = iso.orbit_forms(e, phi)
         found = _domain_error(a, at, 0.0)
         if found is not None:  # exact orbit points of P > P_reg lie inside the domain
             k, exc = found
             raise NumericalError(
                 f"orbit point at phi = {float(phi[k])!r} rounds out of the domain: {exc}"
             )
-        tables.append((phi, a, at, perimeter_ab(a, b_of(a, at))))
+        orbits.append((p_target, e, (phi, a, at, perimeter_ab(a, b_of(a, at)))))
     if args.format == "json":
         keys = ("phi", "a", "alpha_tilde", "p_check")
-        emit_json(args.output, {"orbits": [
+        _write(args.output, json_text({"orbits": [
             {"p_target": p_target, "e": e,
              "samples": [dict(zip(keys, row)) for row in zip(*(c.tolist() for c in table))]}
-            for (p_target, e, *_), table in zip(orbits, tables)
-        ]})
+            for p_target, e, table in orbits
+        ]}))
         return 0
-    emit_csv(args.output, ("phi", "a", "alpha_tilde", "P_check"),
-             [np.concatenate(column) for column in zip(*tables)])
+    _write(args.output, csv_text(
+        ("phi", "a", "alpha_tilde", "P_check"),
+        [np.concatenate(column) for column in zip(*(table for _, _, table in orbits))],
+    ))
     return 0
 
 
 def _cmd_area(args: argparse.Namespace) -> int:
     fit = iso.parabola_fit(args.p_min, args.p_max, args.step)
     if args.format == "json":
-        emit_json(args.output, {
+        _write(args.output, json_text({
             "fit": {"c1": fit.c1, "c2": fit.c2,
                     "residual_norm": fit.residual_norm},
             "p_reg": iso.P_REG,
@@ -317,9 +329,9 @@ def _cmd_area(args: argparse.Namespace) -> int:
                 {"P": p, "area": area}
                 for p, area in zip(fit.p_values, fit.areas)
             ],
-        })
+        }))
         return 0
-    emit_csv(args.output, ("P", "area"), (fit.p_values, fit.areas))
+    _write(args.output, csv_text(("P", "area"), (fit.p_values, fit.areas)))
     print(
         f"fit: c1={fit.c1:.6g} c2={fit.c2:.6g} residual={fit.residual_norm:.3g}",
         file=sys.stderr,
@@ -334,9 +346,9 @@ def _cmd_tiling(args: argparse.Namespace) -> int:
     if args.format == "svg" or args.vertices is not None:
         vertices, midpoints = cells(b, build_geometry(params))
     if args.format == "svg":
-        emit_svg(args.output, vertices, midpoints)
+        _write(args.output, svg_text(vertices, midpoints))
     elif args.format == "json":
-        emit_json(args.output, {
+        _write(args.output, json_text({
             "radius": args.radius,
             "count": len(b),
             "relation_sign": relation_pairs(g)[1],
@@ -344,16 +356,16 @@ def _cmd_tiling(args: argparse.Namespace) -> int:
                 {"word": word, "u": u, "v": v}
                 for word, u, v in zip(b.shortlex, b.u.tolist(), b.v.tolist())
             ],
-        })
+        }))
     else:
-        emit_csv(args.output, ("word", "u_re", "u_im", "v_re", "v_im"),
-                 (b.shortlex, b.u.real, b.u.imag, b.v.real, b.v.imag))
+        _write(args.output, csv_text(("word", "u_re", "u_im", "v_re", "v_im"),
+                                     (b.shortlex, b.u.real, b.u.imag, b.v.real, b.v.imag)))
     if args.vertices is not None:
         n, k = vertices.shape
-        emit_csv(args.vertices, ("word", "k", "x", "y"), (
+        _write(args.vertices, csv_text(("word", "k", "x", "y"), (
             [word for word in b.shortlex for _ in range(k)], [str(j) for j in range(k)] * n,
             vertices.real.ravel(), vertices.imag.ravel(),
-        ))
+        )))
     return 0
 
 
@@ -374,7 +386,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         n_a=args.grid[0], n_alpha=args.grid[1], margin=args.margin,
         seed=args.seed, tolerances=tols,
     )
-    emit_json(args.output, report)
+    _write(args.output, json_text(report))
     for check in report["checks"]:
         status = "ok  " if check["passed"] else "FAIL"
         print(
@@ -409,7 +421,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except DomainError as exc:
         print(f"teich2: domain error: {exc}", file=sys.stderr)
         if getattr(args, "format", None) == "json":
-            emit_json(None, {"error": {"type": type(exc).__name__, "message": str(exc)}})
+            _write(None, json_text({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 3
     except (ValueError, MemoryError) as exc:  # MemoryError: a size numpy cannot allocate
         print(f"teich2: argument error: {exc}", file=sys.stderr)
@@ -419,6 +431,12 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 1
     except NumericalError as exc:
         print(f"teich2: numerical error: {exc}", file=sys.stderr)
+        return 5
+    except ZeroDivisionError as exc:  # a float form divided by a rounded 0 at an edge point
+        point = "".join(f" --{dest.replace('_', '-')} {getattr(args, dest)!r}"
+                        for dest in ("a", "alpha", "alpha_tilde")
+                        if getattr(args, dest, None) is not None)
+        print(f"teich2: numerical error: {exc}{' at' if point else ''}{point}", file=sys.stderr)
         return 5
 
 

@@ -23,8 +23,10 @@ parameter points, and takes floats as well: ``pants_forms`` gives lengths,
 twists and traces (from the caller's ``group.half_turns`` of the octagon),
 ``d_closed_forms`` the closed-form d_k, ``lt_forms`` the L/T relations,
 ``wp_coefficient_raw`` the closed-form WP coefficient and ``wolpert_forms``
-Wolpert's summands.  ``pants_data`` takes one ``OctagonParams`` and builds
-the half turns that ``pants_forms`` needs from its octagon.
+Wolpert's summands.  One decomposition at one point is
+``pants_forms(a, at, half_turns(octagon_forms(a, at)))``, and the primed one
+is the same call at ``(b_of(a, at), -at)``, unchecked: where b rounds to 1
+or past it, the forms divide by 0 or take the square root of a negative.
 """
 
 from __future__ import annotations
@@ -34,9 +36,8 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from . import _elementwise as ew
-from .group import half_turns
 from .hyperbolic import su_mul
-from .octagon import OctagonParams, b_of, build_geometry
+from .octagon import b_of
 
 __all__ = [
     "PantsData",
@@ -44,7 +45,6 @@ __all__ = [
     "trace_forms",
     "d_closed_forms",
     "pants_forms",
-    "pants_data",
     "dt_residuals",
     "lt_forms",
     "wp_coefficient_raw",
@@ -119,14 +119,6 @@ def pants_forms(a, alpha_tilde, m) -> PantsData:
     c, d = trace_forms(m)
     p_aux = c[0] ** 2 + c[1] ** 2 + c[2] ** 2 + 2.0 * c[0] * c[1] * c[2] - 1.0
     return PantsData((l1, l1, l3), (tau1, tau1, tau3), c, d, p_aux)
-
-
-def pants_data(params: OctagonParams) -> PantsData:
-    """pants_forms at one point.
-
-    The primed decomposition is ``pants_data(params.conjugate())``.
-    """
-    return pants_forms(params.a, params.alpha_tilde, half_turns(build_geometry(params)))
 
 
 def _rel(x, ref):

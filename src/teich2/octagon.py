@@ -10,9 +10,12 @@ alternating radii R+-.  Admissible region:
 Gluing opposite sides yields a genus-2 surface of hyperbolic area 4 pi.
 
 The closed forms are written once, elementwise over arrays of parameters
-or at one float point: ``octagon_forms`` and the perimeter ``perimeter_ab``
-(symmetric in a and b).  ``build_geometry`` is the record of
-``octagon_forms`` at one ``OctagonParams``.
+or at one float point: ``octagon_forms``, ``b_of`` and the perimeter
+``perimeter_ab`` (symmetric in a and b).  ``OctagonParams`` is the checked
+pair (a, alpha_tilde); the involution (a, at) -> (b_of(a, at), -at) swaps
+the vertex moduli.  ``build_geometry`` is ``octagon_forms`` at one
+``OctagonParams``.  Next to the boundary a float form can divide by a
+rounded 0, as ``perimeter_ab`` does where b rounds to 1.
 """
 
 from __future__ import annotations
@@ -105,18 +108,6 @@ class OctagonParams:
     def __post_init__(self):
         _check_domain(self.a, self.alpha_tilde, 0.0)
 
-    @property
-    def alpha(self) -> float:
-        return self.alpha_tilde + math.pi / 4
-
-    @property
-    def b(self) -> float:
-        return float(b_of(self.a, self.alpha_tilde))
-
-    def conjugate(self) -> "OctagonParams":
-        """The involution image (b, -alpha_tilde); applying it twice returns (a, alpha_tilde)."""
-        return OctagonParams(self.b, -self.alpha_tilde)
-
 
 def validate_params(a: float, alpha_tilde: float, margin: float = 0.0) -> OctagonParams:
     """Parameters that keep at least ``margin`` from every domain boundary.
@@ -174,13 +165,24 @@ class OctagonForms(NamedTuple):
     centres: np.ndarray
 
 
+def _require_positive(x, what: str, name: str, a, at) -> None:
+    """Raise NumericalError at the first element of x (shaped as a, at) not > 0."""
+    k = ew.first_true(ew.where(x > 0.0, False, True))
+    if k is not None:
+        shape = np.shape(x)
+        raise NumericalError(
+            f"{what} at a={_item(a, shape, k)!r}, alpha_tilde={_item(at, shape, k)!r}: "
+            f"{name} = {_item(x, shape, k)!r} is not > 0", k)
+
+
 def octagon_forms(a, alpha_tilde) -> OctagonForms:
     """Sides, angles, vertices and midpoints, elementwise over parameter arrays.
 
     The parameters are taken as given: callers keep them in the domain.
-    Raises NumericalError, with the index and the point, where 1 - |omega|^2
-    of a side midpoint rounds to 0 or below, as it can at points within
-    about 2.4e-6 of the boundary near the corner a = 1, |alpha_tilde| = pi/4.
+    Raises NumericalError, with the index and the point, where 2a^2 cos^2(at)
+    - 1 rounds to 0 or below, a few ulps above the lower bound of a, or where
+    1 - |omega|^2 of a side midpoint does, as it can within about 2.4e-6 of
+    the boundary near the corner a = 1, |alpha_tilde| = pi/4.
     """
     at = alpha_tilde
     b = b_of(a, at)
@@ -195,20 +197,17 @@ def octagon_forms(a, alpha_tilde) -> OctagonForms:
     r_minus = ew.sqrt(t_minus**2 + (1.0 - a2) ** 2) / (2.0 * a)
     phi_plus = ew.arctan(t_plus / (1.0 + a2))
     phi_minus = ew.arctan((1.0 + a2) / t_minus)
-    beta = ew.arctan((1.0 - a2) * 2.0 * a2 * cos2 / (2.0 * a2 * cos2 - 1.0))
+    q = 2.0 * a2 * cos2 - 1.0
+    _require_positive(q, "beta", "2a^2 cos^2(alpha_tilde) - 1", a, at)
+    beta = ew.arctan((1.0 - a2) * 2.0 * a2 * cos2 / q)
 
     den = 1.0 - a2 * b2
     w = b * ew.exp(1j * (at + math.pi / 4))  # the vertex b e^{i alpha}
     omega_plus = (w * (1.0 - a2) + a * (1.0 - b2)) / den
     omega_minus = (w * (1.0 - a2) + 1j * a * (1.0 - b2)) / den
     gap_plus, gap_minus = 1.0 - abs(omega_plus) ** 2, 1.0 - abs(omega_minus) ** 2
-    gap = ew.minimum(gap_plus, gap_minus)  # NaN wins, and is not > 0
-    k = ew.first_true(ew.where(gap > 0.0, False, True))
-    if k is not None:
-        shape = np.shape(gap)
-        raise NumericalError(
-            f"side midpoints at a={_item(a, shape, k)!r}, alpha_tilde={_item(at, shape, k)!r}: "
-            f"1 - |omega|^2 = {_item(gap, shape, k)!r} is not > 0", k)
+    # NaN wins the minimum, and is not > 0
+    _require_positive(ew.minimum(gap_plus, gap_minus), "side midpoints", "1 - |omega|^2", a, at)
     p_plus = omega_plus / (1.0 + ew.sqrt(gap_plus))
     p_minus = omega_minus / (1.0 + ew.sqrt(gap_minus))
     c_plus, c_minus = arc_center(r_plus, phi_plus), arc_center(r_minus, phi_minus)

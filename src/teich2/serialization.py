@@ -1,4 +1,7 @@
-"""CSV, JSON and SVG emitters with fixed, byte-reproducible formatting.
+"""CSV, JSON and SVG text with fixed, byte-reproducible formatting.
+
+The three formats are ``csv_text``, ``json_text`` and ``svg_text``; each
+returns a str, and the CLI writes it to stdout or to a file.
 
 CSV writes floats as %.17g (``format_float``): 17 significant digits,
 enough to round-trip a double, with trailing zeros stripped (0.5, not
@@ -31,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Any, Sequence
 
@@ -45,9 +47,6 @@ __all__ = [
     "csv_text",
     "json_text",
     "svg_text",
-    "emit_csv",
-    "emit_json",
-    "emit_svg",
 ]
 
 SCHEMA = "teich2/v1"
@@ -528,22 +527,3 @@ def svg_text(vertices, midpoints) -> str:
     )
     return head + "".join(paths) + "</svg>\n"
 
-
-def _write(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
-def emit_csv(path: str | None, header: Sequence[str], columns: Sequence[Any]) -> None:
-    _write(path, csv_text(header, columns))
-
-
-def emit_json(path: str | None, payload: dict[str, Any]) -> None:
-    _write(path, json_text(payload))
-
-
-def emit_svg(path: str | None, vertices, midpoints) -> None:
-    _write(path, svg_text(vertices, midpoints))

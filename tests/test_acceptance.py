@@ -11,11 +11,11 @@ import time
 import numpy as np
 from conftest import record
 
-from teich2.fenchel_nielsen import pants_data
-from teich2.group import BALL_SIZES, ball, generators, relation_pairs
+from teich2.fenchel_nielsen import pants_forms
+from teich2.group import BALL_SIZES, ball, generators, half_turns, relation_pairs
 from teich2.hyperbolic import su_gap
 from teich2.isoperimetric import A_REG, E_REG, P_REG, e_of_p, parabola_fit
-from teich2.octagon import OctagonParams, perimeter_ab
+from teich2.octagon import OctagonParams, b_of, octagon_forms, perimeter_ab
 from teich2.validation import CHECKS, point_block
 
 C1_COEFF = 0.05622
@@ -34,13 +34,14 @@ def test_criterion_01_regular_constants():
     reg = OctagonParams(A_REG, 0.0)
     residuals = {
         "P": abs(P_REG - 24.45713),
-        "P_closed": abs(perimeter_ab(reg.a, reg.b) - P_REG),
+        "P_closed": abs(perimeter_ab(reg.a, b_of(reg.a, reg.alpha_tilde)) - P_REG),
         "E": abs(E_REG - (12.0 + 8.0 * math.sqrt(2.0))),
         # E = 4a^2/((1-a^2)(2a^2-1)) on the locus alpha_tilde = 0
         "E_of_a": abs(4.0 * A_REG**2 / ((1.0 - A_REG**2) * (2.0 * A_REG**2 - 1.0)) - E_REG),
         "E_of_P": abs(e_of_p(P_REG) - E_REG),
         "a": abs(A_REG - 2.0 ** -0.25),
-        "tau1": abs(pants_data(reg).twists[0]),
+        "tau1": abs(pants_forms(reg.a, reg.alpha_tilde,
+                                half_turns(octagon_forms(reg.a, reg.alpha_tilde))).twists[0]),
     }
     elapsed = time.perf_counter() - t0
     ok = (

@@ -5,12 +5,15 @@ import re
 
 import pytest
 from conftest import run_fresh
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import teich2
 from teich2 import cli, group
 from teich2 import isoperimetric as iso
 from teich2.cli import run
 from teich2.group import BALL_SIZES
+from teich2.octagon import _domain_error, lower_a
 from teich2.validation import DEFAULT_TOLERANCES
 
 A_ARGS = ["--a", "0.8", "--alpha-tilde", str(math.pi / 12)]
@@ -165,6 +168,19 @@ EXIT_CODES = [
      r"alpha_tilde=0\.7853961633914485: 1 - \|omega\|\^2 = -\S+ is not > 0\n", ""),
     (["validate", "--tolerance", "relation_defect"], 2,
      r"teich2: argument error: expected NAME=VALUE, got 'relation_defect'\n", ""),
+    # one ulp above the lower bound of a, 2a^2 cos^2(at) - 1 rounds to 0
+    (["octagon", "--a", "0.8567505974692862", "--alpha-tilde", "0.6"], 5,
+     r"teich2: numerical error: float division by zero "
+     r"at --a 0\.8567505974692862 --alpha-tilde 0\.6\n", ""),
+    (["tiling", "--a", "0.7214885163659666", "--alpha-tilde", "-0.2", "-n", "1"], 5,
+     r"teich2: numerical error: sqrt\(-\S+\): math domain error\n", ""),
+    # there the conjugate point's b rounds to 1
+    (["fn", "--a", "0.7214885163659666", "--alpha-tilde", "-0.2"], 5,
+     r"teich2: numerical error: [^\n]+\n", ""),
+    # 2a/(1 + a^2) rounds to 1, and the half turn about it divides by 0
+    (["fn", "--a", "0.999999999", "--alpha", str(math.pi / 4)], 5,
+     r"teich2: numerical error: complex division by zero "
+     r"at --a 0\.999999999 --alpha 0\.7853981633974483\n", ""),
 ]
 
 
@@ -251,6 +267,42 @@ class TestErrorHandling:
         assert proc.returncode == 5
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("teich2: numerical error:")
+
+
+def _edge_a(at, edge):
+    """a one or two ulps above its lower bound, one ulp below 1, or at 1 - 1e-9."""
+    up = math.nextafter(lower_a(at), 1.0)
+    return {"lower+1": up, "lower+2": math.nextafter(up, 1.0),
+            "upper-1": math.nextafter(1.0, 0.0), "upper-1e-9": 1.0 - 1e-9}[edge]
+
+
+EDGE_COMMANDS = (("octagon",), ("group",), ("fn",),
+                 ("tiling", "-n", "2", "--format", "csv"),
+                 ("tiling", "-n", "2", "--format", "svg"))
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.floats(-math.pi / 4, math.pi / 4), st.sampled_from(("lower+1", "lower+2",
+       "upper-1", "upper-1e-9")), st.sampled_from(EDGE_COMMANDS))
+@example(0.6, "lower+1", ("octagon",))
+@example(-0.2, "lower+1", ("fn",))
+@example(0.0, "upper-1e-9", ("fn",))
+def test_edge_points_print_numbers_or_a_typed_error(capsys, at, edge, command):
+    # at in-domain points next to the boundary the float forms can divide by
+    # a rounded 0 or meet a math domain error: exit 5, never a traceback
+    a = _edge_a(at, edge)
+    if _domain_error(a, at, 0.0) is not None:
+        return
+    code, out, err = run_capture(capsys, [*command, "--a", repr(a), f"--alpha-tilde={at!r}"])
+    if code == 0:
+        assert err == ""
+        return
+    assert out == "" and len(err.splitlines()) == 1, err
+    if code == 2:  # the ball's documented refusal past float64 precision
+        assert command[0] == "tiling" and "past the float64 precision limit" in err, err
+    else:
+        assert code == 5 and err.startswith("teich2: numerical error: "), err
 
 
 class TestRepeatedRuns:

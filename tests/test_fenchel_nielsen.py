@@ -9,14 +9,14 @@ from teich2.fenchel_nielsen import (
     d_closed_forms,
     dt_residuals,
     lt_forms,
-    pants_data,
+    pants_forms,
     trace_forms,
     wolpert_forms,
     wp_coefficient_raw,
 )
 from teich2.group import half_turns
 from teich2.hyperbolic import dist
-from teich2.octagon import OctagonParams, build_geometry, lower_a
+from teich2.octagon import OctagonParams, b_of, build_geometry, lower_a, octagon_forms
 
 A_REG = 2.0 ** -0.25
 P0 = OctagonParams(0.8, math.pi / 12)
@@ -33,6 +33,16 @@ WP_0 = 91.517142985189263
 WP_REG = 55.449656048184171
 
 
+def pants(a, at):
+    """The decomposition at (a, alpha_tilde), from the half turns of its octagon."""
+    return pants_forms(a, at, half_turns(octagon_forms(a, at)))
+
+
+def conjugate(a, at):
+    """The involution image (b, -alpha_tilde) of (a, alpha_tilde)."""
+    return b_of(a, at), -at
+
+
 def random_params(rng, n, margin=0.02):
     out = []
     while len(out) < n:
@@ -45,14 +55,14 @@ def random_params(rng, n, margin=0.02):
 
 class TestLengths:
     def test_reference_values(self):
-        l1, l2, l3 = pants_data(P0).lengths
+        l1, l2, l3 = pants(P0.a, P0.alpha_tilde).lengths
         assert l1 == l2
         assert_allclose(l1, L1_0, rtol=1e-14)
         assert_allclose(l3, L3_0, rtol=1e-14)
         assert_allclose(l3, 4.0 * math.log(3.0), rtol=1e-14)
 
     def test_regular_length_is_perimeter_over_eight(self):
-        l1 = pants_data(OctagonParams(A_REG, 0.0)).lengths[0]
+        l1 = pants(A_REG, 0.0).lengths[0]
         assert_allclose(l1, L1_REG, rtol=1e-14)
         assert_allclose(l1, 2.0 * math.acosh(1.0 + math.sqrt(2.0)), rtol=1e-14)
 
@@ -60,28 +70,28 @@ class TestLengths:
         rng = np.random.default_rng(42)
         for p in random_params(rng, 12):
             geom = build_geometry(p)
-            l1, _, l3 = pants_data(p).lengths
+            l1, _, l3 = pants(p.a, p.alpha_tilde).lengths
             assert_allclose(l1, 2.0 * dist(geom.midpoints[0], geom.midpoints[1]), rtol=1e-11)
             assert_allclose(l3, 2.0 * dist(0.0, p.a), rtol=1e-13)
 
 
 class TestTwists:
     def test_reference_value_and_tau3(self):
-        data = pants_data(P0)
+        data = pants(P0.a, P0.alpha_tilde)
         t1, t2, t3 = data.twists
         assert t1 == t2
         assert_allclose(t1, TAU1_0, rtol=1e-13)
         assert_allclose(t3, 0.5 * data.lengths[2], rtol=1e-15)
 
     def test_sign_follows_alpha_tilde(self):
-        plus = pants_data(OctagonParams(0.8, 0.2)).twists[0]
-        minus = pants_data(OctagonParams(0.8, -0.2)).twists[0]
+        plus = pants(0.8, 0.2).twists[0]
+        minus = pants(0.8, -0.2).twists[0]
         assert plus > 0.0
         assert_allclose(minus, -plus, rtol=1e-15)
 
     def test_zero_on_symmetric_locus(self):
-        assert pants_data(OctagonParams(0.9, 0.0)).twists[0] == 0.0
-        assert pants_data(OctagonParams(A_REG, 0.0)).twists[0] == 0.0
+        assert pants(0.9, 0.0).twists[0] == 0.0
+        assert pants(A_REG, 0.0).twists[0] == 0.0
 
 
 class TestTraceParams:
@@ -95,7 +105,7 @@ class TestTraceParams:
     def test_c_equals_cosh_half_length(self):
         rng = np.random.default_rng(1)
         for p in random_params(rng, 10):
-            data = pants_data(p)
+            data = pants(p.a, p.alpha_tilde)
             for k in range(3):
                 assert abs(data.c[k] - math.cosh(0.5 * data.lengths[k])) < 1e-9
 
@@ -116,12 +126,11 @@ class TestPantsData:
     def test_dt_identity(self):
         rng = np.random.default_rng(3)
         for p in random_params(rng, 10):
-            res = dt_residuals(pants_data(p))
+            res = dt_residuals(pants(p.a, p.alpha_tilde))
             assert max(abs(r) for r in res) < 1e-9
 
     def test_primed_is_conjugate_evaluation(self):
-        conj = P0.conjugate()
-        data_p = pants_data(conj)
+        data_p = pants(*conjugate(P0.a, P0.alpha_tilde))
         assert_allclose(data_p.lengths[0], L1_PRIMED, rtol=1e-13)
 
     def test_primed_twists_flip_sign(self):
@@ -129,13 +138,13 @@ class TestPantsData:
         for p in random_params(rng, 10):
             if p.alpha_tilde == 0.0:
                 continue
-            t = pants_data(p).twists[0]
-            tp = pants_data(p.conjugate()).twists[0]
+            t = pants(p.a, p.alpha_tilde).twists[0]
+            tp = pants(*conjugate(p.a, p.alpha_tilde)).twists[0]
             assert t * tp < 0.0
 
     def test_primed_involution(self):
-        base = pants_data(P0)
-        again = pants_data(P0.conjugate().conjugate())
+        base = pants(P0.a, P0.alpha_tilde)
+        again = pants(*conjugate(*conjugate(P0.a, P0.alpha_tilde)))
         assert_allclose(again.lengths, base.lengths, rtol=1e-12)
         assert_allclose(again.twists, base.twists, rtol=1e-12)
 
@@ -143,7 +152,7 @@ class TestPantsData:
         rng = np.random.default_rng(5)
         for p in random_params(rng, 8):
             geom = build_geometry(p)
-            lp = pants_data(p.conjugate()).lengths[0]
+            lp = pants(*conjugate(p.a, p.alpha_tilde)).lengths[0]
             assert_allclose(
                 lp, 2.0 * dist(1j * geom.midpoints[0], geom.midpoints[1]),
                 rtol=1e-10,
@@ -236,7 +245,7 @@ def test_closed_forms_match_mpmath():
             coeff = 8 * A / ((1 - A * A) * q)
             kappa = float(1 / q)
             kappa_primed = max(kappa, float(A * A / (1 - A * A)))
-            # the closed forms alone: pants_data also takes the half-turn
+            # the closed forms alone: pants_forms also takes the half-turn
             # traces, which raise NumericalError near the corner
             got_l1, got_l3, got_tau1, got_tau3 = _fn_forms(a, at)
             summands, summands_primed = wolpert_forms(a, at)

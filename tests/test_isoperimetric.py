@@ -227,7 +227,7 @@ class TestOrbit:
         a, at = orbit_forms(e_of_p(200.0), 0.0)
         assert at == 0.0
         p = OctagonParams(a, at)
-        assert abs(perimeter_ab(p.a, p.b) - 200.0) / 200.0 < 1e-8
+        assert abs(perimeter_ab(p.a, b_of(p.a, p.alpha_tilde)) - 200.0) / 200.0 < 1e-8
 
     def test_perimeter_constant_along_orbit(self):
         for p_target in (25.0, 41.0):
@@ -235,7 +235,7 @@ class TestOrbit:
             a, at = orbit_forms(e, iso._phases(64))
             for x, y in zip(a.tolist(), at.tolist()):
                 p = OctagonParams(x, y)
-                dev = abs(perimeter_ab(p.a, p.b) - p_target) / p_target
+                dev = abs(perimeter_ab(p.a, b_of(p.a, p.alpha_tilde)) - p_target) / p_target
                 assert dev < 1e-10
 
     def test_mirror_symmetry(self):

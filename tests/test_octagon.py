@@ -129,15 +129,16 @@ class TestParams:
     def test_margin_checks_only_the_given_point(self):
         # (0.95, 0) keeps 0.04 from the boundary; its conjugate (0.744.., 0) does not
         p = validate_params(0.95, 0.0, 0.04)
-        assert p.conjugate().a < 1.0 / math.sqrt(2.0) + 0.04
+        assert b_of(p.a, p.alpha_tilde) < 1.0 / math.sqrt(2.0) + 0.04
 
     def test_b_value_and_involution(self):
         p = OctagonParams(A0, AT0)
-        assert_allclose(p.b, B0, rtol=1e-14)
-        q = p.conjugate()
+        b = b_of(p.a, p.alpha_tilde)
+        assert_allclose(b, B0, rtol=1e-14)
+        q = OctagonParams(b, -p.alpha_tilde)  # the image lies in the domain
         assert_allclose(q.a, B0, rtol=1e-14)
         assert_allclose(q.alpha_tilde, -AT0, rtol=1e-15)
-        assert_allclose(q.conjugate().a, A0, rtol=1e-13)
+        assert_allclose(b_of(q.a, q.alpha_tilde), A0, rtol=1e-13)
 
     def test_b_of_array(self):
         a = np.array([0.8, 0.85])
@@ -200,10 +201,12 @@ def corner_points(draw):
 
 class TestCorner:
     # 1 - |omega|^2 rounds to 0 or below at about half of these points, and
-    # the midpoint formula p = omega/(1 + sqrt(1 - |omega|^2)) has no value there
+    # the midpoint formula p = omega/(1 + sqrt(1 - |omega|^2)) has no value
+    # there; next to the lower bound of a, 2a^2 cos^2(at) - 1 of beta can too
     @settings(max_examples=60, deadline=None)
     @given(st.lists(corner_points(), min_size=1, max_size=6))
     @example([(0.999999, 0.7853961633914485)])
+    @example([(0.999999999999999, 0.7853981633974473)])  # 2a^2 cos^2(at) - 1 = 0
     def test_midpoints_in_disk_or_numerical_error(self, points):
         a, at = (np.array(x) for x in zip(*points))
         for args in [*points, (a, at)]:
@@ -211,7 +214,8 @@ class TestCorner:
                 p = np.array(octagon_forms(*args).midpoints)
             except NumericalError as exc:
                 x, y = points[exc.index] if isinstance(args[0], np.ndarray) else args
-                assert f"a={x!r}, alpha_tilde={y!r}: 1 - |omega|^2 = " in str(exc)
+                assert any(f"a={x!r}, alpha_tilde={y!r}: {name} = " in str(exc)
+                           for name in ("1 - |omega|^2", "2a^2 cos^2(alpha_tilde) - 1"))
                 continue
             assert np.isfinite(p).all() and (abs(p) < 1.0).all(), args
 
@@ -256,14 +260,15 @@ class TestPerimeter:
     def test_reference_value(self):
         p = OctagonParams(A0, AT0)
         # one point is evaluated by math, as a Python float
-        assert type(perimeter_ab(p.a, p.b)) is float
-        assert_allclose(perimeter_ab(p.a, p.b), PERIMETER0, rtol=1e-14)
+        perimeter = perimeter_ab(p.a, b_of(p.a, p.alpha_tilde))
+        assert type(perimeter) is float
+        assert_allclose(perimeter, PERIMETER0, rtol=1e-14)
 
     def test_closed_form_equals_vertex_sum(self):
         rng = np.random.default_rng(42)
         for p in random_params(rng, 25):
             geom = build_geometry(p)
-            assert_allclose(perimeter_ab(p.a, p.b), vertex_sum(geom.vertices), rtol=1e-10)
+            assert_allclose(perimeter_ab(p.a, geom.b), vertex_sum(geom.vertices), rtol=1e-10)
 
     def test_perimeter_ab_array(self):
         vals = perimeter_ab(np.array([A0, A0]), np.array([B0, B0]))
@@ -272,8 +277,9 @@ class TestPerimeter:
     def test_involution_preserves_perimeter(self):
         rng = np.random.default_rng(9)
         for p in random_params(rng, 15):
-            q = p.conjugate()
-            assert_allclose(perimeter_ab(p.a, p.b), perimeter_ab(q.a, q.b), rtol=1e-12)
+            b = b_of(p.a, p.alpha_tilde)
+            assert_allclose(perimeter_ab(p.a, b), perimeter_ab(b, b_of(b, -p.alpha_tilde)),
+                            rtol=1e-12)
 
 
 class TestAngles:

@@ -10,14 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from teich2 import serialization
+from teich2 import cli, serialization
 from teich2.group import BALL_SIZES, ball, cells, generators
 from teich2.octagon import OctagonParams, build_geometry, grid_arrays
 from teich2.serialization import (
     SCHEMA,
     csv_text,
-    emit_csv,
-    emit_json,
     format_float,
     json_text,
     svg_text,
@@ -58,7 +56,7 @@ class TestCSV:
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "out.csv"
-        emit_csv(str(path), ["x", "y"], [[0.1, 0.3], [0.2, 0.4]])
+        cli._write(str(path), csv_text(["x", "y"], [[0.1, 0.3], [0.2, 0.4]]))
         raw = path.read_bytes()
         assert b"\r" not in raw
         lines = raw.decode().splitlines()
@@ -174,7 +172,7 @@ class TestJSON:
 
     def test_file_write(self, tmp_path):
         path = tmp_path / "out.json"
-        emit_json(str(path), {"a": 1})
+        cli._write(str(path), json_text({"a": 1}))
         assert json.loads(path.read_text())["a"] == 1
 
 

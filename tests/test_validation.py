@@ -64,8 +64,8 @@ def test_shared_block_moves_no_residual(n_a, n_alpha, margin):
 
 def test_one_block_evaluates_its_octagon_and_half_turns_once(monkeypatch):
     # every teich2 module that binds the name calls through the counter, as
-    # perfbench's tracer patches it, so calls by way of build_geometry or
-    # pants_data count too
+    # perfbench's tracer patches it, so calls by way of build_geometry or the
+    # CLI count too
     calls = {}
     for fn in (octagon.octagon_forms, group.half_turns):
         log = calls[fn.__name__] = []
