@@ -11,7 +11,8 @@ quotients and moduli are the operators, CPython's on numbers and numpy's
 loops on arrays; numpy chooses its loops by CPU at run time, and they may
 fuse multiply-adds, so array results can move in the last bits between
 machines.  A math or cmath domain error, as from a square root of a
-rounded negative number, is raised as NumericalError.
+rounded negative number, is raised as NumericalError.  A form's error says
+what broke and, over arrays, its flat ``index``; the caller names the point.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import NumericalError
 
 __all__ = [
     "sqrt", "cos", "sin", "tan", "arctan", "arccos", "arcsinh", "arccosh", "cosh",
-    "exp", "log", "maximum", "minimum", "where", "first_true",
+    "exp", "log", "maximum", "minimum", "where", "first_true", "require_positive",
 ]
 
 
@@ -86,3 +87,11 @@ def first_true(mask) -> int | None:
         return int(np.argmax(mask)) if mask.any() else None
     return 0 if mask else None
 
+
+def require_positive(x, name: str):
+    """x, or NumericalError naming ``name`` and the value at the first element
+    (C order) that is not > 0, NaN included, with that element's index."""
+    k = first_true(where(x > 0.0, False, True))
+    if k is not None:
+        raise NumericalError(f"{name} = {np.ravel(x)[k].item()!r} is not > 0", k)
+    return x

@@ -171,7 +171,8 @@ def half_turn_pair(omega):
     """(u, v) of M(omega) = i/sqrt(1-|omega|^2) [[1, -omega], [conj(omega), -1]]; array-safe.
 
     M(omega) is the trace-zero half turn about the disk point
-    omega / (1 + sqrt(1 - |omega|^2)), so M(omega)^2 = -identity.
+    omega / (1 + sqrt(1 - |omega|^2)), so M(omega)^2 = -identity.  NumericalError
+    where 1 - |omega|^2 rounds to 0 or below, as for omega = 2a/(1 + a^2) near a = 1.
     """
-    scale = 1j / ew.sqrt(1.0 - abs(omega) ** 2)
+    scale = 1j / ew.sqrt(ew.require_positive(1.0 - abs(omega) ** 2, "half turn: 1 - |omega|^2"))
     return scale, -scale * omega

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _elementwise as ew
-from .errors import NumericalError, OutOfDomainError
+from .errors import OutOfDomainError
 from .hyperbolic import arc_center, dist
 
 __all__ = [
@@ -165,24 +165,14 @@ class OctagonForms(NamedTuple):
     centres: np.ndarray
 
 
-def _require_positive(x, what: str, name: str, a, at) -> None:
-    """Raise NumericalError at the first element of x (shaped as a, at) not > 0."""
-    k = ew.first_true(ew.where(x > 0.0, False, True))
-    if k is not None:
-        shape = np.shape(x)
-        raise NumericalError(
-            f"{what} at a={_item(a, shape, k)!r}, alpha_tilde={_item(at, shape, k)!r}: "
-            f"{name} = {_item(x, shape, k)!r} is not > 0", k)
-
-
 def octagon_forms(a, alpha_tilde) -> OctagonForms:
     """Sides, angles, vertices and midpoints, elementwise over parameter arrays.
 
     The parameters are taken as given: callers keep them in the domain.
-    Raises NumericalError, with the index and the point, where 2a^2 cos^2(at)
-    - 1 rounds to 0 or below, a few ulps above the lower bound of a, or where
-    1 - |omega|^2 of a side midpoint does, as it can within about 2.4e-6 of
-    the boundary near the corner a = 1, |alpha_tilde| = pi/4.
+    Raises NumericalError, with the index, where 2a^2 cos^2(at) - 1 rounds
+    to 0 or below, a few ulps above the lower bound of a, or where 1 -
+    |omega|^2 of a side midpoint does, as it can within about 2.4e-6 of the
+    boundary near the corner a = 1, |alpha_tilde| = pi/4.
     """
     at = alpha_tilde
     b = b_of(a, at)
@@ -197,8 +187,7 @@ def octagon_forms(a, alpha_tilde) -> OctagonForms:
     r_minus = ew.sqrt(t_minus**2 + (1.0 - a2) ** 2) / (2.0 * a)
     phi_plus = ew.arctan(t_plus / (1.0 + a2))
     phi_minus = ew.arctan((1.0 + a2) / t_minus)
-    q = 2.0 * a2 * cos2 - 1.0
-    _require_positive(q, "beta", "2a^2 cos^2(alpha_tilde) - 1", a, at)
+    q = ew.require_positive(2.0 * a2 * cos2 - 1.0, "beta: 2a^2 cos^2(alpha_tilde) - 1")
     beta = ew.arctan((1.0 - a2) * 2.0 * a2 * cos2 / q)
 
     den = 1.0 - a2 * b2
@@ -207,7 +196,7 @@ def octagon_forms(a, alpha_tilde) -> OctagonForms:
     omega_minus = (w * (1.0 - a2) + 1j * a * (1.0 - b2)) / den
     gap_plus, gap_minus = 1.0 - abs(omega_plus) ** 2, 1.0 - abs(omega_minus) ** 2
     # NaN wins the minimum, and is not > 0
-    _require_positive(ew.minimum(gap_plus, gap_minus), "side midpoints", "1 - |omega|^2", a, at)
+    ew.require_positive(ew.minimum(gap_plus, gap_minus), "side midpoints: 1 - |omega|^2")
     p_plus = omega_plus / (1.0 + ew.sqrt(gap_plus))
     p_minus = omega_minus / (1.0 + ew.sqrt(gap_minus))
     c_plus, c_minus = arc_center(r_plus, phi_plus), arc_center(r_minus, phi_minus)
@@ -293,11 +282,14 @@ def grid_arrays(
     [lower_a + margin, 1 - margin] is nonempty; each row then carries n_a
     equally spaced a values.  Returns the arrays (a, alpha_tilde), row by
     row.  Raises ValueError for a margin outside [0, 0.2], as
-    validate_params does, or one that leaves no grid, for a side n_a or
+    validate_params does, for margin 0, which would put each row's first a
+    on the excluded bound, or one that leaves no grid, for a side n_a or
     n_alpha below 1, and OutOfDomainError at the first point outside the
     domain.
     """
     _check_margin(margin)
+    if margin == 0.0:
+        raise ValueError("margin 0 puts each grid row's first a on the excluded bound lower_a")
     # lower_a(at) + margin <= 1 - margin pins |at| <= acos(1/(sqrt2 (1-2 margin)))
     arg = 1.0 / (math.sqrt(2.0) * (1.0 - 2.0 * margin))
     if arg >= 1.0:

@@ -237,29 +237,27 @@ def _per_point_worst(a: np.ndarray, at: np.ndarray) -> dict[str, float]:
     """Largest residual of each per-point check over the grid points (a, at).
 
     The points go through CHECKS in blocks of _BLOCK, which bounds the
-    arrays held at once, and the checks of a block share its point_block; a
-    breakdown at one point is reported with that point and the check.
+    arrays held at once, and the checks of a block share its point_block.  A
+    NumericalError with an index is raised again naming the check, or
+    point_block where the block's forms broke, and the grid point, before
+    the form's own message.
     """
     worst: dict[str, list] = {}
     for start in range(0, a.size, _BLOCK):
-        block = point_block(a[start:start + _BLOCK], at[start:start + _BLOCK])
-        for key, check in CHECKS.items():
-            if not check.per_point:
-                continue
-            try:
-                residuals = check.fn(block)
-            except NumericalError as exc:
-                if exc.index is None:
-                    raise
-                k = start + exc.index
-                lead, _, detail = str(exc).partition(": ")
-                raise NumericalError(
-                    f"{lead}: {key} at grid point a={float(a[k])!r}, "
-                    f"alpha_tilde={float(at[k])!r}: {detail}",
-                    k,
-                ) from None
-            for name, r in residuals.items():
-                worst.setdefault(name, []).append(np.max(r))
+        key = "point_block"  # then each per-point check in turn
+        try:
+            block = point_block(a[start:start + _BLOCK], at[start:start + _BLOCK])
+            for key, check in CHECKS.items():
+                if check.per_point:
+                    for name, r in check.fn(block).items():
+                        worst.setdefault(name, []).append(np.max(r))
+        except NumericalError as exc:
+            if exc.index is None:
+                raise
+            k = start + exc.index
+            raise NumericalError(
+                f"{key} at grid point a={float(a[k])!r}, alpha_tilde={float(at[k])!r}: {exc}", k
+            ) from None
     # np.max, unlike max(), lets a NaN residual through to fail its check
     return {name: float(np.max(values)) for name, values in worst.items()}
 

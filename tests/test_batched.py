@@ -70,10 +70,17 @@ def test_grid_arrays_match_the_row_loop(n_a, n_alpha, margin):
     assert a.tobytes() == ref_a.tobytes() and at.tobytes() == ref_at.tobytes()
 
 
-def test_grid_arrays_check_the_domain():
-    # margin 0 puts each row's first a on the lower bound itself
-    with pytest.raises(OutOfDomainError, match="lower_a"):
+def test_grid_arrays_refuse_margin_0():
+    # margin 0 would put each row's first a on the lower bound itself
+    with pytest.raises(ValueError, match="margin 0 puts each grid row's first a on the "
+                       "excluded bound lower_a"):
         grid_arrays(4, 4, 0.0)
+
+
+def test_grid_arrays_check_the_domain():
+    # a margin below half an ulp of lower_a still puts the first a on the bound
+    with pytest.raises(OutOfDomainError, match="lower_a"):
+        grid_arrays(4, 4, 5e-17)
 
 
 @pytest.mark.parametrize("n_a, n_alpha", [(5, -1), (3, 0)])
@@ -210,8 +217,24 @@ def test_breakdown_names_the_grid_point_and_check(monkeypatch, block):
     with pytest.raises(NumericalError) as info:
         run_validation(20, 20, margin=1e-6)
     message = str(info.value)
-    assert message.startswith("product of SU(1,1) maps: relation_defect at grid point a=")
+    assert message.startswith("relation_defect at grid point a=")
     assert message.endswith("is not renormalizable to 1")
     a, at = grid_arrays(20, 20, 1e-6)
     k = info.value.index
-    assert f"a={float(a[k])!r}, alpha_tilde={float(at[k])!r}: |u|^2-|v|^2 = " in message
+    assert (f"a={float(a[k])!r}, alpha_tilde={float(at[k])!r}: "
+            "product of SU(1,1) maps: |u|^2-|v|^2 = ") in message
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_breakdown_in_the_forms_names_point_block(monkeypatch, block):
+    # at a = 1 - 1e-9, 2a/(1 + a^2) rounds to 1 and its half turn has no value
+    if block is not None:
+        monkeypatch.setattr(validation, "_BLOCK", block)
+    a, at = grid_arrays(4, 4, 0.02)
+    a[9] = 1.0 - 1e-9
+    with pytest.raises(NumericalError) as info:
+        validation._per_point_worst(a, at)
+    assert info.value.index == 9
+    assert str(info.value) == (f"point_block at grid point a=0.999999999, "
+                               f"alpha_tilde={float(at[9])!r}: "
+                               "half turn: 1 - |omega|^2 = 0.0 is not > 0")

@@ -139,10 +139,11 @@ EXIT_CODES = [
      r"teich2: argument error: tolerance relation_defect must be finite and >= 0, "
      r"got -1.0\n", ""),
     (["validate", "--margin", "1e-6"], 5,
-     r"teich2: numerical error: product of SU\(1,1\) maps: relation_defect at grid point "
-     r"a=0\.\d+, alpha_tilde=-?0\.\d+: .* is not renormalizable to 1\n", ""),
+     r"teich2: numerical error: relation_defect at grid point a=0\.\d+, "
+     r"alpha_tilde=-?0\.\d+: product of SU\(1,1\) maps: .* is not renormalizable to 1\n", ""),
     (["fn", "--a", "0.7401651556654594", "--alpha-tilde", "0.3"], 5,
-     r"teich2: numerical error: product of SU\(1,1\) maps: .* is not renormalizable to 1\n", ""),
+     r"teich2: numerical error: product of SU\(1,1\) maps: .* is not renormalizable to 1 "
+     r"at --a 0\.7401651556654594 --alpha-tilde 0\.3\n", ""),
     (["orbit", "--P", "300", "--samples", "4"], 5,
      r"teich2: numerical error: orbit point at phi = 1.5707963267948966 rounds out of the "
      r"domain: lower_a: value 0.8660254037844385 violates bound 0.8660254037844385\n", ""),
@@ -164,8 +165,8 @@ EXIT_CODES = [
      r"teich2: argument error: Unable to allocate .*\n", ""),
     # at the corner a = 1, alpha_tilde = pi/4, 1 - |omega+|^2 rounds below 0
     (["octagon", "--a", "0.999999", "--alpha-tilde", "0.7853961633914485"], 5,
-     r"teich2: numerical error: side midpoints at a=0\.999999, "
-     r"alpha_tilde=0\.7853961633914485: 1 - \|omega\|\^2 = -\S+ is not > 0\n", ""),
+     r"teich2: numerical error: side midpoints: 1 - \|omega\|\^2 = -\S+ is not > 0 "
+     r"at --a 0\.999999 --alpha-tilde 0\.7853961633914485\n", ""),
     (["validate", "--tolerance", "relation_defect"], 2,
      r"teich2: argument error: expected NAME=VALUE, got 'relation_defect'\n", ""),
     # one ulp above the lower bound of a, 2a^2 cos^2(at) - 1 rounds to 0
@@ -173,14 +174,25 @@ EXIT_CODES = [
      r"teich2: numerical error: float division by zero "
      r"at --a 0\.8567505974692862 --alpha-tilde 0\.6\n", ""),
     (["tiling", "--a", "0.7214885163659666", "--alpha-tilde", "-0.2", "-n", "1"], 5,
-     r"teich2: numerical error: sqrt\(-\S+\): math domain error\n", ""),
+     r"teich2: numerical error: sqrt\(-\S+\): math domain error "
+     r"at --a 0\.7214885163659666 --alpha-tilde -0\.2\n", ""),
     # there the conjugate point's b rounds to 1
     (["fn", "--a", "0.7214885163659666", "--alpha-tilde", "-0.2"], 5,
-     r"teich2: numerical error: [^\n]+\n", ""),
-    # 2a/(1 + a^2) rounds to 1, and the half turn about it divides by 0
+     r"teich2: numerical error: [^\n]+ at --a 0\.7214885163659666 --alpha-tilde -0\.2\n", ""),
+    # 2a/(1 + a^2) rounds to 1, and the half turn about it has no value
     (["fn", "--a", "0.999999999", "--alpha", str(math.pi / 4)], 5,
-     r"teich2: numerical error: complex division by zero "
+     r"teich2: numerical error: half turn: 1 - \|omega\|\^2 = 0\.0 is not > 0 "
      r"at --a 0\.999999999 --alpha 0\.7853981633974483\n", ""),
+    # 2a/(1 + a^2) rounds to 1 at the grid's last a, and its half turn has no value
+    (["validate", "--margin", "1e-9"], 5,
+     r"teich2: numerical error: point_block at grid point a=0\.999999999, "
+     r"alpha_tilde=-?0\.\d+: half turn: 1 - \|omega\|\^2 = 0\.0 is not > 0\n", ""),
+    (["validate", "--margin", "1e-12"], 5,
+     r"teich2: numerical error: point_block at grid point a=0\.999999999999, "
+     r"alpha_tilde=-?0\.\d+: half turn: 1 - \|omega\|\^2 = 0\.0 is not > 0\n", ""),
+    (["validate", "--margin", "0"], 2,
+     r"teich2: argument error: margin 0 puts each grid row's first a on the excluded "
+     r"bound lower_a\n", ""),
 ]
 
 
@@ -288,6 +300,8 @@ EDGE_COMMANDS = (("octagon",), ("group",), ("fn",),
 @example(0.6, "lower+1", ("octagon",))
 @example(-0.2, "lower+1", ("fn",))
 @example(0.0, "upper-1e-9", ("fn",))
+@example(-0.2, "lower+1", ("tiling", "-n", "2", "--format", "csv"))  # a math domain error
+@example(0.3, "lower+1", ("fn",))  # a product of SU(1,1) maps that rounding broke
 def test_edge_points_print_numbers_or_a_typed_error(capsys, at, edge, command):
     # at in-domain points next to the boundary the float forms can divide by
     # a rounded 0 or meet a math domain error: exit 5, never a traceback
@@ -303,6 +317,7 @@ def test_edge_points_print_numbers_or_a_typed_error(capsys, at, edge, command):
         assert command[0] == "tiling" and "past the float64 precision limit" in err, err
     else:
         assert code == 5 and err.startswith("teich2: numerical error: "), err
+        assert err.endswith(f" at --a {a!r} --alpha-tilde {at!r}\n"), err
 
 
 class TestRepeatedRuns:
