@@ -8,13 +8,13 @@ Exit codes: 0 success, 1 I/O errors, 2 argument errors (also a tiling radius
 outside 0..6, a ball element that float64 cannot represent at the given
 point, a NaN or infinite float flag, a size whose arrays numpy cannot
 allocate, as from ``area --step``, ``orbit --samples`` or ``validate
---grid``, a ``validate --grid`` side below 1 or ``--margin`` of 0, or an
-unknown or negative tolerance), 3 domain errors (octagon parameters outside
-the admissible region or within ``--margin`` of its boundary, or an orbit or
-area perimeter below the regular value P_reg), 4 validation failure, 5 numerical
-errors (a quadrature that does not converge or overflows, an overflow or
-cancellation, a product of SU(1,1) maps that rounding broke, an orbit
-point that rounds out of the domain, a point near the corner a = 1,
+--grid``, a ``validate --grid`` side below 1 or a ``--margin`` that rounds
+away on the grid's bound lower_a, as 0 does, or an unknown or negative
+tolerance), 3 domain errors (octagon parameters outside the admissible
+region or within ``--margin`` of its boundary, or an orbit or area perimeter
+below the regular value P_reg), 4 validation failure, 5 numerical errors (a
+quadrature that does not converge or overflows, an overflow or cancellation,
+an orbit point that rounds out of the domain, a point near the corner a = 1,
 |alpha_tilde| = pi/4 whose side midpoints round out of the disk, or a float
 form that divides by a rounded 0 or meets a math domain error at a point
 next to the domain's edge); its line ends with the command's point, if it

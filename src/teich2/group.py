@@ -14,9 +14,9 @@ A group element is its SU(1,1) pair (u, v).  The generators, the relation
 word and the side-pairing residuals are written once, over (u, v) pairs of
 arrays (one map per parameter point) or over the number pairs of one
 point; ``generators`` is ``generator_pairs`` at one ``OctagonParams``, and
-``ball`` and ``side_pairing_check`` take its four pairs.  The closed-form
-g0 and g1 and the half turns are in SU(1,1) by construction and are used
-as computed; only products are renormalized.
+``ball`` and ``side_pairing_check`` take its four pairs.  Every pair, the
+products included, is used as computed; only ``ball``, which multiplies
+its products further and keeps them, tests them for a breakdown.
 A ball is its shortlex words and the (u, v) arrays of its elements.
 Which words name distinct elements, and in which order, does not depend
 on the point: the word tree is built once per process, one sphere at a
@@ -41,6 +41,7 @@ from .hyperbolic import (
     half_turn_pair,
     rotation,
     su_act,
+    su_check,
     su_inverse,
     su_mul,
 )
@@ -78,7 +79,7 @@ def generator_pairs(a, alpha_tilde):
     their conjugates R g R^-1 by the pi/2 rotation R.
 
     g0 and g1 are in SU(1,1) by construction (``norm`` is their
-    normalization), so they are returned as computed.
+    normalization), and every pair is returned as computed.
     """
     a2 = a * a
     tn = ew.tan(alpha_tilde)
@@ -315,12 +316,13 @@ def ball(g, n: int) -> GroupBall:
     letter ``LETTERS[letter[i]]``, by the (parent, letter) arrays of the
     process's one word tree, which the first ball of a radius grows.  Each
     sphere is one su_mul of its parents' pairs by its letters' pairs, in
-    numpy's complex arithmetic, and each element keeps its canonical sign,
-    Re u > 0: every element but the identity is hyperbolic, so |Re u| > 1.
-    Balls of one radius share one ``shortlex`` tuple.  Raises ValueError for
-    n outside 0..6, and past the float64 precision limit: where rounding
-    breaks a product, or an element's |u|^2 + |v|^2 passes 1/(16 eps),
-    naming the radius and the first such word in shortlex order.
+    numpy's complex arithmetic, kept as computed, and each element keeps its
+    canonical sign, Re u > 0: every element but the identity is hyperbolic,
+    so |Re u| > 1.  Balls of one radius share one ``shortlex`` tuple.  Raises
+    ValueError for n outside 0..6, and past the float64 precision limit:
+    where su_check finds a product broken by rounding, or an element's
+    |u|^2 + |v|^2 passes 1/(16 eps), naming the radius and the first such
+    word in shortlex order.
     """
     if not 0 <= n < len(BALL_SIZES):
         raise ValueError(f"ball radius must be in 0..{len(BALL_SIZES) - 1}, got {n!r}")
@@ -329,9 +331,9 @@ def ball(g, n: int) -> GroupBall:
     lu, lv = (np.array(part, complex) for part in zip(*letters))
     us, vs = [np.ones(1, complex)], [np.zeros(1, complex)]
     for r, (parent, letter) in enumerate(_TREE.spheres[:n], 1):
+        u, v = su_mul((us[-1][parent], vs[-1][parent]), (lu[letter], lv[letter]))
         try:
-            u, v = su_mul((us[-1][parent], vs[-1][parent]), (lu[letter], lv[letter]))
-            size = abs(u) ** 2 + abs(v) ** 2
+            size = su_check(u, v)
             k = ew.first_true(size > _MAX_SIZE)
             if k is not None:
                 raise NumericalError(f"|u|^2+|v|^2 = {float(size[k])!r} is past 1/(16 eps)", k)

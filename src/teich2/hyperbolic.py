@@ -6,14 +6,13 @@ isometries act as z -> (u z + v)/(conj(v) z + conj(u)) with
 |u|^2 - |v|^2 = 1; the pair (u, v) and its negative give the same map,
 so group equality is always taken up to global sign.
 
-The formulas for the action, the product and the renormalization test are
-written once, elementwise, in ``su_normalize``, ``su_mul``, ``su_inverse``
-and ``su_act`` over (u, v) pairs of numbers or of numpy arrays, one map per
-element: a group element is its pair.  Only a computed product is
-renormalized.  A pair that is in SU(1,1) by construction, such as an
-inverse, ``translation_pair`` or ``half_turn_pair``, is returned as
-computed: rescaling it by 1/sqrt(|u|^2 - |v|^2) would add error of order
-eps (|u|^2 + |v|^2) and remove none.
+The formulas for the action, the product and the breakdown test are
+written once, elementwise, in ``su_mul``, ``su_inverse``, ``su_act`` and
+``su_check`` over (u, v) pairs of numbers or of numpy arrays, one map per
+element: a group element is its pair.  No pair, a product included, is
+rescaled to |u|^2 - |v|^2 = 1: that difference cancels, so a rescale would
+add error of order eps (|u|^2 + |v|^2).  ``su_check`` tests for a breakdown
+where products are multiplied further and kept, in ``group.ball``.
 ``MobiusTransform`` is the record of one pair that ``rotation`` returns.
 Numbers are multiplied in CPython's complex arithmetic and arrays in
 numpy's complex loops, which may fuse multiply-adds depending on the CPU, so
@@ -39,14 +38,14 @@ __all__ = [
     "half_turn_pair",
     "rotation",
     "classify",
-    "su_normalize",
+    "su_check",
     "su_mul",
     "su_inverse",
     "su_gap",
     "su_act",
 ]
 
-# su_normalize rejects products with |det - 1| above this times |u|^2+|v|^2
+# su_check rejects pairs with |det - 1| above this times |u|^2+|v|^2
 SU_DEFECT_TOLERANCE = 1e-9
 # |Tr| within this band of 2 classifies as parabolic
 PARABOLIC_BAND = 1e-9
@@ -83,34 +82,29 @@ def su_act(u, v, z):
     return (u * z + v) / (v.conjugate() * z + u.conjugate())
 
 
-def _su_product(u1, v1, u2, v2):
-    """(u, v) of the matrix product of two SU(1,1) pairs; elementwise on arrays."""
-    return u1 * u2 + v1 * v2.conjugate(), u1 * v2 + v1 * u2.conjugate()
-
-
-def su_normalize(u, v):
-    """Computed (u, v) products of numbers or arrays, which broadcast
-    together, scaled to |u|^2 - |v|^2 = 1.
+def su_check(u, v):
+    """|u|^2 + |v|^2 of (u, v) pairs of numbers or arrays, which broadcast
+    together, after testing them for a breakdown; no pair is changed.
 
     Raises NumericalError at the first pair in C order whose |u|^2 - |v|^2
     is not a finite positive number within SU_DEFECT_TOLERANCE (|u|^2 + |v|^2)
     of 1, NaN included; its ``index`` is that pair's flat position.
     """
     uu, vv = abs(u) ** 2, abs(v) ** 2
-    det = uu - vv
-    ok = (det > 0.0) & (det < np.inf) & (abs(det - 1.0) <= SU_DEFECT_TOLERANCE * (uu + vv))
+    det, size = uu - vv, uu + vv
+    ok = (det > 0.0) & (det < np.inf) & (abs(det - 1.0) <= SU_DEFECT_TOLERANCE * size)
     k = ew.first_true(ew.where(ok, False, True))
     if k is not None:
         raise NumericalError(
-            f"product of SU(1,1) maps: |u|^2-|v|^2 = {float(np.ravel(det)[k])!r} "
-            "is not renormalizable to 1", k)
-    scale = 1.0 / ew.sqrt(det)
-    return u * scale, v * scale
+            f"SU(1,1) pair: |u|^2-|v|^2 = {float(np.ravel(det)[k])!r} has drifted from 1", k)
+    return size
 
 
 def su_mul(x, y):
-    """The product x y of (u, v) pairs of numbers or arrays, renormalized."""
-    return su_normalize(*_su_product(*x, *y))
+    """The product x y of (u, v) pairs of numbers or arrays, as computed:
+    (u1 u2 + v1 conj(v2), u1 v2 + v1 conj(u2)), elementwise."""
+    (u1, v1), (u2, v2) = x, y
+    return u1 * u2 + v1 * v2.conjugate(), u1 * v2 + v1 * u2.conjugate()
 
 
 def su_inverse(x):
@@ -138,18 +132,16 @@ def classify(u) -> str:
 class MobiusTransform:
     """SU(1,1) matrix [[u, v], [conj(v), conj(u)]]: one (u, v) pair as a record.
 
-    Construction is su_normalize: it renormalizes |u|^2 - |v|^2 to exactly 1
-    when its defect is below SU_DEFECT_TOLERANCE * (|u|^2 + |v|^2) and rejects
-    the pair otherwise, with NumericalError.
+    Construction is su_check: the pair is stored as given, and rejected with
+    NumericalError where its |u|^2 - |v|^2 is not 1 within
+    SU_DEFECT_TOLERANCE * (|u|^2 + |v|^2).
     """
 
     u: complex
     v: complex
 
     def __post_init__(self):
-        u, v = su_normalize(complex(self.u), complex(self.v))
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+        su_check(self.u, self.v)
 
 
 def rotation(phi: float) -> MobiusTransform:

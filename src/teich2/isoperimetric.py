@@ -218,7 +218,9 @@ def wp_area(p_star: float) -> AreaResult:
     ``scipy.integrate``, so that importing teich2 loads no scipy.
     NumericalError where qagse does not converge, as from P ~ 200, or the
     integrand overflows: from P ~ 302 f rounds to 1 and arctanh(f) = inf;
-    its message names qagse's ier code.
+    its message names qagse's ier code.  Past that test ier is not read: from
+    P ~ 99.6 qagse flags ier 2, 3 or 4 on many rows, whose areas are good
+    only to about 2e-7 relative, not to QUAD_TOLERANCE.
     """
     if p_star < P_REG - 1e-12:
         raise DomainError(f"p_star = {p_star!r} lies below P_reg = {P_REG!r}")

@@ -282,14 +282,13 @@ def grid_arrays(
     [lower_a + margin, 1 - margin] is nonempty; each row then carries n_a
     equally spaced a values.  Returns the arrays (a, alpha_tilde), row by
     row.  Raises ValueError for a margin outside [0, 0.2], as
-    validate_params does, for margin 0, which would put each row's first a
-    on the excluded bound, or one that leaves no grid, for a side n_a or
-    n_alpha below 1, and OutOfDomainError at the first point outside the
-    domain.
+    validate_params does, for one that leaves no grid, for one that rounds
+    away when added to a row's lower_a (0, or below about half an ulp of
+    lower_a), which would put that row's first a on the excluded bound, for
+    a side n_a or n_alpha below 1, and OutOfDomainError at the first point
+    outside the domain.
     """
     _check_margin(margin)
-    if margin == 0.0:
-        raise ValueError("margin 0 puts each grid row's first a on the excluded bound lower_a")
     # lower_a(at) + margin <= 1 - margin pins |at| <= acos(1/(sqrt2 (1-2 margin)))
     arg = 1.0 / (math.sqrt(2.0) * (1.0 - 2.0 * margin))
     if arg >= 1.0:
@@ -298,7 +297,11 @@ def grid_arrays(
     if n_a < 1 or n_alpha < 1:
         raise ValueError(f"grid {n_a} x {n_alpha} has no points")
     alphas = np.linspace(-at_max, at_max, n_alpha + 2)[1:-1]
-    a = np.linspace(lower_a(alphas) + margin, 1.0 - margin, n_a, axis=1).ravel()
+    lo = lower_a(alphas)
+    if np.any(lo + margin == lo):
+        raise ValueError(f"margin {margin!r} puts a grid row's first a, lower_a + margin, "
+                         "on the excluded bound lower_a")
+    a = np.linspace(lo + margin, 1.0 - margin, n_a, axis=1).ravel()
     at = np.repeat(alphas, n_a)
     _check_domain(a, at, 0.0)
     return a, at

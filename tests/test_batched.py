@@ -13,15 +13,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from teich2.errors import NumericalError, OutOfDomainError
+from teich2.errors import NumericalError
 from teich2.fenchel_nielsen import (
     _fn_forms,
     pants_forms,
     wolpert_forms,
     wp_coefficient_raw,
 )
-from teich2.group import crossing_violations, generator_pairs, generators, half_turns
-from teich2.hyperbolic import su_inverse
+from teich2.group import (
+    crossing_violations,
+    generator_pairs,
+    generators,
+    half_turns,
+    relation_pairs,
+)
+from teich2.hyperbolic import su_check, su_inverse, su_mul
 from teich2.octagon import (
     OctagonParams,
     b_of,
@@ -72,15 +78,22 @@ def test_grid_arrays_match_the_row_loop(n_a, n_alpha, margin):
 
 def test_grid_arrays_refuse_margin_0():
     # margin 0 would put each row's first a on the lower bound itself
-    with pytest.raises(ValueError, match="margin 0 puts each grid row's first a on the "
-                       "excluded bound lower_a"):
+    with pytest.raises(ValueError, match=r"margin 0\.0 puts a grid row's first a, "
+                       r"lower_a \+ margin, on the excluded bound lower_a"):
         grid_arrays(4, 4, 0.0)
 
 
 def test_grid_arrays_check_the_domain():
-    # a margin below half an ulp of lower_a still puts the first a on the bound
-    with pytest.raises(OutOfDomainError, match="lower_a"):
+    # a margin below half an ulp of lower_a still puts the first a on the
+    # bound, and is refused as margin 0 is; from about half an ulp on, every
+    # row's first a lies above the bound and every point in the domain
+    with pytest.raises(ValueError, match=r"margin 5e-17 puts a grid row's first a"):
         grid_arrays(4, 4, 5e-17)
+    for margin in (1.2e-16, 1e-15, 1e-9):
+        a, at = grid_arrays(9, 9, margin)
+        assert np.all(a > lower_a(at))
+        for x, y in zip(a.tolist(), at.tolist()):
+            OctagonParams(x, y)
 
 
 @pytest.mark.parametrize("n_a, n_alpha", [(5, -1), (3, 0)])
@@ -112,7 +125,8 @@ def test_scalar_views_match_the_batch():
         params = OctagonParams(x, y)
         gens = generators(params)
         for (u, v), (tu, tv) in zip(g, gens):
-            # renormalization scales last-bit differences by |u|^2 + |v|^2
+            # numpy's and math's last bits differ, and the closed forms of g0
+            # and g1 magnify that, within |u|^2 + |v|^2 here
             tol = 8 * EPS * (abs(tu) ** 2 + abs(tv) ** 2)
             assert_allclose([u[k], v[k]], [tu, tv], rtol=tol)
         view = pants_forms(x, y, half_turns(octagon_forms(x, y)))
@@ -212,17 +226,28 @@ def test_blocks_do_not_change_the_report(monkeypatch):
 
 @pytest.mark.parametrize("block", [None, 7])
 def test_breakdown_names_the_grid_point_and_check(monkeypatch, block):
+    # the relation form with ball's breakdown test on its word: near the
+    # corner at margin 1e-6 the word's |u|^2 - |v|^2 drifts past the bar
+    def checked(g):
+        g0, g1, g2, g3 = g
+        word = g0
+        for x in (su_inverse(g1), g2, su_inverse(g3), su_inverse(g0), g1, su_inverse(g2), g3):
+            word = su_mul(word, x)
+        su_check(*word)
+        return relation_pairs(g)
+
+    monkeypatch.setattr(validation, "relation_pairs", checked)
     if block is not None:
         monkeypatch.setattr(validation, "_BLOCK", block)
     with pytest.raises(NumericalError) as info:
         run_validation(20, 20, margin=1e-6)
     message = str(info.value)
     assert message.startswith("relation_defect at grid point a=")
-    assert message.endswith("is not renormalizable to 1")
+    assert message.endswith("has drifted from 1")
     a, at = grid_arrays(20, 20, 1e-6)
     k = info.value.index
     assert (f"a={float(a[k])!r}, alpha_tilde={float(at[k])!r}: "
-            "product of SU(1,1) maps: |u|^2-|v|^2 = ") in message
+            "SU(1,1) pair: |u|^2-|v|^2 = ") in message
 
 
 @pytest.mark.parametrize("block", [None, 7])

@@ -14,10 +14,10 @@ from teich2.hyperbolic import (
     half_turn_pair,
     rotation,
     su_act,
+    su_check,
     su_gap,
     su_inverse,
     su_mul,
-    su_normalize,
     translation_pair,
 )
 from teich2.octagon import OctagonParams
@@ -80,57 +80,63 @@ class TestMobiusTransform:
     """The SU(1,1) pair functions; MobiusTransform is the record of one pair."""
 
     def test_identity_and_call(self):
-        assert su_normalize(*IDENTITY) == IDENTITY
+        assert su_mul(IDENTITY, IDENTITY) == IDENTITY
+        assert su_check(*IDENTITY) == 1.0
         assert su_act(*IDENTITY, 0.25 + 0.1j) == 0.25 + 0.1j
         assert classify(IDENTITY[0]) == "parabolic"
 
     def test_su11_defect_rejected(self):
         with pytest.raises(NumericalError):
-            su_normalize(1.0 + 1e-6, 0.0)
-        # the record's constructor is su_normalize
+            su_check(1.0 + 1e-6, 0.0)
+        # the record's constructor is su_check
         with pytest.raises(NumericalError):
             MobiusTransform(1.0 + 1e-6, 0.0)
 
-    def test_small_defect_renormalized(self):
-        u, v = su_normalize(1.0 + 3e-10, 0.0)
-        assert_allclose(abs(u) ** 2 - abs(v) ** 2, 1.0, rtol=1e-15)
+    def test_small_defect_kept_as_given(self):
+        # a defect within the bar passes, and no pair is rescaled
+        assert su_check(1.0 + 3e-10, 0.0) == (1.0 + 3e-10) ** 2
         t = MobiusTransform(1.0 + 3e-10, 0.0)
-        assert (t.u, t.v) == (u, v)
+        assert (t.u, t.v) == (1.0 + 3e-10, 0.0)
 
     def test_defect_measured_against_entry_size(self):
         # at |v| = 1e6 the bar is 1e-9 (|u|^2 + |v|^2) = 2e3
         v = 1e6
-        u, w = su_normalize(math.sqrt(v * v + 1.0 + 1e2), v)
-        assert abs(abs(u) ** 2 - abs(w) ** 2 - 1.0) < 1e-3
+        u = math.sqrt(v * v + 1.0 + 1e2)
+        assert su_check(u, v) == u * u + v * v
         with pytest.raises(NumericalError):
-            su_normalize(math.sqrt(v * v + 1.0 + 1e4), v)
+            su_check(math.sqrt(v * v + 1.0 + 1e4), v)
 
     def test_nonpositive_det_rejected(self):
         for u, v in ((1e9, 1e9), (1e9, 1e9 + 1.0)):
             with pytest.raises(NumericalError):
-                su_normalize(u, v)
+                su_check(u, v)
 
     def test_non_finite_product_rejected(self):
+        # su_mul returns the product as computed; su_check rejects it.
         # |u|^2 - |v|^2 is NaN here, which compares false both ways
-        with pytest.raises(NumericalError, match="= nan is not renormalizable") as info:
-            su_mul((math.inf, 0.0), (1.0, 0.0))
+        with pytest.raises(NumericalError, match="= nan has drifted from 1") as info:
+            su_check(*su_mul((math.inf, 0.0), (1.0, 0.0)))
         assert info.value.index == 0
         # and inf here, within any bar relative to |u|^2 + |v|^2 = inf
-        with pytest.raises(NumericalError, match="= inf is not renormalizable"):
-            su_normalize(math.inf, 0.0)
+        with pytest.raises(NumericalError, match="= inf has drifted from 1"):
+            su_check(math.inf, 0.0)
         fine = (np.full(3, 1.25), np.full(3, 0.75 + 0j))
         for bad in (math.inf, math.nan):
             x = (np.array([1.25, bad, 1.25]), fine[1])
-            with np.errstate(invalid="ignore"), pytest.raises(
-                    NumericalError, match="not renormalizable") as info:
-                su_mul(fine, x)
+            with np.errstate(invalid="ignore"):
+                product = su_mul(fine, x)
+                with pytest.raises(NumericalError, match="has drifted from 1") as info:
+                    su_check(*product)
             assert info.value.index == 1
 
     def test_unrenormalizable_product_is_numerical_error(self):
-        # each factor is valid, but the product's |u|^2 - |v|^2 rounds to 0
+        # each factor is valid, but the product's |u|^2 - |v|^2 rounds to 0:
+        # su_mul returns it as computed, and su_check rejects it
         r = 1.0 - 1e-7
-        with pytest.raises(NumericalError, match="not renormalizable"):
-            su_mul(h_pair(r), h_pair(1j * r))
+        u, v = su_mul(h_pair(r), h_pair(1j * r))
+        assert abs(abs(u) ** 2 - abs(v) ** 2 - 1.0) > 0.5
+        with pytest.raises(NumericalError, match="has drifted from 1"):
+            su_check(u, v)
 
     def test_compose_matches_sequential_action(self):
         rng = np.random.default_rng(42)
@@ -151,14 +157,14 @@ class TestMobiusTransform:
     def test_classify(self):
         assert classify(r_pair(0.8)[0]) == "elliptic"
         assert classify(h_pair(0.4)[0]) == "hyperbolic"  # a real u
-        assert classify(su_normalize(1.0 + 0.3j, 0.3j)[0]) == "parabolic"
+        assert classify(1.0 + 0.3j) == "parabolic"
         assert classify(-1.0 - 1e-10j) == "parabolic"
         assert classify(-1.0 - 1e-8) == "hyperbolic"
 
     def test_canonical_sign(self):
         # ball's canonical sign negates a pair where Re u < 0: a hyperbolic pair
         # has |Re u| = |Tr|/2 > 1, so the negated pair has Re u > 1
-        t = su_normalize(-2.0, complex(math.sqrt(3.0)))
+        t = (-2.0, complex(math.sqrt(3.0)))
         assert classify(t[0]) == "hyperbolic" and t[0].real < -1.0
         c = (-t[0], -t[1])
         assert c[0].real > 1.0
@@ -217,8 +223,8 @@ class TestPairArrays:
         u, v = su_mul(x, y)
         for k, (s, t) in enumerate(maps):
             su, sv = su_mul(s, t)
-            # numpy's complex rounding differs from Python's in the last bit, and
-            # renormalization scales that by |u|^2 + |v|^2
+            # numpy's complex rounding differs from Python's in the last bit of
+            # terms that |u|^2 + |v|^2 bounds here
             size = abs(su) ** 2 + abs(sv) ** 2
             assert_allclose((u[k], v[k]), (su, sv), rtol=4 * np.finfo(float).eps * size)
 
@@ -236,11 +242,11 @@ class TestPairArrays:
         h, hi, fine = h_pair(r), h_pair(1j * r), h_pair(0.3)
         x = tuple(np.array(part, complex) for part in zip(fine, fine, h, fine, h))
         y = tuple(np.array(part, complex) for part in zip(fine, fine, hi, fine, hi))
-        with pytest.raises(NumericalError, match="product of SU\\(1,1\\) maps: .* not renormalizable") as info:
-            su_mul(x, y)
+        with pytest.raises(NumericalError, match="SU\\(1,1\\) pair: .* has drifted from 1") as info:
+            su_check(*su_mul(x, y))
         assert info.value.index == 2
-        with pytest.raises(NumericalError, match="not renormalizable") as info:
-            su_normalize(np.array([1.0, 1.0 + 1e-6]), np.zeros(2))
+        with pytest.raises(NumericalError, match="has drifted from 1") as info:
+            su_check(np.array([1.0, 1.0 + 1e-6]), np.zeros(2))
         assert info.value.index == 1
 
     def test_dist_elementwise(self):
