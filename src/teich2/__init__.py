@@ -10,7 +10,6 @@ can cross-check itself; the ``validate`` CLI subcommand runs the full suite.
 from __future__ import annotations
 
 from .errors import DomainError, NumericalError, OutOfDomainError
-from .fenchel_nielsen import PantsData
 from .group import GroupBall, ball, cells, generators, side_pairing_check
 from .hyperbolic import dist
 from .isoperimetric import (
@@ -45,7 +44,6 @@ __all__ = [
     "OctagonForms",
     "OctagonParams",
     "OutOfDomainError",
-    "PantsData",
     "a_extremes",
     "asymptotic_orbit",
     "ball",

@@ -8,19 +8,19 @@ Exit codes: 0 success, 1 I/O errors, 2 argument errors (also a tiling radius
 outside 0..6, a ball element that float64 cannot represent at the given
 point, a NaN or infinite float flag, a size whose arrays numpy cannot
 allocate, as from ``area --step``, ``orbit --samples`` or ``validate
---grid``, a ``validate --grid`` side below 1 or a ``--margin`` that rounds
-away on the grid's bound lower_a, as 0 does, or an unknown or negative
-tolerance), 3 domain errors (octagon parameters outside the admissible
-region or within ``--margin`` of its boundary, or an orbit or area perimeter
-below the regular value P_reg), 4 validation failure, 5 numerical errors (a
-quadrature that does not converge or overflows, an overflow or cancellation,
-an orbit point that rounds out of the domain, a point near the corner a = 1,
-|alpha_tilde| = pi/4 whose side midpoints round out of the disk, or a float
-form that divides by a rounded 0 or meets a math domain error at a point
-next to the domain's edge); its line ends with the command's point, if it
-has one, as `` at --a A --alpha-tilde T`` (or ``--alpha``).  With
-``--format json`` domain errors additionally produce a JSON error object on
-stdout.
+--grid``, a ``validate --grid`` side below 1 or a ``--margin`` that puts a
+grid row's first a on its bound lower_a as the forms see it, as 0 and 1e-16
+do, or an unknown or negative tolerance), 3 domain errors (octagon
+parameters outside the admissible region or within ``--margin`` of its
+boundary, or an orbit or area perimeter below the regular value P_reg), 4
+validation failure, 5 numerical errors (a quadrature that does not converge
+or overflows, an overflow or cancellation, an orbit point that rounds out of
+the domain, a point near the corner a = 1, |alpha_tilde| = pi/4 whose side
+midpoints round out of the disk, or a float form that divides by a rounded 0
+or meets a math domain error at a point next to the domain's edge); its line
+ends with the command's point, if it has one, as `` at --a A --alpha-tilde
+T`` (or ``--alpha``). With ``--format json`` domain errors additionally
+produce a JSON error object on stdout.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict
 from typing import Any, Sequence
 
 import numpy as np
@@ -270,16 +269,20 @@ def _cmd_fn(args: argparse.Namespace) -> int:
     value = sum(summands)
     payload: dict[str, Any] = {"params": _params_block(params)}
     for label, (x, y) in (("unprimed", (a, at)), ("primed", (b_of(a, at), -at))):
-        data = pants_forms(x, y, half_turns(octagon_forms(x, y)))
+        pants = pants_forms(x, y, half_turns(octagon_forms(x, y)))
+        lengths, twists, c, d, p_aux = pants
         payload[label] = {
-            "lengths": list(data.lengths),
-            "twists": list(data.twists),
-            "c": list(data.c),
-            "d": list(data.d),
-            "p_aux": data.p_aux,
-            "dt_residuals": list(dt_residuals(data)),
+            "lengths": list(lengths),
+            "twists": list(twists),
+            "c": list(c),
+            "d": list(d),
+            "p_aux": p_aux,
+            "dt_residuals": list(dt_residuals(pants)),
         }
-    payload["lt_relations"] = asdict(lt_forms(a, at))
+    payload["lt_relations"] = dict(zip(
+        ("residual_l3", "residual_tau3", "residual_l1_primed", "residual_t1_primed"),
+        lt_forms(a, at),
+    ))
     payload["wp"] = {
         "coefficient": coeff,
         "fd_value": value,
@@ -320,23 +323,18 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
 
 
 def _cmd_area(args: argparse.Namespace) -> int:
-    fit = iso.parabola_fit(args.p_min, args.p_max, args.step)
+    c1, c2, residual_norm, p_values, areas = iso.parabola_fit(
+        args.p_min, args.p_max, args.step
+    )
     if args.format == "json":
         _write(args.output, json_text({
-            "fit": {"c1": fit.c1, "c2": fit.c2,
-                    "residual_norm": fit.residual_norm},
+            "fit": {"c1": c1, "c2": c2, "residual_norm": residual_norm},
             "p_reg": iso.P_REG,
-            "table": [
-                {"P": p, "area": area}
-                for p, area in zip(fit.p_values, fit.areas)
-            ],
+            "table": [{"P": p, "area": area} for p, area in zip(p_values, areas)],
         }))
         return 0
-    _write(args.output, csv_text(("P", "area"), (fit.p_values, fit.areas)))
-    print(
-        f"fit: c1={fit.c1:.6g} c2={fit.c2:.6g} residual={fit.residual_norm:.3g}",
-        file=sys.stderr,
-    )
+    _write(args.output, csv_text(("P", "area"), (p_values, areas)))
+    print(f"fit: c1={c1:.6g} c2={c2:.6g} residual={residual_norm:.3g}", file=sys.stderr)
     return 0
 
 

@@ -31,17 +31,11 @@ or past it, the forms divide by 0 or take the square root of a negative.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
-
-import numpy as np
-
 from . import _elementwise as ew
 from .hyperbolic import su_mul
 from .octagon import b_of
 
 __all__ = [
-    "PantsData",
-    "LTReport",
     "trace_forms",
     "d_closed_forms",
     "pants_forms",
@@ -101,24 +95,14 @@ def d_closed_forms(a, alpha_tilde):
     return (d12, d12, 2.0 / one_minus_a2**2 - 1.0)
 
 
-@dataclass(frozen=True)
-class PantsData:
-    """Full Fenchel-Nielsen record of one pants decomposition."""
-
-    lengths: tuple[float, float, float]
-    twists: tuple[float, float, float]
-    c: tuple[float, float, float]
-    d: tuple[float, float, float]
-    p_aux: float
-
-
-def pants_forms(a, alpha_tilde, m) -> PantsData:
-    """Lengths, twists and trace parameters (from m, the half_turns of the
-    octagon) of one decomposition, as a PantsData of arrays, elementwise."""
+def pants_forms(a, alpha_tilde, m):
+    """(lengths, twists, c, d, p_aux) of one decomposition, elementwise: the
+    lengths (l1, l2, l3), twists (tau1, tau2, tau3) and trace parameters
+    (c1, c2, c3), (d1, d2, d3) from m, the half_turns of the octagon."""
     l1, l3, tau1, tau3 = _fn_forms(a, alpha_tilde)
     c, d = trace_forms(m)
     p_aux = c[0] ** 2 + c[1] ** 2 + c[2] ** 2 + 2.0 * c[0] * c[1] * c[2] - 1.0
-    return PantsData((l1, l1, l3), (tau1, tau1, tau3), c, d, p_aux)
+    return (l1, l1, l3), (tau1, tau1, tau3), c, d, p_aux
 
 
 def _rel(x, ref):
@@ -126,42 +110,30 @@ def _rel(x, ref):
     return (x - ref) / ew.maximum(1.0, abs(ref))
 
 
-def dt_residuals(data: PantsData) -> tuple[float, float, float]:
-    """Residuals of d_k = p_aux/(c_k^2 - 1) * (1 + cosh tau_k) - 1.
+def dt_residuals(pants) -> tuple[float, float, float]:
+    """Residuals of d_k = p_aux/(c_k^2 - 1) * (1 + cosh tau_k) - 1, given
+    pants = pants_forms(...).
 
     Each is |d_k - rhs_k| / max(1, |rhs_k|): d_k grows without bound near the
     domain boundary, so the identity is judged relatively there.  Elementwise
-    for a PantsData of arrays; floats for one of floats.
+    for forms of arrays; floats for forms of floats.
     """
+    _, twists, c, d, p_aux = pants
     return tuple(
-        abs(_rel(d, data.p_aux / (c**2 - 1.0) * (1.0 + ew.cosh(tau)) - 1.0))
-        for c, d, tau in zip(data.c, data.d, data.twists)
+        abs(_rel(d_k, p_aux / (c_k**2 - 1.0) * (1.0 + ew.cosh(tau)) - 1.0))
+        for c_k, d_k, tau in zip(c, d, twists)
     )
 
 
-@dataclass(frozen=True)
-class LTReport:
-    """Residuals of the relations among L = cosh(l/2) and T = cosh(tau/2)."""
-
-    residual_l3: float
-    residual_tau3: float
-    residual_l1_primed: float
-    residual_t1_primed: float
-
-    @property
-    def max_residual(self) -> float:
-        """The largest |residual|; elementwise for a report of arrays."""
-        return np.abs(astuple(self)).max(axis=0)
-
-
-def lt_forms(a, alpha_tilde) -> LTReport:
+def lt_forms(a, alpha_tilde):
     """Check L3 = 2 L1 + 1, tau3 = l3/2, and the primed L'1, T'1 relations.
 
     L and T denote cosh of half-lengths and half-twists; the primed pair is
     computed from the conjugate parameters and compared against the rational
     expressions in the unprimed (L1, T1).  Residuals are relative, as in
-    dt_residuals: L'1 grows without bound near the domain boundary.  An
-    LTReport of arrays, elementwise over the parameter arrays.
+    dt_residuals: L'1 grows without bound near the domain boundary.  Returns
+    the signed (residual_l3, residual_tau3, residual_l1_primed,
+    residual_t1_primed), elementwise over the parameter arrays.
     """
     l1_len, l3_len, tau1, tau3 = _fn_forms(a, alpha_tilde)
     l1p_len, _, tau1p, _ = _fn_forms(b_of(a, alpha_tilde), -alpha_tilde)
@@ -174,11 +146,11 @@ def lt_forms(a, alpha_tilde) -> LTReport:
     num = l1 * l1 * t1 * t1 + l1 * t1 * t1 - l1 * l1 + 1.0
     den = 2.0 * l1 * t1 * t1 - l1 + 1.0
     lhs_t1p = ew.sqrt(num / den)
-    return LTReport(
-        residual_l3=_rel(l3, 2.0 * l1 + 1.0),
-        residual_tau3=_rel(tau3, 0.5 * l3_len),
-        residual_l1_primed=_rel(l1p, lhs_l1p),
-        residual_t1_primed=_rel(t1p, lhs_t1p),
+    return (
+        _rel(l3, 2.0 * l1 + 1.0),
+        _rel(tau3, 0.5 * l3_len),
+        _rel(l1p, lhs_l1p),
+        _rel(t1p, lhs_t1p),
     )
 
 

@@ -33,7 +33,6 @@ __all__ = [
     "P_REG",
     "QUAD_TOLERANCE",
     "AreaResult",
-    "ParabolaFit",
     "e_of_p",
     "a_extremes",
     "orbit_forms",
@@ -289,21 +288,13 @@ def wp_area_contour(p_star: float) -> float:
             )
 
 
-@dataclass(frozen=True)
-class ParabolaFit:
-    """Least-squares fit area = c1 (P - P_reg)^2 + c2 (P - P_reg)."""
+def parabola_fit(p_min: float = P_REG, p_max: float = 41.0, step: float = 0.5):
+    """Fit the quadrature areas over [p_min, p_max] to a parabola through 0.
 
-    c1: float
-    c2: float
-    residual_norm: float
-    p_values: tuple[float, ...]
-    areas: tuple[float, ...]
-
-
-def parabola_fit(
-    p_min: float = P_REG, p_max: float = 41.0, step: float = 0.5
-) -> ParabolaFit:
-    """Fit the quadrature areas over [p_min, p_max] to a parabola through 0."""
+    Returns (c1, c2, residual_norm, p_values, areas): the least-squares
+    area = c1 (P - P_reg)^2 + c2 (P - P_reg), the norm of its residual, and
+    the perimeters and areas it was fitted to, as tuples of floats.
+    """
     if not (math.isfinite(p_min) and math.isfinite(p_max)):
         raise ValueError(f"perimeters must be finite, got {p_min!r}, {p_max!r}")
     if not p_min < p_max:
@@ -323,7 +314,7 @@ def parabola_fit(
     design = np.column_stack([dp * dp, dp])
     coeffs, _, _, _ = np.linalg.lstsq(design, areas, rcond=None)
     resid = float(np.linalg.norm(design @ coeffs - areas))
-    return ParabolaFit(
+    return (
         float(coeffs[0]), float(coeffs[1]), resid,
         tuple(float(p) for p in ps), tuple(float(x) for x in areas),
     )

@@ -282,11 +282,12 @@ def grid_arrays(
     [lower_a + margin, 1 - margin] is nonempty; each row then carries n_a
     equally spaced a values.  Returns the arrays (a, alpha_tilde), row by
     row.  Raises ValueError for a margin outside [0, 0.2], as
-    validate_params does, for one that leaves no grid, for one that rounds
-    away when added to a row's lower_a (0, or below about half an ulp of
-    lower_a), which would put that row's first a on the excluded bound, for
-    a side n_a or n_alpha below 1, and OutOfDomainError at the first point
-    outside the domain.
+    validate_params does, for one that leaves no grid, for one that puts a
+    row's first a on the excluded bound as the forms see it (a margin that
+    rounds away on lower_a, as 0 and those below about half an ulp of lower_a
+    do, or one that leaves 2a^2 cos^2(at) - 1 at 0 or below there, as 6e-17
+    and 1e-16 do on the 20 x 20 grid), for a side n_a or n_alpha below 1,
+    and OutOfDomainError at the first point outside the domain.
     """
     _check_margin(margin)
     # lower_a(at) + margin <= 1 - margin pins |at| <= acos(1/(sqrt2 (1-2 margin)))
@@ -298,10 +299,13 @@ def grid_arrays(
         raise ValueError(f"grid {n_a} x {n_alpha} has no points")
     alphas = np.linspace(-at_max, at_max, n_alpha + 2)[1:-1]
     lo = lower_a(alphas)
-    if np.any(lo + margin == lo):
+    first = lo + margin
+    # a first a that rounds onto lower_a, or one an ulp or two above it where
+    # octagon_forms' 2a^2 cos^2(at) - 1 rounds to 0 or below, is on the bound
+    if np.any((first == lo) | ~(2.0 * (first * first) * ew.cos(alphas) ** 2 - 1.0 > 0.0)):
         raise ValueError(f"margin {margin!r} puts a grid row's first a, lower_a + margin, "
                          "on the excluded bound lower_a")
-    a = np.linspace(lo + margin, 1.0 - margin, n_a, axis=1).ravel()
+    a = np.linspace(first, 1.0 - margin, n_a, axis=1).ravel()
     at = np.repeat(alphas, n_a)
     _check_domain(a, at, 0.0)
     return a, at

@@ -5,9 +5,10 @@ returns a str, and the CLI writes it to stdout or to a file.
 
 CSV writes floats as %.17g (``format_float``): 17 significant digits,
 enough to round-trip a double, with trailing zeros stripped (0.5, not
-0.50000000000000000).  It uses a '.' decimal separator, a header row, LF
-line endings and csv.writer's minimal quoting, which here also quotes a
-cell holding a carriage return.  Tables are given as columns; a float64
+0.50000000000000000).  It uses a '.' decimal separator, a header row and LF
+line endings, and quotes nothing: a cell holding ',', '"', CR, LF or NUL
+is refused, as is a table of one column, so every table written is the
+bytes of csv.writer's minimal quoting.  Tables are given as columns; a float64
 array column is formatted in integer arithmetic, exact digit for digit
 (``_g17``), and each block of rows is written as one uint8 array, in
 which the text cells of a column are joined, encoded once and scattered
@@ -15,11 +16,12 @@ into rows by their byte lengths (``_padded``), while a table of Python
 cells is joined as text.  JSON
 documents carry a top level ``"schema": "teich2/v1"`` marker and serialize
 floats with Python's shortest round-tripping repr, so parsing reproduces
-the doubles bit-exactly.  They are the bytes of ``json.dumps(doc,
-indent=2)``, which on Python 3.11 runs json's pure-Python encoder, from a
-recursive writer; a list of dicts that share their str keys and hold only
-finite floats, as the orbit samples and area rows do, is written one
-``%r`` template per row.  ``json.dumps`` is kept only in the tests, as the
+the doubles bit-exactly.  Their keys are str, and any other key is
+refused.  They are the bytes of ``json.dumps(doc, indent=2)``, which on
+Python 3.11 runs json's pure-Python encoder, from a recursive writer; a
+list of dicts that share their str keys and hold only finite floats, as
+the orbit samples and area rows do, is written one ``%r`` template per
+row.  ``json.dumps`` is kept only in the tests, as the
 byte oracle.  SVG maps the unit disk to a 1000 x 1000 viewport
 and renders geodesic sides as true circular arcs through three sampled
 points, with numbers in %.4f form.  The arcs of all cells are computed as
@@ -62,8 +64,9 @@ _BLOCK = 512
 # rows per pass of the CSV writer: _g17's arrays take a few hundred bytes per
 # value, so a block of the four-float ball dump stays within a few MB
 _ROWS = 4096
-# a CSV cell holding one of these characters is quoted
-_QUOTED = ',"\r\n'
+# a CSV cell holding one of these characters is refused: NUL bytes pad the
+# byte route, and csv.writer would quote the others
+_REFUSED = '\0,"\r\n'
 _COMMA, _NEWLINE = np.uint8(ord(",")), np.uint8(ord("\n"))
 
 
@@ -72,28 +75,19 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _quoted(cell: str, alone: bool) -> str:
-    if any(c in cell for c in _QUOTED) or (alone and not cell):
-        return '"' + cell.replace('"', '""') + '"'
-    return cell
-
-
-def _cells(column: Sequence[Any], alone: bool) -> Sequence[str]:
+def _cells(column: Sequence[Any]) -> Sequence[str]:
     """The CSV text of each cell of a column of Python objects: floats (numpy's
-    too) as ``format_float``, anything else as ``str``, quoted as csv.writer's
-    QUOTE_MINIMAL does with a "\\r\\n" line terminator: a cell holding ',', '"',
-    "\\r" or "\\n", or the empty cell when it is ``alone`` in its row.  Rows end
-    with "\\n".  A column whose cells are all of type str, such as a ball's
-    words, is its own texts, with no call per cell unless one needs quoting."""
+    too) as ``format_float``, anything else as ``str``.  A column whose cells
+    are all of type str, such as a ball's words, is its own texts, with no
+    call per cell.  Raises ValueError for a cell holding a _REFUSED
+    character."""
     if set(map(type, column)) <= {str}:
         cells = column
     else:
         cells = [format_float(x) if isinstance(x, float) else str(x) for x in column]
     joined = "".join(cells)
-    if "\0" in joined:  # 0 bytes are the padding of the byte route
-        raise ValueError("a CSV cell holds a NUL character")
-    if any(c in joined for c in _QUOTED) or (alone and "" in cells):
-        cells = [_quoted(c, alone) for c in cells]
+    if any(c in joined for c in _REFUSED):
+        raise ValueError("a CSV cell holds NUL, ',', '\"', CR or LF, which are not written")
     return cells
 
 
@@ -112,10 +106,11 @@ def csv_text(header: Sequence[str], columns: Sequence[Any]) -> str:
             f"a CSV table needs one column per header name, all of one length: "
             f"{len(header)} names, column lengths {[len(c) for c in columns]}"
         )
-    alone = len(columns) == 1
-    text = [",".join(_cells(header, alone)) + "\n"]
+    if len(columns) == 1:  # csv.writer quotes an empty cell alone in its row
+        raise ValueError("a CSV table of one column is not written")
+    text = [",".join(_cells(header)) + "\n"]
     columns = [
-        c if isinstance(c, np.ndarray) and c.dtype == np.float64 else _cells(c, alone)
+        c if isinstance(c, np.ndarray) and c.dtype == np.float64 else _cells(c)
         for c in columns
     ]
     floats = [c for c in columns if isinstance(c, np.ndarray)]
@@ -151,7 +146,8 @@ def _json_default(x: Any) -> Any:
 
 def json_text(payload: dict[str, Any]) -> str:
     """The document {"schema": SCHEMA, **payload} as ``json.dumps(doc,
-    indent=2, default=_json_default)`` writes it, with a final newline."""
+    indent=2, default=_json_default)`` writes it, with a final newline.
+    Every key must be a str: any other raises TypeError."""
     out: list[str] = []
     _json(out, {"schema": SCHEMA, **payload}, "\n")
     out.append("\n")
@@ -166,18 +162,6 @@ def _json_float(x: float) -> str:
     if x == -math.inf:
         return "-Infinity"
     return float.__repr__(x)
-
-
-def _json_key(key: Any) -> str:
-    if isinstance(key, str):
-        return _json_string(key)
-    if isinstance(key, float):
-        return _json_string(_json_float(key))
-    if key is True or key is False or key is None:
-        return _json_string(_JSON_CONSTANTS[key])
-    if isinstance(key, int):
-        return _json_string(int.__repr__(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _json(out: list[str], o: Any, newline: str) -> None:
@@ -214,7 +198,7 @@ def _json(out: list[str], o: Any, newline: str) -> None:
         inner = newline + "  "
         out.append("{")
         for i, (key, value) in enumerate(o.items()):
-            out += ("," + inner if i else inner, _json_key(key), ": ")
+            out += ("," + inner if i else inner, _json_string(key), ": ")
             _json(out, value, inner)
         out += (newline, "}")
     else:

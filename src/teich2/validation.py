@@ -5,12 +5,12 @@ relation and discreteness margins, the triple construction of the
 generators, side pairings, Fenchel-Nielsen consistency, the Wolpert form,
 L/T relations, both perimeter routes with interior angles, isoperimetric
 orbit behavior, and the two independent area routes.  Each identity
-is written once, in the ``CHECKS`` table, which the acceptance tests call
-too.  The per-point identities take the whole grid at once, as numpy
-arrays, through the same closed forms that the scalar API evaluates at one
-point; each block of points computes its octagon forms, half turns and
-generators once, in a ``PointBlock`` that its checks share.  The result is a
-JSON-ready report with one entry per check.
+is written once, in the per-point ``CHECKS`` table or in ``_ONCE_CHECKS``,
+which the acceptance tests call too.  The per-point identities take the
+whole grid at once, as numpy arrays, through the same closed forms that the
+scalar API evaluates at one point; each block of points computes its
+octagon forms, half turns and generators once, in a ``PointBlock`` that its
+checks share.  The result is a JSON-ready report with one entry per check.
 
 By Poincare's polygon theorem (Maskit, Adv. Math. 7, 1971; Beardon, The
 Geometry of Discrete Groups, 1983, sec. 9.8) the octagon is a fundamental
@@ -25,7 +25,7 @@ the centre 0 is not strictly inside the side circle it must cross).
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,18 +134,19 @@ def _side_pairing(p: PointBlock) -> dict[str, np.ndarray]:
 
 def _fn_consistency(p: PointBlock) -> dict[str, np.ndarray]:
     a, at, f = p.a, p.at, p.forms
-    data = pants_forms(a, at, p.m)
+    pants = pants_forms(a, at, p.m)
+    lengths, _, c, d, _ = pants
     p_plus, p_minus = f.midpoints[0], f.midpoints[1]
-    pairs = [(c, np.cosh(0.5 * length)) for c, length in zip(data.c, data.lengths)]
-    pairs += zip(data.d, d_closed_forms(a, at))
+    pairs = [(c_k, np.cosh(0.5 * length)) for c_k, length in zip(c, lengths)]
+    pairs += zip(d, d_closed_forms(a, at))
     pairs += [
-        (data.lengths[0], 2.0 * dist(p_plus, p_minus)),
-        (data.lengths[2], 2.0 * dist(0.0, a)),
+        (lengths[0], 2.0 * dist(p_plus, p_minus)),
+        (lengths[2], 2.0 * dist(0.0, a)),
         (_fn_forms(f.b, -at)[0], 2.0 * dist(1j * p_plus, p_minus)),
     ]
     # judged as |x - ref| / max(1, |ref|), as dt_residuals judges its identity
     res = [abs(x - ref) / np.maximum(1.0, abs(ref)) for x, ref in pairs]
-    return {"fn_consistency": np.max(res + list(dt_residuals(data)), axis=0)}
+    return {"fn_consistency": np.max(res + list(dt_residuals(pants)), axis=0)}
 
 
 def _wolpert(p: PointBlock) -> dict[str, np.ndarray]:
@@ -158,7 +159,7 @@ def _wolpert(p: PointBlock) -> dict[str, np.ndarray]:
 
 
 def _lt_relations(p: PointBlock) -> dict[str, np.ndarray]:
-    return {"lt_relations": lt_forms(p.a, p.at).max_residual}
+    return {"lt_relations": np.abs(lt_forms(p.a, p.at)).max(axis=0)}
 
 
 def _perimeter_and_angles(p: PointBlock) -> dict[str, np.ndarray]:
@@ -207,29 +208,26 @@ def _area_cross_check(p_stars: tuple[float, ...] = _AREA_P_STARS) -> dict[str, f
     return {"area_cross_check": dev}
 
 
-class _Check(NamedTuple):
-    per_point: bool
-    fn: Callable[..., dict[str, float]]
-
-
 # Each entry is keyed by the first DEFAULT_TOLERANCES name its function
-# reports and returns {name: residual} for one or two names.  Per-point
-# functions take the point_block of grid points in the domain and return one
-# residual array per name; the others run once, and area_cross_check takes
-# the perimeters to compare at (_AREA_P_STARS by default).  The probe-point
-# check ball_counts lives in run_validation.
-CHECKS: dict[str, _Check] = {
-    "relation_defect": _Check(True, _relation),
-    "triple_agreement": _Check(True, _triple_agreement),
-    "side_pairing": _Check(True, _side_pairing),
-    "fn_consistency": _Check(True, _fn_consistency),
-    "wolpert_relative": _Check(True, _wolpert),
-    "lt_relations": _Check(True, _lt_relations),
-    "perimeter_routes": _Check(True, _perimeter_and_angles),
-    "orbit_constancy": _Check(False, _orbit_constancy),
-    "orbit_asymptote": _Check(False, _orbit_asymptote),
-    "area_regular": _Check(False, _area_regular),
-    "area_cross_check": _Check(False, _area_cross_check),
+# reports and returns {name: residual} for one or two names.  CHECKS take
+# the point_block of grid points in the domain and return one residual array
+# per name; _ONCE_CHECKS run once, and area_cross_check takes the perimeters
+# to compare at (_AREA_P_STARS by default).  The probe-point check
+# ball_counts lives in run_validation.
+CHECKS = {
+    "relation_defect": _relation,
+    "triple_agreement": _triple_agreement,
+    "side_pairing": _side_pairing,
+    "fn_consistency": _fn_consistency,
+    "wolpert_relative": _wolpert,
+    "lt_relations": _lt_relations,
+    "perimeter_routes": _perimeter_and_angles,
+}
+_ONCE_CHECKS = {
+    "orbit_constancy": _orbit_constancy,
+    "orbit_asymptote": _orbit_asymptote,
+    "area_regular": _area_regular,
+    "area_cross_check": _area_cross_check,
 }
 
 
@@ -248,9 +246,8 @@ def _per_point_worst(a: np.ndarray, at: np.ndarray) -> dict[str, float]:
         try:
             block = point_block(a[start:start + _BLOCK], at[start:start + _BLOCK])
             for key, check in CHECKS.items():
-                if check.per_point:
-                    for name, r in check.fn(block).items():
-                        worst.setdefault(name, []).append(np.max(r))
+                for name, r in check(block).items():
+                    worst.setdefault(name, []).append(np.max(r))
         except NumericalError as exc:
             if exc.index is None:
                 raise
@@ -287,9 +284,8 @@ def run_validation(
     a, at = grid_arrays(n_a, n_alpha, margin)
     results = _per_point_worst(a, at)
 
-    for check in CHECKS.values():
-        if not check.per_point:
-            results.update(check.fn())
+    for check in _ONCE_CHECKS.values():
+        results.update(check())
 
     probe = generator_pairs(float(a[a.size // 2]), float(at[a.size // 2]))
     counts_ok = (

@@ -16,7 +16,7 @@ from teich2.group import BALL_SIZES, ball, generators, half_turns, relation_pair
 from teich2.hyperbolic import su_gap
 from teich2.isoperimetric import A_REG, E_REG, P_REG, e_of_p, parabola_fit
 from teich2.octagon import OctagonParams, b_of, octagon_forms, perimeter_ab
-from teich2.validation import CHECKS, point_block
+from teich2.validation import _ONCE_CHECKS, CHECKS, point_block
 
 C1_COEFF = 0.05622
 C2_COEFF = 2.62132
@@ -25,7 +25,7 @@ C2_COEFF = 2.62132
 def grid_worst(grid, name):
     """Largest residual of each name the CHECKS entry reports over the grid
     arrays (a, alpha_tilde), evaluated in one batch as validate does."""
-    return {key: float(np.max(r)) for key, r in CHECKS[name].fn(point_block(*grid)).items()}
+    return {key: float(np.max(r)) for key, r in CHECKS[name](point_block(*grid)).items()}
 
 
 def test_criterion_01_regular_constants():
@@ -41,7 +41,7 @@ def test_criterion_01_regular_constants():
         "E_of_P": abs(e_of_p(P_REG) - E_REG),
         "a": abs(A_REG - 2.0 ** -0.25),
         "tau1": abs(pants_forms(reg.a, reg.alpha_tilde,
-                                half_turns(octagon_forms(reg.a, reg.alpha_tilde))).twists[0]),
+                                half_turns(octagon_forms(reg.a, reg.alpha_tilde)))[1][0]),
     }
     elapsed = time.perf_counter() - t0
     ok = (
@@ -128,7 +128,7 @@ def test_criterion_07_lt_relations(acceptance_grid):
 def test_criterion_08_orbit_constancy():
     desc = "orbit perimeter constancy rel <= 1e-8, mirror <= 1e-12, < 5 s"
     t0 = time.perf_counter()
-    res = CHECKS["orbit_constancy"].fn()
+    res = _ONCE_CHECKS["orbit_constancy"]()
     worst_rel, worst_mirror = res["orbit_constancy"], res["orbit_mirror"]
     elapsed = time.perf_counter() - t0
     ok = worst_rel <= 1e-8 and worst_mirror <= 1e-12 and elapsed < 5.0
@@ -139,7 +139,7 @@ def test_criterion_08_orbit_constancy():
 def test_criterion_09_orbit_asymptote():
     desc = "P=200 orbit within 1e-3 of its limit curve"
     t0 = time.perf_counter()
-    worst = CHECKS["orbit_asymptote"].fn()["orbit_asymptote"]
+    worst = _ONCE_CHECKS["orbit_asymptote"]()["orbit_asymptote"]
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-3
     record(9, desc, ok, f"sup={worst:.2e} t={elapsed:.2f}s")
@@ -149,13 +149,13 @@ def test_criterion_09_orbit_asymptote():
 def test_criterion_10_wp_areas():
     desc = "areas: zero at P_reg, quad vs contour rel <= 1e-12, parabola fit, < 60 s"
     t0 = time.perf_counter()
-    at_reg = CHECKS["area_regular"].fn()["area_regular"]
-    worst_rel = CHECKS["area_cross_check"].fn((25.0, 30.0, 35.0, 41.0))[
+    at_reg = _ONCE_CHECKS["area_regular"]()["area_regular"]
+    worst_rel = _ONCE_CHECKS["area_cross_check"]((25.0, 30.0, 35.0, 41.0))[
         "area_cross_check"
     ]
-    fit = parabola_fit(P_REG, 41.0, 0.5)
-    c1_rel = abs(fit.c1 - C1_COEFF) / C1_COEFF
-    c2_rel = abs(fit.c2 - C2_COEFF) / C2_COEFF
+    c1, c2, *_ = parabola_fit(P_REG, 41.0, 0.5)
+    c1_rel = abs(c1 - C1_COEFF) / C1_COEFF
+    c2_rel = abs(c2 - C2_COEFF) / C2_COEFF
     elapsed = time.perf_counter() - t0
     ok = (
         at_reg <= 1e-10

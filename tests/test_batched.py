@@ -41,7 +41,6 @@ from teich2 import validation
 from teich2.validation import CHECKS, DEFAULT_TOLERANCES, point_block, run_validation
 
 EPS = np.finfo(float).eps
-PER_POINT = {key: check.fn for key, check in CHECKS.items() if check.per_point}
 
 
 def domain_arrays(draw, margin, size):
@@ -85,13 +84,17 @@ def test_grid_arrays_refuse_margin_0():
 
 def test_grid_arrays_check_the_domain():
     # a margin below half an ulp of lower_a still puts the first a on the
-    # bound, and is refused as margin 0 is; from about half an ulp on, every
-    # row's first a lies above the bound and every point in the domain
-    with pytest.raises(ValueError, match=r"margin 5e-17 puts a grid row's first a"):
-        grid_arrays(4, 4, 5e-17)
-    for margin in (1.2e-16, 1e-15, 1e-9):
+    # bound, and one or two ulps above it octagon_forms' 2a^2 cos^2(at) - 1
+    # still rounds to 0 or below on some rows: each is refused as margin 0
+    # is; from 2e-16 on, every row's first a lies above the bound, where
+    # 2a^2 cos^2(at) - 1 > 0, and every point in the domain
+    for margin in (5e-17, 6e-17, 1e-16, 1.2e-16):
+        with pytest.raises(ValueError, match=f"margin {margin!r} puts a grid row's first a"):
+            grid_arrays(9, 9, margin)
+    for margin in (2e-16, 1e-15, 1e-9):
         a, at = grid_arrays(9, 9, margin)
         assert np.all(a > lower_a(at))
+        assert np.all(2.0 * (a * a) * np.cos(at) ** 2 - 1.0 > 0.0)
         for x, y in zip(a.tolist(), at.tolist()):
             OctagonParams(x, y)
 
@@ -119,7 +122,7 @@ def test_octagon_forms_match_build_geometry():
 def test_scalar_views_match_the_batch():
     a, at = grid_arrays(6, 6, 0.02)
     g = generator_pairs(a, at)
-    data = pants_forms(a, at, half_turns(octagon_forms(a, at)))
+    lengths, twists, c, _, _ = pants_forms(a, at, half_turns(octagon_forms(a, at)))
     summands = wolpert_forms(a, at)[1]
     for k, (x, y) in enumerate(zip(a.tolist(), at.tolist())):
         params = OctagonParams(x, y)
@@ -130,9 +133,8 @@ def test_scalar_views_match_the_batch():
             tol = 8 * EPS * (abs(tu) ** 2 + abs(tv) ** 2)
             assert_allclose([u[k], v[k]], [tu, tv], rtol=tol)
         view = pants_forms(x, y, half_turns(octagon_forms(x, y)))
-        assert_allclose([x[k] for x in data.lengths + data.twists],
-                        view.lengths + view.twists, rtol=4 * EPS)
-        assert_allclose([x[k] for x in data.c], view.c, rtol=1e-12)
+        assert_allclose([x[k] for x in lengths + twists], view[0] + view[1], rtol=4 * EPS)
+        assert_allclose([x[k] for x in c], view[2], rtol=1e-12)
         # wolpert_forms on floats against its array call
         assert_allclose([s[k] for s in summands], wolpert_forms(params.a, params.alpha_tilde)[1],
                         rtol=8 * EPS)
@@ -141,7 +143,7 @@ def test_scalar_views_match_the_batch():
 @settings(max_examples=60, deadline=None)
 @given(batches(margin=1e-3))
 def test_side_pairing_under_its_bar(batch):
-    res = PER_POINT["side_pairing"](point_block(*batch))
+    res = CHECKS["side_pairing"](point_block(*batch))
     assert np.max(res["side_pairing"]) <= DEFAULT_TOLERANCES["side_pairing"]
     # every g_k carries the octagon across side k at every point
     assert not np.any(res["side_pairing_interior"])
@@ -165,7 +167,7 @@ def test_crossing_counts_every_inverted_generator():
 @settings(max_examples=60, deadline=None)
 @given(batches(margin=0.02))
 def test_relation_defect_under_its_bar(batch):
-    res = PER_POINT["relation_defect"](point_block(*batch))
+    res = CHECKS["relation_defect"](point_block(*batch))
     assert np.max(res["relation_defect"]) <= DEFAULT_TOLERANCES["relation_defect"]
     assert np.max(res["generator_traces"]) <= DEFAULT_TOLERANCES["generator_traces"]
 
@@ -211,7 +213,7 @@ def test_mirror_identities_hold_to_the_bit(n_a, n_alpha, log_margin, data):
 def test_batch_invariance(batch, data):
     a, at = batch
     k = data.draw(st.integers(0, len(a) - 1))
-    for key, fn in PER_POINT.items():
+    for key, fn in CHECKS.items():
         together, alone = fn(point_block(a, at)), fn(point_block(a[k:k + 1], at[k:k + 1]))
         for name, residual in together.items():
             x, y = alone[name][0], residual[k]

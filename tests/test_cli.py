@@ -198,6 +198,13 @@ EXIT_CODES = [
     (["validate", "--margin", "5e-17"], 2,
      r"teich2: argument error: margin 5e-17 puts a grid row's first a, lower_a \+ margin, on "
      r"the excluded bound lower_a\n", ""),
+    # one ulp above lower_a, 2a^2 cos^2(at) - 1 still rounds below 0 on 8 rows
+    (["validate", "--margin", "6e-17"], 2,
+     r"teich2: argument error: margin 6e-17 puts a grid row's first a, lower_a \+ margin, on "
+     r"the excluded bound lower_a\n", ""),
+    (["validate", "--margin", "1e-16"], 2,
+     r"teich2: argument error: margin 1e-16 puts a grid row's first a, lower_a \+ margin, on "
+     r"the excluded bound lower_a\n", ""),
 ]
 
 
@@ -579,13 +586,17 @@ CONJUGATE_SIDE = ["--a", "0.95", "--alpha-tilde", "-0.5"]
      "e825d8dc62516a645e34b6db8ee401520ea826726ba332ad50b9586892bcdd81"),
     (["fn", *CONJUGATE_SIDE, "--format", "csv"],
      "772b7a0d5441614e970bcc0e3f4436028f61ee7fc1b3e3f58ce8fb5daf0468fa"),
+    (["area", "--p-max", "60", "--step", "3", "--format", "csv"],
+     "3266db9b3589c8defcad13152719e9f5b6493c091b52ee8ac8fb0cf0f97d81cd"),
 ])
 def test_point_query_golden_digest(capsys, argv, digest):
-    # sha256 of the one-point octagon, group and fn outputs on x86-64 Linux;
-    # a change in how the CLI reaches the forms must keep every byte
+    # sha256 of stdout then stderr of the one-point octagon, group and fn
+    # queries, whose stderr is empty, and of an area table with its fit line
+    # on stderr, on x86-64 Linux; a change in how the CLI reaches the forms or
+    # the fit must keep every byte
     code, out, err = run_capture(capsys, argv)
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    assert code == 0
+    assert hashlib.sha256((out + err).encode("utf-8")).hexdigest() == digest
 
 
 class TestValidateCommand:

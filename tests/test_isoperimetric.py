@@ -542,11 +542,11 @@ class TestWPArea:
 
 class TestParabolaFit:
     def test_fit_near_reference_coefficients(self):
-        fit = parabola_fit(P_REG, 41.0, 1.0)
-        assert abs(fit.c1 - 0.05622) / 0.05622 < 0.10
-        assert abs(fit.c2 - 2.62132) / 2.62132 < 0.03
-        assert fit.residual_norm < 0.5
-        assert len(fit.p_values) == len(fit.areas)
+        c1, c2, residual_norm, p_values, areas = parabola_fit(P_REG, 41.0, 1.0)
+        assert abs(c1 - 0.05622) / 0.05622 < 0.10
+        assert abs(c2 - 2.62132) / 2.62132 < 0.03
+        assert residual_norm < 0.5
+        assert len(p_values) == len(areas)
 
     def test_sample_guards(self):
         with pytest.raises(ValueError):

@@ -6,23 +6,20 @@ import pytest
 
 from teich2 import group, octagon, validation
 from teich2.octagon import grid_arrays
-from teich2.validation import CHECKS, DEFAULT_TOLERANCES, point_block, run_validation
+from teich2.validation import _ONCE_CHECKS, CHECKS, DEFAULT_TOLERANCES, point_block, run_validation
 
-# checked once at a probe point inside run_validation, not through CHECKS:
+# checked once at a probe point inside run_validation, not through the tables:
 # the ball sizes are a property of the group, not of each grid point
 PROBE_CHECKS = {"ball_counts"}
 
 
 def test_no_tolerance_is_reported_by_two_checks():
     reported = []
-    for key, check in CHECKS.items():
-        if check.per_point:
-            res = check.fn(point_block(np.array([0.8]), np.array([0.1])))
-        elif key == "area_cross_check":
-            res = check.fn(())  # no perimeters: the name without a sweep
-        else:
-            res = check.fn()
-        reported.extend(res)
+    for check in CHECKS.values():
+        reported.extend(check(point_block(np.array([0.8]), np.array([0.1]))))
+    for key, check in _ONCE_CHECKS.items():
+        # no perimeters for area_cross_check: the name without a sweep
+        reported.extend(check(()) if key == "area_cross_check" else check())
     assert len(reported) == len(set(reported))
     assert set(reported) | PROBE_CHECKS == set(DEFAULT_TOLERANCES)
 
@@ -41,8 +38,8 @@ def test_bad_tolerance_value_rejected(tol):
 def test_fn_consistency_is_relative_for_large_quantities():
     # d_k is about 2e4 here; its identities hold to ~1e-11 relative but
     # miss 1e-9 in absolute terms
-    res = CHECKS["fn_consistency"].fn(point_block(np.array([0.995]),
-                                                  np.array([-0.33224804589778684])))
+    res = CHECKS["fn_consistency"](point_block(np.array([0.995]),
+                                                     np.array([-0.33224804589778684])))
     assert res["fn_consistency"] <= DEFAULT_TOLERANCES["fn_consistency"]
 
 
@@ -56,10 +53,9 @@ def test_shared_block_moves_no_residual(n_a, n_alpha, margin):
         rows = slice(start, start + validation._BLOCK)
         shared = point_block(a[rows], at[rows])
         for key, check in CHECKS.items():
-            if check.per_point:
-                fresh = check.fn(point_block(a[rows], at[rows]))
-                for name, residual in check.fn(shared).items():
-                    assert residual.tobytes() == fresh[name].tobytes(), (key, name, start)
+            fresh = check(point_block(a[rows], at[rows]))
+            for name, residual in check(shared).items():
+                assert residual.tobytes() == fresh[name].tobytes(), (key, name, start)
 
 
 def test_one_block_evaluates_its_octagon_and_half_turns_once(monkeypatch):
