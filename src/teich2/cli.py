@@ -4,28 +4,32 @@
 derivatives of the closed-form lengths and twists and compares it with the
 closed-form coefficient; its ``wp.fd_*`` keys keep their teich2/v1 names.
 
-Exit codes: 0 success, 1 I/O errors, 2 argument errors (also a tiling radius
-outside 0..6, a ball element that float64 cannot represent at the given
-point, a NaN or infinite float flag, a size whose arrays numpy cannot
-allocate, as from ``area --step``, ``orbit --samples`` or ``validate
---grid``, a ``validate --grid`` side below 1 or a ``--margin`` that puts a
-grid row's first a on its bound lower_a as the forms see it, as 0 and 1e-16
-do, or an unknown or negative tolerance), 3 domain errors (octagon
-parameters outside the admissible region or within ``--margin`` of its
-boundary, or an orbit or area perimeter below the regular value P_reg), 4
+Each point command takes its point as ``--a`` and ``--alpha-tilde``, and
+every flag only as spelled: argparse refuses a prefix of one.
+
+Exit codes: 0 success, 1 I/O errors, 2 argument errors (also an unknown or
+abbreviated flag, a tiling radius outside 0..6, a ball element that float64
+cannot represent at the given point, a NaN or infinite float flag, a size
+whose arrays numpy cannot allocate, as from ``area --step``, ``orbit
+--samples`` or ``validate --grid``, a ``validate --grid`` side below 1, or a
+``validate --margin`` outside [0, 0.2], one that leaves no grid or one that
+puts a grid row's first a on its bound lower_a as the forms see it, as 0 and
+1e-16 do), 3 domain errors (octagon parameters outside the admissible
+region, or an orbit or area perimeter below the regular value P_reg), 4
 validation failure, 5 numerical errors (a quadrature that does not converge
 or overflows, an overflow or cancellation, an orbit point that rounds out of
 the domain, a point near the corner a = 1, |alpha_tilde| = pi/4 whose side
 midpoints round out of the disk, or a float form that divides by a rounded 0
 or meets a math domain error at a point next to the domain's edge); its line
 ends with the command's point, if it has one, as `` at --a A --alpha-tilde
-T`` (or ``--alpha``). With ``--format json`` domain errors additionally
-produce a JSON error object on stdout.
+T``. With ``--format json`` domain errors additionally produce a JSON error
+object on stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Any, Sequence
@@ -62,16 +66,8 @@ __all__ = ["run", "main"]
 
 def _add_params(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--a", type=float, required=True, help="first octagon parameter")
-    grp = sp.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--alpha", type=float, help="vertex angle alpha (radians)")
-    grp.add_argument(
-        "--alpha-tilde", type=float, dest="alpha_tilde",
-        help="shifted angle alpha - pi/4 (radians)",
-    )
-    sp.add_argument(
-        "--margin", type=float, default=0.0,
-        help="required distance to the domain boundary (default 0)",
-    )
+    sp.add_argument("--alpha-tilde", type=float, required=True, dest="alpha_tilde",
+                    help="shifted angle alpha - pi/4 (radians)")
 
 
 def _add_output(sp: argparse.ArgumentParser, formats: Sequence[str]) -> None:
@@ -80,28 +76,32 @@ def _add_output(sp: argparse.ArgumentParser, formats: Sequence[str]) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: a flag is taken only as spelled, so a prefix such as
+    # --alpha is refused, not read as --alpha-tilde
     parser = argparse.ArgumentParser(
         prog="teich2",
         description="Genus-2 hyperbolic octagons: geometry, Fuchsian group, "
         "Fenchel-Nielsen data, isoperimetric orbits, WP areas.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    sp = sub.add_parser("octagon", help="geometry dump for one parameter point")
+    sp = add("octagon", help="geometry dump for one parameter point")
     _add_params(sp)
     _add_output(sp, ("json", "csv", "svg"))
 
-    sp = sub.add_parser("group", help="generators, relation defect, side pairing")
+    sp = add("group", help="generators, relation defect, side pairing")
     _add_params(sp)
     sp.add_argument("--samples", type=int, default=500, help="interior sample count")
     sp.add_argument("--seed", type=int, default=0)
     _add_output(sp, ("json", "csv"))
 
-    sp = sub.add_parser("fn", help="Fenchel-Nielsen data and the WP form")
+    sp = add("fn", help="Fenchel-Nielsen data and the WP form")
     _add_params(sp)
     _add_output(sp, ("json", "csv"))
 
-    sp = sub.add_parser("orbit", help="isoperimetric orbit samples")
+    sp = add("orbit", help="isoperimetric orbit samples")
     sp.add_argument(
         "--P", type=float, action="append", dest="perimeters", metavar="P",
         help="target perimeter, repeatable (default 25..41 step 2)",
@@ -109,13 +109,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=256)
     _add_output(sp, ("csv", "json"))
 
-    sp = sub.add_parser("area", help="WP area table and parabola fit")
+    sp = add("area", help="WP area table and parabola fit")
     sp.add_argument("--p-min", type=float, default=iso.P_REG, dest="p_min")
     sp.add_argument("--p-max", type=float, default=41.0, dest="p_max")
     sp.add_argument("--step", type=float, default=0.5)
     _add_output(sp, ("csv", "json"))
 
-    sp = sub.add_parser("tiling", help="group ball and octagon tiling")
+    sp = add("tiling", help="group ball and octagon tiling")
     _add_params(sp)
     sp.add_argument("-n", "--radius", type=int, default=2, help="ball radius")
     sp.add_argument(
@@ -124,27 +124,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_output(sp, ("csv", "json", "svg"))
 
-    sp = sub.add_parser("validate", help="run the full invariant suite")
+    sp = add("validate", help="run the full invariant suite")
     sp.add_argument("--grid", type=int, nargs=2, default=[20, 20],
                     metavar=("N_A", "N_ALPHA"))
     sp.add_argument("--margin", type=float, default=0.02)
     sp.add_argument("--seed", type=int, default=0,
                     help="echoed in the report and unused; kept for the teich2/v1 schema")
-    sp.add_argument(
-        "--tolerance", action="append", default=[], metavar="NAME=VALUE",
-        help="override a named tolerance, repeatable",
-    )
     _add_output(sp, ("json",))
     return parser
 
 
 _PARSER = _build_parser()
-
-
-def _params_from_args(args: argparse.Namespace) -> OctagonParams:
-    if args.alpha is not None:
-        return validate_params(args.a, args.alpha - math.pi / 4, args.margin)
-    return validate_params(args.a, args.alpha_tilde, args.margin)
 
 
 def _flatten(value: Any, prefix: str, keys: list[str], values: list[Any]) -> None:
@@ -226,7 +216,7 @@ def _octagon_payload(params: OctagonParams) -> dict[str, Any]:
 
 
 def _cmd_octagon(args: argparse.Namespace) -> int:
-    params = _params_from_args(args)
+    params = validate_params(args.a, args.alpha_tilde)
     if args.format == "svg":
         geom = build_geometry(params)
         _write(args.output, svg_text(np.array([geom.vertices]), np.array([geom.midpoints])))
@@ -236,7 +226,7 @@ def _cmd_octagon(args: argparse.Namespace) -> int:
 
 
 def _cmd_group(args: argparse.Namespace) -> int:
-    params = _params_from_args(args)
+    params = validate_params(args.a, args.alpha_tilde)
     geom = build_geometry(params)
     g = generators(params)
     defect, sign = relation_pairs(g)
@@ -262,7 +252,7 @@ def _cmd_group(args: argparse.Namespace) -> int:
 
 
 def _cmd_fn(args: argparse.Namespace) -> int:
-    params = _params_from_args(args)
+    params = validate_params(args.a, args.alpha_tilde)
     a, at = params.a, params.alpha_tilde
     coeff = wp_coefficient_raw(a, at)
     summands, primed = wolpert_forms(a, at)
@@ -300,7 +290,7 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
         e = iso.e_of_p(p_target)
         phi = iso._phases(args.samples)
         a, at = iso.orbit_forms(e, phi)
-        found = _domain_error(a, at, 0.0)
+        found = _domain_error(a, at)
         if found is not None:  # exact orbit points of P > P_reg lie inside the domain
             k, exc = found
             raise NumericalError(
@@ -339,7 +329,7 @@ def _cmd_area(args: argparse.Namespace) -> int:
 
 
 def _cmd_tiling(args: argparse.Namespace) -> int:
-    params = _params_from_args(args)
+    params = validate_params(args.a, args.alpha_tilde)
     g = generators(params)
     b = ball(g, args.radius)
     if args.format == "svg" or args.vertices is not None:
@@ -368,23 +358,8 @@ def _cmd_tiling(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_tolerances(items: list[str]) -> dict[str, float]:
-    """{NAME: VALUE} of the NAME=VALUE items; run_validation checks the names."""
-    out: dict[str, float] = {}
-    for item in items:
-        name, sep, value = item.partition("=")
-        if not sep:
-            raise ValueError(f"expected NAME=VALUE, got {item!r}")
-        out[name] = float(value)
-    return out
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
-    tols = _parse_tolerances(args.tolerance)
-    report = run_validation(
-        n_a=args.grid[0], n_alpha=args.grid[1], margin=args.margin,
-        seed=args.seed, tolerances=tols,
-    )
+    report = run_validation(args.grid[0], args.grid[1], args.margin, args.seed)
     _write(args.output, json_text(report))
     for check in report["checks"]:
         status = "ok  " if check["passed"] else "FAIL"
@@ -429,10 +404,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(f"teich2: i/o error: {exc}", file=sys.stderr)
         return 1
     except (NumericalError, ZeroDivisionError) as exc:  # ZeroDivisionError: by a rounded 0
-        point = "".join(f" --{dest.replace('_', '-')} {getattr(args, dest)!r}"
-                        for dest in ("a", "alpha", "alpha_tilde")
-                        if getattr(args, dest, None) is not None)
-        print(f"teich2: numerical error: {exc}{' at' if point else ''}{point}", file=sys.stderr)
+        point = (f" at --a {args.a!r} --alpha-tilde {args.alpha_tilde!r}"
+                 if hasattr(args, "alpha_tilde") else "")
+        print(f"teich2: numerical error: {exc}{point}", file=sys.stderr)
         return 5
 
 

@@ -163,7 +163,7 @@ def crossing_violations(centres, r_plus, r_minus, g):
     return count
 
 
-def side_pairing_check(geom: OctagonForms, g, samples: int = 1000, seed: int = 0):
+def side_pairing_check(geom: OctagonForms, g, samples: int, seed: int):
     """Verify that the generator pairs g carry side k+4 onto side k.
 
     Returns (endpoint, midpoint, violations): the pairing_residuals, and how

@@ -288,7 +288,7 @@ def wp_area_contour(p_star: float) -> float:
             )
 
 
-def parabola_fit(p_min: float = P_REG, p_max: float = 41.0, step: float = 0.5):
+def parabola_fit(p_min: float, p_max: float, step: float):
     """Fit the quadrature areas over [p_min, p_max] to a parabola through 0.
 
     Returns (c1, c2, residual_norm, p_values, areas): the least-squares

@@ -56,25 +56,19 @@ def b_of(a, alpha_tilde):
     return 1.0 / (math.sqrt(2.0) * a * ew.cos(alpha_tilde))
 
 
-def _check_margin(margin: float) -> None:
-    if not 0.0 <= margin <= 0.2:
-        raise ValueError(f"margin must lie in [0, 0.2], got {margin!r}")
-
-
 def _item(x, shape, k: int):
     """Element k (C order) of x broadcast to ``shape``, as a Python number."""
     return np.broadcast_to(x, shape).flat[k].item()
 
 
-def _domain_error(a, at, m: float) -> tuple[int, OutOfDomainError] | None:
-    """The first point (C order) outside the admissible region shrunk by m, as
-    its flat index and the OutOfDomainError of the first inequality it
-    violates (alpha_range, lower_a, upper_a), or None; elementwise over
-    numbers or arrays, which broadcast together."""
-    hi = ALPHA_TILDE_MAX - m
-    in_range = (-hi < at) & (at < hi)
-    lo = lower_a(ew.where(in_range, at, 0.0)) + m  # alpha_range is reported first
-    above, below = a > lo, a < 1.0 - m
+def _domain_error(a, at) -> tuple[int, OutOfDomainError] | None:
+    """The first point (C order) outside the admissible region, as its flat
+    index and the OutOfDomainError of the first inequality it violates
+    (alpha_range, lower_a, upper_a), or None; elementwise over numbers or
+    arrays, which broadcast together."""
+    in_range = (-ALPHA_TILDE_MAX < at) & (at < ALPHA_TILDE_MAX)
+    lo = lower_a(ew.where(in_range, at, 0.0))  # alpha_range is reported first
+    above, below = a > lo, a < 1.0
     # "not inside" by where, since ~ negates a Python bool to a nonzero int
     k = ew.first_true(ew.where(in_range & above & below, False, True))
     if k is None:
@@ -82,15 +76,15 @@ def _domain_error(a, at, m: float) -> tuple[int, OutOfDomainError] | None:
     shape = np.broadcast_shapes(np.shape(a), np.shape(at))
     a_k, at_k = _item(a, shape, k), _item(at, shape, k)
     if not _item(in_range, shape, k):
-        return k, OutOfDomainError("alpha_range", math.copysign(hi, at_k), at_k)
+        return k, OutOfDomainError("alpha_range", math.copysign(ALPHA_TILDE_MAX, at_k), at_k)
     if not _item(above, shape, k):
         return k, OutOfDomainError("lower_a", _item(lo, shape, k), a_k)
-    return k, OutOfDomainError("upper_a", 1.0 - m, a_k)
+    return k, OutOfDomainError("upper_a", 1.0, a_k)
 
 
-def _check_domain(a, at, m: float) -> None:
+def _check_domain(a, at) -> None:
     """Raise the _domain_error of (a, at), if any."""
-    found = _domain_error(a, at, m)
+    found = _domain_error(a, at)
     if found is not None:
         raise found[1]
 
@@ -106,22 +100,19 @@ class OctagonParams:
     alpha_tilde: float
 
     def __post_init__(self):
-        _check_domain(self.a, self.alpha_tilde, 0.0)
+        _check_domain(self.a, self.alpha_tilde)
 
 
-def validate_params(a: float, alpha_tilde: float, margin: float = 0.0) -> OctagonParams:
-    """Parameters that keep at least ``margin`` from every domain boundary.
+def validate_params(a: float, alpha_tilde: float) -> OctagonParams:
+    """The OctagonParams (a, alpha_tilde) of two finite numbers.
 
     Only the given point is checked, not derived points such as its
-    conjugate.  Raises ValueError for a non-finite parameter or a margin
-    outside [0, 0.2], and OutOfDomainError naming the violated inequality
-    and its shifted bound.
+    conjugate.  Raises ValueError for a non-finite parameter, and
+    OutOfDomainError naming the violated inequality and its bound.
     """
-    a, alpha_tilde, margin = float(a), float(alpha_tilde), float(margin)
+    a, alpha_tilde = float(a), float(alpha_tilde)
     if not (math.isfinite(a) and math.isfinite(alpha_tilde)):
         raise ValueError(f"parameters must be finite, got {a!r}, {alpha_tilde!r}")
-    _check_margin(margin)
-    _check_domain(a, alpha_tilde, margin)
     return OctagonParams(a, alpha_tilde)
 
 
@@ -169,10 +160,10 @@ def octagon_forms(a, alpha_tilde) -> OctagonForms:
     """Sides, angles, vertices and midpoints, elementwise over parameter arrays.
 
     The parameters are taken as given: callers keep them in the domain.
-    Raises NumericalError, with the index, where 2a^2 cos^2(at) - 1 rounds
-    to 0 or below, a few ulps above the lower bound of a, or where 1 -
-    |omega|^2 of a side midpoint does, as it can within about 2.4e-6 of the
-    boundary near the corner a = 1, |alpha_tilde| = pi/4.
+    Raises NumericalError, with the index, where 2a^2 cos^2(at) - 1 or
+    1 - b^2 rounds to 0 or below, a few ulps above the lower bound of a, or
+    where 1 - |omega|^2 of a side midpoint does, as it can within about
+    2.4e-6 of the boundary near the corner a = 1, |alpha_tilde| = pi/4.
     """
     at = alpha_tilde
     b = b_of(a, at)
@@ -190,6 +181,7 @@ def octagon_forms(a, alpha_tilde) -> OctagonForms:
     q = ew.require_positive(2.0 * a2 * cos2 - 1.0, "beta: 2a^2 cos^2(alpha_tilde) - 1")
     beta = ew.arctan((1.0 - a2) * 2.0 * a2 * cos2 / q)
 
+    ew.require_positive(1.0 - b2, "vertex modulus: 1 - b^2")
     den = 1.0 - a2 * b2
     w = b * ew.exp(1j * (at + math.pi / 4))  # the vertex b e^{i alpha}
     omega_plus = (w * (1.0 - a2) + a * (1.0 - b2)) / den
@@ -273,23 +265,22 @@ def in_octagon(geom: OctagonForms, z: complex, shrink: float = 0.0) -> bool:
             and abs(z - c[6]) > r_plus and abs(z - c[7]) > r_minus)
 
 
-def grid_arrays(
-    n_a: int = 20, n_alpha: int = 20, margin: float = 0.02
-) -> tuple[np.ndarray, np.ndarray]:
+def grid_arrays(n_a: int, n_alpha: int, margin: float) -> tuple[np.ndarray, np.ndarray]:
     """Tensor grid of in-domain points at distance >= margin from the boundary.
 
     alpha_tilde spans the interior of the band where the a-interval
     [lower_a + margin, 1 - margin] is nonempty; each row then carries n_a
     equally spaced a values.  Returns the arrays (a, alpha_tilde), row by
-    row.  Raises ValueError for a margin outside [0, 0.2], as
-    validate_params does, for one that leaves no grid, for one that puts a
-    row's first a on the excluded bound as the forms see it (a margin that
-    rounds away on lower_a, as 0 and those below about half an ulp of lower_a
-    do, or one that leaves 2a^2 cos^2(at) - 1 at 0 or below there, as 6e-17
-    and 1e-16 do on the 20 x 20 grid), for a side n_a or n_alpha below 1,
-    and OutOfDomainError at the first point outside the domain.
+    row.  Raises ValueError for a margin outside [0, 0.2], for one that
+    leaves no grid, for one that puts a row's first a on the excluded bound
+    as the forms see it (a margin that rounds away on lower_a, as 0 and
+    those below about half an ulp of lower_a do, or one that leaves
+    2a^2 cos^2(at) - 1 at 0 or below there, as 6e-17 and 1e-16 do on the
+    20 x 20 grid), for a side n_a or n_alpha below 1, and OutOfDomainError
+    at the first point outside the domain.
     """
-    _check_margin(margin)
+    if not 0.0 <= margin <= 0.2:
+        raise ValueError(f"margin must lie in [0, 0.2], got {margin!r}")
     # lower_a(at) + margin <= 1 - margin pins |at| <= acos(1/(sqrt2 (1-2 margin)))
     arg = 1.0 / (math.sqrt(2.0) * (1.0 - 2.0 * margin))
     if arg >= 1.0:
@@ -307,5 +298,5 @@ def grid_arrays(
                          "on the excluded bound lower_a")
     a = np.linspace(first, 1.0 - margin, n_a, axis=1).ravel()
     at = np.repeat(alphas, n_a)
-    _check_domain(a, at, 0.0)
+    _check_domain(a, at)
     return a, at

@@ -259,28 +259,13 @@ def _per_point_worst(a: np.ndarray, at: np.ndarray) -> dict[str, float]:
     return {name: float(np.max(values)) for name, values in worst.items()}
 
 
-def run_validation(
-    n_a: int = 20,
-    n_alpha: int = 20,
-    margin: float = 0.02,
-    seed: int = 0,
-    tolerances: dict[str, float] | None = None,
-) -> dict:
-    """Run every invariant check and return a JSON-ready report.
+def run_validation(n_a: int, n_alpha: int, margin: float, seed: int) -> dict:
+    """Run every invariant check against DEFAULT_TOLERANCES on the n_a x
+    n_alpha grid_arrays at ``margin``, and return a JSON-ready report.
 
     ``seed`` is echoed in the report and used by no check: it stays for the
     teich2/v1 report schema.
     """
-    tols = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        unknown = set(tolerances) - set(tols)
-        if unknown:
-            raise ValueError(f"unknown tolerance names: {sorted(unknown)}")
-        for name, tol in tolerances.items():
-            if not 0.0 <= tol < math.inf:
-                raise ValueError(f"tolerance {name} must be finite and >= 0, got {tol!r}")
-        tols.update(tolerances)
-
     a, at = grid_arrays(n_a, n_alpha, margin)
     results = _per_point_worst(a, at)
 
@@ -294,18 +279,11 @@ def run_validation(
     )
     results["ball_counts"] = 0.0 if counts_ok else 1.0
 
-    checks = []
-    for name in DEFAULT_TOLERANCES:
-        residual = results[name]
-        tol = tols[name]
-        checks.append(
-            {
-                "name": name,
-                "max_residual": residual,
-                "tolerance": tol,
-                "passed": bool(residual <= tol),
-            }
-        )
+    checks = [
+        {"name": name, "max_residual": results[name], "tolerance": tol,
+         "passed": bool(results[name] <= tol)}
+        for name, tol in DEFAULT_TOLERANCES.items()
+    ]
     return {
         "grid": {"n_a": n_a, "n_alpha": n_alpha, "margin": margin},
         "points": int(a.size),

@@ -221,9 +221,9 @@ def test_batch_invariance(batch, data):
 
 
 def test_blocks_do_not_change_the_report(monkeypatch):
-    whole = run_validation(6, 5, 0.02)
+    whole = run_validation(6, 5, 0.02, 0)
     monkeypatch.setattr(validation, "_BLOCK", 7)
-    assert run_validation(6, 5, 0.02) == whole
+    assert run_validation(6, 5, 0.02, 0) == whole
 
 
 @pytest.mark.parametrize("block", [None, 7])
@@ -242,7 +242,7 @@ def test_breakdown_names_the_grid_point_and_check(monkeypatch, block):
     if block is not None:
         monkeypatch.setattr(validation, "_BLOCK", block)
     with pytest.raises(NumericalError) as info:
-        run_validation(20, 20, margin=1e-6)
+        run_validation(20, 20, 1e-6, 0)
     message = str(info.value)
     assert message.startswith("relation_defect at grid point a=")
     assert message.endswith("has drifted from 1")

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -54,13 +55,6 @@ class TestOctagonCommand:
         assert abs(doc["params"]["b"] - 0.91506350946109662) < 1e-14
         assert len(doc["vertices"]) == 8
 
-    def test_alpha_flag_equivalent(self, capsys):
-        alpha = math.pi / 4 + math.pi / 12
-        code, out, _ = run_capture(capsys, ["octagon", "--a", "0.8", "--alpha", str(alpha)])
-        assert code == 0
-        doc = json.loads(out)
-        assert abs(doc["params"]["alpha_tilde"] - math.pi / 12) < 1e-15
-
     def test_csv_format(self, capsys):
         code, out, _ = run_capture(capsys, ["octagon", *A_ARGS, "--format", "csv"])
         assert code == 0
@@ -84,32 +78,37 @@ class TestOctagonCommand:
 # holds: "payload" (a result), "error" (the JSON error object) or "" (nothing)
 EXIT_CODES = [
     (["octagon", *A_ARGS], 0, "", "payload"),
-    (["fn", "--a", "0.95", "--alpha-tilde", "0", "--margin", "0.04"], 0, "", "payload"),
+    # the conjugate (0.744.., 0) lies nearer the boundary, and is not checked
+    (["fn", "--a", "0.95", "--alpha-tilde", "0"], 0, "", "payload"),
     (["octagon", *A_ARGS, "-o", "{tmp}/missing/x.json"], 1,
      r"teich2: i/o error: .*No such file or directory.*\n", ""),
     (["octagon", "--a", "0.8"], 2,
-     r"usage: (?s:.*)teich2 octagon: error: one of the arguments --alpha --alpha-tilde "
-     r"is required\n", ""),
+     r"usage: (?s:.*)teich2 octagon: error: the following arguments are required: "
+     r"--alpha-tilde\n", ""),
     (["orbit", "--samples", "0"], 2,
      r"teich2: argument error: need at least one sample, got 0\n", ""),
     (["group", *A_ARGS, "--samples", "-3"], 2,
      r"teich2: argument error: sample count must be >= 0, got -3\n", ""),
-    (["octagon", *A_ARGS, "--margin", "0.5"], 2,
-     r"teich2: argument error: margin must lie in \[0, 0.2\], got 0.5\n", ""),
-    (["validate", "--tolerance", "bogus=1"], 2,
-     r"teich2: argument error: unknown tolerance names: \['bogus'\]\n", ""),
+    # no second spelling of the angle, and --alpha is not read as a prefix of --alpha-tilde
+    (["octagon", "--a", "0.9", "--alpha", "0.5"], 2,
+     r"usage: (?s:.*)teich2 octagon: error: the following arguments are required: "
+     r"--alpha-tilde\n", ""),
+    (["validate", "--grid", "3", "3", "--tolerance", "orbit_constancy=1e-30"], 2,
+     r"usage: (?s:.*)teich2: error: unrecognized arguments: --tolerance "
+     r"orbit_constancy=1e-30\n", ""),
     (["octagon", "--a", "0.5", "--alpha-tilde", "0"], 3,
      r"teich2: domain error: lower_a: value 0.5 violates bound 0.7071067811865475\n", "error"),
     (["octagon", "--a", "0.5", "--alpha-tilde", "0", "-o", "{tmp}/missing/x.json"], 3,
      r"teich2: domain error: lower_a: value 0.5 violates bound 0.7071067811865475\n", "error"),
-    (["fn", "--a", "0.95", "--alpha-tilde", "0", "--margin", "0.06"], 3,
-     r"teich2: domain error: upper_a: value 0.95 violates bound 0.94\n", "error"),
-    (["octagon", "--a", "0.8", "--alpha", "1.55", "--margin", "0.05"], 3,
-     r"teich2: domain error: alpha_range: value 0.7646018366025518 violates bound "
-     r"0.7353981633974482\n", "error"),
+    (["fn", "--a", "1.0", "--alpha-tilde", "0"], 3,
+     r"teich2: domain error: upper_a: value 1.0 violates bound 1.0\n", "error"),
+    (["octagon", "--a", "0.8", "--alpha-tilde", "0.8"], 3,
+     r"teich2: domain error: alpha_range: value 0.8 violates bound "
+     r"0.7853981633974483\n", "error"),
     (["orbit", "--P", "20"], 3, r"teich2: domain error: .*\n", ""),
-    (["validate", "--grid", "3", "3", "--tolerance", "orbit_constancy=1e-30"], 4,
-     r"((ok  |FAIL) .*\n)+", "payload"),
+    # at margin 1e-3 only the relation word misses its bar
+    (["validate", "--margin", "1e-3"], 4,
+     r"FAIL relation_defect .*\n(ok  .*\n)+", "payload"),
     (["area", "--p-min", "500", "--p-max", "501"], 5,
      r"teich2: numerical error: .*\n", ""),
     (["fn", "--a", "0.7072", "--alpha-tilde", "1e-9"], 0, "", "payload"),
@@ -132,12 +131,11 @@ EXIT_CODES = [
      r"teich2: argument error: parameters must be finite, got 0.8, inf\n", ""),
     (["area", "--p-max", "inf"], 2,
      r"teich2: argument error: perimeters must be finite, got .*, inf\n", ""),
-    (["validate", "--tolerance", "relation_defect=nan"], 2,
-     r"teich2: argument error: tolerance relation_defect must be finite and >= 0, "
-     r"got nan\n", ""),
-    (["validate", "--tolerance", "relation_defect=-1"], 2,
-     r"teich2: argument error: tolerance relation_defect must be finite and >= 0, "
-     r"got -1.0\n", ""),
+    (["validate", "--grid", "3", "3", "--tol", "orbit_constancy=1e-30"], 2,
+     r"usage: (?s:.*)teich2: error: unrecognized arguments: --tol orbit_constancy=1e-30\n",
+     ""),
+    (["validate", "--margin", "0.5"], 2,
+     r"teich2: argument error: margin must lie in \[0, 0.2\], got 0.5\n", ""),
     # near the corner the relation word's residual measures its breakdown
     (["validate", "--margin", "1e-6"], 4,
      r"FAIL relation_defect .*\n((ok  |FAIL) .*\n)+", "payload"),
@@ -168,11 +166,11 @@ EXIT_CODES = [
     (["octagon", "--a", "0.999999", "--alpha-tilde", "0.7853961633914485"], 5,
      r"teich2: numerical error: side midpoints: 1 - \|omega\|\^2 = -\S+ is not > 0 "
      r"at --a 0\.999999 --alpha-tilde 0\.7853961633914485\n", ""),
-    (["validate", "--tolerance", "relation_defect"], 2,
-     r"teich2: argument error: expected NAME=VALUE, got 'relation_defect'\n", ""),
-    # one ulp above the lower bound of a, 2a^2 cos^2(at) - 1 rounds to 0
+    (["validate", "--margin", "0.2"], 2,
+     r"teich2: argument error: margin 0\.2 leaves no admissible grid\n", ""),
+    # one ulp above the lower bound of a, b rounds to 1
     (["octagon", "--a", "0.8567505974692862", "--alpha-tilde", "0.6"], 5,
-     r"teich2: numerical error: float division by zero "
+     r"teich2: numerical error: vertex modulus: 1 - b\^2 = 0\.0 is not > 0 "
      r"at --a 0\.8567505974692862 --alpha-tilde 0\.6\n", ""),
     (["tiling", "--a", "0.7214885163659666", "--alpha-tilde", "-0.2", "-n", "1"], 5,
      r"teich2: numerical error: sqrt\(-\S+\): math domain error "
@@ -181,9 +179,9 @@ EXIT_CODES = [
     (["fn", "--a", "0.7214885163659666", "--alpha-tilde", "-0.2"], 5,
      r"teich2: numerical error: [^\n]+ at --a 0\.7214885163659666 --alpha-tilde -0\.2\n", ""),
     # 2a/(1 + a^2) rounds to 1, and the half turn about it has no value
-    (["fn", "--a", "0.999999999", "--alpha", str(math.pi / 4)], 5,
+    (["fn", "--a", "0.999999999", "--alpha-tilde", "0.0"], 5,
      r"teich2: numerical error: half turn: 1 - \|omega\|\^2 = 0\.0 is not > 0 "
-     r"at --a 0\.999999999 --alpha 0\.7853981633974483\n", ""),
+     r"at --a 0\.999999999 --alpha-tilde 0\.0\n", ""),
     # 2a/(1 + a^2) rounds to 1 at the grid's last a, and its half turn has no value
     (["validate", "--margin", "1e-9"], 5,
      r"teich2: numerical error: point_block at grid point a=0\.999999999, "
@@ -205,6 +203,16 @@ EXIT_CODES = [
     (["validate", "--margin", "1e-16"], 2,
      r"teich2: argument error: margin 1e-16 puts a grid row's first a, lower_a \+ margin, on "
      r"the excluded bound lower_a\n", ""),
+    # the generators meet the same rounded b = 1 as octagon's forms
+    (["group", "--a", "0.8567505974692862", "--alpha-tilde", "0.6"], 5,
+     r"teich2: numerical error: vertex modulus: 1 - b\^2 = 0\.0 is not > 0 "
+     r"at --a 0\.8567505974692862 --alpha-tilde 0\.6\n", ""),
+    (["octagon", "--a", "0.9", "--alpha-t", "0.5"], 2,
+     r"usage: (?s:.*)teich2 octagon: error: the following arguments are required: "
+     r"--alpha-tilde\n", ""),
+    # a point command takes no margin: only validate's grid has one
+    (["fn", "--a", "0.95", "--alpha-tilde", "0", "--margin", "0.04"], 2,
+     r"usage: (?s:.*)teich2: error: unrecognized arguments: --margin 0\.04\n", ""),
 ]
 
 
@@ -233,6 +241,41 @@ def test_exit_code_table(capsys, tmp_path, argv, code, err, out):
     assert not (tmp_path / "missing").exists()
 
 
+def _flag_values(action: argparse.Action) -> list[str]:
+    """Values that parse for the flag of ``action``."""
+    if action.nargs == 0:
+        return []
+    value = action.choices[0] if action.choices else {int: "3", float: "0.05"}.get(action.type, "x")
+    return [str(value)] * (action.nargs if isinstance(action.nargs, int) else 1)
+
+
+def test_no_flag_is_read_from_a_prefix(capsys):
+    # every long flag of every parser, less its last letter, with the required
+    # flags and values that would parse under the full name, is refused
+    (commands,) = (a.choices for a in cli._PARSER._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    checked = 0
+    for command, parser in [(None, cli._PARSER), *commands.items()]:
+        flags = [a for a in parser._actions if a.option_strings]
+        for target in flags:
+            name = max(target.option_strings, key=len)
+            if len(name) < 4:  # --a and --P: their only prefix is "--"
+                continue
+            argv = []
+            for action in flags:
+                if action is target:
+                    argv += [name[:-1], *_flag_values(action)]
+                elif action.required:
+                    argv += [action.option_strings[0], *_flag_values(action)]
+            with pytest.raises(SystemExit) as exc:
+                # a top-level flag goes before a command that needs no flag
+                cli._PARSER.parse_args([*argv, "area"] if command is None else [command, *argv])
+            assert exc.value.code == 2, argv
+            assert name[:-1] in capsys.readouterr().err, argv
+            checked += 1
+    assert checked == 37
+
+
 class TestErrorHandling:
     def test_domain_error_exit_3(self, capsys):
         code, out, err = run_capture(capsys, ["octagon", "--a", "0.5", "--alpha-tilde", "0"])
@@ -256,20 +299,6 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as exc:
             run(["octagon", *A_ARGS, "--alpha", "1.0"])
         assert exc.value.code == 2
-
-    def test_bad_tolerance_name_exits_2(self, capsys):
-        code, _, err = run_capture(capsys, ["validate", "--tolerance", "bogus=1"])
-        assert code == 2
-        assert "argument error" in err
-
-    def test_margin_checks_the_given_point_only(self, capsys):
-        # the conjugate (0.744.., 0) of (0.95, 0) is nearer the boundary than 0.04
-        base = ["fn", "--a", "0.95", "--alpha-tilde", "0"]
-        for fmt in ("json", "csv"):
-            plain = run_capture(capsys, [*base, "--format", fmt])
-            with_margin = run_capture(capsys, [*base, "--margin", "0.04", "--format", fmt])
-            assert plain[0] == 0
-            assert with_margin == plain
 
     def test_orbit_below_regular_exits_3(self, capsys):
         code, _, err = run_capture(capsys, ["orbit", "--P", "20"])
@@ -318,7 +347,7 @@ def test_edge_points_print_numbers_or_a_typed_error(capsys, at, edge, command):
     # at in-domain points next to the boundary the float forms can divide by
     # a rounded 0 or meet a math domain error: exit 5, never a traceback
     a = _edge_a(at, edge)
-    if _domain_error(a, at, 0.0) is not None:
+    if _domain_error(a, at) is not None:
         return
     code, out, err = run_capture(capsys, [*command, "--a", repr(a), f"--alpha-tilde={at!r}"])
     if code == 0:
@@ -334,16 +363,6 @@ def test_edge_points_print_numbers_or_a_typed_error(capsys, at, edge, command):
 
 class TestRepeatedRuns:
     """Many run calls in one process share one parser and leak no state."""
-
-    def test_tolerance_override_does_not_stick(self, capsys):
-        code, _, _ = run_capture(
-            capsys, ["validate", "--grid", "3", "3", "--tolerance", "orbit_constancy=1e-30"]
-        )
-        assert code == 4
-        code, out, _ = run_capture(capsys, ["validate", "--grid", "3", "3"])
-        assert code == 0
-        tols = {c["name"]: c["tolerance"] for c in json.loads(out)["checks"]}
-        assert tols["orbit_constancy"] == DEFAULT_TOLERANCES["orbit_constancy"]
 
     def test_perimeters_do_not_stick(self, capsys):
         code, _, _ = run_capture(capsys, ["orbit", "--P", "30", "--samples", "4"])
@@ -610,12 +629,4 @@ class TestValidateCommand:
         assert report["passed"]
         assert report["points"] == 16
         assert "relation_defect" in err
-
-    def test_tolerance_override_can_fail(self, capsys):
-        code, out, _ = run_capture(
-            capsys,
-            ["validate", "--grid", "3", "3",
-             "--tolerance", "orbit_constancy=1e-30"],
-        )
-        assert code == 4
-        assert not json.loads(out)["passed"]
+        assert {c["name"]: c["tolerance"] for c in report["checks"]} == DEFAULT_TOLERANCES

@@ -64,34 +64,11 @@ class TestParams:
             OctagonParams(0.9, 0.8)  # alpha_tilde beyond pi/4
         OctagonParams(0.75, 0.0)
 
-    def test_margin_tightens_bounds(self):
-        assert validate_params(0.99, 0.0) == OctagonParams(0.99, 0.0)
-        assert validate_params(0.99, 0.0, 0.005) == OctagonParams(0.99, 0.0)
-        with pytest.raises(OutOfDomainError):
-            validate_params(0.99, 0.0, 0.02)
-
-    @pytest.mark.parametrize(
-        "a, at, which, value, bound",
-        [
-            (0.99, 0.0, "upper_a", 0.99, 0.98),
-            (0.72, 0.0, "lower_a", 0.72, 1.0 / math.sqrt(2.0) + 0.02),
-            (0.99, 0.77, "alpha_range", 0.77, math.pi / 4 - 0.02),
-            (0.99, -0.77, "alpha_range", -0.77, -(math.pi / 4 - 0.02)),
-        ],
-    )
-    def test_margin_error_names_the_shifted_bound(self, a, at, which, value, bound):
-        OctagonParams(a, at)  # inside the domain itself
-        with pytest.raises(OutOfDomainError) as info:
-            validate_params(a, at, 0.02)
-        err = info.value
-        assert (err.which, err.value) == (which, value)
-        assert_allclose(err.bound, bound, rtol=1e-15)
-        assert str(err) == f"{which}: value {value!r} violates bound {err.bound!r}"
-
     @pytest.mark.parametrize("margin", [-0.01, 0.21, 0.5, math.nan])
     def test_margin_outside_range_rejected(self, margin):
+        # the validate grid's margin is the only one, checked before any point is built
         with pytest.raises(ValueError, match=r"margin must lie in \[0, 0.2\]"):
-            validate_params(A0, AT0, margin)
+            grid_arrays(2, 2, margin)
 
     @pytest.mark.parametrize("a, at", [(math.nan, AT0), (A0, math.inf), (-math.inf, 0.0)])
     def test_non_finite_parameters_rejected(self, a, at):
@@ -100,23 +77,22 @@ class TestParams:
         assert not isinstance(exc.value, OutOfDomainError)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.data(), st.sampled_from([0.0, 0.02]))
-    def test_domain_check_elementwise(self, data, margin):
-        # alpha_tilde values inside, outside and on the shifted bounds; a on
-        # the shifted bounds of its column or anywhere near the domain
-        hi = ALPHA_TILDE_MAX - margin
-        ats = data.draw(st.lists(st.one_of(st.floats(-0.9, 0.9), st.sampled_from([-hi, hi])),
-                                 min_size=1, max_size=5))
+    @given(st.data())
+    def test_domain_check_elementwise(self, data):
+        # alpha_tilde values inside, outside and on the bounds; a on the
+        # bounds of its column or anywhere near the domain
+        bounds = st.sampled_from([-ALPHA_TILDE_MAX, ALPHA_TILDE_MAX])
+        ats = data.draw(st.lists(st.one_of(st.floats(-0.9, 0.9), bounds), min_size=1, max_size=5))
         column = st.integers(0, len(ats) - 1)
         a = st.one_of(st.floats(0.6, 1.05),
-                      column.map(lambda j: lower_a(ats[j]) + margin), st.just(1.0 - margin))
+                      column.map(lambda j: lower_a(ats[j])), st.just(1.0))
         rows = data.draw(st.lists(a, min_size=1, max_size=5))
         # rows of a against columns of alpha_tilde: C order runs along a row
-        found = _domain_error(np.array(rows)[:, None], np.array(ats), margin)
+        found = _domain_error(np.array(rows)[:, None], np.array(ats))
         first = None
         for k, (x, y) in enumerate((x, y) for x in rows for y in ats):
             try:
-                validate_params(x, y, margin)
+                validate_params(x, y)
             except OutOfDomainError as exc:
                 first = k, (exc.which, exc.bound, exc.value)
                 break
@@ -125,11 +101,6 @@ class TestParams:
         else:
             k, err = found
             assert (k, (err.which, err.bound, err.value)) == first
-
-    def test_margin_checks_only_the_given_point(self):
-        # (0.95, 0) keeps 0.04 from the boundary; its conjugate (0.744.., 0) does not
-        p = validate_params(0.95, 0.0, 0.04)
-        assert b_of(p.a, p.alpha_tilde) < 1.0 / math.sqrt(2.0) + 0.04
 
     def test_b_value_and_involution(self):
         p = OctagonParams(A0, AT0)
@@ -195,7 +166,7 @@ def corner_points(draw):
     at = sign * (ALPHA_TILDE_MAX - draw(st.floats(0.0, 1e-6)))
     lo = lower_a(at)
     a = lo + draw(st.floats(0.0, 1.0)) * (1.0 - lo)
-    assume(_domain_error(a, at, 0.0) is None)
+    assume(_domain_error(a, at) is None)
     return a, at
 
 
@@ -321,13 +292,10 @@ class TestDomainGrid:
     def test_points_valid_and_counted(self):
         a, at = grid_arrays(6, 5, margin=0.02)
         assert a.shape == at.shape == (30,)
-        for x, y in zip(a.tolist(), at.tolist()):
-            validate_params(x, y, 0.015)
+        # every point keeps (nearly) the margin from each bound
+        assert np.all((a > lower_a(at) + 0.015) & (a < 1.0 - 0.015)
+                      & (abs(at) < ALPHA_TILDE_MAX - 0.015))
 
     def test_excessive_margin_rejected(self):
         with pytest.raises(ValueError, match="leaves no admissible grid"):
             grid_arrays(5, 5, margin=0.18)
-        # the margins validate_params rejects, before any point is built
-        for margin in (-0.1, 0.25, math.nan):
-            with pytest.raises(ValueError, match=r"margin must lie in \[0, 0.2\]"):
-                grid_arrays(2, 2, margin=margin)
