@@ -12,15 +12,16 @@ abbreviated flag, a tiling radius outside 0..6, a ball element that float64
 cannot represent at the given point, a NaN or infinite float flag, a size
 whose arrays numpy cannot allocate, as from ``area --step``, ``orbit
 --samples`` or ``validate --grid``, a ``validate --grid`` side below 1, or a
-``validate --margin`` outside [0, 0.2], one that leaves no grid or one that
-puts a grid row's first a on its bound lower_a as the forms see it, as 0 and
-1e-16 do), 3 domain errors (octagon parameters outside the admissible
-region, or an orbit or area perimeter below the regular value P_reg), 4
-validation failure, 5 numerical errors (a quadrature that does not converge
-or overflows, an overflow or cancellation, an orbit point that rounds out of
-the domain, a point near the corner a = 1, |alpha_tilde| = pi/4 whose side
-midpoints round out of the disk, or a float form that divides by a rounded 0
-or meets a math domain error at a point next to the domain's edge); its line
+``validate --margin`` outside [0, (1 - 1/sqrt2)/2), the margins that leave
+a grid, or one that puts a grid row's first a on its bound lower_a as the
+forms see it, as 0 and 1e-16 do), 3 domain errors (octagon parameters
+outside the admissible region, or an orbit or area perimeter below the
+regular value P_reg), 4 validation failure, 5 numerical errors (a
+quadrature that does not converge or overflows, an overflow or
+cancellation, an orbit point that rounds out of the domain, a point near
+the corner a = 1, |alpha_tilde| = pi/4 whose side midpoints or side angle
+phi- have no float value, or a float form that divides by a rounded 0 or
+meets a math domain error at a point next to the domain's edge); its line
 ends with the command's point, if it has one, as `` at --a A --alpha-tilde
 T``. With ``--format json`` domain errors additionally produce a JSON error
 object on stdout.
@@ -331,9 +332,12 @@ def _cmd_area(args: argparse.Namespace) -> int:
 def _cmd_tiling(args: argparse.Namespace) -> int:
     params = validate_params(args.a, args.alpha_tilde)
     g = generators(params)
+    # the forms before the ball, in every format: where they break, tiling
+    # exits with the numerical error of octagon and group
+    geom = build_geometry(params)
     b = ball(g, args.radius)
     if args.format == "svg" or args.vertices is not None:
-        vertices, midpoints = cells(b, build_geometry(params))
+        vertices, midpoints = cells(b, geom)
     if args.format == "svg":
         _write(args.output, svg_text(vertices, midpoints))
     elif args.format == "json":

@@ -198,10 +198,15 @@ def side_pairing_check(geom: OctagonForms, g, samples: int, seed: int):
     # in_octagon(geom, w, shrink=-1e-7) of every image w: inside the disk and
     # outside every side circle.  np.hypot is the libm hypot of Python's
     # complex abs; numpy's complex abs can differ in the last bit
-    d = images - np.array(geom.centres)[:, None, None]
-    radius = np.array([geom.r_plus, geom.r_minus] * 4)[:, None, None] - 1e-7
-    outside = (np.hypot(d.real, d.imag) > radius).all(axis=0)
-    hit = (np.hypot(images.real, images.imag) < 1.0) & outside
+    centres = np.array(geom.centres)
+    radius = np.array([geom.r_plus, geom.r_minus] * 4) - 1e-7
+    # g_k carries the octagon across side k, so an image under g_k inside side
+    # k's circle is settled as no violation; only the others need all eight
+    d = images - centres[:4, None]
+    w = images[np.hypot(d.real, d.imag) > radius[:4, None]]
+    d = w - centres[:, None]
+    outside = (np.hypot(d.real, d.imag) > radius[:, None]).all(axis=0)
+    hit = (np.hypot(w.real, w.imag) < 1.0) & outside
     return endpoint, midpoint, int(np.count_nonzero(hit))
 
 

@@ -162,8 +162,9 @@ def octagon_forms(a, alpha_tilde) -> OctagonForms:
     The parameters are taken as given: callers keep them in the domain.
     Raises NumericalError, with the index, where 2a^2 cos^2(at) - 1 or
     1 - b^2 rounds to 0 or below, a few ulps above the lower bound of a, or
-    where 1 - |omega|^2 of a side midpoint does, as it can within about
-    2.4e-6 of the boundary near the corner a = 1, |alpha_tilde| = pi/4.
+    where a^2 - tan(at) or 1 - |omega|^2 of a side midpoint does, as they
+    can within about 2.4e-6 of the boundary near the corner a = 1,
+    |alpha_tilde| = pi/4.
     """
     at = alpha_tilde
     b = b_of(a, at)
@@ -172,13 +173,15 @@ def octagon_forms(a, alpha_tilde) -> OctagonForms:
     tn = ew.tan(at)
     cos2 = ew.cos(at) ** 2
 
+    q = ew.require_positive(2.0 * a2 * cos2 - 1.0, "beta: 2a^2 cos^2(alpha_tilde) - 1")
     t_plus = a2 + tn
-    t_minus = a2 - tn
+    # a^2 - tan(at) = (a^2 - 1/(2 cos^2 at)) + (1 - sin 2at)/(2 cos^2 at) > 0
+    # in the domain, and it can round to 0 next to the corner
+    t_minus = ew.require_positive(a2 - tn, "side angle: a^2 - tan(alpha_tilde)")
     r_plus = ew.sqrt(t_plus**2 + (1.0 - a2) ** 2) / (2.0 * a)
     r_minus = ew.sqrt(t_minus**2 + (1.0 - a2) ** 2) / (2.0 * a)
     phi_plus = ew.arctan(t_plus / (1.0 + a2))
     phi_minus = ew.arctan((1.0 + a2) / t_minus)
-    q = ew.require_positive(2.0 * a2 * cos2 - 1.0, "beta: 2a^2 cos^2(alpha_tilde) - 1")
     beta = ew.arctan((1.0 - a2) * 2.0 * a2 * cos2 / q)
 
     ew.require_positive(1.0 - b2, "vertex modulus: 1 - b^2")
@@ -271,21 +274,20 @@ def grid_arrays(n_a: int, n_alpha: int, margin: float) -> tuple[np.ndarray, np.n
     alpha_tilde spans the interior of the band where the a-interval
     [lower_a + margin, 1 - margin] is nonempty; each row then carries n_a
     equally spaced a values.  Returns the arrays (a, alpha_tilde), row by
-    row.  Raises ValueError for a margin outside [0, 0.2], for one that
-    leaves no grid, for one that puts a row's first a on the excluded bound
-    as the forms see it (a margin that rounds away on lower_a, as 0 and
-    those below about half an ulp of lower_a do, or one that leaves
-    2a^2 cos^2(at) - 1 at 0 or below there, as 6e-17 and 1e-16 do on the
-    20 x 20 grid), for a side n_a or n_alpha below 1, and OutOfDomainError
-    at the first point outside the domain.
+    row.  Raises ValueError for a margin outside [0, (1 - 1/sqrt2)/2), the
+    margins that leave a band, for one that puts a row's first a on the
+    excluded bound as the forms see it (a margin that rounds away on
+    lower_a, as 0 and those below about half an ulp of lower_a do, or one
+    that leaves 2a^2 cos^2(at) - 1 at 0 or below there, as 6e-17 and 1e-16
+    do on the 20 x 20 grid), for a side n_a or n_alpha below 1, and
+    OutOfDomainError at the first point outside the domain.
     """
-    if not 0.0 <= margin <= 0.2:
-        raise ValueError(f"margin must lie in [0, 0.2], got {margin!r}")
-    # lower_a(at) + margin <= 1 - margin pins |at| <= acos(1/(sqrt2 (1-2 margin)))
-    arg = 1.0 / (math.sqrt(2.0) * (1.0 - 2.0 * margin))
-    if arg >= 1.0:
-        raise ValueError(f"margin {margin!r} leaves no admissible grid")
-    at_max = math.acos(arg)
+    # lower_a(at) + margin <= 1 - margin pins |at| <= acos(1/(sqrt2 (1-2 margin))),
+    # a band only below (1 - 1/sqrt2)/2, half the domain's width in a at at = 0
+    bound = (1.0 - 1.0 / math.sqrt(2.0)) / 2.0
+    if not 0.0 <= margin < bound:
+        raise ValueError(f"margin must lie in [0, (1 - 1/sqrt2)/2 = {bound!r}), got {margin!r}")
+    at_max = math.acos(1.0 / (math.sqrt(2.0) * (1.0 - 2.0 * margin)))
     if n_a < 1 or n_alpha < 1:
         raise ValueError(f"grid {n_a} x {n_alpha} has no points")
     alphas = np.linspace(-at_max, at_max, n_alpha + 2)[1:-1]

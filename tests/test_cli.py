@@ -73,6 +73,10 @@ class TestOctagonCommand:
         assert out1 == out2
 
 
+# validate's one message for a margin outside [0, (1 - 1/sqrt2)/2), less its value
+MARGIN_BOUND = (r"teich2: argument error: margin must lie in "
+                r"\[0, \(1 - 1/sqrt2\)/2 = 0\.14644660940672627\), got ")
+
 # one row per case: argv ({tmp} is a fresh directory), exit code, a regex the
 # whole of stderr must match (so "." stays within one line), and what stdout
 # holds: "payload" (a result), "error" (the JSON error object) or "" (nothing)
@@ -115,9 +119,9 @@ EXIT_CODES = [
     (["area", "--step", "0"], 2,
      r"teich2: argument error: step must be finite and positive, got 0.0\n", ""),
     (["validate", "--grid", "2", "2", "--margin", "-0.1"], 2,
-     r"teich2: argument error: margin must lie in \[0, 0.2\], got -0.1\n", ""),
+     MARGIN_BOUND + r"-0\.1\n", ""),
     (["validate", "--grid", "2", "2", "--margin", "nan"], 2,
-     r"teich2: argument error: margin must lie in \[0, 0.2\], got nan\n", ""),
+     MARGIN_BOUND + r"nan\n", ""),
     (["orbit", "--P", "nan"], 2,
      r"teich2: argument error: perimeter must be finite, got nan\n", ""),
     (["orbit", "--P", "inf"], 2,
@@ -135,7 +139,7 @@ EXIT_CODES = [
      r"usage: (?s:.*)teich2: error: unrecognized arguments: --tol orbit_constancy=1e-30\n",
      ""),
     (["validate", "--margin", "0.5"], 2,
-     r"teich2: argument error: margin must lie in \[0, 0.2\], got 0.5\n", ""),
+     MARGIN_BOUND + r"0\.5\n", ""),
     # near the corner the relation word's residual measures its breakdown
     (["validate", "--margin", "1e-6"], 4,
      r"FAIL relation_defect .*\n((ok  |FAIL) .*\n)+", "payload"),
@@ -167,7 +171,7 @@ EXIT_CODES = [
      r"teich2: numerical error: side midpoints: 1 - \|omega\|\^2 = -\S+ is not > 0 "
      r"at --a 0\.999999 --alpha-tilde 0\.7853961633914485\n", ""),
     (["validate", "--margin", "0.2"], 2,
-     r"teich2: argument error: margin 0\.2 leaves no admissible grid\n", ""),
+     MARGIN_BOUND + r"0\.2\n", ""),
     # one ulp above the lower bound of a, b rounds to 1
     (["octagon", "--a", "0.8567505974692862", "--alpha-tilde", "0.6"], 5,
      r"teich2: numerical error: vertex modulus: 1 - b\^2 = 0\.0 is not > 0 "
@@ -213,6 +217,16 @@ EXIT_CODES = [
     # a point command takes no margin: only validate's grid has one
     (["fn", "--a", "0.95", "--alpha-tilde", "0", "--margin", "0.04"], 2,
      r"usage: (?s:.*)teich2: error: unrecognized arguments: --margin 0\.04\n", ""),
+    # the tiling forms meet the rounded b = 1 before the ball does
+    (["tiling", "--a", "0.8567505974692862", "--alpha-tilde", "0.6", "-n", "1"], 5,
+     r"teich2: numerical error: vertex modulus: 1 - b\^2 = 0\.0 is not > 0 "
+     r"at --a 0\.8567505974692862 --alpha-tilde 0\.6\n", ""),
+    # past the bound, the a-interval [lower_a + margin, 1 - margin] is empty at every angle
+    (["validate", "--margin", "0.15"], 2, MARGIN_BOUND + r"0\.15\n", ""),
+    # next to the corner a^2 - tan(alpha_tilde) rounds to 0, and phi- has no value
+    (["octagon", "--a", "0.9999999949849345", "--alpha-tilde", "0.7853981583823828"], 5,
+     r"teich2: numerical error: side angle: a\^2 - tan\(alpha_tilde\) = 0\.0 is not > 0 "
+     r"at --a 0\.9999999949849345 --alpha-tilde 0\.7853981583823828\n", ""),
 ]
 
 

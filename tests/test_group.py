@@ -5,7 +5,7 @@ import re
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -105,6 +105,26 @@ def shrinking_block_probe(geom, gens, samples, seed):
         images = su_act(gu, gv, np.array(inside, complex))
         violations += sum(in_octagon(geom, w, shrink=-1e-7) for w in images.ravel().tolist())
     return drawn, violations
+
+
+def full_image_test(geom, gens, samples, seed):
+    """Interior violations of side_pairing_check's probe with every image
+    tested against the disk and all eight side circles, in one (8, 4, samples)
+    array expression, as the probe counted them before it settled each image
+    by its own side's circle first."""
+    rng = np.random.default_rng(seed)
+    bound = max(geom.vertices[0].real, geom.b)
+    inside = []
+    while len(inside) < samples:
+        block = rng.uniform(-bound, bound, (samples, 2)).view(complex)[:, 0].tolist()
+        inside += [z for z in block if in_octagon(geom, z, shrink=1e-4)]
+    gu, gv = (np.array(part)[:, None] for part in zip(*gens))
+    images = su_act(gu, gv, np.array(inside[:samples]))
+    d = images - np.array(geom.centres)[:, None, None]
+    radius = np.array([geom.r_plus, geom.r_minus] * 4)[:, None, None] - 1e-7
+    outside = (np.hypot(d.real, d.imag) > radius).all(axis=0)
+    hit = (np.hypot(images.real, images.imag) < 1.0) & outside
+    return int(np.count_nonzero(hit))
 
 
 class TestGenerators:
@@ -278,6 +298,24 @@ class TestSidePairing:
         gens = generators(other if paired else point)
         _, _, violations = side_pairing_check(geom, gens, samples=samples, seed=seed)
         assert (samples, violations) == shrinking_block_probe(geom, gens, samples, seed)
+
+    @settings(max_examples=25, deadline=None)
+    @given(domain_points(), st.integers(0, 2**32 - 1))
+    @example(OctagonParams(0.8, 0.1), 0)
+    def test_own_generators_match_full_image_test(self, point, seed):
+        geom, gens = build_geometry(point), generators(point)
+        count = full_image_test(geom, gens, 300, seed)
+        assert side_pairing_check(geom, gens, samples=300, seed=seed)[2] == count == 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(domain_points(), domain_points(), st.integers(0, 2**32 - 1))
+    @example(OctagonParams(0.72, 0.02), OctagonParams(0.8, -0.1), 3)
+    def test_other_generators_match_full_image_test(self, point, other, seed):
+        # images that leave side k's circle are tested against all eight
+        geom, gens = build_geometry(point), generators(other)
+        count = full_image_test(geom, gens, 300, seed)
+        assume(count > 0)
+        assert side_pairing_check(geom, gens, samples=300, seed=seed)[2] == count
 
     @pytest.mark.parametrize("samples", [1, 37, 500])
     def test_shrinking_block_probe_counts_violations(self, samples):

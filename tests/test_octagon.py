@@ -67,7 +67,7 @@ class TestParams:
     @pytest.mark.parametrize("margin", [-0.01, 0.21, 0.5, math.nan])
     def test_margin_outside_range_rejected(self, margin):
         # the validate grid's margin is the only one, checked before any point is built
-        with pytest.raises(ValueError, match=r"margin must lie in \[0, 0.2\]"):
+        with pytest.raises(ValueError, match=r"margin must lie in \[0, \(1 - 1/sqrt2\)/2 = "):
             grid_arrays(2, 2, margin)
 
     @pytest.mark.parametrize("a, at", [(math.nan, AT0), (A0, math.inf), (-math.inf, 0.0)])
@@ -161,11 +161,17 @@ class TestGeometryClosedForms:
 
 @st.composite
 def corner_points(draw):
-    """In-domain (a, alpha_tilde) within 1e-6 of a corner a = 1, |alpha_tilde| = pi/4."""
-    sign = draw(st.sampled_from([1.0, -1.0]))
-    at = sign * (ALPHA_TILDE_MAX - draw(st.floats(0.0, 1e-6)))
+    """In-domain (a, alpha_tilde) within 1e-6 of a corner a = 1, |alpha_tilde| = pi/4.
+
+    Both are drawn from open intervals inside the domain: hypothesis favours
+    the ends of an interval, and with the domain's bounds among them it
+    filtered out too many lists of up to six points for its health check.
+    """
+    at = draw(st.floats(ALPHA_TILDE_MAX - 1e-6, ALPHA_TILDE_MAX, exclude_max=True))
     lo = lower_a(at)
-    a = lo + draw(st.floats(0.0, 1.0)) * (1.0 - lo)
+    assume(lo < math.nextafter(1.0, 0.0))  # some a lies strictly between lo and 1
+    a = draw(st.floats(lo, 1.0, exclude_min=True, exclude_max=True))
+    at *= draw(st.sampled_from([1.0, -1.0]))
     assume(_domain_error(a, at) is None)
     return a, at
 
@@ -173,11 +179,15 @@ def corner_points(draw):
 class TestCorner:
     # 1 - |omega|^2 rounds to 0 or below at about half of these points, and
     # the midpoint formula p = omega/(1 + sqrt(1 - |omega|^2)) has no value
-    # there; next to the lower bound of a, 2a^2 cos^2(at) - 1 of beta can too
+    # there; next to the lower bound of a, 2a^2 cos^2(at) - 1 of beta can too,
+    # 1 - b^2 of the vertex modulus where b rounds to 1, and a^2 - tan(at) of
+    # the side angle phi-
     @settings(max_examples=60, deadline=None)
     @given(st.lists(corner_points(), min_size=1, max_size=6))
     @example([(0.999999, 0.7853961633914485)])
     @example([(0.999999999999999, 0.7853981633974473)])  # 2a^2 cos^2(at) - 1 = 0
+    @example([(0.9999999860643383, 0.7853981494617862)])  # b rounds to 1
+    @example([(0.9999999949849345, 0.7853981583823828)])  # a^2 - tan(at) rounds to 0
     def test_midpoints_in_disk_or_numerical_error(self, points):
         a, at = (np.array(x) for x in zip(*points))
         for args in [*points, (a, at)]:
@@ -185,7 +195,9 @@ class TestCorner:
                 p = np.array(octagon_forms(*args).midpoints)
             except NumericalError as exc:
                 assert str(exc).startswith(("side midpoints: 1 - |omega|^2 = ",
-                                            "beta: 2a^2 cos^2(alpha_tilde) - 1 = "))
+                                            "beta: 2a^2 cos^2(alpha_tilde) - 1 = ",
+                                            "vertex modulus: 1 - b^2 = ",
+                                            "side angle: a^2 - tan(alpha_tilde) = "))
                 assert str(exc).endswith(" is not > 0")
                 if isinstance(args[0], np.ndarray):  # the index names a point that breaks
                     x, y = points[exc.index]
@@ -297,5 +309,10 @@ class TestDomainGrid:
                       & (abs(at) < ALPHA_TILDE_MAX - 0.015))
 
     def test_excessive_margin_rejected(self):
-        with pytest.raises(ValueError, match="leaves no admissible grid"):
-            grid_arrays(5, 5, margin=0.18)
+        # (1 - 1/sqrt2)/2 is the one bound: the float below it leaves a grid
+        bound = (1.0 - 1.0 / math.sqrt(2.0)) / 2.0
+        a, at = grid_arrays(5, 5, margin=math.nextafter(bound, 0.0))
+        assert a.shape == at.shape == (25,)
+        for margin in (bound, 0.15, 0.18):
+            with pytest.raises(ValueError, match=rf"= {bound!r}\), got {margin!r}$"):
+                grid_arrays(5, 5, margin=margin)
