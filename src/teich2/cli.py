@@ -5,7 +5,9 @@ derivatives of the closed-form lengths and twists and compares it with the
 closed-form coefficient; its ``wp.fd_*`` keys keep their teich2/v1 names.
 
 Each point command takes its point as ``--a`` and ``--alpha-tilde``, and
-every flag only as spelled: argparse refuses a prefix of one.
+every flag only as spelled: argparse refuses a prefix of one.  Each output
+has one route: the octagon alone is drawn as ``tiling -n 0 --format svg``,
+and ``validate`` writes JSON only, so it takes no ``--format``.
 
 Exit codes: 0 success, 1 I/O errors, 2 argument errors (also an unknown or
 abbreviated flag, a tiling radius outside 0..6, a ball element that float64
@@ -23,8 +25,8 @@ the corner a = 1, |alpha_tilde| = pi/4 whose side midpoints or side angle
 phi- have no float value, or a float form that divides by a rounded 0 or
 meets a math domain error at a point next to the domain's edge); its line
 ends with the command's point, if it has one, as `` at --a A --alpha-tilde
-T``. With ``--format json`` domain errors additionally produce a JSON error
-object on stdout.
+T``. With ``--format json``, and from ``validate``, domain errors additionally
+produce a JSON error object on stdout.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from .octagon import (
     build_geometry,
     octagon_forms,
     perimeter_ab,
-    validate_params,
     vertex_angles,
     vertex_sum,
 )
@@ -72,7 +73,8 @@ def _add_params(sp: argparse.ArgumentParser) -> None:
 
 
 def _add_output(sp: argparse.ArgumentParser, formats: Sequence[str]) -> None:
-    sp.add_argument("--format", choices=list(formats), default=formats[0])
+    if formats:  # validate writes JSON only and takes no --format
+        sp.add_argument("--format", choices=list(formats), default=formats[0])
     sp.add_argument("-o", "--output", default=None, help="output path (default stdout)")
 
 
@@ -90,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = add("octagon", help="geometry dump for one parameter point")
     _add_params(sp)
-    _add_output(sp, ("json", "csv", "svg"))
+    _add_output(sp, ("json", "csv"))
 
     sp = add("group", help="generators, relation defect, side pairing")
     _add_params(sp)
@@ -131,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--margin", type=float, default=0.02)
     sp.add_argument("--seed", type=int, default=0,
                     help="echoed in the report and unused; kept for the teich2/v1 schema")
-    _add_output(sp, ("json",))
+    _add_output(sp, ())
     return parser
 
 
@@ -217,17 +219,12 @@ def _octagon_payload(params: OctagonParams) -> dict[str, Any]:
 
 
 def _cmd_octagon(args: argparse.Namespace) -> int:
-    params = validate_params(args.a, args.alpha_tilde)
-    if args.format == "svg":
-        geom = build_geometry(params)
-        _write(args.output, svg_text(np.array([geom.vertices]), np.array([geom.midpoints])))
-        return 0
-    _write_payload(args, _octagon_payload(params))
+    _write_payload(args, _octagon_payload(OctagonParams(args.a, args.alpha_tilde)))
     return 0
 
 
 def _cmd_group(args: argparse.Namespace) -> int:
-    params = validate_params(args.a, args.alpha_tilde)
+    params = OctagonParams(args.a, args.alpha_tilde)
     geom = build_geometry(params)
     g = generators(params)
     defect, sign = relation_pairs(g)
@@ -253,7 +250,7 @@ def _cmd_group(args: argparse.Namespace) -> int:
 
 
 def _cmd_fn(args: argparse.Namespace) -> int:
-    params = validate_params(args.a, args.alpha_tilde)
+    params = OctagonParams(args.a, args.alpha_tilde)
     a, at = params.a, params.alpha_tilde
     coeff = wp_coefficient_raw(a, at)
     summands, primed = wolpert_forms(a, at)
@@ -330,7 +327,7 @@ def _cmd_area(args: argparse.Namespace) -> int:
 
 
 def _cmd_tiling(args: argparse.Namespace) -> int:
-    params = validate_params(args.a, args.alpha_tilde)
+    params = OctagonParams(args.a, args.alpha_tilde)
     g = generators(params)
     # the forms before the ball, in every format: where they break, tiling
     # exits with the numerical error of octagon and group
@@ -398,7 +395,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except DomainError as exc:
         print(f"teich2: domain error: {exc}", file=sys.stderr)
-        if getattr(args, "format", None) == "json":
+        if getattr(args, "format", "json") == "json":  # validate writes JSON only
             _write(None, json_text({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 3
     except (ValueError, MemoryError) as exc:  # MemoryError: a size numpy cannot allocate

@@ -187,26 +187,18 @@ def side_pairing_check(geom: OctagonForms, g, samples: int, seed: int):
         # uniform() fills values in sequence, so blocks of any size draw the
         # same stream.  Each candidate is one scalar in_octagon call: the
         # benchmark's tracer test counts more than `samples` of them per
-        # group query (perfbench/test_perfbench.py), and an elementwise
-        # in_octagon would cost 1.8 times as much per scalar call
+        # group query (perfbench/test_perfbench.py)
         block = rng.uniform(-bound, bound, (samples, 2)).view(complex)[:, 0].tolist()
         accept = (z for z in block if in_octagon(geom, z, shrink=1e-4))
         inside += itertools.islice(accept, samples - len(inside))
     # row k: the images under g_k
     gu, gv = (np.array(part)[:, None] for part in zip(*g))
     images = su_act(gu, gv, np.array(inside))
-    # in_octagon(geom, w, shrink=-1e-7) of every image w: inside the disk and
-    # outside every side circle.  np.hypot is the libm hypot of Python's
-    # complex abs; numpy's complex abs can differ in the last bit
-    centres = np.array(geom.centres)
-    radius = np.array([geom.r_plus, geom.r_minus] * 4) - 1e-7
     # g_k carries the octagon across side k, so an image under g_k inside side
-    # k's circle is settled as no violation; only the others need all eight
-    d = images - centres[:4, None]
-    w = images[np.hypot(d.real, d.imag) > radius[:4, None]]
-    d = w - centres[:, None]
-    outside = (np.hypot(d.real, d.imag) > radius[:, None]).all(axis=0)
-    hit = (np.hypot(w.real, w.imag) < 1.0) & outside
+    # k's circle is settled as no violation; only the others take in_octagon
+    radius = np.array([geom.r_plus, geom.r_minus] * 2)[:, None] - 1e-7
+    d = images - np.array(geom.centres[:4])[:, None]
+    hit = in_octagon(geom, images[np.hypot(d.real, d.imag) > radius], shrink=-1e-7)
     return endpoint, midpoint, int(np.count_nonzero(hit))
 
 

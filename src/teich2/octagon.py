@@ -33,7 +33,6 @@ from .hyperbolic import arc_center, dist
 __all__ = [
     "OctagonParams",
     "OctagonForms",
-    "validate_params",
     "lower_a",
     "octagon_forms",
     "build_geometry",
@@ -46,14 +45,14 @@ __all__ = [
 ALPHA_TILDE_MAX = math.pi / 4
 
 
-def lower_a(alpha_tilde: float) -> float:
-    """Lower admissible bound 1/(sqrt(2) cos alpha_tilde) for a; elementwise."""
-    return 1.0 / (math.sqrt(2.0) * ew.cos(alpha_tilde))
-
-
 def b_of(a, alpha_tilde):
     """Second vertex modulus b = 1/(sqrt(2) a cos alpha_tilde); array-safe."""
     return 1.0 / (math.sqrt(2.0) * a * ew.cos(alpha_tilde))
+
+
+def lower_a(alpha_tilde: float) -> float:
+    """Lower admissible bound 1/(sqrt(2) cos alpha_tilde) for a, b_of(1, at); elementwise."""
+    return b_of(1.0, alpha_tilde)
 
 
 def _item(x, shape, k: int):
@@ -93,27 +92,19 @@ def _check_domain(a, at) -> None:
 class OctagonParams:
     """Octagon parameters (a, alpha_tilde) inside the admissible region.
 
-    Construction raises OutOfDomainError naming the violated inequality.
+    Only the given point is checked, not derived points such as its
+    conjugate.  Construction raises ValueError for a non-finite parameter,
+    and OutOfDomainError naming the violated inequality and its bound.
     """
 
     a: float
     alpha_tilde: float
 
     def __post_init__(self):
-        _check_domain(self.a, self.alpha_tilde)
-
-
-def validate_params(a: float, alpha_tilde: float) -> OctagonParams:
-    """The OctagonParams (a, alpha_tilde) of two finite numbers.
-
-    Only the given point is checked, not derived points such as its
-    conjugate.  Raises ValueError for a non-finite parameter, and
-    OutOfDomainError naming the violated inequality and its bound.
-    """
-    a, alpha_tilde = float(a), float(alpha_tilde)
-    if not (math.isfinite(a) and math.isfinite(alpha_tilde)):
-        raise ValueError(f"parameters must be finite, got {a!r}, {alpha_tilde!r}")
-    return OctagonParams(a, alpha_tilde)
+        a, at = self.a, self.alpha_tilde
+        if not (math.isfinite(a) and math.isfinite(at)):
+            raise ValueError(f"parameters must be finite, got {a!r}, {at!r}")
+        _check_domain(a, at)
 
 
 # i^k, k = 0..3: the quarter turns that carry vertices, midpoints and side
@@ -252,20 +243,29 @@ def vertex_sum(vertices):
     return sum(dist(vertices[k], vertices[(k + 1) % 8]) for k in range(8))
 
 
-def in_octagon(geom: OctagonForms, z: complex, shrink: float = 0.0) -> bool:
-    """True if z lies in the octagon interior, shrunk by ``shrink``.
+def in_octagon(geom: OctagonForms, z, shrink: float):
+    """True where z lies in the interior of the octagon ``geom`` (one point),
+    shrunk by ``shrink``; elementwise over an array z.
 
-    The octagon is the locus outside all eight side circles, so membership
-    is |z - center_k| > R_k (+ shrink) for every side.
+    The octagon is the locus in the disk outside all eight side circles, so
+    membership is |z| < 1 and |z - center_k| > R_k + shrink for every side.
+    An array takes each modulus by np.hypot, the libm hypot of Python's
+    complex abs, so every element is the bool of the scalar call.
     """
-    if abs(z) >= 1.0:
-        return False
-    r_plus, r_minus = geom.r_plus + shrink, geom.r_minus + shrink
-    c = geom.centres
-    return (abs(z - c[0]) > r_plus and abs(z - c[1]) > r_minus
-            and abs(z - c[2]) > r_plus and abs(z - c[3]) > r_minus
-            and abs(z - c[4]) > r_plus and abs(z - c[5]) > r_minus
-            and abs(z - c[6]) > r_plus and abs(z - c[7]) > r_minus)
+    # a Python complex, the common case of one point, tested first
+    if type(z) is complex or not isinstance(z, np.ndarray):
+        if abs(z) >= 1.0:
+            return False
+        r_plus, r_minus = geom.r_plus + shrink, geom.r_minus + shrink
+        c = geom.centres
+        return (abs(z - c[0]) > r_plus and abs(z - c[1]) > r_minus
+                and abs(z - c[2]) > r_plus and abs(z - c[3]) > r_minus
+                and abs(z - c[4]) > r_plus and abs(z - c[5]) > r_minus
+                and abs(z - c[6]) > r_plus and abs(z - c[7]) > r_minus)
+    centres = np.reshape(geom.centres, (8,) + (1,) * z.ndim)
+    radius = np.reshape((geom.r_plus + shrink, geom.r_minus + shrink) * 4, centres.shape)
+    d = z - centres
+    return (np.hypot(z.real, z.imag) < 1.0) & (np.hypot(d.real, d.imag) > radius).all(axis=0)
 
 
 def grid_arrays(n_a: int, n_alpha: int, margin: float) -> tuple[np.ndarray, np.ndarray]:

@@ -33,6 +33,7 @@ from . import isoperimetric as iso
 from .errors import NumericalError
 from .fenchel_nielsen import (
     _fn_forms,
+    _rel,
     d_closed_forms,
     dt_residuals,
     lt_forms,
@@ -145,7 +146,7 @@ def _fn_consistency(p: PointBlock) -> dict[str, np.ndarray]:
         (_fn_forms(f.b, -at)[0], 2.0 * dist(1j * p_plus, p_minus)),
     ]
     # judged as |x - ref| / max(1, |ref|), as dt_residuals judges its identity
-    res = [abs(x - ref) / np.maximum(1.0, abs(ref)) for x, ref in pairs]
+    res = [abs(_rel(x, ref)) for x, ref in pairs]
     return {"fn_consistency": np.max(res + list(dt_residuals(pants)), axis=0)}
 
 

@@ -63,9 +63,16 @@ class TestOctagonCommand:
         assert any(line.startswith("beta,1.146421674562") for line in lines)
 
     def test_svg_format(self, capsys):
-        code, out, _ = run_capture(capsys, ["octagon", *A_ARGS, "--format", "svg"])
+        # the octagon is drawn as the radius-0 tiling, the identity cell alone
+        with pytest.raises(SystemExit) as exc:
+            run(["octagon", *A_ARGS, "--format", "svg"])
+        assert exc.value.code == 2 and "invalid choice: 'svg'" in capsys.readouterr().err
+        code, out, _ = run_capture(
+            capsys, ["tiling", "--a", "0.8", "--alpha-tilde", "0.2618", "-n", "0", "--format", "svg"])
         assert code == 0
-        assert out.startswith("<?xml")
+        # sha256 of the octagon SVG at this point: no ball arithmetic at radius 0
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == "2638710a60ff528a0b1165f2c15219a89baaf8e4b9836852e5de5b8de0a722ec"
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_capture(capsys, ["octagon", *A_ARGS])
@@ -287,7 +294,7 @@ def test_no_flag_is_read_from_a_prefix(capsys):
             assert exc.value.code == 2, argv
             assert name[:-1] in capsys.readouterr().err, argv
             checked += 1
-    assert checked == 37
+    assert checked == 36
 
 
 class TestErrorHandling:

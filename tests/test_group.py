@@ -5,7 +5,7 @@ import re
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -18,6 +18,7 @@ from teich2.group import (
     _times,
     ball,
     cells,
+    crossing_violations,
     generator_pairs,
     generators,
     half_turns,
@@ -327,24 +328,67 @@ class TestSidePairing:
 
     def test_probe_maps_the_samples_with_one_action(self, monkeypatch):
         geom, gens = build_geometry(P0), generators(P0)
-        acts, shrinks = [], []
+        acts, calls = [], []
         act, inside = group.su_act, group.in_octagon
 
         def counted_act(u, v, z):
             acts.append(np.shape(z))
             return act(u, v, z)
 
-        def counted_inside(g, z, shrink=0.0):
-            shrinks.append(shrink)
-            return inside(g, z, shrink=shrink)
+        def counted_inside(g, z, shrink):
+            calls.append((shrink, isinstance(z, np.ndarray)))
+            return inside(g, z, shrink)
 
         monkeypatch.setattr(group, "su_act", counted_act)
         monkeypatch.setattr(group, "in_octagon", counted_inside)
         side_pairing_check(geom, gens, samples=500, seed=2)
         # pairing_residuals maps single points; the probe maps all samples once
         assert [shape for shape in acts if shape] == [(500,)]
-        # in_octagon tests candidates only, never an image
-        assert len(shrinks) > 500 and set(shrinks) == {1e-4}
+        # one scalar call per candidate, and one array call for the images
+        # their own side's circle leaves unsettled
+        assert calls.count((1e-4, False)) > 500
+        assert calls.count((-1e-7, True)) == 1
+        assert len(calls) == calls.count((1e-4, False)) + 1
+
+    @pytest.mark.xfail(strict=True, reason="the probe's absolute 1e-7 slack reaches the "
+                       "images of samples next to the lower edge of a")
+    def test_no_false_violations_next_to_the_lower_edge(self):
+        point = OctagonParams(lower_a(0.0) + 1e-7, 0.0)
+        geom, gens = build_geometry(point), generators(point)
+        assert crossing_violations(geom.centres, geom.r_plus, geom.r_minus, gens) == 0
+        assert side_pairing_check(geom, gens, samples=500, seed=0)[2] == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(domain_points(margin=1e-6))
+    @example(OctagonParams(lower_a(0.0) + 1e-7, 0.0))
+    def test_crossing_margins_match_closed_forms(self, point):
+        # with t = tan(at) and q = 2a^2 - 1 - t^2 (> 0 in the domain):
+        # r_k^2 - |g_k(0) - c_k|^2 = r_k^2 - |g_k^-1(0) - c_{k+4}|^2
+        #   = (1 - a^2) q / (a^2 (1 -+ t)^2), and |u_k|^2 - 1
+        #   = ((1 - a^2)^2 + (a^2 -+ t)^2) / ((1 - a^2) q) for g0, g1 (- for
+        # even k); each holds to 8 kappa eps of its size, kappa the largest
+        # |u|^2 + |v|^2, and the margins are > 0 on the whole open domain
+        a, at = point.a, point.alpha_tilde
+        try:
+            geom = build_geometry(point)
+        except NumericalError:  # side midpoints or phi- lost next to the corner
+            reject()
+        gens = generators(point)
+        t, a2 = math.tan(at), a * a
+        q = 2.0 * a2 - 1.0 - t * t
+        kappa = max(abs(u) ** 2 + abs(v) ** 2 for u, v in gens)
+        for k, (u, v) in enumerate(gens):
+            sign = -1.0 if k % 2 == 0 else 1.0
+            r = geom.r_plus if k % 2 == 0 else geom.r_minus
+            margin = (1.0 - a2) * q / (a2 * (1.0 + sign * t) ** 2)
+            assert margin > 0.0
+            pairs = [(r * r - abs(v / u.conjugate() - geom.centres[k]) ** 2, margin),
+                     (r * r - abs(-v / u - geom.centres[k + 4]) ** 2, margin)]
+            if k < 2:
+                pairs.append((abs(u) ** 2 - 1.0,
+                              ((1.0 - a2) ** 2 + (a2 + sign * t) ** 2) / ((1.0 - a2) * q)))
+            for x, closed in pairs:
+                assert abs(x - closed) <= 8.0 * kappa * EPS * closed, (k, x, closed)
 
     def test_no_samples_builds_no_generator(self, monkeypatch):
         geom, gens = build_geometry(P0), generators(P0)

@@ -20,7 +20,6 @@ from teich2.octagon import (
     lower_a,
     octagon_forms,
     perimeter_ab,
-    validate_params,
     vertex_angles,
     vertex_sum,
 )
@@ -73,7 +72,7 @@ class TestParams:
     @pytest.mark.parametrize("a, at", [(math.nan, AT0), (A0, math.inf), (-math.inf, 0.0)])
     def test_non_finite_parameters_rejected(self, a, at):
         with pytest.raises(ValueError, match="parameters must be finite") as exc:
-            validate_params(a, at)
+            OctagonParams(a, at)
         assert not isinstance(exc.value, OutOfDomainError)
 
     @settings(max_examples=200, deadline=None)
@@ -92,7 +91,7 @@ class TestParams:
         first = None
         for k, (x, y) in enumerate((x, y) for x in rows for y in ats):
             try:
-                validate_params(x, y)
+                OctagonParams(x, y)
             except OutOfDomainError as exc:
                 first = k, (exc.which, exc.bound, exc.value)
                 break
@@ -287,9 +286,9 @@ class TestAngles:
 class TestInOctagon:
     def test_origin_inside_vertices_outside(self):
         geom = build_geometry(OctagonParams(A0, AT0))
-        assert in_octagon(geom, 0j)
+        assert in_octagon(geom, 0j, shrink=0.0)
         for v in geom.vertices:
-            assert not in_octagon(geom, 1.0001 * v)
+            assert not in_octagon(geom, 1.0001 * v, shrink=0.0)
         for m in geom.midpoints:
             # side midpoints sit on the boundary circles
             assert not in_octagon(geom, m, shrink=1e-12)
@@ -297,7 +296,31 @@ class TestInOctagon:
     def test_scaled_vertices_inside(self):
         geom = build_geometry(OctagonParams(A0, AT0))
         for v in geom.vertices:
-            assert in_octagon(geom, 0.8 * v)
+            assert in_octagon(geom, 0.8 * v, shrink=0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_array_is_the_scalar_call_at_every_element(self, data):
+        # points within 1e-12 of the shrunk side circles, mostly about the
+        # side's midpoint, and of the unit circle, where a modulus one bit
+        # off would flip a comparison
+        at = data.draw(st.floats(-0.7, 0.7))
+        a = lower_a(at) + data.draw(st.floats(0.01, 0.99)) * (1.0 - lower_a(at))
+        geom = build_geometry(OctagonParams(a, at))
+        shrink = data.draw(st.sampled_from([0.0, 1e-4, -1e-7]))
+        circles = [(c, (geom.r_plus if k % 2 == 0 else geom.r_minus) + shrink,
+                    cmath.phase(geom.midpoints[k] - c)) for k, c in enumerate(geom.centres)]
+        circles.append((0j, 1.0, 0.0))
+        near = st.tuples(st.sampled_from(circles),
+                         st.one_of(st.floats(-0.2, 0.2), st.floats(-math.pi, math.pi)),
+                         st.floats(-1e-12, 1e-12))
+        z = [c + (r + d) * cmath.exp(1j * (phi + dphi)) for (c, r, phi), dphi, d in
+             data.draw(st.lists(near, min_size=1, max_size=40))]
+        z += [complex(x, y) for x, y in data.draw(st.lists(
+            st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), max_size=20))]
+        inside = in_octagon(geom, np.array(z), shrink=shrink)
+        assert inside.dtype == bool and inside.shape == (len(z),)
+        assert inside.tolist() == [in_octagon(geom, w, shrink=shrink) for w in z]
 
 
 class TestDomainGrid:
