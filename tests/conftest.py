@@ -1,14 +1,17 @@
-"""Shared fixtures, the fresh-interpreter helper and the acceptance-criteria summary hook."""
+"""Shared fixtures, the domain strategy, the fresh-interpreter helper and the
+acceptance-criteria summary hook."""
 
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 import teich2
-from teich2.octagon import grid_arrays
+from teich2.octagon import OctagonParams, grid_arrays, lower_a
 
 _CRITERIA: dict[int, tuple[str, bool, str]] = {}
 _TOTAL = 12
@@ -27,6 +30,15 @@ def run_fresh(args):
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+@st.composite
+def domain_points(draw, margin=1e-3):
+    """Points of the whole domain at least ``margin`` from its boundary."""
+    at_max = math.acos(1.0 / (math.sqrt(2.0) * (1.0 - 2.0 * margin)))
+    at = draw(st.floats(-at_max, at_max))
+    lo = lower_a(at) + margin
+    return OctagonParams(lo + draw(st.floats(0.0, 1.0)) * (1.0 - margin - lo), at)
 
 
 @pytest.fixture(scope="session")

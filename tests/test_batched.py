@@ -25,7 +25,7 @@ from teich2.group import (
     generator_pairs,
     generators,
     half_turns,
-    relation_pairs,
+    relation_defect,
 )
 from teich2.hyperbolic import su_check, su_inverse, su_mul
 from teich2.octagon import (
@@ -236,9 +236,9 @@ def test_breakdown_names_the_grid_point_and_check(monkeypatch, block):
         for x in (su_inverse(g1), g2, su_inverse(g3), su_inverse(g0), g1, su_inverse(g2), g3):
             word = su_mul(word, x)
         su_check(*word)
-        return relation_pairs(g)
+        return relation_defect(g)
 
-    monkeypatch.setattr(validation, "relation_pairs", checked)
+    monkeypatch.setattr(validation, "relation_defect", checked)
     if block is not None:
         monkeypatch.setattr(validation, "_BLOCK", block)
     with pytest.raises(NumericalError) as info:

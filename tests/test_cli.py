@@ -294,7 +294,7 @@ def test_no_flag_is_read_from_a_prefix(capsys):
             assert exc.value.code == 2, argv
             assert name[:-1] in capsys.readouterr().err, argv
             checked += 1
-    assert checked == 36
+    assert checked == 35
 
 
 class TestErrorHandling:
@@ -538,15 +538,23 @@ class TestTilingCommand:
         assert code == 0
         assert out.count("<path") == BALL_SIZES[2]
 
-    def test_vertices_sidecar(self, capsys, tmp_path):
-        path = tmp_path / "cells.csv"
-        code, out, _ = run_capture(
-            capsys, ["tiling", *A_ARGS, "-n", "1", "--vertices", str(path)]
-        )
+    def test_vertices_format(self, capsys):
+        code, out, _ = run_capture(capsys, ["tiling", *A_ARGS, "-n", "1", "--format", "vertices"])
         assert code == 0
-        lines = path.read_text().splitlines()
+        lines = out.splitlines()
         assert lines[0] == "word,k,x,y"
         assert len(lines) == 1 + 9 * 8
+
+    def test_vertices_flag_is_gone(self, capsys, tmp_path):
+        # one output per run: the cell vertices are --format vertices
+        path = tmp_path / "cells.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["tiling", *A_ARGS, "-n", "1", "--vertices", str(path)])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments: --vertices" in captured.err
+        assert not path.exists()
 
     def test_json_counts(self, capsys):
         code, out, _ = run_capture(capsys, ["tiling", *A_ARGS, "-n", "2", "--format", "json"])
@@ -555,17 +563,13 @@ class TestTilingCommand:
         assert doc["count"] == BALL_SIZES[2]
         assert doc["relation_sign"] == 1
 
-    @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
-    def test_ball_built_once(self, capsys, monkeypatch, tmp_path, fmt):
+    @pytest.mark.parametrize("fmt", ["csv", "json", "svg", "vertices"])
+    def test_ball_built_once(self, capsys, monkeypatch, fmt):
         calls = []
         real_ball = group.ball
         counted = lambda gens, n: calls.append(n) or real_ball(gens, n)  # noqa: E731
         monkeypatch.setattr(cli, "ball", counted)
-        code, _, _ = run_capture(
-            capsys,
-            ["tiling", *A_ARGS, "-n", "1", "--format", fmt,
-             "--vertices", str(tmp_path / "cells.csv")],
-        )
+        code, _, _ = run_capture(capsys, ["tiling", *A_ARGS, "-n", "1", "--format", fmt])
         assert code == 0
         assert calls == [1]
 
@@ -579,6 +583,17 @@ class TestTilingCommand:
         assert code == 0
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert digest == "d42e39008858be64ff05cfb6ce12b653cc1abe3fb47d18550edec53ae2c1f3aa"
+
+    def test_vertices_golden_digest(self, capsys):
+        # sha256 of the cell-vertex CSV that the former --vertices sidecar
+        # wrote on x86-64 Linux; --format vertices keeps every byte
+        code, out, _ = run_capture(
+            capsys,
+            ["tiling", "--a", "0.85", "--alpha-tilde", "0.03", "-n", "3", "--format", "vertices"],
+        )
+        assert code == 0
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == "ba95dd32ec6012bb40b183bb2c7b09e50e7ad395666fefaea70e0ee3db37159e"
 
     def test_radius_five_whole_ball(self, capsys):
         code, out, _ = run_capture(
