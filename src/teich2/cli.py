@@ -50,7 +50,6 @@ from .fenchel_nielsen import (
     wp_coefficient_raw,
 )
 from .group import ball, cells, generators, half_turns, relation_defect, side_pairing_check
-from .hyperbolic import classify
 from .octagon import (
     OctagonParams,
     _domain_error,
@@ -229,8 +228,9 @@ def _cmd_group(args: argparse.Namespace) -> int:
     payload = {
         "params": _params_block(params),
         "generators": [
+            # |trace| >= 2 sqrt2 at every (a, alpha_tilde), proven
             {"label": f"g{k}", "u": complex(u), "v": complex(v), "trace": 2.0 * u.real,
-             "class": classify(u)}
+             "class": "hyperbolic"}
             for k, (u, v) in enumerate(g)
         ],
         "relation": {"defect": relation_defect(g), "sign": 1},  # +identity, proven

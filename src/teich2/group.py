@@ -7,8 +7,10 @@ side k) and satisfy the single genus-2 relation
 
 Each generator is realized three independent ways: the explicit closed-form
 matrix, the product M_k M_5 of trace-zero half turns, and the half-turn
-composition H(p_k) about the side midpoint.  The half turns M_0..M_5 of
-``half_turns`` also give the Fenchel-Nielsen trace parameters.
+composition H(p_k) about the side midpoint; the three are equal, sign
+included, and every generator is hyperbolic, |trace| >= 2 sqrt2, at every
+(a, alpha_tilde), proven (tests/test_certificates.py).  The half turns
+M_0..M_5 of ``half_turns`` also give the Fenchel-Nielsen trace parameters.
 
 A group element is its SU(1,1) pair (u, v).  The generators, the relation
 word and the side-pairing residuals are written once, over (u, v) pairs of
@@ -125,16 +127,16 @@ def relation_defect(g):
 def pairing_residuals(vertices, midpoints, g):
     """(endpoint, midpoint) residuals of the side pairing, elementwise.
 
-    g_k must carry the endpoints of side k+4 onto the endpoint pair of side
-    k (as a set) and the opposite midpoint -p_k onto p_k.  ``vertices`` and
-    ``midpoints`` are indexed by k first, as in OctagonForms.
+    g_k must carry the endpoints v_{k+4}, v_{k+5} of side k+4 onto v_{k+1},
+    v_k of side k, in that order, proven (tests/test_certificates.py), and
+    the opposite midpoint -p_k onto p_k.  ``vertices`` and ``midpoints`` are
+    indexed by k first, as in OctagonForms.
     """
     endpoint = midpoint = 0.0
     for k, (u, v) in enumerate(g):
-        t0, t1 = vertices[k], vertices[(k + 1) % 8]
-        for src in (vertices[(k + 4) % 8], vertices[(k + 5) % 8]):
-            img = su_act(u, v, src)
-            endpoint = ew.maximum(endpoint, ew.minimum(abs(img - t0), abs(img - t1)))
+        for src, target in ((k + 4, k + 1), (k + 5, k)):
+            img = su_act(u, v, vertices[src % 8])
+            endpoint = ew.maximum(endpoint, abs(img - vertices[target % 8]))
         p = midpoints[k]
         midpoint = ew.maximum(midpoint, abs(su_act(u, v, -p) - p))
     return endpoint, midpoint

@@ -1,4 +1,4 @@
-"""Poincare-disk primitives: distance, geodesic circle centres, SU(1,1) maps.
+"""Poincare-disk primitives: distance and SU(1,1) maps.
 
 The model is the open unit disk |z| < 1 carrying the metric
 4(dx^2+dy^2)/(1-x^2-y^2)^2 of curvature -1.  Orientation-preserving
@@ -33,11 +33,9 @@ from .errors import NumericalError
 __all__ = [
     "MobiusTransform",
     "dist",
-    "arc_center",
     "translation_pair",
     "half_turn_pair",
     "rotation",
-    "classify",
     "su_check",
     "su_mul",
     "su_inverse",
@@ -47,8 +45,6 @@ __all__ = [
 
 # su_check rejects pairs with |det - 1| above this times |u|^2+|v|^2
 SU_DEFECT_TOLERANCE = 1e-9
-# |Tr| within this band of 2 classifies as parabolic
-PARABOLIC_BAND = 1e-9
 
 
 def _require_in_disk(z):
@@ -70,11 +66,6 @@ def dist(z, w):
     _require_in_disk(z)
     _require_in_disk(w)
     return ew.arccosh(1.0 + 2.0 * abs(z - w) ** 2 / ((1.0 - abs(z) ** 2) * (1.0 - abs(w) ** 2)))
-
-
-def arc_center(radius, phi):
-    """Euclidean center sqrt(1+R^2) e^{i phi} of a geodesic circle; array-safe."""
-    return ew.sqrt(1.0 + radius**2) * ew.exp(1j * phi)
 
 
 def su_act(u, v, z):
@@ -118,14 +109,6 @@ def su_gap(x, y):
     (u1, v1), (u2, v2) = x, y
     plus = ew.maximum(abs(u1 - u2), abs(v1 - v2))
     return ew.minimum(plus, ew.maximum(abs(u1 + u2), abs(v1 + v2)))
-
-
-def classify(u) -> str:
-    """elliptic / parabolic / hyperbolic by |Tr| = |2 Re u| of a pair against 2 (band 1e-9)."""
-    t = abs(2.0 * u.real)
-    if abs(t - 2.0) <= PARABOLIC_BAND:
-        return "parabolic"
-    return "hyperbolic" if t > 2.0 else "elliptic"
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _elementwise as ew
 from .errors import OutOfDomainError
-from .hyperbolic import arc_center, dist
+from .hyperbolic import dist
 
 __all__ = [
     "OctagonParams",
@@ -127,8 +127,11 @@ class OctagonForms(NamedTuple):
     tuples.  ``vertices[k]`` runs counterclockwise: v0 = a, v1 = b e^{i alpha},
     v2 = i a, ...; side k joins vertices k and k+1 (mod 8) and lies on the
     circle of radius ``r_plus`` (k even) or ``r_minus`` (k odd) about
-    ``centres[k]``, at angle ``phi_plus``/``phi_minus`` + (k//2) pi/2;
-    ``midpoints[k]`` is the hyperbolic midpoint of side k.
+    ``centres[k]``, at angle ``phi_plus``/``phi_minus`` + (k//2) pi/2:
+    c0 = (1 + a^2 + i t_plus)/(2a), c1 = (t_minus + i (1 + a^2))/(2a) and
+    c_{k+2} = i c_k, each orthogonal to the unit circle, |c|^2 - R^2 = 1
+    (proven in tests/test_certificates.py); ``midpoints[k]`` is the
+    hyperbolic midpoint of side k.
     """
 
     b: np.ndarray
@@ -185,7 +188,8 @@ def octagon_forms(a, alpha_tilde) -> OctagonForms:
     ew.require_positive(ew.minimum(gap_plus, gap_minus), "side midpoints: 1 - |omega|^2")
     p_plus = omega_plus / (1.0 + ew.sqrt(gap_plus))
     p_minus = omega_minus / (1.0 + ew.sqrt(gap_minus))
-    c_plus, c_minus = arc_center(r_plus, phi_plus), arc_center(r_minus, phi_minus)
+    c_plus = (1.0 + a2 + 1j * t_plus) / (2.0 * a)
+    c_minus = (t_minus + 1j * (1.0 + a2)) / (2.0 * a)
     return OctagonForms(
         b=b,
         beta=beta,

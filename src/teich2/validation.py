@@ -21,10 +21,16 @@ side k (``side_pairing``), the vertex cycle's angles sum to 2 pi
 (``side_pairing_interior``, which counts the maps g_k, g_k^-1 whose image of
 the centre 0 is not strictly inside the side circle it must cross).
 
-Three checks test the code against itself: ``wolpert_k3`` and the tau3 entry
-of ``lt_relations`` are 0.0 at every point, as ``_fn_forms`` gives l3 = 2 tau3
-exactly, and ``ball_counts`` can fail only by ``ball`` refusing at its probe
-point.  ``relation_defect`` judges an identity proven for every point.
+Five checks judge identities proven for every point of the domain
+(tests/test_certificates.py), so their residuals measure rounding only:
+``relation_defect``, ``side_pairing``, ``side_pairing_interior``,
+``triple_agreement`` (M_k M_5 = H(p_k) = g_k with one sign, so ``su_gap``'s
+minimum over the global sign always takes its + branch) and
+``generator_traces`` (|tr g_k| >= 2 sqrt2).  Three checks test the code
+against itself: ``wolpert_k3`` and the tau3 entry of ``lt_relations`` are
+0.0 at every point, as ``_fn_forms`` gives l3 = 2 tau3 exactly, and
+``ball_counts`` can fail only by ``ball`` refusing at its probe point.  The
+rest are numerical.
 """
 
 from __future__ import annotations

@@ -23,11 +23,11 @@ from teich2.group import (
     generator_pairs,
     generators,
     half_turns,
+    pairing_residuals,
     relation_defect,
     side_pairing_check,
 )
 from teich2.hyperbolic import (
-    classify,
     dist,
     half_turn_pair,
     su_act,
@@ -130,14 +130,16 @@ class TestGenerators:
             assert_allclose(abs(2.0 * u.real), TRACE_REG, rtol=1e-13)
 
     def test_all_hyperbolic_in_domain(self):
+        # |tr g_k| = 2|u_k| >= 2 sqrt2 at every point of the domain, proven
+        # (tests/test_certificates.py)
         rng = np.random.default_rng(42)
         for _ in range(15):
             at = rng.uniform(-0.6, 0.6)
             a = rng.uniform(1.0 / (math.sqrt(2.0) * math.cos(at)) + 0.02, 0.98)
             gens = generators(OctagonParams(a, at))
             for u, _ in gens:
-                assert classify(u) == "hyperbolic"
-                assert abs(2.0 * u.real) > 2.0
+                assert abs(u) ** 2 >= 2.0
+                assert abs(2.0 * u.real) >= 2.0 * math.sqrt(2.0)
 
     @pytest.mark.parametrize("margin", [0.02, 1e-3])
     def test_closed_forms_match_mpmath(self, margin):
@@ -250,6 +252,15 @@ class TestSidePairing:
         assert endpoint < 1e-12
         assert midpoint < 1e-12
         assert violations == 0
+
+    def test_endpoint_residual_is_the_distance_to_the_proven_vertex(self):
+        # g_k carries v_{k+4}, v_{k+5} onto v_{k+1}, v_k, proven.  Next to the
+        # +pi/4 corner side 1 is 1.42e-7 long, and g1, rounded at |u|^2 ~ 5.6e15,
+        # carries v6 to 1.429e-7 from v1 and 1.405e-9 from v2, the side's other end
+        point = OctagonParams(0.9999999991113031, 0.7853980619178006)
+        geom, gens = build_geometry(point), generators(point)
+        endpoint, _ = pairing_residuals(geom.vertices, geom.midpoints, gens)
+        assert endpoint == pytest.approx(1.429e-7, rel=1e-3)
 
     def test_seed_reproducible(self):
         geom = build_geometry(P0)

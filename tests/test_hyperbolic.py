@@ -9,7 +9,6 @@ from teich2.errors import NumericalError
 from teich2.group import generators
 from teich2.hyperbolic import (
     MobiusTransform,
-    classify,
     dist,
     half_turn_pair,
     rotation,
@@ -83,7 +82,7 @@ class TestMobiusTransform:
         assert su_mul(IDENTITY, IDENTITY) == IDENTITY
         assert su_check(*IDENTITY) == 1.0
         assert su_act(*IDENTITY, 0.25 + 0.1j) == 0.25 + 0.1j
-        assert classify(IDENTITY[0]) == "parabolic"
+        assert abs(2.0 * IDENTITY[0].real) == 2.0  # |Tr| = 2: parabolic
 
     def test_su11_defect_rejected(self):
         with pytest.raises(NumericalError):
@@ -154,18 +153,11 @@ class TestMobiusTransform:
             assert_allclose(su_act(*su_inverse(t), su_act(*t, z)), z, rtol=1e-11, atol=1e-13)
             assert su_gap(su_mul(t, su_inverse(t)), IDENTITY) < 1e-12
 
-    def test_classify(self):
-        assert classify(r_pair(0.8)[0]) == "elliptic"
-        assert classify(h_pair(0.4)[0]) == "hyperbolic"  # a real u
-        assert classify(1.0 + 0.3j) == "parabolic"
-        assert classify(-1.0 - 1e-10j) == "parabolic"
-        assert classify(-1.0 - 1e-8) == "hyperbolic"
-
     def test_canonical_sign(self):
         # ball's canonical sign negates a pair where Re u < 0: a hyperbolic pair
         # has |Re u| = |Tr|/2 > 1, so the negated pair has Re u > 1
         t = (-2.0, complex(math.sqrt(3.0)))
-        assert classify(t[0]) == "hyperbolic" and t[0].real < -1.0
+        assert abs(2.0 * t[0].real) > 2.0 and t[0].real < -1.0
         c = (-t[0], -t[1])
         assert c[0].real > 1.0
         assert su_gap(c, t) == 0.0
