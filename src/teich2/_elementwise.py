@@ -26,7 +26,7 @@ from .errors import NumericalError
 
 __all__ = [
     "sqrt", "cos", "sin", "tan", "arctan", "arccos", "arcsinh", "arccosh", "cosh",
-    "exp", "log", "maximum", "minimum", "where", "first_true", "require_positive",
+    "log", "maximum", "minimum", "where", "first_true", "require_positive",
 ]
 
 
@@ -56,7 +56,6 @@ arccos = _unary(math.acos, cmath.acos, np.arccos)
 arcsinh = _unary(math.asinh, cmath.asinh, np.arcsinh)
 arccosh = _unary(math.acosh, cmath.acosh, np.arccosh)
 cosh = _unary(math.cosh, cmath.cosh, np.cosh)
-exp = _unary(math.exp, cmath.exp, np.exp)
 log = _unary(math.log, cmath.log, np.log)
 
 

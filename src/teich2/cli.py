@@ -21,13 +21,13 @@ forms see it, as 0 and 1e-16 do), 3 domain errors (octagon parameters
 outside the admissible region, or an orbit or area perimeter below the
 regular value P_reg), 4 validation failure, 5 numerical errors (a
 quadrature that does not converge or overflows, an overflow or
-cancellation, an orbit point that rounds out of the domain, a point near
-the corner a = 1, |alpha_tilde| = pi/4 whose side midpoints or side angle
-phi- have no float value, or a float form that divides by a rounded 0 or
-meets a math domain error at a point next to the domain's edge); its line
-ends with the command's point, if it has one, as `` at --a A --alpha-tilde
-T``. With ``--format json``, and from ``validate``, domain errors additionally
-produce a JSON error object on stdout.
+cancellation, an orbit point that rounds out of the domain, a point where
+the forms' X rounds to 0 or below, a float form that divides by a rounded 0
+or meets a math domain error next to the domain's edge, or ``group`` and
+``tiling`` generators with kappa^2 past group._MAX_SIZE, kappa = max_k
+(|u_k|^2 + |v_k|^2)); its line ends with the command's point, if it has one,
+as `` at --a A --alpha-tilde T``. With ``--format json``, and from ``validate``,
+domain errors additionally produce a JSON error object on stdout.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ from .fenchel_nielsen import (
     wolpert_forms,
     wp_coefficient_raw,
 )
-from .group import ball, cells, generators, half_turns, relation_defect, side_pairing_check
+from .group import (_MAX_SIZE, ball, cells, generators, half_turns, relation_defect,
+                    side_pairing_check)
 from .octagon import (
     OctagonParams,
     _domain_error,
@@ -219,10 +220,18 @@ def _cmd_octagon(args: argparse.Namespace) -> int:
     return 0
 
 
+def _representable(g):
+    """g, or NumericalError where max_k (|u_k|^2 + |v_k|^2) squared passes _MAX_SIZE."""
+    kappa = max(abs(u) ** 2 + abs(v) ** 2 for u, v in g)
+    if not kappa * kappa <= _MAX_SIZE:
+        raise NumericalError(f"generators: kappa^2 = {kappa * kappa!r} is past 1/(16 eps)")
+    return g
+
+
 def _cmd_group(args: argparse.Namespace) -> int:
     params = OctagonParams(args.a, args.alpha_tilde)
+    g = _representable(generators(params))
     geom = build_geometry(params)
-    g = generators(params)
     endpoint, midpoint, violations = side_pairing_check(
         geom, g, samples=args.samples, seed=args.seed)
     payload = {
@@ -324,7 +333,7 @@ def _cmd_area(args: argparse.Namespace) -> int:
 
 def _cmd_tiling(args: argparse.Namespace) -> int:
     params = OctagonParams(args.a, args.alpha_tilde)
-    g = generators(params)
+    g = _representable(generators(params))
     # the forms before the ball, in every format: where they break, tiling
     # exits with the numerical error of octagon and group
     geom = build_geometry(params)

@@ -5,8 +5,8 @@ side k) and satisfy the single genus-2 relation
 
     g0 g1^-1 g2 g3^-1 g0^-1 g1 g2^-1 g3 = +identity, proven.
 
-Each generator is realized three independent ways: the explicit closed-form
-matrix, the product M_k M_5 of trace-zero half turns, and the half-turn
+Each generator is realized three ways: the explicit closed-form matrix,
+the product M_k M_5 of trace-zero half turns, and the half-turn
 composition H(p_k) about the side midpoint; the three are equal, sign
 included, and every generator is hyperbolic, |trace| >= 2 sqrt2, at every
 (a, alpha_tilde), proven (tests/test_certificates.py).  The half turns
@@ -40,7 +40,6 @@ from . import _elementwise as ew
 from .errors import NumericalError
 from .hyperbolic import (
     _require_in_disk,
-    half_turn_pair,
     rotation,
     su_act,
     su_check,
@@ -101,12 +100,14 @@ def generators(params: OctagonParams):
 
 
 def half_turns(forms: OctagonForms):
-    """(u, v) pairs of the trace-zero half turns M(omega_k) of the octagon ``forms``,
-    elementwise, as half_turn_pair gives them:
+    """(u, v) pairs of the half turns M(omega_k) = (i/r, -i omega_k/r) of ``forms``,
+    elementwise, with the forms' scales r, r^2 + |omega_k|^2 = 1, and
     (omega_0..omega_5) = (omega+, omega-, i omega+, i omega-, 2a/(1+a^2), 0)."""
     w_plus, w_minus = forms.omega_plus, forms.omega_minus
-    omegas = (w_plus, w_minus, 1j * w_plus, 1j * w_minus, forms.omega4 + 0j, 0j)
-    return tuple(half_turn_pair(w) for w in omegas)
+    r_plus, r_minus, r4 = forms.turn_scales
+    turns = ((w_plus, r_plus), (w_minus, r_minus), (1j * w_plus, r_plus),
+             (1j * w_minus, r_minus), (forms.omega4 + 0j, r4), (0j, 1.0))
+    return tuple((1j / r, -(1j / r) * w) for w, r in turns)
 
 
 def relation_defect(g):

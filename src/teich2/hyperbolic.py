@@ -13,7 +13,8 @@ element: a group element is its pair.  No pair, a product included, is
 rescaled to |u|^2 - |v|^2 = 1: that difference cancels, so a rescale would
 add error of order eps (|u|^2 + |v|^2).  ``su_check`` tests for a breakdown
 where products are multiplied further and kept, in ``group.ball``.
-``MobiusTransform`` is the record of one pair that ``rotation`` returns.
+``MobiusTransform`` is the record of one pair that ``rotation`` returns;
+the octagon's half turns are ``group.half_turns``, from the forms' scales.
 Numbers are multiplied in CPython's complex arithmetic and arrays in
 numpy's complex loops, which may fuse multiply-adds depending on the CPU, so
 a product or an image computed over arrays can differ from the one computed
@@ -34,7 +35,6 @@ __all__ = [
     "MobiusTransform",
     "dist",
     "translation_pair",
-    "half_turn_pair",
     "rotation",
     "su_check",
     "su_mul",
@@ -140,14 +140,3 @@ def translation_pair(p):
     """
     scale = -1.0 / (1.0 - abs(p) ** 2)
     return scale * (1.0 + abs(p) ** 2), scale * 2.0 * p
-
-
-def half_turn_pair(omega):
-    """(u, v) of M(omega) = i/sqrt(1-|omega|^2) [[1, -omega], [conj(omega), -1]]; array-safe.
-
-    M(omega) is the trace-zero half turn about the disk point
-    omega / (1 + sqrt(1 - |omega|^2)), so M(omega)^2 = -identity.  NumericalError
-    where 1 - |omega|^2 rounds to 0 or below, as for omega = 2a/(1 + a^2) near a = 1.
-    """
-    scale = 1j / ew.sqrt(ew.require_positive(1.0 - abs(omega) ** 2, "half turn: 1 - |omega|^2"))
-    return scale, -scale * omega

@@ -14,8 +14,9 @@ or at one float point: ``octagon_forms``, ``b_of`` and the perimeter
 ``perimeter_ab`` (symmetric in a and b).  ``OctagonParams`` is the checked
 pair (a, alpha_tilde); the involution (a, at) -> (b_of(a, at), -at) swaps
 the vertex moduli.  ``build_geometry`` is ``octagon_forms`` at one
-``OctagonParams``.  Next to the boundary a float form can divide by a
-rounded 0, as ``perimeter_ab`` does where b rounds to 1.
+``OctagonParams``.  The forms are the proven rational chart of (a, tan at),
+whose one refusal is X <= 0, but next to the boundary a float form can
+still divide by a rounded 0, as ``perimeter_ab`` does where b rounds to 1.
 """
 
 from __future__ import annotations
@@ -131,7 +132,8 @@ class OctagonForms(NamedTuple):
     c0 = (1 + a^2 + i t_plus)/(2a), c1 = (t_minus + i (1 + a^2))/(2a) and
     c_{k+2} = i c_k, each orthogonal to the unit circle, |c|^2 - R^2 = 1
     (proven in tests/test_certificates.py); ``midpoints[k]`` is the
-    hyperbolic midpoint of side k.
+    hyperbolic midpoint of side k; ``turn_scales`` is the 3-tuple of scales
+    r, r^2 + |omega|^2 = 1, of omega_plus, omega_minus and omega4.
     """
 
     b: np.ndarray
@@ -145,67 +147,59 @@ class OctagonForms(NamedTuple):
     omega_plus: np.ndarray
     omega_minus: np.ndarray
     omega4: np.ndarray
+    turn_scales: tuple
     vertices: np.ndarray
     midpoints: np.ndarray
     centres: np.ndarray
 
 
-def octagon_forms(a, alpha_tilde) -> OctagonForms:
-    """Sides, angles, vertices and midpoints, elementwise over parameter arrays.
+def _edge(a, t):
+    """X = (1 - a)(1 + a)(2a^2 - 1 - t^2), t = tan(alpha_tilde): X > 0 exactly
+    on the domain, and the forms and ``grid_arrays`` refuse where it is not."""
+    return (1.0 - a) * (1.0 + a) * (2.0 * (a * a) - 1.0 - t * t)
 
-    The parameters are taken as given: callers keep them in the domain.
-    Raises NumericalError, with the index, where 2a^2 cos^2(at) - 1 or
-    1 - b^2 rounds to 0 or below, a few ulps above the lower bound of a, or
-    where a^2 - tan(at) or 1 - |omega|^2 of a side midpoint does, as they
-    can within about 2.4e-6 of the boundary near the corner a = 1,
-    |alpha_tilde| = pi/4.
-    """
-    at = alpha_tilde
-    b = b_of(a, at)
+
+def _chart(a, t):
+    """The forms but b at (a, t = tan(alpha_tilde)), elementwise, as proven in
+    a, t and s = sqrt(X) (tests/test_certificates.py): omega = V/U, midpoints
+    V/(U + s) and half-turn scales s/U, with U0 = a(1 - t), U1 = a(1 + t),
+    V0 = (a^2 - t) + i p, V1 = p + i(a^2 + t), p = 1 - a^2.  NumericalError,
+    with the index, where X rounds to 0 or below."""
+    x = ew.require_positive(_edge(a, t), "X = (1 - a^2)(2a^2 - 1 - t^2)")
+    s = ew.sqrt(x)
     a2 = a * a
-    b2 = b * b
-    tn = ew.tan(at)
-    cos2 = ew.cos(at) ** 2
-
-    q = ew.require_positive(2.0 * a2 * cos2 - 1.0, "beta: 2a^2 cos^2(alpha_tilde) - 1")
-    t_plus = a2 + tn
-    # a^2 - tan(at) = (a^2 - 1/(2 cos^2 at)) + (1 - sin 2at)/(2 cos^2 at) > 0
-    # in the domain, and it can round to 0 next to the corner
-    t_minus = ew.require_positive(a2 - tn, "side angle: a^2 - tan(alpha_tilde)")
-    r_plus = ew.sqrt(t_plus**2 + (1.0 - a2) ** 2) / (2.0 * a)
-    r_minus = ew.sqrt(t_minus**2 + (1.0 - a2) ** 2) / (2.0 * a)
-    phi_plus = ew.arctan(t_plus / (1.0 + a2))
-    phi_minus = ew.arctan((1.0 + a2) / t_minus)
-    beta = ew.arctan((1.0 - a2) * 2.0 * a2 * cos2 / q)
-
-    ew.require_positive(1.0 - b2, "vertex modulus: 1 - b^2")
-    den = 1.0 - a2 * b2
-    w = b * ew.exp(1j * (at + math.pi / 4))  # the vertex b e^{i alpha}
-    omega_plus = (w * (1.0 - a2) + a * (1.0 - b2)) / den
-    omega_minus = (w * (1.0 - a2) + 1j * a * (1.0 - b2)) / den
-    gap_plus, gap_minus = 1.0 - abs(omega_plus) ** 2, 1.0 - abs(omega_minus) ** 2
-    # NaN wins the minimum, and is not > 0
-    ew.require_positive(ew.minimum(gap_plus, gap_minus), "side midpoints: 1 - |omega|^2")
-    p_plus = omega_plus / (1.0 + ew.sqrt(gap_plus))
-    p_minus = omega_minus / (1.0 + ew.sqrt(gap_minus))
+    p = (1.0 - a) * (1.0 + a)
+    # X > 0 keeps a^2 - t > 0 in floats: 2a^2 - 1 > fl(t^2) >= 2t - 1, a float
+    t_plus, t_minus = a2 + t, a2 - t
+    u0, u1 = a * (1.0 - t), a * (1.0 + t)
+    v0, v1 = t_minus + 1j * p, p + 1j * t_plus
+    w = ((1.0 - t) + 1j * (1.0 + t)) / (2.0 * a)  # the vertex b e^{i alpha}
     c_plus = (1.0 + a2 + 1j * t_plus) / (2.0 * a)
     c_minus = (t_minus + 1j * (1.0 + a2)) / (2.0 * a)
-    return OctagonForms(
-        b=b,
-        beta=beta,
+    return dict(
+        beta=ew.arctan(2.0 * a2 * p * p / x),
         t_plus=t_plus,
         t_minus=t_minus,
-        r_plus=r_plus,
-        r_minus=r_minus,
-        phi_plus=phi_plus,
-        phi_minus=phi_minus,
-        omega_plus=omega_plus,
-        omega_minus=omega_minus,
+        r_plus=ew.sqrt(t_plus**2 + (1.0 - a2) ** 2) / (2.0 * a),
+        r_minus=ew.sqrt(t_minus**2 + (1.0 - a2) ** 2) / (2.0 * a),
+        phi_plus=ew.arctan(t_plus / (1.0 + a2)),
+        phi_minus=ew.arctan((1.0 + a2) / t_minus),
+        omega_plus=v0 / u0,
+        omega_minus=v1 / u1,
         omega4=2.0 * a / (1.0 + a2),
+        turn_scales=(s / u0, s / u1, p / (1.0 + a2)),
         vertices=_alternate([a * r for r in _ROT], [w * r for r in _ROT]),
-        midpoints=_alternate([p_plus * r for r in _ROT], [p_minus * r for r in _ROT]),
+        midpoints=_alternate([v0 / (u0 + s) * r for r in _ROT], [v1 / (u1 + s) * r for r in _ROT]),
         centres=_alternate([c_plus * r for r in _ROT], [c_minus * r for r in _ROT]),
     )
+
+
+def octagon_forms(a, alpha_tilde) -> OctagonForms:
+    """b_of and the _chart at t = tan(alpha_tilde), elementwise over parameter
+    arrays taken as given: callers keep them in the domain.  NumericalError
+    where X rounds to 0 or below, a few ulps above the lower bound of a or
+    next to the corner a = 1, |alpha_tilde| = pi/4."""
+    return OctagonForms(b=b_of(a, alpha_tilde), **_chart(a, ew.tan(alpha_tilde)))
 
 
 def build_geometry(params: OctagonParams) -> OctagonForms:
@@ -243,7 +237,9 @@ def perimeter_ab(a, b):
 
 
 def vertex_sum(vertices):
-    """Sum of the 8 vertex-to-vertex hyperbolic distances (vertices indexed by k first)."""
+    """Sum of the 8 vertex-to-vertex hyperbolic distances (vertices indexed by
+    k first); NumericalError where the odd vertices round onto |z| = 1."""
+    ew.require_positive(1.0 - abs(vertices[1]), "vertex_sum: 1 - |v1|")
     return sum(dist(vertices[k], vertices[(k + 1) % 8]) for k in range(8))
 
 
@@ -282,8 +278,8 @@ def grid_arrays(n_a: int, n_alpha: int, margin: float) -> tuple[np.ndarray, np.n
     margins that leave a band, for one that puts a row's first a on the
     excluded bound as the forms see it (a margin that rounds away on
     lower_a, as 0 and those below about half an ulp of lower_a do, or one
-    that leaves 2a^2 cos^2(at) - 1 at 0 or below there, as 6e-17 and 1e-16
-    do on the 20 x 20 grid), for a side n_a or n_alpha below 1, and
+    that leaves the forms' X = (1 - a^2)(2a^2 - 1 - tan^2(at)) at 0 or below
+    there), for a side n_a or n_alpha below 1, and
     OutOfDomainError at the first point outside the domain.
     """
     # lower_a(at) + margin <= 1 - margin pins |at| <= acos(1/(sqrt2 (1-2 margin))),
@@ -298,8 +294,8 @@ def grid_arrays(n_a: int, n_alpha: int, margin: float) -> tuple[np.ndarray, np.n
     lo = lower_a(alphas)
     first = lo + margin
     # a first a that rounds onto lower_a, or one an ulp or two above it where
-    # octagon_forms' 2a^2 cos^2(at) - 1 rounds to 0 or below, is on the bound
-    if np.any((first == lo) | ~(2.0 * (first * first) * ew.cos(alphas) ** 2 - 1.0 > 0.0)):
+    # the forms' X rounds to 0 or below, is on the bound
+    if np.any((first == lo) | ~(_edge(first, ew.tan(alphas)) > 0.0)):
         raise ValueError(f"margin {margin!r} puts a grid row's first a, lower_a + margin, "
                          "on the excluded bound lower_a")
     a = np.linspace(first, 1.0 - margin, n_a, axis=1).ravel()

@@ -26,11 +26,12 @@ Five checks judge identities proven for every point of the domain
 ``relation_defect``, ``side_pairing``, ``side_pairing_interior``,
 ``triple_agreement`` (M_k M_5 = H(p_k) = g_k with one sign, so ``su_gap``'s
 minimum over the global sign always takes its + branch) and
-``generator_traces`` (|tr g_k| >= 2 sqrt2).  Three checks test the code
-against itself: ``wolpert_k3`` and the tau3 entry of ``lt_relations`` are
-0.0 at every point, as ``_fn_forms`` gives l3 = 2 tau3 exactly, and
-``ball_counts`` can fail only by ``ball`` refusing at its probe point.  The
-rest are numerical.
+``generator_traces`` (|tr g_k| >= 2 sqrt2); ``triple_agreement`` measures
+the rounding of the forms' chart, with no vertex-based omega route.  Three
+checks test the code against itself: ``wolpert_k3`` and the tau3 entry of
+``lt_relations`` are 0.0 at every point, as ``_fn_forms`` gives l3 = 2 tau3
+exactly, and ``ball_counts`` can fail only by ``ball`` refusing at its
+probe point.  The rest are numerical.
 """
 
 from __future__ import annotations
@@ -273,7 +274,8 @@ def _per_point_worst(a: np.ndarray, at: np.ndarray) -> dict[str, float]:
 
 def run_validation(n_a: int, n_alpha: int, margin: float, seed: int) -> dict:
     """Run every invariant check against DEFAULT_TOLERANCES on the n_a x
-    n_alpha grid_arrays at ``margin``, and return a JSON-ready report.
+    n_alpha grid_arrays at ``margin``, and return a JSON-ready report.  A
+    ``ball`` refusal at the probe point fails ``ball_counts``.
 
     ``seed`` is echoed in the report and used by no check: it stays for the
     teich2/v1 report schema.
@@ -285,10 +287,11 @@ def run_validation(n_a: int, n_alpha: int, margin: float, seed: int) -> dict:
         results.update(check())
 
     probe = generator_pairs(float(a[a.size // 2]), float(at[a.size // 2]))
-    counts_ok = (
-        len(ball(generator_pairs(iso.A_REG, 0.0), 1)) == BALL_SIZES[1]
-        and len(ball(probe, 2)) == BALL_SIZES[2]
-    )
+    try:  # ball refuses an element past the float64 precision limit
+        counts_ok = (len(ball(generator_pairs(iso.A_REG, 0.0), 1)) == BALL_SIZES[1]
+                     and len(ball(probe, 2)) == BALL_SIZES[2])
+    except ValueError:
+        counts_ok = False
     results["ball_counts"] = 0.0 if counts_ok else 1.0
 
     checks = [

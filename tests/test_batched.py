@@ -5,7 +5,9 @@ the whole grid; the scalar API evaluates the same forms at one point.  These
 tests hold the two to each other and check properties of the batch itself.
 """
 
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -84,19 +86,34 @@ def test_grid_arrays_refuse_margin_0():
 
 def test_grid_arrays_check_the_domain():
     # a margin below half an ulp of lower_a still puts the first a on the
-    # bound, and one or two ulps above it octagon_forms' 2a^2 cos^2(at) - 1
-    # still rounds to 0 or below on some rows: each is refused as margin 0
-    # is; from 2e-16 on, every row's first a lies above the bound, where
-    # 2a^2 cos^2(at) - 1 > 0, and every point in the domain
-    for margin in (5e-17, 6e-17, 1e-16, 1.2e-16):
-        with pytest.raises(ValueError, match=f"margin {margin!r} puts a grid row's first a"):
-            grid_arrays(9, 9, margin)
-    for margin in (2e-16, 1e-15, 1e-9):
-        a, at = grid_arrays(9, 9, margin)
+    # bound, and one or two ulps above it the forms' X can still round to 0 or
+    # below on some rows: each is refused as margin 0 is.  The grid tests the
+    # forms' own X, so it refuses a margin exactly where the forms refuse a
+    # point of the grid or a row's first a rounds onto lower_a; from 2e-16 on,
+    # every margin is accepted
+    refused = []
+    for n, margin in itertools.product((9, 20), (5e-17, 6e-17, 1e-16, 1.2e-16, 1.5e-16,
+                                               2e-16, 1e-15, 1e-9)):
+        ref_a, ref_at = _grid_rows(n, n, margin)
+        try:
+            octagon_forms(ref_a, ref_at)
+            on_bound = np.any(ref_a == lower_a(ref_at))
+        except NumericalError:
+            on_bound = True
+        try:
+            a, at = grid_arrays(n, n, margin)
+        except ValueError as exc:
+            assert f"margin {margin!r} puts a grid row's first a" in str(exc)
+            assert on_bound, (n, margin)
+            refused.append((n, margin))
+            continue
+        assert not on_bound, (n, margin)
         assert np.all(a > lower_a(at))
-        assert np.all(2.0 * (a * a) * np.cos(at) ** 2 - 1.0 > 0.0)
         for x, y in zip(a.tolist(), at.tolist()):
             OctagonParams(x, y)
+    # 5e-17 rounds onto lower_a, and 1.5e-16 leaves X <= 0, on both grids
+    assert {(9, 5e-17), (20, 5e-17), (9, 1.5e-16), (20, 1.5e-16)} <= set(refused)
+    assert all(margin < 2e-16 for _, margin in refused)
 
 
 @pytest.mark.parametrize("n_a, n_alpha", [(5, -1), (3, 0)])
@@ -106,17 +123,16 @@ def test_grid_arrays_need_positive_sides(n_a, n_alpha):
 
 
 def test_octagon_forms_match_build_geometry():
-    # numpy's complex arithmetic and Python's differ in the last bit; the
-    # midpoints take 1 - |omega|^2, which spreads that over a few bits
+    # numpy's complex arithmetic and Python's differ in the last bit (at most
+    # 2.8 eps on 30 x 30 grids at margins 0.02, 1e-3 and 1e-6)
     a, at = grid_arrays(6, 6, 0.02)
     f = octagon_forms(a, at)
     assert f.vertices.shape == f.midpoints.shape == f.centres.shape == (8, 36)
     for k, (x, y) in enumerate(zip(a.tolist(), at.tolist())):
         geom = build_geometry(OctagonParams(x, y))
         for name in f._fields:
-            batch, point = getattr(f, name)[..., k], getattr(geom, name)
-            assert_allclose(batch, point, rtol=(16 if name == "midpoints" else 4) * EPS,
-                            err_msg=name)
+            batch, point = np.asarray(getattr(f, name))[..., k], getattr(geom, name)
+            assert_allclose(batch, point, rtol=4 * EPS, err_msg=name)
 
 
 def test_scalar_views_match_the_batch():
@@ -254,14 +270,15 @@ def test_breakdown_names_the_grid_point_and_check(monkeypatch, block):
 
 @pytest.mark.parametrize("block", [None, 7])
 def test_breakdown_in_the_forms_names_point_block(monkeypatch, block):
-    # at a = 1 - 1e-9, 2a/(1 + a^2) rounds to 1 and its half turn has no value
+    # next to the corner X = (1 - a^2)(2a^2 - 1 - t^2) rounds below 0
     if block is not None:
         monkeypatch.setattr(validation, "_BLOCK", block)
     a, at = grid_arrays(4, 4, 0.02)
-    a[9] = 1.0 - 1e-9
+    a[9], at[9] = 0.9999999949849345, 0.7853981583823828
     with pytest.raises(NumericalError) as info:
         validation._per_point_worst(a, at)
     assert info.value.index == 9
-    assert str(info.value) == (f"point_block at grid point a=0.999999999, "
-                               f"alpha_tilde={float(at[9])!r}: "
-                               "half turn: 1 - |omega|^2 = 0.0 is not > 0")
+    assert re.fullmatch(r"point_block at grid point a=0\.9999999949849345, "
+                        r"alpha_tilde=0\.7853981583823828: "
+                        r"X = \(1 - a\^2\)\(2a\^2 - 1 - t\^2\) = -\S+ is not > 0",
+                        str(info.value)), str(info.value)

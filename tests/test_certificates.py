@@ -42,13 +42,16 @@ the proofs substitute a^2.  Proven here:
    + (1 - t)^3 (7 + t)/16, and the same for g1 with -t.  For |t| < 1 that
    is positive, so |u_k|^2 > 2, |tr g_k| = 2 |u_k| > 2 sqrt2, and every
    generator is hyperbolic, with translation length above 2 ln(1 + sqrt2);
-8. the triple construction, with sign +1: the midpoint parameters of
-   ``octagon_forms``, omega+ = (w (1 - a^2) + a (1 - b^2))/(1 - a^2 b^2) and
-   omega- the same with i a (1 - b^2), where w = v1 and b^2 = (1 + t^2)/(2a^2),
-   are g0(0) = V0/U0 and g1(0) = V1/U1, 1 - |omega+-|^2 = X/(a^2 (1 -+ t)^2),
+8. the triple construction, with sign +1: the side midpoints' parameters
+   omega+ = (w (1 - a^2) + a (1 - b^2))/(1 - a^2 b^2) and omega- the same
+   with i a (1 - b^2), where w = v1 and b^2 = (1 + t^2)/(2a^2), are
+   g0(0) = V0/U0 and g1(0) = V1/U1, 1 - |omega+-|^2 = X/(a^2 (1 -+ t)^2),
    and with n = -1/sqrt(X), M(omega_k) M(0) = H(p_k) = g_k for k = 0..3,
    where p_k = omega_k / (1 + sqrt(1 - |omega_k|^2)) and omega_{k+2} = i omega_k.
-   H(p) carries -p onto p, so g_k(-p_k) = p_k.
+   H(p) carries -p onto p, so g_k(-p_k) = p_k.  So ``octagon_forms`` computes
+   omega+- = V/U, the scales sqrt(1 - |omega+-|^2) = sqrt(X)/U of the half
+   turns M(omega) = (i, -i omega)/sqrt(1 - |omega|^2) and the midpoints
+   p = V/(U + sqrt(X)), none by a difference that cancels.
 """
 
 import math
@@ -61,12 +64,13 @@ from hypothesis import strategies as st
 
 from teich2.errors import NumericalError
 from teich2.fenchel_nielsen import wp_coefficient_raw
-from teich2.group import generator_pairs
-from teich2.hyperbolic import su_act, su_mul
+from teich2.group import generator_pairs, half_turns
+from teich2.hyperbolic import su_act, su_gap, su_mul, translation_pair
 from teich2.isoperimetric import A_REG
-from teich2.octagon import OctagonParams, octagon_forms
+from teich2.octagon import OctagonParams, _domain_error, b_of, lower_a, octagon_forms
 
 sp = pytest.importorskip("sympy")
+mp = pytest.importorskip("mpmath")  # a dependency of sympy
 
 EPS = np.finfo(float).eps
 
@@ -243,6 +247,12 @@ _WP_COEFFICIENT = sp.lambdify((a, t), WP_COEFFICIENT, modules="math")
 POINTS = st.one_of(domain_points(0.02), domain_points(1e-3), domain_points(1e-6))
 
 
+def _condition(x, at):
+    """1/q + 1/(1 - a^2), q = 2a^2 cos^2(alpha_tilde) - 1: how the closed forms
+    magnify the rounding of their inputs next to the lower edge and a = 1."""
+    return 1.0 / (2.0 * x * x * math.cos(at) ** 2 - 1.0) + 1.0 / (1.0 - x * x)
+
+
 @settings(max_examples=200, deadline=None)
 @given(POINTS)
 @example(OctagonParams(A_REG, 0.0))
@@ -266,8 +276,7 @@ def test_wp_coefficient_is_the_proven_form(point):
     # magnify (at most 2.0 at 60 000 uniform points)
     x, at = point.a, point.alpha_tilde
     c = wp_coefficient_raw(x, at)
-    condition = 1.0 / (2.0 * x * x * math.cos(at) ** 2 - 1.0) + 1.0 / (1.0 - x * x)
-    assert abs(c - _WP_COEFFICIENT(x, math.tan(at))) <= 8.0 * EPS * condition * c
+    assert abs(c - _WP_COEFFICIENT(x, math.tan(at))) <= 8.0 * EPS * _condition(x, at) * c
 
 
 @settings(max_examples=200, deadline=None)
@@ -279,7 +288,7 @@ def test_side_circles_are_the_proven_forms(point):
     # at 36 000 points down to margin 1e-6, half of them next to |alpha_tilde| = pi/4)
     try:
         f = octagon_forms(point.a, point.alpha_tilde)
-    except NumericalError:  # side midpoints or phi- lost next to the corner
+    except NumericalError:  # X rounds to 0 or below next to the edge
         reject()
     for k, c in enumerate(f.centres):
         r = f.r_plus if k % 2 == 0 else f.r_minus
@@ -331,5 +340,91 @@ def test_goldman_bracket_holds_in_floats(point):
     residual = 4.0 * (jacobian[0] - jacobian[1]) + c * sum(s * (p - q) for s, p, q in terms)
     size = 4.0 * (abs(jacobian[0]) + abs(jacobian[1])) + c * sum(
         abs(p) + abs(q) for _, p, q in terms)
-    condition = 1.0 / (2.0 * x * x * math.cos(at) ** 2 - 1.0) + 1.0 / (1.0 - x * x)
-    assert abs(residual) <= EPS * condition * size
+    assert abs(residual) <= EPS * _condition(x, at) * size
+
+
+@settings(max_examples=200, deadline=None)
+@given(POINTS)
+@example(OctagonParams(A_REG, 0.0))
+@example(OctagonParams(0.999999, 0.7853961633914485))
+def test_half_turns_and_midpoints_are_the_proven_forms(point):
+    # fact 8 in floats, within eps times the condition 1/q + 1/(1 - a^2) of
+    # the sizes (measured at most 0.57 for |omega|^2 + r^2 = 1, 0.38 for
+    # omega = g(0), 0.90 for the triple, 0.32 for M^2 = -I and 0.07 for the
+    # fixed point, and 1.8 eps for p (1 + r) = omega and 2.0 eps for |w| = b,
+    # at 100 000 points down to margin 1e-6, half of them next to
+    # |alpha_tilde| = pi/4); the half turns' traces are 0 exactly
+    x, at = point.a, point.alpha_tilde
+    try:
+        f = octagon_forms(x, at)
+    except NumericalError:  # X rounds to 0 or below next to the edge
+        reject()
+    c = _condition(x, at)
+    m = half_turns(f)
+    for w, r in zip((f.omega_plus, f.omega_minus, f.omega4), f.turn_scales):
+        assert abs(abs(w) ** 2 + r * r - 1.0) <= 2.0 * EPS * c, (w, r)
+    omegas = (f.omega_plus, f.omega_minus, 1j * f.omega_plus, 1j * f.omega_minus)
+    for k, (u, v) in enumerate(generator_pairs(x, at)):
+        omega, p = omegas[k], f.midpoints[k]
+        size = math.sqrt(abs(u) ** 2 + abs(v) ** 2)
+        assert abs(v / u.conjugate() - omega) <= 2.0 * EPS * c, k
+        assert abs(p * (1.0 + f.turn_scales[k % 2]) - omega) <= 4.0 * EPS * abs(omega), k
+        assert su_gap((u, v), su_mul(m[k], m[5])) <= 2.0 * EPS * c * size, k
+        assert su_gap((u, v), translation_pair(p)) <= 2.0 * EPS * c * size, k
+        mu, mv = m[k]
+        m_size = abs(mu) ** 2 + abs(mv) ** 2
+        square = su_mul(m[k], m[k])
+        assert mu.real == 0.0, k
+        assert max(abs(square[0] + 1.0), abs(square[1])) <= EPS * c * m_size, k
+        assert abs(su_act(mu, mv, p) - p) <= EPS * c * m_size, k
+    assert abs(abs(f.vertices[1]) - b_of(x, at)) <= 4.0 * EPS
+
+
+def _midpoints_60(a, at):
+    """p+ = V0/(U0 + sqrt(X)) and p- = V1/(U1 + sqrt(X)) in 60-digit mpmath."""
+    t, a2 = mp.tan(at), a * a
+    s = mp.sqrt((1 - a2) * (2 * a2 - 1 - t * t))
+    return (mp.mpc(a2 - t, 1 - a2) / (a * (1 - t) + s),
+            mp.mpc(1 - a2, a2 + t) / (a * (1 + t) + s))
+
+
+@st.composite
+def corner_strata(draw):
+    """In-domain points with |alpha_tilde| = pi/4 - 10^-u, u in [1, 9], and a
+    at 10^-v of the way from lower_a to 1 or from 1 to lower_a, v in [0, 8]."""
+    at = draw(st.sampled_from((1.0, -1.0))) * (math.pi / 4 - 10.0 ** -draw(st.floats(1.0, 9.0)))
+    lo = lower_a(at)
+    f = 10.0 ** -draw(st.floats(0.0, 8.0))
+    a = lo + (1.0 - lo) * draw(st.sampled_from((f, 1.0 - f)))
+    if _domain_error(a, at) is not None:
+        reject()
+    return a, at
+
+
+@settings(max_examples=100, deadline=None)
+@given(corner_strata())
+@example((0.9986991591073666, 0.7807639413512338))  # 8457 ulp off by the cancelling route
+@example((0.9939712825714683, 0.7793143192634621))  # 6.3e5 ulp off, at condition 7.0e4
+def test_midpoints_within_their_condition_of_60_digits(point):
+    # the relative error of each float midpoint against 60-digit mpmath at the
+    # same float (a, alpha_tilde), in units of eps, is at most 4 times its
+    # condition: 1 plus the relative change of p under relative perturbations
+    # of a and alpha_tilde, by central differences at 60 digits (measured at
+    # most 0.44 of the condition at 1800 points stratified toward the corner;
+    # the route through 1 - |omega|^2 reached 3.9e10 at 300 of them)
+    x, at = point
+    try:
+        f = octagon_forms(x, at)
+    except NumericalError:  # X rounds to 0 or below next to the edge
+        reject()
+    with mp.workdps(60):
+        a_mp, at_mp, h = mp.mpf(x), mp.mpf(at), mp.mpf(10) ** -25
+        exact = _midpoints_60(a_mp, at_mp)
+        d_a = [(p - q) / (2 * h) for p, q in zip(_midpoints_60(a_mp * (1 + h), at_mp),
+                                                 _midpoints_60(a_mp * (1 - h), at_mp))]
+        d_at = [(p - q) / (2 * h) for p, q in zip(_midpoints_60(a_mp, at_mp * (1 + h)),
+                                                  _midpoints_60(a_mp, at_mp * (1 - h)))]
+        for k in range(2):
+            condition = 1 + (abs(d_a[k]) + abs(d_at[k])) / abs(exact[k])
+            error = abs(mp.mpc(f.midpoints[k]) - exact[k]) / abs(exact[k])
+            assert error <= 4 * condition * EPS, (k, float(error / EPS), float(condition))

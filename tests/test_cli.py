@@ -150,10 +150,9 @@ EXIT_CODES = [
     # near the corner the relation word's residual measures its breakdown
     (["validate", "--margin", "1e-6"], 4,
      r"FAIL relation_defect .*\n((ok  |FAIL) .*\n)+", "payload"),
-    # c^2 - 1 = 0 in dt_residuals
-    (["fn", "--a", "0.7401651556654594", "--alpha-tilde", "0.3"], 5,
-     r"teich2: numerical error: float division by zero "
-     r"at --a 0\.7401651556654594 --alpha-tilde 0\.3\n", ""),
+    # an ulp above lower_a: the half turns' scales s/U keep c1^2 - 1 > 0 in
+    # dt_residuals, where the rounded 1 - |omega|^2 once left it at 0
+    (["fn", "--a", "0.7401651556654594", "--alpha-tilde", "0.3"], 0, "", "payload"),
     (["orbit", "--P", "300", "--samples", "4"], 5,
      r"teich2: numerical error: orbit point at phi = 1.5707963267948966 rounds out of the "
      r"domain: lower_a: value 0.8660254037844385 violates bound 0.8660254037844385\n", ""),
@@ -173,15 +172,15 @@ EXIT_CODES = [
      r"teich2: argument error: Unable to allocate .*\n", ""),
     (["validate", "--grid", "1000000", "1000000", "-o", "{tmp}/missing"], 2,
      r"teich2: argument error: Unable to allocate .*\n", ""),
-    # at the corner a = 1, alpha_tilde = pi/4, 1 - |omega+|^2 rounds below 0
-    (["octagon", "--a", "0.999999", "--alpha-tilde", "0.7853961633914485"], 5,
-     r"teich2: numerical error: side midpoints: 1 - \|omega\|\^2 = -\S+ is not > 0 "
-     r"at --a 0\.999999 --alpha-tilde 0\.7853961633914485\n", ""),
+    # next to the corner a = 1, alpha_tilde = pi/4 the forms have values:
+    # 1 - |omega-|^2 = X/U1^2 = 2.0e-12 is a scale s/U1, never a difference
+    (["octagon", "--a", "0.999999", "--alpha-tilde", "0.7853961633914485"], 0, "", "payload"),
     (["validate", "--margin", "0.2"], 2,
      MARGIN_BOUND + r"0\.2\n", ""),
-    # one ulp above the lower bound of a, b rounds to 1
+    # one ulp above the lower bound of a, X > 0 but b rounds to 1, and the
+    # closed-form perimeter divides by 1 - b^2 = 0
     (["octagon", "--a", "0.8567505974692862", "--alpha-tilde", "0.6"], 5,
-     r"teich2: numerical error: vertex modulus: 1 - b\^2 = 0\.0 is not > 0 "
+     r"teich2: numerical error: float division by zero "
      r"at --a 0\.8567505974692862 --alpha-tilde 0\.6\n", ""),
     (["tiling", "--a", "0.7214885163659666", "--alpha-tilde", "-0.2", "-n", "1"], 5,
      r"teich2: numerical error: sqrt\(-\S+\): math domain error "
@@ -189,17 +188,15 @@ EXIT_CODES = [
     # there the conjugate point's b rounds to 1
     (["fn", "--a", "0.7214885163659666", "--alpha-tilde", "-0.2"], 5,
      r"teich2: numerical error: [^\n]+ at --a 0\.7214885163659666 --alpha-tilde -0\.2\n", ""),
-    # 2a/(1 + a^2) rounds to 1, and the half turn about it has no value
-    (["fn", "--a", "0.999999999", "--alpha-tilde", "0.0"], 5,
-     r"teich2: numerical error: half turn: 1 - \|omega\|\^2 = 0\.0 is not > 0 "
-     r"at --a 0\.999999999 --alpha-tilde 0\.0\n", ""),
-    # 2a/(1 + a^2) rounds to 1 at the grid's last a, and its half turn has no value
-    (["validate", "--margin", "1e-9"], 5,
-     r"teich2: numerical error: point_block at grid point a=0\.999999999, "
-     r"alpha_tilde=-?0\.\d+: half turn: 1 - \|omega\|\^2 = 0\.0 is not > 0\n", ""),
-    (["validate", "--margin", "1e-12"], 5,
-     r"teich2: numerical error: point_block at grid point a=0\.999999999999, "
-     r"alpha_tilde=-?0\.\d+: half turn: 1 - \|omega\|\^2 = 0\.0 is not > 0\n", ""),
+    # omega4 = 2a/(1 + a^2) rounds to 1, and its half turn's scale is
+    # (1 - a)(1 + a)/(1 + a^2) = 1e-9, not 1 - omega4^2 = 0
+    (["fn", "--a", "0.999999999", "--alpha-tilde", "0.0"], 0, "", "payload"),
+    # from margin 3e-8 down, the probe point's radius-2 ball is past the float64
+    # precision limit: ball_counts fails, and validate still writes its report
+    (["validate", "--margin", "1e-9"], 4,
+     r"((ok  |FAIL) .*\n)+FAIL ball_counts .*\n", "payload"),
+    (["validate", "--margin", "1e-12"], 4,
+     r"((ok  |FAIL) .*\n)+FAIL ball_counts .*\n", "payload"),
     (["validate", "--margin", "0"], 2,
      r"teich2: argument error: margin 0\.0 puts a grid row's first a, lower_a \+ margin, on "
      r"the excluded bound lower_a\n", ""),
@@ -207,16 +204,16 @@ EXIT_CODES = [
     (["validate", "--margin", "5e-17"], 2,
      r"teich2: argument error: margin 5e-17 puts a grid row's first a, lower_a \+ margin, on "
      r"the excluded bound lower_a\n", ""),
-    # one ulp above lower_a, 2a^2 cos^2(at) - 1 still rounds below 0 on 8 rows
+    # one ulp above lower_a, the forms' X still rounds to 0 or below on 6 rows
     (["validate", "--margin", "6e-17"], 2,
      r"teich2: argument error: margin 6e-17 puts a grid row's first a, lower_a \+ margin, on "
      r"the excluded bound lower_a\n", ""),
     (["validate", "--margin", "1e-16"], 2,
      r"teich2: argument error: margin 1e-16 puts a grid row's first a, lower_a \+ margin, on "
      r"the excluded bound lower_a\n", ""),
-    # the generators meet the same rounded b = 1 as octagon's forms
+    # an ulp above lower_a the generators' kappa is 4.8e16
     (["group", "--a", "0.8567505974692862", "--alpha-tilde", "0.6"], 5,
-     r"teich2: numerical error: vertex modulus: 1 - b\^2 = 0\.0 is not > 0 "
+     r"teich2: numerical error: generators: kappa\^2 = \S+ is past 1/\(16 eps\) "
      r"at --a 0\.8567505974692862 --alpha-tilde 0\.6\n", ""),
     (["octagon", "--a", "0.9", "--alpha-t", "0.5"], 2,
      r"usage: (?s:.*)teich2 octagon: error: the following arguments are required: "
@@ -224,24 +221,35 @@ EXIT_CODES = [
     # a point command takes no margin: only validate's grid has one
     (["fn", "--a", "0.95", "--alpha-tilde", "0", "--margin", "0.04"], 2,
      r"usage: (?s:.*)teich2: error: unrecognized arguments: --margin 0\.04\n", ""),
-    # the tiling forms meet the rounded b = 1 before the ball does
+    # tiling refuses those generators before it builds the forms or the ball
     (["tiling", "--a", "0.8567505974692862", "--alpha-tilde", "0.6", "-n", "1"], 5,
-     r"teich2: numerical error: vertex modulus: 1 - b\^2 = 0\.0 is not > 0 "
+     r"teich2: numerical error: generators: kappa\^2 = \S+ is past 1/\(16 eps\) "
      r"at --a 0\.8567505974692862 --alpha-tilde 0\.6\n", ""),
     # past the bound, the a-interval [lower_a + margin, 1 - margin] is empty at every angle
     (["validate", "--margin", "0.15"], 2, MARGIN_BOUND + r"0\.15\n", ""),
-    # next to the corner a^2 - tan(alpha_tilde) rounds to 0, and phi- has no value
+    # next to the corner X rounds below 0 (a^2 - tan(alpha_tilde) to 0 as well)
     (["octagon", "--a", "0.9999999949849345", "--alpha-tilde", "0.7853981583823828"], 5,
-     r"teich2: numerical error: side angle: a\^2 - tan\(alpha_tilde\) = 0\.0 is not > 0 "
+     r"teich2: numerical error: X = \(1 - a\^2\)\(2a\^2 - 1 - t\^2\) = -\S+ is not > 0 "
      r"at --a 0\.9999999949849345 --alpha-tilde 0\.7853981583823828\n", ""),
-    # group and tiling meet octagon's corner refusal in the forms: there
-    # 1 - |omega-|^2 is 2.0e-12, and cancellation leaves -9.27e-12
+    # octagon prints this point, but its generators' kappa is 1.0e12, past the
+    # 1.7e7 whose square ball allows: the relation defect would read 397
     (["group", "--a", "0.999999", "--alpha-tilde", "0.7853961633914485"], 5,
-     r"teich2: numerical error: side midpoints: 1 - \|omega\|\^2 = -\S+ is not > 0 "
+     r"teich2: numerical error: generators: kappa\^2 = \S+ is past 1/\(16 eps\) "
      r"at --a 0\.999999 --alpha-tilde 0\.7853961633914485\n", ""),
     (["tiling", "--a", "0.999999", "--alpha-tilde", "0.7853961633914485", "-n", "1"], 5,
-     r"teich2: numerical error: side midpoints: 1 - \|omega\|\^2 = -\S+ is not > 0 "
+     r"teich2: numerical error: generators: kappa\^2 = \S+ is past 1/\(16 eps\) "
      r"at --a 0\.999999 --alpha-tilde 0\.7853961633914485\n", ""),
+    # where fn prints at a = 1 - 1e-9, the generators' kappa = |u|^2 + |v|^2 is
+    # 1e9, and group and tiling refuse
+    (["group", "--a", "0.999999999", "--alpha-tilde", "0.0"], 5,
+     r"teich2: numerical error: generators: kappa\^2 = \S+ is past 1/\(16 eps\) "
+     r"at --a 0\.999999999 --alpha-tilde 0\.0\n", ""),
+    (["tiling", "--a", "0.999999999", "--alpha-tilde", "0.0", "-n", "1"], 5,
+     r"teich2: numerical error: generators: kappa\^2 = \S+ is past 1/\(16 eps\) "
+     r"at --a 0\.999999999 --alpha-tilde 0\.0\n", ""),
+    # ball_counts fails at margin 1e-8 as at 1e-9 and 1e-12
+    (["validate", "--margin", "1e-8"], 4,
+     r"((ok  |FAIL) .*\n)+FAIL ball_counts .*\n", "payload"),
 ]
 
 
@@ -270,8 +278,6 @@ def test_exit_code_table(capsys, tmp_path, argv, code, err, out):
     assert not (tmp_path / "missing").exists()
 
 
-@pytest.mark.xfail(strict=True, reason="next to the +pi/4 corner group accepts a point "
-                   "whose generators float64 cannot hold (|u1|^2 ~ 5.6e15)")
 def test_group_refuses_a_point_whose_relation_breaks_down(capsys):
     code, out, _ = run_capture(
         capsys, ["group", "--a", "0.9999999991113031", "--alpha-tilde", "0.7853980619178006"])
@@ -602,15 +608,15 @@ class TestTilingCommand:
         assert digest == "d42e39008858be64ff05cfb6ce12b653cc1abe3fb47d18550edec53ae2c1f3aa"
 
     def test_vertices_golden_digest(self, capsys):
-        # sha256 of the cell-vertex CSV that the former --vertices sidecar
-        # wrote on x86-64 Linux; --format vertices keeps every byte
+        # sha256 of the cell-vertex CSV on x86-64 Linux, with the odd vertex
+        # ((1 - t) + i (1 + t))/(2a) of the forms' chart
         code, out, _ = run_capture(
             capsys,
             ["tiling", "--a", "0.85", "--alpha-tilde", "0.03", "-n", "3", "--format", "vertices"],
         )
         assert code == 0
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-        assert digest == "ba95dd32ec6012bb40b183bb2c7b09e50e7ad395666fefaea70e0ee3db37159e"
+        assert digest == "801678aca82143566353b0f0d1e47808792d388169ce8db2183acf72f8936eab"
 
     def test_radius_five_whole_ball(self, capsys):
         code, out, _ = run_capture(
@@ -643,21 +649,21 @@ CONJUGATE_SIDE = ["--a", "0.95", "--alpha-tilde", "-0.5"]
 
 @pytest.mark.parametrize("argv, digest", [
     (["octagon", *POINT, "--format", "json"],
-     "41b38188c61123d6eeaf3c2525dda508c9294496543a3f2ba4be72e01e4a7895"),
+     "f683ead80fdb59d06cbf82010507c63a98b4eb47e2a161e75365372185b557fa"),
     (["octagon", *POINT, "--format", "csv"],
-     "cab7ea699cb727f9c236c7eaa1f5c6b5d56a7d0e1315d5a75f0d665695c16d9f"),
+     "26a9d14ac719bb27a1a822c24871430daad5a35cec71478f5710425ea5979f2b"),
     (["group", *POINT, "--samples", "37", "--seed", "3", "--format", "json"],
-     "e2f91856b842b099c6818524b421152878c87df025032705cdd7d69572c06802"),
+     "ab4ea7c0431631bd96b8e2b468ad1bc1b8999cddaa46ffeb5cc59d218962ea9c"),
     (["group", *POINT, "--format", "csv"],
-     "df9b4d22e6e9ddcc2239a381938f809607440fc7d652403df621382384d0363a"),
+     "4d443cd58d58292bf6bc5742bd2ba7619abf1796b2219387bab772b45a7406aa"),
     (["fn", *POINT, "--format", "json"],
-     "98edea451b70e4f6f57a3827e9b712e97c7bababb6161042451a422ada9ecb1f"),
+     "f3657ab0618a97071ce97f13816b20681cb4f5ae7bc671f752bb2f20c4f158f2"),
     (["fn", *POINT, "--format", "csv"],
-     "bdc06a5f68097de25d17d8615a63e63b04bce44264f0fbeb4a5e9d3c4b34d8e5"),
+     "f299c3c646a5d4f14ca4ed724e43367c7b7b933d212daa2c58f372e9d1439ca1"),
     (["fn", *CONJUGATE_SIDE, "--format", "json"],
-     "e825d8dc62516a645e34b6db8ee401520ea826726ba332ad50b9586892bcdd81"),
+     "64373d4280c700aa59bf0c4f4ee3b9a35d60a61ac30ceeac4e743414b8da2c5d"),
     (["fn", *CONJUGATE_SIDE, "--format", "csv"],
-     "772b7a0d5441614e970bcc0e3f4436028f61ee7fc1b3e3f58ce8fb5daf0468fa"),
+     "47bf7ef293e9d0679e082b1332a7d2e96fbef07908d29d71075c76fe1b7139c9"),
     (["area", "--p-max", "60", "--step", "3", "--format", "csv"],
      "3266db9b3589c8defcad13152719e9f5b6493c091b52ee8ac8fb0cf0f97d81cd"),
 ])

@@ -29,7 +29,6 @@ from teich2.group import (
 )
 from teich2.hyperbolic import (
     dist,
-    half_turn_pair,
     su_act,
     su_check,
     su_gap,
@@ -37,7 +36,14 @@ from teich2.hyperbolic import (
     su_mul,
     translation_pair,
 )
-from teich2.octagon import OctagonParams, build_geometry, grid_arrays, in_octagon, lower_a
+from teich2.octagon import (
+    OctagonParams,
+    build_geometry,
+    grid_arrays,
+    in_octagon,
+    lower_a,
+    octagon_forms,
+)
 
 A_REG = 2.0 ** -0.25
 P0 = OctagonParams(0.8, math.pi / 12)
@@ -168,18 +174,19 @@ class TestGenerators:
     @given(st.one_of(domain_points(0.02), domain_points(1e-3), domain_points(1e-6)),
            st.floats(0.0, 13.0), st.floats(0.0, 2.0 * math.pi))
     def test_pairs_in_su11_by_construction(self, params, digits, angle):
-        # g0, g1, the half turns M(w) of half_turns and the translations H(w)
-        # are used as computed, not renormalized, so |u|^2 - |v|^2 = 1 must
-        # hold to c kappa eps, kappa = |u|^2 + |v|^2: c = 2 _conditioning(a, at)
-        # for g0 and g1, whose closed form magnifies their rounding, and c = 4
-        # for M(w) and H(w) with 1 - |w| down to 1e-13.  Measured: 0.38
-        # _conditioning(a, at) on 1e5 points down to margin 1e-6, and 2.0 and
+        # g0, g1, the half turns of half_turns and the translations H(w) are
+        # used as computed, not renormalized, so |u|^2 - |v|^2 = 1 must hold to
+        # c kappa eps, kappa = |u|^2 + |v|^2: c = 2 _conditioning(a, at) for g0,
+        # g1 and the half turns, whose closed forms magnify their rounding, and
+        # c = 4 for H(w) with 1 - |w| down to 1e-13.  Measured: 0.38 and 0.32
+        # _conditioning(a, at) on 1e5 points each down to margin 1e-6, and
         # 3.0 on 2e5 points of the disk
         a, at = params.a, params.alpha_tilde
         g0, g1, _, _ = generator_pairs(a, at)
         w = (1.0 - 10.0 ** -digits) * cmath.exp(1j * angle)
         c_g = 2.0 * _conditioning(a, at)
-        for (u, v), c in ((g0, c_g), (g1, c_g), (half_turn_pair(w), 4.0),
+        turns = half_turns(octagon_forms(a, at))
+        for (u, v), c in ((g0, c_g), (g1, c_g), *((m, c_g) for m in turns),
                           (translation_pair(w), 4.0)):
             uu, vv = abs(u) ** 2, abs(v) ** 2
             assert abs(uu - vv - 1.0) <= c * (uu + vv) * EPS, (params, w, u, v)

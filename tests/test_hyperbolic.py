@@ -10,7 +10,6 @@ from teich2.group import generators
 from teich2.hyperbolic import (
     MobiusTransform,
     dist,
-    half_turn_pair,
     rotation,
     su_act,
     su_check,
@@ -193,16 +192,6 @@ class TestPrimitives:
             assert_allclose(su_act(*t, -p), p, rtol=1e-12, atol=1e-14)
             # the origin moves by twice dist(0, p) along the axis
             assert_allclose(dist(0, su_act(*t, 0)), 2 * dist(0, p), rtol=1e-12)
-
-    def test_half_turn_pair_is_involution(self):
-        rng = np.random.default_rng(13)
-        for w in random_disk_points(rng, 20, rmax=0.9):
-            m = half_turn_pair(complex(w))
-            assert_allclose(2.0 * m[0].real, 0.0, atol=1e-15)
-            # M(omega)^2 = -identity
-            assert_allclose(su_mul(m, m), (-1.0, 0.0), atol=1e-12)
-            fixed = w / (1 + math.sqrt(1 - abs(w) ** 2))
-            assert_allclose(su_act(*m, fixed), fixed, rtol=1e-12, atol=1e-14)
 
 
 class TestPairArrays:

@@ -13,6 +13,7 @@ from teich2.octagon import (
     ALPHA_TILDE_MAX,
     OctagonParams,
     _domain_error,
+    _edge,
     b_of,
     build_geometry,
     grid_arrays,
@@ -24,6 +25,7 @@ from teich2.octagon import (
     vertex_sum,
 )
 
+EPS = np.finfo(float).eps
 A0 = 0.8
 AT0 = math.pi / 12
 
@@ -176,37 +178,49 @@ def corner_points(draw):
 
 
 class TestCorner:
-    # 1 - |omega|^2 rounds to 0 or below at about half of these points, and
-    # the midpoint formula p = omega/(1 + sqrt(1 - |omega|^2)) has no value
-    # there; next to the lower bound of a, 2a^2 cos^2(at) - 1 of beta can too,
-    # 1 - b^2 of the vertex modulus where b rounds to 1, and a^2 - tan(at) of
-    # the side angle phi-
+    # the forms refuse only where X = (1 - a^2)(2a^2 - 1 - t^2) rounds to 0
+    # or below, a few ulps above the lower bound of a; elsewhere every
+    # midpoint p = V/(U + s), s = sqrt(X), has |p| = sqrt((U - s)/(U + s)) < 1,
+    # also where 1 - |omega|^2 once cancelled below 0.  1 - |p| is about the
+    # half turn's scale s/U, so p rounds onto the unit circle only where that
+    # is below a few eps, as at (1 - eps/2, pi/4 - eps/2)
     @settings(max_examples=60, deadline=None)
     @given(st.lists(corner_points(), min_size=1, max_size=6))
-    @example([(0.999999, 0.7853961633914485)])
-    @example([(0.999999999999999, 0.7853981633974473)])  # 2a^2 cos^2(at) - 1 = 0
+    @example([(0.999999, 0.7853961633914485)])  # 1 - |omega-|^2 = 2.0e-12 cancelled to -9.3e-12
+    @example([(0.999999999999999, 0.7853981633974473)])  # 2a^2 cos^2(at) - 1 rounded to 0
     @example([(0.9999999860643383, 0.7853981494617862)])  # b rounds to 1
-    @example([(0.9999999949849345, 0.7853981583823828)])  # a^2 - tan(at) rounds to 0
+    @example([(0.9999999949849345, 0.7853981583823828)])  # X < 0, and a^2 - tan(at) = 0
+    @example([(0.9999999999999999, 0.7853981633974482)])  # p- rounds onto the circle
     def test_midpoints_in_disk_or_numerical_error(self, points):
         a, at = (np.array(x) for x in zip(*points))
         for args in [*points, (a, at)]:
             try:
-                p = np.array(octagon_forms(*args).midpoints)
+                f = octagon_forms(*args)
             except NumericalError as exc:
-                assert str(exc).startswith(("side midpoints: 1 - |omega|^2 = ",
-                                            "beta: 2a^2 cos^2(alpha_tilde) - 1 = ",
-                                            "vertex modulus: 1 - b^2 = ",
-                                            "side angle: a^2 - tan(alpha_tilde) = "))
+                assert str(exc).startswith("X = (1 - a^2)(2a^2 - 1 - t^2) = ")
                 assert str(exc).endswith(" is not > 0")
                 if isinstance(args[0], np.ndarray):  # the index names a point that breaks
                     x, y = points[exc.index]
                     with pytest.raises(NumericalError):
                         octagon_forms(np.array([x]), np.array([y]))
                 continue
-            assert np.isfinite(p).all() and (abs(p) < 1.0).all(), args
+            p, r = np.array(f.midpoints), np.array(f.turn_scales[:2])
+            assert np.isfinite(p).all() and (abs(p) <= 1.0).all(), args
+            for k in (0, 1):  # p+ at the even sides, p- at the odd ones
+                assert np.all((abs(p[k::2]) < 1.0) | (r[k] < 4.0 * EPS)), args
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.floats(0.25, 1.0), st.floats(1.0 - 1e-8, 1.0)), st.floats(-1e-8, 1e-8))
+    @example(0.9999999949849345**2, 0.0)  # a^2 = t
+    def test_positive_x_keeps_the_side_angle_positive(self, t, rel):
+        # phi- = arctan((1 + a^2)/(a^2 - t)) has no refusal of its own: where
+        # X > 0 in floats, 2a^2 - 1 > fl(t^2) >= 2t - 1, a float, so a^2 > t
+        a = min(max(math.sqrt(t) * (1.0 + rel), 0.7072), math.nextafter(1.0, 0.0))
+        if _edge(a, t) > 0.0:
+            assert a * a - t > 0.0, (a, t)
 
     def test_array_error_names_the_first_failing_point(self):
-        points = [(A0, AT0), (0.999999, 0.7853961633914485)] * 2
+        points = [(A0, AT0), (0.9999999949849345, 0.7853981583823828)] * 2
         with pytest.raises(NumericalError) as info:
             octagon_forms(*(np.array(x) for x in zip(*points)))
         assert info.value.index == 1
