@@ -11,23 +11,24 @@ writes one output, by one route: the octagon alone is ``tiling -n 0
 ``validate`` writes JSON only, so it takes no ``--format``.
 
 Exit codes: 0 success, 1 I/O errors, 2 argument errors (also an unknown or
-abbreviated flag, a tiling radius outside 0..6, a ball element that float64
-cannot represent at the given point, a NaN or infinite float flag, a size
-whose arrays numpy cannot allocate, as from ``area --step``, ``orbit
---samples`` or ``validate --grid``, a ``validate --grid`` side below 1, or a
-``validate --margin`` outside [0, (1 - 1/sqrt2)/2), the margins that leave
-a grid, or one that puts a grid row's first a on its bound lower_a as the
-forms see it, as 0 and 1e-16 do), 3 domain errors (octagon parameters
+abbreviated flag, a tiling radius outside 0..6, a NaN or infinite float
+flag, a size whose arrays numpy cannot allocate, as from ``area --step``,
+``orbit --samples`` or ``validate --grid``, a ``validate --grid`` side below
+1, or a ``validate --margin`` outside [0, (1 - 1/sqrt2)/2), the margins that
+leave a grid, or one that puts a grid row's first a on its bound lower_a as
+the forms see it, as 0 and 1e-16 do), 3 domain errors (octagon parameters
 outside the admissible region, or an orbit or area perimeter below the
-regular value P_reg), 4 validation failure, 5 numerical errors (a
-quadrature that does not converge or overflows, an overflow or
-cancellation, an orbit point that rounds out of the domain, a point where
-the forms' X rounds to 0 or below, a float form that divides by a rounded 0
-or meets a math domain error next to the domain's edge, or ``group`` and
-``tiling`` generators with kappa^2 past group._MAX_SIZE, kappa = max_k
-(|u_k|^2 + |v_k|^2)); its line ends with the command's point, if it has one,
-as `` at --a A --alpha-tilde T``. With ``--format json``, and from ``validate``,
-domain errors additionally produce a JSON error object on stdout.
+regular value P_reg), 4 validation failure, 5 numerical errors (a quadrature
+that does not converge or overflows, an overflow or cancellation, an orbit
+point that rounds out of the domain, a point where the forms' X rounds to 0
+or below, a float form that divides by a rounded 0 or meets a math domain
+error next to the domain's edge, ``group`` and ``tiling`` generators with
+kappa^2 past group._MAX_SIZE, kappa = max_k (|u_k|^2 + |v_k|^2), or a
+``tiling`` ball element past the float64 precision limit at the given
+point); its line ends with the command's point, if it has one, as
+`` at --a A --alpha-tilde T``. With ``--format json``, and from
+``validate``, domain errors additionally produce a JSON error object on
+stdout.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from .octagon import (
     vertex_angles,
     vertex_sum,
 )
-from .serialization import csv_text, json_text, svg_text
+from .serialization import _Table, csv_text, json_text, svg_text
 from .validation import run_validation
 
 __all__ = ["run", "main"]
@@ -303,8 +304,7 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
     if args.format == "json":
         keys = ("phi", "a", "alpha_tilde", "p_check")
         _write(args.output, json_text({"orbits": [
-            {"p_target": p_target, "e": e,
-             "samples": [dict(zip(keys, row)) for row in zip(*(c.tolist() for c in table))]}
+            {"p_target": p_target, "e": e, "samples": _Table(keys, table)}
             for p_target, e, table in orbits
         ]}))
         return 0
@@ -323,7 +323,7 @@ def _cmd_area(args: argparse.Namespace) -> int:
         _write(args.output, json_text({
             "fit": {"c1": c1, "c2": c2, "residual_norm": residual_norm},
             "p_reg": iso.P_REG,
-            "table": [{"P": p, "area": area} for p, area in zip(p_values, areas)],
+            "table": _Table(("P", "area"), (p_values, areas)),
         }))
         return 0
     _write(args.output, csv_text(("P", "area"), (p_values, areas)))
@@ -403,17 +403,18 @@ def run(argv: Sequence[str] | None = None) -> int:
         if getattr(args, "format", "json") == "json":  # validate writes JSON only
             _write(None, json_text({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 3
+    except (NumericalError, ZeroDivisionError) as exc:  # ZeroDivisionError: by a rounded 0
+        # before ValueError: the ball's precision refusal is both
+        point = (f" at --a {args.a!r} --alpha-tilde {args.alpha_tilde!r}"
+                 if hasattr(args, "alpha_tilde") else "")
+        print(f"teich2: numerical error: {exc}{point}", file=sys.stderr)
+        return 5
     except (ValueError, MemoryError) as exc:  # MemoryError: a size numpy cannot allocate
         print(f"teich2: argument error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"teich2: i/o error: {exc}", file=sys.stderr)
         return 1
-    except (NumericalError, ZeroDivisionError) as exc:  # ZeroDivisionError: by a rounded 0
-        point = (f" at --a {args.a!r} --alpha-tilde {args.alpha_tilde!r}"
-                 if hasattr(args, "alpha_tilde") else "")
-        print(f"teich2: numerical error: {exc}{point}", file=sys.stderr)
-        return 5
 
 
 def main() -> None:

@@ -306,6 +306,12 @@ class _WordTree:
 _TREE = _WordTree()
 
 
+class _PrecisionLimit(NumericalError, ValueError):
+    """ball's refusal of an element past the float64 precision limit: a
+    numerical error at the point, and a ValueError for the callers that
+    probe how far a point's ball can grow."""
+
+
 def ball(g, n: int) -> GroupBall:
     """Ball of radius n in shortlex order: the word tree multiplied out at the
     generator pairs g.
@@ -317,10 +323,10 @@ def ball(g, n: int) -> GroupBall:
     numpy's complex arithmetic, kept as computed, and each element keeps its
     canonical sign, Re u > 0: every element but the identity is hyperbolic,
     so |Re u| > 1.  Balls of one radius share one ``shortlex`` tuple.  Raises
-    ValueError for n outside 0..6, and past the float64 precision limit:
-    where su_check finds a product broken by rounding, or an element's
-    |u|^2 + |v|^2 passes 1/(16 eps), naming the radius and the first such
-    word in shortlex order.
+    ValueError for n outside 0..6, and a NumericalError that is a ValueError
+    too past the float64 precision limit: where su_check finds a product
+    broken by rounding, or an element's |u|^2 + |v|^2 passes 1/(16 eps),
+    naming the radius and the first such word in shortlex order.
     """
     if not 0 <= n < len(BALL_SIZES):
         raise ValueError(f"ball radius must be in 0..{len(BALL_SIZES) - 1}, got {n!r}")
@@ -336,7 +342,7 @@ def ball(g, n: int) -> GroupBall:
             if k is not None:
                 raise NumericalError(f"|u|^2+|v|^2 = {float(size[k])!r} is past 1/(16 eps)", k)
         except NumericalError as exc:  # |u|^2 - |v|^2 lost, or about to be, to roundoff
-            raise ValueError(
+            raise _PrecisionLimit(
                 f"radius-{n} ball: element {_TREE.words[r][exc.index]!r} "
                 f"is past the float64 precision limit ({exc})"
             ) from None

@@ -3,39 +3,40 @@
 The three formats are ``csv_text``, ``json_text`` and ``svg_text``; each
 returns a str, and the CLI writes it to stdout or to a file.
 
-CSV writes floats as %.17g (``format_float``): 17 significant digits,
-enough to round-trip a double, with trailing zeros stripped (0.5, not
+CSV writes floats as %.17g (``format_float``): 17 significant digits, enough
+to round-trip a double, with trailing zeros stripped (0.5, not
 0.50000000000000000).  It uses a '.' decimal separator, a header row and LF
-line endings, and quotes nothing: a cell holding ',', '"', CR, LF or NUL
-is refused, as is a table of one column, so every table written is the
-bytes of csv.writer's minimal quoting.  Tables are given as columns; a float64
-array column is formatted in integer arithmetic, exact digit for digit
-(``_g17``), and each block of rows is written as one uint8 array, in
-which the text cells of a column are joined, encoded once and scattered
-into rows by their byte lengths (``_padded``), while a table of Python
-cells is joined as text.  JSON
-documents carry a top level ``"schema": "teich2/v1"`` marker and serialize
-floats with Python's shortest round-tripping repr, so parsing reproduces
-the doubles bit-exactly.  Their keys are str, and any other key is
-refused.  They are the bytes of ``json.dumps(doc, indent=2)``, which on
-Python 3.11 runs json's pure-Python encoder, from a recursive writer; a
-list of dicts that share their str keys and hold only finite floats, as
-the orbit samples and area rows do, is written one ``%r`` template per
-row.  ``json.dumps`` is kept only in the tests, as the
-byte oracle.  SVG maps the unit disk to a 1000 x 1000 viewport
-and renders geodesic sides as true circular arcs through three sampled
-points, with numbers in %.4f form.  The arcs of all cells are computed as
-array expressions, and the path lines of each block of cells are laid out
-in one uint8 array, filled from a template row that holds the text around
-the numbers: the numbers are formatted in integer arithmetic from digit
-tables, and only the few that integer rounding cannot settle (on half-way
-ties, non-finite, or 1e4 and above) go through Python's %.4f.
+line endings, and quotes nothing: a cell holding ',', '"', CR, LF or NUL is
+refused, as is a table of one column, so every table written is the bytes of
+csv.writer's minimal quoting.  Tables are given as columns; a float64 array
+column is formatted in integer arithmetic, exact digit for digit (``_g17``),
+and each block of rows is written as one uint8 array, in which the text
+cells of a column are joined, encoded once and scattered into rows by their
+byte lengths (``_padded``), while a table of Python cells is joined as text.
+JSON documents carry a top level ``"schema": "teich2/v1"`` marker and
+serialize floats with Python's shortest round-tripping repr, so parsing
+reproduces the doubles bit-exactly.  Their keys are str, and any other key
+is refused.  They are the bytes of ``json.dumps(doc, indent=2)``, which on
+Python 3.11 runs json's pure-Python encoder, from a recursive writer.  A
+float table, as the orbit samples and area rows are, is handed over as a
+``_Table`` of columns and written as json.dumps writes its list of row
+dicts: the floats of all the tables of a document go through one exact array
+kernel for the shortest digits (``_shortest``, on ``_g17``'s core), and each
+table's rows are filled from one byte template row.  ``json.dumps`` is kept
+only in the tests, as the byte oracle.  SVG maps the unit disk to a 1000 x
+1000 viewport and renders geodesic sides as true circular arcs through three
+sampled points, with numbers in %.4f form.  The arcs of all cells are
+computed as array expressions, and the path lines of each block of cells are
+laid out in one uint8 array, filled from a template row that holds the text
+around the numbers: the numbers are formatted in integer arithmetic from
+digit tables, and only the few that integer rounding cannot settle (on
+half-way ties, non-finite, or 1e4 and above) go through Python's %.4f.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Any, Sequence
 
@@ -144,12 +145,32 @@ def _json_default(x: Any) -> Any:
     raise TypeError(f"not JSON-serializable: {type(x).__name__}")
 
 
+@dataclass(frozen=True, eq=False)
+class _Table:
+    """A JSON list of flat rows given as columns: the row dicts {keys[j]:
+    columns[j][i]}, with str keys and columns of floats of one length (float64
+    arrays, or sequences of Python floats).  ``json_text`` writes it as
+    ``json.dumps`` writes the list of row dicts."""
+
+    keys: tuple[str, ...]
+    columns: Sequence[Any]
+
+
 def json_text(payload: dict[str, Any]) -> str:
     """The document {"schema": SCHEMA, **payload} as ``json.dumps(doc,
-    indent=2, default=_json_default)`` writes it, with a final newline.
-    Every key must be a str: any other raises TypeError."""
+    indent=2, default=_json_default)`` writes it, with a final newline, where
+    each ``_Table`` is its list of row dicts.  Every key must be a str: any
+    other raises TypeError.  The floats of all the tables go through one
+    ``_shortest`` call."""
     out: list[str] = []
-    _json(out, {"schema": SCHEMA, **payload}, "\n")
+    tables: list[tuple[int, _Table, str]] = []
+    _json(out, {"schema": SCHEMA, **payload}, "\n", tables)
+    if tables:
+        fields = _shortest(np.concatenate([c for _, t, _ in tables for c in t.columns]))
+        start = 0
+        for i, table, newline in tables:
+            out[i] = _table_text(table, fields[start:], newline)
+            start += len(table.keys) * len(table.columns[0])
     out.append("\n")
     return "".join(out)
 
@@ -164,11 +185,13 @@ def _json_float(x: float) -> str:
     return float.__repr__(x)
 
 
-def _json(out: list[str], o: Any, newline: str) -> None:
+def _json(out: list[str], o: Any, newline: str, tables: list) -> None:
     """Append the text of ``o`` to ``out`` as json's indent-2 encoder does,
     with ``newline`` the line break and indent of o's own line: the same
-    isinstance order, tuples as lists, NaN and Infinity, ASCII strings, and
-    _json_default for any other type."""
+    isinstance order, tuples as lists, NaN and Infinity, ASCII strings, a
+    Python complex as its [real, imag] list, and _json_default for any other
+    type.  A ``_Table`` is appended to ``tables`` with its place in ``out``,
+    which json_text fills."""
     if isinstance(o, str):
         out.append(_json_string(o))
     elif o is None or o is True or o is False:
@@ -177,19 +200,18 @@ def _json(out: list[str], o: Any, newline: str) -> None:
         out.append(int.__repr__(o))
     elif isinstance(o, float):
         out.append(_json_float(o))
+    elif type(o) is complex:  # numpy's complex scalars go through _json_default
+        inner = newline + "  "
+        out += ("[", inner, _json_float(o.real), ",", inner, _json_float(o.imag), newline, "]")
     elif isinstance(o, (list, tuple)):
         if not o:
             out.append("[]")
             return
         inner = newline + "  "
-        rows = _json_rows(o, inner)
-        if rows is not None:
-            out += ("[", inner, rows, newline, "]")
-            return
         out.append("[")
         for i, value in enumerate(o):
             out.append("," + inner if i else inner)
-            _json(out, value, inner)
+            _json(out, value, inner, tables)
         out += (newline, "]")
     elif isinstance(o, dict):
         if not o:
@@ -199,30 +221,42 @@ def _json(out: list[str], o: Any, newline: str) -> None:
         out.append("{")
         for i, (key, value) in enumerate(o.items()):
             out += ("," + inner if i else inner, _json_string(key), ": ")
-            _json(out, value, inner)
+            _json(out, value, inner, tables)
         out += (newline, "}")
+    elif type(o) is _Table:
+        tables.append((len(out), o, newline))
+        out.append("")
     else:
-        _json(out, _json_default(o), newline)
+        _json(out, _json_default(o), newline, tables)
 
 
-def _json_rows(rows: Sequence[Any], inner: str) -> str | None:
-    """The items of a list of dicts that share one tuple of str keys and hold
-    only finite Python floats, each through one %r template, joined by
-    ``"," + inner``; None for any other list."""
-    first = rows[0]
-    if type(first) is not dict or not first:
-        return None
-    keys = tuple(first)
-    if (set(map(type, rows)) != {dict} or set(map(type, keys)) != {str}
-            or not all(map(keys.__eq__, map(tuple, rows)))):
-        return None
-    values = list(map(tuple, map(dict.values, rows)))
-    flat = list(itertools.chain.from_iterable(values))
-    if set(map(type, flat)) != {float} or not all(map(math.isfinite, flat)):
-        return None
-    field = inner + "  "
-    body = ",".join(field + _json_string(k).replace("%", "%%") + ": %r" for k in keys)
-    return ("," + inner).join(map(("{" + body + inner + "}").__mod__, values))
+def _table_text(table: _Table, fields: np.ndarray, newline: str) -> str:
+    """The text of ``table``'s list of row dicts, with ``newline`` the line
+    break and indent of the list's own line, given the _shortest fields of
+    its columns, one after another, at the head of ``fields``.
+
+    The rows are laid out in one (n, bytes) uint8 array, filled from one
+    template row that holds the keys and the indent around 0-byte fields,
+    as ``_paths`` lays out its path lines, and each row ends in the ","
+    and indent before the next, which the last row drops.
+    """
+    n = len(table.columns[0])
+    if not n:
+        return "[]"
+    inner = newline + "  "
+    gap = "\0" * _DIGITS_WIDTH
+    row, places = "{", []
+    for j, key in enumerate(table.keys):
+        row += ("," if j else "") + inner + "  " + _json_string(key) + ": "
+        places.append(len(row))
+        row += gap
+    row += inner + "}," + inner
+    lines = np.empty((n, len(row)), np.uint8)
+    lines[:] = np.frombuffer(row.encode(), np.uint8)
+    for j, place in enumerate(places):
+        lines[:, place:place + _DIGITS_WIDTH] = fields[j * n:(j + 1) * n]
+    text = lines.tobytes().translate(None, b"\0").decode("ascii")
+    return "[" + inner + text[:-len("," + inner)] + newline + "]"
 
 
 def _pix(z):
@@ -366,8 +400,9 @@ def _pow10_product(a, k):
 # 10**k for k = 0..22, each exact in float64, and its halves for _pow10_product
 _POW10 = 10.0 ** np.arange(23)
 _POW10_HIGH, _POW10_LOW = _split(_POW10)
-_G17_WIDTH = 24  # '-', then "0.000" and 17 digits, or Python's longest %.17g
-_G17_PLACES = np.arange(25, dtype=np.uint8)[:, None]
+_DIGITS_WIDTH = 24  # '-', then "0.000" and 17 digits, or Python's longest text
+_PLACES = np.arange(25, dtype=np.uint8)[:, None]
+_MANTISSA = (1 << 52) - 1  # the fraction bits of a float64
 
 
 def _g17(values) -> np.ndarray:
@@ -377,24 +412,86 @@ def _g17(values) -> np.ndarray:
     %.17g writes the 17 significant digits D = round-half-even(|x| 10**(16 -
     E)) in fixed form for the decimal exponents E = -4..16, and those are
     computed exactly, as integers (the route of Ryu printf, Adams, PLDI
-    2019): 10**(16 - E) is a double, Dekker's product gives p + e =
-    |x| 10**(16 - E) exactly, and p >= 1e16 > 2**53 is an even integer, so
-    D = p + rint(e), with rint's half-even ties.  The text is the 21 digits
-    of V = D 10**(4 - Z), Z = max(-E, 0), which are Z zeros, D and 4 - Z
-    zeros, from the 4-digit groups of _FRACTION, with a '.' after the first
-    max(E, 0) + 1 of them; trailing zeros of the fraction, and a '.' left
-    without one, are masked off.  The bytes are chosen by arithmetic on
-    (place, value) arrays, as numpy's ``where`` on uint8 is many times
-    slower.  Zeros, the exponent form, NaN and infinities are formatted by
-    ``format_float``.
+    2019): ``_scaled`` gives p + e = |x| 10**(16 - E) exactly, and p >= 1e16
+    > 2**53 is an even integer, so D = p + rint(e), with rint's half-even
+    ties.  ``_decimal`` writes them with trailing zeros of the fraction, and
+    a '.' left without one, masked off.  Zeros, the exponent form, NaN and
+    infinities are formatted by ``format_float``.
     """
     values = np.asarray(values, dtype=float)
     flat = values.ravel()
-    n = len(flat)
     a = np.abs(flat)
     # E = -4..16 exactly: the double 1e-4 lies above 10**-4, 1e17 is exact
     fast = (a >= 1e-4) & (a < 1e17)  # False for NaN
     a[~fast] = 1.0
+    e, p, err = _scaled(a)
+    # D never rounds up to 10**17: no double lies within half a unit of D
+    # below 10**(E + 1) (checked in the tests), so E stays
+    d = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    out = _decimal(flat, fast, e, d, 0, format_float)
+    return out.T.reshape(values.shape + (_DIGITS_WIDTH,))
+
+
+def _shortest(values) -> np.ndarray:
+    """The bytes of json's text of each float64 x, ``_json_float(x)``, which
+    is ``repr(x)`` for finite x, as a uint8 array of shape values.shape +
+    (24,), left to right with 0 bytes as padding.
+
+    repr writes the shortest digits that read back as x, the nearest to x
+    among them (Steele and White, PLDI 1990), in fixed form for the decimal
+    exponents E = -4..15, with ".0" after an integer.  With S = |x| 10**(16
+    - E) = p + e exactly (``_scaled``), D = p + rint(e) is S to 17 digits,
+    and f = e - rint(e) = S - D lies in [-0.5, 0.5].  The candidate of 15
+    digits, then that of 16, is the multiple c of 100, then of 10, nearest
+    to S; it reads back as x when |c - S| is below the scaled half-ulp H =
+    10**(16 - E) 2**(e2 - 54), e2 being x's frexp exponent, or on it with
+    x's mantissa even (``_round_trips``; no double of this range meets that
+    tie).  Otherwise D does, as H > 2**-54 S > 1/2.  Within H of S lies at
+    most one candidate of 15 digits, so the one that reads back is also any
+    shorter one that does.  f, H and the integers are multiples of min(2**(e2
+    - 54 + 16 - E), 1) >= 2**-47, so |c - S| is exact below 64 and rounds to
+    64 > H or more above: every comparison is exact.  Python formats zeros,
+    |x| outside [1e-4, 1e16), NaN, infinities, exact powers of two, whose
+    half-ulp below is half that above, and S exactly halfway between two
+    candidates of 17 digits, or of 16 that both read back.
+    """
+    values = np.asarray(values, dtype=float)
+    flat = values.ravel()
+    a = np.abs(flat)
+    bits = a.view(np.int64)
+    fast = (a >= 1e-4) & (a < 1e16) & (bits & _MANTISSA != 0)  # False for NaN
+    a[~fast] = 1.5  # any value of the fast class, in place of Python's
+    e, p, err = _scaled(a)
+    rounded = np.rint(err)
+    f = err - rounded
+    d = p.astype(np.int64) + rounded.astype(np.int64)
+    # H = 10**(16 - E) 2**(e2 - 54), whose biased exponent is a's less 53
+    half = _POW10[16 - e] * ((bits >> 52) - 53 << 52).view(np.float64)
+    even = (bits & 1) == 0
+    slow = ~fast | (abs(f) == 0.5)
+    shortest = d
+    for unit in (10, 100):
+        r = d % unit
+        middle = unit // 2 - r  # midway between the multiples d - r and d - r + unit, less D
+        step = (f > middle) * unit - r  # c - D
+        ok = _round_trips(abs(step - f), half, even)
+        shortest = np.where(ok, d + step, shortest)
+        slow |= ok & (f == middle)
+    out = _decimal(flat, ~slow, e, shortest, 2, _json_float)
+    return out.T.reshape(values.shape + (_DIGITS_WIDTH,))
+
+
+def _round_trips(gap, half, even):
+    """Whether a candidate ``gap`` from the value, both scaled as in
+    ``_shortest``, reads back as it: inside the scaled half-ulp ``half``, or
+    on it where the mantissa is ``even``, as round-half-even then keeps it."""
+    return (gap < half) | ((gap == half) & even)
+
+
+def _scaled(a):
+    """(E, p, e) for positive finite float64 a: the decimal exponent E of each
+    value, and p + e = a 10**(16 - E) in [1e16, 1e17) exactly, from
+    ``_pow10_product``."""
     # log10 can be one off next to a power of ten: the exact product
     # a 10**(16 - E) must lie in [1e16, 1e17)
     e = np.clip(np.floor(np.log10(a)), -5, 16).astype(np.intp)
@@ -405,9 +502,23 @@ def _g17(values) -> np.ndarray:
     if off.any():
         e += high.astype(np.intp) - low
         p[off], err[off] = _pow10_product(a[off], 16 - e[off])
-    # D never rounds up to 10**17: no double lies within half a unit of D
-    # below 10**(E + 1) (checked in the tests), so E stays
-    d = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    return e, p, err
+
+
+def _decimal(flat, fast, e, d, tail: int, python) -> np.ndarray:
+    """The (24, n) bytes of each float64 in ``flat``: where ``fast``, the
+    17-digit integer D in ``d`` times 10**(E - 16) in fixed form, signed,
+    with trailing zeros of the fraction masked off and, where no fraction
+    digit is left, the '.' too (``tail`` 0) or ".0" kept (``tail`` 2);
+    elsewhere ``python``'s text of the value.
+
+    The text is the 21 digits of V = D 10**(4 - Z), Z = max(-E, 0), which
+    are Z zeros, D and 4 - Z zeros, from the 4-digit groups of _FRACTION,
+    with a '.' after the first max(E, 0) + 1 of them.  The bytes are chosen
+    by arithmetic on (place, value) arrays, as numpy's ``where`` on uint8 is
+    many times slower.
+    """
+    n = len(flat)
     # V = D 10**(4 - Z) = top 10**8 + rest, with top < 10**13
     scale = 10 ** (4 - np.maximum(-e, 0))
     top = d // 10**8
@@ -427,21 +538,23 @@ def _g17(values) -> np.ndarray:
     digits[:24].reshape(6, 4, n)[...] = by_place
     # body place j holds V[j] up to j = point, '.', then V[j - 1]
     point = np.maximum(e, 0).astype(np.uint8)
-    body = digits[2:24] + (_G17_PLACES[:22] <= point) * (digits[3:25] - digits[2:24])
-    body += (_G17_PLACES[:22] == point + 1) * (np.uint8(ord(".")) - body)
+    body = digits[2:24] + (_PLACES[:22] <= point) * (digits[3:25] - digits[2:24])
+    body += (_PLACES[:22] == point + 1) * (np.uint8(ord(".")) - body)
     # the text ends at V's last nonzero digit, at body place last - 1, or
-    # before the '.' if that digit is not in the fraction
-    last = np.max((digits[:24] != ord("0")) * _G17_PLACES[:24], axis=0)
+    # ``tail`` places after the integer digits if that digit is not in the
+    # fraction (uint8 arithmetic wraps, and the sum lies below 256)
+    last = np.max((digits[:24] != ord("0")) * _PLACES[:24], axis=0)
     fraction = last > point + 3
-    length = fast * (point + 1 + fraction * (last - 2 - point))  # 0 where Python writes
-    out = np.zeros((_G17_WIDTH, n), np.uint8)
+    # 0 where Python writes
+    length = fast * (point + 1 + tail + fraction * (last - 2 - point - tail))
+    out = np.zeros((_DIGITS_WIDTH, n), np.uint8)
     out[0] = np.signbit(flat) * fast * np.uint8(ord("-"))
-    out[1:23] = body * (_G17_PLACES[:22] < length)
+    out[1:23] = body * (_PLACES[:22] < length)
     slow = np.flatnonzero(~fast)
     if slow.size:
-        texts = _padded([format_float(x) for x in flat[slow].tolist()])
+        texts = _padded([python(x) for x in flat[slow].tolist()])
         out[:texts.shape[1], slow] = texts.T
-    return out.T.reshape(values.shape + (_G17_WIDTH,))
+    return out
 
 
 # the bytes of each cell's path line around its numbers: M x0 y0, then per

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import shortest_check
 from teich2 import cli, serialization
 from teich2.group import BALL_SIZES, ball, cells, generators
 from teich2.octagon import OctagonParams, build_geometry, grid_arrays
@@ -79,10 +80,20 @@ class TestCSV:
             csv_text(["a", "b"], [["x\0y"], np.zeros(1)])
 
 
+Table = serialization._Table
+
+
 def json_dumps_oracle(payload) -> str:
     """The byte oracle of json_text: Python's own encoder."""
     doc = {"schema": SCHEMA, **payload}
     return json.dumps(doc, indent=2, default=serialization._json_default) + "\n"
+
+
+# S = |x| 10**(16 - E) exactly halfway between two candidates: of 17 digits
+# (S mod 10 = 2.5 or 7.5), and of 16 that both read back as x (S mod 10 = 5
+# with a scaled half-ulp of 6.25); repr rounds these half to even
+SHORTEST_TIES = [1125899906842624.25, 1125899906842624.75, 562949953421312.25,
+                 562949953421312.75, 562949953421313.25]
 
 
 JSON_FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
@@ -98,8 +109,7 @@ JSON_SCALARS = st.one_of(
 @st.composite
 def row_tables(draw):
     """Lists of dicts over one set of str keys, mostly finite Python floats in
-    one key order: the tables json_text writes through one template, and
-    near misses that it must not."""
+    one key order, which the recursive writer takes like any other list."""
     keys = draw(st.lists(JSON_TEXTS, min_size=1, max_size=4, unique=True))
     values = st.floats(allow_nan=False, allow_infinity=False) | JSON_SCALARS
     rows = []
@@ -107,6 +117,30 @@ def row_tables(draw):
         order = draw(st.permutations(keys)) if draw(st.integers(0, 4)) == 0 else keys
         rows.append({k: draw(values) for k in order})
     return rows
+
+
+@st.composite
+def float_tables(draw):
+    """_Table records: up to 4 unique str keys and columns of any floats, as
+    float64 arrays or tuples of Python floats."""
+    keys = tuple(draw(st.lists(JSON_TEXTS, min_size=1, max_size=4, unique=True)))
+    n = draw(st.integers(0, 6))
+    columns = [draw(st.lists(JSON_FLOATS | st.sampled_from(SHORTEST_TIES), min_size=n, max_size=n))
+               for _ in keys]
+    if draw(st.booleans()):
+        return Table(keys, [np.array(c, float) for c in columns])
+    return Table(keys, [tuple(c) for c in columns])
+
+
+def table_rows(o):
+    """o with each _Table replaced by its list of row dicts."""
+    if isinstance(o, Table):
+        return [dict(zip(o.keys, map(float, row))) for row in zip(*o.columns)]
+    if isinstance(o, dict):
+        return {k: table_rows(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [table_rows(v) for v in o]
+    return o
 
 
 def json_payloads():
@@ -155,6 +189,29 @@ class TestJSON:
     @example({"z": np.complex128(0.5 - 0.0j), "n": np.int64(-3), "f": np.float32(0.1)})
     def test_matches_json_dumps_byte_for_byte(self, payload):
         assert json_text(payload) == json_dumps_oracle(payload)
+
+    @given(st.dictionaries(JSON_TEXTS, float_tables() | st.lists(
+        float_tables() | JSON_SCALARS | st.dictionaries(JSON_TEXTS, float_tables(), max_size=2),
+        max_size=3), max_size=4))
+    @example({"t": Table(("phi", "a"), (np.array([0.0, -0.0]), np.array([1e-300, 2.5e17])))})
+    @example({"t": Table(("%r", "\u00e9"), ((math.nan, 0.1), (math.inf, -math.inf)))})
+    @example({"orbits": [{"p_target": 30.0, "samples": Table(("x",), ((),))},
+                         {"p_target": 55.0, "samples": Table(("x", "y"), (
+                             np.array(SHORTEST_TIES), np.array(SHORTEST_TIES) * 1e-12))}]})
+    def test_tables_are_the_bytes_of_their_row_dicts(self, payload):
+        # every table of a document goes through one kernel call
+        assert json_text(payload) == json_dumps_oracle(table_rows(payload))
+
+    def test_complex_written_directly(self, monkeypatch):
+        # a Python complex is its [real, imag] list without _json_default;
+        # numpy's complex scalars still go through it
+        payload = {"z": [0.25 - 0.5j, complex(math.nan, -0.0)], "w": np.complex128(1 + 2j)}
+        expected = json_dumps_oracle(payload)
+        seen = []
+        default = serialization._json_default
+        monkeypatch.setattr(serialization, "_json_default", lambda x: seen.append(x) or default(x))
+        assert json_text(payload) == expected
+        assert seen == [np.complex128(1 + 2j)]
 
     @pytest.mark.parametrize("payload", [
         {"bad": [1.0, {"x": object()}]},
@@ -536,6 +593,98 @@ class TestG17:
         small = (np.abs(values) < 1e-4).sum()
         assert len(formatted) == small
         assert small / values.size < 0.025
+
+
+def shortest(x: float) -> bytes:
+    """The shortest-digit kernel's bytes for one value, padding dropped."""
+    field = serialization._shortest(np.array([x]))[0]
+    return field[field != 0].tobytes()
+
+
+def python_formats(x: float) -> bool:
+    """Whether x is of a class _shortest hands to Python: zero, non-finite,
+    |x| outside [1e-4, 1e16), a power of two, or S = |x| 10**(16 - E)
+    halfway between two candidates of 17 digits, or of 16 that both lie
+    within the scaled half-ulp H = 2**(e2 - 54) 10**(16 - E) of S."""
+    a = abs(x)
+    if not 1e-4 <= a < 1e16 or math.frexp(a)[0] == 0.5:
+        return True
+    e = math.floor(math.log10(a))  # may be one off next to a power of ten
+    if not 10**16 <= Fraction(a) * Fraction(10) ** (16 - e) < 10**17:
+        e += 1 if Fraction(a) * Fraction(10) ** (16 - e) >= 10**17 else -1
+    exact = Fraction(a) * Fraction(10) ** (16 - e)
+    half = Fraction(2) ** (math.frexp(a)[1] - 54) * Fraction(10) ** (16 - e)
+    return exact % 1 == Fraction(1, 2) or (exact % 10 == 5 and half > 5)
+
+
+class TestShortest:
+    @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    @example(0.0)
+    @example(-0.0)
+    @example(5e-324)
+    @example(1e-4)
+    @example(9.999999999999999e-05)
+    @example(0.00010000000000000002)
+    @example(1e16)
+    @example(9999999999999998.0)
+    @example(2.0**53 + 2)
+    @example(0.1)
+    @example(-0.3)
+    @example(100.0)
+    @example(2.0**-13)
+    @example(1e22)
+    @example(math.nan)
+    @example(-math.inf)
+    def test_matches_python(self, x):
+        assert shortest(x) == serialization._json_float(x).encode()
+
+    def test_powers_ties_and_neighbours(self):
+        values = POWERS + NEAR_POWERS + G17_TIES + SHORTEST_TIES + [
+            np.nextafter(x, d) for x in SHORTEST_TIES for d in (-math.inf, math.inf)]
+        values += [2.0**k for k in range(-16, 56)]
+        values += [-x for x in values]
+        assert [shortest(x) for x in values] == [float.__repr__(x).encode() for x in values]
+
+    def test_a_seeded_sample(self):
+        # about 10**5 doubles; CI runs the script on 10**7
+        assert shortest_check.check(100_000, 20261020) is None
+
+    def test_one_array_of_mixed_values(self):
+        values = shortest_check.random_block(np.random.default_rng(5), 4000).reshape(2, 2, -1)
+        fields = serialization._shortest(values)
+        assert fields.shape == values.shape + (24,)
+        got = [f[f != 0].tobytes().decode() for f in fields.reshape(-1, 24)]
+        assert got == [serialization._json_float(x) for x in values.ravel().tolist()]
+
+    def test_python_formats_only_the_listed_classes(self, monkeypatch):
+        values = np.concatenate([
+            shortest_check.fixed_values(), SHORTEST_TIES,
+            shortest_check.random_block(np.random.default_rng(8), 20000),
+        ])
+        formatted = []
+        json_float = serialization._json_float
+        monkeypatch.setattr(serialization, "_json_float",
+                            lambda x: formatted.append(x) or json_float(x))
+        serialization._shortest(values)
+        assert all(python_formats(x) for x in formatted)
+        assert set(SHORTEST_TIES) <= set(formatted)
+        listed = [x for x in values.tolist() if python_formats(x)]
+        assert len(formatted) == len(listed)
+
+    def test_candidates_round_trip_on_the_half_ulp_for_even_mantissas(self):
+        # round-half-even reads a decimal on the half-way point between two
+        # doubles back as the one with the even mantissa
+        gap = np.array([0.5, 1.0, 1.0, 1.5])
+        half = np.ones(4)
+        even = np.array([False, True, False, True])
+        assert serialization._round_trips(gap, half, even).tolist() == [True, True, False, False]
+
+    def test_shortest_digits_not_seventeen(self):
+        # 0.1, not %.17g's 0.10000000000000001
+        assert shortest(0.1) == b"0.1"
+        assert shortest(0.3) == b"0.3"
+        assert shortest(1.0 / 3.0) == b"0.3333333333333333"
+        assert shortest(123456.0) == b"123456.0"
 
 
 def reference_csv_text(header, rows):
