@@ -288,29 +288,43 @@ def _cmd_fn(args: argparse.Namespace) -> int:
     return 0
 
 
+def _orbits(targets: Sequence[float], samples: int):
+    """phi, the list of E, and the (targets, samples) arrays a, alpha_tilde and
+    P_check of the orbits of ``targets`` in one pass.  E is refused target by target,
+    after the orbit points of the targets before, as a loop over them would."""
+    e = []
+    for j, p_target in enumerate(targets):
+        try:
+            e.append(iso.e_of_p(p_target))
+            iso._discriminant(e[-1], None)
+        except (ValueError, NumericalError):
+            if j:  # the targets before pass their E, and may fail later
+                _orbits(targets[:j], samples)
+            raise
+    phi = iso._phases(samples)
+    a, at = iso.orbit_forms(np.array(e)[:, None], phi)
+    found = _domain_error(a, at)
+    if found is not None:  # exact orbit points of P > P_reg lie inside the domain
+        k, exc = found
+        raise NumericalError(
+            f"orbit point at phi = {float(phi[k % samples])!r} rounds out of the domain: {exc}"
+        )
+    return phi, e, a, at, perimeter_ab(a, b_of(a, at))
+
+
 def _cmd_orbit(args: argparse.Namespace) -> int:
-    orbits = []
-    for p_target in args.perimeters or iso._ORBIT_PERIMETERS:
-        e = iso.e_of_p(p_target)
-        phi = iso._phases(args.samples)
-        a, at = iso.orbit_forms(e, phi)
-        found = _domain_error(a, at)
-        if found is not None:  # exact orbit points of P > P_reg lie inside the domain
-            k, exc = found
-            raise NumericalError(
-                f"orbit point at phi = {float(phi[k])!r} rounds out of the domain: {exc}"
-            )
-        orbits.append((p_target, e, (phi, a, at, perimeter_ab(a, b_of(a, at)))))
+    targets = args.perimeters or iso._ORBIT_PERIMETERS
+    phi, e, a, at, p_check = _orbits(targets, args.samples)
     if args.format == "json":
         keys = ("phi", "a", "alpha_tilde", "p_check")
         _write(args.output, json_text({"orbits": [
-            {"p_target": p_target, "e": e, "samples": _Table(keys, table)}
-            for p_target, e, table in orbits
+            {"p_target": p_target, "e": e_j, "samples": _Table(keys, (phi, *table))}
+            for p_target, e_j, *table in zip(targets, e, a, at, p_check)
         ]}))
         return 0
     _write(args.output, csv_text(
         ("phi", "a", "alpha_tilde", "P_check"),
-        [np.concatenate(column) for column in zip(*(table for _, _, table in orbits))],
+        [np.tile(phi, len(targets)), a.ravel(), at.ravel(), p_check.ravel()],
     ))
     return 0
 

@@ -4,12 +4,12 @@ An orbit is a level set of the octagon perimeter P.  With the auxiliary
 quantity E = 2(cosh(P/8) + 1) the orbit through perimeter P is an oval in
 the (a, alpha_tilde) domain parametrized by an angle phi, degenerating to
 the point (2^{-1/4}, 0) at the regular perimeter P_reg.  That curve is
-written once, elementwise over phi, in ``orbit_forms``, which takes a
-float phi as well; the extremes of a are its view.  The WP area enclosed by
-an orbit reduces to a single integral over a in [a_minus, a_plus], taken by
-QUADPACK one node at a time through a float closure built once per orbit
-(``_area_density``), and cross-checked here against Wolpert's contour
-integral of l1 dtau1 around the orbit.
+written once, elementwise over E and phi (an E column gives one orbit per
+row), in ``orbit_forms``, which takes floats as well; the extremes of a are
+its view.  The WP area enclosed by an orbit reduces to a single integral
+over a in [a_minus, a_plus], taken by QUADPACK one node at a time through a
+float closure built once per orbit (``_area_density``), and cross-checked
+here against Wolpert's contour integral of l1 dtau1 around the orbit.
 """
 
 from __future__ import annotations
@@ -80,13 +80,27 @@ def e_of_p(p: float) -> float:
         raise NumericalError(f"E = 2(cosh(P/8) + 1) overflows at P = {p!r}") from None
 
 
-def _discriminant(e: float) -> float:
-    disc = e * e - 24.0 * e + 16.0
-    if disc == math.inf:
-        raise NumericalError(f"E^2 overflows at E = {e!r}")
-    if disc < -_DISC_CLAMP:
-        raise DomainError(f"E = {e!r} lies below the regular value {E_REG!r}")
-    return max(disc, 0.0)
+def _discriminant(e, phi):
+    """E^2 - 24E + 16, clamped at 0; elementwise over E.  An array E is refused
+    at its first E that the float route refuses, NumericalError's index being
+    its flat position (C order) in E broadcast with the angles phi."""
+    if not isinstance(e, np.ndarray):
+        disc = e * e - 24.0 * e + 16.0
+        if disc == math.inf:
+            raise NumericalError(f"E^2 overflows at E = {e!r}")
+        if disc < -_DISC_CLAMP:
+            raise DomainError(f"E = {e!r} lies below the regular value {E_REG!r}")
+        return max(disc, 0.0)
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        disc = e * e - 24.0 * e + 16.0
+    shape = np.broadcast_shapes(e.shape, np.shape(phi))
+    k = ew.first_true(np.broadcast_to((disc == math.inf) | (disc < -_DISC_CLAMP), shape))
+    if k is not None:
+        try:
+            _discriminant(np.broadcast_to(e, shape).flat[k].item(), phi)
+        except NumericalError as exc:
+            raise NumericalError(str(exc), k) from None
+    return np.maximum(disc, 0.0)
 
 
 def a_extremes(e: float) -> tuple[float, float]:
@@ -94,31 +108,33 @@ def a_extremes(e: float) -> tuple[float, float]:
     return orbit_forms(e, math.pi)[0], orbit_forms(e, 0.0)[0]
 
 
-def orbit_forms(e: float, phi):
-    """(a, alpha_tilde) of the orbit of E at angles phi; elementwise over phi.
+def orbit_forms(e, phi):
+    """(a, alpha_tilde) of the orbits of E at angles phi; elementwise over E
+    and phi, which broadcast: an E column and a phi row give one orbit per row.
 
     phi = 0 and pi give the extremes a_plus and a_minus.
     NumericalError where sin(phi) != 0 and E - 12 - cos(phi) sqrt(disc)
-    cancels to <= 0; its index is that of the first such phi (C order).
+    cancels to <= 0; its index is that of the first such (E, phi) (C order).
     """
-    disc = _discriminant(e)
-    root = math.sqrt(disc)
+    disc = _discriminant(e, phi)
+    root = ew.sqrt(disc)
     phi = phi % (2.0 * math.pi)
     c, s = ew.cos(phi), ew.sin(phi)
-    a = ew.sqrt(3.0 * e - 4.0 + c * root) / (2.0 * math.sqrt(e))
+    a = ew.sqrt(3.0 * e - 4.0 + c * root) / (2.0 * ew.sqrt(e))
     inner = e - 12.0 - c * root
     # (E-12)^2 exceeds the discriminant by 128, so inner > 0 for E > E_reg
     on_axis = s == 0.0
     k = ew.first_true(np.logical_not(on_axis | (inner > 0.0)))
     if k is not None:
+        shape = np.shape(inner)
+        e_k, phi_k = (np.broadcast_to(x, shape).flat[k].item() for x in (e, phi))
         raise NumericalError(
-            f"orbit of E = {e!r} cancels to {float(np.ravel(inner)[k])!r} "
-            f"at phi = {float(np.ravel(phi)[k])!r}",
+            f"orbit of E = {e_k!r} cancels to {float(np.ravel(inner)[k])!r} at phi = {phi_k!r}",
             k,
         )
     # on the axis sin(phi) = 0 zeroes the numerator, and at large E inner
     # cancels to 0 there too: alpha_tilde = 0 is set there, not divided out
-    num = math.sqrt((e - 4.0) * disc) * ew.where(on_axis, 1.0, s)
+    num = ew.sqrt((e - 4.0) * disc) * ew.where(on_axis, 1.0, s)
     den = math.sqrt(2.0) * e * ew.sqrt(ew.where(on_axis, 1.0, inner))
     return a, ew.where(on_axis, 0.0, ew.arctan(num / den))
 
@@ -250,8 +266,9 @@ def wp_area_contour(p_star: float) -> float:
     The WP form 1/2 sum_k dl_k ^ dtau_k is dl1 ^ dtau1 on this family, so by
     Stokes the area is |oint l1 dtau1|, a periodic integral in phi on which
     the trapezoid rule converges geometrically (Trefethen and Weideman, SIAM
-    Rev. 56, 2014).  Nodes double from 64, each doubling evaluating only the
-    new odd-indexed ones, until the estimate agrees with that of its
+    Rev. 56, 2014).  Nodes double from 64, the first levels being views of
+    one 256-node sample and each later doubling evaluating only the new
+    odd-indexed nodes, until the estimate agrees with that of its
     even-indexed half to 1e-13 max(1, area); NumericalError past 2^16 nodes
     (from P ~ 80) or where orbit points round out of the domain.
     """
@@ -260,19 +277,22 @@ def wp_area_contour(p_star: float) -> float:
     if p_star <= P_REG:
         return 0.0
     e_star = e_of_p(p_star)
+    a, at = orbit_forms(e_star, _phases(256))
+    with np.errstate(all="ignore"):  # at large P points round past the edge
+        first_l1, _, first_tau1, _ = _fn_forms(a, at)
     previous = math.nan
     for n in [2**k for k in range(5, 17)]:
-        # the even-indexed half of n samples is the previous, n/2-node sample,
-        # so a doubling evaluates only the odd-indexed phases
-        fresh = _phases(n) if n == 32 else _phases(n)[1::2]
-        a, at = orbit_forms(e_star, fresh)
-        with np.errstate(all="ignore"):  # at large P points round past the edge
-            fresh_l1, _, fresh_tau1, _ = _fn_forms(a, at)
-            if n == 32:
-                l1, tau1 = fresh_l1, fresh_tau1
-            else:
-                l1 = np.column_stack([l1, fresh_l1]).ravel()
-                tau1 = np.column_stack([tau1, fresh_tau1]).ravel()
+        if n <= 256:  # every (256/n)-th node of the first sample
+            l1, tau1 = first_l1[::256 // n], first_tau1[::256 // n]
+        else:
+            # the even-indexed half of n samples is the previous, n/2-node
+            # sample, so a doubling evaluates only the odd-indexed phases
+            a, at = orbit_forms(e_star, _phases(n)[1::2])
+            with np.errstate(all="ignore"):
+                fresh_l1, _, fresh_tau1, _ = _fn_forms(a, at)
+            l1 = np.column_stack([l1, fresh_l1]).ravel()
+            tau1 = np.column_stack([tau1, fresh_tau1]).ravel()
+        with np.errstate(all="ignore"):
             spec = np.fft.rfft(tau1) * (1j * np.arange(n // 2 + 1))
             spec[-1] = 0.0  # d/dphi of the Nyquist mode of an even n
             # l1's mean integrates to 0; dropping it spares small orbits cancellation

@@ -243,9 +243,11 @@ def test_blocks_do_not_change_the_report(monkeypatch):
 
 
 @pytest.mark.parametrize("block", [None, 7])
-def test_breakdown_names_the_grid_point_and_check(monkeypatch, block):
+def test_a_check_refusal_fails_that_check_and_the_run_goes_on(monkeypatch, block):
     # the relation form with ball's breakdown test on its word: near the
-    # corner at margin 1e-6 the word's |u|^2 - |v|^2 drifts past the bar
+    # corner at margin 1e-6 the word's |u|^2 - |v|^2 drifts past the bar, so
+    # the entry refuses, and both names it reports read inf; every other
+    # check reads what it reads without the refusal
     def checked(g):
         g0, g1, g2, g3 = g
         word = g0
@@ -254,18 +256,17 @@ def test_breakdown_names_the_grid_point_and_check(monkeypatch, block):
         su_check(*word)
         return relation_defect(g)
 
-    monkeypatch.setattr(validation, "relation_defect", checked)
     if block is not None:
         monkeypatch.setattr(validation, "_BLOCK", block)
-    with pytest.raises(NumericalError) as info:
-        run_validation(20, 20, 1e-6, 0)
-    message = str(info.value)
-    assert message.startswith("relation_defect at grid point a=")
-    assert message.endswith("has drifted from 1")
-    a, at = grid_arrays(20, 20, 1e-6)
-    k = info.value.index
-    assert (f"a={float(a[k])!r}, alpha_tilde={float(at[k])!r}: "
-            "SU(1,1) pair: |u|^2-|v|^2 = ") in message
+    plain = run_validation(20, 20, 1e-6, 0)
+    monkeypatch.setattr(validation, "relation_defect", checked)
+    refused = run_validation(20, 20, 1e-6, 0)
+    assert refused["passed"] is False
+    for before, after in zip(plain["checks"], refused["checks"]):
+        if after["name"] in ("relation_defect", "generator_traces"):
+            assert after["max_residual"] == math.inf and after["passed"] is False
+        else:
+            assert after == before
 
 
 @pytest.mark.parametrize("block", [None, 7])

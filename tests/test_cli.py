@@ -260,6 +260,10 @@ EXIT_CODES = [
     # fail their checks with no numpy warning (tier-1 makes warnings errors)
     (["validate", "--margin", "1e-15"], 4,
      r"((ok  |FAIL) .*\n)+", "payload"),
+    # the grid's odd vertices round onto |z| = 1, where vertex_sum refuses:
+    # perimeter_routes and interior_angles read inf, and the report is written
+    (["validate", "--margin", "2e-16"], 4,
+     r"((ok  |FAIL) .*\n)+", "payload"),
 ]
 
 
@@ -529,6 +533,20 @@ class TestOrbitCommand:
         assert abs(rows[0][3] - 200.0) / 200.0 < 1e-8
         # elsewhere b sits ~1e-11 below 1, so rounding of the point sets P_check
         assert max(abs(row[3] - 200.0) for row in rows) / 200.0 < 1e-6
+
+    @pytest.mark.parametrize("argv, first", [
+        # the refusal of the first failing target, not the first failing stage
+        (["--P", "300", "--P", "20", "--samples", "4"], ["--P", "300", "--samples", "4"]),
+        (["--P", "300", "--P", "5000"], ["--P", "300"]),
+        (["--P", "30", "--P", "20", "--P", "300", "--samples", "4"], ["--P", "20"]),
+        # the samples are refused after the first target's E, as in a loop
+        (["--P", "30", "--P", "-1", "--samples", "0"], ["--P", "30", "--samples", "0"]),
+        (["--P", "-1", "--P", "30", "--samples", "0"], ["--P", "-1"]),
+    ])
+    def test_first_failing_target_refuses(self, capsys, argv, first):
+        code, out, err = run_capture(capsys, ["orbit", *argv])
+        assert code != 0
+        assert (code, out, err) == run_capture(capsys, ["orbit", *first])
 
     def test_default_perimeter_set(self, capsys):
         code, out, _ = run_capture(capsys, ["orbit", "--samples", "4", "--format", "json"])

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import run_fresh
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
@@ -275,6 +275,41 @@ class TestOrbit:
             assert np.all(abs(at - [y for _, y in points]) <= 4.0 * ulp)
         assert a_extremes(e) == tuple(orbit_forms(e, np.array([math.pi, 0.0]))[0])
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(P_REG, 200.0, exclude_min=True), min_size=1, max_size=6),
+           st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=16))
+    @example([30.0, 200.0], [0.5, 1e-9])
+    @example([200.0, 30.0, 200.0], [3.0, 1e-9])
+    def test_orbit_forms_over_an_e_column_is_its_float_e_calls(self, perimeters, phis):
+        # one row per E, each the float-E call over the phi array bit for bit;
+        # a refusal is the first row's, at its flat (row, column) position
+        e, phi = [e_of_p(p) for p in perimeters], np.array(phis)
+        rows = []
+        for x in e:
+            try:
+                rows.append(orbit_forms(x, phi))
+            except NumericalError as exc:
+                rows.append(exc)
+        refused = [j for j, row in enumerate(rows) if isinstance(row, NumericalError)]
+        if refused:
+            with pytest.raises(NumericalError) as exc:
+                orbit_forms(np.array(e)[:, None], phi)
+            j = refused[0]
+            assert str(exc.value) == str(rows[j])
+            assert exc.value.index == j * phi.size + rows[j].index
+        else:
+            a, at = orbit_forms(np.array(e)[:, None], phi)
+            assert a.tobytes() == np.array([x for x, _ in rows]).tobytes()
+            assert at.tobytes() == np.array([y for _, y in rows]).tobytes()
+
+    def test_e_refusals_name_the_first_e(self):
+        phi = iso._phases(4)
+        with pytest.raises(NumericalError, match=r"^E\^2 overflows at E = 7\.251547794405553e\+162$") as exc:
+            orbit_forms(np.array([[e_of_p(30.0)], [e_of_p(3000.0)], [e_of_p(3100.0)]]), phi)
+        assert exc.value.index == 4
+        with pytest.raises(DomainError, match=f"^E = {e_of_p(20.0)!r} lies below"):
+            orbit_forms(np.array([e_of_p(30.0), e_of_p(20.0), e_of_p(10.0)]), 0.5)
+
     def test_cancellation_names_its_phi(self):
         # cos(1e-9) rounds to 1, where E - 12 - sqrt(disc) cancels to 0 at P = 200
         phi = np.array([0.0, 1.0, 1e-9, 2.0])
@@ -409,6 +444,17 @@ class TestWPArea:
             if change <= 1e-13 * max(1.0, area):
                 break
         assert wp_area_contour(p_star) == area
+
+    @pytest.mark.parametrize("p_star, area", [
+        (25.0, "0x1.7310d9bb0399dp+0"),
+        (30.0, "0x1.046dd9928258dp+4"),
+        (41.0, "0x1.d6245cf5d7884p+5"),
+        (60.0, "0x1.4c564bfb7816fp+7"),
+    ])
+    def test_contour_bits_held(self, p_star, area):
+        # recorded while every level up to 256 nodes evaluated its own orbit
+        # points; the strided views of one 256-node sample move no bit
+        assert float.hex(wp_area_contour(p_star)) == area
 
     def test_contour_route_independent_of_wp_density(self, monkeypatch):
         def refuse(*args):

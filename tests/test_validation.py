@@ -68,8 +68,8 @@ def test_one_block_evaluates_its_octagon_and_half_turns_once(monkeypatch):
             if (name == "teich2" or name.startswith("teich2.")) and \
                     getattr(module, fn.__name__, None) is fn:
                 monkeypatch.setattr(module, fn.__name__, counted)
-    a, at = grid_arrays(40, 40, 0.02)  # two blocks: 1024 points and 576
-    run_validation(40, 40, 0.02, 0)
+    a, at = grid_arrays(50, 50, 0.02)  # two blocks: 2048 points and 452
+    run_validation(50, 50, 0.02, 0)
     blocks = range(0, a.size, validation._BLOCK)
     assert len(calls["octagon_forms"]) == len(calls["half_turns"]) == len(blocks) == 2
     for start, (args, forms), ((m_forms,), _) in zip(
@@ -79,3 +79,10 @@ def test_one_block_evaluates_its_octagon_and_half_turns_once(monkeypatch):
         assert block_a.tobytes() == a[start:start + validation._BLOCK].tobytes()
         assert block_at.tobytes() == at[start:start + validation._BLOCK].tobytes()
         assert m_forms is forms
+
+
+def test_a_check_reports_the_names_its_refusal_fails():
+    # a CHECKS entry that refuses a block fails the names _reported gives it
+    block = point_block(np.array([0.8, 0.85]), np.array([0.1, -0.2]))
+    for key, check in CHECKS.items():
+        assert validation._reported(key) == list(check(block)), key
