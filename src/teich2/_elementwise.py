@@ -11,8 +11,8 @@ quotients and moduli are the operators, CPython's on numbers and numpy's
 loops on arrays; numpy chooses its loops by CPU at run time, and they may
 fuse multiply-adds, so array results can move in the last bits between
 machines.  A math or cmath domain error, as from a square root of a
-rounded negative number, is raised as NumericalError.  A form's error says
-what broke and, over arrays, its flat ``index``; the caller names the point.
+rounded negative number, is raised as NumericalError.  A refusal finds and
+reads its element by ``first_true`` and says what broke there; the caller names the point.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import NumericalError
 
 __all__ = [
     "sqrt", "cos", "sin", "tan", "arctan", "arccos", "arcsinh", "arccosh", "cosh",
-    "log", "maximum", "minimum", "where", "first_true", "require_positive",
+    "log", "square", "maximum", "minimum", "where", "first_true", "require_positive",
 ]
 
 
@@ -59,6 +59,14 @@ cosh = _unary(math.cosh, cmath.cosh, np.cosh)
 log = _unary(math.log, cmath.log, np.log)
 
 
+def _square(x):
+    with np.errstate(over="ignore"):  # inf where x * x overflows, for the caller to refuse
+        return x * x
+
+
+square = _unary(lambda x: x * x, lambda x: x * x, _square)
+
+
 def maximum(x, y):
     """Elementwise larger value; NaN wins, as with np.maximum."""
     if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
@@ -80,17 +88,22 @@ def where(cond, x, y):
     return x if cond else y
 
 
-def first_true(mask) -> int | None:
-    """Flat index of the first true element of mask (C order), or None."""
-    if isinstance(mask, np.ndarray):
-        return int(np.argmax(mask)) if mask.any() else None
-    return 0 if mask else None
+def first_true(mask, *values):
+    """None if no element of mask is true, else (k, items): k is the flat index
+    (C order) of the first true element of mask broadcast with ``values``, 0 for
+    numbers, and items holds each value's element at k, as a Python number."""
+    if not (mask.any() if isinstance(mask, np.ndarray) else mask):
+        return None
+    shape = np.broadcast_shapes(np.shape(mask), *map(np.shape, values))
+    k = int(np.argmax(np.broadcast_to(mask, shape)))
+    return k, tuple(np.broadcast_to(x, shape).flat[k].item() for x in values)
 
 
 def require_positive(x, name: str):
     """x, or NumericalError naming ``name`` and the value at the first element
     (C order) that is not > 0, NaN included, with that element's index."""
-    k = first_true(where(x > 0.0, False, True))
-    if k is not None:
-        raise NumericalError(f"{name} = {np.ravel(x)[k].item()!r} is not > 0", k)
+    found = first_true(where(x > 0.0, False, True), x)
+    if found is not None:
+        k, (x_k,) = found
+        raise NumericalError(f"{name} = {x_k!r} is not > 0", k)
     return x

@@ -296,19 +296,17 @@ def _orbits(targets: Sequence[float], samples: int):
     for j, p_target in enumerate(targets):
         try:
             e.append(iso.e_of_p(p_target))
-            iso._discriminant(e[-1], None)
+            iso._discriminant(e[-1])
         except (ValueError, NumericalError):
             if j:  # the targets before pass their E, and may fail later
                 _orbits(targets[:j], samples)
             raise
     phi = iso._phases(samples)
     a, at = iso.orbit_forms(np.array(e)[:, None], phi)
-    found = _domain_error(a, at)
-    if found is not None:  # exact orbit points of P > P_reg lie inside the domain
-        k, exc = found
-        raise NumericalError(
-            f"orbit point at phi = {float(phi[k % samples])!r} rounds out of the domain: {exc}"
-        )
+    exc = _domain_error(a, at)
+    if exc is not None:  # exact orbit points of P > P_reg lie inside the domain
+        phi_k = float(phi[exc.index % samples])
+        raise NumericalError(f"orbit point at phi = {phi_k!r} rounds out of the domain: {exc}")
     return phi, e, a, at, perimeter_ab(a, b_of(a, at))
 
 

@@ -326,7 +326,8 @@ def ball(g, n: int) -> GroupBall:
     ValueError for n outside 0..6, and a NumericalError that is a ValueError
     too past the float64 precision limit: where su_check finds a product
     broken by rounding, or an element's |u|^2 + |v|^2 passes 1/(16 eps),
-    naming the radius and the first such word in shortlex order.
+    naming the radius and the first such word in shortlex order, whose
+    position in the ball is its ``index``.
     """
     if not 0 <= n < len(BALL_SIZES):
         raise ValueError(f"ball radius must be in 0..{len(BALL_SIZES) - 1}, got {n!r}")
@@ -338,13 +339,14 @@ def ball(g, n: int) -> GroupBall:
         u, v = su_mul((us[-1][parent], vs[-1][parent]), (lu[letter], lv[letter]))
         try:
             size = su_check(u, v)
-            k = ew.first_true(size > _MAX_SIZE)
-            if k is not None:
-                raise NumericalError(f"|u|^2+|v|^2 = {float(size[k])!r} is past 1/(16 eps)", k)
+            found = ew.first_true(size > _MAX_SIZE, size)
+            if found is not None:
+                k, (size_k,) = found
+                raise NumericalError(f"|u|^2+|v|^2 = {size_k!r} is past 1/(16 eps)", k)
         except NumericalError as exc:  # |u|^2 - |v|^2 lost, or about to be, to roundoff
             raise _PrecisionLimit(
                 f"radius-{n} ball: element {_TREE.words[r][exc.index]!r} "
-                f"is past the float64 precision limit ({exc})"
+                f"is past the float64 precision limit ({exc})", BALL_SIZES[r - 1] + exc.index,
             ) from None
         flip = u.real < 0.0
         us.append(np.where(flip, -u, u))

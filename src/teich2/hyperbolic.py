@@ -49,12 +49,9 @@ SU_DEFECT_TOLERANCE = 1e-9
 
 def _require_in_disk(z):
     """z itself, or ValueError naming the first point (C order) with |z| >= 1."""
-    if isinstance(z, np.ndarray):
-        k = ew.first_true(abs(z) >= 1.0)
-        if k is not None:
-            _require_in_disk(complex(z.flat[k]))
-    elif abs(z) >= 1.0:
-        raise ValueError(f"point {z!r} is not strictly inside the unit disk")
+    found = ew.first_true(abs(z) >= 1.0, z)
+    if found is not None:
+        raise ValueError(f"point {found[1][0]!r} is not strictly inside the unit disk")
     return z
 
 
@@ -84,10 +81,10 @@ def su_check(u, v):
     uu, vv = abs(u) ** 2, abs(v) ** 2
     det, size = uu - vv, uu + vv
     ok = (det > 0.0) & (det < np.inf) & (abs(det - 1.0) <= SU_DEFECT_TOLERANCE * size)
-    k = ew.first_true(ew.where(ok, False, True))
-    if k is not None:
-        raise NumericalError(
-            f"SU(1,1) pair: |u|^2-|v|^2 = {float(np.ravel(det)[k])!r} has drifted from 1", k)
+    found = ew.first_true(ew.where(ok, False, True), det)
+    if found is not None:
+        k, (det_k,) = found
+        raise NumericalError(f"SU(1,1) pair: |u|^2-|v|^2 = {det_k!r} has drifted from 1", k)
     return size
 
 

@@ -80,27 +80,18 @@ def e_of_p(p: float) -> float:
         raise NumericalError(f"E = 2(cosh(P/8) + 1) overflows at P = {p!r}") from None
 
 
-def _discriminant(e, phi):
-    """E^2 - 24E + 16, clamped at 0; elementwise over E.  An array E is refused
-    at its first E that the float route refuses, NumericalError's index being
-    its flat position (C order) in E broadcast with the angles phi."""
-    if not isinstance(e, np.ndarray):
-        disc = e * e - 24.0 * e + 16.0
-        if disc == math.inf:
-            raise NumericalError(f"E^2 overflows at E = {e!r}")
-        if disc < -_DISC_CLAMP:
-            raise DomainError(f"E = {e!r} lies below the regular value {E_REG!r}")
-        return max(disc, 0.0)
-    with np.errstate(over="ignore"):  # an overflow is refused below
-        disc = e * e - 24.0 * e + 16.0
-    shape = np.broadcast_shapes(e.shape, np.shape(phi))
-    k = ew.first_true(np.broadcast_to((disc == math.inf) | (disc < -_DISC_CLAMP), shape))
-    if k is not None:
-        try:
-            _discriminant(np.broadcast_to(e, shape).flat[k].item(), phi)
-        except NumericalError as exc:
-            raise NumericalError(str(exc), k) from None
-    return np.maximum(disc, 0.0)
+def _discriminant(e, phi=0.0):
+    """E^2 - 24E + 16, clamped at 0; elementwise over E.  NumericalError where it
+    overflows and DomainError where E lies below E_reg, at the first such E (C
+    order) of E broadcast with the angles phi, whose flat position is the index."""
+    disc = ew.square(e) - 24.0 * e + 16.0
+    found = ew.first_true((disc == math.inf) | (disc < -_DISC_CLAMP), e, disc, phi)
+    if found is not None:
+        k, (e_k, disc_k, _) = found
+        if disc_k == math.inf:
+            raise NumericalError(f"E^2 overflows at E = {e_k!r}", k)
+        raise DomainError(f"E = {e_k!r} lies below the regular value {E_REG!r}", k)
+    return ew.maximum(disc, 0.0)
 
 
 def a_extremes(e: float) -> tuple[float, float]:
@@ -112,9 +103,9 @@ def orbit_forms(e, phi):
     """(a, alpha_tilde) of the orbits of E at angles phi; elementwise over E
     and phi, which broadcast: an E column and a phi row give one orbit per row.
 
-    phi = 0 and pi give the extremes a_plus and a_minus.
-    NumericalError where sin(phi) != 0 and E - 12 - cos(phi) sqrt(disc)
-    cancels to <= 0; its index is that of the first such (E, phi) (C order).
+    phi = 0 and pi give the extremes a_plus and a_minus.  E is refused by
+    _discriminant, then NumericalError where sin(phi) != 0 and E - 12 - cos(phi)
+    sqrt(disc) cancels to <= 0, each at the first failing (E, phi), C order.
     """
     disc = _discriminant(e, phi)
     root = ew.sqrt(disc)
@@ -124,14 +115,10 @@ def orbit_forms(e, phi):
     inner = e - 12.0 - c * root
     # (E-12)^2 exceeds the discriminant by 128, so inner > 0 for E > E_reg
     on_axis = s == 0.0
-    k = ew.first_true(np.logical_not(on_axis | (inner > 0.0)))
-    if k is not None:
-        shape = np.shape(inner)
-        e_k, phi_k = (np.broadcast_to(x, shape).flat[k].item() for x in (e, phi))
-        raise NumericalError(
-            f"orbit of E = {e_k!r} cancels to {float(np.ravel(inner)[k])!r} at phi = {phi_k!r}",
-            k,
-        )
+    found = ew.first_true(np.logical_not(on_axis | (inner > 0.0)), e, inner, phi)
+    if found is not None:
+        k, (e_k, inner_k, phi_k) = found
+        raise NumericalError(f"orbit of E = {e_k!r} cancels to {inner_k!r} at phi = {phi_k!r}", k)
     # on the axis sin(phi) = 0 zeroes the numerator, and at large E inner
     # cancels to 0 there too: alpha_tilde = 0 is set there, not divided out
     num = ew.sqrt((e - 4.0) * disc) * ew.where(on_axis, 1.0, s)

@@ -56,37 +56,31 @@ def lower_a(alpha_tilde: float) -> float:
     return b_of(1.0, alpha_tilde)
 
 
-def _item(x, shape, k: int):
-    """Element k (C order) of x broadcast to ``shape``, as a Python number."""
-    return np.broadcast_to(x, shape).flat[k].item()
-
-
-def _domain_error(a, at) -> tuple[int, OutOfDomainError] | None:
-    """The first point (C order) outside the admissible region, as its flat
-    index and the OutOfDomainError of the first inequality it violates
-    (alpha_range, lower_a, upper_a), or None; elementwise over numbers or
-    arrays, which broadcast together."""
+def _domain_error(a, at) -> OutOfDomainError | None:
+    """The OutOfDomainError of the first inequality (alpha_range, lower_a,
+    upper_a) that the first point (C order) outside the domain violates, with
+    its flat index, or None; elementwise over numbers or arrays, which broadcast."""
     in_range = (-ALPHA_TILDE_MAX < at) & (at < ALPHA_TILDE_MAX)
     lo = lower_a(ew.where(in_range, at, 0.0))  # alpha_range is reported first
     above, below = a > lo, a < 1.0
     # "not inside" by where, since ~ negates a Python bool to a nonzero int
-    k = ew.first_true(ew.where(in_range & above & below, False, True))
-    if k is None:
+    found = ew.first_true(ew.where(in_range & above & below, False, True),
+                          a, at, lo, in_range, above)
+    if found is None:
         return None
-    shape = np.broadcast_shapes(np.shape(a), np.shape(at))
-    a_k, at_k = _item(a, shape, k), _item(at, shape, k)
-    if not _item(in_range, shape, k):
-        return k, OutOfDomainError("alpha_range", math.copysign(ALPHA_TILDE_MAX, at_k), at_k)
-    if not _item(above, shape, k):
-        return k, OutOfDomainError("lower_a", _item(lo, shape, k), a_k)
-    return k, OutOfDomainError("upper_a", 1.0, a_k)
+    k, (a_k, at_k, lo_k, in_range_k, above_k) = found
+    if not in_range_k:
+        return OutOfDomainError("alpha_range", math.copysign(ALPHA_TILDE_MAX, at_k), at_k, k)
+    if not above_k:
+        return OutOfDomainError("lower_a", lo_k, a_k, k)
+    return OutOfDomainError("upper_a", 1.0, a_k, k)
 
 
 def _check_domain(a, at) -> None:
     """Raise the _domain_error of (a, at), if any."""
-    found = _domain_error(a, at)
-    if found is not None:
-        raise found[1]
+    exc = _domain_error(a, at)
+    if exc is not None:
+        raise exc
 
 
 @dataclass(frozen=True)

@@ -79,3 +79,24 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def _element_lookups(tree: ast.Module) -> list[int]:
+    """Lines that subscript ``.flat`` or the result of a ``ravel`` call."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript):
+            value = node.value
+            if isinstance(value, ast.Call):
+                value = value.func
+            if isinstance(value, ast.Attribute) and value.attr in ("flat", "ravel"):
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_refused_elements_are_read_only_by_first_true(path):
+    # an elementwise refusal reads its failing element by _elementwise.first_true,
+    # so no other module looks an element up by its flat index
+    if path.name != "_elementwise.py":
+        assert _element_lookups(ast.parse(path.read_text(encoding="utf-8"))) == []

@@ -307,8 +307,9 @@ class TestOrbit:
         with pytest.raises(NumericalError, match=r"^E\^2 overflows at E = 7\.251547794405553e\+162$") as exc:
             orbit_forms(np.array([[e_of_p(30.0)], [e_of_p(3000.0)], [e_of_p(3100.0)]]), phi)
         assert exc.value.index == 4
-        with pytest.raises(DomainError, match=f"^E = {e_of_p(20.0)!r} lies below"):
+        with pytest.raises(DomainError, match=f"^E = {e_of_p(20.0)!r} lies below") as exc:
             orbit_forms(np.array([e_of_p(30.0), e_of_p(20.0), e_of_p(10.0)]), 0.5)
+        assert exc.value.index == 1
 
     def test_cancellation_names_its_phi(self):
         # cos(1e-9) rounds to 1, where E - 12 - sqrt(disc) cancels to 0 at P = 200

@@ -77,6 +77,17 @@ class TestParams:
             OctagonParams(a, at)
         assert not isinstance(exc.value, OutOfDomainError)
 
+    @pytest.mark.parametrize("a, at, which", [
+        (math.nan, 0.0, "lower_a"),  # a NaN a fails lower_a and upper_a
+        (2.0, 1.0, "alpha_range"),
+        (0.5, -math.nan, "alpha_range"),
+    ])
+    def test_first_violated_inequality_in_documented_order(self, a, at, which):
+        # alpha_range, then lower_a, then upper_a, for numbers and arrays alike
+        assert _domain_error(a, at).which == which
+        exc = _domain_error(np.array([0.9, a]), np.array([0.0, at]))
+        assert (exc.which, exc.index) == (which, 1)
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_domain_check_elementwise(self, data):
@@ -100,8 +111,7 @@ class TestParams:
         if first is None:
             assert found is None
         else:
-            k, err = found
-            assert (k, (err.which, err.bound, err.value)) == first
+            assert (found.index, (found.which, found.bound, found.value)) == first
 
     def test_b_value_and_involution(self):
         p = OctagonParams(A0, AT0)
