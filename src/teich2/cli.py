@@ -39,9 +39,8 @@ import math
 import sys
 from typing import Any, Sequence
 
-import numpy as np
-
 from . import isoperimetric as iso
+from ._elementwise import np
 from .errors import DomainError, NumericalError
 from .fenchel_nielsen import (
     dt_residuals,

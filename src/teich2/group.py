@@ -31,12 +31,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import threading
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _elementwise as ew
+from ._elementwise import np
 from .errors import NumericalError
 from .hyperbolic import (
     _require_in_disk,
@@ -72,7 +72,7 @@ LETTERS = "aAbBcCdD"
 _CELL_BLOCK = 4096
 # |u|^2 - |v|^2 = 1 holds to about eps (|u|^2 + |v|^2): ball refuses past 1/16 of
 # 1/eps, before a product's |u|^2 - |v|^2 rounds to 0 in one arithmetic and not another
-_MAX_SIZE = 1.0 / (16.0 * np.finfo(float).eps)
+_MAX_SIZE = 1.0 / (16.0 * sys.float_info.epsilon)
 
 
 def generator_pairs(a, alpha_tilde):
@@ -215,15 +215,12 @@ class GroupBall:
         return len(self.shortlex)
 
 
-# row j, column i of _times: zeta^j b has b[(i - j) % 4] at zeta^i, negated
-# where it wrapped past zeta^4 = -1 (i < j)
-_SHIFT = (np.arange(4) - np.arange(4)[:, None]) % 4
-_WRAP = np.where(np.arange(4) < np.arange(4)[:, None], -1, 1)
-
-
 def _times(b: np.ndarray) -> np.ndarray:
     """Matrix of x -> x b on rows (c0..c3) of c0 + c1 zeta + c2 zeta^2 + c3 zeta^3."""
-    return b[_SHIFT] * _WRAP
+    # row j, column i: zeta^j b has b[(i - j) % 4] at zeta^i, negated where it
+    # wrapped past zeta^4 = -1 (i < j)
+    i, j = np.arange(4), np.arange(4)[:, None]
+    return b[(i - j) % 4] * np.where(i < j, -1, 1)
 
 
 def _letter_maps() -> list[np.ndarray]:

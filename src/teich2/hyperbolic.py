@@ -24,9 +24,8 @@ one pair at a time by a relative amount of order eps (|u|^2 + |v|^2).
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import _elementwise as ew
 from .errors import NumericalError
@@ -48,8 +47,9 @@ SU_DEFECT_TOLERANCE = 1e-9
 
 
 def _require_in_disk(z):
-    """z itself, or ValueError naming the first point (C order) with |z| >= 1."""
-    found = ew.first_true(abs(z) >= 1.0, z)
+    """z itself, or ValueError naming the first point (C order) with |z| >= 1,
+    the modulus taken by ew.modulus: an array point is refused as its number is."""
+    found = ew.first_true(ew.modulus(z) >= 1.0, z)
     if found is not None:
         raise ValueError(f"point {found[1][0]!r} is not strictly inside the unit disk")
     return z
@@ -80,7 +80,7 @@ def su_check(u, v):
     """
     uu, vv = abs(u) ** 2, abs(v) ** 2
     det, size = uu - vv, uu + vv
-    ok = (det > 0.0) & (det < np.inf) & (abs(det - 1.0) <= SU_DEFECT_TOLERANCE * size)
+    ok = (det > 0.0) & (det < math.inf) & (abs(det - 1.0) <= SU_DEFECT_TOLERANCE * size)
     found = ew.first_true(ew.where(ok, False, True), det)
     if found is not None:
         k, (det_k,) = found

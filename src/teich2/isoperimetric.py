@@ -21,9 +21,8 @@ import math
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _elementwise as ew
+from ._elementwise import np
 from .errors import DomainError, NumericalError
 from .fenchel_nielsen import _fn_forms
 
@@ -115,7 +114,7 @@ def orbit_forms(e, phi):
     inner = e - 12.0 - c * root
     # (E-12)^2 exceeds the discriminant by 128, so inner > 0 for E > E_reg
     on_axis = s == 0.0
-    found = ew.first_true(np.logical_not(on_axis | (inner > 0.0)), e, inner, phi)
+    found = ew.first_true(ew.where(on_axis | (inner > 0.0), False, True), e, inner, phi)
     if found is not None:
         k, (e_k, inner_k, phi_k) = found
         raise NumericalError(f"orbit of E = {e_k!r} cancels to {inner_k!r} at phi = {phi_k!r}", k)

@@ -25,9 +25,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from . import _elementwise as ew
+from ._elementwise import np
 from .errors import OutOfDomainError
 from .hyperbolic import dist
 
@@ -111,7 +110,10 @@ def _alternate(even, odd):
     """even[k] at 2k and odd[k] at 2k + 1, k = 0..3: a tuple of 8 numbers, or
     an (8,) + S array for arrays of shape S."""
     out = [x for pair in zip(even, odd) for x in pair]
-    return np.stack(out) if isinstance(out[0], np.ndarray) else tuple(out)
+    # a Python complex, the common case of one point, tested first
+    if type(out[0]) is complex or not isinstance(out[0], np.ndarray):
+        return tuple(out)
+    return np.stack(out)
 
 
 class OctagonForms(NamedTuple):
@@ -223,17 +225,20 @@ def vertex_angles(vertices, centres, k: int):
 
 
 def perimeter_ab(a, b):
-    """Closed-form perimeter 8 arccosh[...] in terms of (a, b); elementwise."""
+    """Closed-form perimeter 8 arccosh[...] in terms of (a, b); elementwise.
+    NumericalError, with the index, where (1 - a^2)(1 - b^2) rounds to 0 or below."""
     a2 = a * a
     b2 = b * b
     num = 1.0 - a2 * b2 + ew.sqrt((1.0 - a2) ** 2 + (1.0 - b2) ** 2)
-    return 8.0 * ew.arccosh(num / ((1.0 - a2) * (1.0 - b2)))
+    # next to the lower bound of a, b rounds to 1: refused, not divided by
+    den = ew.require_positive((1.0 - a2) * (1.0 - b2), "perimeter_ab: (1 - a^2)(1 - b^2)")
+    return 8.0 * ew.arccosh(num / den)
 
 
 def vertex_sum(vertices):
     """Sum of the 8 vertex-to-vertex hyperbolic distances (vertices indexed by
     k first); NumericalError where the odd vertices round onto |z| = 1."""
-    ew.require_positive(1.0 - abs(vertices[1]), "vertex_sum: 1 - |v1|")
+    ew.require_positive(1.0 - ew.modulus(vertices[1]), "vertex_sum: 1 - |v1|")
     return sum(dist(vertices[k], vertices[(k + 1) % 8]) for k in range(8))
 
 
@@ -243,7 +248,7 @@ def in_octagon(geom: OctagonForms, z, shrink: float):
 
     The octagon is the locus in the disk outside all eight side circles, so
     membership is |z| < 1 and |z - center_k| > R_k + shrink for every side.
-    An array takes each modulus by np.hypot, the libm hypot of Python's
+    An array takes each modulus by ew.modulus, the libm hypot of Python's
     complex abs, so every element is the bool of the scalar call.
     """
     # a Python complex, the common case of one point, tested first
@@ -258,8 +263,7 @@ def in_octagon(geom: OctagonForms, z, shrink: float):
                 and abs(z - c[6]) > r_plus and abs(z - c[7]) > r_minus)
     centres = np.reshape(geom.centres, (8,) + (1,) * z.ndim)
     radius = np.reshape((geom.r_plus + shrink, geom.r_minus + shrink) * 4, centres.shape)
-    d = z - centres
-    return (np.hypot(z.real, z.imag) < 1.0) & (np.hypot(d.real, d.imag) > radius).all(axis=0)
+    return (ew.modulus(z) < 1.0) & (ew.modulus(z - centres) > radius).all(axis=0)
 
 
 def grid_arrays(n_a: int, n_alpha: int, margin: float) -> tuple[np.ndarray, np.ndarray]:

@@ -35,12 +35,13 @@ half-way ties, non-finite, or 1e4 and above) go through Python's %.4f.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Any, Sequence
 
-import numpy as np
+from ._elementwise import np
 
 __all__ = [
     "SCHEMA",
@@ -68,7 +69,6 @@ _ROWS = 4096
 # a CSV cell holding one of these characters is refused: NUL bytes pad the
 # byte route, and csv.writer would quote the others
 _REFUSED = '\0,"\r\n'
-_COMMA, _NEWLINE = np.uint8(ord(",")), np.uint8(ord("\n"))
 
 
 def format_float(x: float) -> str:
@@ -110,25 +110,23 @@ def csv_text(header: Sequence[str], columns: Sequence[Any]) -> str:
     if len(columns) == 1:  # csv.writer quotes an empty cell alone in its row
         raise ValueError("a CSV table of one column is not written")
     text = [",".join(_cells(header)) + "\n"]
-    columns = [
-        c if isinstance(c, np.ndarray) and c.dtype == np.float64 else _cells(c)
-        for c in columns
-    ]
-    floats = [c for c in columns if isinstance(c, np.ndarray)]
-    if not floats:
+    # a list or tuple is tested first: a table of Python cells needs no numpy
+    is_float = [type(c) not in (list, tuple) and isinstance(c, np.ndarray)
+                and c.dtype == np.float64 for c in columns]
+    columns = [c if f else _cells(c) for c, f in zip(columns, is_float)]
+    if not any(is_float):
         text.extend(line + "\n" for line in map(",".join, zip(*columns)))
         return "".join(text)
+    comma, newline = np.uint8(ord(",")), np.uint8(ord("\n"))
     for start in range(0, rows, _ROWS):
         n = min(_ROWS, rows - start)
-        numbers = iter(_g17(np.stack([c[start:start + n] for c in floats])))
+        floats = [c[start:start + n] for c, f in zip(columns, is_float) if f]
+        numbers = iter(_g17(np.stack(floats)))
         pieces = []  # (bytes, n): a row per byte place
-        for column in columns:
-            if isinstance(column, np.ndarray):
-                field = next(numbers)
-            else:
-                field = _padded(column[start:start + n])
-            pieces += (field.T, np.broadcast_to(_COMMA, (1, n)))
-        pieces[-1] = np.broadcast_to(_NEWLINE, (1, n))
+        for column, f in zip(columns, is_float):
+            field = next(numbers) if f else _padded(column[start:start + n])
+            pieces += (field.T, np.broadcast_to(comma, (1, n)))
+        pieces[-1] = np.broadcast_to(newline, (1, n))
         lines = np.concatenate(pieces).T
         text.append(lines.tobytes().translate(None, b"\0").decode())
     return "".join(text)
@@ -307,18 +305,21 @@ def _next(a):
     return np.concatenate((a[:, 1:], a[:, :1]), axis=1)
 
 
+@functools.cache
 def _digit_table(keep: int) -> np.ndarray:
     """The 4 ASCII digits of each of 0..9999 as one uint32, with the leading
-    zeros before the last ``keep`` digits as 0 bytes."""
+    zeros before the last ``keep`` digits as 0 bytes, built on first use:
+    keep 4 writes 42 as "0042", and keep 1 as "  42" with 0 bytes for the
+    blanks."""
     d = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     digits = np.stack(np.meshgrid(d, d, d, d, indexing="ij"), axis=-1).reshape(10000, 4)
     place = 10 ** np.arange(3, -1, -1)
     digits[(np.arange(10000)[:, None] < place) & (place >= 10**keep)] = 0
-    return digits.view(np.uint32).ravel()
+    table = digits.view(np.uint32).ravel()
+    table.flags.writeable = False  # one table for every caller
+    return table
 
 
-_FRACTION = _digit_table(4)  # 42 -> "0042"
-_INTEGER = _digit_table(1)  # 42 -> "  42", with 0 bytes for the blanks
 _FIELD = 10  # sign, four integer digits, '.', four decimals
 
 
@@ -352,9 +353,9 @@ def _fixed4(values) -> np.ndarray:
     n = n.astype(np.int32)  # below 1e8 < 2**31
     whole = n // 10000
     frac = n - whole * 10000
-    out[..., 1:5].view(np.uint32)[..., 0] = _INTEGER.take(whole)
+    out[..., 1:5].view(np.uint32)[..., 0] = _digit_table(1).take(whole)
     out[..., 5] = ord(".")
-    out[..., 6:10].view(np.uint32)[..., 0] = _FRACTION.take(frac)
+    out[..., 6:10].view(np.uint32)[..., 0] = _digit_table(4).take(frac)
     out[..., _FIELD:] = 0
     if texts is not None:
         out[slow] = 0
@@ -391,17 +392,25 @@ def _pow10_product(a, k):
     """(p, e) with p = fl(a 10**k) and p + e = a 10**k exactly, for k = 0..22:
     Dekker's two-product (Numer. Math. 18, 1971), barring overflow and
     underflow; elementwise."""
-    p = a * _POW10[k]
+    pow10, high, low = _pow10()
+    p = a * pow10[k]
     ah, al = _split(a)
-    bh, bl = _POW10_HIGH[k], _POW10_LOW[k]
+    bh, bl = high[k], low[k]
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-# 10**k for k = 0..22, each exact in float64, and its halves for _pow10_product
-_POW10 = 10.0 ** np.arange(23)
-_POW10_HIGH, _POW10_LOW = _split(_POW10)
+@functools.cache
+def _pow10():
+    """10**k for k = 0..22, each exact in float64, and its halves for
+    _pow10_product, built on first use."""
+    pow10 = 10.0 ** np.arange(23)
+    tables = (pow10, *_split(pow10))
+    for table in tables:
+        table.flags.writeable = False  # one table for every caller
+    return tables
+
+
 _DIGITS_WIDTH = 24  # '-', then "0.000" and 17 digits, or Python's longest text
-_PLACES = np.arange(25, dtype=np.uint8)[:, None]
 _MANTISSA = (1 << 52) - 1  # the fraction bits of a float64
 
 
@@ -466,7 +475,7 @@ def _shortest(values) -> np.ndarray:
     f = err - rounded
     d = p.astype(np.int64) + rounded.astype(np.int64)
     # H = 10**(16 - E) 2**(e2 - 54), whose biased exponent is a's less 53
-    half = _POW10[16 - e] * ((bits >> 52) - 53 << 52).view(np.float64)
+    half = _pow10()[0][16 - e] * ((bits >> 52) - 53 << 52).view(np.float64)
     even = (bits & 1) == 0
     slow = ~fast | (abs(f) == 0.5)
     shortest = d
@@ -513,7 +522,7 @@ def _decimal(flat, fast, e, d, tail: int, python) -> np.ndarray:
     elsewhere ``python``'s text of the value.
 
     The text is the 21 digits of V = D 10**(4 - Z), Z = max(-E, 0), which
-    are Z zeros, D and 4 - Z zeros, from the 4-digit groups of _FRACTION,
+    are Z zeros, D and 4 - Z zeros, from the 4-digit groups of _digit_table(4),
     with a '.' after the first max(E, 0) + 1 of them.  The bytes are chosen
     by arithmetic on (place, value) arrays, as numpy's ``where`` on uint8 is
     many times slower.
@@ -534,22 +543,23 @@ def _decimal(flat, fast, e, d, tail: int, python) -> np.ndarray:
     groups[5] = rest - groups[4] * 10**4
     # place i of "000" and V's 21 digits, then a 0 byte
     digits = np.zeros((25, n), np.uint8)
-    by_place = _FRACTION.take(groups).view(np.uint8).reshape(6, n, 4).transpose(0, 2, 1)
+    by_place = _digit_table(4).take(groups).view(np.uint8).reshape(6, n, 4).transpose(0, 2, 1)
     digits[:24].reshape(6, 4, n)[...] = by_place
     # body place j holds V[j] up to j = point, '.', then V[j - 1]
     point = np.maximum(e, 0).astype(np.uint8)
-    body = digits[2:24] + (_PLACES[:22] <= point) * (digits[3:25] - digits[2:24])
-    body += (_PLACES[:22] == point + 1) * (np.uint8(ord(".")) - body)
+    places = np.arange(25, dtype=np.uint8)[:, None]
+    body = digits[2:24] + (places[:22] <= point) * (digits[3:25] - digits[2:24])
+    body += (places[:22] == point + 1) * (np.uint8(ord(".")) - body)
     # the text ends at V's last nonzero digit, at body place last - 1, or
     # ``tail`` places after the integer digits if that digit is not in the
     # fraction (uint8 arithmetic wraps, and the sum lies below 256)
-    last = np.max((digits[:24] != ord("0")) * _PLACES[:24], axis=0)
+    last = np.max((digits[:24] != ord("0")) * places[:24], axis=0)
     fraction = last > point + 3
     # 0 where Python writes
     length = fast * (point + 1 + tail + fraction * (last - 2 - point - tail))
     out = np.zeros((_DIGITS_WIDTH, n), np.uint8)
     out[0] = np.signbit(flat) * fast * np.uint8(ord("-"))
-    out[1:23] = body * (_PLACES[:22] < length)
+    out[1:23] = body * (places[:22] < length)
     slow = np.flatnonzero(~fast)
     if slow.size:
         texts = _padded([python(x) for x in flat[slow].tolist()])

@@ -40,9 +40,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from . import isoperimetric as iso
+from ._elementwise import np
 from .errors import NumericalError
 from .fenchel_nielsen import (
     _fn_forms,

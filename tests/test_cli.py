@@ -178,9 +178,9 @@ EXIT_CODES = [
     (["validate", "--margin", "0.2"], 2,
      MARGIN_BOUND + r"0\.2\n", ""),
     # one ulp above the lower bound of a, X > 0 but b rounds to 1, and the
-    # closed-form perimeter divides by 1 - b^2 = 0
+    # closed-form perimeter refuses its denominator (1 - a^2)(1 - b^2) = 0
     (["octagon", "--a", "0.8567505974692862", "--alpha-tilde", "0.6"], 5,
-     r"teich2: numerical error: float division by zero "
+     r"teich2: numerical error: perimeter_ab: \(1 - a\^2\)\(1 - b\^2\) = 0\.0 is not > 0 "
      r"at --a 0\.8567505974692862 --alpha-tilde 0\.6\n", ""),
     (["tiling", "--a", "0.7214885163659666", "--alpha-tilde", "-0.2", "-n", "1"], 5,
      r"teich2: numerical error: sqrt\(-\S+\): math domain error "
@@ -260,8 +260,9 @@ EXIT_CODES = [
     # fail their checks with no numpy warning (tier-1 makes warnings errors)
     (["validate", "--margin", "1e-15"], 4,
      r"((ok  |FAIL) .*\n)+", "payload"),
-    # the grid's odd vertices round onto |z| = 1, where vertex_sum refuses:
-    # perimeter_routes and interior_angles read inf, and the report is written
+    # a grid point's odd vertex lies within an ulp of |z| = 1, where numpy's
+    # modulus in dist's formula rounds to 1: perimeter_routes reads inf, and
+    # the report is written
     (["validate", "--margin", "2e-16"], 4,
      r"((ok  |FAIL) .*\n)+", "payload"),
 ]
@@ -444,7 +445,52 @@ class TestRepeatedRuns:
         assert len(json.loads(out)["vertices"]) == 8
 
 
+# imports teich2, then teich2.cli, then runs teich2.cli.run on each argv, in
+# a fresh interpreter; prints on its last line, as JSON, whether a numpy
+# submodule was loaded after each step, with each run's exit code (the lazy
+# module "numpy" itself is in sys.modules from the first import on)
+NO_NUMPY = """
+import json, os, sys
+def loaded():
+    return any(m.startswith("numpy.") for m in sys.modules)
+steps = []
+import teich2
+steps.append(loaded())
+import teich2.cli
+steps.append(loaded())
+for argv in json.loads(sys.argv[1]):
+    steps.append([teich2.cli.run([*argv, "-o", os.devnull]), loaded()])
+print(json.dumps(steps))
+"""
+
+# a first array call after import teich2 loads numpy, which is then the
+# module teich2 holds and works for the caller
+FIRST_ARRAY = """
+import sys, teich2
+assert not any(m.startswith("numpy.") for m in sys.modules)
+assert len(teich2.ball(teich2.generators(teich2.OctagonParams(0.85, 0.03)), 2)) == 65
+assert teich2._elementwise.np is sys.modules["numpy"]
+import numpy
+assert numpy.arange(3).tolist() == [0, 1, 2]
+"""
+
+
 class TestColdStart:
+    def test_import_and_point_commands_do_not_load_numpy(self):
+        argvs = [["octagon", *A_ARGS], ["octagon", *A_ARGS, "--format", "csv"],
+                 ["fn", *A_ARGS], ["fn", *A_ARGS, "--format", "csv"],
+                 ["octagon", "--a", "2", "--alpha-tilde", "0"],
+                 ["octagon", "--a", "0.8567505974692862", "--alpha-tilde", "0.6"]]
+        proc = run_fresh(["-c", NO_NUMPY, json.dumps(argvs)])
+        assert proc.returncode == 0, proc.stderr
+        steps = json.loads(proc.stdout.splitlines()[-1])
+        assert steps == [False, False, [0, False], [0, False], [0, False], [0, False],
+                         [3, False], [5, False]]
+
+    def test_first_array_call_loads_numpy(self):
+        proc = run_fresh(["-c", FIRST_ARRAY])
+        assert proc.returncode == 0, proc.stderr
+
     def test_query_commands_do_not_load_scipy(self):
         # only the area quadrature needs scipy, for its QUADPACK extension
         argvs = [["octagon", *A_ARGS], ["group", *A_ARGS], ["fn", *A_ARGS],

@@ -45,9 +45,8 @@ _ANGLE = st.floats(-math.pi, math.pi)
 _IN_RANGE = st.floats(-0.7, 0.7)
 # E on orbits up to P = 150, where no angle from 0.05 to 2 pi - 0.05 cancels
 _PASSING_E = st.floats(P_REG, 150.0).map(e_of_p)
-# points within 0.99 of 0, and at 1 or beyond; a complex point is drawn
-# clear of the circle, where numpy's modulus can round apart from CPython's
-# (test_array_refusal_at_the_unit_circle_is_the_float_refusal)
+# points within 0.99 of 0, and at 1 or beyond; a complex point drawn at
+# radius 1 is kept where CPython's abs refuses it, as rect can round it inside
 _INSIDE, _OUTSIDE = st.floats(0.0, 0.99), st.floats(1.0, 1e10)
 
 SITES = {
@@ -72,7 +71,7 @@ SITES = {
     "dist_complex": Site(
         lambda z: dist(z, 0.0),
         st.tuples(st.builds(cmath.rect, _INSIDE, _ANGLE)),
-        st.tuples(st.builds(cmath.rect, st.floats(1.0 + 1e-12, 1e10), _ANGLE)),
+        st.tuples(st.builds(cmath.rect, _OUTSIDE, _ANGLE).filter(lambda z: abs(z) >= 1.0)),
     ),
     # E^2 - 24E + 16 < 0 (E from 12 - 8 sqrt2 to E_reg) is a DomainError, and
     # its overflow a NumericalError
@@ -154,20 +153,24 @@ def test_ball_refuses_the_first_word_past_its_size_bound(point, j):
     )
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "_require_in_disk tests |z| >= 1 by abs, and numpy's complex modulus can round "
-    "apart from CPython's within an ulp of the circle"))
 def test_array_refusal_at_the_unit_circle_is_the_float_refusal():
+    # within an ulp of the circle numpy's complex modulus can round apart from
+    # CPython's; _require_in_disk takes both by ew.modulus
     zs = [cmath.rect(1.0, t) for t in np.linspace(-math.pi, math.pi, 10001)]
     split = [z for z, m in zip(zs, np.abs(np.array(zs))) if (abs(z) >= 1.0) != (m >= 1.0)]
     if not split:
         pytest.skip("numpy's complex moduli are CPython's at every sampled point")
 
     def refusal(z):
+        # where only numpy's modulus rounds up to 1, neither call refuses, and
+        # dist's array formula divides by its 1 - |z|^2 = 0: a value, not a refusal
         try:
-            dist(z, 0.0)
+            with np.errstate(divide="ignore"):
+                dist(z, 0.0)
         except ValueError as exc:
             return str(exc)
         return None
 
-    assert refusal(np.array(split[:1])) == refusal(split[0])
+    for z in split:
+        assert refusal(np.array([z])) == refusal(z)
+    assert refusal(np.array(split)) == refusal(split[0])
