@@ -358,7 +358,8 @@ def cells(group_ball: GroupBall, geom: OctagonForms) -> tuple[np.ndarray, np.nda
     Returns the (N, 8) complex arrays (vertices, midpoints); row i holds the
     images under ball element ``group_ball.shortlex[i]``.
     """
-    points = _require_in_disk(np.array([*geom.vertices, *geom.midpoints]))
+    points = np.array([*geom.vertices, *geom.midpoints])
+    _require_in_disk(points)
     u, v = group_ball.u[:, None], group_ball.v[:, None]
     images = np.concatenate([
         su_act(u[start:start + _CELL_BLOCK], v[start:start + _CELL_BLOCK], points)

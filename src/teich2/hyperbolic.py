@@ -47,22 +47,24 @@ SU_DEFECT_TOLERANCE = 1e-9
 
 
 def _require_in_disk(z):
-    """z itself, or ValueError naming the first point (C order) with |z| >= 1,
-    the modulus taken by ew.modulus: an array point is refused as its number is."""
-    found = ew.first_true(ew.modulus(z) >= 1.0, z)
+    """|z| by ew.modulus, after a ValueError naming the first point (C order)
+    with |z| >= 1: an array point is refused, and measured, as its number is."""
+    modulus = ew.modulus(z)
+    found = ew.first_true(modulus >= 1.0, z)
     if found is not None:
         raise ValueError(f"point {found[1][0]!r} is not strictly inside the unit disk")
-    return z
+    return modulus
 
 
 def dist(z, w):
     """Hyperbolic distance arccosh(1 + 2|z-w|^2 / ((1-|z|^2)(1-|w|^2))).
 
     Elementwise on arrays, which broadcast together; a float for two points.
+    Every modulus is ew.modulus, so a point that passes the disk test has
+    1 - |z|^2 > 0 on arrays as on numbers.
     """
-    _require_in_disk(z)
-    _require_in_disk(w)
-    return ew.arccosh(1.0 + 2.0 * abs(z - w) ** 2 / ((1.0 - abs(z) ** 2) * (1.0 - abs(w) ** 2)))
+    den = (1.0 - _require_in_disk(z) ** 2) * (1.0 - _require_in_disk(w) ** 2)
+    return ew.arccosh(1.0 + 2.0 * ew.modulus(z - w) ** 2 / den)
 
 
 def su_act(u, v, z):

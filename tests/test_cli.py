@@ -260,9 +260,9 @@ EXIT_CODES = [
     # fail their checks with no numpy warning (tier-1 makes warnings errors)
     (["validate", "--margin", "1e-15"], 4,
      r"((ok  |FAIL) .*\n)+", "payload"),
-    # a grid point's odd vertex lies within an ulp of |z| = 1, where numpy's
-    # modulus in dist's formula rounds to 1: perimeter_routes reads inf, and
-    # the report is written
+    # a grid point's odd vertex lies within an ulp of |z| = 1, where the
+    # vertex route loses every digit: perimeter_routes fails, and the report
+    # is written
     (["validate", "--margin", "2e-16"], 4,
      r"((ok  |FAIL) .*\n)+", "payload"),
 ]
