@@ -37,7 +37,7 @@ import argparse
 import functools
 import math
 import sys
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from . import isoperimetric as iso
 from ._elementwise import np
@@ -61,7 +61,7 @@ from .octagon import (
     vertex_angles,
     vertex_sum,
 )
-from .serialization import _Table, csv_text, json_text, svg_text
+from .serialization import _Table, csv_blocks, json_text, svg_blocks
 from .validation import run_validation
 
 __all__ = ["run", "main"]
@@ -152,23 +152,25 @@ def _flatten(value: Any, prefix: str, keys: list[str], values: list[Any]) -> Non
         values.append(value)
 
 
-def _write(path: str | None, text: str) -> None:
-    """Write text to stdout for path None or "-", else to a UTF-8 file, as is."""
+def _write(path: str | None, blocks: Iterable[bytes]) -> None:
+    """Write the UTF-8 blocks, one at a time as they come, to stdout as text
+    for path None or "-", else to the file as bytes."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        for block in blocks:
+            sys.stdout.write(block.decode())
         return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    with open(path, "wb") as fh:
+        fh.writelines(blocks)
 
 
 def _write_payload(args: argparse.Namespace, payload: dict[str, Any]) -> None:
     if args.format == "json":
-        _write(args.output, json_text(payload))
+        _write(args.output, [json_text(payload).encode()])
         return
     keys: list[str] = []
     values: list[Any] = []
     _flatten(payload, "", keys, values)
-    _write(args.output, csv_text(("key", "value"), (keys, values)))
+    _write(args.output, csv_blocks(("key", "value"), [(keys, values)]))
 
 
 def _params_block(params: OctagonParams) -> dict[str, float]:
@@ -314,14 +316,14 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
     phi, e, a, at, p_check = _orbits(targets, args.samples)
     if args.format == "json":
         keys = ("phi", "a", "alpha_tilde", "p_check")
-        _write(args.output, json_text({"orbits": [
+        _write(args.output, [json_text({"orbits": [
             {"p_target": p_target, "e": e_j, "samples": _Table(keys, (phi, *table))}
             for p_target, e_j, *table in zip(targets, e, a, at, p_check)
-        ]}))
+        ]}).encode()])
         return 0
-    _write(args.output, csv_text(
+    _write(args.output, csv_blocks(
         ("phi", "a", "alpha_tilde", "P_check"),
-        [np.tile(phi, len(targets)), a.ravel(), at.ravel(), p_check.ravel()],
+        [(np.tile(phi, len(targets)), a.ravel(), at.ravel(), p_check.ravel())],
     ))
     return 0
 
@@ -331,13 +333,13 @@ def _cmd_area(args: argparse.Namespace) -> int:
         args.p_min, args.p_max, args.step
     )
     if args.format == "json":
-        _write(args.output, json_text({
+        _write(args.output, [json_text({
             "fit": {"c1": c1, "c2": c2, "residual_norm": residual_norm},
             "p_reg": iso.P_REG,
             "table": _Table(("P", "area"), (p_values, areas)),
-        }))
+        }).encode()])
         return 0
-    _write(args.output, csv_text(("P", "area"), (p_values, areas)))
+    _write(args.output, csv_blocks(("P", "area"), [(p_values, areas)]))
     print(f"fit: c1={c1:.6g} c2={c2:.6g} residual={residual_norm:.3g}", file=sys.stderr)
     return 0
 
@@ -350,7 +352,7 @@ def _cmd_tiling(args: argparse.Namespace) -> int:
     geom = build_geometry(params)
     b = ball(g, args.radius)
     if args.format == "json":
-        text = json_text({
+        blocks = [json_text({
             "radius": args.radius,
             "count": len(b),
             "relation_sign": 1,  # proven, as group's relation.sign
@@ -358,26 +360,31 @@ def _cmd_tiling(args: argparse.Namespace) -> int:
                 {"word": word, "u": u, "v": v}
                 for word, u, v in zip(b.shortlex, b.u.tolist(), b.v.tolist())
             ],
-        })
+        }).encode()]
     elif args.format == "csv":
-        text = csv_text(("word", "u_re", "u_im", "v_re", "v_im"),
-                        (b.shortlex, b.u.real, b.u.imag, b.v.real, b.v.imag))
+        blocks = csv_blocks(("word", "u_re", "u_im", "v_re", "v_im"),
+                            [(b.shortlex, b.u.real, b.u.imag, b.v.real, b.v.imag)])
+    elif args.format == "svg":
+        blocks = svg_blocks(cells(b, geom))
     else:
-        vertices, midpoints = cells(b, geom)
-        if args.format == "svg":
-            text = svg_text(vertices, midpoints)
-        else:
-            text = csv_text(("word", "k", "x", "y"), (
-                [w for w in b.shortlex for _ in range(8)], [str(k) for k in range(8)] * len(b),
-                vertices.real.ravel(), vertices.imag.ravel(),
-            ))
-    _write(args.output, text)
+        blocks = csv_blocks(("word", "k", "x", "y"), _vertex_rows(b.shortlex, cells(b, geom)))
+    _write(args.output, blocks)
     return 0
+
+
+def _vertex_rows(words: Sequence[str], images):
+    """The (word, k, x, y) columns of each block of cell images, a row per vertex."""
+    start = 0
+    for vertices, _ in images:
+        n = len(vertices)
+        yield ([w for w in words[start:start + n] for _ in range(8)],
+               [str(k) for k in range(8)] * n, vertices.real.ravel(), vertices.imag.ravel())
+        start += n
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     report = run_validation(args.grid[0], args.grid[1], args.margin, args.seed)
-    _write(args.output, json_text(report))
+    _write(args.output, [json_text(report).encode()])
     for check in report["checks"]:
         status = "ok  " if check["passed"] else "FAIL"
         print(
@@ -412,7 +419,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     except DomainError as exc:
         print(f"teich2: domain error: {exc}", file=sys.stderr)
         if getattr(args, "format", "json") == "json":  # validate writes JSON only
-            _write(None, json_text({"error": {"type": type(exc).__name__, "message": str(exc)}}))
+            _write(None, [json_text({"error": {"type": type(exc).__name__,
+                                               "message": str(exc)}}).encode()])
         return 3
     except (NumericalError, ZeroDivisionError) as exc:  # ZeroDivisionError: by a rounded 0
         # before ValueError: the ball's precision refusal is both

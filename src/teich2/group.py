@@ -23,8 +23,8 @@ A ball is its shortlex words and the (u, v) arrays of its elements.
 Which words name distinct elements, and in which order, does not depend
 on the point: the word tree is built once per process, one sphere at a
 time as radii are asked for, and every ball multiplies it out at its
-point.  A ball's tiles are drawn with one action over the arrays of the
-whole ball.
+point.  A ball's tiles are mapped one block of elements at a time, each
+block with one action over its arrays.
 """
 
 from __future__ import annotations
@@ -67,9 +67,13 @@ BALL_SIZES = (1, 9, 65, 457, 3193, 22289, 155577)
 
 # letter order fixes the deterministic (shortest-lex) word ordering
 LETTERS = "aAbBcCdD"
-# ball elements per su_act pass in cells: a whole radius-4 ball, and bounded
-# temporaries for the 155577 elements of radius 6
-_CELL_BLOCK = 4096
+# ball elements per block of cells, which is also one pass of the SVG path
+# kernel, whose byte arrays grow with it, and one part of the cell-vertex
+# CSV: a tiling writes each block before the next is mapped, so a radius-5
+# SVG peaks at 37.5 MB RSS (60.2 MB with the document held whole), and a
+# radius-4 tiling job runs about 20% slower in blocks of 4096 on a 2-core
+# x86-64 VM
+_CELL_BLOCK = 512
 # |u|^2 - |v|^2 = 1 holds to about eps (|u|^2 + |v|^2): ball refuses past 1/16 of
 # 1/eps, before a product's |u|^2 - |v|^2 rounds to 0 in one arithmetic and not another
 _MAX_SIZE = 1.0 / (16.0 * sys.float_info.epsilon)
@@ -351,18 +355,18 @@ def ball(g, n: int) -> GroupBall:
     return GroupBall(_TREE.shortlex(n), np.concatenate(us), np.concatenate(vs))
 
 
-def cells(group_ball: GroupBall, geom: OctagonForms) -> tuple[np.ndarray, np.ndarray]:
-    """Images of the octagon ``geom`` under every element of ``group_ball``:
-    one su_act over the ball's arrays, in blocks of _CELL_BLOCK elements.
+def cells(group_ball: GroupBall, geom: OctagonForms):
+    """Images of the octagon ``geom`` under the elements of ``group_ball``,
+    one su_act per block of _CELL_BLOCK elements.
 
-    Returns the (N, 8) complex arrays (vertices, midpoints); row i holds the
-    images under ball element ``group_ball.shortlex[i]``.
+    Checks the octagon's points, then returns an iterator over the blocks
+    in shortlex order: each is a pair (vertices, midpoints) of (n, 8)
+    complex arrays, whose row i holds the images under the block's i-th
+    element.
     """
     points = np.array([*geom.vertices, *geom.midpoints])
     _require_in_disk(points)
     u, v = group_ball.u[:, None], group_ball.v[:, None]
-    images = np.concatenate([
-        su_act(u[start:start + _CELL_BLOCK], v[start:start + _CELL_BLOCK], points)
-        for start in range(0, len(u), _CELL_BLOCK)
-    ])
-    return images[:, :8], images[:, 8:]
+    blocks = (su_act(u[start:start + _CELL_BLOCK], v[start:start + _CELL_BLOCK], points)
+              for start in range(0, len(u), _CELL_BLOCK))
+    return ((images[:, :8], images[:, 8:]) for images in blocks)

@@ -63,7 +63,12 @@ def dist(z, w):
     Every modulus is ew.modulus, so a point that passes the disk test has
     1 - |z|^2 > 0 on arrays as on numbers.
     """
-    den = (1.0 - _require_in_disk(z) ** 2) * (1.0 - _require_in_disk(w) ** 2)
+    return _dist(z, w, _require_in_disk(z), _require_in_disk(w))
+
+
+def _dist(z, w, z_modulus, w_modulus):
+    """dist's formula, given the ew.modulus of z and of w, both below 1."""
+    den = (1.0 - z_modulus ** 2) * (1.0 - w_modulus ** 2)
     return ew.arccosh(1.0 + 2.0 * ew.modulus(z - w) ** 2 / den)
 
 

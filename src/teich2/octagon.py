@@ -28,7 +28,7 @@ from typing import NamedTuple
 from . import _elementwise as ew
 from ._elementwise import np
 from .errors import OutOfDomainError
-from .hyperbolic import dist
+from .hyperbolic import _dist, _require_in_disk
 
 __all__ = [
     "OctagonParams",
@@ -237,9 +237,13 @@ def perimeter_ab(a, b):
 
 def vertex_sum(vertices):
     """Sum of the 8 vertex-to-vertex hyperbolic distances (vertices indexed by
-    k first); NumericalError where the odd vertices round onto |z| = 1."""
+    k first), each by ``dist``'s formula with the 8 vertex moduli taken once;
+    NumericalError where the odd vertices round onto |z| = 1, and dist's
+    ValueError where another vertex lies on or outside the unit circle."""
     ew.require_positive(1.0 - ew.modulus(vertices[1]), "vertex_sum: 1 - |v1|")
-    return sum(dist(vertices[k], vertices[(k + 1) % 8]) for k in range(8))
+    moduli = [_require_in_disk(v) for v in vertices]
+    return sum(_dist(vertices[k], vertices[(k + 1) % 8], moduli[k], moduli[(k + 1) % 8])
+               for k in range(8))
 
 
 def in_octagon(geom: OctagonForms, z, shrink: float):

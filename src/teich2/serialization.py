@@ -1,7 +1,9 @@
 """CSV, JSON and SVG text with fixed, byte-reproducible formatting.
 
-The three formats are ``csv_text``, ``json_text`` and ``svg_text``; each
-returns a str, and the CLI writes it to stdout or to a file.
+The three writers are ``csv_blocks``, ``json_text`` and ``svg_blocks``.  The
+CSV and SVG writers yield the UTF-8 bytes of their text one block of rows
+or cells at a time, so no output is held whole, and ``json_text`` returns
+a str; the CLI writes the blocks to a file as they come, or to stdout.
 
 CSV writes floats as %.17g (``format_float``): 17 significant digits, enough
 to round-trip a double, with trailing zeros stripped (0.5, not
@@ -10,9 +12,10 @@ line endings, and quotes nothing: a cell holding ',', '"', CR, LF or NUL is
 refused, as is a table of one column, so every table written is the bytes of
 csv.writer's minimal quoting.  Tables are given as columns; a float64 array
 column is formatted in integer arithmetic, exact digit for digit (``_g17``),
-and each block of rows is written as one uint8 array, in which the text
-cells of a column are joined, encoded once and scattered into rows by their
-byte lengths (``_padded``), while a table of Python cells is joined as text.
+and each block of rows is laid out row by row in one uint8 array, in which
+the text cells of a column are joined, encoded once and scattered into rows
+by their byte lengths (``_padded``), while a table of Python cells is joined
+as text.
 JSON documents carry a top level ``"schema": "teich2/v1"`` marker and
 serialize floats with Python's shortest round-tripping repr, so parsing
 reproduces the doubles bit-exactly.  Their keys are str, and any other key
@@ -25,9 +28,9 @@ kernel for the shortest digits (``_shortest``, on ``_g17``'s core), and each
 table's rows are filled from one byte template row.  ``json.dumps`` is kept
 only in the tests, as the byte oracle.  SVG maps the unit disk to a 1000 x
 1000 viewport and renders geodesic sides as true circular arcs through three
-sampled points, with numbers in %.4f form.  The arcs of all cells are
-computed as array expressions, and the path lines of each block of cells are
-laid out in one uint8 array, filled from a template row that holds the text
+sampled points, with numbers in %.4f form.  The arcs of a block of cells
+are computed as array expressions, and its path lines are laid out in one
+uint8 array, filled from a template row that holds the text
 around the numbers: the numbers are formatted in integer arithmetic from
 digit tables, and only the few that integer rounding cannot settle (on
 half-way ties, non-finite, or 1e4 and above) go through Python's %.4f.
@@ -39,7 +42,7 @@ import functools
 import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from ._elementwise import np
 
@@ -48,9 +51,9 @@ __all__ = [
     "SVG_SIZE",
     "SVG_SCALE",
     "format_float",
-    "csv_text",
+    "csv_blocks",
     "json_text",
-    "svg_text",
+    "svg_blocks",
 ]
 
 SCHEMA = "teich2/v1"
@@ -59,13 +62,12 @@ SVG_SCALE = 495.0  # disk radius in pixels, centered in the viewport
 
 # three arc points closer than this in pixels are rendered as a chord
 _COLLINEAR_EPS = 1e-6
-# cells per pass of the path kernel, whose byte arrays grow with the block:
-# a radius-4 tiling SVG peaks at 36.3-36.5 MB RSS with 512-cell blocks,
-# 41.2-41.3 MB with 4096
-_BLOCK = 512
 # rows per pass of the CSV writer: _g17's arrays take a few hundred bytes per
-# value, so a block of the four-float ball dump stays within a few MB
-_ROWS = 4096
+# value.  On a 2-core x86-64 VM it formats the four-float ball dump at about
+# 110 ns a value in blocks of 2048 rows, against 185 ns in blocks of 4096,
+# whose temporaries glibc's malloc hands back to the system after each pass
+# and faults in again on the next
+_ROWS = 2048
 # a CSV cell holding one of these characters is refused: NUL bytes pad the
 # byte route, and csv.writer would quote the others
 _REFUSED = '\0,"\r\n'
@@ -92,44 +94,52 @@ def _cells(column: Sequence[Any]) -> Sequence[str]:
     return cells
 
 
-def csv_text(header: Sequence[str], columns: Sequence[Any]) -> str:
-    """CSV text of a table given as columns of equal length, one per header name.
+def csv_blocks(header: Sequence[str], parts: Iterable[Sequence[Any]]) -> Iterator[bytes]:
+    """The UTF-8 bytes of a CSV table, block by block: the header line, then
+    the rows of each part in turn.  A part is a sequence of columns of equal
+    length, one per header name; a table held at once is one part, and a
+    table made block by block, as the cell vertices of a tiling are, is one
+    part per block.
 
     A float64 ndarray column is formatted by ``_g17``; any other column cell
-    by cell (``_cells``).  A table without such an array is joined as text.
-    Otherwise each block of _ROWS rows is laid out as one uint8 array and
-    decoded once, as ``_paths`` does with its path lines.
+    by cell (``_cells``).  A part without such an array is joined as text.
+    Otherwise each block of _ROWS rows is laid out row by row in one (rows,
+    bytes) uint8 array, filled field by field, and its 0 bytes dropped.
     """
-    header, columns = list(header), list(columns)
-    rows = len(columns[0]) if columns else 0
-    if len(columns) != len(header) or any(len(c) != rows for c in columns):
-        raise ValueError(
-            f"a CSV table needs one column per header name, all of one length: "
-            f"{len(header)} names, column lengths {[len(c) for c in columns]}"
-        )
-    if len(columns) == 1:  # csv.writer quotes an empty cell alone in its row
+    header = list(header)
+    if len(header) == 1:  # csv.writer quotes an empty cell alone in its row
         raise ValueError("a CSV table of one column is not written")
-    text = [",".join(_cells(header)) + "\n"]
-    # a list or tuple is tested first: a table of Python cells needs no numpy
-    is_float = [type(c) not in (list, tuple) and isinstance(c, np.ndarray)
-                and c.dtype == np.float64 for c in columns]
-    columns = [c if f else _cells(c) for c, f in zip(columns, is_float)]
-    if not any(is_float):
-        text.extend(line + "\n" for line in map(",".join, zip(*columns)))
-        return "".join(text)
-    comma, newline = np.uint8(ord(",")), np.uint8(ord("\n"))
-    for start in range(0, rows, _ROWS):
-        n = min(_ROWS, rows - start)
-        floats = [c[start:start + n] for c, f in zip(columns, is_float) if f]
-        numbers = iter(_g17(np.stack(floats)))
-        pieces = []  # (bytes, n): a row per byte place
-        for column, f in zip(columns, is_float):
-            field = next(numbers) if f else _padded(column[start:start + n])
-            pieces += (field.T, np.broadcast_to(comma, (1, n)))
-        pieces[-1] = np.broadcast_to(newline, (1, n))
-        lines = np.concatenate(pieces).T
-        text.append(lines.tobytes().translate(None, b"\0").decode())
-    return "".join(text)
+    yield (",".join(_cells(header)) + "\n").encode()
+    for columns in parts:
+        columns = list(columns)
+        rows = len(columns[0]) if columns else 0
+        if len(columns) != len(header) or any(len(c) != rows for c in columns):
+            raise ValueError(
+                f"a CSV table needs one column per header name, all of one length: "
+                f"{len(header)} names, column lengths {[len(c) for c in columns]}"
+            )
+        # a list or tuple is tested first: a table of Python cells needs no numpy
+        is_float = [type(c) not in (list, tuple) and isinstance(c, np.ndarray)
+                    and c.dtype == np.float64 for c in columns]
+        columns = [c if f else _cells(c) for c, f in zip(columns, is_float)]
+        if not any(is_float):
+            yield "".join(line + "\n" for line in map(",".join, zip(*columns))).encode()
+            continue
+        for start in range(0, rows, _ROWS):
+            n = min(_ROWS, rows - start)
+            floats = [c[start:start + n] for c, f in zip(columns, is_float) if f]
+            numbers = iter(_g17(np.stack(floats)))
+            fields = [next(numbers) if f else _padded(c[start:start + n])
+                      for c, f in zip(columns, is_float)]
+            lines = np.empty((n, sum(f.shape[1] + 1 for f in fields)), np.uint8)
+            place = 0
+            for field in fields:
+                width = field.shape[1]
+                lines[:, place:place + width] = field
+                lines[:, place + width] = ord(",")
+                place += width + 1
+            lines[:, -1] = ord("\n")
+            yield lines.tobytes().translate(None, b"\0")
 
 
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
@@ -575,17 +585,17 @@ _SIDE = b" A %b %b 0 0 \0 %b %b"
 _TAIL = b' Z" fill="none" stroke="#000000" stroke-width="0.5"/>\n'
 
 
-def _paths(vertices, midpoints) -> str:
-    """The <path> lines of the cells, each ending in a newline: row i of the
-    (N, k) complex arrays holds cell i's vertices and side midpoints.
+def _paths(vertices, midpoints) -> bytes:
+    """The bytes of the <path> lines of the cells, each ending in a newline:
+    row i of the (N, k) complex arrays holds cell i's vertices and side
+    midpoints.
 
     Every line is laid out in one (N, bytes) uint8 array, filled from one
     template row that holds the text around the numbers, with 0 bytes where
     the numbers go.  The numbers, formatted by ``_fixed4``, and the sweep
     digits are written into a (N, k, side) view of the array, each side's
     end vertex being the next side's start.  A chord side's "A" becomes "L"
-    and its radii and flags are zeroed, and the 0 bytes are dropped before
-    one decode.
+    and its radii and flags are zeroed, and the 0 bytes are dropped.
     """
     x, y = _pix(vertices)
     chord, r, sweep = _arcs(x, y, *_pix(midpoints))
@@ -613,24 +623,23 @@ def _paths(vertices, midpoints) -> str:
     sides[:, -1, yk:yk + w] = fy[:, 0]
     sides[chord, 1] = ord("L")
     sides[chord, r1:xk] = 0
-    return lines.tobytes().translate(None, b"\0").decode("ascii")
+    return lines.tobytes().translate(None, b"\0")
 
 
-def svg_text(vertices, midpoints) -> str:
-    """SVG document with one path per cell: row i of the (N, k) complex arrays
-    holds cell i's vertices and side midpoints."""
-    vertices, midpoints = np.asarray(vertices), np.asarray(midpoints)
+def svg_blocks(images: Iterable[tuple[Any, Any]]) -> Iterator[bytes]:
+    """The UTF-8 bytes of an SVG document with one path per cell, block by
+    block: the head, the path lines of each (vertices, midpoints) pair of
+    ``images``, and the tail.  Row i of a pair's (n, k) complex arrays holds
+    one cell's vertices and side midpoints, and each pair is laid out in one
+    pass of ``_paths``, whose byte arrays grow with its rows."""
     half = SVG_SIZE / 2.0
-    head = (
+    yield (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
         f'height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">\n'
         f'<circle cx="{half}" cy="{half}" r="{SVG_SCALE}" '
         'fill="none" stroke="#999999" stroke-width="1"/>\n'
-    )
-    paths = (
-        _paths(vertices[start:start + _BLOCK], midpoints[start:start + _BLOCK])
-        for start in range(0, len(vertices), _BLOCK)
-    )
-    return head + "".join(paths) + "</svg>\n"
-
+    ).encode()
+    for vertices, midpoints in images:
+        yield _paths(vertices, midpoints)
+    yield b"</svg>\n"

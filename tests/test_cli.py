@@ -1,8 +1,11 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import re
+import tracemalloc
 
 import pytest
 from conftest import run_fresh
@@ -712,6 +715,38 @@ class TestTilingCommand:
         assert err.startswith("teich2: argument error: ")
         assert needle in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("fmt", ["svg", "csv", "vertices"])
+    def test_stdout_is_the_file(self, capsys, tmp_path, fmt):
+        # the blocks written to stdout, decoded, are the file's bytes, whether
+        # stdout is captured by pytest or is an io.StringIO with no .buffer
+        argv = ["tiling", "--a", "0.95", "--alpha-tilde", "0.5", "-n", "4", "--format", fmt]
+        assert run([*argv, "-o", str(tmp_path / "out")]) == 0
+        written = (tmp_path / "out").read_bytes()
+        code, out, _ = run_capture(capsys, argv)
+        assert code == 0 and out.encode() == written
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink):
+            assert run(argv) == 0
+        assert sink.getvalue().encode() == written
+
+    def test_radius_five_svg_in_bounded_memory(self, tmp_path):
+        # each block goes to the file before the next is mapped, so the
+        # traced peak is the ball and a few blocks' arrays, not the 8.2 MB
+        # document (21.8 MB when the document was held whole)
+        point = ["--a", "0.85", "--alpha-tilde", "0.03"]
+        ball_of = group.ball(group.generators(teich2.OctagonParams(0.85, 0.03)), 5)
+        assert len(ball_of) == BALL_SIZES[5]  # the word tree is built
+        tracemalloc.start()
+        try:
+            code = run(["tiling", *point, "-n", "5", "--format", "svg",
+                        "-o", str(tmp_path / "r5.svg")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert (tmp_path / "r5.svg").read_bytes().count(b"<path") == BALL_SIZES[5]
+        assert peak < 4 * 2**20
 
 
 POINT = ["--a", "0.8", "--alpha-tilde", "0.2618"]

@@ -678,18 +678,42 @@ class TestWordTree:
                     array[0] = 0
 
 
+def whole_cells(b, geom):
+    """The (vertices, midpoints) of every cell: the blocks of cells, joined."""
+    blocks = list(cells(b, geom))
+    return tuple(np.concatenate([block[j] for block in blocks]) for j in (0, 1))
+
+
 class TestCells:
     def test_cell_count_matches_ball(self):
         gens = generators(P0)
         b = ball(gens, 2)
-        vertices, midpoints = cells(b, build_geometry(P0))
+        vertices, midpoints = whole_cells(b, build_geometry(P0))
         assert len(b) == BALL_SIZES[2]
         assert vertices.shape == midpoints.shape == (BALL_SIZES[2], 8)
+
+    def test_blocks_of_the_ball_in_shortlex_order(self):
+        # one block of group._CELL_BLOCK elements at a time, the last one short
+        geom = build_geometry(P0)
+        b = ball(generators(P0), 4)
+        blocks = list(cells(b, geom))
+        assert [len(v) for v, _ in blocks] == [512] * 6 + [BALL_SIZES[4] - 6 * 512]
+        assert all(m.shape == v.shape for v, m in blocks)
+        vertices, _ = whole_cells(b, geom)
+        assert np.array_equal(blocks[-1][0], vertices[6 * 512:])
+        assert list(cells(group.GroupBall((), b.u[:0], b.v[:0]), geom)) == []
+
+    def test_points_checked_before_the_first_block(self):
+        # a refusal comes from the call, before any block is written
+        geom = build_geometry(P0)
+        outside = geom._replace(vertices=(1.5 + 0j, *geom.vertices[1:]))
+        with pytest.raises(ValueError, match="not strictly inside the unit disk"):
+            cells(ball(generators(P0), 1), outside)
 
     def test_identity_cell_is_base_octagon(self):
         geom = build_geometry(P0)
         b = ball(generators(P0), 0)
-        vertices, _ = cells(b, geom)
+        vertices, _ = whole_cells(b, geom)
         assert b.shortlex == ("",)
         assert_allclose(vertices[0], geom.vertices, rtol=1e-15)
 
@@ -704,7 +728,7 @@ class TestCells:
         except ValueError as exc:
             assert "precision limit" in str(exc)
             return
-        vertices, midpoints = cells(b, geom)
+        vertices, midpoints = whole_cells(b, geom)
         for k, (u, v) in enumerate(zip(b.u.tolist(), b.v.tolist())):
             bar = 4.0 * EPS * (abs(u) ** 2 + abs(v) ** 2)
             for images, points in ((vertices, geom.vertices), (midpoints, geom.midpoints)):
@@ -714,7 +738,7 @@ class TestCells:
         geom = build_geometry(P0)
         gens = generators(P0)
         b = ball(gens, 1)
-        vertices, _ = cells(b, geom)
+        vertices, _ = whole_cells(b, geom)
         row = vertices[b.shortlex.index("a")]
         # g0 maps side 4 onto side 0, so the image octagon touches side 0
         image = {round(v.real, 9) + 1j * round(v.imag, 9) for v in row.tolist()}

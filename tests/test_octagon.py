@@ -280,6 +280,26 @@ class TestPerimeter:
             geom = build_geometry(p)
             assert_allclose(perimeter_ab(p.a, geom.b), vertex_sum(geom.vertices), rtol=1e-10)
 
+    def test_vertex_sum_is_the_sum_of_dist_bit_for_bit(self):
+        # the vertex moduli are taken once and go through dist's own formula
+        a, at = grid_arrays(12, 12, 1e-6)
+        vertices = octagon_forms(a, at).vertices
+        by_dist = sum(dist(vertices[k], vertices[(k + 1) % 8]) for k in range(8))
+        assert np.array_equal(vertex_sum(vertices), by_dist)
+        one = build_geometry(OctagonParams(A0, AT0)).vertices
+        assert vertex_sum(one) == sum(dist(one[k], one[(k + 1) % 8]) for k in range(8))
+
+    def test_vertex_sum_refusals(self):
+        # an odd vertex on the unit circle is a numerical error, any other
+        # vertex outside it dist's ValueError
+        v = build_geometry(OctagonParams(A0, AT0)).vertices
+        with pytest.raises(NumericalError, match=r"vertex_sum: 1 - \|v1\| = 0\.0"):
+            vertex_sum((v[0], 1j, *v[2:]))
+        with pytest.raises(ValueError, match="not strictly inside the unit disk"):
+            vertex_sum((1.5 + 0j, *v[1:]))
+        with pytest.raises(ValueError, match="not strictly inside the unit disk"):
+            vertex_sum(np.array([*v[:4], 1.5 + 0j, *v[5:]])[:, None])
+
     def test_perimeter_ab_array(self):
         vals = perimeter_ab(np.array([A0, A0]), np.array([B0, B0]))
         assert_allclose(vals, PERIMETER0, rtol=1e-14)

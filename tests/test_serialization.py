@@ -11,16 +11,30 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import shortest_check
-from teich2 import cli, serialization
-from teich2.group import BALL_SIZES, ball, cells, generators
+from teich2 import cli, group, serialization
+from teich2.group import BALL_SIZES, GroupBall, ball, cells, generators
 from teich2.octagon import OctagonParams, build_geometry, grid_arrays
 from teich2.serialization import (
     SCHEMA,
-    csv_text,
+    csv_blocks,
     format_float,
     json_text,
-    svg_text,
+    svg_blocks,
 )
+
+
+def csv_text(header, columns) -> str:
+    """The CSV text of a table given as one part: its blocks, joined."""
+    return b"".join(csv_blocks(header, [columns])).decode()
+
+
+def svg_text(vertices, midpoints) -> str:
+    """The SVG text of the cells, given to svg_blocks in blocks of
+    group._CELL_BLOCK rows, as group.cells yields them."""
+    step = group._CELL_BLOCK
+    blocks = ((vertices[start:start + step], midpoints[start:start + step])
+              for start in range(0, len(vertices), step))
+    return b"".join(svg_blocks(blocks)).decode()
 
 
 class TestFloatFormat:
@@ -57,7 +71,7 @@ class TestCSV:
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "out.csv"
-        cli._write(str(path), csv_text(["x", "y"], [[0.1, 0.3], [0.2, 0.4]]))
+        cli._write(str(path), csv_blocks(["x", "y"], [[[0.1, 0.3], [0.2, 0.4]]]))
         raw = path.read_bytes()
         assert b"\r" not in raw
         lines = raw.decode().splitlines()
@@ -240,7 +254,7 @@ class TestJSON:
 
     def test_file_write(self, tmp_path):
         path = tmp_path / "out.json"
-        cli._write(str(path), json_text({"a": 1}))
+        cli._write(str(path), [json_text({"a": 1}).encode()])
         assert json.loads(path.read_text())["a"] == 1
 
 
@@ -260,7 +274,7 @@ class TestSVG:
         assert text.count(" A ") == 8  # eight true circular arcs
 
     def test_tiling_path_count_matches_ball(self):
-        text = svg_text(*cells(ball(generators(self.params), 1), self.geom))
+        text = b"".join(svg_blocks(cells(ball(generators(self.params), 1), self.geom))).decode()
         assert text.count("<path") == BALL_SIZES[1]
 
     def test_diameter_fallback_uses_line(self):
@@ -284,7 +298,7 @@ class TestSVG:
         assert mixed == arcs[:4] + [line] + arcs[5:]
 
     def test_reproducible_bytes(self):
-        vertices, midpoints = cells(ball(generators(self.params), 1), self.geom)
+        vertices, midpoints = next(cells(ball(generators(self.params), 1), self.geom))
         text = svg_text(vertices, midpoints)
         assert svg_text(vertices, midpoints) == text
 
@@ -428,7 +442,8 @@ def assert_same_svg(vertices, midpoints):
 
 def tiling_arrays(a, alpha_tilde, radius=4):
     params = OctagonParams(a, alpha_tilde)
-    return cells(ball(generators(params), radius), build_geometry(params))
+    blocks = list(cells(ball(generators(params), radius), build_geometry(params)))
+    return tuple(np.concatenate([block[j] for block in blocks]) for j in (0, 1))
 
 
 class TestSVGAgainstTemplates:
@@ -472,7 +487,7 @@ class TestSVGAgainstTemplates:
 
     def test_blocks_join_seamlessly(self, monkeypatch):
         vertices, midpoints = tiling_arrays(0.95, 0.5, radius=3)
-        monkeypatch.setattr(serialization, "_BLOCK", 100)
+        monkeypatch.setattr(group, "_CELL_BLOCK", 100)
         assert_same_svg(vertices, midpoints)
 
     @settings(max_examples=8, deadline=None)
@@ -495,7 +510,7 @@ class TestSVGAgainstTemplates:
         mid = 0.3 + 0.2j + 1e-6 * np.cos(np.pi / 8) * turn * np.exp(1j * np.pi / 8)
         vertices = np.concatenate([vertices[:512], [tiny]])
         midpoints = np.concatenate([midpoints[:512], [mid]])
-        assert len(vertices) == serialization._BLOCK + 1
+        assert len(vertices) == group._CELL_BLOCK + 1
         text = assert_same_svg(vertices, midpoints)
         last = text.splitlines()[-2]
         assert last.count(" L ") == 8 and " A " not in last
@@ -688,7 +703,7 @@ class TestShortest:
 
 
 def reference_csv_text(header, rows):
-    """The row-wise writer csv_text replaced, kept as its byte oracle: cells
+    """The row-wise writer the block writer replaced, kept as its byte oracle: cells
     formatted one at a time and written by the csv module.  Each row is
     written with a "\\r\\n" terminator, so that the csv module quotes a cell
     holding "\\r" as well as one holding "\\n", and then ended with "\\n"."""
@@ -708,10 +723,10 @@ def assert_same_csv(header, columns):
     return text
 
 
-# characters csv_text refuses in a cell: the csv module would quote the last
+# characters csv_blocks refuses in a cell: the csv module would quote the last
 # four, and NUL bytes pad the byte route
 REFUSED = '\0,"\r\n'
-# Python cells of every kind csv_text meets, refused characters and lone
+# Python cells of every kind csv_blocks meets, refused characters and lone
 # surrogates aside
 CELL_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=REFUSED))
 PYTHON_CELLS = st.one_of(
@@ -742,7 +757,7 @@ class TestCSVAgainstReference:
 
     @pytest.mark.parametrize("cell", [",", '"', "\r", "\n", "a,b", 'a"b', "a\r\nb", "", " x "])
     def test_quoting(self, cell):
-        # csv_text quotes nothing: a cell the csv module would quote is
+        # csv_blocks quotes nothing: a cell the csv module would quote is
         # refused, in the header and in a str column beside floats or beside
         # str cells; any other cell is written as the csv module writes it
         tables = [([cell, "x"], [[cell, "y", cell], np.array([0.5, -1.0, 1e-5])]),
@@ -757,7 +772,7 @@ class TestCSVAgainstReference:
     @pytest.mark.parametrize("floats", [False, True])
     def test_bare_carriage_return_reads_back(self, floats):
         # the csv module's "\\n"-terminated writer leaves a bare CR unquoted,
-        # and csv.reader then refuses the file: csv_text refuses the cell, and
+        # and csv.reader then refuses the file: csv_blocks refuses the cell, and
         # every table it writes reads back
         column = np.array([0.5]) if floats else ["z"]
         with pytest.raises(ValueError, match="CR or LF"):
@@ -821,3 +836,42 @@ class TestCSVAgainstReference:
         b = ball(generators(OctagonParams(0.95, 0.5)), 3)
         monkeypatch.setattr(serialization, "_ROWS", 100)
         assert_same_csv(("word", "u_re", "v_im"), (b.shortlex, b.u.real, b.v.imag))
+
+
+class TestBlockEdges:
+    """The blocks of each writer, joined, are the bytes of its byte oracle on
+    either side of a block edge."""
+
+    params = OctagonParams(0.95, 0.5)  # chord-heavy: lines and arcs in every block
+
+    @pytest.mark.parametrize("sizes", [[511], [512], [512, 1]])
+    def test_svg_of_the_cells_of_a_ball(self, sizes):
+        b = ball(generators(self.params), 4)
+        count = sum(sizes)
+        part = GroupBall(b.shortlex[:count], b.u[:count], b.v[:count])
+        blocks = list(cells(part, build_geometry(self.params)))
+        assert [len(v) for v, _ in blocks] == sizes
+        vertices, midpoints = (np.concatenate([block[j] for block in blocks]) for j in (0, 1))
+        text = b"".join(svg_blocks(blocks)).decode()
+        assert text == reference_svg_text(vertices, midpoints)
+
+    @pytest.mark.parametrize("rows", [serialization._ROWS - 1, serialization._ROWS,
+                                      serialization._ROWS + 1])
+    def test_csv_rows(self, rows):
+        b = ball(generators(self.params), 5)
+        header = ("word", "u_re", "u_im", "v_re", "v_im")
+        columns = [c[:rows] for c in (b.shortlex, b.u.real, b.u.imag, b.v.real, b.v.imag)]
+        blocks = list(csv_blocks(header, [columns]))
+        assert len(blocks) == 1 + -(-rows // serialization._ROWS)  # the header, then the rows
+        assert b"".join(blocks).decode() == reference_csv_text(header, zip(*columns))
+
+    def test_csv_parts_are_one_table(self):
+        # a table given block by block, as the cell vertices are, is the
+        # table given at once, whatever its parts' lengths
+        b = ball(generators(self.params), 5)
+        columns = (b.shortlex, b.u.real, ["x"] * len(b))
+        edges = [0, 1, 1, serialization._ROWS + 2, len(b)]
+        parts = [[c[start:end] for c in columns] for start, end in zip(edges, edges[1:])]
+        header = ("word", "u_re", "tag")
+        assert (b"".join(csv_blocks(header, parts))
+                == b"".join(csv_blocks(header, [columns])))
