@@ -21,7 +21,7 @@ from .isoperimetric import (
     e_of_p,
     parabola_fit,
     wp_area,
-    wp_area_contour,
+    wp_area_fn,
 )
 from .octagon import (
     OctagonForms,
@@ -57,5 +57,5 @@ __all__ = [
     "run_validation",
     "side_pairing_check",
     "wp_area",
-    "wp_area_contour",
+    "wp_area_fn",
 ]

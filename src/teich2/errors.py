@@ -4,8 +4,8 @@ Their ``index`` follows one rule: a refusal that ``_elementwise.first_true``
 found carries the flat index (C order) of its element in the tested arrays
 broadcast together, 0 for a number (for ``group.ball``, the word's position
 in the ball); it is None only where no elementwise test raised: ``e_of_p``,
-``wp_area``, ``wp_area_contour``, a math domain error of one number, and the
-CLI's kappa guard and orbit-point message.
+``wp_area``, a math domain error of one number, and the CLI's kappa guard and
+orbit-point message.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ row), in ``orbit_forms``, which takes floats as well; the extremes of a are
 its view.  The WP area enclosed by an orbit reduces to a single integral
 over a in [a_minus, a_plus], taken by QUADPACK one node at a time through a
 float closure built once per orbit (``_area_density``), and cross-checked
-here against Wolpert's contour integral of l1 dtau1 around the orbit.
+here by Wolpert's form over the orbit as a graph in (l1, tau1).
 """
 
 from __future__ import annotations
@@ -26,20 +26,8 @@ from ._elementwise import np
 from .errors import DomainError, NumericalError
 from .fenchel_nielsen import _fn_forms
 
-__all__ = [
-    "A_REG",
-    "E_REG",
-    "P_REG",
-    "QUAD_TOLERANCE",
-    "AreaResult",
-    "e_of_p",
-    "a_extremes",
-    "orbit_forms",
-    "asymptotic_orbit",
-    "wp_area",
-    "wp_area_contour",
-    "parabola_fit",
-]
+__all__ = ["A_REG", "E_REG", "P_REG", "QUAD_TOLERANCE", "AreaResult", "e_of_p", "a_extremes",
+           "orbit_forms", "asymptotic_orbit", "wp_area", "wp_area_fn", "parabola_fit"]
 
 A_REG = 2.0 ** -0.25
 E_REG = 12.0 + 8.0 * math.sqrt(2.0)
@@ -246,52 +234,62 @@ def wp_area(p_star: float) -> AreaResult:
     return AreaResult(area, err, int(info["neval"]))
 
 
-def wp_area_contour(p_star: float) -> float:
-    """WP area inside the orbit P = p_star as Wolpert's contour integral.
+def wp_area_fn(p_star):
+    """WP area inside the orbit P = p_star by Wolpert's form dl1 ^ dtau1 in
+    Fenchel-Nielsen coordinates; elementwise, and a sequence gives an array.
 
-    The WP form 1/2 sum_k dl_k ^ dtau_k is dl1 ^ dtau1 on this family, so by
-    Stokes the area is |oint l1 dtau1|, a periodic integral in phi on which
-    the trapezoid rule converges geometrically (Trefethen and Weideman, SIAM
-    Rev. 56, 2014).  Nodes double from 64, the first levels being views of
-    one 256-node sample and each later doubling evaluating only the new
-    odd-indexed nodes, until the estimate agrees with that of its
-    even-indexed half to 1e-13 max(1, area); NumericalError past 2^16 nodes
-    (from P ~ 80) or where orbit points round out of the domain.
+    The orbit is the graph |tau1| <= tau*(l1) on [l1(a_minus), l1(a_plus)]:
+    with K = cosh(P/8), C = cosh(l1/2), A = 1/(1 + C), m = KA + A - 1 and
+    B = 2Am/(m^2 - 1), cosh tau* = 2 sinh^2(l1/4)/(C B) - 1, clamped at 1.
+    The area 2 int tau* dl1, in l1 = mid - half cos(theta), is a trapezoid sum
+    at theta_j = pi j/n, converging geometrically (Trefethen and Weideman, SIAM
+    Rev. 56, 2014).  n doubles from 256, each time evaluating only the new
+    odd-indexed nodes, and each p_star takes the first sum that agrees with
+    its even-indexed half's to 1e-13 max(1, area).  NumericalError past 2^16
+    nodes (from P ~ 130) or where a sum is not finite, as where a_plus rounds
+    to 1 (from P ~ 305).
     """
-    if p_star < P_REG - 1e-12:
-        raise DomainError(f"p_star = {p_star!r} lies below P_reg = {P_REG!r}")
-    if p_star <= P_REG:
-        return 0.0
-    e_star = e_of_p(p_star)
-    a, at = orbit_forms(e_star, _phases(256))
-    with np.errstate(all="ignore"):  # at large P points round past the edge
-        first_l1, _, first_tau1, _ = _fn_forms(a, at)
-    previous = math.nan
-    for n in [2**k for k in range(5, 17)]:
-        if n <= 256:  # every (256/n)-th node of the first sample
-            l1, tau1 = first_l1[::256 // n], first_tau1[::256 // n]
-        else:
-            # the even-indexed half of n samples is the previous, n/2-node
-            # sample, so a doubling evaluates only the odd-indexed phases
-            a, at = orbit_forms(e_star, _phases(n)[1::2])
-            with np.errstate(all="ignore"):
-                fresh_l1, _, fresh_tau1, _ = _fn_forms(a, at)
-            l1 = np.column_stack([l1, fresh_l1]).ravel()
-            tau1 = np.column_stack([tau1, fresh_tau1]).ravel()
-        with np.errstate(all="ignore"):
-            spec = np.fft.rfft(tau1) * (1j * np.arange(n // 2 + 1))
-            spec[-1] = 0.0  # d/dphi of the Nyquist mode of an even n
-            # l1's mean integrates to 0; dropping it spares small orbits cancellation
-            dtau1 = np.fft.irfft(spec, n)
-            area = abs(float(np.dot(l1 - l1.mean(), dtau1))) * 2.0 * math.pi / n
-        change, previous = abs(area - previous), area
-        if change <= 1e-13 * max(1.0, area):
-            return area
-        if not math.isfinite(area) or n == 2**16:
-            raise NumericalError(
-                f"contour area at p_star = {p_star!r} did not converge: {area!r} "
-                f"at {n} nodes, {change!r} from {n // 2}"
-            )
+    flat = np.asarray(p_star, dtype=float).reshape(-1)
+    found = ew.first_true(~(flat >= P_REG - 1e-12), flat)
+    if found is not None:
+        k, (p_k,) = found
+        raise DomainError(f"p_star = {p_k!r} lies below P_reg = {P_REG!r}", k)
+    with np.errstate(all="ignore"):  # a sum that is not finite is refused below
+        k_star = np.cosh(np.maximum(flat, P_REG) / 8.0)
+        # a_extremes in one call, as rows, so that a refusal's index is its perimeter's
+        ends = orbit_forms(2.0 * (k_star + 1.0), np.array([[math.pi], [0.0]]))[0]
+        lo, hi = _fn_forms(ends, 0.0)[0]
+        mid, half, k_star = (0.5 * (hi + lo))[:, None], 0.5 * (hi - lo), k_star[:, None]
+
+        def tau_sin(theta):  # tau* sin(theta) at the angles theta, a row per p_star
+            l1 = mid - half[:, None] * np.cos(theta)
+            c = np.cosh(0.5 * l1)
+            big_a = 1.0 / (1.0 + c)
+            m = k_star * big_a + big_a - 1.0
+            cosh_tau = np.sinh(0.25 * l1) ** 2 * (m * m - 1.0) / (c * big_a * m) - 1.0
+            return np.arccosh(np.maximum(cosh_tau, 1.0)) * np.sin(theta)
+
+        n, area, open_ = 256, np.zeros(flat.shape), flat > P_REG
+        nodes = tau_sin(np.pi * np.arange(1, n) / n)
+        previous = 4.0 * np.pi / n * half * nodes[:, 1::2].sum(axis=1)
+        while True:
+            estimate = 2.0 * np.pi / n * half * nodes.sum(axis=1)
+            change = abs(estimate - previous)
+            done = open_ & (change <= 1e-13 * np.maximum(1.0, estimate))
+            area[done], open_ = estimate[done], open_ & ~done
+            found = ew.first_true(open_ & ((n == 2**16) | ~np.isfinite(estimate)),
+                                  flat, estimate, change)
+            if found is not None:
+                k, (p_k, area_k, change_k) = found
+                raise NumericalError(f"FN area at p_star = {p_k!r} is not finite or not "
+                                     f"converged: {area_k!r} at {n} nodes, {change_k!r} "
+                                     f"from {n // 2}", k)
+            if not open_.any():
+                return area.reshape(np.shape(p_star)) if np.ndim(p_star) else float(area[0])
+            # the even-indexed half of 2n nodes is the n-node sample
+            previous, old, n = estimate, nodes, 2 * n
+            nodes = np.empty((flat.size, n - 1))
+            nodes[:, 0::2], nodes[:, 1::2] = tau_sin(np.pi * np.arange(1, n, 2) / n), old
 
 
 def parabola_fit(p_min: float, p_max: float, step: float):

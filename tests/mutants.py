@@ -102,6 +102,19 @@ MUTANTS = [
         ("tests/test_isoperimetric.py::TestOrbit::test_e_refusals_name_the_first_e",
          f"{REFUSALS}[discriminant]"),
     ),
+    # the second area route
+    Mutant(
+        "FN area without the sin(theta) Jacobian", "isoperimetric.py",
+        "return np.arccosh(np.maximum(cosh_tau, 1.0)) * np.sin(theta)",
+        "return np.arccosh(np.maximum(cosh_tau, 1.0))",
+        ("tests/test_isoperimetric.py::TestWPArea::test_contour_matches_mpmath_where_quad_drifts",),
+    ),
+    Mutant(
+        "FN doubling evaluates the even-indexed angles", "isoperimetric.py",
+        "tau_sin(np.pi * np.arange(1, n, 2) / n), old",
+        "tau_sin(np.pi * np.arange(0, n - 1, 2) / n), old",
+        ("tests/test_isoperimetric.py::TestWPArea::test_contour_evaluates_new_nodes_only",),
+    ),
     Mutant(
         "upper_a tested before lower_a", "octagon.py",
         '    if not above_k:\n'

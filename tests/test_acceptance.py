@@ -146,7 +146,7 @@ def test_criterion_09_orbit_asymptote():
 
 
 def test_criterion_10_wp_areas():
-    desc = "areas: zero at P_reg, quad vs contour rel <= 1e-12, parabola fit, < 60 s"
+    desc = "areas: zero at P_reg, quad vs FN graph rel <= 1e-12, parabola fit, < 60 s"
     t0 = time.perf_counter()
     at_reg = _ONCE_CHECKS["area_regular"]()["area_regular"]
     worst_rel = _ONCE_CHECKS["area_cross_check"]((25.0, 30.0, 35.0, 41.0))[

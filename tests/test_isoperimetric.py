@@ -28,7 +28,7 @@ from teich2.isoperimetric import (
     orbit_forms,
     parabola_fit,
     wp_area,
-    wp_area_contour,
+    wp_area_fn,
 )
 from teich2.octagon import OctagonParams, b_of, perimeter_ab
 
@@ -102,6 +102,30 @@ def tight_quad_area(p_star: float) -> float:
     if g is None:
         return 0.0
     return quad(g, 0.0, 1.0, epsabs=0.0, epsrel=2e-14, limit=500, full_output=True)[0]
+
+
+def fn_area_all_nodes(p_star: float) -> float:
+    """wp_area_fn at one perimeter with all n nodes evaluated at every level,
+    in the route's operation order."""
+    k_star = np.cosh(np.array([p_star]) / 8.0)[:, None]
+    lo, hi = (fenchel_nielsen._fn_forms(a, 0.0)[0] for a in a_extremes(2.0 * (k_star + 1.0)))
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    previous = None
+    for n in [2**k for k in range(8, 17)]:
+        theta = np.pi * np.arange(1, n) / n
+        l1 = mid - half * np.cos(theta)
+        c = np.cosh(0.5 * l1)
+        big_a = 1.0 / (1.0 + c)
+        m = k_star * big_a + big_a - 1.0
+        cosh_tau = np.sinh(0.25 * l1) ** 2 * (m * m - 1.0) / (c * big_a * m) - 1.0
+        nodes = np.arccosh(np.maximum(cosh_tau, 1.0)) * np.sin(theta)
+        if previous is None:  # the first level's half is its even-indexed nodes
+            previous = float(4.0 * np.pi / n * half[0, 0] * nodes[0, 1::2].sum())
+        area = float(2.0 * np.pi / n * half[0, 0] * nodes[0].sum())
+        if abs(area - previous) <= 1e-13 * max(1.0, area):
+            return area
+        previous = area
+    raise AssertionError(f"no convergence at {p_star!r}")
 
 
 def quad_outcome(p_star: float):
@@ -398,64 +422,73 @@ class TestWPArea:
         with pytest.raises(DomainError):
             wp_area(P_REG - 0.01)
         with pytest.raises(DomainError):
-            wp_area_contour(20.0)
+            wp_area_fn(20.0)
+
+    # the second route, wp_area_fn: Wolpert's form integrated over the orbit
+    # as the graph |tau1| <= tau*(l1), the contour integral of tau1 dl1
 
     def test_contour_agrees_with_quadrature(self):
-        for p_star in [*np.arange(24.5, 41.01, 0.25), 50.0, 60.0]:
-            q = wp_area(float(p_star)).area
-            assert abs(wp_area_contour(float(p_star)) - q) / q <= 1e-12, p_star
+        p_stars = np.array([*np.arange(24.5, 41.01, 0.25), 50.0, 60.0])
+        for p_star, area in zip(p_stars.tolist(), wp_area_fn(p_stars).tolist()):
+            q = wp_area(p_star).area
+            assert abs(area - q) / q <= 1e-12, p_star
 
     def test_contour_matches_mpmath_where_quad_drifts(self):
         for p_star, ref in AREAS_MP.items():
-            assert abs(wp_area_contour(p_star) - ref) / ref <= 1e-14, p_star
+            assert abs(wp_area_fn(p_star) - ref) / ref <= 1e-14, p_star
+
+    def test_contour_matches_mpmath_table(self):
+        # past P ~ 99.6 quad misses QUAD_TOLERANCE; this route holds 1e-13 to P = 120
+        with open(AREAS_MPMATH, newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.DictReader(fh) if float(row["P"]) <= 120.0]
+        assert len(rows) == 5
+        for row in rows:
+            p_star, ref = float(row["P"]), float(row["area"])
+            assert abs(wp_area_fn(p_star) - ref) <= 1e-13 * ref, p_star
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(P_REG, 60.0))
     def test_contour_matches_quadrature_property(self, p_star):
         # at the scale max(1, area): both routes read a small orbit's area off
-        # points rounded to absolute precision, so tiny areas agree absolutely
+        # ends rounded to absolute precision, so tiny areas agree absolutely
         ref = tight_quad_area(p_star)
-        assert abs(wp_area_contour(p_star) - ref) <= 1e-12 * max(1.0, ref)
+        assert abs(wp_area_fn(p_star) - ref) <= 1e-12 * max(1.0, ref)
 
     def test_contour_zero_at_regular(self):
-        assert wp_area_contour(P_REG) == 0.0
-        with pytest.raises(DomainError):
-            wp_area_contour(P_REG - 1e-9)
+        assert wp_area_fn(P_REG) == 0.0
+        assert wp_area_fn([P_REG, 30.0])[0] == 0.0
+        for p_stars, index in [(P_REG - 1e-9, 0), ([30.0, 20.0, P_REG - 1e-9], 1),
+                               ([[30.0, 41.0], [math.nan, 10.0]], 2)]:
+            with pytest.raises(DomainError) as exc:
+                wp_area_fn(p_stars)
+            assert exc.value.index == index
 
-    @pytest.mark.parametrize("p_star", [80.0, 200.0, 400.0])
+    def test_contour_is_elementwise(self):
+        p_stars = [[25.0, 41.0], [60.0, 30.0]]
+        areas = wp_area_fn(p_stars)
+        assert type(wp_area_fn(25.0)) is float
+        assert areas.shape == (2, 2) and wp_area_fn(()).shape == (0,)
+        assert areas.tolist() == [[wp_area_fn(p) for p in row] for row in p_stars]
+
+    @pytest.mark.parametrize("p_star", [140.0, 200.0, 400.0])
     def test_contour_breakdown_raises(self, p_star):
-        # 80: no agreement by 2^16 nodes; 200 and 400: orbit points round
-        # past the domain edge, which must not warn (warnings are errors here)
-        with pytest.raises(NumericalError):
-            wp_area_contour(p_star)
+        # 140 and 200: no agreement by 2^16 nodes; 400: a_plus rounds to 1,
+        # where l1 is inf and the sum NaN, which must not warn (warnings are
+        # errors here)
+        with pytest.raises(NumericalError) as exc:
+            wp_area_fn([30.0, p_star])
+        assert exc.value.index == 1
+        with pytest.raises(NumericalError, match=f"p_star = {p_star!r}"):
+            wp_area_fn(p_star)
 
     @pytest.mark.parametrize("p_star", [25.0, 33.3, 41.0, 60.0, 77.0])
     def test_contour_evaluates_new_nodes_only(self, p_star):
         # the reference evaluates all n nodes at every doubling; reusing the
-        # previous samples as the even-indexed half changes no bit
-        e_star = e_of_p(p_star)
-        previous = math.nan
-        for n in [2**k for k in range(5, 17)]:
-            l1, _, tau1, _ = fenchel_nielsen._fn_forms(*orbit_forms(e_star, iso._phases(n)))
-            spec = np.fft.rfft(tau1) * (1j * np.arange(n // 2 + 1))
-            spec[-1] = 0.0
-            dtau1 = np.fft.irfft(spec, n)
-            area = abs(float(np.dot(l1 - l1.mean(), dtau1))) * 2.0 * math.pi / n
-            change, previous = abs(area - previous), area
-            if change <= 1e-13 * max(1.0, area):
-                break
-        assert wp_area_contour(p_star) == area
-
-    @pytest.mark.parametrize("p_star, area", [
-        (25.0, "0x1.7310d9bb0399dp+0"),
-        (30.0, "0x1.046dd9928258dp+4"),
-        (41.0, "0x1.d6245cf5d7884p+5"),
-        (60.0, "0x1.4c564bfb7816fp+7"),
-    ])
-    def test_contour_bits_held(self, p_star, area):
-        # recorded while every level up to 256 nodes evaluated its own orbit
-        # points; the strided views of one 256-node sample move no bit
-        assert float.hex(wp_area_contour(p_star)) == area
+        # previous nodes as the even-indexed half changes no bit, also where
+        # the perimeters of one call converge at different levels
+        assert wp_area_fn(p_star) == fn_area_all_nodes(p_star)
+        p_stars = [25.0, 33.3, 41.0, 60.0, 77.0]
+        assert wp_area_fn(p_stars).tolist() == [fn_area_all_nodes(p) for p in p_stars]
 
     def test_contour_route_independent_of_wp_density(self, monkeypatch):
         def refuse(*args):
@@ -463,7 +496,14 @@ class TestWPArea:
 
         monkeypatch.setattr(iso, "_area_density", refuse)
         monkeypatch.setattr(fenchel_nielsen, "wp_coefficient_raw", refuse)
-        assert_allclose(wp_area_contour(30.0), AREAS[30.0], rtol=1e-10)
+        assert_allclose(wp_area_fn(30.0), AREAS[30.0], rtol=1e-10)
+
+    def test_quadrature_meets_documented_accuracy_densely(self):
+        # every 1/8 of perimeter from P_reg to 99.5, against the second route,
+        # which holds 1e-13 against mpmath there
+        p_stars = P_REG + 0.125 * np.arange(1, int((QUAD_MISS_FROM - P_REG) / 0.125) + 1)
+        for p_star, ref in zip(p_stars.tolist(), wp_area_fn(p_stars).tolist()):
+            assert abs(wp_area(p_star).area - ref) <= iso.QUAD_TOLERANCE * ref, p_star
 
     @pytest.mark.parametrize("p_star", [25.0, 99.58, 161.0])
     def test_integrand_float_route_is_array_route(self, p_star):

@@ -23,7 +23,7 @@ from teich2 import group
 from teich2.errors import NumericalError
 from teich2.group import ball, generators
 from teich2.hyperbolic import dist, su_check
-from teich2.isoperimetric import E_REG, P_REG, e_of_p, orbit_forms
+from teich2.isoperimetric import E_REG, P_REG, e_of_p, orbit_forms, wp_area_fn
 from teich2.octagon import ALPHA_TILDE_MAX, _check_domain, lower_a
 
 
@@ -86,6 +86,12 @@ SITES = {
         st.tuples(_PASSING_E, st.floats(0.05, 2.0 * math.pi - 0.05)),
         st.tuples(st.sampled_from([180.0, 200.0, 250.0, 400.0]).map(e_of_p),
                   st.sampled_from([1e-10, 1e-9, -1e-9, 2.0 * math.pi - 1e-9])),
+    ),
+    # a perimeter below P_reg, or NaN, is a DomainError
+    "fn_area": Site(
+        wp_area_fn,
+        st.tuples(st.floats(P_REG, 60.0)),
+        st.tuples(st.one_of(st.floats(-1e300, P_REG - 1e-9), st.just(math.nan))),
     ),
     # each of the three inequalities, alpha_range tested first
     "domain": Site(
